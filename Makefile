@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check ci fmt vet build test race bench microbench fuzz-smoke serve-smoke chaos-smoke batch-smoke http-smoke cluster-smoke benchdiff golden
+.PHONY: check ci fmt vet build test race bench microbench fuzz-smoke serve-smoke chaos-smoke batch-smoke http-smoke cluster-smoke bench-smoke benchdiff golden
 
-check: fmt vet build race fuzz-smoke serve-smoke chaos-smoke batch-smoke http-smoke cluster-smoke benchdiff
+check: fmt vet build race fuzz-smoke serve-smoke chaos-smoke batch-smoke http-smoke cluster-smoke bench-smoke benchdiff
 
 # CI entry point: the same gates as `check` but fail-slow — every gate
 # runs even after a failure so one push reports all breakage at once,
@@ -43,10 +43,14 @@ bench:
 
 # Kernel-level microbenchmarks: matmul (serial vs packed), im2col, the
 # fused convolution vs the historical im2col+matmul lowering, and the
-# arena pool. Informational — run on hot-path kernel changes and in CI
-# for the log; the end-to-end gate is benchdiff on BENCH_4.json.
+# arena pool — then the scheduler alone (model-only Run, ns/frame and
+# allocs/frame at 16 / 1000 / 10000 streams, plain and under chaos: the
+# curve the dispatch index keeps flat). Informational — run on hot-path
+# changes and in CI for the log; the end-to-end gate is benchdiff on
+# BENCH_4.json.
 microbench:
 	$(GO) test -run=^$$ -bench=. -benchmem ./internal/tensor
+	$(GO) test -run=^$$ -bench=SchedulerModelOnly -benchtime=3x ./internal/serve
 
 # Brief randomized fuzzing on top of the committed seed corpus (the seeds
 # themselves already run as regular tests). `go test -fuzz` accepts one
@@ -91,6 +95,15 @@ http-smoke:
 # failover and migration, and byte-identical reports across the two runs.
 cluster-smoke:
 	./scripts/cluster-smoke.sh
+
+# Benchmark-program gate: benchmark/ is a module of its own that the root
+# module's build and tests never touch, so a library refactor can break it
+# unnoticed until the benchmark driver runs. Vet it, run its unit tests, and
+# run every workload at smoke sizes (~10 s in all).
+bench-smoke:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+	bash benchmark/run.sh -smoke -seconds 0.2
 
 # Benchmark-report gates: the diff tool must localise a synthetic
 # single-stage regression (its own self-validation), and the committed

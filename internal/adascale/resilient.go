@@ -579,6 +579,14 @@ type HealthSummary struct {
 // Summarize folds the per-frame Health records of an output stream.
 func Summarize(outputs []FrameOutput) HealthSummary {
 	var s HealthSummary
+	s.Add(outputs)
+	return s
+}
+
+// Add folds more outputs into the summary. Every field is an integer
+// count, so folding a run stream by stream equals summarizing the
+// flattened run exactly — without building the flattened copy.
+func (s *HealthSummary) Add(outputs []FrameOutput) {
 	for i := range outputs {
 		h := outputs[i].Health
 		s.Frames++
@@ -603,7 +611,6 @@ func Summarize(outputs []FrameOutput) HealthSummary {
 			s.Unaccounted++
 		}
 	}
-	return s
 }
 
 // MeanRecoveryFrames returns the average length of a degraded run that

@@ -36,6 +36,7 @@ func FuzzClusterEvents(f *testing.F) {
 
 	_, sys := system(f)
 	streams := load(f, sharedDS, 6, 10, 10, 11)
+	f.Cleanup(serve.AuditIndex())
 
 	f.Fuzz(func(t *testing.T, data []byte, nodes uint8) {
 		n := int(nodes%4) + 1

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"adascale/internal/adascale"
+	"adascale/internal/faults"
 	"adascale/internal/synth"
 )
 
@@ -23,7 +25,9 @@ func fuzzSnippets() []synth.Snippet {
 // error rather than panic; a valid config must produce exactly the
 // requested schedule with finite, non-negative, non-decreasing arrival
 // times; and the schedule must be a pure function of the config (two calls
-// agree exactly).
+// agree exactly). Every accepted schedule is then served model-only — under
+// a chaos plan derived from the seed two times in three — with the dispatch
+// index audited against the linear-scan oracle at every pick (ready_test.go).
 func FuzzLoadgen(f *testing.F) {
 	f.Add(2, 8.0, 5, int64(5))
 	f.Add(1, 30.0, 1, int64(0))
@@ -35,6 +39,7 @@ func FuzzLoadgen(f *testing.F) {
 	f.Add(2, 1e308, 4, int64(3))       // huge but finite rate
 	f.Add(5, 1e-9, 2, int64(44))       // near-zero rate, huge gaps
 	f.Add(-1, 8.0, -3, int64(77))      // invalid: negative sizes
+	ds, sys := system(f)
 	f.Fuzz(func(t *testing.T, streams int, fps float64, frames int, seed int64) {
 		// Bound the work, not the validity: huge requests are legal, just
 		// too slow/large to fuzz.
@@ -75,6 +80,28 @@ func FuzzLoadgen(f *testing.F) {
 		again, err := GenLoad(snippets, cfg)
 		if err != nil || !reflect.DeepEqual(out, again) {
 			t.Fatalf("GenLoad not deterministic (err=%v)", err)
+		}
+
+		served, err := GenLoad(ds.Val, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scfg := Config{
+			Workers: 1 + int(uint64(seed)%4), QueueDepth: 1 + int(uint64(seed)>>2%8), SLOMS: 80,
+			Resilient: adascale.DefaultResilientConfig(), ModelOnly: true, CompactMetrics: true,
+		}
+		// The plan's event count grows with its horizon; a near-zero frame
+		// rate stretches the schedule over years of virtual time.
+		horizon := math.Min(served[0].Frames[frames-1].ArrivalMS, 5000)
+		if rate := float64(uint64(seed) % 3); rate > 0 && horizon > 0 {
+			plan, err := faults.GenSystemPlan(faults.ScaledSystemConfig(rate, seed, horizon, scfg.Workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			scfg.Chaos = plan
+		}
+		if rep := newServer(t, sys, scfg).run(served, oracleAudit(t, nil)); rep.Lost() != 0 {
+			t.Fatalf("lost %d frames serving %+v", rep.Lost(), cfg)
 		}
 	})
 }

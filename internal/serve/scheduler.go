@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/heap"
 	"fmt"
 
 	"adascale/internal/adascale"
@@ -45,12 +44,8 @@ type event struct {
 	seq    int // arrival index, dispatch ID or plan index; stabilises ordering
 }
 
-// eventHeap is a min-heap over (timeMS, kind, stream, seq).
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
+// before is the event order: (timeMS, kind, stream, seq).
+func (a event) before(b event) bool {
 	if a.timeMS != b.timeMS {
 		return a.timeMS < b.timeMS
 	}
@@ -62,11 +57,55 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h *eventHeap) push(e event) { heap.Push(h, e) }
-func (h *eventHeap) pop() event   { return heap.Pop(h).(event) }
+
+// eventHeap is a binary min-heap of events in before order. It is written
+// out over []event rather than through container/heap, whose interface
+// boxes every pushed and popped event — one allocation per arrival and per
+// completion on the hot path.
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	*h = q
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = e
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	e := q[n]
+	q = q[:n]
+	*h = q
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(e) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = e
+	}
+	return top
+}
 
 // noCapacity marks "no serving slot free"; anonSlot is the sup-less path's
 // placeholder worker index (capacity is a bare counter there).
@@ -86,6 +125,7 @@ type eventLoop struct {
 	det      *rfcn.Detector
 
 	events      eventHeap
+	index       dispatchIndex // maintained by touch only (ready.go)
 	clockMS     float64
 	busy        int // frames virtually in service (≤ cfg.Workers)
 	dispatchSeq int
@@ -96,6 +136,10 @@ type eventLoop struct {
 	pending      []pendingCompute
 	batchFrames  int // frames shipped through batch jobs so far
 	batchFlushes int // batch jobs shipped so far
+
+	// audit, when non-nil, is called after every event (picking false) and
+	// at the top of every dispatch iteration (picking true). Tests only.
+	audit func(l *eventLoop, picking bool)
 }
 
 // pendingCompute is one deferred compute submission. res snapshots the
@@ -125,6 +169,11 @@ func (e pendingCompute) live() bool { return e.inf.res == e.res }
 
 // run drives the simulation to completion.
 func (l *eventLoop) run() {
+	arrivals := 0
+	for i := range l.streams {
+		arrivals += len(l.streams[i].Frames)
+	}
+	l.events = make(eventHeap, 0, arrivals)
 	for i := range l.streams {
 		for j := range l.streams[i].Frames {
 			l.events.push(event{
@@ -141,7 +190,7 @@ func (l *eventLoop) run() {
 	if l.cfg.TickMS > 0 && l.cfg.OnTick != nil {
 		l.events.push(event{timeMS: l.cfg.TickMS, kind: kindTick})
 	}
-	for l.events.Len() > 0 {
+	for len(l.events) > 0 {
 		ev := l.events.pop()
 		if l.stale(ev) {
 			// Skipped before the clock advances: an abandoned timer (a
@@ -165,9 +214,12 @@ func (l *eventLoop) run() {
 			l.cfg.OnTick(l.clockMS, l.metrics)
 			// Re-arm only while the simulation still has events: a tick
 			// must never keep an otherwise-finished run alive.
-			if l.events.Len() > 0 {
+			if len(l.events) > 0 {
 				l.events.push(event{timeMS: ev.timeMS + l.cfg.TickMS, kind: kindTick})
 			}
+		}
+		if l.audit != nil {
+			l.audit(l, false)
 		}
 	}
 }
@@ -188,6 +240,8 @@ func (l *eventLoop) arrive(ev event) {
 			l.metrics.Inc(fmt.Sprintf("stream/%d/dropped", s.id), 1)
 		}
 	}
+	// A drop-oldest eviction changes a waiting session's head, hence its key.
+	l.touch(ev.stream)
 	l.metrics.Observe("queue/depth", float64(s.queue.Len()))
 	l.metrics.SetMax("queue/peak_depth", float64(s.queue.Len()))
 	l.dispatch()
@@ -209,63 +263,72 @@ func (l *eventLoop) claimCapacity() int {
 	return noCapacity
 }
 
+// What pick found: nothing dispatchable, or the path the frame takes.
+const (
+	pickNone = iota
+	pickShed
+	pickRetry
+	pickReady
+)
+
 // dispatch starts frames while serving capacity and ready streams remain.
-// Open-breaker streams go first and bypass the capacity claim entirely:
-// shed serving is propagation-only on the stream's session state (the DFF
-// warp), not the worker pool, so those streams keep draining while the
-// pool is dead or saturated — the availability contract of the shed rung.
-// Then retry-ready frames (failed dispatches whose backoff has expired);
-// among them, and then among fresh head frames, it picks the
-// earliest-arrived frame (lowest stream index on ties) — FIFO across
-// streams, so no stream starves.
 func (l *eventLoop) dispatch() {
 	for {
-		if i := l.shedCandidate(); i >= 0 {
+		if l.audit != nil {
+			l.audit(l, true)
+		}
+		switch path, i, w := l.pick(); path {
+		case pickShed:
 			l.dispatchShed(i)
-			continue
-		}
-		w := l.claimCapacity()
-		if w == noCapacity {
-			return
-		}
-		if i := l.retryCandidate(); i >= 0 {
+		case pickRetry:
 			l.redispatch(i, w)
-			continue
-		}
-		best := -1
-		for i, s := range l.sessions {
-			if !s.ready() {
-				continue
-			}
-			if best < 0 || s.queue.Head().ArrivalMS < l.sessions[best].queue.Head().ArrivalMS {
-				best = i
-			}
-		}
-		if best < 0 {
+		case pickReady:
+			l.start(i, w)
+		default:
 			return
 		}
-		l.start(best, w)
 	}
+}
+
+// pick chooses the next dispatch — the one rule, for every mode: shed,
+// then retry, then FIFO. Open-breaker streams go first and bypass the
+// capacity claim entirely: shed serving is propagation-only on the stream's
+// session state (the DFF warp), not the worker pool, so those streams keep
+// draining while the pool is dead or saturated — the availability contract
+// of the shed rung. Then, given a serving slot w, retry-ready frames (failed
+// dispatches whose backoff has expired); among them, and then among fresh
+// head frames, the earliest-arrived frame wins (lowest session index on
+// ties) — FIFO across streams, so no stream starves. Each step is a peek at
+// the dispatch index, O(log sessions) once the picked session is touched.
+func (l *eventLoop) pick() (path, i, w int) {
+	if i = l.shedCandidate(); i >= 0 {
+		return pickShed, i, anonSlot
+	}
+	if w = l.claimCapacity(); w == noCapacity {
+		return pickNone, -1, w
+	}
+	if i = l.index.retry.min(); i >= 0 {
+		return pickRetry, i, w
+	}
+	if i = l.index.ready.min(); i >= 0 {
+		return pickReady, i, w
+	}
+	return pickNone, -1, w
 }
 
 // shedCandidate returns the lowest session index whose breaker is open
 // and which has a dispatchable frame — a retry-ready failure or a queued
 // head. shouldShed transitions an expired breaker to half-open as a side
-// effect, at which point the stream stops shedding and probes the real
+// effect, at which point the stream leaves the shed set and probes the real
 // detector path through the pool instead.
 func (l *eventLoop) shedCandidate() int {
-	if l.sup == nil {
-		return -1
-	}
-	for i, s := range l.sessions {
-		if (s.inflight == nil || !s.inflight.retryReady) && !s.ready() {
-			continue
-		}
-		if l.sup.breakers[i].shouldShed(l.clockMS) {
+	for {
+		i := l.index.shed.min()
+		if i < 0 || l.sup.breakers[i].shouldShed(l.clockMS) {
 			return i
 		}
+		l.touch(i)
 	}
-	return -1
 }
 
 // dispatchShed serves session index i's next frame in shed mode: last-good
@@ -296,21 +359,6 @@ func (l *eventLoop) dispatchShed(i int) {
 		l.sup.breakers[i].shedFrames++
 	}
 	l.place(i, inf, anonSlot, serviceMS)
-}
-
-// retryCandidate returns the session index with the earliest-arrived
-// retry-ready frame, or -1.
-func (l *eventLoop) retryCandidate() int {
-	best := -1
-	for i, s := range l.sessions {
-		if s.inflight == nil || !s.inflight.retryReady {
-			continue
-		}
-		if best < 0 || s.inflight.arrivalMS < l.sessions[best].inflight.arrivalMS {
-			best = i
-		}
-	}
-	return best
 }
 
 // start dispatches the head frame of session index i on worker slot w:
@@ -383,6 +431,7 @@ func (l *eventLoop) place(i int, inf *inflightFrame, w int, serviceMS float64) {
 	inf.dispID = l.dispatchSeq
 	inf.worker = w
 	inf.retryReady = false
+	l.touch(i)
 	inf.completionMS = l.clockMS + serviceMS
 	if w >= 0 {
 		l.sup.workers[w].dispID = inf.dispID
@@ -618,7 +667,7 @@ func (l *eventLoop) settle(i int, inf *inflightFrame, cr computeResult) {
 	if !l.cfg.CompactMetrics {
 		l.metrics.Inc(fmt.Sprintf("stream/%d/served", s.id), 1)
 	}
-	l.metrics.Inc(fmt.Sprintf("scale/%d", out.Scale), 1)
+	l.metrics.Inc(ScaleKey(out.Scale), 1)
 	l.metrics.Observe("latency/ms", latency)
 	l.metrics.Observe("service/ms", l.clockMS-inf.startMS)
 	if out.Health.Fault != synth.FaultNone {
@@ -638,6 +687,7 @@ func (l *eventLoop) settle(i int, inf *inflightFrame, cr computeResult) {
 			l.metrics.Observe("recovery/ms", l.clockMS-inf.firstFailMS)
 		}
 	}
+	l.touch(i)
 	sloMissed := l.cfg.SLOMS > 0 && latency > l.cfg.SLOMS
 	if sloMissed {
 		s.sloMiss++
@@ -749,6 +799,7 @@ func (l *eventLoop) failDispatch(i int, reason string) {
 		l.settle(i, inf, computeResult{})
 		return
 	}
+	l.touch(i)
 	backoff := l.sup.backoffMS(s.id, inf.attempts)
 	l.metrics.Observe("retry/backoff_ms", backoff)
 	l.events.push(event{timeMS: l.clockMS + backoff, kind: kindRetry, stream: i, seq: inf.attempts})
@@ -759,6 +810,7 @@ func (l *eventLoop) retryExpired(ev event) {
 	s := l.sessions[ev.stream]
 	if inf := s.inflight; inf != nil && inf.dispID == 0 {
 		inf.retryReady = true
+		l.touch(ev.stream)
 	}
 	l.dispatch()
 }

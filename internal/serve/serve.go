@@ -311,6 +311,15 @@ type workerState struct {
 // capacity (in slice order) are rejected outright — a rejected session
 // fails fast instead of silently degrading every admitted one.
 func (s *Server) Run(streams []Stream) *Report {
+	var audit func(*eventLoop, bool)
+	if indexAudit.Load() {
+		audit = mustCheckIndex
+	}
+	return s.run(streams, audit)
+}
+
+// run is Run with the event loop's audit hook exposed (nil outside tests).
+func (s *Server) run(streams []Stream, audit func(*eventLoop, bool)) *Report {
 	m := NewMetrics()
 	rep := &Report{Metrics: m}
 
@@ -340,6 +349,8 @@ func (s *Server) Run(streams []Stream) *Report {
 		metrics:  m,
 		streams:  admitted,
 		sessions: sessions,
+		index:    newDispatchIndex(len(sessions)),
+		audit:    audit,
 		// The master detector computes batch coalescing keys (pure render
 		// arithmetic, never a forward pass — worker clones do those).
 		det: s.det,
@@ -372,7 +383,7 @@ func (s *Server) Run(streams []Stream) *Report {
 			SLOMisses:  sess.sloMiss,
 			Checkpoint: sess.sess.Checkpoint(),
 		})
+		rep.Summary.Add(sess.outputs)
 	}
-	rep.Summary = adascale.Summarize(rep.Served())
 	return rep
 }

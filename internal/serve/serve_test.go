@@ -21,7 +21,7 @@ var (
 )
 
 // system builds one small trained system shared across the package's tests.
-func system(t *testing.T) (*synth.Dataset, *adascale.System) {
+func system(t testing.TB) (*synth.Dataset, *adascale.System) {
 	t.Helper()
 	buildOnce.Do(func() {
 		cfg := synth.VIDLike(5)
@@ -36,7 +36,7 @@ func system(t *testing.T) (*synth.Dataset, *adascale.System) {
 }
 
 // load generates a standard arrival schedule over the validation snippets.
-func load(t *testing.T, ds *synth.Dataset, streams int, fps float64, frames int, seed int64) []Stream {
+func load(t testing.TB, ds *synth.Dataset, streams int, fps float64, frames int, seed int64) []Stream {
 	t.Helper()
 	out, err := GenLoad(ds.Val, LoadConfig{Streams: streams, FPS: fps, FramesPerStream: frames, Seed: seed})
 	if err != nil {
@@ -45,7 +45,7 @@ func load(t *testing.T, ds *synth.Dataset, streams int, fps float64, frames int,
 	return out
 }
 
-func newServer(t *testing.T, sys *adascale.System, cfg Config) *Server {
+func newServer(t testing.TB, sys *adascale.System, cfg Config) *Server {
 	t.Helper()
 	srv, err := New(sys.Detector, sys.Regressor, cfg)
 	if err != nil {

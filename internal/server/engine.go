@@ -368,7 +368,7 @@ func (e *engine) processLocked(s *stream) {
 	s.served++
 	e.metrics.Inc("frames/served", 1)
 	e.metrics.Inc(fmt.Sprintf("stream/%d/served", s.id), 1)
-	e.metrics.Inc(fmt.Sprintf("scale/%d", out.Scale), 1)
+	e.metrics.Inc(serve.ScaleKey(out.Scale), 1)
 	e.metrics.Observe("latency/ms", latency)
 	e.metrics.Observe("service/ms", serviceMS)
 	e.metrics.Observe("queue/wait_ms", startMS-qf.ArrivalMS)

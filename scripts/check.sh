@@ -103,6 +103,14 @@ gate "http-smoke" ./scripts/http-smoke.sh
 # across the two runs.
 gate "cluster-smoke" ./scripts/cluster-smoke.sh
 
+# Benchmark-program gate: benchmark/ is a module of its own that the root
+# module's vet, build and tests above never touch, so a library refactor
+# can break it unnoticed until the benchmark driver runs. Vet it, run its
+# unit tests, and run every workload at smoke sizes.
+gate "bench-vet" go -C benchmark vet ./...
+gate "bench-test" go -C benchmark test ./...
+gate "bench-smoke" bash benchmark/run.sh -smoke -seconds 0.2
+
 # Benchmark-report gates: the diff tool must localise a synthetic
 # single-stage regression (its self-validation), and the committed
 # baseline must parse, carry a known schema, and self-compare clean.
