@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check ci fmt vet build test race bench microbench fuzz-smoke serve-smoke chaos-smoke batch-smoke http-smoke cluster-smoke bench-smoke benchdiff golden
+.PHONY: check ci fmt vet build test race bench microbench fuzz-smoke serve-smoke chaos-smoke http-smoke cluster-smoke bench-smoke benchdiff golden
 
-check: fmt vet build race fuzz-smoke serve-smoke chaos-smoke batch-smoke http-smoke cluster-smoke bench-smoke benchdiff
+check: fmt vet build race fuzz-smoke serve-smoke chaos-smoke http-smoke cluster-smoke bench-smoke benchdiff
 
 # CI entry point: the same gates as `check` but fail-slow — every gate
 # runs even after a failure so one push reports all breakage at once,
@@ -75,13 +75,6 @@ serve-smoke:
 # and byte-identical output across the two runs.
 chaos-smoke:
 	./scripts/chaos-smoke.sh
-
-# Batching gate: a loaded multi-stream serve with -batch 8 under -race,
-# asserting zero loss, byte-identical output across core counts, and —
-# after stripping the batch/* occupancy keys — byte-identical output and
-# metrics against the same run with batching off (DESIGN.md §4k).
-batch-smoke:
-	./scripts/batch-smoke.sh
 
 # HTTP transport gate: boot `adascale-serve -http` on an ephemeral port
 # under -race, curl the whole API (admission, ingestion, results, probes,

@@ -39,6 +39,7 @@ import (
 	"adascale/internal/dff"
 	"adascale/internal/eval"
 	"adascale/internal/faults"
+	"adascale/internal/obs"
 	"adascale/internal/parallel"
 	"adascale/internal/raster"
 	"adascale/internal/regressor"
@@ -297,10 +298,8 @@ func MeanScale(outputs []FrameOutput) float64 { return adascale.MeanScale(output
 type (
 	// ServeConfig parameterises the multi-stream server: serving capacity,
 	// per-stream queue depth (drop-oldest beyond it), admission-control
-	// limit, the per-frame latency SLO that walks overloaded streams
-	// down the scale ladder, and the cross-stream detector batch cap
-	// (BatchCap — wall-clock compute only; outputs are identical at any
-	// cap, DESIGN.md §4k).
+	// limit, and the per-frame latency SLO that walks overloaded streams
+	// down the scale ladder.
 	ServeConfig = serve.Config
 	// Server schedules N concurrent video sessions onto the worker pool.
 	Server = serve.Server
@@ -310,7 +309,7 @@ type (
 	// ServeStreamReport is one admitted stream's outcome.
 	ServeStreamReport = serve.StreamReport
 	// ServeMetrics is the dependency-free counter/gauge/histogram registry.
-	ServeMetrics = serve.Metrics
+	ServeMetrics = obs.Metrics
 	// ServeStream is one session's workload: an ordered arrival schedule.
 	ServeStream = serve.Stream
 	// TimedFrame is one frame with its open-loop arrival time.
@@ -335,7 +334,7 @@ func GenLoad(snippets []Snippet, cfg LoadConfig) ([]ServeStream, error) {
 }
 
 // NewServeMetrics creates an empty serving metrics registry.
-func NewServeMetrics() *ServeMetrics { return serve.NewMetrics() }
+func NewServeMetrics() *ServeMetrics { return obs.NewMetrics() }
 
 // System fault tolerance: deterministic chaos plans for the serving layer
 // and the supervision machinery that survives them.

@@ -14,7 +14,7 @@
 //	adascale-bench -diff baseline.json -diff-to candidate.json [-accuracy-only]
 //
 // Experiments: table1, table2, table3, fig5, fig6, fig7, fig9, fig10,
-// qualitative, robustness, serving, batching, chaos, cluster. The robustness sweep injects the
+// qualitative, robustness, serving, chaos, cluster. The robustness sweep injects the
 // -faults rates into the validation split and compares fixed-scale, naive
 // AdaScale and the resilient runner (optionally deadline-constrained via
 // -deadline-ms). The serving sweep loads the multi-stream server at
@@ -25,10 +25,7 @@
 // coverage. The cluster sweep shards 1k-100k streams across simulated node
 // fleets under churn (joins, leaves, blackouts, migrations) and reports the
 // capacity-planning curve: SLO damage and recovery time per fleet size,
-// with zero lost frames. The batching sweep serves the identical load at
-// increasing cross-stream batch caps, verifies the outputs byte-identical
-// at every cap, and reports wall ns/frame with the detect-stage share
-// split out. The master -seed pins the dataset and every
+// with zero lost frames. The master -seed pins the dataset and every
 // derived fault/load stream (see internal/cli).
 //
 // -json measures every selected experiment (warmup + timed iterations, see
@@ -189,13 +186,6 @@ func experimentRuns(b *experiments.Bundle, rates []float64, deadlineMS float64) 
 				"p99_ms/serving_last":    last.P99,
 				"drop_rate/serving_last": last.DropRate,
 			})
-		}},
-		{"batching", func() (experiments.Printer, map[string]float64, error) {
-			res, err := b.Batching(experiments.DefaultBatchingConfig())
-			if err != nil {
-				return nil, nil, err
-			}
-			return ok(res, res.Metrics())
 		}},
 		{"chaos", func() (experiments.Printer, map[string]float64, error) {
 			res, err := b.Chaos(experiments.DefaultChaosConfig())

@@ -8,7 +8,6 @@
 // Usage:
 //
 //	adascale-serve [-streams 8] [-workers 4] [-slo-ms 50] [-queue 8] \
-//	               [-batch 1] \
 //	               [-max-streams 0] [-rate 30] [-frames 60] [-tick-ms 500] \
 //	               [-dataset vid|ytbb] [-train 12] [-val 8] [-seed 5] \
 //	               [-faults 0] [-chaos 0] [-chaos-seed 0] [-smoke] \
@@ -26,14 +25,6 @@
 // final metrics snapshot. -rate-limit/-burst bound each tenant's request
 // rate (token bucket); -tenant-streams caps streams per tenant; -queue,
 // -slo-ms, -max-streams and -workers keep their meanings.
-//
-// -batch <cap> enables cross-stream detector batching in the offline
-// simulation: frames from different streams that are in flight together on
-// the same scale rung share one batched backbone pass of at most cap
-// frames (internal/serve BatchCap). Batching changes wall-clock compute
-// only — the virtual schedule, the served outputs and every non-batch/*
-// metric are byte-identical to -batch 1, the property scripts/batch-smoke.sh
-// gates.
 //
 // -cluster switches to the cluster-scale simulation (internal/cluster): the
 // offered streams are sharded across -nodes simulated nodes by a
@@ -83,6 +74,7 @@ import (
 	"adascale/internal/cli"
 	"adascale/internal/cluster"
 	"adascale/internal/faults"
+	"adascale/internal/obs"
 	"adascale/internal/serve"
 	"adascale/internal/server"
 	"adascale/internal/synth"
@@ -94,7 +86,6 @@ func main() {
 	streams := flag.Int("streams", 8, "concurrent video sessions to offer")
 	sloMS := flag.Float64("slo-ms", 50, "per-frame end-to-end latency SLO in virtual ms (0 = off)")
 	queue := flag.Int("queue", 8, "per-stream frame queue depth (drop-oldest beyond it)")
-	batch := flag.Int("batch", 1, "cross-stream detector batch cap: frames in flight together on the same scale rung share one backbone pass (1 = off; outputs are identical at any cap)")
 	maxStreams := flag.Int("max-streams", 0, "admission-control capacity (0 = admit all)")
 	rate := flag.Float64("rate", 30, "mean per-stream arrival rate, frames/second")
 	frames := flag.Int("frames", 60, "frames offered per stream")
@@ -180,7 +171,6 @@ func main() {
 	cfg := serve.Config{
 		Workers:    common.Workers,
 		QueueDepth: *queue,
-		BatchCap:   *batch,
 		MaxStreams: *maxStreams,
 		SLOMS:      *sloMS,
 		Resilient:  adascale.DefaultResilientConfig(),
@@ -214,7 +204,7 @@ func main() {
 		fmt.Printf("chaos: %s\n", plan)
 	}
 	if *tickMS > 0 {
-		cfg.OnTick = func(simMS float64, m *serve.Metrics) {
+		cfg.OnTick = func(simMS float64, m *obs.Metrics) {
 			fmt.Printf("--- t=%.0fms served=%d dropped=%d p99=%.1fms ---\n",
 				simMS, m.Counter("frames/served"), m.Counter("frames/dropped"),
 				m.Quantile("latency/ms", 0.99))

@@ -90,50 +90,6 @@ func (c *Conv2D) Infer(x *tensor.Tensor, pool *tensor.Pool) *tensor.Tensor {
 	return out
 }
 
-// InferBatch computes the convolution of a batch of same-shape inputs
-// through the N-stacked im2col + matmul kernel (tensor.ConvBatchInto) into
-// pooled storage, which the caller owns (release via pool.PutTensor).
-// Results are bit-identical to calling Infer per image; like Infer it
-// touches no activation caches, so concurrent InferBatch calls on a shared
-// layer are safe, and it cannot be followed by Backward.
-func (c *Conv2D) InferBatch(xs []*tensor.Tensor, pool *tensor.Pool) []*tensor.Tensor {
-	if len(xs) == 0 {
-		return nil
-	}
-	if xs[0].Dim(0) != c.InC {
-		panic(fmt.Sprintf("nn: Conv2D expects %d input channels, got %d", c.InC, xs[0].Dim(0)))
-	}
-	ho := tensor.ConvOutSize(xs[0].Dim(1), c.Kernel, c.Stride, c.Pad)
-	wo := tensor.ConvOutSize(xs[0].Dim(2), c.Kernel, c.Stride, c.Pad)
-	outs := make([]*tensor.Tensor, len(xs))
-	for i := range outs {
-		outs[i] = pool.GetTensor(c.OutC, ho, wo)
-	}
-	tensor.ConvBatchInto(outs, xs, c.Weight.W, c.Bias.W, c.Stride, c.Pad, pool)
-	return outs
-}
-
-// InferBatchAbs is InferBatch with the backbone's magnitude nonlinearity
-// |·| fused into the kernel's output pass (tensor.ConvBatchAbsInto) —
-// bit-identical to InferBatch followed by an elementwise |·| sweep, one
-// memory pass cheaper per layer.
-func (c *Conv2D) InferBatchAbs(xs []*tensor.Tensor, pool *tensor.Pool) []*tensor.Tensor {
-	if len(xs) == 0 {
-		return nil
-	}
-	if xs[0].Dim(0) != c.InC {
-		panic(fmt.Sprintf("nn: Conv2D expects %d input channels, got %d", c.InC, xs[0].Dim(0)))
-	}
-	ho := tensor.ConvOutSize(xs[0].Dim(1), c.Kernel, c.Stride, c.Pad)
-	wo := tensor.ConvOutSize(xs[0].Dim(2), c.Kernel, c.Stride, c.Pad)
-	outs := make([]*tensor.Tensor, len(xs))
-	for i := range outs {
-		outs[i] = pool.GetTensor(c.OutC, ho, wo)
-	}
-	tensor.ConvBatchAbsInto(outs, xs, c.Weight.W, c.Bias.W, c.Stride, c.Pad, pool)
-	return outs
-}
-
 // weightMatrix returns the cached 2-D view of the weights.
 func (c *Conv2D) weightMatrix() *tensor.Tensor {
 	if c.wm == nil {

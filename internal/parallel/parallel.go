@@ -248,9 +248,6 @@ type Pool[S any] struct {
 	panics  atomic.Int64
 	closed  atomic.Bool
 	onPanic func(v any)
-
-	batchedJobs  atomic.Int64
-	batchedItems atomic.Int64
 }
 
 // NewPool starts workers goroutines, each holding its own newWorker()
@@ -322,25 +319,6 @@ func (p *Pool[S]) Submit(job func(S)) bool {
 	p.jobs <- job
 	return true
 }
-
-// SubmitBatch submits a job that processes items units of work in one
-// worker invocation — the serving scheduler's cross-stream batches. It has
-// exactly Submit's semantics and just additionally feeds the batch
-// counters, so occupancy (items per job) stays observable at the pool.
-func (p *Pool[S]) SubmitBatch(job func(S), items int) bool {
-	if !p.Submit(job) {
-		return false
-	}
-	p.batchedJobs.Add(1)
-	p.batchedItems.Add(int64(items))
-	return true
-}
-
-// BatchedJobs returns the number of jobs accepted through SubmitBatch.
-func (p *Pool[S]) BatchedJobs() int { return int(p.batchedJobs.Load()) }
-
-// BatchedItems returns the total work items accepted through SubmitBatch.
-func (p *Pool[S]) BatchedItems() int { return int(p.batchedItems.Load()) }
 
 // Close stops accepting jobs, waits for in-flight and queued jobs to
 // drain, and stops every worker goroutine. It is idempotent. After Close

@@ -17,6 +17,7 @@ import (
 	"adascale/internal/cluster"
 	"adascale/internal/experiments"
 	"adascale/internal/faults"
+	"adascale/internal/obs"
 	"adascale/internal/serve"
 )
 
@@ -139,7 +140,7 @@ func TestGoldenExperiments(t *testing.T) {
 
 // TestGoldenServeSnapshot pins the serving layer's final metrics snapshot
 // for a small loaded run, and asserts the snapshot round-trips through
-// serve.ParseSnapshot byte-identically (the consumer contract).
+// obs.ParseSnapshot byte-identically (the consumer contract).
 func TestGoldenServeSnapshot(t *testing.T) {
 	b := conformanceBundle(t)
 	sys := b.DefaultSystem()
@@ -159,7 +160,7 @@ func TestGoldenServeSnapshot(t *testing.T) {
 		}
 		rep := srv.Run(load)
 		snap := rep.Metrics.Snapshot()
-		parsed, err := serve.ParseSnapshot(snap)
+		parsed, err := obs.ParseSnapshot(snap)
 		if err != nil {
 			t.Fatalf("snapshot does not parse: %v", err)
 		}

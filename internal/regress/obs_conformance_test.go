@@ -34,7 +34,7 @@ func TestGoldenStageBreakdown(t *testing.T) {
 // TestGoldenServeStageSnapshot pins the serving snapshot with the
 // per-stage, per-stream and per-SLO histograms the scheduler records when
 // a tracer is attached, and asserts the extended snapshot still
-// round-trips through serve.ParseSnapshot byte-identically.
+// round-trips through obs.ParseSnapshot byte-identically.
 func TestGoldenServeStageSnapshot(t *testing.T) {
 	b := conformanceBundle(t)
 	sys := b.DefaultSystem()
@@ -56,7 +56,7 @@ func TestGoldenServeStageSnapshot(t *testing.T) {
 		}
 		rep := srv.Run(load)
 		snap := rep.Metrics.Snapshot()
-		parsed, err := serve.ParseSnapshot(snap)
+		parsed, err := obs.ParseSnapshot(snap)
 		if err != nil {
 			t.Fatalf("snapshot does not parse: %v", err)
 		}

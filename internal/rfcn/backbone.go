@@ -53,10 +53,6 @@ type Backbone struct {
 	// xhdr is the reusable header wrapping the input image for Extract
 	// (Backbone is single-goroutine by contract, so one suffices).
 	xhdr *tensor.Tensor
-
-	// xhdrs are the reusable input headers for ExtractBatch, which needs
-	// one live wrap per batched image; grown on demand, never shrunk.
-	xhdrs []*tensor.Tensor
 }
 
 // featureGain rescales the final feature map so globally-pooled values land
@@ -126,90 +122,6 @@ func (b *Backbone) Extract(im *raster.Image) *tensor.Tensor {
 	b.pool.PutTensor(t2)
 	t3.ScaleInPlace(featureGain)
 	return t3
-}
-
-// ExtractBatch extracts appearance features for a batch of rendered images
-// in one pass, returning one tensor per image (pool-backed, caller-owned,
-// release via Recycle). Results are bit-identical to calling Extract per
-// image: conv1 runs fused per image exactly as Extract does (its
-// hand-designed filters are sparse, where the fused kernel's zero-skip
-// wins), while conv2 and conv3 — the dense layers that dominate the cost —
-// run through the N-stacked im2col + packed-matmul kernel
-// (tensor.ConvBatchInto), whose output is documented and property-tested
-// bit-identical to the per-image path. Images of different sizes are
-// grouped by shape; each same-shape group shares its stacked passes.
-// Like Extract, not safe for concurrent use.
-func (b *Backbone) ExtractBatch(ims []*raster.Image) []*tensor.Tensor {
-	outs := make([]*tensor.Tensor, len(ims))
-	if len(ims) == 0 {
-		return outs
-	}
-	for len(b.xhdrs) < len(ims) {
-		b.xhdrs = append(b.xhdrs, nil)
-	}
-	// Group image indices by shape, preserving first-seen order so the
-	// work schedule is a pure function of the input sequence.
-	type shape struct{ h, w int }
-	groups := make(map[shape][]int, 4)
-	var order []shape
-	for i, im := range ims {
-		s := shape{im.H, im.W}
-		if _, ok := groups[s]; !ok {
-			order = append(order, s)
-		}
-		groups[s] = append(groups[s], i)
-	}
-	for _, s := range order {
-		idx := groups[s]
-		// Bound the sub-group so all its live activations (dominated by the
-		// conv1 outputs) stay cache-resident across the stacked layers:
-		// letting a large group's first-layer outputs pile up before conv2
-		// runs evicts everything and costs more than stacking saves. Small
-		// rendered sizes (low serving scales) get wide stacks; full-scale
-		// images degenerate to one image at a time, which still takes the
-		// cache-blocked batched kernels.
-		t1Floats := 8 * tensor.ConvOutSize(s.h, 3, 2, 1) * tensor.ConvOutSize(s.w, 3, 2, 1)
-		sub := extractGroupBudget / t1Floats
-		if sub < 1 {
-			sub = 1
-		}
-		for lo := 0; lo < len(idx); lo += sub {
-			hi := lo + sub
-			if hi > len(idx) {
-				hi = len(idx)
-			}
-			b.extractGroup(outs, ims, idx[lo:hi])
-		}
-	}
-	return outs
-}
-
-// extractGroupBudget caps a sub-group's pooled conv1 activations, in
-// floats (1<<17 floats = 512 KiB of float32).
-const extractGroupBudget = 1 << 17
-
-// extractGroup runs the batched conv stack over one same-shape sub-group,
-// writing each image's feature map into outs at its original index.
-func (b *Backbone) extractGroup(outs []*tensor.Tensor, ims []*raster.Image, idx []int) {
-	t1s := make([]*tensor.Tensor, len(idx))
-	for j, i := range idx {
-		im := ims[i]
-		x := tensor.FromSliceInto(b.xhdrs[j], im.Pix, 1, im.H, im.W)
-		b.xhdrs[j] = x
-		t1s[j] = abs(b.conv1.Infer(x, b.pool))
-	}
-	t2s := b.conv2.InferBatchAbs(t1s, b.pool)
-	for _, t := range t1s {
-		b.pool.PutTensor(t)
-	}
-	t3s := b.conv3.InferBatchAbs(t2s, b.pool)
-	for _, t := range t2s {
-		b.pool.PutTensor(t)
-	}
-	for j, i := range idx {
-		t3s[j].ScaleInPlace(featureGain)
-		outs[i] = t3s[j]
-	}
 }
 
 // Recycle returns a tensor obtained from Extract (or Detector.Features)

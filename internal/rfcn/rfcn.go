@@ -409,30 +409,17 @@ func (d *Detector) DetectWithFeatures(f *synth.Frame, scale int) *Result {
 	return r
 }
 
-// DetectBatch runs DetectWithFeatures for a batch of (frame, scale) pairs,
-// sharing one batched backbone pass (Backbone.ExtractBatch) across all
-// rendered images of the same size. Every Result — detections, runtime
-// model and feature map — is bit-identical to len(frames) sequential
-// DetectWithFeatures calls in the same order: detection and feature
-// painting already run per frame, and the batched conv kernels are
-// property-tested bit-identical to the per-image ones. Like
-// DetectWithFeatures it drives the backbone, so it is not safe for
-// concurrent use on one detector.
-func (d *Detector) DetectBatch(frames []*synth.Frame, scales []int) []*Result {
-	if len(frames) != len(scales) {
-		panic("rfcn: DetectBatch got mismatched frames and scales")
-	}
-	rs := make([]*Result, len(frames))
-	ims := make([]*raster.Image, len(frames))
-	for i, f := range frames {
-		rs[i] = d.Detect(f, scales[i])
-		ims[i] = d.renderForScale(f, scales[i])
-	}
-	apps := d.backbone.ExtractBatch(ims)
-	for i, r := range rs {
-		r.Features = d.assembleFeatures(frames[i], scales[i], r, apps[i])
-	}
-	return rs
+// RenderSize reports the rendered image dimensions the backbone sees for
+// frame f at the given test scale, without rendering: the same geometry as
+// synth.Frame.Render (pinned by TestRenderSizeMatchesRender). The
+// benchmark's layer probes size their inputs with it. Pure arithmetic;
+// safe for concurrent use.
+func (d *Detector) RenderSize(f *synth.Frame, scale int) (h, w int) {
+	div := d.Data.RenderDiv
+	factor := raster.ScaleFactor(f.W, f.H, max(scale/div, 16)*div, MaxLongSide*div) / float64(div)
+	w = max(int(math.Round(float64(f.W)*factor)), 1)
+	h = max(int(math.Round(float64(f.H)*factor)), 1)
+	return h, w
 }
 
 // Features rasterises frame f at the given test scale and returns the deep
@@ -445,41 +432,12 @@ func (d *Detector) Features(f *synth.Frame, scale int) *tensor.Tensor {
 }
 
 func (d *Detector) features(f *synth.Frame, scale int, r *Result) *tensor.Tensor {
-	im := d.renderForScale(f, scale)
-	app := d.backbone.Extract(im)
-	return d.assembleFeatures(f, scale, r, app)
-}
-
-// renderShortFor maps a test scale to the rendered shortest side (the
-// raster works at 1/RenderDiv of the test resolution, floored at 16).
-func (d *Detector) renderShortFor(scale int) int {
 	renderShort := scale / d.Data.RenderDiv
 	if renderShort < 16 {
 		renderShort = 16
 	}
-	return renderShort
-}
-
-// RenderSize reports the rendered image dimensions the backbone would see
-// for frame f at the given test scale, without rendering anything. Two
-// (frame, scale) pairs with equal RenderSize take the stacked path through
-// one ExtractBatch group — the coalescing key the serving layer's
-// cross-stream batcher uses. Pure arithmetic; safe for concurrent use.
-func (d *Detector) RenderSize(f *synth.Frame, scale int) (h, w int) {
-	rw, rh := f.RenderDims(d.renderShortFor(scale), MaxLongSide*d.Data.RenderDiv, d.Data.RenderDiv)
-	return rh, rw
-}
-
-// renderForScale rasterises frame f at the test scale's render resolution.
-func (d *Detector) renderForScale(f *synth.Frame, scale int) *raster.Image {
-	return f.Render(d.renderShortFor(scale), MaxLongSide*d.Data.RenderDiv, d.Data.RenderDiv)
-}
-
-// assembleFeatures stacks the detection-response planes from result r on
-// top of the backbone's appearance map app (which it consumes — the tensor
-// is recycled before returning) and returns the full deep-feature map.
-func (d *Detector) assembleFeatures(f *synth.Frame, scale int, r *Result, app *tensor.Tensor) *tensor.Tensor {
-	renderShort := d.renderShortFor(scale)
+	im := f.Render(renderShort, MaxLongSide*d.Data.RenderDiv, d.Data.RenderDiv)
+	app := d.backbone.Extract(im)
 	h, w := app.Dim(1), app.Dim(2)
 	out := d.backbone.pool.GetTensor(FeatureChannels, h, w)
 	copy(out.Data()[:backboneChannels*h*w], app.Data())

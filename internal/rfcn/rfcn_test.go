@@ -264,6 +264,22 @@ func TestFeaturesShapeAndScaleDependence(t *testing.T) {
 	}
 }
 
+// TestRenderSizeMatchesRender pins RenderSize's arithmetic to the image
+// the backbone is actually handed, across the scale ladder, below the
+// render floor and past the long-side cap.
+func TestRenderSizeMatchesRender(t *testing.T) {
+	ds := testDataset(t, 9, 1, 0)
+	det := NewSS(&ds.Config)
+	fr := &ds.Train[0].Frames[0]
+	div := ds.Config.RenderDiv
+	for _, scale := range []int{1, 16*div - 1, 128, 240, 361, 480, 600, 4000} {
+		im := fr.Render(max(scale/div, 16), MaxLongSide*div, div)
+		if h, w := det.RenderSize(fr, scale); h != im.H || w != im.W {
+			t.Fatalf("scale %d: RenderSize %dx%d, rendered %dx%d", scale, h, w, im.H, im.W)
+		}
+	}
+}
+
 func TestDetectWithFeaturesAttaches(t *testing.T) {
 	ds := testDataset(t, 10, 1, 0)
 	det := NewSS(&ds.Config)

@@ -122,8 +122,8 @@ func oracleAudit(t testing.TB, picks *[]pickRecord) func(*eventLoop, bool) {
 // TestDispatchIndexMatchesScans is the differential test for the dispatch
 // index: randomized seeded loads × chaos plans (kill/stall/blackout/
 // saturate at several intensities, and none) × queue depths 1–8 × workers
-// {1, 4}, model-only and real (plain and batched) compute, every dispatch
-// iteration checked against the scans.
+// {1, 4}, model-only and real compute, every dispatch iteration checked
+// against the scans.
 func TestDispatchIndexMatchesScans(t *testing.T) {
 	ds, sys := system(t)
 	var sheds, retries, readies int
@@ -149,9 +149,6 @@ func TestDispatchIndexMatchesScans(t *testing.T) {
 		cfg := Config{
 			Workers: workers, QueueDepth: depth, SLOMS: []float64{0, 80}[trial%2],
 			Resilient: adascale.DefaultResilientConfig(), ModelOnly: modelOnly,
-		}
-		if !modelOnly && trial%32 == 3 {
-			cfg.BatchCap = 4
 		}
 		if rate := float64(trial % 4); rate > 0 {
 			plan, err := faults.GenSystemPlan(faults.ScaledSystemConfig(rate, int64(trial), horizon, workers))

@@ -5,8 +5,8 @@ import (
 
 	"adascale/internal/adascale"
 	"adascale/internal/faults"
+	"adascale/internal/obs"
 	"adascale/internal/parallel"
-	"adascale/internal/rfcn"
 	"adascale/internal/simclock"
 	"adascale/internal/synth"
 )
@@ -117,12 +117,11 @@ const (
 // eventLoop is the scheduler state for one Run.
 type eventLoop struct {
 	cfg      Config
-	metrics  *Metrics
+	metrics  *obs.Metrics
 	pool     *parallel.Pool[workerState]
 	streams  []Stream
 	sessions []*session
 	sup      *supervisor // nil without a chaos plan
-	det      *rfcn.Detector
 
 	events      eventHeap
 	index       dispatchIndex // maintained by touch only (ready.go)
@@ -130,42 +129,10 @@ type eventLoop struct {
 	busy        int // frames virtually in service (≤ cfg.Workers)
 	dispatchSeq int
 
-	// Cross-stream batching state (BatchCap > 1 only): compute
-	// submissions deferred so that simultaneously-runnable frames on the
-	// same rung can share one batched backbone pass. See submitCompute.
-	pending      []pendingCompute
-	batchFrames  int // frames shipped through batch jobs so far
-	batchFlushes int // batch jobs shipped so far
-
 	// audit, when non-nil, is called after every event (picking false) and
 	// at the top of every dispatch iteration (picking true). Tests only.
 	audit func(l *eventLoop, picking bool)
 }
-
-// pendingCompute is one deferred compute submission. res snapshots the
-// inflight frame's result channel at submit time: a fault that invalidates
-// the dispatch clears (or a re-dispatch replaces) inf.res, so an entry is
-// live only while e.inf.res == e.res — stale entries are simply skipped at
-// flush, exactly as the single-frame path abandons a buffered channel.
-type pendingCompute struct {
-	inf   *inflightFrame
-	res   chan computeResult
-	frame *synth.Frame
-	scale int
-	key   batchKey
-}
-
-// batchKey groups pending frames that can share one batched backbone
-// pass. It is the rendered image size, not the raw planned scale: the
-// regressor emits continuous scales (two frames almost never plan the
-// same integer), but the raster works at 1/RenderDiv of test resolution,
-// so a whole band of scales renders to identical dimensions — exactly the
-// grouping Backbone.ExtractBatch stacks.
-type batchKey struct {
-	h, w int
-}
-
-func (e pendingCompute) live() bool { return e.inf.res == e.res }
 
 // run drives the simulation to completion.
 func (l *eventLoop) run() {
@@ -448,31 +415,9 @@ func (l *eventLoop) place(i int, inf *inflightFrame, w int, serviceMS float64) {
 	}
 }
 
-// submitCompute ships the frame's detector + regressor pass to the pool —
-// or, with BatchCap > 1, parks it on the pending list so the loop can
-// coalesce it with other frames in flight on the same batch key. A
-// pending group flushes eagerly the moment it reaches BatchCap, and a
-// parked frame flushes (with its whole group) no later than its own
-// completion event (flushFor) — so batching adds zero virtual latency:
-// only work that was already simultaneously in flight ever shares a
-// pass, and the virtual schedule is byte-identical at every cap.
+// submitCompute ships the frame's detector + regressor pass to the pool.
 func (l *eventLoop) submitCompute(inf *inflightFrame) {
 	inf.res = make(chan computeResult, 1)
-	if l.cfg.BatchCap > 1 {
-		h, w := l.det.RenderSize(inf.frame, inf.plan.Scale)
-		e := pendingCompute{inf: inf, res: inf.res, frame: inf.frame, scale: inf.plan.Scale, key: batchKey{h, w}}
-		l.pending = append(l.pending, e)
-		n := 0
-		for _, p := range l.pending {
-			if p.live() && p.key == e.key {
-				n++
-			}
-		}
-		if n >= l.cfg.BatchCap {
-			l.flushGroup(e.key)
-		}
-		return
-	}
 	frame, scale, res, tr := inf.frame, inf.plan.Scale, inf.res, l.cfg.Tracer
 	l.pool.Submit(func(w workerState) {
 		// A panicking frame must still deliver a result — the loop
@@ -493,95 +438,6 @@ func (l *eventLoop) submitCompute(inf *inflightFrame) {
 		r.Features = nil
 		res <- computeResult{r: r, t: t, detWallMS: detWall, regWallMS: tr.SinceMS(ref)}
 	})
-}
-
-// flushGroup ships the pending frames of one batch group as a single
-// batched pool job, compacting the survivors (other groups' entries) in
-// order. Stale entries — dispatches a fault invalidated since they were
-// parked — are dropped silently; nobody reads their channels.
-func (l *eventLoop) flushGroup(k batchKey) {
-	var batch []pendingCompute
-	kept := l.pending[:0]
-	for _, e := range l.pending {
-		switch {
-		case !e.live():
-		case e.key == k:
-			batch = append(batch, e)
-		default:
-			kept = append(kept, e)
-		}
-	}
-	l.pending = kept
-	l.submitBatch(batch)
-}
-
-// flushFor ships the pending batch group containing inf's parked
-// dispatch, if any. complete calls it before blocking on inf's result:
-// only the completing frame's group has to run now — every frame still in
-// it was in flight at this instant, so batching them adds no virtual
-// latency — while other groups stay parked, accumulating members until
-// they hit BatchCap or one of their own completions fires. A frame is
-// therefore computed no later than its own completion event, which is
-// exactly when the loop first needs the result.
-func (l *eventLoop) flushFor(inf *inflightFrame) {
-	for _, e := range l.pending {
-		if e.inf == inf && e.live() {
-			l.flushGroup(e.key)
-			return
-		}
-	}
-}
-
-// submitBatch ships one batched detector pass for a group of pending
-// frames. Results are delivered to each frame's own buffered channel, so
-// the job completes autonomously — the Submit-never-deadlocks invariant is
-// untouched. A panic poisons the batch: every not-yet-delivered frame gets
-// the error result (each degrades through its session's propagation path,
-// no frame is lost) and the panic re-raises so the pool rebuilds the
-// worker, exactly like the single-frame path.
-func (l *eventLoop) submitBatch(batch []pendingCompute) {
-	if len(batch) == 0 {
-		return
-	}
-	l.batchFrames += len(batch)
-	l.batchFlushes++
-	l.metrics.Observe("batch/size", float64(len(batch)))
-	l.metrics.Inc("batch/frames", int64(len(batch)))
-	l.metrics.Inc("batch/flushes", 1)
-	l.metrics.Set("batch/occupancy", float64(l.batchFrames)/float64(l.batchFlushes))
-	frames := make([]*synth.Frame, len(batch))
-	scales := make([]int, len(batch))
-	ress := make([]chan computeResult, len(batch))
-	for j, e := range batch {
-		frames[j], scales[j], ress[j] = e.frame, e.scale, e.res
-	}
-	tr := l.cfg.Tracer
-	l.pool.SubmitBatch(func(w workerState) {
-		delivered := 0
-		defer func() {
-			if r := recover(); r != nil {
-				err := fmt.Errorf("serve: frame compute panicked: %v", r)
-				for _, res := range ress[delivered:] {
-					res <- computeResult{err: err}
-				}
-				panic(r)
-			}
-		}()
-		ref := tr.Now()
-		rs := w.det.DetectBatch(frames, scales)
-		// The shared backbone pass is attributed evenly: per-frame wall
-		// shares are not separable once the pass is fused (wall-mode
-		// profiling only; virtual spans use the modelled cost).
-		detWall := tr.SinceMS(ref) / float64(len(rs))
-		for j, r := range rs {
-			ref = tr.Now()
-			t := w.reg.Predict(r.Features)
-			w.det.Recycle(r.Features)
-			r.Features = nil
-			ress[j] <- computeResult{r: r, t: t, detWallMS: detWall, regWallMS: tr.SinceMS(ref)}
-			delivered++
-		}
-	}, len(batch))
 }
 
 // freeDispatch releases the frame's worker slot and invalidates its
@@ -622,9 +478,6 @@ func (l *eventLoop) complete(ev event) {
 	l.freeDispatch(inf)
 	var cr computeResult
 	if inf.res != nil {
-		// A still-parked dispatch must ship before the loop blocks on its
-		// result (no-op when it was flushed eagerly or never parked).
-		l.flushFor(inf)
 		cr = <-inf.res
 	}
 	l.settle(ev.stream, inf, cr)

@@ -67,19 +67,6 @@ type Config struct {
 	// arrival).
 	QueueDepth int
 
-	// BatchCap bounds cross-stream detector batching: frames from
-	// different streams dispatched at the same virtual instant onto the
-	// same scale rung (and rendered at the same size) are coalesced into
-	// one batched backbone pass of at most BatchCap frames. Batches only
-	// ever coalesce work that is already simultaneously in flight — a
-	// pending frame is flushed, with its whole group, no later than its
-	// own completion event — so the virtual schedule, the SLO
-	// accounting and every output are byte-identical at any cap
-	// (DESIGN.md §4k); only wall-clock compute changes. 0 or 1 keeps the
-	// legacy single-frame dispatch path; negative values are rejected by
-	// Validate.
-	BatchCap int
-
 	// MaxStreams is the admission-control capacity: streams beyond it are
 	// rejected at Run start (sessions/rejected metric, Report.Rejected).
 	// 0 means unlimited.
@@ -103,7 +90,7 @@ type Config struct {
 
 	// OnTick, if set, is called from the event loop at every tick with
 	// the current virtual time and the live metrics registry.
-	OnTick func(simMS float64, m *Metrics)
+	OnTick func(simMS float64, m *obs.Metrics)
 
 	// Tracer, when non-nil, makes the scheduler record one span per
 	// pipeline stage per served frame (stream = stream ID, frame = index
@@ -174,9 +161,6 @@ func (c *Config) Validate() error {
 	}
 	if c.QueueDepth <= 0 {
 		return &ConfigError{Field: "QueueDepth", Reason: fmt.Sprintf("queue capacity %d cannot admit a frame; need >= 1", c.QueueDepth)}
-	}
-	if c.BatchCap < 0 {
-		return &ConfigError{Field: "BatchCap", Reason: fmt.Sprintf("negative batch cap %d; 0 or 1 disables batching", c.BatchCap)}
 	}
 	if c.MaxStreams < 0 {
 		return &ConfigError{Field: "MaxStreams", Reason: fmt.Sprintf("negative MaxStreams %d", c.MaxStreams)}
@@ -258,7 +242,7 @@ type Report struct {
 	Rejected []int
 
 	// Metrics is the final registry; its Snapshot() is deterministic.
-	Metrics *Metrics
+	Metrics *obs.Metrics
 
 	// DurationMS is the virtual time of the last completion.
 	DurationMS float64
@@ -320,7 +304,7 @@ func (s *Server) Run(streams []Stream) *Report {
 
 // run is Run with the event loop's audit hook exposed (nil outside tests).
 func (s *Server) run(streams []Stream, audit func(*eventLoop, bool)) *Report {
-	m := NewMetrics()
+	m := obs.NewMetrics()
 	rep := &Report{Metrics: m}
 
 	admitted := streams
@@ -351,9 +335,6 @@ func (s *Server) run(streams []Stream, audit func(*eventLoop, bool)) *Report {
 		sessions: sessions,
 		index:    newDispatchIndex(len(sessions)),
 		audit:    audit,
-		// The master detector computes batch coalescing keys (pure render
-		// arithmetic, never a forward pass — worker clones do those).
-		det: s.det,
 	}
 	if !s.cfg.ModelOnly {
 		// A job panic rebuilds the worker's state inside the pool; the hook

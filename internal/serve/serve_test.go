@@ -10,6 +10,7 @@ import (
 
 	"adascale/internal/adascale"
 	"adascale/internal/faults"
+	"adascale/internal/obs"
 	"adascale/internal/regressor"
 	"adascale/internal/synth"
 )
@@ -344,7 +345,7 @@ func TestServeTicksFireDeterministically(t *testing.T) {
 	cfg := Config{
 		Workers: 2, QueueDepth: 4, TickMS: 250,
 		Resilient: adascale.DefaultResilientConfig(),
-		OnTick: func(simMS float64, m *Metrics) {
+		OnTick: func(simMS float64, m *obs.Metrics) {
 			if m.Snapshot() == "" {
 				t.Error("tick observed an empty registry")
 			}

@@ -365,38 +365,22 @@ func frameSeed(base int64, snippet, frame int) int64 {
 	return int64(z & 0x7FFFFFFFFFFFFFFF)
 }
 
-// RenderDims reports the pixel dimensions Render would rasterise this
-// frame at, without rendering — the grouping key for anything that wants
-// to know which (frame, scale) pairs produce same-sized images (the
-// serving layer's cross-stream batcher keys on it).
-func (f *Frame) RenderDims(renderShort, maxLongNative, renderDiv int) (w, h int) {
-	w, h, _ = f.renderGeometry(renderShort, maxLongNative, renderDiv)
-	return w, h
-}
-
-// renderGeometry computes the rendered dimensions and the native →
-// render-space scale factor shared by Render and RenderDims.
-func (f *Frame) renderGeometry(renderShort, maxLongNative, renderDiv int) (w, h int, factor float64) {
-	// ScaleFactor maps native → test space (shortest side renderShort·div,
-	// longest capped at maxLongNative); dividing by the render divisor
-	// yields the native → render-space factor.
-	factor = raster.ScaleFactor(f.W, f.H, renderShort*renderDiv, maxLongNative) / float64(renderDiv)
-	w = int(math.Round(float64(f.W) * factor))
-	h = int(math.Round(float64(f.H) * factor))
-	if w < 1 {
-		w = 1
-	}
-	if h < 1 {
-		h = 1
-	}
-	return w, h, factor
-}
-
 // Render rasterises the frame with its shortest side equal to renderShort
 // pixels (longest side capped per the Fast R-CNN protocol scaled by the
 // render divisor). The caller chooses renderShort = testScale / RenderDiv.
 func (f *Frame) Render(renderShort, maxLongNative, renderDiv int) *raster.Image {
-	rw, rh, factor := f.renderGeometry(renderShort, maxLongNative, renderDiv)
+	// ScaleFactor maps native → test space (shortest side renderShort·div,
+	// longest capped at maxLongNative); dividing by the render divisor
+	// yields the native → render-space factor.
+	factor := raster.ScaleFactor(f.W, f.H, renderShort*renderDiv, maxLongNative) / float64(renderDiv)
+	rw := int(math.Round(float64(f.W) * factor))
+	rh := int(math.Round(float64(f.H) * factor))
+	if rw < 1 {
+		rw = 1
+	}
+	if rh < 1 {
+		rh = 1
+	}
 	im := raster.New(rw, rh)
 	// Seeding a pooled generator reproduces rand.New(rand.NewSource(seed))
 	// exactly (Seed resets the source and the generator's read state), so

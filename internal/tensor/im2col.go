@@ -35,20 +35,8 @@ func Im2ColInto(dst, x *Tensor, kernel, stride, pad int) {
 	if dst.Dim(0) != c*kernel*kernel || dst.Dim(1) != ho*wo {
 		panic(fmt.Sprintf("tensor: Im2ColInto dst shape %v, want [%d %d]", dst.shape, c*kernel*kernel, ho*wo))
 	}
-	im2colAt(dst.data, ho*wo, 0, x, kernel, stride, pad, 0, ho, wo)
-}
-
-// im2colAt writes the im2col lowering of output rows [oy0, oy1) into a
-// (C·K·K)×rowStride row-major buffer at column offset colOff — the shared
-// core of Im2ColInto (rowStride = Ho·Wo, colOff = 0, all rows) and the
-// batched convolution's cache-blocked lowering (conv_batch.go), which
-// lowers a band of output rows at a time into a compact chunk
-// (rowStride = (oy1−oy0)·Wo). Each value is the same image tap either way,
-// so a chunk's column for an output pixel is identical to the full
-// matrix's column for that pixel.
-func im2colAt(dd []float32, rowStride, colOff int, x *Tensor, kernel, stride, pad, oy0, oy1, wo int) {
-	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
-	xd := x.data
+	xd, dd := x.data, dst.data
+	cols := ho * wo
 	// The in-bounds ox range for a given kx (ix = ox·stride − pad + kx in
 	// [0, w)) does not depend on oy; precomputing it turns the interior of
 	// each output row into a branch-free span — a straight copy when
@@ -76,12 +64,11 @@ func im2colAt(dd []float32, rowStride, colOff int, x *Tensor, kernel, stride, pa
 		plane := xd[ch*h*w : (ch+1)*h*w]
 		for ky := 0; ky < kernel; ky++ {
 			for kx := 0; kx < kernel; kx++ {
-				rowBase := ((ch*kernel+ky)*kernel+kx)*rowStride + colOff
-				row := dd[rowBase : rowBase+(oy1-oy0)*wo]
+				row := dd[((ch*kernel+ky)*kernel+kx)*cols : ((ch*kernel+ky)*kernel+kx+1)*cols]
 				ox0, ox1 := ox0s[kx], ox1s[kx]
-				for oy := oy0; oy < oy1; oy++ {
+				for oy := 0; oy < ho; oy++ {
 					iy := oy*stride - pad + ky
-					seg := row[(oy-oy0)*wo : (oy-oy0)*wo+wo]
+					seg := row[oy*wo : oy*wo+wo]
 					if iy < 0 || iy >= h {
 						clear(seg)
 						continue

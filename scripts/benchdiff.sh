@@ -26,9 +26,9 @@
 # asserts the diff flags exactly that stage; then a candidate whose total
 # allocs/op is within tolerance but whose detect stage doubled its
 # allocations, and asserts the alloc gate flags that stage too; then the
-# same detect-stage alloc double on a "batching"-named entry — the shape
-# a broken batch dispatch path would print — and asserts the failure
-# names both the entry and the stage, and that the non-zero exit
+# same detect-stage alloc double on a "serving"-named entry — the shape
+# a dispatch path re-allocating per frame would print — and asserts the
+# failure names both the entry and the stage, and that the non-zero exit
 # survives being piped into a consumer.
 set -eu
 cd "$(dirname "$0")/.."
@@ -84,24 +84,24 @@ EOF
 		cat "$tmp/aerr" >&2
 		exit 1
 	fi
-	# Serving entries get the same localisation: a "batching"-named entry
+	# Serving entries get the same localisation: a "serving"-named entry
 	# whose total allocations sit inside the 10% tolerance but whose
 	# detect stage doubled must fail, naming the entry and the stage —
-	# this is the gate that catches a batch dispatch path quietly
-	# re-allocating per frame what it should reuse per batch.
+	# this is the gate that catches a dispatch path quietly re-allocating
+	# per frame what it should reuse.
 	cat >"$tmp/bbase.json" <<EOF
-{"schema":3,"machine":$machine,"entries":[{"name":"batching","ns_per_op":1000,"allocs_per_op":1000,"iters":1,"metrics":{"map/batching":0.5},"stages_ns_per_op":{"decode":100,"detect":500,"regress":50},"stages_allocs_per_op":{"decode":100,"detect":500,"regress":50}}]}
+{"schema":3,"machine":$machine,"entries":[{"name":"serving","ns_per_op":1000,"allocs_per_op":1000,"iters":1,"metrics":{"map/serving":0.5},"stages_ns_per_op":{"decode":100,"detect":500,"regress":50},"stages_allocs_per_op":{"decode":100,"detect":500,"regress":50}}]}
 EOF
 	cat >"$tmp/bcand.json" <<EOF
-{"schema":3,"machine":$machine,"entries":[{"name":"batching","ns_per_op":1000,"allocs_per_op":1050,"iters":1,"metrics":{"map/batching":0.5},"stages_ns_per_op":{"decode":100,"detect":500,"regress":50},"stages_allocs_per_op":{"decode":100,"detect":1000,"regress":50}}]}
+{"schema":3,"machine":$machine,"entries":[{"name":"serving","ns_per_op":1000,"allocs_per_op":1050,"iters":1,"metrics":{"map/serving":0.5},"stages_ns_per_op":{"decode":100,"detect":500,"regress":50},"stages_allocs_per_op":{"decode":100,"detect":1000,"regress":50}}]}
 EOF
 	go run ./cmd/adascale-bench -diff "$tmp/bbase.json" -diff-to "$tmp/bbase.json" >/dev/null
 	if go run ./cmd/adascale-bench -diff "$tmp/bbase.json" -diff-to "$tmp/bcand.json" >/dev/null 2>"$tmp/berr"; then
-		echo "benchdiff selftest: batching-entry alloc regression NOT flagged" >&2
+		echo "benchdiff selftest: serving-entry alloc regression NOT flagged" >&2
 		exit 1
 	fi
-	if ! grep -q "batching: alloc regression: stage detect" "$tmp/berr"; then
-		echo "benchdiff selftest: batching alloc regression not localised to entry+stage; got:" >&2
+	if ! grep -q "serving: alloc regression: stage detect" "$tmp/berr"; then
+		echo "benchdiff selftest: serving alloc regression not localised to entry+stage; got:" >&2
 		cat "$tmp/berr" >&2
 		exit 1
 	fi
@@ -114,7 +114,7 @@ EOF
 			exit 1
 		fi
 	fi
-	echo "benchdiff selftest: OK — stage time and stage alloc regressions localised (incl. batching entry), exit codes survive pipes"
+	echo "benchdiff selftest: OK — stage time and stage alloc regressions localised (incl. serving entry), exit codes survive pipes"
 	exit 0
 fi
 

@@ -85,12 +85,6 @@ gate "serve-smoke" go run -race ./cmd/adascale-serve -streams 4 -frames 50 -rate
 # streams/frames and byte-identical output across the two runs.
 gate "chaos-smoke" ./scripts/chaos-smoke.sh
 
-# Batching gate: a loaded multi-stream serve with -batch 8 under the race
-# detector, asserting zero loss, byte-identical output across core counts,
-# and — after stripping the batch/* occupancy keys — byte-identical output
-# and metrics against the same run with batching off.
-gate "batch-smoke" ./scripts/batch-smoke.sh
-
 # HTTP transport gate: boot the network serving mode on an ephemeral port
 # under the race detector, drive the API with curl (admission quotas,
 # typed 400s, ingestion, results, Prometheus /metrics), then SIGTERM and
