@@ -4,15 +4,21 @@
 
 GO ?= go
 
-.PHONY: check ci fmt vet build test race bench microbench fuzz-smoke serve-smoke chaos-smoke http-smoke cluster-smoke bench-smoke benchdiff golden
+.PHONY: check ci fmt vet build test race bench microbench fuzz-smoke serve-smoke chaos-smoke http-smoke cluster-smoke bench-smoke benchdiff golden loc
 
 check: fmt vet build race fuzz-smoke serve-smoke chaos-smoke http-smoke cluster-smoke bench-smoke benchdiff
 
 # CI entry point: the same gates as `check` but fail-slow — every gate
 # runs even after a failure so one push reports all breakage at once,
-# with GitHub Actions error annotations (and no color/TTY decoration).
+# with GitHub Actions error annotations (and no color/TTY decoration). The
+# log ends with the `loc` table.
 ci:
 	CHECK_CI_MODE=1 ./scripts/check.sh
+
+# Non-test Go lines per package and in total (internal/, cmd/, adascale.go):
+# what a simplicity PR quotes before and after.
+loc:
+	@./scripts/loc.sh
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -46,8 +52,8 @@ bench:
 # arena pool — then the scheduler alone (model-only Run, ns/frame and
 # allocs/frame at 16 / 1000 / 10000 streams, plain and under chaos: the
 # curve the dispatch index keeps flat). Informational — run on hot-path
-# changes and in CI for the log; the end-to-end gate is benchdiff on
-# BENCH_4.json.
+# changes and in CI for the log; the end-to-end gate is the repository
+# benchmark (benchmark/run.sh, declared in BENCHMARK.json).
 microbench:
 	$(GO) test -run=^$$ -bench=. -benchmem ./internal/tensor
 	$(GO) test -run=^$$ -bench=SchedulerModelOnly -benchtime=3x ./internal/serve

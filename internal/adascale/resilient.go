@@ -280,7 +280,7 @@ func (s *ResilientSession) traceStep(o FrameOutput, detWallMS, regWallMS float64
 }
 
 // Overhead returns the per-frame regressor overhead the session charges on
-// detector frames (the serving layer adds it to modelled service time).
+// detector frames (CostMS's middle term).
 func (s *ResilientSession) Overhead() float64 { return s.overhead }
 
 // SessionCheckpoint is the complete externalised ladder state of a
@@ -487,26 +487,52 @@ func (s *ResilientSession) Finish(f *synth.Frame, p FramePlan, r *rfcn.Result, t
 	}
 }
 
-// Step runs one frame through the full ladder on the calling goroutine:
-// Plan, the detector/regressor pass (unless skipped), Finish with the
-// frame's modelled cost. The offline runners are loops over Step.
-func (s *ResilientSession) Step(det *rfcn.Detector, reg *regressor.Regressor, f *synth.Frame) FrameOutput {
-	p := s.Plan(f)
+// CostMS is the frame's modelled service time under plan p — the one place
+// a frame is costed: fixed bookkeeping for a skipped frame, otherwise the
+// detector at the planned scale plus the regressor overhead, plus the
+// frame's arrival jitter either way.
+func (s *ResilientSession) CostMS(f *synth.Frame, p FramePlan) float64 {
 	if p.Skip {
-		out := s.Finish(f, p, nil, 0, simclock.DetectorBaseMS+p.JitterMS)
-		s.traceStep(out, 0, 0)
-		return out
+		return simclock.DetectorBaseMS + p.JitterMS
 	}
-	ref := s.tracer.Now()
-	r := det.DetectWithFeatures(f, p.Scale)
-	detWall := s.tracer.SinceMS(ref)
-	ref = s.tracer.Now()
+	return simclock.DetectMS(f.W, f.H, p.Scale) + s.overhead + p.JitterMS
+}
+
+// Computed is one frame's compute: the detector pass at the planned scale
+// and the regressor's prediction from the same features, with the two
+// stages' measured wall time when the tracer is in wall mode (0 otherwise).
+type Computed struct {
+	R *rfcn.Result
+	T float64
+
+	DetWallMS, RegWallMS float64
+}
+
+// Compute runs the detector and the regressor for one frame — everything
+// of Algorithm 1's step that happens between Plan and Finish — and recycles
+// the feature map, so R.Features is nil on return. tr may be nil.
+func Compute(det *rfcn.Detector, reg *regressor.Regressor, f *synth.Frame, scale int, tr *obs.Tracer) Computed {
+	ref := tr.Now()
+	r := det.DetectWithFeatures(f, scale)
+	detWall := tr.SinceMS(ref)
+	ref = tr.Now()
 	t := reg.Predict(r.Features)
 	det.Recycle(r.Features)
 	r.Features = nil
-	regWall := s.tracer.SinceMS(ref)
-	out := s.Finish(f, p, r, t, r.RuntimeMS+s.overhead+p.JitterMS)
-	s.traceStep(out, detWall, regWall)
+	return Computed{R: r, T: t, DetWallMS: detWall, RegWallMS: tr.SinceMS(ref)}
+}
+
+// Step runs one frame through the full ladder on the calling goroutine:
+// Plan, Compute (unless the plan skips the detector), Finish with the
+// frame's modelled cost. The offline runners are loops over Step.
+func (s *ResilientSession) Step(det *rfcn.Detector, reg *regressor.Regressor, f *synth.Frame) FrameOutput {
+	p := s.Plan(f)
+	var c Computed
+	if !p.Skip {
+		c = Compute(det, reg, f, p.Scale, s.tracer)
+	}
+	out := s.Finish(f, p, c.R, c.T, s.CostMS(f, p))
+	s.traceStep(out, c.DetWallMS, c.RegWallMS)
 	return out
 }
 

@@ -7,9 +7,8 @@
 // The registry began life inside internal/serve; it was promoted here so
 // the offline runners, the experiments layer and the benchmark harness can
 // record into the same structures the serving scheduler uses. The text
-// snapshot format is a contract — internal/serve re-exports these types,
-// and the committed golden snapshots under internal/regress/testdata
-// remain byte-identical across the move.
+// snapshot format is a contract: the committed golden snapshots under
+// internal/regress/testdata remained byte-identical across the move.
 //
 // Everything in this package is deterministic by construction when fed
 // deterministic inputs: snapshots render sections in fixed order with

@@ -13,20 +13,13 @@ import "adascale/internal/synth"
 // use; both owners serialise access (the scheduler on its event-loop
 // goroutine, the HTTP engine under its mutex).
 type FrameQueue struct {
-	items []QueuedFrame
-}
-
-// QueuedFrame is one enqueued arrival: the frame and its arrival instant
-// on the owner's virtual clock.
-type QueuedFrame struct {
-	Frame     *synth.Frame
-	ArrivalMS float64
+	items []TimedFrame
 }
 
 // Push enqueues an arrival under the bounded drop-oldest policy: when the
 // queue already holds depth frames, the oldest is evicted to make room.
 // It returns the dropped frame, or nil if nothing was evicted.
-func (q *FrameQueue) Push(f QueuedFrame, depth int) (dropped *synth.Frame) {
+func (q *FrameQueue) Push(f TimedFrame, depth int) (dropped *synth.Frame) {
 	if len(q.items) >= depth {
 		dropped = q.items[0].Frame
 		copy(q.items, q.items[1:])
@@ -38,7 +31,7 @@ func (q *FrameQueue) Push(f QueuedFrame, depth int) (dropped *synth.Frame) {
 
 // Pop removes and returns the head of the queue. It panics on an empty
 // queue, like indexing an empty slice would; callers gate on Len.
-func (q *FrameQueue) Pop() QueuedFrame {
+func (q *FrameQueue) Pop() TimedFrame {
 	f := q.items[0]
 	copy(q.items, q.items[1:])
 	q.items = q.items[:len(q.items)-1]
@@ -46,7 +39,7 @@ func (q *FrameQueue) Pop() QueuedFrame {
 }
 
 // Head returns the oldest queued arrival without removing it.
-func (q *FrameQueue) Head() QueuedFrame { return q.items[0] }
+func (q *FrameQueue) Head() TimedFrame { return q.items[0] }
 
 // Len returns the number of queued frames.
 func (q *FrameQueue) Len() int { return len(q.items) }

@@ -1,20 +1,16 @@
 package serve
 
 import (
-	"fmt"
-
-	"adascale/internal/adascale"
 	"adascale/internal/faults"
-	"adascale/internal/obs"
-	"adascale/internal/parallel"
 	"adascale/internal/simclock"
-	"adascale/internal/synth"
 )
 
-// The central scheduler: a single-goroutine discrete-event loop over
-// virtual time. Six event kinds exist — frame completions, system fault
-// events, retry expirations, frame arrivals, watchdog checks, metric
-// ticks — processed in (time, kind, stream, seq) order, so the whole
+// The central scheduler: the discrete-event driver of the frame step
+// (step.go). Its time source is a single-goroutine event loop over virtual
+// time; its executor policy is the supervised worker set — capacity,
+// retries, breakers, shed. Six event kinds exist — frame completions,
+// system fault events, retry expirations, frame arrivals, watchdog checks,
+// metric ticks — processed in (time, kind, stream, seq) order, so the whole
 // schedule is a deterministic function of the arrival schedule, the fault
 // plan and the per-session scale state. Completions sort before
 // same-instant arrivals so a worker freed at t can serve a frame arriving
@@ -116,9 +112,8 @@ const (
 
 // eventLoop is the scheduler state for one Run.
 type eventLoop struct {
+	Core     // the frame step: registry, tracer, compute pool
 	cfg      Config
-	metrics  *obs.Metrics
-	pool     *parallel.Pool[workerState]
 	streams  []Stream
 	sessions []*session
 	sup      *supervisor // nil without a chaos plan
@@ -178,7 +173,7 @@ func (l *eventLoop) run() {
 		case kindWatchdog:
 			l.watchdog(ev)
 		case kindTick:
-			l.cfg.OnTick(l.clockMS, l.metrics)
+			l.cfg.OnTick(l.clockMS, l.Metrics)
 			// Re-arm only while the simulation still has events: a tick
 			// must never keep an otherwise-finished run alive.
 			if len(l.events) > 0 {
@@ -195,22 +190,17 @@ func (l *eventLoop) run() {
 // queue-saturation window the effective capacity collapses to one frame.
 func (l *eventLoop) arrive(ev event) {
 	s := l.sessions[ev.stream]
-	tf := l.streams[ev.stream].Frames[ev.seq]
-	l.metrics.Inc("frames/offered", 1)
 	depth := l.cfg.QueueDepth
 	if l.sup != nil {
 		depth = l.sup.queueDepth(l.clockMS, depth)
 	}
-	if dropped := s.push(queuedFrame{Frame: tf.Frame, ArrivalMS: tf.ArrivalMS}, depth); dropped != nil {
-		l.metrics.Inc("frames/dropped", 1)
-		if !l.cfg.CompactMetrics {
-			l.metrics.Inc(fmt.Sprintf("stream/%d/dropped", s.id), 1)
-		}
+	if dropped := l.Offer(&s.Lane, &s.queue, l.streams[ev.stream].Frames[ev.seq], depth); dropped != nil {
+		s.dropped = append(s.dropped, dropped)
 	}
 	// A drop-oldest eviction changes a waiting session's head, hence its key.
 	l.touch(ev.stream)
-	l.metrics.Observe("queue/depth", float64(s.queue.Len()))
-	l.metrics.SetMax("queue/peak_depth", float64(s.queue.Len()))
+	l.Metrics.Observe("queue/depth", float64(s.queue.Len()))
+	l.Metrics.SetMax("queue/peak_depth", float64(s.queue.Len()))
 	l.dispatch()
 }
 
@@ -306,46 +296,40 @@ func (l *eventLoop) dispatchShed(i int) {
 	s := l.sessions[i]
 	inf := s.inflight
 	if inf != nil && inf.retryReady {
-		l.metrics.Inc("retry/dispatched", 1)
+		l.Metrics.Inc("retry/dispatched", 1)
 	} else {
-		qf := s.pop()
-		inf = &inflightFrame{
-			frame: qf.Frame, plan: s.sess.Plan(qf.Frame),
-			arrivalMS: qf.ArrivalMS, startMS: l.clockMS,
-			worker: anonSlot, firstFailMS: -1,
-		}
-		s.inflight = inf
-		l.metrics.Observe("queue/wait_ms", l.clockMS-qf.ArrivalMS)
+		inf = l.open(s)
 	}
 	inf.shed, inf.probe = true, false
 	inf.res = nil
 	serviceMS := simclock.DetectorBaseMS + inf.plan.JitterMS
 	if !inf.plan.Skip {
 		serviceMS += simclock.FlowMS
-		l.metrics.Inc("breaker/shed", 1)
+		l.Metrics.Inc("breaker/shed", 1)
 		l.sup.breakers[i].shedFrames++
 	}
 	l.place(i, inf, anonSlot, serviceMS)
 }
 
-// start dispatches the head frame of session index i on worker slot w:
-// plans the scale, costs the frame on the virtual clock, and (unless the
-// plan skips the detector or the stream's breaker sheds it) ships the
-// compute to the pool.
-func (l *eventLoop) start(i, w int) {
-	s := l.sessions[i]
-	qf := s.pop()
-	plan := s.sess.Plan(qf.Frame)
+// open takes the head frame off s's queue and makes it the stream's
+// in-flight frame: planned (the scale decision) and costed once, at first
+// dispatch — a retry keeps both.
+func (l *eventLoop) open(s *session) *inflightFrame {
+	tf := s.queue.Pop()
+	plan := s.Sess.Plan(tf.Frame)
 	inf := &inflightFrame{
-		frame: qf.Frame, plan: plan, arrivalMS: qf.ArrivalMS, startMS: l.clockMS,
-		worker: anonSlot, firstFailMS: -1,
-	}
-	if !plan.Skip {
-		inf.serviceMS = simclock.DetectMS(qf.Frame.W, qf.Frame.H, plan.Scale) + s.sess.Overhead() + plan.JitterMS
+		frame: tf.Frame, plan: plan, arrivalMS: tf.ArrivalMS, startMS: l.clockMS,
+		serviceMS: s.Sess.CostMS(tf.Frame, plan),
+		worker:    anonSlot, firstFailMS: -1,
 	}
 	s.inflight = inf
-	l.metrics.Observe("queue/wait_ms", l.clockMS-qf.ArrivalMS)
-	l.dispatchInflight(i, w, inf)
+	l.Metrics.Observe("queue/wait_ms", l.clockMS-tf.ArrivalMS)
+	return inf
+}
+
+// start dispatches the head frame of session index i on worker slot w.
+func (l *eventLoop) start(i, w int) {
+	l.dispatchInflight(i, w, l.open(l.sessions[i]))
 }
 
 // redispatch re-dispatches session index i's retry-ready frame on worker
@@ -353,7 +337,7 @@ func (l *eventLoop) start(i, w int) {
 // dispatched with — re-planning would double-step the session's deadline
 // hysteresis.
 func (l *eventLoop) redispatch(i, w int) {
-	l.metrics.Inc("retry/dispatched", 1)
+	l.Metrics.Inc("retry/dispatched", 1)
 	l.dispatchInflight(i, w, l.sessions[i].inflight)
 }
 
@@ -364,21 +348,13 @@ func (l *eventLoop) redispatch(i, w int) {
 func (l *eventLoop) dispatchInflight(i, w int, inf *inflightFrame) {
 	inf.shed, inf.probe = false, l.probing(i, inf)
 	inf.res = nil
-	var serviceMS float64
-	if inf.plan.Skip {
-		// Rung 1: a sensor-observable fault costs only fixed bookkeeping
-		// and never reaches a worker.
-		serviceMS = simclock.DetectorBaseMS + inf.plan.JitterMS
-	} else {
-		serviceMS = inf.serviceMS
-		if !l.cfg.ModelOnly {
-			// Model-only runs leave inf.res nil, so settle takes the
-			// propagation path: pure bookkeeping on the virtual clock, no
-			// detector compute.
-			l.submitCompute(inf)
-		}
+	// Rung 1: a sensor-observable fault never reaches a worker. Model-only
+	// runs leave inf.res nil too, so settle takes the propagation path: pure
+	// bookkeeping on the virtual clock, no detector compute.
+	if !inf.plan.Skip && !l.cfg.ModelOnly {
+		inf.res = l.Submit(inf.frame, inf.plan.Scale)
 	}
-	l.place(i, inf, w, serviceMS)
+	l.place(i, inf, w, inf.serviceMS)
 }
 
 // probing reports whether this dispatch is a half-open breaker's probe:
@@ -413,31 +389,6 @@ func (l *eventLoop) place(i int, inf *inflightFrame, w int, serviceMS float64) {
 	if l.sup != nil && l.sup.cfg.WatchdogMS > 0 && !inf.plan.Skip && !inf.shed {
 		l.events.push(event{timeMS: l.clockMS + l.sup.cfg.WatchdogMS, kind: kindWatchdog, stream: i, seq: inf.dispID})
 	}
-}
-
-// submitCompute ships the frame's detector + regressor pass to the pool.
-func (l *eventLoop) submitCompute(inf *inflightFrame) {
-	inf.res = make(chan computeResult, 1)
-	frame, scale, res, tr := inf.frame, inf.plan.Scale, inf.res, l.cfg.Tracer
-	l.pool.Submit(func(w workerState) {
-		// A panicking frame must still deliver a result — the loop
-		// blocks on res at the completion event — and must still
-		// count against the pool (state rebuild), hence the re-panic.
-		defer func() {
-			if r := recover(); r != nil {
-				res <- computeResult{err: fmt.Errorf("serve: frame compute panicked: %v", r)}
-				panic(r)
-			}
-		}()
-		ref := tr.Now()
-		r := w.det.DetectWithFeatures(frame, scale)
-		detWall := tr.SinceMS(ref)
-		ref = tr.Now()
-		t := w.reg.Predict(r.Features)
-		w.det.Recycle(r.Features)
-		r.Features = nil
-		res <- computeResult{r: r, t: t, detWallMS: detWall, regWallMS: tr.SinceMS(ref)}
-	})
 }
 
 // freeDispatch releases the frame's worker slot and invalidates its
@@ -476,80 +427,35 @@ func (l *eventLoop) complete(ev event) {
 	s := l.sessions[ev.stream]
 	inf := s.inflight
 	l.freeDispatch(inf)
-	var cr computeResult
+	var res Result
 	if inf.res != nil {
-		cr = <-inf.res
+		res = <-inf.res
 	}
-	l.settle(ev.stream, inf, cr)
+	l.settle(ev.stream, inf, res)
 	l.dispatch()
 }
 
-// settle emits the frame's output through the resilient ladder with its
-// end-to-end latency as the budget charge (the SLO rung) and records the
-// serving metrics. It is the single exit for every frame: completed,
-// breaker-shed, or abandoned after exhausting its retries.
-func (l *eventLoop) settle(i int, inf *inflightFrame, cr computeResult) {
+// settle closes session index i's in-flight frame through the frame step —
+// completed, breaker-shed, or abandoned after exhausting its retries (the
+// latter two with a zero res) — with the event loop's clock as the
+// completion instant, then does the supervisor's share: a frame the detector
+// actually served closes a half-open breaker.
+func (l *eventLoop) settle(i int, inf *inflightFrame, res Result) {
 	s := l.sessions[i]
 	s.inflight = nil
-
-	latency := l.clockMS - inf.arrivalMS
-	var out adascale.FrameOutput
-	detectorRan := false
-	switch {
-	case inf.plan.Skip:
-		l.metrics.Inc("frames/skipped", 1)
-		out = s.sess.Finish(inf.frame, inf.plan, nil, 0, latency)
-	case inf.res == nil:
-		// Breaker-shed or abandoned: the degradation ladder propagates the
-		// last-good detections with explicit accounting.
-		out = s.sess.Finish(inf.frame, inf.plan, nil, 0, latency)
-	case cr.err != nil:
-		// A poisoned frame degrades like a sensed fault: the session
-		// propagates its last good detections with explicit accounting,
-		// and the panic is counted — one bad frame must not take down the
-		// stream, let alone the server.
-		l.metrics.Inc("frames/panic", 1)
-		out = s.sess.Finish(inf.frame, inf.plan, nil, 0, latency)
-	default:
-		out = s.sess.Finish(inf.frame, inf.plan, cr.r, cr.t, latency)
-		detectorRan = true
-	}
+	out, _ := l.Settle(&s.Lane, inf.frame, inf.plan, res,
+		inf.startMS, l.clockMS-inf.startMS, l.clockMS-inf.arrivalMS, l.cfg.SLOMS)
 	s.outputs = append(s.outputs, out)
-
-	l.metrics.Inc("frames/served", 1)
-	if !l.cfg.CompactMetrics {
-		l.metrics.Inc(fmt.Sprintf("stream/%d/served", s.id), 1)
-	}
-	l.metrics.Inc(ScaleKey(out.Scale), 1)
-	l.metrics.Observe("latency/ms", latency)
-	l.metrics.Observe("service/ms", l.clockMS-inf.startMS)
-	if out.Health.Fault != synth.FaultNone {
-		l.metrics.Inc("fault/"+out.Health.Fault.String(), 1)
-	}
-	if out.Health.Fallback != adascale.FallbackNone {
-		l.metrics.Inc("fallback/"+out.Health.Fallback.String(), 1)
-	}
 	if l.sup != nil {
-		if detectorRan {
-			if l.sup.breakers[i].onSuccess() {
-				l.metrics.Inc("breaker/close", 1)
-			}
+		if res.R != nil && l.sup.breakers[i].onSuccess() {
+			l.Metrics.Inc("breaker/close", 1)
 		}
 		if inf.firstFailMS >= 0 {
 			// Recovery time: first dispatch failure → the frame's output.
-			l.metrics.Observe("recovery/ms", l.clockMS-inf.firstFailMS)
+			l.Metrics.Observe("recovery/ms", l.clockMS-inf.firstFailMS)
 		}
 	}
 	l.touch(i)
-	sloMissed := l.cfg.SLOMS > 0 && latency > l.cfg.SLOMS
-	if sloMissed {
-		s.sloMiss++
-		l.metrics.Inc("slo/miss", 1)
-		if !l.cfg.CompactMetrics {
-			l.metrics.Inc(fmt.Sprintf("stream/%d/slo_miss", s.id), 1)
-		}
-	}
-	l.trace(s, out, cr, inf.startMS, sloMissed)
 }
 
 // fault applies one system fault event (seq indexes the plan), or — for
@@ -560,10 +466,10 @@ func (l *eventLoop) fault(ev event) {
 		return
 	}
 	e := l.sup.plan.Events[ev.seq]
-	l.metrics.Inc("chaos/"+e.Kind.String(), 1)
+	l.Metrics.Inc("chaos/"+e.Kind.String(), 1)
 	switch e.Kind {
 	case faults.SysWorkerKill:
-		l.metrics.Inc("workers/rebuilt", 1)
+		l.Metrics.Inc("workers/rebuilt", 1)
 		l.killWorker(e.Worker, l.clockMS+l.sup.cfg.RebuildMS, "kill")
 	case faults.SysWorkerStall:
 		l.stallWorker(e.Worker, e.DurationMS)
@@ -577,7 +483,7 @@ func (l *eventLoop) fault(ev event) {
 		// before replaying the stream.
 		for _, s := range l.sessions {
 			l.sup.migrate(s)
-			l.metrics.Inc("migrations", 1)
+			l.Metrics.Inc("migrations", 1)
 		}
 	case faults.SysQueueSaturate:
 		if u := l.clockMS + e.DurationMS; u > l.sup.satUntil {
@@ -614,7 +520,7 @@ func (l *eventLoop) stallWorker(wi int, durMS float64) {
 	if w.dispID != 0 {
 		inf := l.sessions[w.stream].inflight
 		inf.completionMS += durMS
-		l.metrics.Inc("stall/delayed", 1)
+		l.Metrics.Inc("stall/delayed", 1)
 		l.events.push(event{timeMS: inf.completionMS, kind: kindCompletion, stream: w.stream, seq: inf.dispID})
 	}
 	l.wakeAt(w.stallUntilMS)
@@ -642,19 +548,19 @@ func (l *eventLoop) failDispatch(i int, reason string) {
 		inf.firstFailMS = l.clockMS
 	}
 	inf.attempts++
-	l.metrics.Inc("retry/failures", 1)
-	l.metrics.Inc("fail/"+reason, 1)
+	l.Metrics.Inc("retry/failures", 1)
+	l.Metrics.Inc("fail/"+reason, 1)
 	if l.sup.breakers[i].onFailure(l.clockMS) {
-		l.metrics.Inc("breaker/open", 1)
+		l.Metrics.Inc("breaker/open", 1)
 	}
 	if inf.attempts > l.sup.cfg.MaxRetries {
-		l.metrics.Inc("frames/abandoned", 1)
-		l.settle(i, inf, computeResult{})
+		l.Metrics.Inc("frames/abandoned", 1)
+		l.settle(i, inf, Result{})
 		return
 	}
 	l.touch(i)
-	backoff := l.sup.backoffMS(s.id, inf.attempts)
-	l.metrics.Observe("retry/backoff_ms", backoff)
+	backoff := l.sup.backoffMS(s.ID, inf.attempts)
+	l.Metrics.Observe("retry/backoff_ms", backoff)
 	l.events.push(event{timeMS: l.clockMS + backoff, kind: kindRetry, stream: i, seq: inf.attempts})
 }
 
@@ -673,7 +579,7 @@ func (l *eventLoop) retryExpired(ev event) {
 func (l *eventLoop) watchdog(ev event) {
 	s := l.sessions[ev.stream]
 	inf := s.inflight
-	l.metrics.Inc("watchdog/reassigned", 1)
+	l.Metrics.Inc("watchdog/reassigned", 1)
 	if inf.worker >= 0 {
 		// The stalled worker is abandoned to its stall; it frees when the
 		// stall ends, not when the reassigned frame completes.
@@ -687,26 +593,4 @@ func (l *eventLoop) watchdog(ev event) {
 // be able to pick up queued or retry-ready work immediately.
 func (l *eventLoop) wakeAt(t float64) {
 	l.events.push(event{timeMS: t, kind: kindFault, stream: -1, seq: -1})
-}
-
-// trace records the served frame's pipeline-stage spans (start = the
-// frame's dispatch time on the virtual clock) and the per-stage metric
-// histograms — overall, per-stream, and per-SLO-miss, so a miss can be
-// localised to the stage that ate the budget. No-op without a tracer, so
-// untraced snapshots stay byte-identical to the pre-tracing format.
-func (l *eventLoop) trace(s *session, out adascale.FrameOutput, cr computeResult, startMS float64, sloMissed bool) {
-	tr := l.cfg.Tracer
-	if tr == nil {
-		return
-	}
-	spans := adascale.FrameSpans(tr, s.id, len(s.outputs)-1, startMS, out, cr.detWallMS, cr.regWallMS)
-	tr.Add(spans)
-	for _, sp := range spans {
-		stage := sp.Stage.String()
-		l.metrics.Observe("stage/"+stage+"/ms", sp.DurMS)
-		l.metrics.Observe(fmt.Sprintf("stream/%d/stage/%s/ms", s.id, stage), sp.DurMS)
-		if sloMissed {
-			l.metrics.Observe("slo_miss/stage/"+stage+"/ms", sp.DurMS)
-		}
-	}
 }

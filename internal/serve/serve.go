@@ -281,15 +281,6 @@ func (r *Report) Lost() int {
 	return n
 }
 
-// workerState is one pool worker's private clones; the nn layers cache
-// activations and are not safe to share, but every clone computes
-// identical values, so which worker serves which frame cannot affect any
-// result.
-type workerState struct {
-	det *rfcn.Detector
-	reg *regressor.Regressor
-}
-
 // Run serves the given streams to completion and returns the report.
 // Admission control runs first: with MaxStreams > 0, streams beyond the
 // capacity (in slice order) are rejected outright — a rejected session
@@ -317,35 +308,28 @@ func (s *Server) run(streams []Stream, audit func(*eventLoop, bool)) *Report {
 	m.Inc("sessions/accepted", int64(len(admitted)))
 	m.Inc("sessions/rejected", int64(len(rep.Rejected)))
 
+	core := Core{Metrics: m, Tracer: s.cfg.Tracer, Compact: s.cfg.CompactMetrics}
 	sessions := make([]*session, len(admitted))
 	for i, st := range admitted {
-		sessions[i] = &session{
-			id:   st.ID,
-			sess: adascale.NewResilientSession(s.reg.Kernels, s.cfg.Resilient),
-		}
+		sessions[i] = &session{Lane: core.NewLane(st.ID, adascale.NewResilientSession(s.reg.Kernels, s.cfg.Resilient))}
 		if st.Checkpoint != nil {
-			sessions[i].sess.Restore(*st.Checkpoint)
+			sessions[i].Sess.Restore(*st.Checkpoint)
 		}
 	}
 
 	loop := &eventLoop{
+		Core:     core,
 		cfg:      s.cfg,
-		metrics:  m,
 		streams:  admitted,
 		sessions: sessions,
 		index:    newDispatchIndex(len(sessions)),
 		audit:    audit,
 	}
 	if !s.cfg.ModelOnly {
-		// A job panic rebuilds the worker's state inside the pool; the hook
-		// makes that rebuild visible in the metrics snapshot. Model-only
-		// runs never submit compute, so they skip the pool (and its
-		// per-worker detector/regressor clones) entirely.
-		pool := parallel.NewPoolHooked(s.cfg.Workers, func() workerState {
-			return workerState{det: s.det.Clone(), reg: s.reg.Clone()}
-		}, func(any) { m.Inc("pool/panic_rebuild", 1) })
-		defer pool.Close()
-		loop.pool = pool
+		// Model-only runs never submit compute, so they skip the pool (and
+		// its per-worker detector/regressor clones) entirely.
+		loop.StartPool(s.det, s.reg, s.cfg.Workers)
+		defer loop.Close()
 	}
 	if s.cfg.Chaos != nil {
 		loop.sup = newSupervisor(s.cfg.Chaos, s.cfg.Supervisor, s.cfg.SLOMS,
@@ -357,12 +341,12 @@ func (s *Server) run(streams []Stream, audit func(*eventLoop, bool)) *Report {
 	m.Set("time/final_ms", loop.clockMS)
 	for i, sess := range sessions {
 		rep.Streams = append(rep.Streams, StreamReport{
-			ID:         sess.id,
+			ID:         sess.ID,
 			Offered:    len(admitted[i].Frames),
 			Outputs:    sess.outputs,
 			Dropped:    sess.dropped,
-			SLOMisses:  sess.sloMiss,
-			Checkpoint: sess.sess.Checkpoint(),
+			SLOMisses:  sess.SLOMisses,
+			Checkpoint: sess.Sess.Checkpoint(),
 		})
 		rep.Summary.Add(sess.outputs)
 	}

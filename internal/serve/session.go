@@ -2,17 +2,16 @@ package serve
 
 import (
 	"adascale/internal/adascale"
-	"adascale/internal/rfcn"
 	"adascale/internal/synth"
 )
 
-// session is one admitted video stream: its resilient scale-state session,
-// its bounded frame queue, and its serving accounting. All access happens
-// on the scheduler's event-loop goroutine; only the compute (detector +
-// regressor forward) leaves it.
+// session is one admitted video stream: its lane of the frame step
+// (resilient scale-state session, ledger, metric keys), its bounded frame
+// queue, and what the report keeps of it. All access happens on the
+// scheduler's event-loop goroutine; only the compute (detector + regressor
+// forward) leaves it.
 type session struct {
-	id   int
-	sess *adascale.ResilientSession
+	Lane
 
 	// queue is the bounded per-stream FIFO of frames that have arrived
 	// but not been dispatched, with the configured depth enforced at push.
@@ -25,12 +24,7 @@ type session struct {
 
 	outputs []adascale.FrameOutput
 	dropped []*synth.Frame
-	sloMiss int
 }
-
-// queuedFrame is one enqueued arrival (an alias for the exported queue
-// entry; the scheduler predates the shared FrameQueue).
-type queuedFrame = QueuedFrame
 
 // inflightFrame tracks a frame from its first dispatch until its
 // completion event — across retries, when the supervision layer is active.
@@ -41,9 +35,9 @@ type inflightFrame struct {
 	startMS   float64 // first dispatch instant (virtual ms)
 
 	// res delivers the worker's compute result; nil for skipped frames
-	// (sensor-observable faults never reach a worker) and for breaker-shed
-	// propagation-only frames.
-	res chan computeResult
+	// (sensor-observable faults never reach a worker), for breaker-shed
+	// propagation-only frames and in model-only runs.
+	res chan Result
 
 	// Supervision state (meaningful only when the server runs a chaos
 	// plan; all zero on the plain path).
@@ -57,32 +51,6 @@ type inflightFrame struct {
 	retryReady   bool    // backoff elapsed; waiting for a free worker
 	firstFailMS  float64 // first dispatch-failure instant (-1 = never failed)
 }
-
-// computeResult is what a pool worker hands back to the event loop: the
-// detector pass, the regressor's scale prediction, or the recovered panic
-// if the frame poisoned the worker. With a wall-mode tracer attached the
-// worker also measures the real elapsed time of the two compute stages.
-type computeResult struct {
-	r   *rfcn.Result
-	t   float64
-	err error
-
-	detWallMS float64
-	regWallMS float64
-}
-
-// push enqueues an arrival under the shared bounded drop-oldest policy
-// (FrameQueue, queue.go) and reports the dropped frame, if any, recording
-// it in the session's drop list.
-func (s *session) push(f queuedFrame, depth int) (dropped *synth.Frame) {
-	if dropped = s.queue.Push(f, depth); dropped != nil {
-		s.dropped = append(s.dropped, dropped)
-	}
-	return dropped
-}
-
-// pop removes and returns the head of the queue.
-func (s *session) pop() queuedFrame { return s.queue.Pop() }
 
 // ready reports whether the session has a dispatchable frame.
 func (s *session) ready() bool { return s.inflight == nil && s.queue.Len() > 0 }

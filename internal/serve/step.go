@@ -1,0 +1,214 @@
+package serve
+
+import (
+	"errors"
+	"fmt"
+
+	"adascale/internal/adascale"
+	"adascale/internal/obs"
+	"adascale/internal/parallel"
+	"adascale/internal/regressor"
+	"adascale/internal/rfcn"
+	"adascale/internal/synth"
+)
+
+// The frame step. Algorithm 1 is a per-frame step — detect at scale m_t,
+// regress m_{t+1} from the same features, charge the frame's cost — and
+// serving wraps it in a queue and a ledger: Offer the frame to its stream's
+// bounded queue; Plan and cost it (adascale.ResilientSession.Plan, CostMS);
+// Submit its compute to a pool worker; Settle the output through the
+// degradation ladder and emit every per-frame metric. This file is the one
+// copy of that step. A driver owns two things and nothing else of a frame's
+// life: a time source (when the frame starts and when it completes) and an
+// executor policy (which frames reach the pool, and what a failure there
+// costs). The discrete-event scheduler (scheduler.go: event heap, supervised
+// workers, retries, breakers, shed) and the HTTP engine (internal/server:
+// clock bridge, per-stream busy horizon) are the two drivers.
+
+// Core is what every frame of one server shares: the registry the step
+// records into, the optional tracer, and the compute pool. The zero value
+// of every field but Metrics is meaningful; a Core without StartPool can
+// Offer and Settle but not Submit (the model-only scheduler).
+type Core struct {
+	Metrics *obs.Metrics
+
+	// Tracer, when non-nil, makes Settle record the frame's pipeline-stage
+	// spans and stage histograms, and (in wall mode) workers measure them.
+	Tracer *obs.Tracer
+
+	// Compact suppresses the per-stream metric keys; lanes then carry none.
+	Compact bool
+
+	pool *parallel.Pool[worker]
+}
+
+// worker is one pool worker's private clones; the nn layers cache
+// activations and are not safe to share, but every clone computes
+// identical values, so which worker serves which frame cannot affect any
+// result.
+type worker struct {
+	det *rfcn.Detector
+	reg *regressor.Regressor
+}
+
+// StartPool starts the compute pool: workers goroutines (0 means
+// parallel.Workers()), each with its own clones of det and reg.
+func (c *Core) StartPool(det *rfcn.Detector, reg *regressor.Regressor, workers int) {
+	c.startPool(workers, func() worker { return worker{det: det.Clone(), reg: reg.Clone()} })
+}
+
+// startPool is StartPool with the worker factory exposed. A job panic
+// rebuilds the worker's state inside the pool; the hook makes that rebuild
+// visible in the metrics snapshot.
+func (c *Core) startPool(workers int, newWorker func() worker) {
+	m := c.Metrics
+	c.pool = parallel.NewPoolHooked(workers, newWorker, func(any) { m.Inc("pool/panic_rebuild", 1) })
+}
+
+// Close drains and stops the compute pool StartPool started.
+func (c *Core) Close() { c.pool.Close() }
+
+// Result is what a pool worker hands back for one frame: the compute, or
+// the reason there is none. The zero Result means "no compute ran" and
+// settles through the propagation rungs, as does one carrying Err.
+type Result struct {
+	adascale.Computed
+	Err error
+}
+
+// Submit ships one frame's detector + regressor pass to a pool worker and
+// returns the channel its Result arrives on. Exactly one Result is always
+// delivered, into a buffered channel, so a driver may block on it or
+// abandon it: a panicking frame still delivers (Err set) and then
+// re-panics, so the pool counts it and rebuilds the worker's state; a pool
+// already closed (drain raced a straggler) delivers Err at once, so the
+// frame degrades to propagation rather than being lost.
+func (c *Core) Submit(f *synth.Frame, scale int) chan Result {
+	res := make(chan Result, 1)
+	tr := c.Tracer
+	submitted := c.pool.Submit(func(w worker) {
+		defer func() {
+			if r := recover(); r != nil {
+				res <- Result{Err: fmt.Errorf("serve: frame compute panicked: %v", r)}
+				panic(r)
+			}
+		}()
+		res <- Result{Computed: adascale.Compute(w.det, w.reg, f, scale, tr)}
+	})
+	if !submitted {
+		res <- Result{Err: errors.New("serve: compute pool closed")}
+	}
+	return res
+}
+
+// Lane is one stream's share of the step: its resilient scale-state
+// session, its ledger (Offered == Served + Dropped once the stream has
+// drained), and its per-stream metric keys. Not safe for concurrent use;
+// each driver serialises a lane's Offer and Settle calls.
+type Lane struct {
+	ID   int
+	Sess *adascale.ResilientSession
+
+	Offered, Served, Dropped, SLOMisses int
+
+	keys *laneKeys // nil under Core.Compact
+}
+
+// laneKeys are a lane's metric names, formatted once at admission so the
+// per-frame path names its counters without building a string per frame.
+type laneKeys struct{ served, dropped, sloMiss string }
+
+// NewLane opens stream id's lane over sess.
+func (c *Core) NewLane(id int, sess *adascale.ResilientSession) Lane {
+	ln := Lane{ID: id, Sess: sess}
+	if !c.Compact {
+		ln.keys = &laneKeys{
+			served:  fmt.Sprintf("stream/%d/served", id),
+			dropped: fmt.Sprintf("stream/%d/dropped", id),
+			sloMiss: fmt.Sprintf("stream/%d/slo_miss", id),
+		}
+	}
+	return ln
+}
+
+// Offer enqueues an arrival on the lane's queue q under the bounded
+// drop-oldest policy and returns the frame evicted to make room, if any.
+func (c *Core) Offer(ln *Lane, q *FrameQueue, tf TimedFrame, depth int) (dropped *synth.Frame) {
+	ln.Offered++
+	c.Metrics.Inc("frames/offered", 1)
+	if dropped = q.Push(tf, depth); dropped != nil {
+		ln.Dropped++
+		c.Metrics.Inc("frames/dropped", 1)
+		if ln.keys != nil {
+			c.Metrics.Inc(ln.keys.dropped, 1)
+		}
+	}
+	return dropped
+}
+
+// Settle is the single exit for every served frame, whatever path it took:
+// computed, skipped by its plan (sensor fault), shed or abandoned by the
+// driver (zero res), or poisoned (res.Err). It closes the frame through
+// the session's ladder — only a computed frame has a detector result;
+// every other path propagates the last good detections with explicit
+// accounting — charging latencyMS, the frame's end-to-end latency, against
+// the deadline budget (the SLO rung), then records the serving metrics and
+// the SLO verdict against sloMS (0 disables). startMS and serviceMS are the
+// driver's own dispatch instant and service time: observed as given, never
+// re-derived, because snapshots print them at full precision.
+func (c *Core) Settle(ln *Lane, f *synth.Frame, plan adascale.FramePlan, res Result,
+	startMS, serviceMS, latencyMS, sloMS float64) (out adascale.FrameOutput, sloMiss bool) {
+	m := c.Metrics
+	if plan.Skip {
+		m.Inc("frames/skipped", 1)
+	}
+	if res.Err != nil {
+		// One bad frame must not take down the stream, let alone the
+		// server: it degrades like a sensed fault, and is counted.
+		m.Inc("frames/panic", 1)
+	}
+	out = ln.Sess.Finish(f, plan, res.R, res.T, latencyMS)
+
+	m.Inc("frames/served", 1)
+	m.Inc(ScaleKey(out.Scale), 1)
+	m.Observe("latency/ms", latencyMS)
+	m.Observe("service/ms", serviceMS)
+	if out.Health.Fault != synth.FaultNone {
+		m.Inc("fault/"+out.Health.Fault.String(), 1)
+	}
+	if out.Health.Fallback != adascale.FallbackNone {
+		m.Inc("fallback/"+out.Health.Fallback.String(), 1)
+	}
+	if sloMiss = sloMS > 0 && latencyMS > sloMS; sloMiss {
+		ln.SLOMisses++
+		m.Inc("slo/miss", 1)
+	}
+	if ln.keys != nil {
+		m.Inc(ln.keys.served, 1)
+		if sloMiss {
+			m.Inc(ln.keys.sloMiss, 1)
+		}
+	}
+	if c.Tracer != nil {
+		c.trace(ln, out, res, startMS, sloMiss)
+	}
+	ln.Served++
+	return out, sloMiss
+}
+
+// trace records the served frame's pipeline-stage spans (start = the
+// frame's dispatch time on the driver's clock) and the per-stage metric
+// histograms — overall, per-stream, and per-SLO-miss, so a miss can be
+// localised to the stage that ate the budget.
+func (c *Core) trace(ln *Lane, out adascale.FrameOutput, res Result, startMS float64, sloMiss bool) {
+	spans := adascale.FrameSpans(c.Tracer, ln.ID, ln.Served, startMS, out, res.DetWallMS, res.RegWallMS)
+	c.Tracer.Add(spans)
+	for _, sp := range spans {
+		stage := sp.Stage.String()
+		c.Metrics.Observe("stage/"+stage+"/ms", sp.DurMS)
+		c.Metrics.Observe(fmt.Sprintf("stream/%d/stage/%s/ms", ln.ID, stage), sp.DurMS)
+		if sloMiss {
+			c.Metrics.Observe("slo_miss/stage/"+stage+"/ms", sp.DurMS)
+		}
+	}
+}

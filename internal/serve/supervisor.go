@@ -193,8 +193,8 @@ func jitter01(seed int64, stream, attempt int) float64 {
 // (pinned by test), so a migrated stream continues precisely where the
 // dead node left it.
 func (s *supervisor) migrate(sess *session) {
-	cp := sess.sess.Checkpoint()
+	cp := sess.Sess.Checkpoint()
 	fresh := adascale.NewResilientSession(s.kernels, s.rcfg)
 	fresh.Restore(cp)
-	sess.sess = fresh
+	sess.Sess = fresh
 }

@@ -7,30 +7,29 @@ import (
 	"sync"
 
 	"adascale/internal/adascale"
-	"adascale/internal/obs"
-	"adascale/internal/parallel"
 	"adascale/internal/regressor"
 	"adascale/internal/rfcn"
 	"adascale/internal/serve"
-	"adascale/internal/simclock"
 	"adascale/internal/synth"
 )
 
-// The engine is the serving core behind the HTTP handlers: per-stream
-// resilient scale-state sessions (adascale.ResilientSession) fed through
-// the shared bounded drop-oldest queues (serve.FrameQueue), with the real
-// detector/regressor compute fanned out over a persistent parallel.Pool of
-// per-worker clones — the same building blocks the virtual-time batch
-// scheduler composes, re-plumbed for open-ended network arrival.
+// The engine is the HTTP driver of the frame step (internal/serve, step.go):
+// every frame is offered, costed, computed and settled by the same code the
+// virtual-time scheduler runs. The engine owns what open-ended network
+// arrival makes different — admission, and when a frame starts and
+// completes.
 //
 // Time stays virtual underneath: a frame's arrival instant comes from the
-// clock bridge, its service time is the modelled detector cost at the
-// scale the session chose, and its completion chains on the stream's
-// virtual busy horizon (streams are strictly sequential — frame k+1's
-// scale depends on frame k's regressor output). Latency, SLO accounting
-// and every metric are therefore pure functions of (admitted requests,
-// arrival stamps), which is what makes the handler layer golden-testable
-// under a scripted clock while the same engine serves wall-clock traffic.
+// clock bridge, its service time is the step's modelled cost at the scale
+// the session chose, and its completion chains on the stream's virtual busy
+// horizon (streams are strictly sequential — frame k+1's scale depends on
+// frame k's regressor output). The stream's serializer — its consumer
+// goroutine, or the handler itself in sync mode — blocks on the pool for
+// each frame, so there is no supervisor here: no retries, breakers or shed.
+// Latency, SLO accounting and every metric are therefore pure functions of
+// (admitted requests, arrival stamps), which is what makes the handler
+// layer golden-testable under a scripted clock while the same engine serves
+// wall-clock traffic.
 //
 // Accounting invariant: every admitted frame is offered, and ends up
 // served (possibly via the degradation ladder) or dropped (queue
@@ -103,44 +102,25 @@ type ResultsReply struct {
 
 // stream is one admitted video session.
 type stream struct {
-	id     int
-	tenant string
-	sloMS  float64
-	depth  int
-	sess   *adascale.ResilientSession
+	serve.Lane // session, ledger and metric keys of the frame step
+	tenant     string
+	sloMS      float64
+	depth      int
 
-	queue   serve.FrameQueue
-	running bool // a frame of this stream is in compute right now
-	done    bool // consumer goroutine exited (drain finished)
+	queue serve.FrameQueue
+	done  bool // consumer goroutine exited (drain finished)
 
-	nextIndex   int     // frame index assigner (keys the seed derivation)
 	busyUntilMS float64 // virtual completion horizon of the last frame
 
-	offered, served, dropped, sloMiss int
-	results                           []FrameResult
+	results []FrameResult
 }
 
-// workerState is one pool worker's private detector/regressor clones;
-// every clone computes identical values, so which worker serves which
-// frame cannot affect any response.
-type workerState struct {
-	det *rfcn.Detector
-	reg *regressor.Regressor
-}
-
-// computeResult is what a pool worker hands back for one frame.
-type computeResult struct {
-	r   *rfcn.Result
-	t   float64
-	err error
-}
-
-// engine owns the admitted streams, the compute pool and the registry.
+// engine owns the admitted streams and, through the frame step's core, the
+// compute pool and the registry.
 type engine struct {
+	serve.Core
 	cfg        Config
 	clock      Clock
-	metrics    *obs.Metrics
-	pool       *parallel.Pool[workerState]
 	numClasses int
 	kernels    []int // regressor branch kernels, for per-stream sessions
 
@@ -154,17 +134,15 @@ type engine struct {
 // newEngine builds the engine for a validated, defaulted config.
 func newEngine(det *rfcn.Detector, reg *regressor.Regressor, cfg Config) *engine {
 	e := &engine{
+		Core:       serve.Core{Metrics: cfg.Metrics},
 		cfg:        cfg,
 		clock:      cfg.Clock,
-		metrics:    cfg.Metrics,
 		numClasses: len(det.Data.Classes),
 		kernels:    reg.Kernels,
 		byTenant:   map[string]int{},
 	}
 	e.cond = sync.NewCond(&e.mu)
-	e.pool = parallel.NewPoolHooked(cfg.Workers, func() workerState {
-		return workerState{det: det.Clone(), reg: reg.Clone()}
-	}, func(any) { e.metrics.Inc("pool/panic_rebuild", 1) })
+	e.StartPool(det, reg, cfg.Workers)
 	return e
 }
 
@@ -175,15 +153,15 @@ func (e *engine) admit(tenant string, sloMS float64, depth int) (id int, effSLO 
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.draining {
-		e.metrics.Inc("admission/rejected_draining", 1)
+		e.Metrics.Inc("admission/rejected_draining", 1)
 		return 0, 0, 0, ErrDraining
 	}
 	if e.cfg.MaxStreams > 0 && len(e.streams) >= e.cfg.MaxStreams {
-		e.metrics.Inc("admission/rejected_capacity", 1)
+		e.Metrics.Inc("admission/rejected_capacity", 1)
 		return 0, 0, 0, &QuotaError{Tenant: tenant, Reason: fmt.Sprintf("server at capacity (%d streams)", e.cfg.MaxStreams)}
 	}
 	if e.cfg.TenantStreams > 0 && e.byTenant[tenant] >= e.cfg.TenantStreams {
-		e.metrics.Inc("admission/rejected_quota", 1)
+		e.Metrics.Inc("admission/rejected_quota", 1)
 		return 0, 0, 0, &QuotaError{Tenant: tenant, Reason: fmt.Sprintf("tenant stream quota %d reached", e.cfg.TenantStreams)}
 	}
 	if sloMS == 0 {
@@ -195,20 +173,19 @@ func (e *engine) admit(tenant string, sloMS float64, depth int) (id int, effSLO 
 	rcfg := e.cfg.Resilient
 	rcfg.DeadlineMS = sloMS
 	s := &stream{
-		id:     len(e.streams),
+		Lane:   e.NewLane(len(e.streams), adascale.NewResilientSession(e.kernels, rcfg)),
 		tenant: tenant,
 		sloMS:  sloMS,
 		depth:  depth,
-		sess:   adascale.NewResilientSession(e.kernels, rcfg),
 	}
 	e.streams = append(e.streams, s)
 	e.byTenant[tenant]++
-	e.metrics.Inc("sessions/accepted", 1)
-	e.metrics.Set("streams/live", float64(len(e.streams)))
+	e.Metrics.Inc("sessions/accepted", 1)
+	e.Metrics.Set("streams/live", float64(len(e.streams)))
 	if !e.cfg.Sync {
 		go e.consume(s)
 	}
-	return s.id, sloMS, depth, nil
+	return s.ID, sloMS, depth, nil
 }
 
 // tenantOf resolves a stream ID to its admitting tenant (for the
@@ -240,19 +217,14 @@ func (e *engine) ingest(id int, frames []FrameSpec) (IngestReply, error) {
 	now := e.clock.NowMS()
 	reply := IngestReply{StreamID: id, Accepted: len(frames)}
 	for i := range frames {
-		fr := frames[i].frame(e.cfg.Seed, id, s.nextIndex)
-		s.nextIndex++
-		s.offered++
-		e.metrics.Inc("frames/offered", 1)
-		if dropped := s.queue.Push(serve.QueuedFrame{Frame: fr, ArrivalMS: now}, s.depth); dropped != nil {
-			s.dropped++
+		// The stream's running frame index keys the seed derivation.
+		fr := frames[i].frame(e.cfg.Seed, id, s.Offered)
+		if e.Offer(&s.Lane, &s.queue, serve.TimedFrame{Frame: fr, ArrivalMS: now}, s.depth) != nil {
 			reply.Dropped++
-			e.metrics.Inc("frames/dropped", 1)
-			e.metrics.Inc(fmt.Sprintf("stream/%d/dropped", id), 1)
 		}
 	}
-	e.metrics.Observe("queue/depth", float64(s.queue.Len()))
-	e.metrics.SetMax("queue/peak_depth", float64(s.queue.Len()))
+	e.Metrics.Observe("queue/depth", float64(s.queue.Len()))
+	e.Metrics.SetMax("queue/peak_depth", float64(s.queue.Len()))
 	if e.cfg.Sync {
 		for s.queue.Len() > 0 {
 			e.processLocked(s)
@@ -284,8 +256,8 @@ func (e *engine) results(id, from int) (ResultsReply, error) {
 	copy(out, s.results[from:])
 	return ResultsReply{
 		StreamID: id, From: from,
-		Offered: s.offered, Served: s.served, Dropped: s.dropped,
-		Queued: s.queue.Len(), SLOMisses: s.sloMiss,
+		Offered: s.Offered, Served: s.Served, Dropped: s.Dropped,
+		Queued: s.queue.Len(), SLOMisses: s.SLOMisses,
 		Results: out,
 	}, nil
 }
@@ -309,88 +281,40 @@ func (e *engine) consume(s *stream) {
 	e.mu.Unlock()
 }
 
-// processLocked serves the head frame of s: plans the scale, costs the
-// frame on the virtual clock, runs the real compute on the pool (lock
-// released around it), and settles the output through the resilient
-// ladder with the frame's end-to-end virtual latency as the SLO charge.
-// Called with e.mu held; returns with it held.
+// processLocked serves the head frame of s: plans and costs it, places it
+// on the stream's virtual busy horizon, blocks on its compute (lock released
+// around it), and settles it with its end-to-end virtual latency as the SLO
+// charge. Called with e.mu held; returns with it held.
 func (e *engine) processLocked(s *stream) {
-	qf := s.queue.Pop()
-	plan := s.sess.Plan(qf.Frame)
-	startMS := math.Max(qf.ArrivalMS, s.busyUntilMS)
-	serviceMS := simclock.DetectorBaseMS + plan.JitterMS
-	if !plan.Skip {
-		serviceMS = simclock.DetectMS(qf.Frame.W, qf.Frame.H, plan.Scale) + s.sess.Overhead() + plan.JitterMS
-	}
+	tf := s.queue.Pop()
+	plan := s.Sess.Plan(tf.Frame)
+	startMS := math.Max(tf.ArrivalMS, s.busyUntilMS)
+	serviceMS := s.Sess.CostMS(tf.Frame, plan)
 	doneMS := startMS + serviceMS
 	s.busyUntilMS = doneMS
-	s.running = true
+	e.Metrics.Observe("queue/wait_ms", startMS-tf.ArrivalMS)
 	e.mu.Unlock()
 
-	var cr computeResult
+	var res serve.Result
 	if !plan.Skip {
-		res := make(chan computeResult, 1)
-		frame, scale := qf.Frame, plan.Scale
-		submitted := e.pool.Submit(func(w workerState) {
-			// A panicking frame must still deliver a result — the consumer
-			// blocks on res — and must still count against the pool (state
-			// rebuild), hence the re-panic.
-			defer func() {
-				if r := recover(); r != nil {
-					res <- computeResult{err: fmt.Errorf("server: frame compute panicked: %v", r)}
-					panic(r)
-				}
-			}()
-			r := w.det.DetectWithFeatures(frame, scale)
-			t := w.reg.Predict(r.Features)
-			w.det.Recycle(r.Features)
-			r.Features = nil
-			res <- computeResult{r: r, t: t}
-		})
-		if submitted {
-			cr = <-res
-		} else {
-			// Pool already closed (drain raced a straggler): degrade to
-			// propagation rather than losing the frame.
-			cr = computeResult{err: errors.New("server: compute pool closed")}
-		}
+		res = <-e.Submit(tf.Frame, plan.Scale)
 	}
 
 	e.mu.Lock()
-	latency := doneMS - qf.ArrivalMS
-	r, t := cr.r, cr.t
-	if cr.err != nil {
-		r, t = nil, 0
-		e.metrics.Inc("frames/panic", 1)
-	}
-	out := s.sess.Finish(qf.Frame, plan, r, t, latency)
-	s.running = false
-	s.served++
-	e.metrics.Inc("frames/served", 1)
-	e.metrics.Inc(fmt.Sprintf("stream/%d/served", s.id), 1)
-	e.metrics.Inc(serve.ScaleKey(out.Scale), 1)
-	e.metrics.Observe("latency/ms", latency)
-	e.metrics.Observe("service/ms", serviceMS)
-	e.metrics.Observe("queue/wait_ms", startMS-qf.ArrivalMS)
-	if plan.Skip {
-		e.metrics.Inc("frames/skipped", 1)
-	}
-	if out.Health.Fault != synth.FaultNone {
-		e.metrics.Inc("fault/"+out.Health.Fault.String(), 1)
-	}
-	if out.Health.Fallback != adascale.FallbackNone {
-		e.metrics.Inc("fallback/"+out.Health.Fallback.String(), 1)
-	}
+	latency := doneMS - tf.ArrivalMS
+	out, sloMiss := e.Settle(&s.Lane, tf.Frame, plan, res, startMS, serviceMS, latency, s.sloMS)
+	s.results = append(s.results, newFrameResult(out, latency, sloMiss))
+	e.cond.Broadcast()
+}
+
+// newFrameResult renders one settled frame for the results endpoint.
+func newFrameResult(out adascale.FrameOutput, latencyMS float64, sloMiss bool) FrameResult {
 	fr := FrameResult{
-		Index:     qf.Frame.Index,
+		Index:     out.Frame.Index,
 		Scale:     out.Scale,
-		LatencyMS: latency,
-	}
-	if s.sloMS > 0 && latency > s.sloMS {
-		fr.SLOMiss = true
-		s.sloMiss++
-		e.metrics.Inc("slo/miss", 1)
-		e.metrics.Inc(fmt.Sprintf("stream/%d/slo_miss", s.id), 1)
+		LatencyMS: latencyMS,
+		SLOMiss:   sloMiss,
+		Dets:      make([]DetectionJSON, len(out.Detections)),
 	}
 	if out.Health.Fault != synth.FaultNone {
 		fr.Fault = out.Health.Fault.String()
@@ -398,15 +322,13 @@ func (e *engine) processLocked(s *stream) {
 	if out.Health.Fallback != adascale.FallbackNone {
 		fr.Fallback = out.Health.Fallback.String()
 	}
-	fr.Dets = make([]DetectionJSON, len(out.Detections))
 	for i, d := range out.Detections {
 		fr.Dets[i] = DetectionJSON{
 			Class: d.Class, Score: d.Score,
 			X1: d.Box.X1, Y1: d.Box.Y1, X2: d.Box.X2, Y2: d.Box.Y2,
 		}
 	}
-	s.results = append(s.results, fr)
-	e.cond.Broadcast()
+	return fr
 }
 
 // stopAdmission closes the front door: admission and ingestion start
@@ -449,7 +371,7 @@ func (e *engine) drain() {
 		}
 	}
 	e.mu.Unlock()
-	e.pool.Close()
+	e.Close()
 }
 
 // stats sums the accounting invariant's three terms across streams.
@@ -457,9 +379,9 @@ func (e *engine) stats() (offered, served, dropped int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, s := range e.streams {
-		offered += s.offered
-		served += s.served
-		dropped += s.dropped
+		offered += s.Offered
+		served += s.Served
+		dropped += s.Dropped
 	}
 	return offered, served, dropped
 }

@@ -111,6 +111,11 @@ gate "bench-smoke" bash benchmark/run.sh -smoke -seconds 0.2
 gate "benchdiff-selftest" ./scripts/benchdiff.sh -selftest
 gate "benchdiff-baseline" ./scripts/benchdiff.sh BENCH_4.json BENCH_4.json
 
+# Not a gate: the non-test line count a simplicity PR's "net lines go down"
+# is read off, so the claim sits in the log next to the gates it passed.
+echo "== loc"
+./scripts/loc.sh
+
 if [ "$fails" -gt 0 ]; then
 	echo "tier-1 gate: $fails gate(s) FAILED" >&2
 	exit 1
