@@ -48,14 +48,16 @@ bench:
 	$(GO) test -run=^$$ -bench=. -benchmem .
 
 # Kernel-level microbenchmarks: matmul (serial vs packed), im2col, the
-# fused convolution vs the historical im2col+matmul lowering, and the
-# arena pool — then the scheduler alone (model-only Run, ns/frame and
-# allocs/frame at 16 / 1000 / 10000 streams, plain and under chaos: the
-# curve the dispatch index keeps flat). Informational — run on hot-path
-# changes and in CI for the log; the end-to-end gate is the repository
-# benchmark (benchmark/run.sh, declared in BENCHMARK.json).
+# band-tiled convolution at the backbone's layer shapes vs the historical
+# im2col+matmul lowering, and the arena pool, at -cpu 1,2 so the log shows
+# whether the kernels' inner row fan-out pays — then the scheduler alone
+# (model-only Run, ns/frame and allocs/frame at 16 / 1000 / 10000 streams,
+# plain and under chaos: the curve the dispatch index keeps flat).
+# Informational — run on hot-path changes and in CI for the log; the
+# end-to-end gate is the repository benchmark (benchmark/run.sh, declared
+# in BENCHMARK.json).
 microbench:
-	$(GO) test -run=^$$ -bench=. -benchmem ./internal/tensor
+	$(GO) test -run=^$$ -bench=. -benchmem -cpu 1,2 ./internal/tensor
 	$(GO) test -run=^$$ -bench=SchedulerModelOnly -benchtime=3x ./internal/serve
 
 # Brief randomized fuzzing on top of the committed seed corpus (the seeds
@@ -67,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=^FuzzLoadgen$$ -fuzztime=5s ./internal/serve
 	$(GO) test -run=^$$ -fuzz=^FuzzIngestDecode$$ -fuzztime=5s ./internal/server
 	$(GO) test -run=^$$ -fuzz=^FuzzClusterEvents$$ -fuzztime=5s ./internal/cluster
+	$(GO) test -run=^$$ -fuzz=^FuzzConvGeometry$$ -fuzztime=5s ./internal/tensor
 
 # End-to-end serving gate under the race detector: 200 simulated frames
 # across 4 streams at an unloaded rate must serve with zero drops and a

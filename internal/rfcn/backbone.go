@@ -1,6 +1,7 @@
 package rfcn
 
 import (
+	"math"
 	"math/rand"
 
 	"adascale/internal/nn"
@@ -128,13 +129,15 @@ func (b *Backbone) Extract(im *raster.Image) *tensor.Tensor {
 // to the backbone's buffer pool. The tensor must not be used afterwards.
 func (b *Backbone) Recycle(t *tensor.Tensor) { b.pool.PutTensor(t) }
 
-// abs rectifies a tensor by magnitude in place and returns it.
+// abs rectifies a tensor by magnitude in place and returns it. It clears
+// the float32 sign bit rather than branching on the sign, which on
+// random-signed activations mispredicts every other element; so -0 becomes
+// +0 and a NaN loses its sign. Neither reaches it from the backbone: a
+// convolution of finite values never yields -0 (tensor/conv.go).
 func abs(t *tensor.Tensor) *tensor.Tensor {
 	d := t.Data()
 	for i, v := range d {
-		if v < 0 {
-			d[i] = -v
-		}
+		d[i] = math.Float32frombits(math.Float32bits(v) &^ (1 << 31))
 	}
 	return t
 }

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"adascale/internal/detect"
+	"adascale/internal/nn"
 	"adascale/internal/raster"
 	"adascale/internal/synth"
+	"adascale/internal/tensor"
 )
 
 func testDataset(t *testing.T, seed int64, train, val int) *synth.Dataset {
@@ -302,6 +304,33 @@ func TestBackboneDeterministic(t *testing.T) {
 	for i := range a.Data() {
 		if a.Data()[i] != b.Data()[i] {
 			t.Fatal("backbone not deterministic across instances")
+		}
+	}
+}
+
+// TestExtractMatchesSignBranchAbs pins that the sign-bit abs changed no
+// feature bit: Extract on a real render equals the same three layers
+// rectified by the definitional `if v < 0 { v = -v }`, which differs from
+// it only on -0 and NaN.
+func TestExtractMatchesSignBranchAbs(t *testing.T) {
+	ds := testDataset(t, 11, 1, 0)
+	im := ds.Train[0].Frames[0].Render(150, 8000, 4)
+	b := NewBackbone()
+	x := tensor.FromSlice(im.Pix, 1, im.H, im.W)
+	for _, conv := range []*nn.Conv2D{b.conv1, b.conv2, b.conv3} {
+		x = conv.Infer(x, b.pool)
+		for i, v := range x.Data() {
+			if v < 0 {
+				x.Data()[i] = -v
+			}
+		}
+	}
+	x.ScaleInPlace(featureGain)
+	got := b.Extract(im)
+	for i, w := range x.Data() {
+		if g := got.Data()[i]; math.Float32bits(g) != math.Float32bits(w) {
+			t.Fatalf("feature %d = %v (bits %08x), sign-branch abs gives %v (bits %08x)",
+				i, g, math.Float32bits(g), w, math.Float32bits(w))
 		}
 	}
 }

@@ -5,55 +5,61 @@ import (
 	"sync"
 )
 
-// Fused im2col-free convolution. The historical path lowers the input with
-// Im2Col and multiplies by the reshaped weight matrix; that materialises a
-// (C·K·K)×(Ho·Wo) matrix that is K·K times larger than the input and is
-// read exactly once. ConvInto walks the input directly instead, and works
-// from a precomputed list of the *nonzero* weight taps — the backbone's
-// hand-designed filters are mostly exact zeros, so skipping them (as the
-// serial matmul kernel does via its a-value skip) is where the flops go
-// away. Interior output rows process taps in groups of four with one pass
-// over the destination row per group instead of one per tap, which
-// quarters the store traffic and amortises loop overhead.
+// Band-tiled im2col-free convolution. The historical path lowers the input
+// with Im2Col and multiplies by the reshaped weight matrix; that
+// materialises a (C·K·K)×(Ho·Wo) matrix that is K·K times larger than the
+// input and is read exactly once. ConvInto instead works one output row at
+// a time from two small structures:
+//
+//   - a list of the *nonzero* weight taps per output channel — the
+//     backbone's hand-designed filters are mostly exact zeros, so skipping
+//     them (as the serial matmul kernel does via its a-value skip) is where
+//     the flops go away;
+//   - a row band: the Cin×K input rows output row oy reads, copied into a
+//     scratch that is zero-padded on every side and split by column phase,
+//     band[ci][ky][p][j] = xpad[ci][oy·s+ky][j·s+p]. Tap (ci,ky,kx) of
+//     output column ox then reads band[((ci·K+ky)·P + kx mod s)·L + kx/s + ox]:
+//     contiguous in ox, always in bounds, and at an offset that does not
+//     depend on oy. Padding makes every element "interior", so stride 1 and
+//     stride s, edge and middle, all take the same loop.
+//
+// Each output channel walks the row in tiles of convTile columns, holding
+// the tile's accumulators in registers across the whole tap list and
+// storing acc+bias once. The band (≈13 KB for the backbone's conv2 at
+// scale 600) is built once per output row and reused by every output
+// channel while it sits in L1.
 //
 // Bit-identity with the im2col path (DESIGN.md §4g): for an output element
 // (co, oy, ox), the im2col route accumulates wm[co][p]·cols[p][oyx] in
-// ascending p = ((ci·K+ky)·K+kx), skipping zero weights. ConvInto applies
-// the nonzero taps in exactly that ascending order — the grouped
-// expression `o += w0·x0 + w1·x1 + w2·x2 + w3·x3` is left-associative, so
-// each element still receives the identical chain of float32 operations —
-// and adds the bias once after the taps, as the historical bias loop did.
-// Out-of-bounds taps, which contribute an exact ±0 product via the
-// zero-padded cols matrix, are skipped instead; adding a ±0 product never
-// changes a float32 partial sum (sums never equal -0: they start at +0 and
-// exact cancellation rounds to +0), so results are bit-identical for all
-// finite inputs.
+// ascending p = ((ci·K+ky)·K+kx) from +0, skipping zero weights, then adds
+// the bias. ConvInto applies the same nonzero taps in the same order to an
+// accumulator that starts at +0, and an out-of-bounds tap reads the band's
+// zero padding exactly as it reads the zero-padded cols matrix, so each
+// element receives the identical chain of float32 operations. A nil bias
+// adds +0, the identity: a partial sum is never -0 (it starts at +0 and
+// exact cancellation rounds to +0).
 //
-// Parallel fan-out tiles over output rows (co·Ho of them); each row's
-// elements are computed by one worker in serial order, so results are
+// Parallel fan-out tiles over output rows oy; each worker builds its own
+// band and computes its rows' elements in serial order, so results are
 // byte-identical across worker counts.
 
-// tap is one nonzero weight of a convolution filter.
+// convTile is the register tile width: amd64's 16 vector registers hold 8
+// accumulators, the weight and the products. A 16-wide tile spills and
+// measured 20 % slower (EXPERIMENTS.md).
+const convTile = 8
+
+// tap is one nonzero weight of a convolution filter: off is where in the
+// row band its reads for output column 0 start.
 type tap struct {
-	ci, ky, kx int
-	w          float32
+	off int
+	w   float32
 }
 
-// Conv computes a 2-D convolution of a Cin×H×W input with an
-// OutC×Cin×K×K weight tensor and an OutC bias vector (nil for no bias),
-// returning OutC×Ho×Wo. Results are bit-identical to
+// ConvInto computes a 2-D convolution of a Cin×H×W input with an
+// OutC×Cin×K×K weight tensor and an OutC bias vector (nil for no bias) into
+// a caller-owned OutC×Ho×Wo destination (typically pooled). dst is fully
+// overwritten; it must not alias x. Results are bit-identical to
 // MatMul(weight reshaped, Im2Col(x)) plus bias.
-func Conv(x, weight, bias *Tensor, stride, pad int) *Tensor {
-	outC := weight.Dim(0)
-	ho := ConvOutSize(x.Dim(1), weight.Dim(2), stride, pad)
-	wo := ConvOutSize(x.Dim(2), weight.Dim(2), stride, pad)
-	dst := &Tensor{shape: []int{outC, ho, wo}, data: make([]float32, outC*ho*wo)}
-	ConvInto(dst, x, weight, bias, stride, pad)
-	return dst
-}
-
-// ConvInto is Conv into a caller-owned OutC×Ho×Wo destination (typically
-// pooled). dst is fully overwritten; it must not alias x.
 func ConvInto(dst, x, weight, bias *Tensor, stride, pad int) {
 	if x.Dims() != 3 || weight.Dims() != 4 || dst.Dims() != 3 {
 		panic(fmt.Sprintf("tensor: ConvInto requires x C×H×W, weight O×C×K×K, dst O×Ho×Wo; got %v, %v, %v", x.shape, weight.shape, dst.shape))
@@ -75,11 +81,15 @@ func ConvInto(dst, x, weight, bias *Tensor, stride, pad int) {
 		return
 	}
 
+	// Only phases a tap can land on are built: kx mod s < min(s, K). A band
+	// row holds the wo columns plus the (K−1)/s a tap's kx/s shifts by.
+	phases := min(stride, kernel)
+	rowLen := wo + (kernel-1)/stride
+
 	// Nonzero taps per output channel, in ascending (ci, ky, kx) order —
 	// the accumulation order the im2col route uses and the goldens pin.
-	// The plan (tap list + geometry slices) is rebuilt every call but its
-	// storage recycles through a pool, so a steady-state convolution
-	// allocates nothing here.
+	// The plan is rebuilt every call but its storage recycles through a
+	// pool, so a steady-state convolution allocates nothing here.
 	wd := weight.data
 	cv := convPlanPool.Get().(*convPlan)
 	flat := cv.taps[:0]
@@ -95,7 +105,8 @@ func ConvInto(dst, x, weight, bias *Tensor, stride, pad int) {
 			for ky := 0; ky < kernel; ky++ {
 				for kx := 0; kx < kernel; kx++ {
 					if wv := wd[base+(ci*kernel+ky)*kernel+kx]; wv != 0 {
-						flat = append(flat, tap{ci, ky, kx, wv})
+						off := ((ci*kernel+ky)*phases+kx%stride)*rowLen + kx/stride
+						flat = append(flat, tap{off, wv})
 					}
 				}
 			}
@@ -103,58 +114,35 @@ func ConvInto(dst, x, weight, bias *Tensor, stride, pad int) {
 		counts[co+1] = len(flat)
 	}
 
-	// Valid ox range per kx — where ix = ox·stride − pad + kx lands inside
-	// the row — is independent of oy; precompute once.
-	ox0s, ox1s := cv.ox0s, cv.ox1s
-	if cap(ox0s) < kernel || cap(ox1s) < kernel {
-		ox0s = make([]int, kernel)
-		ox1s = make([]int, kernel)
-	}
-	ox0s, ox1s = ox0s[:kernel], ox1s[:kernel]
-	for kx := 0; kx < kernel; kx++ {
-		ox0 := 0
-		if d := pad - kx; d > 0 {
-			ox0 = (d + stride - 1) / stride
-		}
-		ox1 := 0
-		if t := w - 1 + pad - kx; t >= 0 {
-			ox1 = t/stride + 1
-			if ox1 > wo {
-				ox1 = wo
-			}
-		}
-		if ox0 > ox1 {
-			ox0 = ox1
-		}
-		ox0s[kx], ox1s[kx] = ox0, ox1
-	}
-
 	*cv = convPlan{
-		xd: x.data, bias: bias,
+		xd: x.data, dd: dst.data, bias: bias,
 		cin: cin, h: h, w: w, kernel: kernel, stride: stride, pad: pad,
-		ho: ho, wo: wo,
-		taps: flat, counts: counts, ox0s: ox0s, ox1s: ox1s,
+		ho: ho, wo: wo, phases: phases, rowLen: rowLen,
+		taps: flat, counts: counts,
 	}
-	rows := outC * ho
 	flops := int64(len(flat)) * int64(ho) * int64(wo)
-	if chunks := rowChunks(rows, flops); chunks > 0 {
-		forEachRowChunk(chunks, rows, func(r0, r1 int) { cv.rows(dst.data, r0, r1) })
+	if chunks := rowChunks(ho, flops); chunks > 0 {
+		forEachRowChunk(chunks, ho, cv.rows)
 	} else {
-		cv.rows(dst.data, 0, rows)
+		cv.rows(0, ho)
 	}
-	// forEachRowChunk has joined all workers; drop the input references and
+	// forEachRowChunk has joined all workers; drop the tensor references and
 	// recycle the plan's storage.
-	cv.xd, cv.bias = nil, nil
+	cv.xd, cv.dd, cv.bias = nil, nil, nil
 	convPlanPool.Put(cv)
 }
 
 // convPlanPool recycles convPlan structs and their slice storage across
-// ConvInto calls; every field is rebuilt before use.
-var convPlanPool = sync.Pool{New: func() any { return new(convPlan) }}
+// ConvInto calls; every field is rebuilt before use. bandPool recycles the
+// per-worker row bands, which only ever grow to the largest row seen.
+var (
+	convPlanPool = sync.Pool{New: func() any { return new(convPlan) }}
+	bandPool     = sync.Pool{New: func() any { return new([]float32) }}
+)
 
 // convPlan carries the per-call geometry and tap list to the row workers.
 type convPlan struct {
-	xd     []float32
+	xd, dd []float32
 	bias   *Tensor
 	cin    int
 	h, w   int
@@ -162,182 +150,79 @@ type convPlan struct {
 	stride int
 	pad    int
 	ho, wo int
+	phases int // column phases in the band: min(stride, kernel)
+	rowLen int // band row length L: wo + (kernel−1)/stride
 	taps   []tap
 	counts []int // taps[counts[co]:counts[co+1]] belong to channel co
-	ox0s   []int
-	ox1s   []int
 }
 
-// rows computes the flattened output rows [r0, r1), where row r = co·Ho+oy.
-func (cv *convPlan) rows(dd []float32, r0, r1 int) {
-	h, wo, stride, pad := cv.h, cv.wo, cv.stride, cv.pad
-	for r := r0; r < r1; r++ {
-		co := r / cv.ho
-		oy := r - co*cv.ho
-		orow := dd[r*wo : r*wo+wo]
-		clear(orow)
-		taps := cv.taps[cv.counts[co]:cv.counts[co+1]]
-
-		// Interior rows — every ky maps inside the input — take the
-		// grouped kernel; boundary rows fall back to tap-at-a-time.
-		iyTop := oy*stride - pad
-		if iyTop >= 0 && iyTop+cv.kernel <= h {
-			cv.rowGrouped(orow, taps, iyTop)
-		} else {
-			cv.rowGeneric(orow, taps, oy)
-		}
-
-		if cv.bias != nil {
-			bv := cv.bias.data[co]
-			for j := range orow {
-				orow[j] += bv
+// rows computes output rows [oy0, oy1) of every output channel.
+func (cv *convPlan) rows(oy0, oy1 int) {
+	bp := bandPool.Get().(*[]float32)
+	if n := cv.cin * cv.kernel * cv.phases * cv.rowLen; cap(*bp) < n {
+		*bp = make([]float32, n)
+	} else {
+		*bp = (*bp)[:n]
+	}
+	band := *bp
+	ho, wo := cv.ho, cv.wo
+	for oy := oy0; oy < oy1; oy++ {
+		cv.fillBand(band, oy)
+		for co := range cv.counts[1:] {
+			taps := cv.taps[cv.counts[co]:cv.counts[co+1]]
+			var bv float32
+			if cv.bias != nil {
+				bv = cv.bias.data[co]
+			}
+			orow := cv.dd[(co*ho+oy)*wo:][:wo]
+			ox := 0
+			for ; ox+convTile <= wo; ox += convTile {
+				var a0, a1, a2, a3, a4, a5, a6, a7 float32
+				for _, tp := range taps {
+					b := band[tp.off+ox : tp.off+ox+convTile : tp.off+ox+convTile]
+					wv := tp.w
+					a0 += wv * b[0]
+					a1 += wv * b[1]
+					a2 += wv * b[2]
+					a3 += wv * b[3]
+					a4 += wv * b[4]
+					a5 += wv * b[5]
+					a6 += wv * b[6]
+					a7 += wv * b[7]
+				}
+				o := orow[ox : ox+convTile : ox+convTile]
+				o[0], o[1], o[2], o[3] = a0+bv, a1+bv, a2+bv, a3+bv
+				o[4], o[5], o[6], o[7] = a4+bv, a5+bv, a6+bv, a7+bv
+			}
+			for ; ox < wo; ox++ {
+				var a float32
+				for _, tp := range taps {
+					a += tp.w * band[tp.off+ox]
+				}
+				orow[ox] = a + bv
 			}
 		}
 	}
+	bandPool.Put(bp)
 }
 
-// rowGrouped accumulates an interior output row, four taps per pass.
-// iyTop is the input row of kernel row ky=0 (all kernel rows in bounds).
-func (cv *convPlan) rowGrouped(orow []float32, taps []tap, iyTop int) {
-	w, wo, stride, pad := cv.w, cv.wo, cv.stride, cv.pad
-	var xr [4][]float32
-	var off [4]int
-	var wv [4]float32
-	for g := 0; g < len(taps); g += 4 {
-		n := len(taps) - g
-		if n > 4 {
-			n = 4
-		}
-		// Intersection of the taps' in-bounds ox ranges; the few columns
-		// outside it are handled per element below.
-		lo, hi := 0, wo
-		for t := 0; t < n; t++ {
-			tp := taps[g+t]
-			base := (tp.ci*cv.h + iyTop + tp.ky) * w
-			xr[t] = cv.xd[base : base+w]
-			off[t] = tp.kx - pad
-			wv[t] = tp.w
-			if o := cv.ox0s[tp.kx]; o > lo {
-				lo = o
-			}
-			if o := cv.ox1s[tp.kx]; o < hi {
-				hi = o
-			}
-		}
-		if lo > hi {
-			lo = hi
-		}
-		// Edge columns: per element, taps in ascending order (skipping
-		// out-of-bounds ±0 contributions keeps sums bit-identical).
-		for _, ox := range [2][2]int{{0, lo}, {hi, wo}} {
-			for c := ox[0]; c < ox[1]; c++ {
-				for t := 0; t < n; t++ {
-					if ix := c*stride + off[t]; ix >= 0 && ix < w {
-						orow[c] += wv[t] * xr[t][ix]
-					}
+// fillBand builds output row oy's band: segment (ci, ky, p) holds padded
+// input row oy·s+ky of channel ci at padded columns p, p+s, p+2s, …, with
+// zeros wherever the padded coordinate falls outside the input.
+func (cv *convPlan) fillBand(band []float32, oy int) {
+	h, w, kernel, stride, pad, phases, rowLen := cv.h, cv.w, cv.kernel, cv.stride, cv.pad, cv.phases, cv.rowLen
+	for p := 0; p < phases; p++ {
+		// Band column j holds input column j·s + p − pad.
+		j0, j1 := padSpan(w, rowLen, stride, p-pad)
+		for ci := 0; ci < cv.cin; ci++ {
+			for ky := 0; ky < kernel; ky++ {
+				seg := band[((ci*kernel+ky)*phases+p)*rowLen:][:rowLen]
+				iy := oy*stride - pad + ky
+				if iy < 0 || iy >= h {
+					clear(seg)
+					continue
 				}
-			}
-		}
-		if lo >= hi {
-			continue
-		}
-		ar := orow[lo:hi]
-		if stride == 1 {
-			switch n {
-			case 4:
-				x0 := xr[0][lo+off[0] : hi+off[0]]
-				x1 := xr[1][lo+off[1] : hi+off[1]]
-				x2 := xr[2][lo+off[2] : hi+off[2]]
-				x3 := xr[3][lo+off[3] : hi+off[3]]
-				w0, w1, w2, w3 := wv[0], wv[1], wv[2], wv[3]
-				for i := range ar {
-					ar[i] = ar[i] + w0*x0[i] + w1*x1[i] + w2*x2[i] + w3*x3[i]
-				}
-			case 3:
-				x0 := xr[0][lo+off[0] : hi+off[0]]
-				x1 := xr[1][lo+off[1] : hi+off[1]]
-				x2 := xr[2][lo+off[2] : hi+off[2]]
-				w0, w1, w2 := wv[0], wv[1], wv[2]
-				for i := range ar {
-					ar[i] = ar[i] + w0*x0[i] + w1*x1[i] + w2*x2[i]
-				}
-			case 2:
-				x0 := xr[0][lo+off[0] : hi+off[0]]
-				x1 := xr[1][lo+off[1] : hi+off[1]]
-				w0, w1 := wv[0], wv[1]
-				for i := range ar {
-					ar[i] = ar[i] + w0*x0[i] + w1*x1[i]
-				}
-			default:
-				x0 := xr[0][lo+off[0] : hi+off[0]]
-				w0 := wv[0]
-				for i := range ar {
-					ar[i] += w0 * x0[i]
-				}
-			}
-		} else {
-			x0, x1, x2, x3 := xr[0], xr[0], xr[0], xr[0]
-			if n > 1 {
-				x1 = xr[1]
-			}
-			if n > 2 {
-				x2 = xr[2]
-			}
-			if n > 3 {
-				x3 = xr[3]
-			}
-			o0, o1, o2, o3 := off[0], off[1], off[2], off[3]
-			w0, w1, w2, w3 := wv[0], wv[1], wv[2], wv[3]
-			switch n {
-			case 4:
-				for i := range ar {
-					ix := (lo + i) * stride
-					ar[i] = ar[i] + w0*x0[ix+o0] + w1*x1[ix+o1] + w2*x2[ix+o2] + w3*x3[ix+o3]
-				}
-			case 3:
-				for i := range ar {
-					ix := (lo + i) * stride
-					ar[i] = ar[i] + w0*x0[ix+o0] + w1*x1[ix+o1] + w2*x2[ix+o2]
-				}
-			case 2:
-				for i := range ar {
-					ix := (lo + i) * stride
-					ar[i] = ar[i] + w0*x0[ix+o0] + w1*x1[ix+o1]
-				}
-			default:
-				for i := range ar {
-					ar[i] += w0 * x0[(lo+i)*stride+o0]
-				}
-			}
-		}
-	}
-}
-
-// rowGeneric accumulates a boundary output row one tap at a time, with the
-// full iy/ix bounds handling.
-func (cv *convPlan) rowGeneric(orow []float32, taps []tap, oy int) {
-	h, w, stride, pad := cv.h, cv.w, cv.stride, cv.pad
-	for _, tp := range taps {
-		iy := oy*stride - pad + tp.ky
-		if iy < 0 || iy >= h {
-			continue
-		}
-		xrow := cv.xd[(tp.ci*h+iy)*w : (tp.ci*h+iy)*w+w]
-		ox0, ox1 := cv.ox0s[tp.kx], cv.ox1s[tp.kx]
-		if ox0 >= ox1 {
-			continue
-		}
-		wv := tp.w
-		if stride == 1 {
-			xs := xrow[ox0+tp.kx-pad : ox1+tp.kx-pad]
-			ar := orow[ox0:ox1]
-			for i, xv := range xs {
-				ar[i] += wv * xv
-			}
-		} else {
-			base := tp.kx - pad
-			for ox := ox0; ox < ox1; ox++ {
-				orow[ox] += wv * xrow[ox*stride+base]
+				gatherRow(seg, cv.xd[(ci*h+iy)*w:][:w], j0, j1, stride, p-pad)
 			}
 		}
 	}

@@ -8,6 +8,41 @@ func ConvOutSize(in, kernel, stride, pad int) int {
 	return (in+2*pad-kernel)/stride + 1
 }
 
+// padSpan returns the range [j0, j1) within [0, n) of positions j whose
+// strided, padded coordinate j·stride + off lands inside [0, w): the part of
+// an im2col output row or a convolution band row that reads real input. The
+// rest is zero padding.
+func padSpan(w, n, stride, off int) (j0, j1 int) {
+	if off < 0 {
+		j0 = min((stride-1-off)/stride, n)
+	}
+	j1 = j0
+	if t := w - 1 - off; t >= 0 {
+		j1 = max(min(t/stride+1, n), j0)
+	}
+	return j0, j1
+}
+
+// gatherRow fills seg[j] with xrow[j·stride + off] for j in [j0, j1) — the
+// padSpan of that geometry — and with zero padding elsewhere: a branch-free
+// span, a straight copy when stride is 1, with zero fills only at the edges.
+func gatherRow(seg, xrow []float32, j0, j1, stride, off int) {
+	clear(seg[:j0])
+	clear(seg[j1:])
+	if j0 == j1 {
+		return // all padding; j0·stride + off may lie outside xrow
+	}
+	if stride == 1 {
+		copy(seg[j0:j1], xrow[j0+off:])
+		return
+	}
+	ix := j0*stride + off
+	for j := j0; j < j1; j++ {
+		seg[j] = xrow[ix]
+		ix += stride
+	}
+}
+
 // Im2Col lowers a C×H×W input into a (C·K·K)×(Ho·Wo) matrix so that a
 // convolution with Cout filters becomes a single (Cout)×(C·K·K) by
 // (C·K·K)×(Ho·Wo) matrix multiplication. Out-of-bounds taps contribute 0.
@@ -37,35 +72,13 @@ func Im2ColInto(dst, x *Tensor, kernel, stride, pad int) {
 	}
 	xd, dd := x.data, dst.data
 	cols := ho * wo
-	// The in-bounds ox range for a given kx (ix = ox·stride − pad + kx in
-	// [0, w)) does not depend on oy; precomputing it turns the interior of
-	// each output row into a branch-free span — a straight copy when
-	// stride is 1 — with zero fills only at the edges.
-	ox0s := make([]int, kernel)
-	ox1s := make([]int, kernel)
-	for kx := 0; kx < kernel; kx++ {
-		ox0 := 0
-		if d := pad - kx; d > 0 {
-			ox0 = (d + stride - 1) / stride
-		}
-		ox1 := 0
-		if t := w - 1 + pad - kx; t >= 0 {
-			ox1 = t/stride + 1
-			if ox1 > wo {
-				ox1 = wo
-			}
-		}
-		if ox0 > ox1 {
-			ox0 = ox1
-		}
-		ox0s[kx], ox1s[kx] = ox0, ox1
-	}
 	for ch := 0; ch < c; ch++ {
 		plane := xd[ch*h*w : (ch+1)*h*w]
 		for ky := 0; ky < kernel; ky++ {
 			for kx := 0; kx < kernel; kx++ {
 				row := dd[((ch*kernel+ky)*kernel+kx)*cols : ((ch*kernel+ky)*kernel+kx+1)*cols]
-				ox0, ox1 := ox0s[kx], ox1s[kx]
+				// The in-bounds ox range of a kx does not depend on oy.
+				ox0, ox1 := padSpan(w, wo, stride, kx-pad)
 				for oy := 0; oy < ho; oy++ {
 					iy := oy*stride - pad + ky
 					seg := row[oy*wo : oy*wo+wo]
@@ -73,16 +86,7 @@ func Im2ColInto(dst, x *Tensor, kernel, stride, pad int) {
 						clear(seg)
 						continue
 					}
-					clear(seg[:ox0])
-					clear(seg[ox1:])
-					if stride == 1 {
-						copy(seg[ox0:ox1], plane[iy*w+ox0+kx-pad:iy*w+ox1+kx-pad])
-					} else {
-						base := iy*w + kx - pad
-						for ox := ox0; ox < ox1; ox++ {
-							seg[ox] = plane[base+ox*stride]
-						}
-					}
+					gatherRow(seg, plane[iy*w:][:w], ox0, ox1, stride, kx-pad)
 				}
 			}
 		}

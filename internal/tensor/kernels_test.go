@@ -1,8 +1,10 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"adascale/internal/parallel"
@@ -120,18 +122,30 @@ func convReference(x, weight, bias *Tensor, stride, pad int) *Tensor {
 	return out.Reshape(outC, ho, wo)
 }
 
+// convInto runs ConvInto into a fresh destination pre-filled with NaN, so a
+// column the kernel failed to write shows up as a bit mismatch.
+func convInto(x, weight, bias *Tensor, stride, pad int) *Tensor {
+	dst := New(weight.Dim(0),
+		ConvOutSize(x.Dim(1), weight.Dim(2), stride, pad),
+		ConvOutSize(x.Dim(2), weight.Dim(2), stride, pad))
+	dst.Fill(float32(math.NaN()))
+	ConvInto(dst, x, weight, bias, stride, pad)
+	return dst
+}
+
 func TestFusedConvBitIdentical(t *testing.T) {
 	cases := []struct {
 		cin, h, w, outC, kernel, stride, pad int
 	}{
-		{1, 7, 9, 3, 3, 1, 1},   // same-pad 3×3
-		{1, 16, 24, 8, 3, 2, 1}, // backbone conv1 shape family
-		{8, 9, 15, 12, 3, 1, 1}, // backbone conv2 family
-		{2, 5, 5, 4, 1, 1, 0},   // 1×1 kernel
-		{3, 8, 8, 2, 3, 2, 0},   // stride 2, no pad
-		{2, 6, 7, 3, 5, 1, 2},   // kernel larger than pad span
-		{2, 4, 4, 3, 3, 3, 1},   // stride larger than kernel-1
-		{1, 3, 3, 2, 3, 1, 2},   // padding wider than the input edge
+		{1, 7, 9, 3, 3, 1, 1},    // same-pad 3×3
+		{1, 16, 24, 8, 3, 2, 1},  // backbone conv1 shape family
+		{8, 9, 15, 12, 3, 1, 1},  // backbone conv2 family
+		{2, 5, 5, 4, 1, 1, 0},    // 1×1 kernel
+		{3, 8, 8, 2, 3, 2, 0},    // stride 2, no pad
+		{2, 6, 7, 3, 5, 1, 2},    // kernel larger than pad span
+		{2, 4, 4, 3, 3, 3, 1},    // stride larger than kernel-1
+		{1, 3, 3, 2, 3, 1, 2},    // padding wider than the input edge
+		{8, 38, 67, 12, 3, 2, 1}, // backbone conv3-sized: crosses the row fan-out threshold
 	}
 	rng := rand.New(rand.NewSource(99))
 	for _, c := range cases {
@@ -142,20 +156,11 @@ func TestFusedConvBitIdentical(t *testing.T) {
 
 		for _, workers := range []int{1, 4} {
 			parallel.SetWorkers(workers)
-			got := Conv(x, weight, bias, c.stride, c.pad)
+			got := convInto(x, weight, bias, c.stride, c.pad)
 			parallel.SetWorkers(0)
-			bitsEqual(t, "Conv", got, want)
+			bitsEqual(t, "ConvInto", got, want)
 		}
 
-		// Pooled destination with stale contents must be fully overwritten.
-		pool := NewPool()
-		dirty := pool.GetTensor(c.outC, want.Dim(1), want.Dim(2))
-		for i := range dirty.Data() {
-			dirty.Data()[i] = float32(math.NaN())
-		}
-		ConvInto(dirty, x, weight, bias, c.stride, c.pad)
-		bitsEqual(t, "ConvInto pooled", dirty, want)
-		pool.PutTensor(dirty)
 	}
 }
 
@@ -165,8 +170,104 @@ func TestConvNilBias(t *testing.T) {
 	weight := randTensorWithZeros(rng, 3, 2, 3, 3)
 	zero := New(3)
 	want := convReference(x, weight, zero, 1, 1)
-	got := Conv(x, weight, nil, 1, 1)
-	bitsEqual(t, "Conv nil bias", got, want)
+	got := convInto(x, weight, nil, 1, 1)
+	bitsEqual(t, "ConvInto nil bias", got, want)
+}
+
+// checkConvGeometry draws one convolution from rng at the given geometry —
+// about a third of the weights exactly zero, bias nil or not per nilBias —
+// and requires ConvInto to match convReference bit for bit at workers
+// {1, 4}. Geometries with no output are skipped.
+func checkConvGeometry(t *testing.T, rng *rand.Rand, cin, h, w, outC, kernel, stride, pad int, nilBias bool) {
+	t.Helper()
+	if ConvOutSize(h, kernel, stride, pad) < 1 || ConvOutSize(w, kernel, stride, pad) < 1 {
+		return
+	}
+	x := randTensorWithZeros(rng, cin, h, w)
+	weight := randTensor(rng, outC, cin, kernel, kernel)
+	for i := range weight.Data() {
+		if rng.Intn(3) == 0 {
+			weight.Data()[i] = 0
+		}
+	}
+	bias, refBias := (*Tensor)(nil), New(outC)
+	if !nilBias {
+		bias = randTensorWithZeros(rng, outC)
+		refBias = bias
+	}
+	want := convReference(x, weight, refBias, stride, pad)
+	for _, workers := range []int{1, 4} {
+		parallel.SetWorkers(workers)
+		got := convInto(x, weight, bias, stride, pad)
+		parallel.SetWorkers(0)
+		bitsEqual(t, fmt.Sprintf("ConvInto cin=%d h=%d w=%d outC=%d k=%d s=%d pad=%d nilBias=%v workers=%d",
+			cin, h, w, outC, kernel, stride, pad, nilBias, workers), got, want)
+	}
+}
+
+// TestConvRandomGeometry sweeps the band kernel's geometry space: rows
+// narrower than one register tile, rows with a scalar tail, padding wider
+// than the input and strides that skip whole kernel columns all occur.
+func TestConvRandomGeometry(t *testing.T) {
+	rng := rand.New(rand.NewSource(1501))
+	for i := 0; i < 400; i++ {
+		kernel := 1 + rng.Intn(5)
+		checkConvGeometry(t, rng,
+			1+rng.Intn(4), 1+rng.Intn(40), 1+rng.Intn(40), 1+rng.Intn(8),
+			kernel, 1+rng.Intn(3), rng.Intn(kernel+1), rng.Intn(2) == 0)
+	}
+}
+
+// FuzzConvGeometry holds the same oracle over fuzzer-chosen geometry.
+func FuzzConvGeometry(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint8(16), uint8(24), uint8(8), uint8(3), uint8(2), uint8(1), false) // backbone conv1 family
+	f.Add(int64(2), uint8(2), uint8(19), uint8(34), uint8(3), uint8(5), uint8(1), uint8(2), true)  // regressor branch family
+	f.Fuzz(func(t *testing.T, seed int64, cin, h, w, outC, kernel, stride, pad uint8, nilBias bool) {
+		k := 1 + int(kernel)%5
+		checkConvGeometry(t, rand.New(rand.NewSource(seed)),
+			1+int(cin)%4, 1+int(h)%40, 1+int(w)%40, 1+int(outC)%8,
+			k, 1+int(stride)%3, int(pad)%(k+1), nilBias)
+	})
+}
+
+// poolRetains reports whether a sync.Pool hands back what was just Put. Under
+// the race detector it deliberately drops a quarter of all Puts.
+func poolRetains() bool {
+	news := 0
+	p := sync.Pool{New: func() any { news++; return new(int) }}
+	for i := 0; i < 64; i++ {
+		p.Put(p.Get())
+	}
+	return news == 1
+}
+
+// TestConvIntoSteadyStateAllocs pins that the serial kernel allocates
+// nothing once warm even when the input size changes on every call — the
+// adaptive scale does exactly that, and the row band must absorb it.
+func TestConvIntoSteadyStateAllocs(t *testing.T) {
+	if !poolRetains() {
+		t.Skip("sync.Pool is dropping Puts (race detector): a zero-allocation pin through it cannot hold")
+	}
+	parallel.SetWorkers(1)
+	defer parallel.SetWorkers(0)
+	rng := rand.New(rand.NewSource(5))
+	weight := randTensor(rng, 12, 8, 3, 3)
+	bias := randTensor(rng, 12)
+	var xs, dsts [2]*Tensor
+	for i, hw := range [2][2]int{{75, 134}, {16, 29}} {
+		xs[i] = randTensor(rng, 8, hw[0], hw[1])
+		dsts[i] = New(12, ConvOutSize(hw[0], 3, 2, 1), ConvOutSize(hw[1], 3, 2, 1))
+	}
+	i := 0
+	step := func() {
+		ConvInto(dsts[i&1], xs[i&1], weight, bias, 2, 1)
+		i++
+	}
+	step()
+	step()
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Fatalf("steady-state ConvInto allocates %v per call, want 0", allocs)
+	}
 }
 
 func TestIm2ColFastPathMatchesReference(t *testing.T) {
@@ -179,6 +280,7 @@ func TestIm2ColFastPathMatchesReference(t *testing.T) {
 		{2, 6, 9, 5, 1, 2},
 		{1, 3, 3, 3, 1, 3}, // pad wider than the input
 		{2, 7, 5, 3, 3, 1},
+		{1, 1, 1, 5, 1, 2}, // kernel covers the whole padded input: kx=0 and kx=4 read only padding
 	}
 	rng := rand.New(rand.NewSource(11))
 	for _, c := range cases {

@@ -6,8 +6,10 @@ import (
 )
 
 // Microbenchmarks for the hot-path kernels, run informationally in CI via
-// `make microbench`. Shapes mirror the backbone's real workloads at the
-// 600-height operating point.
+// `make microbench`. Shapes are the backbone's real ones: three 3×3
+// stride-2 pad-1 layers over a RenderDiv-4 render, so a scale-600 frame is
+// 150×267 → 75×134 → 38×67 → 19×34 and a scale-128 frame 32×57 → 16×29 →
+// 8×15 → 4×8.
 
 func benchMatMul(b *testing.B, m, k, n int) {
 	rng := rand.New(rand.NewSource(1))
@@ -23,15 +25,15 @@ func benchMatMul(b *testing.B, m, k, n int) {
 }
 
 func BenchmarkMatMulSmall(b *testing.B)     { benchMatMul(b, 16, 16, 16) }
-func BenchmarkMatMulConv1(b *testing.B)     { benchMatMul(b, 8, 9, 144000) }  // conv1 @600
-func BenchmarkMatMulConv2(b *testing.B)     { benchMatMul(b, 12, 72, 36000) } // conv2 @600
+func BenchmarkMatMulConv1(b *testing.B)     { benchMatMul(b, 8, 9, 75*134) }  // conv1 @600 lowered: 8 filters × 9 taps × 75·134 outputs
+func BenchmarkMatMulConv2(b *testing.B)     { benchMatMul(b, 12, 72, 38*67) } // conv2 @600 lowered
 func BenchmarkMatMulMidSquare(b *testing.B) { benchMatMul(b, 96, 96, 96) }
 
 func BenchmarkMatMulPackedVsSerial(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := randTensor(rng, 12, 72)
-	y := randTensor(rng, 72, 36000)
-	dst := New(12, 36000)
+	y := randTensor(rng, 72, 38*67) // conv2 @600 lowered
+	dst := New(12, 38*67)
 	b.Run("packed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -46,14 +48,14 @@ func BenchmarkMatMulPackedVsSerial(b *testing.B) {
 	})
 }
 
-func BenchmarkIm2Col600(b *testing.B) {
+func BenchmarkIm2Col600(b *testing.B) { // conv2 @600
 	rng := rand.New(rand.NewSource(2))
-	x := randTensor(rng, 8, 300, 480)
-	dst := New(8*9, 300*480)
+	x := randTensor(rng, 8, 75, 134)
+	dst := New(8*9, 38*67)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Im2ColInto(dst, x, 3, 1, 1)
+		Im2ColInto(dst, x, 3, 2, 1)
 	}
 }
 
@@ -72,21 +74,36 @@ func benchConv(b *testing.B, cin, h, w, outC, kernel, stride, pad int) {
 	}
 }
 
-func BenchmarkConvFused1(b *testing.B) { benchConv(b, 1, 600, 960, 8, 3, 2, 1) }  // backbone conv1
-func BenchmarkConvFused2(b *testing.B) { benchConv(b, 8, 300, 480, 12, 3, 1, 1) } // backbone conv2
+func BenchmarkConv(b *testing.B) {
+	for _, s := range []struct {
+		name                                 string
+		cin, h, w, outC, kernel, stride, pad int
+	}{
+		{"conv1@600", 1, 150, 267, 8, 3, 2, 1},
+		{"conv2@600", 8, 75, 134, 12, 3, 2, 1},
+		{"conv3@600", 12, 38, 67, 12, 3, 2, 1},
+		{"conv1@128", 1, 32, 57, 8, 3, 2, 1},
+		{"conv2@128", 8, 16, 29, 12, 3, 2, 1},
+		{"conv3@128", 12, 8, 15, 12, 3, 2, 1},
+		{"branch3x3@600", 16, 19, 34, 8, 3, 1, 1}, // regressor branch: stride 1, same-pad
+	} {
+		b.Run(s.name, func(b *testing.B) { benchConv(b, s.cin, s.h, s.w, s.outC, s.kernel, s.stride, s.pad) })
+	}
+}
 
 func BenchmarkConvIm2ColPath(b *testing.B) {
-	// The historical lowering, for the before/after comparison in README.
+	// The historical lowering of conv2@600, for the before/after comparison
+	// in README.
 	rng := rand.New(rand.NewSource(3))
-	x := randTensor(rng, 8, 300, 480)
+	x := randTensor(rng, 8, 75, 134)
 	weight := randTensor(rng, 12, 8, 3, 3)
 	wm := weight.Reshape(12, 72)
-	cols := New(72, 300*480)
-	out := New(12, 300*480)
+	cols := New(72, 38*67)
+	out := New(12, 38*67)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Im2ColInto(cols, x, 3, 1, 1)
+		Im2ColInto(cols, x, 3, 2, 1)
 		MatMulInto(out, wm, cols)
 	}
 }
