@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check ci fmt vet build test race bench microbench fuzz-smoke serve-smoke chaos-smoke http-smoke cluster-smoke bench-smoke benchdiff golden loc
+.PHONY: check ci fmt vet build test race bench microbench fuzz-smoke serve-smoke chaos-smoke http-smoke cluster-smoke bench-smoke golden loc
 
-check: fmt vet build race fuzz-smoke serve-smoke chaos-smoke http-smoke cluster-smoke bench-smoke benchdiff
+check: fmt vet build race fuzz-smoke serve-smoke chaos-smoke http-smoke cluster-smoke bench-smoke
 
 # CI entry point: the same gates as `check` but fail-slow — every gate
 # runs even after a failure so one push reports all breakage at once,
@@ -107,23 +107,11 @@ bench-smoke:
 	$(GO) -C benchmark test ./...
 	bash benchmark/run.sh -smoke -seconds 0.2
 
-# Benchmark-report gates: the diff tool must localise a synthetic
-# single-stage regression (its own self-validation), and the committed
-# BENCH_4.json baseline must parse, carry a known schema, and
-# self-compare clean (zero regressions). Fresh reports are compared
-# against it out-of-band (see README) because wall-clock deltas across
-# machines are not a commit gate — CI uses `benchdiff.sh -accuracy-only`.
-benchdiff:
-	./scripts/benchdiff.sh -selftest
-	./scripts/benchdiff.sh BENCH_4.json BENCH_4.json
-
 # Regenerate every committed conformance artifact after a deliberate
-# behaviour change in one pass: the golden traces (including the
-# per-stage breakdown and serving stage-snapshot goldens), a verifying
-# re-run, and the schema-v3 benchmark baseline with per-stage ns/op and
-# allocs/op.
+# behaviour change: the golden traces (including the per-stage breakdown,
+# the serving stage-snapshot and the full-precision accuracy goldens) and a
+# verifying re-run.
 # Review the diff like any other code change.
 golden:
 	$(GO) test ./internal/regress -update
 	$(GO) test ./internal/regress
-	$(GO) run ./cmd/adascale-bench -train 16 -val 8 -seed 5 -json BENCH_4.json

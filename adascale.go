@@ -31,15 +31,12 @@
 package adascale
 
 import (
-	"math/rand"
-
 	"adascale/internal/adascale"
 	"adascale/internal/cluster"
 	"adascale/internal/detect"
 	"adascale/internal/dff"
 	"adascale/internal/eval"
 	"adascale/internal/faults"
-	"adascale/internal/obs"
 	"adascale/internal/parallel"
 	"adascale/internal/raster"
 	"adascale/internal/regressor"
@@ -77,9 +74,6 @@ type (
 // VIDLike returns the 30-class ImageNet-VID-like dataset configuration.
 func VIDLike(seed int64) DatasetConfig { return synth.VIDLike(seed) }
 
-// MiniYTBBLike returns the 23-class mini YouTube-BB-like configuration.
-func MiniYTBBLike(seed int64) DatasetConfig { return synth.MiniYTBBLike(seed) }
-
 // Generate builds a dataset with the given number of train/val snippets.
 func Generate(cfg DatasetConfig, train, val int) (*Dataset, error) {
 	return synth.Generate(cfg, train, val)
@@ -102,29 +96,6 @@ type (
 // NewSSDetector creates the single-scale (600) baseline detector.
 func NewSSDetector(data *DatasetConfig) *Detector { return rfcn.NewSS(data) }
 
-// NewMSDetector creates the paper's default multi-scale detector
-// (S_train = {600, 480, 360, 240}).
-func NewMSDetector(data *DatasetConfig) *Detector { return rfcn.NewMS(data) }
-
-// NewDetector creates a detector trained at an arbitrary scale set.
-func NewDetector(data *DatasetConfig, trainScales []int) *Detector {
-	return rfcn.New(data, trainScales)
-}
-
-// NewRegressor creates an untrained scale regressor with the given branch
-// kernel sizes (nil selects the paper's {1, 3}).
-func NewRegressor(rng *rand.Rand, kernels []int) *Regressor { return regressor.New(rng, kernels) }
-
-// EncodeTarget computes the Eq. 3 normalised relative-scale target.
-func EncodeTarget(m, mOpt int) float64 { return regressor.EncodeTarget(m, mOpt) }
-
-// DecodeScale inverts Eq. 3, rounding and clipping to [128, 600]
-// (Algorithm 1's decode step).
-func DecodeScale(t float64, baseSize int) int { return regressor.DecodeScale(t, baseSize) }
-
-// SReg is the paper's label-generation scale set {600, 480, 360, 240, 128}.
-func SReg() []int { return append([]int(nil), regressor.SReg...) }
-
 // Pipeline (Algorithm 1 and the comparison protocols).
 type (
 	// System is a trained AdaScale deployment (detector + regressor).
@@ -143,24 +114,9 @@ func DefaultBuildConfig() BuildConfig { return adascale.DefaultBuildConfig() }
 // train the scale regressor.
 func Build(ds *Dataset, cfg BuildConfig) *System { return adascale.Build(ds, cfg) }
 
-// RunFixed detects every frame at a fixed scale (SS testing).
-func RunFixed(det *Detector, sn *Snippet, scale int) []FrameOutput {
-	return adascale.RunFixed(det, sn, scale)
-}
-
 // RunAdaScale runs Algorithm 1 over a snippet.
 func RunAdaScale(det *Detector, reg *Regressor, sn *Snippet) []FrameOutput {
 	return adascale.RunAdaScale(det, reg, sn)
-}
-
-// RunRandom tests each frame at a random scale from scales (MS/Random).
-func RunRandom(det *Detector, sn *Snippet, scales []int, rng *rand.Rand) []FrameOutput {
-	return adascale.RunRandom(det, sn, scales, rng)
-}
-
-// RunMultiShot tests each frame at every scale and NMS-merges (MS/MS).
-func RunMultiShot(det *Detector, sn *Snippet, scales []int) []FrameOutput {
-	return adascale.RunMultiShot(det, sn, scales)
 }
 
 // Parallel execution.
@@ -180,21 +136,6 @@ func FixedRunner(det *Detector, scale int) RunnerFactory {
 func AdaScaleRunner(det *Detector, reg *Regressor) RunnerFactory {
 	return adascale.AdaScaleRunner(det, reg)
 }
-
-// MultiShotRunner returns a per-worker factory for MS/MS testing.
-func MultiShotRunner(det *Detector, scales []int) RunnerFactory {
-	return adascale.MultiShotRunner(det, scales)
-}
-
-// RandomRunner returns a per-worker factory for MS/Random testing with
-// deterministic per-snippet scale draws derived from seed.
-func RandomRunner(det *Detector, scales []int, seed int64) RunnerFactory {
-	return adascale.RandomRunner(det, scales, seed)
-}
-
-// SharedRunner adapts a goroutine-safe runner into a RunnerFactory without
-// cloning anything.
-func SharedRunner(run SnippetRunner) RunnerFactory { return adascale.SharedRunner(run) }
 
 // Fault injection and graceful degradation.
 type (
@@ -275,18 +216,9 @@ func RunDataset(snippets []Snippet, factory RunnerFactory) []FrameOutput {
 	return adascale.RunDataset(snippets, factory)
 }
 
-// RunDatasetSerial applies a per-snippet runner across a split on the
-// calling goroutine.
-func RunDatasetSerial(snippets []Snippet, run SnippetRunner) []FrameOutput {
-	return adascale.RunDatasetSerial(snippets, run)
-}
-
 // SetWorkers bounds the worker pool used by RunDataset and the parallel
 // tensor kernels; n <= 0 restores the GOMAXPROCS default.
 func SetWorkers(n int) { parallel.SetWorkers(n) }
-
-// Workers reports the effective worker count.
-func Workers() int { return parallel.Workers() }
 
 // MeanRuntimeMS averages the modelled per-frame runtime.
 func MeanRuntimeMS(outputs []FrameOutput) float64 { return adascale.MeanRuntimeMS(outputs) }
@@ -308,8 +240,6 @@ type (
 	ServeReport = serve.Report
 	// ServeStreamReport is one admitted stream's outcome.
 	ServeStreamReport = serve.StreamReport
-	// ServeMetrics is the dependency-free counter/gauge/histogram registry.
-	ServeMetrics = obs.Metrics
 	// ServeStream is one session's workload: an ordered arrival schedule.
 	ServeStream = serve.Stream
 	// TimedFrame is one frame with its open-loop arrival time.
@@ -333,22 +263,9 @@ func GenLoad(snippets []Snippet, cfg LoadConfig) ([]ServeStream, error) {
 	return serve.GenLoad(snippets, cfg)
 }
 
-// NewServeMetrics creates an empty serving metrics registry.
-func NewServeMetrics() *ServeMetrics { return obs.NewMetrics() }
-
-// System fault tolerance: deterministic chaos plans for the serving layer
-// and the supervision machinery that survives them.
+// System fault tolerance: the serving layer's supervision machinery and
+// the migratable session underneath it.
 type (
-	// SystemPlan is a seeded, sorted schedule of system fault events in
-	// virtual time (ServeConfig.Chaos injects it into a serving run).
-	SystemPlan = faults.SystemPlan
-	// SystemEvent is one scheduled system fault.
-	SystemEvent = faults.SystemEvent
-	// SystemEventKind enumerates worker kill, worker stall, node blackout
-	// and queue saturation.
-	SystemEventKind = faults.SystemEventKind
-	// SystemConfig parameterises chaos plan generation.
-	SystemConfig = faults.SystemConfig
 	// SupervisorConfig tunes the serving layer's recovery machinery:
 	// retry with exponential backoff and deterministic jitter, per-stream
 	// circuit breakers that shed to propagation-only while open, the
@@ -365,17 +282,6 @@ type (
 	// another node byte-identically.
 	SessionCheckpoint = adascale.SessionCheckpoint
 )
-
-// GenSystemPlan builds the deterministic system fault schedule for the
-// config: same seed and config give the identical plan on any machine.
-func GenSystemPlan(cfg SystemConfig) (*SystemPlan, error) { return faults.GenSystemPlan(cfg) }
-
-// ScaledSystemConfig returns the standard mixed chaos condition at the
-// given intensity (rate 0 = no events, 1 = moderate, 2 = doubled), the
-// knob the chaos sweep and adascale-serve -chaos drive.
-func ScaledSystemConfig(rate float64, seed int64, horizonMS float64, workers int) SystemConfig {
-	return faults.ScaledSystemConfig(rate, seed, horizonMS, workers)
-}
 
 // NewResilientSession creates a degradation-ladder session over a stream.
 func NewResilientSession(kernels []int, cfg ResilientConfig) *ResilientSession {
@@ -400,26 +306,16 @@ type (
 	HTTPRequestError = server.RequestError
 	// HTTPClock maps transport arrivals onto the virtual serving clock.
 	HTTPClock = server.Clock
-	// HTTPWallClock is the production bridge (wall ms since start).
-	HTTPWallClock = server.WallClock
-	// HTTPScriptClock is the deterministic bridge for recorded scripts.
-	HTTPScriptClock = server.ScriptClock
 )
 
 // NewHTTPServer creates the HTTP serving front end over a trained system.
 // Underneath it is the same virtual-time machinery as NewServer: frame
 // costs come from the modelled runtime clock, arrivals are stamped through
-// HTTPConfig.Clock, and with a ScriptClock the responses to a recorded
+// HTTPConfig.Clock, and with a scripted HTTPClock the responses to a recorded
 // request script are byte-identical across runs and worker counts.
 func NewHTTPServer(det *Detector, reg *Regressor, cfg HTTPConfig) (*HTTPServer, error) {
 	return server.New(det, reg, cfg)
 }
-
-// NewHTTPWallClock starts a wall-clock bridge at virtual time zero.
-func NewHTTPWallClock() *HTTPWallClock { return server.NewWallClock() }
-
-// NewHTTPScriptClock starts a scripted clock at virtual time zero.
-func NewHTTPScriptClock() *HTTPScriptClock { return server.NewScriptClock() }
 
 // Cluster-scale simulation (internal/cluster): shard streams across a
 // fleet of simulated serving nodes on one virtual clock — bounded-load
@@ -494,16 +390,6 @@ type (
 // DefaultDFFConfig mirrors the DFF paper's operating point.
 func DefaultDFFConfig() DFFConfig { return dff.DefaultConfig() }
 
-// RunDFF runs Deep Feature Flow with fixed-scale key frames.
-func RunDFF(det *Detector, sn *Snippet, keyScale int, cfg DFFConfig) []FrameOutput {
-	return dff.Run(det, sn, keyScale, cfg)
-}
-
-// RunDFFAdaptive composes DFF with AdaScale (adaptive key-frame scales).
-func RunDFFAdaptive(det *Detector, reg *Regressor, sn *Snippet, cfg DFFConfig) []FrameOutput {
-	return dff.RunAdaptive(det, reg, sn, cfg)
-}
-
 // ApplySeqNMS rescoring over per-frame detections of one snippet.
 func ApplySeqNMS(frames [][]Detection, opts SeqNMSOptions) [][]Detection {
 	return seqnms.Apply(frames, opts)
@@ -531,14 +417,6 @@ func ToEval(outputs []FrameOutput) []FrameDetections {
 		out[i] = FrameDetections{Detections: o.Detections, GroundTruth: o.Frame.GroundTruth()}
 	}
 	return out
-}
-
-// IoU returns the Jaccard overlap of two boxes.
-func IoU(a, b Box) float64 { return detect.IoU(a, b) }
-
-// NMS performs class-wise greedy non-maximum suppression.
-func NMS(dets []Detection, iouThreshold float64, topK int) []Detection {
-	return detect.NMS(dets, iouThreshold, topK)
 }
 
 // Texture selects a synthetic object's fill pattern (its complexity is one

@@ -1,14 +1,14 @@
 package adascale_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"adascale"
 )
 
 // TestPublicAPIEndToEnd drives the documented public surface: generate,
-// build, run every protocol, evaluate — the quickstart contract.
+// build, run the protocols the facade exports, evaluate — the quickstart
+// contract.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	cfg := adascale.VIDLike(9)
 	cfg.FramesPerSnippet = 4
@@ -23,21 +23,15 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	adascale.SetWorkers(3)
 	t.Cleanup(func() { adascale.SetWorkers(0) })
-	if got := adascale.Workers(); got != 3 {
-		t.Fatalf("Workers() = %d after SetWorkers(3)", got)
-	}
 	outs := adascale.RunDataset(ds.Val, adascale.AdaScaleRunner(sys.Detector, sys.Regressor))
 	adascale.SetWorkers(0)
 	if len(outs) != 3*4 {
 		t.Fatalf("outputs = %d", len(outs))
 	}
-	serial := adascale.RunDatasetSerial(ds.Val, adascale.AdaScaleRunner(sys.Detector, sys.Regressor)())
-	if len(serial) != len(outs) {
-		t.Fatalf("serial %d vs parallel %d outputs", len(serial), len(outs))
-	}
-	for i := range outs {
+	serial := adascale.RunAdaScale(sys.Detector, sys.Regressor, &ds.Val[0])
+	for i := range serial {
 		if outs[i].Scale != serial[i].Scale {
-			t.Fatalf("output %d: parallel scale %d, serial %d", i, outs[i].Scale, serial[i].Scale)
+			t.Fatalf("output %d: pooled scale %d, RunAdaScale %d", i, outs[i].Scale, serial[i].Scale)
 		}
 	}
 	res := adascale.Evaluate(adascale.ToEval(outs), len(cfg.Classes))
@@ -50,50 +44,18 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	// Other protocols are reachable and well-formed.
 	ssDet := adascale.NewSSDetector(&ds.Config)
-	if len(adascale.RunFixed(ssDet, &ds.Val[0], 600)) != 4 {
-		t.Fatal("RunFixed broken")
+	if len(adascale.RunDataset(ds.Val[:1], adascale.FixedRunner(ssDet, 600))) != 4 {
+		t.Fatal("FixedRunner broken")
 	}
-	if len(adascale.RunRandom(sys.Detector, &ds.Val[0], adascale.SReg(), rand.New(rand.NewSource(1)))) != 4 {
-		t.Fatal("RunRandom broken")
+	if len(adascale.RunDataset(ds.Val[:1], adascale.DFFRunner(sys.Detector, 600, adascale.DefaultDFFConfig()))) != 4 {
+		t.Fatal("DFFRunner broken")
 	}
-	if len(adascale.RunMultiShot(sys.Detector, &ds.Val[0], []int{600, 360})) != 4 {
-		t.Fatal("RunMultiShot broken")
-	}
-	if len(adascale.RunDFF(sys.Detector, &ds.Val[0], 600, adascale.DefaultDFFConfig())) != 4 {
-		t.Fatal("RunDFF broken")
-	}
-	if len(adascale.RunDFFAdaptive(sys.Detector, sys.Regressor, &ds.Val[0], adascale.DefaultDFFConfig())) != 4 {
-		t.Fatal("RunDFFAdaptive broken")
+	if len(adascale.RunDataset(ds.Val[:1], adascale.DFFAdaptiveRunner(sys.Detector, sys.Regressor, adascale.DefaultDFFConfig()))) != 4 {
+		t.Fatal("DFFAdaptiveRunner broken")
 	}
 	frames := [][]adascale.Detection{{{Box: adascale.Box{X1: 0, Y1: 0, X2: 10, Y2: 10}, Class: 0, Score: 0.5}}}
 	if got := adascale.ApplySeqNMS(frames, adascale.SeqNMSOptions{}); len(got) != 1 {
 		t.Fatal("ApplySeqNMS broken")
-	}
-}
-
-// TestEncodeDecodePublic checks the Eq. 3 helpers exported at the root.
-func TestEncodeDecodePublic(t *testing.T) {
-	for _, m := range []int{128, 240, 360, 480, 600} {
-		for _, mOpt := range []int{128, 240, 360, 480, 600} {
-			if got := adascale.DecodeScale(adascale.EncodeTarget(m, mOpt), m); got != mOpt {
-				t.Fatalf("round trip (%d,%d) -> %d", m, mOpt, got)
-			}
-		}
-	}
-}
-
-// TestIoUNMSPublic sanity-checks the exported geometry helpers.
-func TestIoUNMSPublic(t *testing.T) {
-	a := adascale.Box{X1: 0, Y1: 0, X2: 10, Y2: 10}
-	if adascale.IoU(a, a) != 1 {
-		t.Fatal("IoU broken")
-	}
-	dets := []adascale.Detection{
-		{Box: a, Class: 0, Score: 0.9},
-		{Box: adascale.Box{X1: 1, Y1: 1, X2: 11, Y2: 11}, Class: 0, Score: 0.5},
-	}
-	if got := adascale.NMS(dets, 0.3, 10); len(got) != 1 {
-		t.Fatalf("NMS kept %d", len(got))
 	}
 }
 
@@ -158,14 +120,5 @@ func TestClusterPublicAPI(t *testing.T) {
 	nr = rep.PerNode[0]
 	if nr.EpochsUp == 0 && nr.Served > 0 {
 		t.Fatal("node served frames in zero epochs")
-	}
-}
-
-// TestSRegIsolated ensures SReg returns a copy callers cannot corrupt.
-func TestSRegIsolated(t *testing.T) {
-	s := adascale.SReg()
-	s[0] = 1
-	if adascale.SReg()[0] != 600 {
-		t.Fatal("SReg must return a defensive copy")
 	}
 }

@@ -14,6 +14,9 @@ import (
 	"testing"
 
 	"adascale"
+	internal "adascale/internal/adascale"
+	"adascale/internal/detect"
+	"adascale/internal/dff"
 	"adascale/internal/experiments"
 	"adascale/internal/flow"
 	"adascale/internal/regressor"
@@ -155,7 +158,7 @@ func BenchmarkFixedScaleSnippet(b *testing.B) {
 	sn := &benchDS.Val[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		adascale.RunFixed(benchSys.Detector, sn, 600)
+		internal.RunFixed(benchSys.Detector, sn, 600)
 	}
 }
 
@@ -165,7 +168,7 @@ func BenchmarkDFFSnippet(b *testing.B) {
 	cfg := adascale.DefaultDFFConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		adascale.RunDFF(benchSys.Detector, sn, 600, cfg)
+		dff.Run(benchSys.Detector, sn, 600, cfg)
 	}
 }
 
@@ -176,7 +179,7 @@ func BenchmarkRunDatasetSerial(b *testing.B) {
 	run := adascale.AdaScaleRunner(benchSys.Detector, benchSys.Regressor)()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		adascale.RunDatasetSerial(benchDS.Val, run)
+		internal.RunDatasetSerial(benchDS.Val, run)
 	}
 }
 
@@ -319,13 +322,13 @@ func BenchmarkNMS300(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		adascale.NMS(dets, rfcn.NMSThreshold, rfcn.TopK)
+		detect.NMS(dets, rfcn.NMSThreshold, rfcn.TopK)
 	}
 }
 
 func BenchmarkSeqNMSSnippet(b *testing.B) {
 	bundle(b)
-	outs := adascale.RunFixed(benchSys.Detector, &benchDS.Val[0], 600)
+	outs := internal.RunFixed(benchSys.Detector, &benchDS.Val[0], 600)
 	frames := make([][]adascale.Detection, len(outs))
 	for i := range outs {
 		frames[i] = outs[i].Detections

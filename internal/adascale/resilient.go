@@ -280,7 +280,8 @@ func (s *ResilientSession) traceStep(o FrameOutput, detWallMS, regWallMS float64
 }
 
 // Overhead returns the per-frame regressor overhead the session charges on
-// detector frames (CostMS's middle term).
+// detector frames (CostMS's middle term). Kept for
+// benchmark/layer_adascale.go, which may not be edited; do not add callers.
 func (s *ResilientSession) Overhead() float64 { return s.overhead }
 
 // SessionCheckpoint is the complete externalised ladder state of a

@@ -123,11 +123,8 @@ func (b *Bundle) Serving(cfg ServingConfig) (*ServingResult, error) {
 				QueueDepth: cfg.QueueDepth,
 				SLOMS:      slo,
 				Resilient:  adascale.DefaultResilientConfig(),
-				// The bundle tracer (when attached, e.g. in report mode)
-				// gives the serving entry a per-stage ns/op and allocs/op
-				// apportionment in BENCH_4.json, so a serving regression is
-				// localised to decode vs backbone vs seqnms instead of only
-				// the total.
+				// The bundle tracer (adascale-bench -trace) also records
+				// the serving sweep's spans.
 				Tracer: b.Trace,
 			})
 			if err != nil {

@@ -117,16 +117,6 @@ func (t *Tracer) Add(spans []Span) {
 	t.mu.Unlock()
 }
 
-// Reset discards all recorded spans. No-op on a nil tracer.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = t.spans[:0]
-	t.mu.Unlock()
-}
-
 // Spans returns a copy of the recorded spans in canonical order:
 // (stream, frame, stage, start). Nil tracer returns nil.
 func (t *Tracer) Spans() []Span {

@@ -10,6 +10,8 @@ package regress
 // counts — AtWorkers fails before Golden ever sees such a trace).
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -76,11 +78,12 @@ func TestGoldenTraceResilient(t *testing.T) {
 
 // TestGoldenExperiments pins the rendered report of every paper table and
 // figure plus the robustness and serving sweeps — the stable serialization
-// of each experiment result.
+// of each experiment result — and, in exp_accuracy, the mAP values those
+// reports round to 0.1, at full precision.
 func TestGoldenExperiments(t *testing.T) {
 	b := conformanceBundle(t)
 	// Reduced sweeps keep the suite fast; the full-size sweeps run from
-	// cmd/adascale-bench and are pinned by the BENCH_*.json trajectory.
+	// cmd/adascale-bench.
 	servingCfg := experiments.ServingConfig{
 		StreamCounts:    []int{2, 4},
 		SLOs:            []float64{0, 40},
@@ -106,35 +109,96 @@ func TestGoldenExperiments(t *testing.T) {
 		Workers:         2,
 		EventRate:       2,
 	}
+	// guarded is one mAP value exp_accuracy.txt carries at full precision.
+	type guarded struct {
+		key string
+		v   float64
+	}
 	cases := []struct {
 		name    string
-		produce func() (experiments.Printer, error)
+		produce func() (experiments.Printer, []guarded, error)
 	}{
-		{"qualitative", func() (experiments.Printer, error) { return b.Qualitative(8), nil }},
-		{"table1", func() (experiments.Printer, error) { return b.Table1(), nil }},
-		{"table2", func() (experiments.Printer, error) { return b.Table2(), nil }},
-		{"table3", func() (experiments.Printer, error) { return b.Table3(), nil }},
-		{"fig5", func() (experiments.Printer, error) { return b.Fig5(), nil }},
-		{"fig6", func() (experiments.Printer, error) { return b.Fig6(), nil }},
-		{"fig7", func() (experiments.Printer, error) { return b.Fig7(), nil }},
-		{"fig9", func() (experiments.Printer, error) { return b.Fig9(), nil }},
-		{"fig10", func() (experiments.Printer, error) { return b.Fig10(), nil }},
-		{"robustness", func() (experiments.Printer, error) { return b.Robustness([]float64{0, 0.2}, 60) }},
-		{"serving", func() (experiments.Printer, error) { return b.Serving(servingCfg) }},
-		{"chaos", func() (experiments.Printer, error) { return b.Chaos(chaosCfg) }},
-		{"cluster", func() (experiments.Printer, error) { return b.Cluster(clusterCfg) }},
+		{"qualitative", func() (experiments.Printer, []guarded, error) { return b.Qualitative(8), nil, nil }},
+		{"table1", func() (experiments.Printer, []guarded, error) {
+			r := b.Table1()
+			return r, []guarded{{"map/adascale", r.Rows[len(r.Rows)-1].MAP}}, nil
+		}},
+		{"table2", func() (experiments.Printer, []guarded, error) {
+			r := b.Table2()
+			return r, []guarded{{"map/ada_full_strain", r.Entries[0].Ada.MAP}}, nil
+		}},
+		{"table3", func() (experiments.Printer, []guarded, error) {
+			r := b.Table3()
+			// Entry 1 is kernels {1,3}, the paper's default.
+			return r, []guarded{{"map/kernels13", r.Entries[1].Ada.MAP}}, nil
+		}},
+		{"fig5", func() (experiments.Printer, []guarded, error) {
+			r := b.Fig5()
+			mean := 0.0
+			for ci := range r.Categories {
+				mean += r.AP[ci][len(r.Methods)-1] // MS/AdaScale
+			}
+			return r, []guarded{{"map/fig5_adascale_mean", mean / float64(len(r.Categories))}}, nil
+		}},
+		{"fig6", func() (experiments.Printer, []guarded, error) { return b.Fig6(), nil, nil }},
+		{"fig7", func() (experiments.Printer, []guarded, error) {
+			r := b.Fig7()
+			var g []guarded
+			for _, pt := range r.Points {
+				if pt.Name == "R-FCN+AdaScale" {
+					g = append(g, guarded{"map/rfcn_adascale", pt.MAP})
+				}
+			}
+			return r, g, nil
+		}},
+		{"fig9", func() (experiments.Printer, []guarded, error) { return b.Fig9(), nil, nil }},
+		{"fig10", func() (experiments.Printer, []guarded, error) { return b.Fig10(), nil, nil }},
+		{"robustness", func() (experiments.Printer, []guarded, error) {
+			r, err := b.Robustness([]float64{0, 0.2}, 60)
+			if err != nil {
+				return nil, nil, err
+			}
+			worst := r.Rows[len(r.Rows)-1]
+			return r, []guarded{{"map/resilient_worst", worst.Resilient.MAP}, {"map/naive_worst", worst.Naive.MAP}}, nil
+		}},
+		{"serving", func() (experiments.Printer, []guarded, error) {
+			r, err := b.Serving(servingCfg)
+			if err != nil {
+				return nil, nil, err
+			}
+			return r, []guarded{{"map/serving_last", r.Rows[len(r.Rows)-1].MAP}}, nil
+		}},
+		{"chaos", func() (experiments.Printer, []guarded, error) { r, err := b.Chaos(chaosCfg); return r, nil, err }},
+		{"cluster", func() (experiments.Printer, []guarded, error) { r, err := b.Cluster(clusterCfg); return r, nil, err }},
 	}
+	// The exp_*.txt tables print mAP to 0.1; exp_accuracy carries the
+	// guarded values at full precision, so a change that moves mAP in the
+	// fourth decimal fails here while the tables still pass. It is checked
+	// only when every subtest ran: a -run filter must not compare (or, with
+	// -update, rewrite) a partial file.
+	var accuracy strings.Builder
+	ran := 0
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			var acc string
 			trace := AtWorkers(t, func() string {
-				p, err := c.produce()
+				p, gs, err := c.produce()
 				if err != nil {
 					t.Fatal(err)
 				}
-				return experiments.Render(p)
+				acc = ""
+				for _, g := range gs {
+					acc += fmt.Sprintf("%s %s %.17g\n", c.name, g.key, g.v)
+				}
+				return experiments.Render(p) + acc
 			})
-			Golden(t, "exp_"+c.name, trace)
+			Golden(t, "exp_"+c.name, strings.TrimSuffix(trace, acc))
+			accuracy.WriteString(acc)
+			ran++
 		})
+	}
+	if ran == len(cases) {
+		Golden(t, "exp_accuracy", accuracy.String())
 	}
 }
 

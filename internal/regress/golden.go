@@ -1,16 +1,13 @@
 // Package regress is the repo's conformance and regression subsystem.
 //
-// It has two halves. golden.go turns the determinism contract — every
-// pipeline's output stream is byte-identical across runs, seeds held
-// fixed, at any worker count — from scattered ad-hoc assertions into a
-// gate: canonical end-to-end traces (per-frame scale decisions and
-// detection digests, experiment tables and figures, health summaries,
-// serving metric snapshots) are committed under testdata/golden/ and every
-// conformance test replays its trace at workers 1 and 4 and requires byte
-// equality with the committed file. bench.go is the machine-readable
-// benchmark side: a Report of ns/op, allocs/op and accuracy metrics per
-// experiment, serialized as JSON (the committed BENCH_*.json trajectory)
-// with a comparator that fails on time or accuracy regressions.
+// It turns the determinism contract — every pipeline's output stream is
+// byte-identical across runs, seeds held fixed, at any worker count — from
+// scattered ad-hoc assertions into a gate: canonical end-to-end traces
+// (per-frame scale decisions and detection digests, experiment tables and
+// figures, full-precision mAP values, health summaries, serving metric
+// snapshots) are committed under testdata/golden/ and every conformance
+// test replays its trace at workers 1 and 4 and requires byte equality
+// with the committed file.
 //
 // Updating goldens after an intentional behaviour change:
 //

@@ -411,9 +411,9 @@ func (d *Detector) DetectWithFeatures(f *synth.Frame, scale int) *Result {
 
 // RenderSize reports the rendered image dimensions the backbone sees for
 // frame f at the given test scale, without rendering: the same geometry as
-// synth.Frame.Render (pinned by TestRenderSizeMatchesRender). The
-// benchmark's layer probes size their inputs with it. Pure arithmetic;
-// safe for concurrent use.
+// synth.Frame.Render (pinned by TestRenderSizeMatchesRender). Kept for
+// benchmark/layer_*.go, which size their probe inputs with it and may not
+// be edited; do not add callers. Pure arithmetic; safe for concurrent use.
 func (d *Detector) RenderSize(f *synth.Frame, scale int) (h, w int) {
 	div := d.Data.RenderDiv
 	factor := raster.ScaleFactor(f.W, f.H, max(scale/div, 16)*div, MaxLongSide*div) / float64(div)
