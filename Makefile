@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check ci fmt vet build test race bench microbench fuzz-smoke serve-smoke chaos-smoke http-smoke cluster-smoke bench-smoke golden loc
+.PHONY: check ci fmt vet build cross-build test race bench microbench fuzz-smoke serve-smoke chaos-smoke http-smoke cluster-smoke bench-smoke golden loc
 
-check: fmt vet build race fuzz-smoke serve-smoke chaos-smoke http-smoke cluster-smoke bench-smoke
+check: fmt vet build cross-build race fuzz-smoke serve-smoke chaos-smoke http-smoke cluster-smoke bench-smoke
 
 # CI entry point: the same gates as `check` but fail-slow — every gate
 # runs even after a failure so one push reports all breakage at once,
@@ -15,8 +15,8 @@ check: fmt vet build race fuzz-smoke serve-smoke chaos-smoke http-smoke cluster-
 ci:
 	CHECK_CI_MODE=1 ./scripts/check.sh
 
-# Non-test Go lines per package and in total (internal/, cmd/, adascale.go):
-# what a simplicity PR quotes before and after.
+# Non-test Go and assembly lines per package and in total (internal/, cmd/,
+# adascale.go): what a simplicity PR quotes before and after.
 loc:
 	@./scripts/loc.sh
 
@@ -31,6 +31,15 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# Portability gate: internal/tensor has an amd64 assembly row kernel and a
+# `!amd64` file standing in for it, which no test on an amd64 machine
+# compiles. Cross-build everything and vet the package for arm64 (works
+# offline) so that file cannot rot; `vet` above runs asmdecl on the .s file
+# and `race` covers the amd64 path.
+cross-build:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor
 
 test:
 	$(GO) test ./...
@@ -48,7 +57,8 @@ bench:
 	$(GO) test -run=^$$ -bench=. -benchmem .
 
 # Kernel-level microbenchmarks: matmul (serial vs packed), im2col, the
-# band-tiled convolution at the backbone's layer shapes vs the historical
+# band-tiled convolution at the backbone's layer shapes (the log names the
+# row kernel that ran: AVX2 assembly or the Go tile) vs the historical
 # im2col+matmul lowering, and the arena pool, at -cpu 1,2 so the log shows
 # whether the kernels' inner row fan-out pays — then the scheduler alone
 # (model-only Run, ns/frame and allocs/frame at 16 / 1000 / 10000 streams,

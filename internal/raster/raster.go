@@ -26,6 +26,22 @@ func New(w, h int) *Image {
 	return &Image{W: w, H: h, Pix: make([]float32, w*h)}
 }
 
+// Reuse is New into caller-owned storage: it resizes buf to a zero (black)
+// w×h image, keeping its pixel storage when the capacity suffices, and
+// returns it. A nil buf allocates as New does.
+func Reuse(buf *Image, w, h int) *Image {
+	if buf == nil {
+		return New(w, h)
+	}
+	if w < 0 || h < 0 || cap(buf.Pix) < w*h {
+		*buf = *New(w, h)
+		return buf
+	}
+	buf.W, buf.H, buf.Pix = w, h, buf.Pix[:w*h]
+	clear(buf.Pix)
+	return buf
+}
+
 // At returns the pixel at (x, y); out-of-bounds reads return 0.
 func (im *Image) At(x, y int) float32 {
 	if x < 0 || x >= im.W || y < 0 || y >= im.H {
@@ -169,39 +185,51 @@ func (im *Image) Clamp() {
 // BoxBlur applies a separable box blur of the given radius; radius 0 is a
 // no-op. Used to model motion blur and de-focus.
 func (im *Image) BoxBlur(radius int) *Image {
+	out := im.Clone()
+	out.BoxBlurInPlace(radius)
+	return out
+}
+
+// BoxBlurInPlace is BoxBlur written back over im. Each pass blurs one row or
+// column at a time from a copy of it, so the scratch is one line, not an
+// image, and the sums — hence the pixels — are BoxBlur's exactly.
+func (im *Image) BoxBlurInPlace(radius int) {
 	if radius <= 0 {
-		return im.Clone()
+		return
 	}
-	tmp := New(im.W, im.H)
-	out := New(im.W, im.H)
 	n := float32(2*radius + 1)
+	line := make([]float32, max(im.W, im.H))
 	// Horizontal pass with running sum.
 	for y := 0; y < im.H; y++ {
 		row := im.Pix[y*im.W : (y+1)*im.W]
-		trow := tmp.Pix[y*im.W : (y+1)*im.W]
+		src := line[:im.W]
+		copy(src, row)
 		var sum float32
 		for x := -radius; x <= radius; x++ {
-			sum += row[clampInt(x, 0, im.W-1)]
+			sum += src[clampInt(x, 0, im.W-1)]
 		}
 		for x := 0; x < im.W; x++ {
-			trow[x] = sum / n
-			sum -= row[clampInt(x-radius, 0, im.W-1)]
-			sum += row[clampInt(x+radius+1, 0, im.W-1)]
+			row[x] = sum / n
+			sum -= src[clampInt(x-radius, 0, im.W-1)]
+			sum += src[clampInt(x+radius+1, 0, im.W-1)]
 		}
 	}
 	// Vertical pass.
 	for x := 0; x < im.W; x++ {
+		src := line[:im.H]
+		for y := range src {
+			src[y] = im.Pix[y*im.W+x]
+		}
 		var sum float32
 		for y := -radius; y <= radius; y++ {
-			sum += tmp.Pix[clampInt(y, 0, im.H-1)*im.W+x]
+			sum += src[clampInt(y, 0, im.H-1)]
 		}
 		for y := 0; y < im.H; y++ {
-			out.Pix[y*im.W+x] = sum / n
-			sum -= tmp.Pix[clampInt(y-radius, 0, im.H-1)*im.W+x]
-			sum += tmp.Pix[clampInt(y+radius+1, 0, im.H-1)*im.W+x]
+			im.Pix[y*im.W+x] = sum / n
+			sum -= src[clampInt(y-radius, 0, im.H-1)]
+			sum += src[clampInt(y+radius+1, 0, im.H-1)]
 		}
 	}
-	return out
 }
 
 func clampInt(v, lo, hi int) int {

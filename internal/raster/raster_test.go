@@ -142,6 +142,59 @@ func TestBoxBlurPreservesMeanAndSmooths(t *testing.T) {
 	}
 }
 
+// boxBlurTwoBuffers is the blur as it was before BoxBlurInPlace: a whole
+// image of scratch for the horizontal pass and a second one for the result.
+// Kept as the oracle — the renderer's pixels, and through them every feature
+// map and golden, hang on the exact running sums.
+func boxBlurTwoBuffers(im *Image, radius int) *Image {
+	tmp, out := New(im.W, im.H), New(im.W, im.H)
+	n := float32(2*radius + 1)
+	for y := 0; y < im.H; y++ {
+		row := im.Pix[y*im.W : (y+1)*im.W]
+		var sum float32
+		for x := -radius; x <= radius; x++ {
+			sum += row[clampInt(x, 0, im.W-1)]
+		}
+		for x := 0; x < im.W; x++ {
+			tmp.Pix[y*im.W+x] = sum / n
+			sum -= row[clampInt(x-radius, 0, im.W-1)]
+			sum += row[clampInt(x+radius+1, 0, im.W-1)]
+		}
+	}
+	for x := 0; x < im.W; x++ {
+		var sum float32
+		for y := -radius; y <= radius; y++ {
+			sum += tmp.Pix[clampInt(y, 0, im.H-1)*im.W+x]
+		}
+		for y := 0; y < im.H; y++ {
+			out.Pix[y*im.W+x] = sum / n
+			sum -= tmp.Pix[clampInt(y-radius, 0, im.H-1)*im.W+x]
+			sum += tmp.Pix[clampInt(y+radius+1, 0, im.H-1)*im.W+x]
+		}
+	}
+	return out
+}
+
+func TestBoxBlurInPlaceBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, c := range []struct{ w, h, radius int }{
+		{33, 19, 1}, {19, 33, 2}, {7, 5, 6}, {1, 9, 2}, {9, 1, 2}, {134, 75, 3},
+	} {
+		im := New(c.w, c.h)
+		for i := range im.Pix {
+			im.Pix[i] = rng.Float32()
+		}
+		want := boxBlurTwoBuffers(im, c.radius)
+		got := im.BoxBlur(c.radius)
+		im.BoxBlurInPlace(c.radius)
+		for i := range want.Pix {
+			if math.Float32bits(got.Pix[i]) != math.Float32bits(want.Pix[i]) || math.Float32bits(im.Pix[i]) != math.Float32bits(want.Pix[i]) {
+				t.Fatalf("%dx%d radius %d: pixel %d = %v (BoxBlur) / %v (in place), want %v", c.w, c.h, c.radius, i, got.Pix[i], im.Pix[i], want.Pix[i])
+			}
+		}
+	}
+}
+
 func TestClampAndNoise(t *testing.T) {
 	im := New(4, 4)
 	im.Fill(0.5)

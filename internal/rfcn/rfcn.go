@@ -108,6 +108,11 @@ type Detector struct {
 	TrainScales []int
 
 	backbone *Backbone
+
+	// render is the storage features() renders each frame into: it drops
+	// the image once the backbone has read it, so one buffer per detector
+	// (empty in a Clone) serves every frame.
+	render raster.Image
 }
 
 // New creates a detector for the given dataset trained at the given scales.
@@ -436,7 +441,7 @@ func (d *Detector) features(f *synth.Frame, scale int, r *Result) *tensor.Tensor
 	if renderShort < 16 {
 		renderShort = 16
 	}
-	im := f.Render(renderShort, MaxLongSide*d.Data.RenderDiv, d.Data.RenderDiv)
+	im := f.RenderInto(&d.render, renderShort, MaxLongSide*d.Data.RenderDiv, d.Data.RenderDiv)
 	app := d.backbone.Extract(im)
 	h, w := app.Dim(1), app.Dim(2)
 	out := d.backbone.pool.GetTensor(FeatureChannels, h, w)

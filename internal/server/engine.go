@@ -112,7 +112,36 @@ type stream struct {
 
 	busyUntilMS float64 // virtual completion horizon of the last frame
 
-	results []FrameResult
+	results resultLog
+}
+
+// resultLog is a stream's append-only log of served frames, held in fixed
+// pages rather than one slice: a slice re-grown by append keeps the old and
+// the new array alive together — transiently twice the log — and the log is
+// longest exactly when a fast closed loop serves the most frames.
+type resultLog struct {
+	pages [][]FrameResult // every page but the last holds resultPage entries
+	n     int
+}
+
+const resultPage = 256
+
+func (l *resultLog) append(r FrameResult) {
+	if l.n%resultPage == 0 {
+		l.pages = append(l.pages, make([]FrameResult, 0, resultPage))
+	}
+	last := &l.pages[len(l.pages)-1]
+	*last = append(*last, r)
+	l.n++
+}
+
+// tail returns a copy of entries [from, n); from must be in [0, n].
+func (l *resultLog) tail(from int) []FrameResult {
+	out := make([]FrameResult, 0, l.n-from)
+	for i := from / resultPage; i < len(l.pages); i++ {
+		out = append(out, l.pages[i][max(from-i*resultPage, 0):]...)
+	}
+	return out
 }
 
 // engine owns the admitted streams and, through the frame step's core, the
@@ -249,16 +278,14 @@ func (e *engine) results(id, from int) (ResultsReply, error) {
 	if from < 0 {
 		from = 0
 	}
-	if from > len(s.results) {
-		from = len(s.results)
+	if from > s.results.n {
+		from = s.results.n
 	}
-	out := make([]FrameResult, len(s.results)-from)
-	copy(out, s.results[from:])
 	return ResultsReply{
 		StreamID: id, From: from,
 		Offered: s.Offered, Served: s.Served, Dropped: s.Dropped,
 		Queued: s.queue.Len(), SLOMisses: s.SLOMisses,
-		Results: out,
+		Results: s.results.tail(from),
 	}, nil
 }
 
@@ -303,7 +330,7 @@ func (e *engine) processLocked(s *stream) {
 	e.mu.Lock()
 	latency := doneMS - tf.ArrivalMS
 	out, sloMiss := e.Settle(&s.Lane, tf.Frame, plan, res, startMS, serviceMS, latency, s.sloMS)
-	s.results = append(s.results, newFrameResult(out, latency, sloMiss))
+	s.results.append(newFrameResult(out, latency, sloMiss))
 	e.cond.Broadcast()
 }
 

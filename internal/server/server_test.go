@@ -461,3 +461,30 @@ GET /metrics
 		}
 	}
 }
+
+// TestResultLogTailAcrossPages pins the paged result log against the slice
+// it replaced: every offset's tail, including offsets on and either side of
+// a page boundary and the empty tail, which must stay non-nil (it is the
+// JSON `[]` of a caught-up reader).
+func TestResultLogTailAcrossPages(t *testing.T) {
+	var l resultLog
+	var want []FrameResult
+	for i := 0; i <= 2*resultPage+3; i++ {
+		for _, from := range []int{0, i / 2, resultPage - 1, resultPage, resultPage + 1, 2 * resultPage, i} {
+			if from > i {
+				continue
+			}
+			got := l.tail(from)
+			if got == nil || len(got) != len(want)-from {
+				t.Fatalf("n=%d from=%d: tail has %d entries (nil %v), want %d", i, from, len(got), got == nil, len(want)-from)
+			}
+			for j := range got {
+				if got[j].Index != want[from+j].Index {
+					t.Fatalf("n=%d from=%d: entry %d is frame %d, want %d", i, from, j, got[j].Index, want[from+j].Index)
+				}
+			}
+		}
+		l.append(FrameResult{Index: i})
+		want = append(want, FrameResult{Index: i})
+	}
+}

@@ -369,6 +369,15 @@ func frameSeed(base int64, snippet, frame int) int64 {
 // pixels (longest side capped per the Fast R-CNN protocol scaled by the
 // render divisor). The caller chooses renderShort = testScale / RenderDiv.
 func (f *Frame) Render(renderShort, maxLongNative, renderDiv int) *raster.Image {
+	return f.RenderInto(nil, renderShort, maxLongNative, renderDiv)
+}
+
+// RenderInto is Render into caller-owned storage, for a caller that drops
+// each render before the next: the image is built in and returned as buf
+// (raster.Reuse rules — its pixel storage is kept while the capacity
+// suffices, nil allocates). Pixels are bit-identical to Render's whatever
+// buf held.
+func (f *Frame) RenderInto(buf *raster.Image, renderShort, maxLongNative, renderDiv int) *raster.Image {
 	// ScaleFactor maps native → test space (shortest side renderShort·div,
 	// longest capped at maxLongNative); dividing by the render divisor
 	// yields the native → render-space factor.
@@ -381,7 +390,7 @@ func (f *Frame) Render(renderShort, maxLongNative, renderDiv int) *raster.Image 
 	if rh < 1 {
 		rh = 1
 	}
-	im := raster.New(rw, rh)
+	im := raster.Reuse(buf, rw, rh)
 	// Seeding a pooled generator reproduces rand.New(rand.NewSource(seed))
 	// exactly (Seed resets the source and the generator's read state), so
 	// renders stay bit-identical while the per-frame Rand+source
@@ -424,13 +433,8 @@ func (f *Frame) Render(renderShort, maxLongNative, renderDiv int) *raster.Image 
 		period := math.Max(2, b.W()/7)
 		im.DrawEllipse(b.X1, b.Y1, b.X2, b.Y2, o.Texture, o.Intensity, period)
 	}
-	// Motion blur and sensor noise. An unblurred frame is finished in
-	// place — BoxBlur(0) would clone the raster just to return it.
-	blur := int(math.Round(f.Blur * factor))
-	out := im
-	if blur > 0 {
-		out = im.BoxBlur(blur)
-	}
+	// Motion blur and sensor noise.
+	im.BoxBlurInPlace(int(math.Round(f.Blur * factor)))
 	noise := 0.015
 	if f.Fault != nil {
 		switch f.Fault.Kind {
@@ -439,15 +443,15 @@ func (f *Frame) Render(renderShort, maxLongNative, renderDiv int) *raster.Image 
 		case FaultOverexpose:
 			// Push pixels toward saturation before the final clamp.
 			sev := float32(f.Fault.Severity)
-			for i, v := range out.Pix {
-				out.Pix[i] = v + sev*(1.2-v)
+			for i, v := range im.Pix {
+				im.Pix[i] = v + sev*(1.2-v)
 			}
 		}
 	}
-	out.AddNoise(rng, noise)
-	out.Clamp()
+	im.AddNoise(rng, noise)
+	im.Clamp()
 	renderRng.Put(rng)
-	return out
+	return im
 }
 
 // renderRng pools the per-render random generator. Render fully re-seeds

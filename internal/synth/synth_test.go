@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"adascale/internal/detect"
+	"adascale/internal/raster"
 )
 
 func tinyConfig(seed int64) Config {
@@ -255,5 +256,53 @@ func TestFramesFlattens(t *testing.T) {
 	frames[0].Clutter = 0.123
 	if ds.Train[0].Frames[0].Clutter != 0.123 {
 		t.Fatal("Frames must return pointers into the dataset")
+	}
+}
+
+// TestRenderIntoMatchesRender pins that rendering into caller-owned storage
+// changes no pixel: over a validation split with every fault kind stamped in
+// rotation and at scales that shrink and grow the image between frames,
+// RenderInto into one reused buffer — dirtied before every frame — equals a
+// fresh Render bit for bit.
+func TestRenderIntoMatchesRender(t *testing.T) {
+	ds, err := Generate(tinyConfig(23), 0, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty := func(im *raster.Image) {
+		im.Pix = im.Pix[:cap(im.Pix)]
+		for i := range im.Pix {
+			im.Pix[i] = float32(math.NaN())
+		}
+	}
+	var buf raster.Image
+	scales := []int{600, 128, 360, 480, 240}
+	blurred := 0
+	for i, fr := range Frames(ds.Val) {
+		if kind := FaultKind(i % NumFaultKinds); kind != FaultNone {
+			fr.Fault = &Fault{Kind: kind, Severity: 0.6}
+		}
+		renderShort := scales[i%len(scales)] / ds.Config.RenderDiv
+		want := fr.Render(renderShort, 2000, ds.Config.RenderDiv)
+		dirty(&buf)
+		got := fr.RenderInto(&buf, renderShort, 2000, ds.Config.RenderDiv)
+		if got != &buf {
+			t.Fatalf("frame %d: RenderInto returned a different image than the buffer it was given", i)
+		}
+		if got.W != want.W || got.H != want.H || len(got.Pix) != len(want.Pix) {
+			t.Fatalf("frame %d: RenderInto %dx%d (%d px), Render %dx%d (%d px)", i, got.W, got.H, len(got.Pix), want.W, want.H, len(want.Pix))
+		}
+		for j := range want.Pix {
+			if math.Float32bits(got.Pix[j]) != math.Float32bits(want.Pix[j]) {
+				t.Fatalf("frame %d (fault %v, short side %d): pixel %d = %v, Render has %v", i, fr.Fault, renderShort, j, got.Pix[j], want.Pix[j])
+			}
+		}
+		if drawn := fr.Fault == nil || (fr.Fault.Kind != FaultDrop && fr.Fault.Kind != FaultBlackout); drawn &&
+			fr.Blur*float64(renderShort)/float64(min(fr.W, fr.H)) >= 0.5 {
+			blurred++
+		}
+	}
+	if blurred == 0 {
+		t.Fatal("no frame took the motion-blur path")
 	}
 }

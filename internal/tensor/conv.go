@@ -25,27 +25,38 @@ import (
 //
 // Each output channel walks the row in tiles of convTile columns, holding
 // the tile's accumulators in registers across the whole tap list and
-// storing acc+bias once. The band (≈13 KB for the backbone's conv2 at
-// scale 600) is built once per output row and reused by every output
-// channel while it sits in L1.
+// storing acc+bias once. A tile is one AVX2 register: on amd64 CPUs that
+// have it, convRowAVX2 (conv_amd64.s) computes the row — per tap one
+// broadcast weight, one VMULPS and one VADDPS per tile, four tiles in
+// flight to hide the add latency. It is never an FMA: a fused multiply-add
+// rounds once where `acc += w·x` rounds twice, and every golden pins the
+// twice-rounded bits. The Go tile below is the same arithmetic lane by
+// lane; it is the kernel on every other GOARCH and on amd64 without AVX2,
+// and the oracle the tests hold the assembly to. A row's last tile ends at
+// column wo: when wo is not a multiple of convTile it overlaps the tile
+// before it and recomputes those columns to the same bits, so only rows
+// narrower than one tile take a scalar loop. The band (≈13 KB for the
+// backbone's conv2 at scale 600) is built once per output row and reused by
+// every output channel while it sits in L1.
 //
 // Bit-identity with the im2col path (DESIGN.md §4g): for an output element
 // (co, oy, ox), the im2col route accumulates wm[co][p]·cols[p][oyx] in
 // ascending p = ((ci·K+ky)·K+kx) from +0, skipping zero weights, then adds
-// the bias. ConvInto applies the same nonzero taps in the same order to an
-// accumulator that starts at +0, and an out-of-bounds tap reads the band's
-// zero padding exactly as it reads the zero-padded cols matrix, so each
-// element receives the identical chain of float32 operations. A nil bias
-// adds +0, the identity: a partial sum is never -0 (it starts at +0 and
-// exact cancellation rounds to +0).
+// the bias. ConvInto — Go tile and assembly alike — applies the same nonzero
+// taps in the same order to an accumulator that starts at +0, and an
+// out-of-bounds tap reads the band's zero padding exactly as it reads the
+// zero-padded cols matrix, so each element receives the identical chain of
+// float32 operations. A nil bias adds +0, the identity: a partial sum is
+// never -0 (it starts at +0 and exact cancellation rounds to +0).
 //
 // Parallel fan-out tiles over output rows oy; each worker builds its own
 // band and computes its rows' elements in serial order, so results are
 // byte-identical across worker counts.
 
-// convTile is the register tile width: amd64's 16 vector registers hold 8
-// accumulators, the weight and the products. A 16-wide tile spills and
-// measured 20 % slower (EXPERIMENTS.md).
+// convTile is the tile width: the eight float32 lanes of a YMM register,
+// which the Go tile spells as eight scalar accumulators (they, the weight and
+// the products fit amd64's 16 registers; a 16-wide Go tile spills and
+// measured 20 % slower, EXPERIMENTS.md).
 const convTile = 8
 
 // tap is one nonzero weight of a convolution filter: off is where in the
@@ -175,8 +186,22 @@ func (cv *convPlan) rows(oy0, oy1 int) {
 				bv = cv.bias.data[co]
 			}
 			orow := cv.dd[(co*ho+oy)*wo:][:wo]
-			ox := 0
-			for ; ox+convTile <= wo; ox += convTile {
+			if wo < convTile {
+				for ox := range orow {
+					var a float32
+					for _, tp := range taps {
+						a += tp.w * band[tp.off+ox]
+					}
+					orow[ox] = a + bv
+				}
+				continue
+			}
+			if useAVX2 && len(taps) > 0 {
+				convRowAVX2(&orow[0], &band[0], &taps[0], len(taps), wo, bv)
+				continue
+			}
+			for ox := 0; ox < wo; ox += convTile {
+				ox := min(ox, wo-convTile) // the last tile ends at column wo
 				var a0, a1, a2, a3, a4, a5, a6, a7 float32
 				for _, tp := range taps {
 					b := band[tp.off+ox : tp.off+ox+convTile : tp.off+ox+convTile]
@@ -193,13 +218,6 @@ func (cv *convPlan) rows(oy0, oy1 int) {
 				o := orow[ox : ox+convTile : ox+convTile]
 				o[0], o[1], o[2], o[3] = a0+bv, a1+bv, a2+bv, a3+bv
 				o[4], o[5], o[6], o[7] = a4+bv, a5+bv, a6+bv, a7+bv
-			}
-			for ; ox < wo; ox++ {
-				var a float32
-				for _, tp := range taps {
-					a += tp.w * band[tp.off+ox]
-				}
-				orow[ox] = a + bv
 			}
 		}
 	}

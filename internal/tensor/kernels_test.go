@@ -164,20 +164,51 @@ func TestFusedConvBitIdentical(t *testing.T) {
 	}
 }
 
+// TestConvNilBias covers the two degenerate operands of a row kernel on a
+// row that takes a 32-column block, an 8-column block and an overlapping
+// last tile: no bias at all, and an output channel whose filter is all zeros
+// (no taps — the assembly is never entered for it).
 func TestConvNilBias(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	x := randTensorWithZeros(rng, 2, 6, 6)
+	x := randTensorWithZeros(rng, 2, 6, 43)
 	weight := randTensorWithZeros(rng, 3, 2, 3, 3)
+	clear(weight.Data()[18:36]) // channel 1
 	zero := New(3)
 	want := convReference(x, weight, zero, 1, 1)
-	got := convInto(x, weight, nil, 1, 1)
-	bitsEqual(t, "ConvInto nil bias", got, want)
+	eachConvKernel(t, func(rowKernel string) {
+		bitsEqual(t, "ConvInto nil bias, "+rowKernel, convInto(x, weight, nil, 1, 1), want)
+	})
+}
+
+// kernelName says which row kernel ConvInto runs for rows of at least one
+// tile, for the test and microbenchmark logs.
+func kernelName() string {
+	if useAVX2 {
+		return "avx2 row kernel (conv_amd64.s)"
+	}
+	return "go 8-column tile"
+}
+
+// eachConvKernel runs f with the Go tile forced and, where the CPU has it,
+// with the AVX2 row kernel, so the portable path stays exercised on an AVX2
+// machine. Not a knob: useAVX2 is restored before returning.
+func eachConvKernel(t *testing.T, f func(kernel string)) {
+	t.Helper()
+	have := useAVX2
+	defer func() { useAVX2 = have }()
+	useAVX2 = false
+	f(kernelName())
+	if have {
+		useAVX2 = true
+		f(kernelName())
+	}
 }
 
 // checkConvGeometry draws one convolution from rng at the given geometry —
-// about a third of the weights exactly zero, bias nil or not per nilBias —
-// and requires ConvInto to match convReference bit for bit at workers
-// {1, 4}. Geometries with no output are skipped.
+// about a third of the weights exactly zero, in one draw of four the last
+// output channel's filter all zero (no taps), bias nil or not per nilBias —
+// and requires ConvInto to match convReference bit for bit under each row
+// kernel at workers {1, 4}. Geometries with no output are skipped.
 func checkConvGeometry(t *testing.T, rng *rand.Rand, cin, h, w, outC, kernel, stride, pad int, nilBias bool) {
 	t.Helper()
 	if ConvOutSize(h, kernel, stride, pad) < 1 || ConvOutSize(w, kernel, stride, pad) < 1 {
@@ -190,31 +221,58 @@ func checkConvGeometry(t *testing.T, rng *rand.Rand, cin, h, w, outC, kernel, st
 			weight.Data()[i] = 0
 		}
 	}
+	zeroChannel := rng.Intn(4) == 0
+	if zeroChannel {
+		clear(weight.Data()[(outC-1)*cin*kernel*kernel:])
+	}
 	bias, refBias := (*Tensor)(nil), New(outC)
 	if !nilBias {
 		bias = randTensorWithZeros(rng, outC)
 		refBias = bias
 	}
 	want := convReference(x, weight, refBias, stride, pad)
-	for _, workers := range []int{1, 4} {
-		parallel.SetWorkers(workers)
-		got := convInto(x, weight, bias, stride, pad)
-		parallel.SetWorkers(0)
-		bitsEqual(t, fmt.Sprintf("ConvInto cin=%d h=%d w=%d outC=%d k=%d s=%d pad=%d nilBias=%v workers=%d",
-			cin, h, w, outC, kernel, stride, pad, nilBias, workers), got, want)
-	}
+	eachConvKernel(t, func(rowKernel string) {
+		for _, workers := range []int{1, 4} {
+			parallel.SetWorkers(workers)
+			got := convInto(x, weight, bias, stride, pad)
+			parallel.SetWorkers(0)
+			bitsEqual(t, fmt.Sprintf("ConvInto cin=%d h=%d w=%d outC=%d k=%d s=%d pad=%d nilBias=%v zeroChannel=%v workers=%d %s",
+				cin, h, w, outC, kernel, stride, pad, nilBias, zeroChannel, workers, rowKernel), got, want)
+		}
+	})
 }
 
-// TestConvRandomGeometry sweeps the band kernel's geometry space: rows
-// narrower than one register tile, rows with a scalar tail, padding wider
-// than the input and strides that skip whole kernel columns all occur.
+// TestConvRandomGeometry sweeps the row kernels' geometry space: rows
+// narrower than one tile (scalar loop), rows of 8-column blocks, rows wide
+// enough for the 32-column blocks, rows whose last tile overlaps the one
+// before, padding wider than the input and strides that skip whole kernel
+// columns all occur. h stays small so the wide rows cost no runtime.
 func TestConvRandomGeometry(t *testing.T) {
+	t.Logf("row kernel on this machine: %s", kernelName())
 	rng := rand.New(rand.NewSource(1501))
+	loops := map[string]int{}
 	for i := 0; i < 400; i++ {
 		kernel := 1 + rng.Intn(5)
-		checkConvGeometry(t, rng,
-			1+rng.Intn(4), 1+rng.Intn(40), 1+rng.Intn(40), 1+rng.Intn(8),
-			kernel, 1+rng.Intn(3), rng.Intn(kernel+1), rng.Intn(2) == 0)
+		h, w, stride, pad := 1+rng.Intn(12), 1+rng.Intn(160), 1+rng.Intn(3), rng.Intn(kernel+1)
+		if wo := ConvOutSize(w, kernel, stride, pad); wo >= 1 {
+			for loop, taken := range map[string]bool{
+				"scalar":      wo < convTile,
+				"8-wide":      wo >= convTile && wo%32 >= convTile,
+				"32-wide":     wo >= 32,
+				"overlapping": wo >= convTile && wo%convTile != 0,
+			} {
+				if taken {
+					loops[loop]++
+				}
+			}
+		}
+		checkConvGeometry(t, rng, 1+rng.Intn(4), h, w, 1+rng.Intn(8),
+			kernel, stride, pad, rng.Intn(2) == 0)
+	}
+	for _, loop := range []string{"scalar", "8-wide", "32-wide", "overlapping"} {
+		if loops[loop] < 20 {
+			t.Errorf("only %d of 400 geometries reach the %s loop", loops[loop], loop)
+		}
 	}
 }
 
@@ -225,7 +283,7 @@ func FuzzConvGeometry(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, cin, h, w, outC, kernel, stride, pad uint8, nilBias bool) {
 		k := 1 + int(kernel)%5
 		checkConvGeometry(t, rand.New(rand.NewSource(seed)),
-			1+int(cin)%4, 1+int(h)%40, 1+int(w)%40, 1+int(outC)%8,
+			1+int(cin)%4, 1+int(h)%40, 1+int(w)%160, 1+int(outC)%8,
 			k, 1+int(stride)%3, int(pad)%(k+1), nilBias)
 	})
 }

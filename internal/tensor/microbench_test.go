@@ -87,7 +87,12 @@ func BenchmarkConv(b *testing.B) {
 		{"conv3@128", 12, 8, 15, 12, 3, 2, 1},
 		{"branch3x3@600", 16, 19, 34, 8, 3, 1, 1}, // regressor branch: stride 1, same-pad
 	} {
-		b.Run(s.name, func(b *testing.B) { benchConv(b, s.cin, s.h, s.w, s.outC, s.kernel, s.stride, s.pad) })
+		b.Run(s.name, func(b *testing.B) {
+			if b.N == 1 && s.name == "conv1@600" {
+				b.Logf("row kernel: %s", kernelName()) // once, so the log says what the table measured
+			}
+			benchConv(b, s.cin, s.h, s.w, s.outC, s.kernel, s.stride, s.pad)
+		})
 	}
 }
 

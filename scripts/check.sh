@@ -57,6 +57,12 @@ fi
 
 gate "go-vet" go vet ./...
 gate "go-build" go build ./...
+# Portability gate: the `!amd64` stand-in for internal/tensor's assembly row
+# kernel is compiled by no test on an amd64 machine; cross-building for
+# arm64 (works offline) keeps it from rotting. go-vet above runs asmdecl on
+# the .s file and the race run below covers the amd64 path.
+gate "cross-build" env GOARCH=arm64 go build ./...
+gate "cross-vet" env GOARCH=arm64 go vet ./internal/tensor
 # -timeout covers the heavy experiment harnesses on small machines: the
 # race detector slows the regressor-training loops by ~10x. -shuffle=on
 # randomizes test order within each package so leaked package-level state
@@ -106,8 +112,9 @@ gate "bench-vet" go -C benchmark vet ./...
 gate "bench-test" go -C benchmark test ./...
 gate "bench-smoke" bash benchmark/run.sh -smoke -seconds 0.2
 
-# Not a gate: the non-test line count a simplicity PR's "net lines go down"
-# is read off, so the claim sits in the log next to the gates it passed.
+# Not a gate: the non-test Go + assembly line count a simplicity PR's "net
+# lines go down" is read off, so the claim sits in the log next to the gates
+# it passed.
 echo "== loc"
 ./scripts/loc.sh
 
