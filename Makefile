@@ -62,13 +62,18 @@ bench:
 # im2col+matmul lowering, and the arena pool, at -cpu 1,2 so the log shows
 # whether the kernels' inner row fan-out pays — then the scheduler alone
 # (model-only Run, ns/frame and allocs/frame at 16 / 1000 / 10000 streams,
-# plain and under chaos: the curve the dispatch index keeps flat).
+# plain and under chaos: the curve the dispatch index keeps flat), the
+# random stream with math/rand's figure beside each (seed + 12 draws, a
+# frame's 30 000 normals) and a render of the val split (all frames at 600 and
+# 128, the motion-blurred ones, a noise fault).
 # Informational — run on hot-path changes and in CI for the log; the
 # end-to-end gate is the repository benchmark (benchmark/run.sh, declared
 # in BENCHMARK.json).
 microbench:
 	$(GO) test -run=^$$ -bench=. -benchmem -cpu 1,2 ./internal/tensor
 	$(GO) test -run=^$$ -bench=SchedulerModelOnly -benchtime=3x ./internal/serve
+	$(GO) test -run=^$$ -bench=. -cpu 1 ./internal/rng
+	$(GO) test -run=^$$ -bench=FrameRender -benchmem -cpu 1 .
 
 # Brief randomized fuzzing on top of the committed seed corpus (the seeds
 # themselves already run as regular tests). `go test -fuzz` accepts one
@@ -80,6 +85,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=^FuzzIngestDecode$$ -fuzztime=5s ./internal/server
 	$(GO) test -run=^$$ -fuzz=^FuzzClusterEvents$$ -fuzztime=5s ./internal/cluster
 	$(GO) test -run=^$$ -fuzz=^FuzzConvGeometry$$ -fuzztime=5s ./internal/tensor
+	$(GO) test -run=^$$ -fuzz=^FuzzSeedStream$$ -fuzztime=5s ./internal/rng
 
 # End-to-end serving gate under the race detector: 200 simulated frames
 # across 4 streams at an unloaded rate must serve with zero drops and a

@@ -19,6 +19,7 @@ import (
 	"adascale/internal/dff"
 	"adascale/internal/experiments"
 	"adascale/internal/flow"
+	"adascale/internal/raster"
 	"adascale/internal/regressor"
 	"adascale/internal/rfcn"
 	"adascale/internal/seqnms"
@@ -289,12 +290,39 @@ func BenchmarkOptimalScaleLabel(b *testing.B) {
 	}
 }
 
+// BenchmarkFrameRender renders the val split the way the detector does (into
+// one reused image), cycling through the frames so ns/op is the mean frame of
+// the corpus — its clutter, its motion blur — not one unblurred frame. The
+// sub-benchmarks isolate the blurred frames and a noise fault.
 func BenchmarkFrameRender(b *testing.B) {
 	bundle(b)
-	f := &benchDS.Val[0].Frames[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Render(150, 8000, 4)
+	all := synth.Frames(benchDS.Val)
+	var blurred, noisy []*synth.Frame
+	for _, f := range all {
+		if f.Blur*150/float64(min(f.W, f.H)) >= 0.5 { // box-blur radius ≥ 1 at scale 600
+			blurred = append(blurred, f)
+		}
+		g := *f
+		g.Fault = &synth.Fault{Kind: synth.FaultNoise, Severity: 0.6}
+		noisy = append(noisy, &g)
+	}
+	for _, c := range []struct {
+		name   string
+		frames []*synth.Frame
+		short  int
+	}{
+		{"all@600", all, 150}, {"all@128", all, 32}, {"blurred@600", blurred, 150}, {"noise-fault@600", noisy, 150},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			if len(c.frames) == 0 {
+				b.Skip("no such frame in the val split")
+			}
+			var buf raster.Image
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.frames[i%len(c.frames)].RenderInto(&buf, c.short, 8000, 4)
+			}
+		})
 	}
 }
 

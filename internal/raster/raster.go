@@ -8,7 +8,8 @@ package raster
 import (
 	"fmt"
 	"math"
-	"math/rand"
+
+	"adascale/internal/rng"
 )
 
 // Image is a grayscale image with float32 pixels, nominally in [0, 1],
@@ -26,9 +27,10 @@ func New(w, h int) *Image {
 	return &Image{W: w, H: h, Pix: make([]float32, w*h)}
 }
 
-// Reuse is New into caller-owned storage: it resizes buf to a zero (black)
-// w×h image, keeping its pixel storage when the capacity suffices, and
-// returns it. A nil buf allocates as New does.
+// Reuse is New into caller-owned storage, for a caller about to write every
+// pixel: it resizes buf to w×h, keeping its pixel storage when the capacity
+// suffices, and returns it. The pixels are whatever the storage held — Fill
+// or overwrite them. A nil buf allocates as New does.
 func Reuse(buf *Image, w, h int) *Image {
 	if buf == nil {
 		return New(w, h)
@@ -38,7 +40,6 @@ func Reuse(buf *Image, w, h int) *Image {
 		return buf
 	}
 	buf.W, buf.H, buf.Pix = w, h, buf.Pix[:w*h]
-	clear(buf.Pix)
 	return buf
 }
 
@@ -164,21 +165,29 @@ func (im *Image) ResizeToScale(scale, maxLong int) *Image {
 	return im.ResizeBilinear(nw, nh)
 }
 
-// AddNoise adds zero-mean Gaussian noise with the given sigma.
-func (im *Image) AddNoise(rng *rand.Rand, sigma float64) {
-	for i := range im.Pix {
-		im.Pix[i] += float32(rng.NormFloat64() * sigma)
-	}
-}
+// noiseChunk is how many normals AddNoise draws at a time: a block long
+// enough to amortise the call, short enough (1 KB) to sit on the stack.
+const noiseChunk = 128
 
-// Clamp limits every pixel to [0, 1].
-func (im *Image) Clamp() {
-	for i, v := range im.Pix {
-		if v < 0 {
-			im.Pix[i] = 0
-		} else if v > 1 {
-			im.Pix[i] = 1
+// AddNoise adds zero-mean Gaussian noise with the given sigma, drawn from r
+// one normal per pixel in pixel order, and limits every pixel to [0, 1] in the
+// same pass. A NaN pixel stays NaN.
+func (im *Image) AddNoise(r *rng.Rand, sigma float64) {
+	var z [noiseChunk]float64
+	for pix := im.Pix; len(pix) > 0; {
+		zs := z[:min(len(pix), noiseChunk)]
+		r.NormFloat64s(zs)
+		chunk := pix[:len(zs)]
+		for i, x := range zs {
+			v := chunk[i] + float32(x*sigma)
+			if v < 0 {
+				v = 0
+			} else if v > 1 {
+				v = 1
+			}
+			chunk[i] = v
 		}
+		pix = pix[len(zs):]
 	}
 }
 
@@ -190,45 +199,112 @@ func (im *Image) BoxBlur(radius int) *Image {
 	return out
 }
 
-// BoxBlurInPlace is BoxBlur written back over im. Each pass blurs one row or
-// column at a time from a copy of it, so the scratch is one line, not an
-// image, and the sums — hence the pixels — are BoxBlur's exactly.
+// blurRows is how many rows the horizontal pass runs at once: a running sum
+// is a chain of dependent adds, and four independent chains overlap them.
+const blurRows = 4
+
+// BoxBlurInPlace is BoxBlur written back over im: a horizontal running-sum
+// pass, then a vertical one, both clamping reads at the image edge. Every
+// pixel of either pass receives the chain `sum -= leaving; sum += entering;
+// sum/n` of the textbook column-by-column form, from the same start and in
+// the same order, so the pixels are that form's exactly; what differs is that
+// both passes walk memory row-wise and that the scratch is a few lines, not
+// an image.
 func (im *Image) BoxBlurInPlace(radius int) {
-	if radius <= 0 {
+	w, h := im.W, im.H
+	if radius <= 0 || w == 0 || h == 0 {
 		return
 	}
 	n := float32(2*radius + 1)
-	line := make([]float32, max(im.W, im.H))
-	// Horizontal pass with running sum.
-	for y := 0; y < im.H; y++ {
-		row := im.Pix[y*im.W : (y+1)*im.W]
-		src := line[:im.W]
-		copy(src, row)
-		var sum float32
-		for x := -radius; x <= radius; x++ {
-			sum += src[clampInt(x, 0, im.W-1)]
+	// Horizontal scratch: blurRows edge-padded line copies, pad[radius+x] =
+	// row[clamp(x)] for x in [-radius, w+radius]. Vertical scratch: one sum
+	// per column and a ring of saved original rows.
+	padLen := w + 2*radius + 1
+	ring := min(radius+1, h)
+	scratch := make([]float32, max(blurRows*padLen, (ring+1)*w))
+
+	var pads [blurRows][]float32
+	for i := range pads {
+		pads[i] = scratch[i*padLen:][:padLen]
+	}
+	for y := 0; y < h; y += blurRows {
+		rows := min(blurRows, h-y)
+		for i := 0; i < rows; i++ {
+			row, pad := im.Pix[(y+i)*w:][:w], pads[i]
+			for x := 0; x < radius; x++ {
+				pad[x] = row[0]
+			}
+			copy(pad[radius:], row)
+			for x := radius + w; x < padLen; x++ {
+				pad[x] = row[w-1]
+			}
 		}
-		for x := 0; x < im.W; x++ {
-			row[x] = sum / n
-			sum -= src[clampInt(x-radius, 0, im.W-1)]
-			sum += src[clampInt(x+radius+1, 0, im.W-1)]
+		if rows < blurRows {
+			for i := 0; i < rows; i++ {
+				blurLine(im.Pix[(y+i)*w:][:w], pads[i], radius, n)
+			}
+			continue
+		}
+		p0, p1, p2, p3 := pads[0], pads[1], pads[2], pads[3]
+		var s0, s1, s2, s3 float32
+		for x := 0; x <= 2*radius; x++ {
+			s0 += p0[x]
+			s1 += p1[x]
+			s2 += p2[x]
+			s3 += p3[x]
+		}
+		// Leaving and entering pixels of output x, all slices w long.
+		r0, r1, r2, r3 := im.Pix[y*w:][:w], im.Pix[(y+1)*w:][:w], im.Pix[(y+2)*w:][:w], im.Pix[(y+3)*w:][:w]
+		out0, out1, out2, out3 := p0[:w], p1[:w], p2[:w], p3[:w]
+		in0, in1, in2, in3 := p0[2*radius+1:][:w], p1[2*radius+1:][:w], p2[2*radius+1:][:w], p3[2*radius+1:][:w]
+		for x := 0; x < w; x++ {
+			r0[x], r1[x], r2[x], r3[x] = s0/n, s1/n, s2/n, s3/n
+			s0 -= out0[x]
+			s1 -= out1[x]
+			s2 -= out2[x]
+			s3 -= out3[x]
+			s0 += in0[x]
+			s1 += in1[x]
+			s2 += in2[x]
+			s3 += in3[x]
 		}
 	}
-	// Vertical pass.
-	for x := 0; x < im.W; x++ {
-		src := line[:im.H]
-		for y := range src {
-			src[y] = im.Pix[y*im.W+x]
+
+	// Vertical pass. Row y's output overwrites an original the sums still
+	// need radius rows later, so originals are saved in the ring first.
+	sums, saved := scratch[:w], scratch[w:]
+	clear(sums)
+	for y := -radius; y <= radius; y++ {
+		for x, v := range im.Pix[clampInt(y, 0, h-1)*w:][:w] {
+			sums[x] += v
 		}
-		var sum float32
-		for y := -radius; y <= radius; y++ {
-			sum += src[clampInt(y, 0, im.H-1)]
+	}
+	for y := 0; y < h; y++ {
+		row := im.Pix[y*w:][:w]
+		copy(saved[y%ring*w:][:w], row)
+		leaving := saved[max(y-radius, 0)%ring*w:][:w]
+		// The entering row lies below y and is still original, except on the
+		// last row, whose sums nobody reads.
+		entering := im.Pix[min(y+radius+1, h-1)*w:][:w]
+		for x := range row {
+			row[x] = sums[x] / n
+			sums[x] -= leaving[x]
+			sums[x] += entering[x]
 		}
-		for y := 0; y < im.H; y++ {
-			im.Pix[y*im.W+x] = sum / n
-			sum -= src[clampInt(y-radius, 0, im.H-1)]
-			sum += src[clampInt(y+radius+1, 0, im.H-1)]
-		}
+	}
+}
+
+// blurLine is the horizontal pass over one row from its edge-padded copy.
+func blurLine(row, pad []float32, radius int, n float32) {
+	var sum float32
+	for x := 0; x <= 2*radius; x++ {
+		sum += pad[x]
+	}
+	out, in := pad[:len(row)], pad[2*radius+1:][:len(row)]
+	for x := range row {
+		row[x] = sum / n
+		sum -= out[x]
+		sum += in[x]
 	}
 }
 

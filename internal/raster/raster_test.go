@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"adascale/internal/rng"
 )
 
 func TestNewAndAccessors(t *testing.T) {
@@ -177,14 +179,24 @@ func boxBlurTwoBuffers(im *Image, radius int) *Image {
 
 func TestBoxBlurInPlaceBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for _, c := range []struct{ w, h, radius int }{
+	cases := []struct{ w, h, radius int }{
 		{33, 19, 1}, {19, 33, 2}, {7, 5, 6}, {1, 9, 2}, {9, 1, 2}, {134, 75, 3},
-	} {
+		{0, 5, 1}, {5, 0, 1}, {0, 0, 2}, // empty: New(0, 5).BoxBlur(1) used to panic
+		{3, 40, 3}, {3, 40, 9}, {40, 3, 3}, {40, 3, 9}, // radius ≥ W, radius ≥ H
+		{1, 1, 1}, {1, 1, 4},
+	}
+	for h := 1; h <= 5; h++ { // the four-row block of the horizontal pass and its remainder
+		cases = append(cases, struct{ w, h, radius int }{11, h, 2})
+	}
+	for _, c := range cases {
 		im := New(c.w, c.h)
 		for i := range im.Pix {
 			im.Pix[i] = rng.Float32()
 		}
-		want := boxBlurTwoBuffers(im, c.radius)
+		want := im // an empty image blurs to itself; the oracle indexes column 0
+		if c.w > 0 && c.h > 0 {
+			want = boxBlurTwoBuffers(im, c.radius)
+		}
 		got := im.BoxBlur(c.radius)
 		im.BoxBlurInPlace(c.radius)
 		for i := range want.Pix {
@@ -195,11 +207,87 @@ func TestBoxBlurInPlaceBitIdentical(t *testing.T) {
 	}
 }
 
+// addNoiseThenClamp is AddNoise as it was: one NormFloat64 call per pixel,
+// then a separate pass limiting every pixel to [0, 1]. Kept as the oracle.
+func addNoiseThenClamp(im *Image, r *rand.Rand, sigma float64) {
+	for i := range im.Pix {
+		im.Pix[i] += float32(r.NormFloat64() * sigma)
+	}
+	for i, v := range im.Pix {
+		if v < 0 {
+			im.Pix[i] = 0
+		} else if v > 1 {
+			im.Pix[i] = 1
+		}
+	}
+}
+
+func TestAddNoiseBitIdentical(t *testing.T) {
+	for _, sigma := range []float64{0.01, 0.015, 0.215} {
+		for _, pre := range []int{0, 1, 300, 700} {
+			// Pixels around both ends of [0, 1] so the clamp takes every
+			// branch, plus the values a comparison treats specially.
+			im := New(157, 201)
+			fill := rand.New(rand.NewSource(int64(pre)))
+			for i := range im.Pix {
+				switch i % 3 {
+				case 0:
+					im.Pix[i] = float32(fill.NormFloat64() * sigma)
+				case 1:
+					im.Pix[i] = 1 + float32(fill.NormFloat64()*sigma)
+				default:
+					im.Pix[i] = fill.Float32()
+				}
+			}
+			im.Pix[5] = float32(math.NaN())
+			im.Pix[6] = float32(math.Copysign(0, -1))
+			im.Pix[7], im.Pix[8] = 0, 1
+			want := im.Clone()
+
+			seed := int64(1000*pre) + int64(sigma*1e4)
+			r, oracle := rng.New(seed), rand.New(rand.NewSource(seed))
+			for k := 0; k < pre; k++ {
+				r.Float64()
+				oracle.Float64()
+			}
+			im.AddNoise(r, sigma)
+			addNoiseThenClamp(want, oracle, sigma)
+			var lo, hi int
+			for i := range want.Pix {
+				if math.Float32bits(im.Pix[i]) != math.Float32bits(want.Pix[i]) {
+					t.Fatalf("sigma %v after %d draws: pixel %d = %v, add-then-clamp has %v", sigma, pre, i, im.Pix[i], want.Pix[i])
+				}
+				if want.Pix[i] == 0 {
+					lo++
+				} else if want.Pix[i] == 1 {
+					hi++
+				}
+			}
+			if lo < 100 || hi < 100 || !math.IsNaN(float64(im.Pix[5])) {
+				t.Fatalf("sigma %v: %d pixels clamped at 0, %d at 1, NaN pixel = %v: the image does not exercise the clamp", sigma, lo, hi, im.Pix[5])
+			}
+			if r.Int63() != oracle.Int63() {
+				t.Fatalf("sigma %v after %d draws: the streams part after the noise", sigma, pre)
+			}
+		}
+	}
+}
+
+func TestAddNoiseDoesNotAllocate(t *testing.T) {
+	im := New(150, 200)
+	r := rng.New(1)
+	if a := testing.AllocsPerRun(10, func() {
+		r.Seed(9)
+		im.AddNoise(r, 0.015)
+	}); a != 0 {
+		t.Fatalf("a 30 000-pixel AddNoise allocates %v times", a)
+	}
+}
+
 func TestClampAndNoise(t *testing.T) {
 	im := New(4, 4)
 	im.Fill(0.5)
-	im.AddNoise(rand.New(rand.NewSource(3)), 10)
-	im.Clamp()
+	im.AddNoise(rng.New(3), 10)
 	for _, v := range im.Pix {
 		if v < 0 || v > 1 {
 			t.Fatalf("clamp failed: %v", v)

@@ -17,25 +17,25 @@ package rfcn
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 	"sync"
 
 	"adascale/internal/detect"
 	"adascale/internal/raster"
+	"adascale/internal/rng"
 	"adascale/internal/simclock"
 	"adascale/internal/synth"
 	"adascale/internal/tensor"
 )
 
-// rngScratch recycles *rand.Rand instances across Detect calls. Detect
-// draws from three deterministically re-seeded generators per frame (plus
-// two per object); allocating them fresh was a top-five allocation site.
-// Re-seeding a recycled generator reproduces exactly the sequence of
-// rand.New(rand.NewSource(seed)), so common random numbers are preserved.
-// A sync.Pool (not a Detector field) keeps Detect safe for concurrent use
-// on a shared detector, as documented on Clone.
-var rngScratch = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+// rngScratch recycles generators across Detect calls. Detect draws from one
+// deterministically re-seeded generator per frame plus two per object;
+// allocating them fresh was a top-five allocation site. Re-seeding a recycled
+// generator reproduces exactly the sequence of rand.New(rand.NewSource(seed)),
+// so common random numbers are preserved. A sync.Pool (not a Detector field)
+// keeps Detect safe for concurrent use on a shared detector, as documented on
+// Clone.
+var rngScratch = sync.Pool{New: func() any { return rng.New(1) }}
 
 // detScratch holds Detect's per-call candidate lists (pre-NMS detections,
 // their class-prob references, and the NMS survivors). All three are
@@ -50,8 +50,13 @@ type detScratch struct {
 
 var detScratchPool = sync.Pool{New: func() any { return new(detScratch) }}
 
-func seededRng(seed int64) *rand.Rand {
-	r := rngScratch.Get().(*rand.Rand)
+// seededRng returns a pooled generator on the stream of
+// rand.New(rand.NewSource(seed)). The seed is free — rng.Seed computes no
+// state word, a generator costs only the numbers drawn from it — so there is
+// nothing to gain from sharing one across objects or trimming its draws, and
+// doing either changes the stream every detection and golden hangs on.
+func seededRng(seed int64) *rng.Rand {
+	r := rngScratch.Get().(*rng.Rand)
 	r.Seed(seed)
 	return r
 }

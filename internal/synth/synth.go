@@ -20,6 +20,7 @@ import (
 	"adascale/internal/detect"
 	"adascale/internal/parallel"
 	"adascale/internal/raster"
+	"adascale/internal/rng"
 )
 
 // Object is one tracked object instance in a frame. ID is stable across the
@@ -390,42 +391,39 @@ func (f *Frame) RenderInto(buf *raster.Image, renderShort, maxLongNative, render
 	if rh < 1 {
 		rh = 1
 	}
-	im := raster.Reuse(buf, rw, rh)
-	// Seeding a pooled generator reproduces rand.New(rand.NewSource(seed))
-	// exactly (Seed resets the source and the generator's read state), so
-	// renders stay bit-identical while the per-frame Rand+source
-	// allocations disappear from the decode stage.
-	rng := renderRng.Get().(*rand.Rand)
-	rng.Seed(f.seed)
+	im := raster.Reuse(buf, rw, rh) // not cleared: both paths below write every pixel
+	r := renderRng.Get().(*rng.Rand)
+	defer renderRng.Put(r)
+	r.Seed(f.seed)
 
 	// Dropped/blacked-out frames carry no scene content: a black image
 	// (with residual sensor noise for a blackout) is what the feature
 	// extractor — and any mean-intensity fault check — actually sees.
 	if f.Fault != nil && (f.Fault.Kind == FaultDrop || f.Fault.Kind == FaultBlackout) {
+		clear(im.Pix)
 		if f.Fault.Kind == FaultBlackout {
-			im.AddNoise(rng, 0.01)
-			im.Clamp()
+			im.AddNoise(r, 0.01)
 		}
-		renderRng.Put(rng)
 		return im
 	}
 
 	// Background: base level with a soft vertical gradient.
 	for y := 0; y < rh; y++ {
 		v := float32(0.3 + 0.1*float64(y)/float64(rh))
-		for x := 0; x < rw; x++ {
-			im.Pix[y*rw+x] = v
+		row := im.Pix[y*rw:][:rw]
+		for x := range row {
+			row[x] = v
 		}
 	}
 	// Clutter: small high-contrast distractors whose count scales with the
 	// clutter level. Drawn under the objects.
 	nClutter := int(f.Clutter * 40)
 	for i := 0; i < nClutter; i++ {
-		cx := rng.Float64() * float64(rw)
-		cy := rng.Float64() * float64(rh)
-		s := (2 + rng.Float64()*6) * float64(rw) / 160
-		tex := raster.Texture(rng.Intn(5))
-		im.DrawRect(cx-s/2, cy-s/2, cx+s/2, cy+s/2, tex, float32(0.15+rng.Float64()*0.8), 2)
+		cx := r.Float64() * float64(rw)
+		cy := r.Float64() * float64(rh)
+		s := (2 + r.Float64()*6) * float64(rw) / 160
+		tex := raster.Texture(r.Intn(5))
+		im.DrawRect(cx-s/2, cy-s/2, cx+s/2, cy+s/2, tex, float32(0.15+r.Float64()*0.8), 2)
 	}
 	// Objects.
 	for _, o := range f.Objects {
@@ -448,16 +446,17 @@ func (f *Frame) RenderInto(buf *raster.Image, renderShort, maxLongNative, render
 			}
 		}
 	}
-	im.AddNoise(rng, noise)
-	im.Clamp()
-	renderRng.Put(rng)
+	im.AddNoise(r, noise)
 	return im
 }
 
 // renderRng pools the per-render random generator. Render fully re-seeds
-// the generator before any draw, so a recycled instance produces the same
-// stream as a freshly constructed one.
-var renderRng = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+// the generator before any draw, so a recycled instance produces the stream
+// of a fresh rand.New(rand.NewSource(seed)). The seed is free (rng.Seed
+// computes no state word), so what a render pays is its draws — and every
+// one of them, in this order, is part of the pixels: skipping or reordering a
+// draw to save time changes the rest of the frame.
+var renderRng = sync.Pool{New: func() any { return rng.New(1) }}
 
 func clampF(v, lo, hi float64) float64 {
 	if v < lo {

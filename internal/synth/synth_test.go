@@ -1,6 +1,9 @@
 package synth
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -304,5 +307,43 @@ func TestRenderIntoMatchesRender(t *testing.T) {
 	}
 	if blurred == 0 {
 		t.Fatal("no frame took the motion-blur path")
+	}
+}
+
+// renderDigest is the golden of TestRenderDigestGolden, generated at the
+// commit before the renderer took its noise from internal/rng: it pins the
+// pixels themselves, so render work has an oracle that is not math/rand.
+const renderDigest = "87d35686e20d6dc1e880c211cd7d3867e2d75e8d58445667f6bbef0ce6bc2bd4"
+
+// TestRenderDigestGolden hashes the bits of every RenderInto pixel over a
+// validation split × the S_reg scales × every fault kind (into one reused
+// buffer, so the sizes shrink and grow) and compares with the committed
+// digest. A deliberate change to the rendered scene is the only reason to
+// replace the constant.
+func TestRenderDigestGolden(t *testing.T) {
+	ds, err := Generate(tinyConfig(29), 0, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var buf raster.Image
+	var word [4]byte
+	for _, fr := range Frames(ds.Val) {
+		for _, scale := range []int{600, 480, 360, 240, 128} { // regressor.SReg, which imports this package
+			for kind := FaultKind(0); kind < numFaultKinds; kind++ {
+				fr.Fault = nil
+				if kind != FaultNone {
+					fr.Fault = &Fault{Kind: kind, Severity: 0.6}
+				}
+				im := fr.RenderInto(&buf, scale/ds.Config.RenderDiv, 2000*ds.Config.RenderDiv, ds.Config.RenderDiv)
+				for _, v := range im.Pix {
+					binary.LittleEndian.PutUint32(word[:], math.Float32bits(v))
+					h.Write(word[:])
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != renderDigest {
+		t.Fatalf("render digest %s, want %s", got, renderDigest)
 	}
 }

@@ -18,3 +18,9 @@ func cpuHasAVX2() bool
 //
 //go:noescape
 func convRowAVX2(out, band *float32, taps *tap, ntaps, n int, bias float32)
+
+// gather2AVX2 is the stride-2 gather dst[j] = src[2j], j < n, for n a multiple
+// of 8 with all 2n source floats in bounds.
+//
+//go:noescape
+func gather2AVX2(dst, src *float32, n int)

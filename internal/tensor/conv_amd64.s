@@ -123,3 +123,31 @@ tap8:
 done:
 	VZEROUPPER
 	RET
+
+// func gather2AVX2(dst, src *float32, n int)
+//
+// dst[j] = src[2j] for j < n; n is a multiple of 8 and all 2n source floats
+// are readable. Per 8 outputs: VSHUFPS $0x88 keeps the even floats of two
+// loads but lane by lane — (s0 s2 s8 s10 | s4 s6 s12 s14) — and VPERMPD $0xD8
+// swaps the middle quadwords back into order. Moves only: no bit changes.
+TEXT ·gather2AVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHRQ $3, CX
+	JZ   gdone
+
+gloop:
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	VSHUFPS $0x88, Y1, Y0, Y0
+	VPERMPD $0xD8, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $64, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     gloop
+	VZEROUPPER
+
+gdone:
+	RET

@@ -2,10 +2,14 @@
 
 package tensor
 
-// No vector row kernel on this architecture: (*convPlan).rows keeps to the
-// Go tile and never calls the stub.
+// No vector kernels on this architecture: (*convPlan).rows keeps to the Go
+// tile, gatherRow to its scalar loop, and neither calls its stub.
 var useAVX2 = false
 
 func convRowAVX2(out, band *float32, taps *tap, ntaps, n int, bias float32) {
 	panic("tensor: convRowAVX2 called without AVX2")
+}
+
+func gather2AVX2(dst, src *float32, n int) {
+	panic("tensor: gather2AVX2 called without AVX2")
 }

@@ -328,6 +328,39 @@ func TestConvIntoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestGatherRowMatchesDefinition holds gatherRow — scalar loop and, under
+// AVX2, the stride-2 shuffle with its 8-output blocks, tail and the bound on
+// the last block's 16th source float — to the definition, element by element,
+// into a NaN-filled destination.
+func TestGatherRowMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	eachConvKernel(t, func(kernel string) {
+		for _, stride := range []int{1, 2, 3} {
+			for w := 1; w <= 70; w++ {
+				xrow := randTensor(rng, w).Data()
+				for _, off := range []int{-3, -1, 0, 1, 2} {
+					n := (w+3)/stride + 2
+					seg := make([]float32, n)
+					for i := range seg {
+						seg[i] = float32(math.NaN())
+					}
+					j0, j1 := padSpan(w, n, stride, off)
+					gatherRow(seg, xrow, j0, j1, stride, off)
+					for j, got := range seg {
+						var want float32
+						if ix := j*stride + off; ix >= 0 && ix < w {
+							want = xrow[ix]
+						}
+						if math.Float32bits(got) != math.Float32bits(want) {
+							t.Fatalf("%s: w=%d stride=%d off=%d: seg[%d] = %v, want %v", kernel, w, stride, off, j, got, want)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 func TestIm2ColFastPathMatchesReference(t *testing.T) {
 	cases := []struct {
 		c, h, w, kernel, stride, pad int
