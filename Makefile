@@ -29,8 +29,11 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# The second line keeps the numeric kernels leaf code: parallelism is across
+# frames and snippets, never inside internal/tensor (DESIGN.md §4b).
 build:
 	$(GO) build ./...
+	@! $(GO) list -deps ./internal/tensor | grep -qx adascale/internal/parallel || { echo "internal/tensor must not import internal/parallel"; exit 1; }
 
 # Portability gate: internal/tensor has an amd64 assembly row kernel and a
 # `!amd64` file standing in for it, which no test on an amd64 machine
@@ -56,11 +59,11 @@ race:
 bench:
 	$(GO) test -run=^$$ -bench=. -benchmem .
 
-# Kernel-level microbenchmarks: matmul (serial vs packed), im2col, the
-# band-tiled convolution at the backbone's layer shapes (the log names the
-# row kernel that ran: AVX2 assembly or the Go tile) vs the historical
-# im2col+matmul lowering, and the arena pool, at -cpu 1,2 so the log shows
-# whether the kernels' inner row fan-out pays — then the scheduler alone
+# Kernel-level microbenchmarks: the serial matmul, im2col, the band-tiled
+# convolution at the backbone's layer shapes (the log names the row kernel
+# that ran: AVX2 assembly or the Go tile) vs the historical im2col+matmul
+# lowering, and the arena pool — serial kernels, so one CPU — then the
+# scheduler alone
 # (model-only Run, ns/frame and allocs/frame at 16 / 1000 / 10000 streams,
 # plain and under chaos: the curve the dispatch index keeps flat), the
 # random stream with math/rand's figure beside each (seed + 12 draws, a
@@ -70,7 +73,7 @@ bench:
 # end-to-end gate is the repository benchmark (benchmark/run.sh, declared
 # in BENCHMARK.json).
 microbench:
-	$(GO) test -run=^$$ -bench=. -benchmem -cpu 1,2 ./internal/tensor
+	$(GO) test -run=^$$ -bench=. -benchmem -cpu 1 ./internal/tensor
 	$(GO) test -run=^$$ -bench=SchedulerModelOnly -benchtime=3x ./internal/serve
 	$(GO) test -run=^$$ -bench=. -cpu 1 ./internal/rng
 	$(GO) test -run=^$$ -bench=FrameRender -benchmem -cpu 1 .

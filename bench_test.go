@@ -24,7 +24,6 @@ import (
 	"adascale/internal/rfcn"
 	"adascale/internal/seqnms"
 	"adascale/internal/synth"
-	"adascale/internal/tensor"
 )
 
 // benchBundle is a reduced-size experiment bundle shared by the table/
@@ -197,32 +196,6 @@ func BenchmarkRunDatasetParallel(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				adascale.RunDataset(benchDS.Val, factory)
-			}
-		})
-	}
-}
-
-// BenchmarkMatMulParallel measures the row-tiled matmul kernel above its
-// parallel threshold; workers=1 is the serial reference.
-func BenchmarkMatMulParallel(b *testing.B) {
-	const m, k, n = 256, 256, 256
-	rng := rand.New(rand.NewSource(1))
-	a := tensor.New(m, k)
-	c := tensor.New(k, n)
-	for _, t := range []*tensor.Tensor{a, c} {
-		d := t.Data()
-		for i := range d {
-			d[i] = rng.Float32()
-		}
-	}
-	dst := tensor.New(m, n)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			adascale.SetWorkers(workers)
-			b.Cleanup(func() { adascale.SetWorkers(0) })
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tensor.MatMulInto(dst, a, c)
 			}
 		})
 	}

@@ -44,61 +44,5 @@ func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Params returns nil; ReLU has no parameters.
-func (r *ReLU) Params() []*Param { return nil }
-
 // Clone returns a fresh ReLU (the active-mask cache is per instance).
 func (r *ReLU) Clone() *ReLU { return NewReLU() }
-
-// Tanh applies the hyperbolic tangent elementwise. The AdaScale regressor
-// target is a normalised relative scale in [-1, 1] (Eq. 3), so a Tanh output
-// head keeps predictions in range by construction.
-type Tanh struct {
-	lastY *tensor.Tensor
-}
-
-// NewTanh returns a Tanh layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Forward applies tanh elementwise.
-func (t *Tanh) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Clone()
-	d := out.Data()
-	for i, v := range d {
-		d[i] = tanh32(v)
-	}
-	t.lastY = out
-	return out
-}
-
-// Backward multiplies by 1 - y².
-func (t *Tanh) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	if t.lastY == nil {
-		panic("nn: Tanh.Backward called before Forward")
-	}
-	out := dy.Clone()
-	d := out.Data()
-	yd := t.lastY.Data()
-	for i := range d {
-		d[i] *= 1 - yd[i]*yd[i]
-	}
-	return out
-}
-
-// Params returns nil; Tanh has no parameters.
-func (t *Tanh) Params() []*Param { return nil }
-
-// Clone returns a fresh Tanh (the last-output cache is per instance).
-func (t *Tanh) Clone() *Tanh { return NewTanh() }
-
-func tanh32(x float32) float32 {
-	// Clamp to avoid overflow in exp; tanh saturates well before ±20.
-	if x > 20 {
-		return 1
-	}
-	if x < -20 {
-		return -1
-	}
-	e2 := exp32(2 * x)
-	return (e2 - 1) / (e2 + 1)
-}

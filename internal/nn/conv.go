@@ -8,8 +8,9 @@ import (
 )
 
 // Conv2D is a 2-D convolution over C×H×W inputs with square kernels,
-// symmetric zero padding and stride. Implemented as im2col + matmul so the
-// same tested kernels serve forward and backward passes.
+// symmetric zero padding and stride. Forward and Infer run the one forward
+// lowering, tensor.ConvInto; im2col appears only in Backward, where the
+// weight gradient is a product with the lowered input.
 type Conv2D struct {
 	InC, OutC           int
 	Kernel, Stride, Pad int
@@ -17,14 +18,11 @@ type Conv2D struct {
 	Weight *Param // OutC × InC × K × K
 	Bias   *Param // OutC
 
-	// cached from the last Forward call
-	lastCols       *tensor.Tensor
-	lastH, lastW   int
-	lastHo, lastWo int
+	lastX *tensor.Tensor // the last Forward input, for Backward
 
-	// wm is the OutC × (InC·K·K) view of Weight.W, built once — the
-	// reshape shares storage, so weight updates flow through.
-	wm *tensor.Tensor
+	// cols is Backward's im2col scratch, reused whenever its capacity covers
+	// the input (training presents a few feature-map sizes over and over).
+	cols []float32
 }
 
 // NewConv2D creates a convolution with He-initialised weights and zero
@@ -42,42 +40,18 @@ func NewConv2D(rng *rand.Rand, inC, outC, kernel, stride, pad int) *Conv2D {
 	}
 }
 
-// Forward computes the convolution of a C×H×W input.
+// Forward computes the convolution of a C×H×W input into a fresh tensor
+// and remembers the input for Backward.
 func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	mustDims(x, 3, "Conv2D")
-	if x.Dim(0) != c.InC {
-		panic(fmt.Sprintf("nn: Conv2D expects %d input channels, got %d", c.InC, x.Dim(0)))
-	}
-	h, w := x.Dim(1), x.Dim(2)
-	ho := tensor.ConvOutSize(h, c.Kernel, c.Stride, c.Pad)
-	wo := tensor.ConvOutSize(w, c.Kernel, c.Stride, c.Pad)
-	// Reuse the im2col scratch across calls when the spatial size repeats
-	// (the training loop presents same-sized feature maps every step).
-	cols := c.lastCols
-	if cols == nil || cols.Dim(0) != c.InC*c.Kernel*c.Kernel || cols.Dim(1) != ho*wo {
-		cols = tensor.New(c.InC*c.Kernel*c.Kernel, ho*wo)
-	}
-	tensor.Im2ColInto(cols, x, c.Kernel, c.Stride, c.Pad)
-	out := tensor.MatMul(c.weightMatrix(), cols) // OutC × (Ho·Wo)
-	od := out.Data()
-	bd := c.Bias.W.Data()
-	n := ho * wo
-	for co := 0; co < c.OutC; co++ {
-		b := bd[co]
-		row := od[co*n : (co+1)*n]
-		for i := range row {
-			row[i] += b
-		}
-	}
-	c.lastCols, c.lastH, c.lastW, c.lastHo, c.lastWo = cols, h, w, ho, wo
-	return out.Reshape(c.OutC, ho, wo)
+	out := c.Infer(x, nil)
+	c.lastX = x
+	return out
 }
 
-// Infer computes the convolution through the fused im2col-free kernel
-// into pooled storage, which the caller owns (release via pool.Put).
-// Results are bit-identical to Forward. Unlike Forward it touches no
-// activation caches, so concurrent Infer calls on a shared layer are safe;
-// it cannot be followed by Backward.
+// Infer computes the convolution through the band-tiled kernel into pooled
+// storage, which the caller owns (release via pool.PutTensor; a nil pool
+// allocates). Unlike Forward it touches no activation caches, so concurrent
+// Infer calls on a shared layer are safe; it cannot be followed by Backward.
 func (c *Conv2D) Infer(x *tensor.Tensor, pool *tensor.Pool) *tensor.Tensor {
 	mustDims(x, 3, "Conv2D")
 	if x.Dim(0) != c.InC {
@@ -90,24 +64,25 @@ func (c *Conv2D) Infer(x *tensor.Tensor, pool *tensor.Pool) *tensor.Tensor {
 	return out
 }
 
-// weightMatrix returns the cached 2-D view of the weights.
-func (c *Conv2D) weightMatrix() *tensor.Tensor {
-	if c.wm == nil {
-		c.wm = c.Weight.W.Reshape(c.OutC, c.InC*c.Kernel*c.Kernel)
-	}
-	return c.wm
-}
-
-// Backward accumulates weight/bias gradients and returns dL/dx.
-func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	if c.lastCols == nil {
+// Backward accumulates the weight and bias gradients for dy, the loss
+// gradient w.r.t. the last Forward's output. It returns no input gradient:
+// the layer's input is the fixed detector's features, which nothing trains.
+func (c *Conv2D) Backward(dy *tensor.Tensor) {
+	x := c.lastX
+	if x == nil {
 		panic("nn: Conv2D.Backward called before Forward")
 	}
-	n := c.lastHo * c.lastWo
+	n := dy.Dim(1) * dy.Dim(2)
 	dym := dy.Reshape(c.OutC, n)
 
-	// dW = dy · colsᵀ
-	dw := tensor.MatMulABT(dym, c.lastCols)
+	// dW = dy · colsᵀ, cols the im2col lowering of the saved input.
+	rows := c.InC * c.Kernel * c.Kernel
+	if cap(c.cols) < rows*n {
+		c.cols = make([]float32, rows*n)
+	}
+	cols := tensor.FromSlice(c.cols[:rows*n], rows, n)
+	tensor.Im2ColInto(cols, x, c.Kernel, c.Stride, c.Pad)
+	dw := tensor.MatMulABT(dym, cols)
 	c.Weight.Grad.AddInPlace(dw.Reshape(c.Weight.W.Shape()...))
 
 	// db = row sums of dy
@@ -120,10 +95,6 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		}
 		bd[co] += s
 	}
-
-	// dx = Col2Im(Wᵀ · dy)
-	dcols := tensor.MatMulATB(c.weightMatrix(), dym)
-	return tensor.Col2Im(dcols, c.InC, c.lastH, c.lastW, c.Kernel, c.Stride, c.Pad)
 }
 
 // Params returns the weight and bias parameters.

@@ -1,8 +1,13 @@
-// Package nn is a small from-scratch neural network framework: layers with
-// forward/backward passes, losses, SGD with momentum and step learning-rate
-// schedules, and binary weight (de)serialisation. It exists to train the
-// AdaScale scale-regressor (the paper's core contribution) for real, on CPU,
-// with no dependencies beyond the standard library.
+// Package nn is the handful of layers the AdaScale scale-regressor (the
+// paper's core contribution, Fig. 4) is built from — convolution, ReLU,
+// global average pooling, a fully-connected head — with forward/backward
+// passes, SGD with momentum and a step learning-rate schedule, the scalar
+// losses of the optimal-scale metric, and binary weight (de)serialisation.
+// It trains the regressor for real, on CPU, with no dependencies beyond the
+// standard library. The regressor wires the layers by hand; there is no
+// generic container, and a layer's Backward returns an input gradient only
+// where something consumes it (the convolution reads the detector's fixed
+// features, so it returns none).
 //
 // Layers operate on single samples (the paper trains with batch size 2; the
 // training loops accumulate gradients across a mini-batch before stepping).
@@ -37,49 +42,6 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // clones can train or run independently.
 func (p *Param) Clone() *Param {
 	return &Param{Name: p.Name, W: p.W.Clone(), Grad: p.Grad.Clone()}
-}
-
-// Layer is a differentiable module. Backward must be called after Forward
-// with the gradient of the loss w.r.t. the layer output; it accumulates
-// parameter gradients (without zeroing them first) and returns the gradient
-// w.r.t. the layer input.
-type Layer interface {
-	Forward(x *tensor.Tensor) *tensor.Tensor
-	Backward(dy *tensor.Tensor) *tensor.Tensor
-	Params() []*Param
-}
-
-// Sequential chains layers; the output of layer i feeds layer i+1.
-type Sequential struct {
-	Layers []Layer
-}
-
-// NewSequential builds a Sequential from the given layers.
-func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
-
-// Forward runs all layers in order.
-func (s *Sequential) Forward(x *tensor.Tensor) *tensor.Tensor {
-	for _, l := range s.Layers {
-		x = l.Forward(x)
-	}
-	return x
-}
-
-// Backward propagates dy through the layers in reverse order.
-func (s *Sequential) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		dy = s.Layers[i].Backward(dy)
-	}
-	return dy
-}
-
-// Params returns the concatenated parameters of all layers.
-func (s *Sequential) Params() []*Param {
-	var ps []*Param
-	for _, l := range s.Layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
 }
 
 // ZeroGrads clears the gradients of every parameter in ps.

@@ -1,52 +1,12 @@
 package nn
 
-import (
-	"math"
+import "math"
 
-	"adascale/internal/tensor"
-)
-
-func exp32(x float32) float32 { return float32(math.Exp(float64(x))) }
-
-// MSELoss returns ½·mean((pred-target)²) and dL/dpred. The ½ factor keeps
-// the gradient simply (pred-target)/n. Both tensors must share a shape.
-func MSELoss(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
-	if !pred.SameShape(target) {
-		panic("nn: MSELoss shape mismatch")
-	}
-	n := pred.Size()
-	grad := tensor.New(pred.Shape()...)
-	gd, pd, td := grad.Data(), pred.Data(), target.Data()
-	var loss float64
-	inv := 1 / float32(n)
-	for i := range pd {
-		d := pd[i] - td[i]
-		loss += 0.5 * float64(d) * float64(d)
-		gd[i] = d * inv
-	}
-	return loss / float64(n), grad
-}
-
-// SmoothL1 computes the Huber-style smooth-L1 loss used for bounding-box
-// regression in Fast R-CNN and R-FCN:
+// SmoothL1Scalar is the Huber-style smooth-L1 loss used for bounding-box
+// regression in Fast R-CNN and R-FCN (Eq. 1's L_reg term):
 //
 //	0.5·x²        if |x| < 1
 //	|x| - 0.5     otherwise
-//
-// summed over the elements of pred-target.
-func SmoothL1(pred, target *tensor.Tensor) float64 {
-	if !pred.SameShape(target) {
-		panic("nn: SmoothL1 shape mismatch")
-	}
-	pd, td := pred.Data(), target.Data()
-	var loss float64
-	for i := range pd {
-		loss += SmoothL1Scalar(float64(pd[i]) - float64(td[i]))
-	}
-	return loss
-}
-
-// SmoothL1Scalar is the scalar smooth-L1 function.
 func SmoothL1Scalar(x float64) float64 {
 	if x < 0 {
 		x = -x
@@ -66,25 +26,4 @@ func CrossEntropy(p []float64, label int) float64 {
 		q = 1e-12
 	}
 	return -math.Log(q)
-}
-
-// Softmax returns the softmax of logits in a numerically stable way.
-func Softmax(logits []float64) []float64 {
-	maxv := math.Inf(-1)
-	for _, v := range logits {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	out := make([]float64, len(logits))
-	var sum float64
-	for i, v := range logits {
-		e := math.Exp(v - maxv)
-		out[i] = e
-		sum += e
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out
 }

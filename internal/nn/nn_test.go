@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"adascale/internal/tensor"
 )
@@ -22,15 +21,17 @@ func projLoss(y, r *tensor.Tensor) float64 {
 	return s
 }
 
-// gradCheck verifies analytic input and parameter gradients of layer
-// against central finite differences.
-func gradCheck(t *testing.T, layer Layer, x *tensor.Tensor, rng *rand.Rand) {
+// gradCheck verifies a layer's analytic parameter gradients — and its input
+// gradient, where backward returns one — against central finite differences
+// of the projected loss.
+func gradCheck(t *testing.T, rng *rand.Rand, x *tensor.Tensor, params []*Param,
+	forward func(*tensor.Tensor) *tensor.Tensor, backward func(dy *tensor.Tensor) *tensor.Tensor) {
 	t.Helper()
-	y := layer.Forward(x)
+	y := forward(x)
 	r := tensor.New(y.Shape()...)
 	r.RandNormal(rng, 0, 1)
-	ZeroGrads(layer.Params())
-	dx := layer.Backward(r)
+	ZeroGrads(params)
+	dx := backward(r)
 
 	const eps = 1e-2
 	const tol = 2e-2
@@ -39,9 +40,9 @@ func gradCheck(t *testing.T, layer Layer, x *tensor.Tensor, rng *rand.Rand) {
 		for _, idx := range sampleIndices(rng, w.Size(), 12) {
 			orig := w.Data()[idx]
 			w.Data()[idx] = orig + eps
-			lp := projLoss(layer.Forward(x), r)
+			lp := projLoss(forward(x), r)
 			w.Data()[idx] = orig - eps
-			lm := projLoss(layer.Forward(x), r)
+			lm := projLoss(forward(x), r)
 			w.Data()[idx] = orig
 			fd := (lp - lm) / (2 * eps)
 			an := float64(analytic.Data()[idx])
@@ -50,13 +51,51 @@ func gradCheck(t *testing.T, layer Layer, x *tensor.Tensor, rng *rand.Rand) {
 			}
 		}
 	}
-	check("input", x, dx)
-	for _, p := range layer.Params() {
+	if dx != nil {
+		check("input", x, dx)
+	}
+	for _, p := range params {
 		check(p.Name, p.W, p.Grad)
 	}
-	// Restore caches for any subsequent use.
-	layer.Forward(x)
 }
+
+// convGradCheck checks a convolution's dW and db; it has no input gradient.
+func convGradCheck(t *testing.T, rng *rand.Rand, conv *Conv2D, x *tensor.Tensor) {
+	t.Helper()
+	gradCheck(t, rng, x, conv.Params(), conv.Forward, func(dy *tensor.Tensor) *tensor.Tensor {
+		conv.Backward(dy)
+		return nil
+	})
+}
+
+// convNet is the scale regressor's shape in miniature — convolution → ReLU →
+// global average pool → fully-connected head — wired by hand the way
+// internal/regressor wires its branches.
+type convNet struct {
+	conv *Conv2D
+	relu *ReLU
+	gap  *GlobalAvgPool
+	fc   *Dense
+}
+
+func newConvNet(rng *rand.Rand, channels int) *convNet {
+	return &convNet{
+		conv: NewConv2D(rng, 1, channels, 3, 1, -1),
+		relu: NewReLU(),
+		gap:  NewGlobalAvgPool(),
+		fc:   NewDense(rng, channels, 1),
+	}
+}
+
+func (n *convNet) forward(x *tensor.Tensor) *tensor.Tensor {
+	return n.fc.Forward(n.gap.Forward(n.relu.Forward(n.conv.Forward(x))))
+}
+
+func (n *convNet) backward(dy *tensor.Tensor) {
+	n.conv.Backward(n.relu.Backward(n.gap.Backward(n.fc.Backward(dy))))
+}
+
+func (n *convNet) params() []*Param { return append(n.conv.Params(), n.fc.Params()...) }
 
 func sampleIndices(rng *rand.Rand, n, k int) []int {
 	if n <= k {
@@ -84,7 +123,7 @@ func TestConv2DGradients(t *testing.T) {
 		conv := NewConv2D(rng, 3, 4, kernel, 1, -1)
 		x := tensor.New(3, 7, 6)
 		x.RandNormal(rng, 0, 1)
-		gradCheck(t, conv, x, rng)
+		convGradCheck(t, rng, conv, x)
 	}
 }
 
@@ -93,7 +132,46 @@ func TestConv2DStridedGradients(t *testing.T) {
 	conv := NewConv2D(rng, 2, 3, 3, 2, 1)
 	x := tensor.New(2, 9, 8)
 	x.RandNormal(rng, 0, 1)
-	gradCheck(t, conv, x, rng)
+	convGradCheck(t, rng, conv, x)
+}
+
+// TestFusedConvBitIdentical holds Conv2D.Forward — the band-tiled kernel,
+// which Infer and therefore serving run too — to the im2col lowering it
+// replaced, bit for bit: MatMul(weights as a matrix, Im2Col(x)) plus bias,
+// the product Backward still differentiates.
+func TestFusedConvBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for _, c := range []struct{ inC, h, w, outC, kernel, stride, pad int }{
+		{16, 19, 34, 8, 1, 1, -1}, // regressor 1×1 branch at scale 600
+		{16, 19, 34, 8, 3, 1, -1}, // regressor 3×3 branch
+		{3, 7, 6, 4, 5, 1, -1},
+		{8, 38, 67, 12, 3, 2, 1}, // backbone conv3
+		{2, 9, 8, 3, 3, 2, 0},
+	} {
+		conv := NewConv2D(rng, c.inC, c.outC, c.kernel, c.stride, c.pad)
+		conv.Bias.W.RandNormal(rng, 0, 1)
+		x := tensor.New(c.inC, c.h, c.w)
+		x.RandNormal(rng, 0, 1)
+		got := conv.Forward(x)
+
+		cols := tensor.Im2Col(x, conv.Kernel, conv.Stride, conv.Pad)
+		want := tensor.MatMul(conv.Weight.W.Reshape(c.outC, c.inC*c.kernel*c.kernel), cols)
+		n := cols.Dim(1)
+		for co, b := range conv.Bias.W.Data() {
+			row := want.Data()[co*n : (co+1)*n]
+			for i := range row {
+				row[i] += b
+			}
+		}
+		if got.Size() != want.Size() {
+			t.Fatalf("%+v: Forward has %d elements, oracle %d", c, got.Size(), want.Size())
+		}
+		for i, v := range got.Data() {
+			if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+				t.Fatalf("%+v: element %d = %v, im2col oracle %v", c, i, v, want.Data()[i])
+			}
+		}
+	}
 }
 
 func TestConv2DOutputShape(t *testing.T) {
@@ -111,7 +189,9 @@ func TestConv2DBiasApplied(t *testing.T) {
 	conv.Weight.W.Zero()
 	conv.Bias.W.Set(1.5, 0)
 	conv.Bias.W.Set(-2, 1)
-	y := conv.Forward(tensor.Full(3, 1, 2, 2))
+	x := tensor.New(1, 2, 2)
+	x.Fill(3)
+	y := conv.Forward(x)
 	if y.At(0, 0, 0) != 1.5 || y.At(1, 1, 1) != -2 {
 		t.Fatalf("bias not applied: %v", y.Data())
 	}
@@ -133,7 +213,7 @@ func TestDenseGradients(t *testing.T) {
 	d := NewDense(rng, 6, 4)
 	x := tensor.New(6)
 	x.RandNormal(rng, 0, 1)
-	gradCheck(t, d, x, rng)
+	gradCheck(t, rng, x, d.Params(), d.Forward, d.Backward)
 }
 
 func TestReLUForwardBackward(t *testing.T) {
@@ -150,22 +230,6 @@ func TestReLUForwardBackward(t *testing.T) {
 	}
 }
 
-func TestTanhGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	layer := NewTanh()
-	x := tensor.New(5)
-	x.RandNormal(rng, 0, 1)
-	gradCheck(t, layer, x, rng)
-}
-
-func TestTanhSaturation(t *testing.T) {
-	layer := NewTanh()
-	y := layer.Forward(tensor.FromSlice([]float32{100, -100, 0}, 3))
-	if y.At(0) != 1 || y.At(1) != -1 || y.At(2) != 0 {
-		t.Fatalf("Tanh saturation = %v", y.Data())
-	}
-}
-
 func TestGlobalAvgPool(t *testing.T) {
 	g := NewGlobalAvgPool()
 	x := tensor.FromSlice([]float32{1, 2, 3, 4, 10, 10, 10, 10}, 2, 2, 2)
@@ -179,52 +243,25 @@ func TestGlobalAvgPool(t *testing.T) {
 	}
 }
 
-func TestGlobalMaxPool(t *testing.T) {
-	g := NewGlobalMaxPool()
-	x := tensor.FromSlice([]float32{1, 7, 3, 4, -1, -2, -3, -9}, 2, 2, 2)
-	y := g.Forward(x)
-	if y.At(0) != 7 || y.At(1) != -1 {
-		t.Fatalf("max pool = %v", y.Data())
-	}
-	dx := g.Backward(tensor.FromSlice([]float32{1, 1}, 2))
-	if dx.At(0, 0, 1) != 1 || dx.At(1, 0, 0) != 1 {
-		t.Fatalf("max pool backward = %v", dx.Data())
-	}
-	if dx.Sum() != 2 {
-		t.Fatalf("max pool backward should route exactly the incoming mass, sum=%v", dx.Sum())
-	}
-}
-
-func TestSequentialComposesAndBackprops(t *testing.T) {
+// TestChainComposesAndBackprops: the hand-wired chain's parameter gradients —
+// each layer's Backward fed by the next one's input gradient — match finite
+// differences of the whole chain.
+func TestChainComposesAndBackprops(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	net := NewSequential(
-		NewConv2D(rng, 1, 2, 3, 1, -1),
-		NewReLU(),
-		NewGlobalAvgPool(),
-		NewDense(rng, 2, 1),
-	)
+	net := newConvNet(rng, 2)
 	x := tensor.New(1, 6, 6)
 	x.RandNormal(rng, 0, 1)
-	y := net.Forward(x)
+	y := net.forward(x)
 	if y.Dims() != 1 || y.Dim(0) != 1 {
 		t.Fatalf("output shape %v", y.Shape())
 	}
-	if got := CountParams(net.Params()); got != 1*2*3*3+2+2+1 {
+	if got := CountParams(net.params()); got != 1*2*3*3+2+2+1 {
 		t.Fatalf("CountParams = %d", got)
 	}
-	gradCheck(t, net, x, rng)
-}
-
-func TestMSELossValueAndGrad(t *testing.T) {
-	pred := tensor.FromSlice([]float32{2, 0}, 2)
-	target := tensor.FromSlice([]float32{0, 0}, 2)
-	loss, grad := MSELoss(pred, target)
-	if math.Abs(loss-1) > 1e-9 { // ½·(4+0)/2
-		t.Fatalf("MSE loss = %v, want 1", loss)
-	}
-	if grad.At(0) != 1 || grad.At(1) != 0 {
-		t.Fatalf("MSE grad = %v", grad.Data())
-	}
+	gradCheck(t, rng, x, net.params(), net.forward, func(dy *tensor.Tensor) *tensor.Tensor {
+		net.backward(dy)
+		return nil
+	})
 }
 
 func TestSmoothL1(t *testing.T) {
@@ -236,34 +273,6 @@ func TestSmoothL1(t *testing.T) {
 	}
 	if got := SmoothL1Scalar(1); got != 0.5 {
 		t.Fatalf("SmoothL1(1) = %v (continuity point)", got)
-	}
-	p := tensor.FromSlice([]float32{1, 3}, 2)
-	q := tensor.FromSlice([]float32{1, 0}, 2)
-	if got := SmoothL1(p, q); got != 2.5 {
-		t.Fatalf("SmoothL1 tensor = %v", got)
-	}
-}
-
-// Property: softmax output is a probability simplex point.
-func TestSoftmaxIsDistribution(t *testing.T) {
-	f := func(a, b, c float64) bool {
-		for _, v := range []float64{a, b, c} {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 500 {
-				return true // skip pathological inputs
-			}
-		}
-		p := Softmax([]float64{a, b, c})
-		var sum float64
-		for _, v := range p {
-			if v < 0 || v > 1 {
-				return false
-			}
-			sum += v
-		}
-		return math.Abs(sum-1) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -296,7 +305,7 @@ func TestSGDConvergesOnQuadratic(t *testing.T) {
 }
 
 func TestSGDWeightDecayShrinks(t *testing.T) {
-	p := NewParam("w", tensor.Full(1, 1))
+	p := NewParam("w", tensor.FromSlice([]float32{1}, 1))
 	opt := NewSGD(0.1)
 	opt.Momentum = 0
 	opt.WeightDecay = 1
@@ -327,17 +336,19 @@ func TestStepSchedule(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	net := NewSequential(NewConv2D(rng, 2, 3, 3, 1, -1), NewDense(rng, 3, 1))
+	newParams := func() []*Param {
+		return append(NewConv2D(rng, 2, 3, 3, 1, -1).Params(), NewDense(rng, 3, 1).Params()...)
+	}
+	saved, loaded := newParams(), newParams()
 	var buf bytes.Buffer
-	if err := SaveParams(&buf, net.Params()); err != nil {
+	if err := SaveParams(&buf, saved); err != nil {
 		t.Fatal(err)
 	}
-	net2 := NewSequential(NewConv2D(rng, 2, 3, 3, 1, -1), NewDense(rng, 3, 1))
-	if err := LoadParams(&buf, net2.Params()); err != nil {
+	if err := LoadParams(&buf, loaded); err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range net.Params() {
-		q := net2.Params()[i]
+	for i, p := range saved {
+		q := loaded[i]
 		for j := range p.W.Data() {
 			if p.W.Data()[j] != q.W.Data()[j] {
 				t.Fatalf("param %s differs after round trip", p.Name)
@@ -378,17 +389,11 @@ func TestBackwardBeforeForwardPanics(t *testing.T) {
 	conv.Backward(tensor.New(1, 3, 3))
 }
 
-// Integration: a tiny network can fit a simple nonlinear function, proving
-// the full forward/backward/step loop learns.
+// Integration: a tiny network can fit a simple function, proving the full
+// forward/backward/step loop learns.
 func TestEndToEndLearning(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	net := NewSequential(
-		NewConv2D(rng, 1, 4, 3, 1, -1),
-		NewReLU(),
-		NewGlobalAvgPool(),
-		NewDense(rng, 4, 1),
-		NewTanh(),
-	)
+	net := newConvNet(rng, 4)
 	// Target: bright images → +0.8, dark images → -0.8.
 	sample := func(bright bool) (*tensor.Tensor, float32) {
 		x := tensor.New(1, 5, 5)
@@ -402,16 +407,16 @@ func TestEndToEndLearning(t *testing.T) {
 	opt := NewSGD(0.05)
 	var last float64
 	for epoch := 0; epoch < 200; epoch++ {
-		ZeroGrads(net.Params())
+		ZeroGrads(net.params())
 		var total float64
 		for b := 0; b < 8; b++ {
 			x, tgt := sample(b%2 == 0)
-			y := net.Forward(x)
-			loss, grad := MSELoss(y, tensor.FromSlice([]float32{tgt}, 1))
-			total += loss
-			net.Backward(grad)
+			// ½(y−t)², averaged over the batch as regressor.Fit does.
+			diff := net.forward(x).At(0) - tgt
+			total += 0.5 * float64(diff) * float64(diff)
+			net.backward(tensor.FromSlice([]float32{diff / 8}, 1))
 		}
-		opt.Step(net.Params())
+		opt.Step(net.params())
 		last = total / 8
 	}
 	if last > 0.02 {

@@ -50,62 +50,5 @@ func (g *GlobalAvgPool) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Params returns nil; pooling has no parameters.
-func (g *GlobalAvgPool) Params() []*Param { return nil }
-
 // Clone returns a fresh pool (the spatial-size cache is per instance).
 func (g *GlobalAvgPool) Clone() *GlobalAvgPool { return NewGlobalAvgPool() }
-
-// GlobalMaxPool reduces a C×H×W tensor to a length-C vector by taking the
-// maximum of each channel plane.
-type GlobalMaxPool struct {
-	lastH, lastW int
-	argmax       []int
-}
-
-// NewGlobalMaxPool returns a global max pooling layer.
-func NewGlobalMaxPool() *GlobalMaxPool { return &GlobalMaxPool{} }
-
-// Forward takes the per-channel maximum and records argmax positions.
-func (g *GlobalMaxPool) Forward(x *tensor.Tensor) *tensor.Tensor {
-	mustDims(x, 3, "GlobalMaxPool")
-	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
-	g.lastH, g.lastW = h, w
-	if cap(g.argmax) < c {
-		g.argmax = make([]int, c)
-	}
-	g.argmax = g.argmax[:c]
-	out := tensor.New(c)
-	xd, od := x.Data(), out.Data()
-	n := h * w
-	for ch := 0; ch < c; ch++ {
-		plane := xd[ch*n : (ch+1)*n]
-		best, bestI := plane[0], 0
-		for i, v := range plane {
-			if v > best {
-				best, bestI = v, i
-			}
-		}
-		od[ch] = best
-		g.argmax[ch] = bestI
-	}
-	return out
-}
-
-// Backward routes each channel gradient to its argmax position.
-func (g *GlobalMaxPool) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	c := dy.Dim(0)
-	n := g.lastH * g.lastW
-	out := tensor.New(c, g.lastH, g.lastW)
-	od, dyd := out.Data(), dy.Data()
-	for ch := 0; ch < c; ch++ {
-		od[ch*n+g.argmax[ch]] = dyd[ch]
-	}
-	return out
-}
-
-// Params returns nil; pooling has no parameters.
-func (g *GlobalMaxPool) Params() []*Param { return nil }
-
-// Clone returns a fresh pool (the argmax cache is per instance).
-func (g *GlobalMaxPool) Clone() *GlobalMaxPool { return NewGlobalMaxPool() }

@@ -1,6 +1,8 @@
 // Package parallel provides the bounded worker pool underlying every
 // concurrent stage of the pipeline: dataset generation, label generation,
-// the dataset runner and the tiled matrix kernels. Work items are indexed
+// the dataset runner and the serving pool. The unit of parallel work is a
+// frame or a snippet — the numeric kernels in internal/tensor are serial
+// loops and do not import this package. Work items are indexed
 // [0, n) and results are collected in index order, so a parallel stage is
 // observationally identical to its serial loop whenever the per-item work
 // is deterministic — the invariant the determinism tests in
@@ -24,8 +26,8 @@ import (
 // GOMAXPROCS".
 var workerOverride atomic.Int64
 
-// SetWorkers overrides the number of workers used by Map, MapWorkers and
-// ForEach. n <= 0 removes the override, restoring the GOMAXPROCS default.
+// SetWorkers overrides the number of workers used by Map and MapWorkers.
+// n <= 0 removes the override, restoring the GOMAXPROCS default.
 func SetWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -115,13 +117,6 @@ func runSerial(n int, task func(int)) (err error) {
 	}
 	return nil
 }
-
-// ForEach runs fn(i) for every i in [0, n) across Workers() goroutines.
-// A panicking task surfaces as a *PanicError.
-func ForEach(n int, fn func(int)) error { return ForEachN(Workers(), n, fn) }
-
-// ForEachN is ForEach with an explicit worker count (capped at n).
-func ForEachN(workers, n int, fn func(int)) error { return run(workers, n, fn) }
 
 // Map runs fn(i) for every i in [0, n) across Workers() goroutines and
 // returns the results in index order. A task panic is re-raised on the

@@ -44,9 +44,6 @@ func TestZeroItems(t *testing.T) {
 	if got := MapN(4, 0, func(i int) int { t.Error("task ran"); return 0 }); len(got) != 0 {
 		t.Fatalf("Map over 0 items returned %d results", len(got))
 	}
-	if err := ForEachN(4, 0, func(int) { t.Error("task ran") }); err != nil {
-		t.Fatalf("ForEach over 0 items: %v", err)
-	}
 	if got := MapWorkersN(4, 0, func() int { t.Error("newWorker ran"); return 0 },
 		func(int, int) int { return 0 }); len(got) != 0 {
 		t.Fatalf("MapWorkers over 0 items returned %d results", len(got))
@@ -70,12 +67,14 @@ func TestMoreWorkersThanItems(t *testing.T) {
 }
 
 func TestPanicSurfacesAsErrorNotDeadlock(t *testing.T) {
-	done := make(chan error, 1)
+	done := make(chan any, 1)
 	go func() {
-		done <- ForEachN(4, 100, func(i int) {
+		defer func() { done <- recover() }()
+		MapN(4, 100, func(i int) int {
 			if i == 13 {
 				panic("boom")
 			}
+			return i
 		})
 	}()
 	select {
@@ -96,14 +95,17 @@ func TestPanicSurfacesAsErrorNotDeadlock(t *testing.T) {
 }
 
 func TestPanicSerialPathAlsoErrors(t *testing.T) {
-	err := ForEachN(1, 5, func(i int) {
+	defer func() {
+		if _, ok := recover().(*PanicError); !ok {
+			t.Fatal("serial path must also convert panics to errors")
+		}
+	}()
+	MapN(1, 5, func(i int) int {
 		if i == 2 {
 			panic("serial boom")
 		}
+		return i
 	})
-	if err == nil {
-		t.Fatal("serial path must also convert panics to errors")
-	}
 }
 
 func TestMapRepanics(t *testing.T) {
@@ -148,13 +150,11 @@ func TestMapWorkersPerWorkerState(t *testing.T) {
 }
 
 func TestForEachCompletesAllItems(t *testing.T) {
-	seen := make([]atomic.Bool, 500)
-	if err := ForEachN(8, len(seen), func(i int) { seen[i].Store(true) }); err != nil {
-		t.Fatal(err)
-	}
+	seen := make([]atomic.Int64, 500)
+	MapN(8, len(seen), func(i int) int64 { return seen[i].Add(1) })
 	for i := range seen {
-		if !seen[i].Load() {
-			t.Fatalf("item %d never ran", i)
+		if n := seen[i].Load(); n != 1 {
+			t.Fatalf("item %d ran %d times, want once", i, n)
 		}
 	}
 }

@@ -121,6 +121,33 @@ func TestArchitectureVariants(t *testing.T) {
 	}
 }
 
+// TestPredictBitIdenticalToForward: Predict is what serving runs and Forward
+// what Fit optimises, so a trained weight means the same thing in both only
+// if they agree to the bit — on the detector's real feature maps at every
+// S_reg scale and for every branch count, including a four-branch set that
+// takes Predict's fallback.
+func TestPredictBitIdenticalToForward(t *testing.T) {
+	cfg := synth.VIDLike(31)
+	cfg.FramesPerSnippet = 1
+	ds, err := synth.Generate(cfg, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det := rfcn.NewMS(&ds.Config)
+	frame := synth.Frames(ds.Train)[0]
+	rng := rand.New(rand.NewSource(9))
+	for _, kernels := range [][]int{{1}, {1, 3}, {1, 3, 5}, {1, 3, 5, 7}} {
+		r := New(rng, kernels)
+		for _, m := range SReg {
+			feats := det.Features(frame, m)
+			fw, pr := r.Forward(feats), r.Predict(feats)
+			if math.Float64bits(fw) != math.Float64bits(pr) {
+				t.Errorf("kernels %v, scale %d (features %v): Forward %v, Predict %v", kernels, m, feats.Shape(), fw, pr)
+			}
+		}
+	}
+}
+
 func TestBackwardBeforeForwardPanics(t *testing.T) {
 	r := New(rand.New(rand.NewSource(3)), DefaultKernels)
 	defer func() {

@@ -49,9 +49,9 @@ import (
 // float32 operations. A nil bias adds +0, the identity: a partial sum is
 // never -0 (it starts at +0 and exact cancellation rounds to +0).
 //
-// Parallel fan-out tiles over output rows oy; each worker builds its own
-// band and computes its rows' elements in serial order, so results are
-// byte-identical across worker counts.
+// The kernel is a straight serial loop over output rows: frames and snippets
+// run in parallel (internal/parallel), a convolution never does, so its bits
+// cannot depend on the worker count.
 
 // convTile is the tile width: the eight float32 lanes of a YMM register,
 // which the Go tile spells as eight scalar accumulators (they, the weight and
@@ -99,8 +99,9 @@ func ConvInto(dst, x, weight, bias *Tensor, stride, pad int) {
 
 	// Nonzero taps per output channel, in ascending (ci, ky, kx) order —
 	// the accumulation order the im2col route uses and the goldens pin.
-	// The plan is rebuilt every call but its storage recycles through a
-	// pool, so a steady-state convolution allocates nothing here.
+	// The plan is rebuilt every call but its storage (tap list, counts and
+	// row band) recycles through a pool, so a steady-state convolution
+	// allocates nothing.
 	wd := weight.data
 	cv := convPlanPool.Get().(*convPlan)
 	flat := cv.taps[:0]
@@ -125,33 +126,30 @@ func ConvInto(dst, x, weight, bias *Tensor, stride, pad int) {
 		counts[co+1] = len(flat)
 	}
 
+	band := cv.band
+	if n := cin * kernel * phases * rowLen; cap(band) < n {
+		band = make([]float32, n)
+	} else {
+		band = band[:n]
+	}
 	*cv = convPlan{
 		xd: x.data, dd: dst.data, bias: bias,
 		cin: cin, h: h, w: w, kernel: kernel, stride: stride, pad: pad,
 		ho: ho, wo: wo, phases: phases, rowLen: rowLen,
-		taps: flat, counts: counts,
+		taps: flat, counts: counts, band: band,
 	}
-	flops := int64(len(flat)) * int64(ho) * int64(wo)
-	if chunks := rowChunks(ho, flops); chunks > 0 {
-		forEachRowChunk(chunks, ho, cv.rows)
-	} else {
-		cv.rows(0, ho)
-	}
-	// forEachRowChunk has joined all workers; drop the tensor references and
-	// recycle the plan's storage.
+	cv.run()
+	// Drop the tensor references and recycle the plan's storage.
 	cv.xd, cv.dd, cv.bias = nil, nil, nil
 	convPlanPool.Put(cv)
 }
 
 // convPlanPool recycles convPlan structs and their slice storage across
-// ConvInto calls; every field is rebuilt before use. bandPool recycles the
-// per-worker row bands, which only ever grow to the largest row seen.
-var (
-	convPlanPool = sync.Pool{New: func() any { return new(convPlan) }}
-	bandPool     = sync.Pool{New: func() any { return new([]float32) }}
-)
+// ConvInto calls; every field is rebuilt before use, and the band only ever
+// grows to the largest row seen.
+var convPlanPool = sync.Pool{New: func() any { return new(convPlan) }}
 
-// convPlan carries the per-call geometry and tap list to the row workers.
+// convPlan is one call's geometry, tap list and row band.
 type convPlan struct {
 	xd, dd []float32
 	bias   *Tensor
@@ -165,19 +163,14 @@ type convPlan struct {
 	rowLen int // band row length L: wo + (kernel−1)/stride
 	taps   []tap
 	counts []int // taps[counts[co]:counts[co+1]] belong to channel co
+	band   []float32
 }
 
-// rows computes output rows [oy0, oy1) of every output channel.
-func (cv *convPlan) rows(oy0, oy1 int) {
-	bp := bandPool.Get().(*[]float32)
-	if n := cv.cin * cv.kernel * cv.phases * cv.rowLen; cap(*bp) < n {
-		*bp = make([]float32, n)
-	} else {
-		*bp = (*bp)[:n]
-	}
-	band := *bp
+// run computes every output row of every output channel.
+func (cv *convPlan) run() {
+	band := cv.band
 	ho, wo := cv.ho, cv.wo
-	for oy := oy0; oy < oy1; oy++ {
+	for oy := 0; oy < ho; oy++ {
 		cv.fillBand(band, oy)
 		for co := range cv.counts[1:] {
 			taps := cv.taps[cv.counts[co]:cv.counts[co+1]]
@@ -221,7 +214,6 @@ func (cv *convPlan) rows(oy0, oy1 int) {
 			}
 		}
 	}
-	bandPool.Put(bp)
 }
 
 // fillBand builds output row oy's band: segment (ci, ky, p) holds padded

@@ -3,7 +3,7 @@
 package tensor
 
 // useAVX2 reports whether this CPU and OS run the AVX2 row kernel; read once
-// at init. When false (*convPlan).rows keeps to the Go tile. Tests toggle it
+// at init. When false (*convPlan).run keeps to the Go tile. Tests toggle it
 // to exercise both paths on one machine.
 var useAVX2 = cpuHasAVX2()
 

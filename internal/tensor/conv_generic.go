@@ -2,7 +2,7 @@
 
 package tensor
 
-// No vector kernels on this architecture: (*convPlan).rows keeps to the Go
+// No vector kernels on this architecture: (*convPlan).run keeps to the Go
 // tile, gatherRow to its scalar loop, and neither calls its stub.
 var useAVX2 = false
 

@@ -59,7 +59,8 @@ func gatherRow(seg, xrow []float32, j0, j1, stride, off int) {
 // (C·K·K)×(Ho·Wo) matrix multiplication. Out-of-bounds taps contribute 0.
 //
 // The returned matrix is freshly allocated; use Im2ColInto to reuse a
-// buffer in training loops.
+// buffer in training loops. The product MatMul(weights, Im2Col(x)) plus bias
+// is the oracle ConvInto is held to, bit for bit.
 func Im2Col(x *Tensor, kernel, stride, pad int) *Tensor {
 	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
 	ho := ConvOutSize(h, kernel, stride, pad)
@@ -102,43 +103,4 @@ func Im2ColInto(dst, x *Tensor, kernel, stride, pad int) {
 			}
 		}
 	}
-}
-
-// Col2Im scatters a (C·K·K)×(Ho·Wo) column matrix back into a C×H×W
-// tensor, accumulating overlapping taps. It is the adjoint of Im2Col and
-// is used for convolution input gradients.
-func Col2Im(cols *Tensor, c, h, w, kernel, stride, pad int) *Tensor {
-	ho := ConvOutSize(h, kernel, stride, pad)
-	wo := ConvOutSize(w, kernel, stride, pad)
-	if cols.Dim(0) != c*kernel*kernel || cols.Dim(1) != ho*wo {
-		panic(fmt.Sprintf("tensor: Col2Im cols shape %v, want [%d %d]", cols.shape, c*kernel*kernel, ho*wo))
-	}
-	out := New(c, h, w)
-	cd, od := cols.data, out.data
-	n := ho * wo
-	for ch := 0; ch < c; ch++ {
-		plane := od[ch*h*w : (ch+1)*h*w]
-		for ky := 0; ky < kernel; ky++ {
-			for kx := 0; kx < kernel; kx++ {
-				row := cd[((ch*kernel+ky)*kernel+kx)*n : ((ch*kernel+ky)*kernel+kx+1)*n]
-				idx := 0
-				for oy := 0; oy < ho; oy++ {
-					iy := oy*stride - pad + ky
-					if iy < 0 || iy >= h {
-						idx += wo
-						continue
-					}
-					base := iy * w
-					for ox := 0; ox < wo; ox++ {
-						ix := ox*stride - pad + kx
-						if ix >= 0 && ix < w {
-							plane[base+ix] += row[idx]
-						}
-						idx++
-					}
-				}
-			}
-		}
-	}
-	return out
 }

@@ -10,11 +10,10 @@ import (
 	"adascale/internal/parallel"
 )
 
-// The packed matmul and fused conv are only allowed to land because they
-// are bit-identical to the serial reference kernels — the conformance
-// goldens replay byte-for-byte at workers {1,4}. These property tests pin
-// that contract across odd shapes (1×1, tall/skinny, tiles that don't
-// divide by the 4×4 micro-kernel) and worker counts.
+// The band-tiled convolution was only allowed to land because it is
+// bit-identical to the im2col + serial matmul lowering it replaced — the
+// conformance goldens replay byte-for-byte. These property tests pin that
+// contract across odd geometries and both row kernels.
 
 func randTensorWithZeros(rng *rand.Rand, shape ...int) *Tensor {
 	t := New(shape...)
@@ -46,45 +45,6 @@ func bitsEqual(t *testing.T, name string, got, want *Tensor) {
 	}
 }
 
-func TestPackedMatMulBitIdentical(t *testing.T) {
-	shapes := []struct{ m, k, n int }{
-		{1, 1, 1},      // degenerate
-		{4, 4, 4},      // one exact micro-tile
-		{37, 3, 5},     // tall/skinny, nothing divides by 4
-		{3, 129, 7},    // fewer rows than the micro-tile
-		{6, 10, 6},     // partial tiles on both edges
-		{5, 64, 130},   // wide with a 2-column remainder panel
-		{64, 72, 96},   // above packThreshold: MatMul dispatches packed
-		{65, 72, 97},   // above threshold with edge tiles in both dims
-		{128, 9, 1920}, // backbone conv1-like shape
-	}
-	rng := rand.New(rand.NewSource(42))
-	for _, s := range shapes {
-		a := randTensorWithZeros(rng, s.m, s.k)
-		b := randTensorWithZeros(rng, s.k, s.n)
-
-		// Serial reference: the historical kernel, no dispatch.
-		want := New(s.m, s.n)
-		matMulRows(want, a, b, 0, s.m)
-
-		// Packed kernel invoked directly, regardless of threshold.
-		if s.m >= packMR && s.n >= packNR {
-			got := New(s.m, s.n)
-			matMulPacked(got, a, b)
-			bitsEqual(t, "packed", got, want)
-		}
-
-		// Public dispatch at workers 1 and 4 (covers both the packed and
-		// serial routes depending on size — all must agree bitwise).
-		for _, workers := range []int{1, 4} {
-			parallel.SetWorkers(workers)
-			got := MatMul(a, b)
-			parallel.SetWorkers(0)
-			bitsEqual(t, "MatMul", got, want)
-		}
-	}
-}
-
 func TestMatMulIntoVariantsMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randTensorWithZeros(rng, 9, 13)
@@ -100,6 +60,28 @@ func TestMatMulIntoVariantsMatch(t *testing.T) {
 	bitsEqual(t, "MatMulABTInto", abt, MatMulABT(a, c))
 }
 
+// TestMatMulIntoOverwritesDst: the Into variants own their destination —
+// stale contents (a reused scratch) must not leak into the product.
+func TestMatMulIntoOverwritesDst(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	a := randTensorWithZeros(rng, 6, 10)
+	b := randTensorWithZeros(rng, 10, 7)
+	at := randTensorWithZeros(rng, 10, 6)
+	bt := randTensorWithZeros(rng, 7, 10)
+	stale := func() *Tensor {
+		dst := New(6, 7)
+		dst.Fill(999)
+		return dst
+	}
+	ab, atb, abt := stale(), stale(), stale()
+	MatMulInto(ab, a, b)
+	MatMulATBInto(atb, at, b)
+	MatMulABTInto(abt, a, bt)
+	bitsEqual(t, "MatMulInto", ab, MatMul(a, b))
+	bitsEqual(t, "MatMulATBInto", atb, MatMulATB(at, b))
+	bitsEqual(t, "MatMulABTInto", abt, MatMulABT(a, bt))
+}
+
 // convReference is the historical im2col + matmul + bias path.
 func convReference(x, weight, bias *Tensor, stride, pad int) *Tensor {
 	outC, cin, kernel := weight.Dim(0), weight.Dim(1), weight.Dim(2)
@@ -108,7 +90,7 @@ func convReference(x, weight, bias *Tensor, stride, pad int) *Tensor {
 	cols := Im2Col(x, kernel, stride, pad)
 	wm := weight.Reshape(outC, cin*kernel*kernel)
 	out := New(outC, ho*wo)
-	matMulRows(out, wm, cols, 0, outC) // serial reference kernel
+	MatMulInto(out, wm, cols)
 	od := out.Data()
 	bd := bias.Data()
 	n := ho * wo
@@ -145,7 +127,7 @@ func TestFusedConvBitIdentical(t *testing.T) {
 		{2, 6, 7, 3, 5, 1, 2},    // kernel larger than pad span
 		{2, 4, 4, 3, 3, 3, 1},    // stride larger than kernel-1
 		{1, 3, 3, 2, 3, 1, 2},    // padding wider than the input edge
-		{8, 38, 67, 12, 3, 2, 1}, // backbone conv3-sized: crosses the row fan-out threshold
+		{8, 38, 67, 12, 3, 2, 1}, // backbone conv3-sized
 	}
 	rng := rand.New(rand.NewSource(99))
 	for _, c := range cases {
@@ -153,14 +135,7 @@ func TestFusedConvBitIdentical(t *testing.T) {
 		weight := randTensorWithZeros(rng, c.outC, c.cin, c.kernel, c.kernel)
 		bias := randTensorWithZeros(rng, c.outC)
 		want := convReference(x, weight, bias, c.stride, c.pad)
-
-		for _, workers := range []int{1, 4} {
-			parallel.SetWorkers(workers)
-			got := convInto(x, weight, bias, c.stride, c.pad)
-			parallel.SetWorkers(0)
-			bitsEqual(t, "ConvInto", got, want)
-		}
-
+		bitsEqual(t, "ConvInto", convInto(x, weight, bias, c.stride, c.pad), want)
 	}
 }
 
@@ -208,7 +183,7 @@ func eachConvKernel(t *testing.T, f func(kernel string)) {
 // about a third of the weights exactly zero, in one draw of four the last
 // output channel's filter all zero (no taps), bias nil or not per nilBias —
 // and requires ConvInto to match convReference bit for bit under each row
-// kernel at workers {1, 4}. Geometries with no output are skipped.
+// kernel. Geometries with no output are skipped.
 func checkConvGeometry(t *testing.T, rng *rand.Rand, cin, h, w, outC, kernel, stride, pad int, nilBias bool) {
 	t.Helper()
 	if ConvOutSize(h, kernel, stride, pad) < 1 || ConvOutSize(w, kernel, stride, pad) < 1 {
@@ -232,13 +207,9 @@ func checkConvGeometry(t *testing.T, rng *rand.Rand, cin, h, w, outC, kernel, st
 	}
 	want := convReference(x, weight, refBias, stride, pad)
 	eachConvKernel(t, func(rowKernel string) {
-		for _, workers := range []int{1, 4} {
-			parallel.SetWorkers(workers)
-			got := convInto(x, weight, bias, stride, pad)
-			parallel.SetWorkers(0)
-			bitsEqual(t, fmt.Sprintf("ConvInto cin=%d h=%d w=%d outC=%d k=%d s=%d pad=%d nilBias=%v zeroChannel=%v workers=%d %s",
-				cin, h, w, outC, kernel, stride, pad, nilBias, zeroChannel, workers, rowKernel), got, want)
-		}
+		bitsEqual(t, fmt.Sprintf("ConvInto cin=%d h=%d w=%d outC=%d k=%d s=%d pad=%d nilBias=%v zeroChannel=%v %s",
+			cin, h, w, outC, kernel, stride, pad, nilBias, zeroChannel, rowKernel),
+			convInto(x, weight, bias, stride, pad), want)
 	})
 }
 
@@ -299,14 +270,18 @@ func poolRetains() bool {
 	return news == 1
 }
 
-// TestConvIntoSteadyStateAllocs pins that the serial kernel allocates
-// nothing once warm even when the input size changes on every call — the
-// adaptive scale does exactly that, and the row band must absorb it.
+// TestConvIntoSteadyStateAllocs pins that the kernel allocates nothing once
+// warm even when the input size changes on every call — the adaptive scale
+// does exactly that, and the row band must absorb it — and that this holds
+// under a worker override: the larger convolution (the backbone's conv2 at
+// scale 600) is one an inner row fan-out would split, at 8 allocations a
+// call. (AllocsPerRun itself runs at GOMAXPROCS 1; the override is what a
+// fan-out would read.)
 func TestConvIntoSteadyStateAllocs(t *testing.T) {
 	if !poolRetains() {
 		t.Skip("sync.Pool is dropping Puts (race detector): a zero-allocation pin through it cannot hold")
 	}
-	parallel.SetWorkers(1)
+	parallel.SetWorkers(4)
 	defer parallel.SetWorkers(0)
 	rng := rand.New(rand.NewSource(5))
 	weight := randTensor(rng, 12, 8, 3, 3)

@@ -1,42 +1,13 @@
 package tensor
 
-import (
-	"fmt"
+import "fmt"
 
-	"adascale/internal/parallel"
-)
-
-// parallelThreshold is the approximate multiply-add count above which the
-// matrix kernels tile their output rows across workers. Below it, goroutine
-// startup and synchronisation dominate the arithmetic; the regressor's tiny
-// fully-connected products stay serial while the im2col convolutions of the
-// backbone cross the threshold comfortably.
-const parallelThreshold = 1 << 18
-
-// rowChunks decides how a kernel with m output rows and flops multiply-adds
-// is split: it returns the number of contiguous row chunks to fan out, or 0
-// to stay serial. Each output element is always computed by exactly one
-// worker in the same inner-loop order as the serial kernel, so the parallel
-// result is bit-identical to the serial one for any worker count.
-func rowChunks(m int, flops int64) int {
-	w := parallel.Workers()
-	if w <= 1 || m < 2 || flops < parallelThreshold {
-		return 0
-	}
-	if w > m {
-		w = m
-	}
-	return w
-}
-
-// forEachRowChunk runs body over chunks contiguous row ranges of [0, m).
-func forEachRowChunk(chunks, m int, body func(i0, i1 int)) {
-	if err := parallel.ForEachN(chunks, chunks, func(c int) {
-		body(c*m/chunks, (c+1)*m/chunks)
-	}); err != nil {
-		panic(err)
-	}
-}
+// The three products below are plain serial loops: after the backbone moved
+// to ConvInto their callers are the scale regressor's training step (one
+// dW product per convolution branch, the fully-connected head) and the
+// tests' im2col oracle. Parallelism lives across frames and snippets
+// (internal/parallel), never inside a kernel, so a result cannot depend on
+// the worker count.
 
 // MatMul computes C = A·B for 2-D tensors A (m×k) and B (k×n), returning a
 // new m×n tensor. The inner loop is ordered i-k-j so B is traversed
@@ -48,8 +19,7 @@ func MatMul(a, b *Tensor) *Tensor {
 }
 
 // MatMulInto computes dst = A·B, reusing dst's storage. dst must be m×n and
-// is overwritten. It panics on shape mismatch. Large products are row-tiled
-// across workers (see rowChunks); output values are identical either way.
+// is overwritten. It panics on shape mismatch.
 func MatMulInto(dst, a, b *Tensor) {
 	if a.Dims() != 2 || b.Dims() != 2 || dst.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: MatMul requires 2-D tensors, got %v · %v -> %v", a.shape, b.shape, dst.shape))
@@ -59,27 +29,9 @@ func MatMulInto(dst, a, b *Tensor) {
 	if k != k2 || dst.Dim(0) != m || dst.Dim(1) != n {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch %v · %v -> %v", a.shape, b.shape, dst.shape))
 	}
-	if usePacked(m, k, n) {
-		// Large products take the packed cache-blocked kernel; bit-identical
-		// to the serial path below (see matmul_packed.go).
-		matMulPacked(dst, a, b)
-		return
-	}
-	if chunks := rowChunks(m, int64(m)*int64(k)*int64(n)); chunks > 0 {
-		forEachRowChunk(chunks, m, func(i0, i1 int) { matMulRows(dst, a, b, i0, i1) })
-		return
-	}
-	matMulRows(dst, a, b, 0, m)
-}
-
-// matMulRows computes rows [i0, i1) of dst = A·B, zeroing them first.
-func matMulRows(dst, a, b *Tensor, i0, i1 int) {
-	k, n := a.Dim(1), b.Dim(1)
 	ad, bd, cd := a.data, b.data, dst.data
-	for i := i0 * n; i < i1*n; i++ {
-		cd[i] = 0
-	}
-	for i := i0; i < i1; i++ {
+	clear(cd)
+	for i := 0; i < m; i++ {
 		arow := ad[i*k : (i+1)*k]
 		crow := cd[i*n : (i+1)*n]
 		for p, av := range arow {
@@ -106,7 +58,8 @@ func MatMulATB(a, b *Tensor) *Tensor {
 }
 
 // MatMulATBInto computes dst = Aᵀ·B, reusing dst's storage (m×n,
-// overwritten). Output values are identical to MatMulATB.
+// overwritten). The inner dimension is the outermost loop, so A and B are
+// both read row-major.
 func MatMulATBInto(dst, a, b *Tensor) {
 	if a.Dims() != 2 || b.Dims() != 2 || dst.Dims() != 2 {
 		panic("tensor: MatMulATB requires 2-D tensors")
@@ -116,26 +69,12 @@ func MatMulATBInto(dst, a, b *Tensor) {
 	if k != k2 || dst.Dim(0) != m || dst.Dim(1) != n {
 		panic(fmt.Sprintf("tensor: MatMulATB shape mismatch %v vs %v -> %v", a.shape, b.shape, dst.shape))
 	}
-	clear(dst.data)
-	if chunks := rowChunks(m, int64(m)*int64(k)*int64(n)); chunks > 0 {
-		forEachRowChunk(chunks, m, func(i0, i1 int) { matMulATBRows(dst, a, b, i0, i1) })
-		return
-	}
-	matMulATBRows(dst, a, b, 0, m)
-}
-
-// matMulATBRows computes output rows [i0, i1) of C = Aᵀ·B. The p (inner
-// dimension) loop stays outermost exactly as in the historical serial
-// kernel, so per-element accumulation order is unchanged.
-func matMulATBRows(c, a, b *Tensor, i0, i1 int) {
-	k, m := a.Dim(0), a.Dim(1)
-	n := b.Dim(1)
-	ad, bd, cd := a.data, b.data, c.data
+	ad, bd, cd := a.data, b.data, dst.data
+	clear(cd)
 	for p := 0; p < k; p++ {
 		arow := ad[p*m : (p+1)*m]
 		brow := bd[p*n : (p+1)*n]
-		for i := i0; i < i1; i++ {
-			av := arow[i]
+		for i, av := range arow {
 			if av == 0 {
 				continue
 			}
@@ -158,7 +97,7 @@ func MatMulABT(a, b *Tensor) *Tensor {
 }
 
 // MatMulABTInto computes dst = A·Bᵀ, reusing dst's storage (m×n,
-// overwritten). Output values are identical to MatMulABT.
+// overwritten): plain dot products of A's rows with B's rows.
 func MatMulABTInto(dst, a, b *Tensor) {
 	if a.Dims() != 2 || b.Dims() != 2 || dst.Dims() != 2 {
 		panic("tensor: MatMulABT requires 2-D tensors")
@@ -168,22 +107,11 @@ func MatMulABTInto(dst, a, b *Tensor) {
 	if k != k2 || dst.Dim(0) != m || dst.Dim(1) != n {
 		panic(fmt.Sprintf("tensor: MatMulABT shape mismatch %v vs %v -> %v", a.shape, b.shape, dst.shape))
 	}
-	if chunks := rowChunks(m, int64(m)*int64(k)*int64(n)); chunks > 0 {
-		forEachRowChunk(chunks, m, func(i0, i1 int) { matMulABTRows(dst, a, b, i0, i1) })
-		return
-	}
-	matMulABTRows(dst, a, b, 0, m)
-}
-
-// matMulABTRows computes rows [i0, i1) of C = A·Bᵀ as plain dot products.
-func matMulABTRows(c, a, b *Tensor, i0, i1 int) {
-	k := a.Dim(1)
-	n := b.Dim(0)
-	ad, bd, cd := a.data, b.data, c.data
-	for i := i0; i < i1; i++ {
+	ad, bd, cd := a.data, b.data, dst.data
+	for i := 0; i < m; i++ {
 		arow := ad[i*k : (i+1)*k]
 		crow := cd[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
+		for j := range crow {
 			brow := bd[j*k : (j+1)*k]
 			var s float32
 			for p, av := range arow {
@@ -192,19 +120,4 @@ func matMulABTRows(c, a, b *Tensor, i0, i1 int) {
 			crow[j] = s
 		}
 	}
-}
-
-// Transpose2D returns the transpose of a 2-D tensor as a new tensor.
-func Transpose2D(a *Tensor) *Tensor {
-	if a.Dims() != 2 {
-		panic("tensor: Transpose2D requires a 2-D tensor")
-	}
-	m, n := a.Dim(0), a.Dim(1)
-	c := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			c.data[j*m+i] = a.data[i*n+j]
-		}
-	}
-	return c
 }

@@ -25,28 +25,7 @@ func benchMatMul(b *testing.B, m, k, n int) {
 }
 
 func BenchmarkMatMulSmall(b *testing.B)     { benchMatMul(b, 16, 16, 16) }
-func BenchmarkMatMulConv1(b *testing.B)     { benchMatMul(b, 8, 9, 75*134) }  // conv1 @600 lowered: 8 filters × 9 taps × 75·134 outputs
-func BenchmarkMatMulConv2(b *testing.B)     { benchMatMul(b, 12, 72, 38*67) } // conv2 @600 lowered
 func BenchmarkMatMulMidSquare(b *testing.B) { benchMatMul(b, 96, 96, 96) }
-
-func BenchmarkMatMulPackedVsSerial(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := randTensor(rng, 12, 72)
-	y := randTensor(rng, 72, 38*67) // conv2 @600 lowered
-	dst := New(12, 38*67)
-	b.Run("packed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			matMulPacked(dst, x, y)
-		}
-	})
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			matMulRows(dst, x, y, 0, 12)
-		}
-	})
-}
 
 func BenchmarkIm2Col600(b *testing.B) { // conv2 @600
 	rng := rand.New(rand.NewSource(2))

@@ -95,13 +95,6 @@ func (p *Pool) Get(n int) []float32 {
 	return make([]float32, n, 1<<c)
 }
 
-// GetZeroed is Get with the returned slice cleared to zero.
-func (p *Pool) GetZeroed(n int) []float32 {
-	buf := p.Get(n)
-	clear(buf)
-	return buf
-}
-
 // Put returns a buffer to the pool for reuse. The caller must not use buf
 // afterwards. Buffers whose capacity is not an exact class size (i.e. not
 // obtained from a Pool) and nil pools are accepted and dropped silently.
@@ -122,8 +115,8 @@ func (p *Pool) Put(buf []float32) {
 }
 
 // GetTensor returns a tensor with the given shape backed by pooled
-// storage. Contents are unspecified; callers must fully overwrite (or use
-// GetTensorZeroed). Release with PutTensor.
+// storage. Contents are unspecified; callers must fully overwrite. Release
+// with PutTensor.
 func (p *Pool) GetTensor(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
@@ -147,13 +140,6 @@ func (p *Pool) GetTensor(shape ...int) *Tensor {
 	}
 	t.shape = append(t.shape[:0], shape...)
 	t.data = p.Get(n)
-	return t
-}
-
-// GetTensorZeroed is GetTensor with zeroed contents — a drop-in for New.
-func (p *Pool) GetTensorZeroed(shape ...int) *Tensor {
-	t := p.GetTensor(shape...)
-	clear(t.data)
 	return t
 }
 

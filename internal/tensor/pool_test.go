@@ -37,26 +37,11 @@ func TestPoolNilSafety(t *testing.T) {
 		}
 	}
 	p.Put(buf) // must not panic
-	tt := p.GetTensorZeroed(2, 3)
+	tt := p.GetTensor(2, 3)
 	if tt.Dim(0) != 2 || tt.Dim(1) != 3 {
-		t.Fatalf("nil pool GetTensorZeroed shape %v", tt.Shape())
+		t.Fatalf("nil pool GetTensor shape %v", tt.Shape())
 	}
 	p.PutTensor(tt)
-}
-
-func TestPoolGetZeroedClearsStaleContents(t *testing.T) {
-	p := NewPool()
-	a := p.Get(8)
-	for i := range a {
-		a[i] = 42
-	}
-	p.Put(a)
-	b := p.GetZeroed(8)
-	for i, v := range b {
-		if v != 0 {
-			t.Fatalf("GetZeroed[%d] = %v, want 0", i, v)
-		}
-	}
 }
 
 func TestPoolBoundsRetention(t *testing.T) {
@@ -81,7 +66,7 @@ func TestPoolBoundsRetention(t *testing.T) {
 
 func TestPoolTensorRoundTrip(t *testing.T) {
 	p := NewPool()
-	a := p.GetTensorZeroed(3, 4, 5)
+	a := p.GetTensor(3, 4, 5)
 	if a.Size() != 60 {
 		t.Fatalf("Size = %d", a.Size())
 	}

@@ -1,8 +1,9 @@
 // Package tensor provides dense float32 tensors and the numeric kernels
-// (elementwise ops, matrix multiplication, im2col) used by the neural
-// network framework in internal/nn. Tensors are row-major with an explicit
-// shape; all operations are deterministic and allocation behaviour is
-// documented per function so hot paths can reuse buffers.
+// (elementwise ops, the band-tiled convolution, serial matrix products,
+// im2col) used by the detector backbone and the neural network framework in
+// internal/nn. Tensors are row-major with an explicit shape; all operations
+// are deterministic and allocation behaviour is documented per function so
+// hot paths can reuse buffers.
 package tensor
 
 import (
@@ -62,15 +63,6 @@ func FromSliceInto(t *Tensor, data []float32, shape ...int) *Tensor {
 	}
 	t.shape = append(t.shape[:0], shape...)
 	t.data = data
-	return t
-}
-
-// Full returns a tensor with every element set to v.
-func Full(v float32, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = v
-	}
 	return t
 }
 
@@ -172,60 +164,11 @@ func (t *Tensor) AddInPlace(u *Tensor) {
 	}
 }
 
-// SubInPlace subtracts u from t elementwise.
-func (t *Tensor) SubInPlace(u *Tensor) {
-	t.mustSameShape(u, "SubInPlace")
-	for i, v := range u.data {
-		t.data[i] -= v
-	}
-}
-
-// MulInPlace multiplies t by u elementwise (Hadamard product).
-func (t *Tensor) MulInPlace(u *Tensor) {
-	t.mustSameShape(u, "MulInPlace")
-	for i, v := range u.data {
-		t.data[i] *= v
-	}
-}
-
 // ScaleInPlace multiplies every element by s.
 func (t *Tensor) ScaleInPlace(s float32) {
 	for i := range t.data {
 		t.data[i] *= s
 	}
-}
-
-// AddScaledInPlace computes t += s*u elementwise (axpy).
-func (t *Tensor) AddScaledInPlace(s float32, u *Tensor) {
-	t.mustSameShape(u, "AddScaledInPlace")
-	for i, v := range u.data {
-		t.data[i] += s * v
-	}
-}
-
-// Add returns t+u as a new tensor.
-func Add(t, u *Tensor) *Tensor {
-	c := t.Clone()
-	c.AddInPlace(u)
-	return c
-}
-
-// Sum returns the sum of all elements (accumulated in float64 for
-// stability).
-func (t *Tensor) Sum() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += float64(v)
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements; 0 for empty tensors.
-func (t *Tensor) Mean() float64 {
-	if len(t.data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.data))
 }
 
 // MaxAbs returns the largest absolute element value; 0 for empty tensors.

@@ -94,28 +94,16 @@ func TestCloneIndependent(t *testing.T) {
 func TestElementwiseOps(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3}, 3)
 	b := FromSlice([]float32{4, 5, 6}, 3)
-	c := Add(a, b)
+	a.AddInPlace(b)
 	want := []float32{5, 7, 9}
-	for i, v := range c.Data() {
+	for i, v := range a.Data() {
 		if v != want[i] {
-			t.Fatalf("Add[%d] = %v, want %v", i, v, want[i])
+			t.Fatalf("AddInPlace[%d] = %v, want %v", i, v, want[i])
 		}
 	}
-	a.MulInPlace(b)
-	if a.At(2) != 18 {
-		t.Fatalf("MulInPlace got %v", a.At(2))
-	}
 	a.ScaleInPlace(0.5)
-	if a.At(0) != 2 {
-		t.Fatalf("ScaleInPlace got %v", a.At(0))
-	}
-	a.SubInPlace(b)
-	if a.At(0) != -2 {
-		t.Fatalf("SubInPlace got %v", a.At(0))
-	}
-	a.AddScaledInPlace(2, b)
-	if a.At(0) != 6 {
-		t.Fatalf("AddScaledInPlace got %v", a.At(0))
+	if a.At(0) != 2.5 || a.At(2) != 4.5 {
+		t.Fatalf("ScaleInPlace got %v", a.Data())
 	}
 }
 
@@ -131,12 +119,6 @@ func TestShapeMismatchPanics(t *testing.T) {
 
 func TestSumMeanNorms(t *testing.T) {
 	x := FromSlice([]float32{-3, 4}, 2)
-	if x.Sum() != 1 {
-		t.Fatalf("Sum = %v", x.Sum())
-	}
-	if x.Mean() != 0.5 {
-		t.Fatalf("Mean = %v", x.Mean())
-	}
 	if x.MaxAbs() != 4 {
 		t.Fatalf("MaxAbs = %v", x.MaxAbs())
 	}
@@ -144,8 +126,8 @@ func TestSumMeanNorms(t *testing.T) {
 		t.Fatalf("L2Norm = %v", x.L2Norm())
 	}
 	empty := New(0)
-	if empty.Mean() != 0 || empty.MaxAbs() != 0 {
-		t.Fatal("empty tensor stats must be 0")
+	if empty.MaxAbs() != 0 || empty.L2Norm() != 0 {
+		t.Fatal("empty tensor norms must be 0")
 	}
 }
 
@@ -190,19 +172,21 @@ func TestMatMulATBAndABT(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		m, k, n := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6)
 		a, b := randTensor(rng, k, m), randTensor(rng, k, n)
-		got := MatMulATB(a, b)
-		want := naiveMatMul(Transpose2D(a), b)
-		for i := range got.Data() {
-			if !almostEqual(float64(got.Data()[i]), float64(want.Data()[i]), 1e-4) {
-				t.Fatalf("MatMulATB mismatch")
-			}
-		}
 		c, d := randTensor(rng, m, k), randTensor(rng, n, k)
-		got2 := MatMulABT(c, d)
-		want2 := naiveMatMul(c, Transpose2D(d))
-		for i := range got2.Data() {
-			if !almostEqual(float64(got2.Data()[i]), float64(want2.Data()[i]), 1e-4) {
-				t.Fatalf("MatMulABT mismatch")
+		atb, abt := MatMulATB(a, b), MatMulABT(c, d)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				var wantATB, wantABT float32
+				for p := 0; p < k; p++ {
+					wantATB += a.At(p, i) * b.At(p, j)
+					wantABT += c.At(i, p) * d.At(j, p)
+				}
+				if !almostEqual(float64(atb.At(i, j)), float64(wantATB), 1e-4) {
+					t.Fatalf("MatMulATB mismatch at (%d,%d)", i, j)
+				}
+				if !almostEqual(float64(abt.At(i, j)), float64(wantABT), 1e-4) {
+					t.Fatalf("MatMulABT mismatch at (%d,%d)", i, j)
+				}
 			}
 		}
 	}
@@ -217,20 +201,6 @@ func TestMatMulShapeMismatchPanics(t *testing.T) {
 	MatMul(New(2, 3), New(4, 2))
 }
 
-func TestTransposeInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randTensor(rng, 4, 7)
-	b := Transpose2D(Transpose2D(a))
-	if !a.SameShape(b) {
-		t.Fatal("shape changed")
-	}
-	for i := range a.Data() {
-		if a.Data()[i] != b.Data()[i] {
-			t.Fatal("transpose not an involution")
-		}
-	}
-}
-
 // Property: matrix multiplication distributes over addition:
 // A·(B+C) == A·B + A·C.
 func TestMatMulDistributesOverAddition(t *testing.T) {
@@ -240,8 +210,11 @@ func TestMatMulDistributesOverAddition(t *testing.T) {
 		m, k, n := 1+r.Intn(5), 1+r.Intn(5), 1+r.Intn(5)
 		a := randTensor(rng, m, k)
 		b, c := randTensor(rng, k, n), randTensor(rng, k, n)
-		lhs := MatMul(a, Add(b, c))
-		rhs := Add(MatMul(a, b), MatMul(a, c))
+		bc := b.Clone()
+		bc.AddInPlace(c)
+		lhs := MatMul(a, bc)
+		rhs := MatMul(a, b)
+		rhs.AddInPlace(MatMul(a, c))
 		for i := range lhs.Data() {
 			if !almostEqual(float64(lhs.Data()[i]), float64(rhs.Data()[i]), 1e-3) {
 				return false
@@ -321,32 +294,6 @@ func TestIm2ColMatchesNaiveConv(t *testing.T) {
 	}
 }
 
-// Property: Col2Im is the adjoint of Im2Col, i.e. <Im2Col(x), y> == <x, Col2Im(y)>.
-func TestCol2ImAdjoint(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 15; trial++ {
-		c := 1 + rng.Intn(3)
-		kernel := []int{1, 3}[rng.Intn(2)]
-		h, w := kernel+rng.Intn(4), kernel+rng.Intn(4)
-		stride, pad := 1+rng.Intn(2), kernel/2
-		x := randTensor(rng, c, h, w)
-		cols := Im2Col(x, kernel, stride, pad)
-		y := randTensor(rng, cols.Dim(0), cols.Dim(1))
-		back := Col2Im(y, c, h, w, kernel, stride, pad)
-
-		var lhs, rhs float64
-		for i := range cols.Data() {
-			lhs += float64(cols.Data()[i]) * float64(y.Data()[i])
-		}
-		for i := range x.Data() {
-			rhs += float64(x.Data()[i]) * float64(back.Data()[i])
-		}
-		if !almostEqual(lhs, rhs, 1e-2*(1+math.Abs(lhs))) {
-			t.Fatalf("trial %d: adjoint identity violated: %v vs %v", trial, lhs, rhs)
-		}
-	}
-}
-
 func TestInitialisers(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x := New(10000)
@@ -371,7 +318,7 @@ func TestInitialisers(t *testing.T) {
 	z := New(4)
 	z.Fill(3)
 	z.Zero()
-	if z.Sum() != 0 {
+	if z.MaxAbs() != 0 {
 		t.Fatal("Zero failed")
 	}
 }

@@ -57,6 +57,9 @@ fi
 
 gate "go-vet" go vet ./...
 gate "go-build" go build ./...
+# The numeric kernels stay leaf code: parallelism is across frames and
+# snippets, never inside internal/tensor (DESIGN.md §4b).
+gate "tensor-leaf" sh -c '! go list -deps ./internal/tensor | grep -qx adascale/internal/parallel'
 # Portability gate: the `!amd64` stand-in for internal/tensor's assembly row
 # kernel is compiled by no test on an amd64 machine; cross-building for
 # arm64 (works offline) keeps it from rotting. go-vet above runs asmdecl on
