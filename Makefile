@@ -89,6 +89,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=^FuzzClusterEvents$$ -fuzztime=5s ./internal/cluster
 	$(GO) test -run=^$$ -fuzz=^FuzzConvGeometry$$ -fuzztime=5s ./internal/tensor
 	$(GO) test -run=^$$ -fuzz=^FuzzSeedStream$$ -fuzztime=5s ./internal/rng
+	$(GO) test -run=^$$ -fuzz=^FuzzHistogram$$ -fuzztime=5s ./internal/obs
 
 # End-to-end serving gate under the race detector: 200 simulated frames
 # across 4 streams at an unloaded rate must serve with zero drops and a

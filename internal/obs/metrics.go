@@ -1,5 +1,5 @@
 // Package obs is the shared observability layer: the dependency-free
-// metrics registry (counters, gauges, exact-quantile histograms with a
+// metrics registry (counters, gauges, bounded log-linear histograms with a
 // deterministic text snapshot), the per-frame stage tracer, and the
 // profiling hooks (net/http/pprof wiring, CPU/heap dumps) every subsystem
 // and command shares.
@@ -26,20 +26,22 @@ import (
 )
 
 // Metrics is the dependency-free metrics registry: counters, gauges and
-// sample histograms keyed by slash-delimited names ("frames/served",
+// histograms keyed by slash-delimited names ("frames/served",
 // "stream/3/dropped", "latency/ms"). Recorded in virtual simulation time,
 // the registry's final state — and therefore Snapshot() — is
 // byte-identical across runs and worker counts, which is what makes
 // throughput/SLO experiments reproducible.
 //
-// Histograms keep every observation (exact quantiles, deterministic
-// snapshots); a serving simulation records a few samples per frame, so
-// memory stays proportional to the frames served.
+// A histogram keeps bucket counts, not samples (see hist): its count,
+// minimum, maximum and mean are exact, every quantile it reports is at most
+// 1/32 (3.1 %) below the exact nearest-rank sample, and its memory is set by
+// the range of values observed — a few KB for a latency distribution —
+// however many frames are served.
 type Metrics struct {
 	mu       sync.Mutex
 	counters map[string]int64
 	gauges   map[string]float64
-	hists    map[string][]float64
+	hists    map[string]*hist
 }
 
 // NewMetrics creates an empty registry.
@@ -47,7 +49,7 @@ func NewMetrics() *Metrics {
 	return &Metrics{
 		counters: map[string]int64{},
 		gauges:   map[string]float64{},
-		hists:    map[string][]float64{},
+		hists:    map[string]*hist{},
 	}
 }
 
@@ -88,107 +90,86 @@ func (m *Metrics) Gauge(name string) float64 {
 	return m.gauges[name]
 }
 
-// Observe appends one sample to the named histogram.
+// Observe records one sample in the named histogram. NaN and ±Inf are
+// tallied (Snapshot shows the tally when it is non-zero) and otherwise
+// ignored: they enter no bucket, count, minimum, maximum or mean.
 func (m *Metrics) Observe(name string, v float64) {
 	m.mu.Lock()
-	m.hists[name] = append(m.hists[name], v)
+	h := m.hists[name]
+	if h == nil {
+		h = &hist{}
+		m.hists[name] = h
+	}
+	h.observe(v)
 	m.mu.Unlock()
 }
 
 // Merge folds another registry into this one: counters add, gauges keep
 // the maximum (the gauges this codebase records — final virtual time,
-// peak queue depth — are all high-water marks), and histograms append
-// src's samples. The cluster simulator uses it to roll per-node,
-// per-epoch serving registries up into one cluster-wide registry; called
-// in a deterministic (epoch, node) order on deterministic inputs, the
-// merged registry — and its Snapshot — stays byte-identical across runs
-// and worker counts. src is read under its own lock and not mutated.
+// peak queue depth — are all high-water marks), and histograms add src's
+// bucket counts — O(buckets), whatever number of samples they stand for.
+// The cluster simulator uses it to roll per-node, per-epoch serving
+// registries up into one cluster-wide registry; called in a deterministic
+// (epoch, node) order on deterministic inputs, the merged registry — and
+// its Snapshot — stays byte-identical across runs and worker counts. src
+// is read under its own lock, held inside m's, and not mutated; two
+// registries must not be merged into each other at the same time.
 func (m *Metrics) Merge(src *Metrics) {
 	if src == nil || src == m {
 		return
 	}
-	src.mu.Lock()
-	counters := make(map[string]int64, len(src.counters))
-	for k, v := range src.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]float64, len(src.gauges))
-	for k, v := range src.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string][]float64, len(src.hists))
-	for k, v := range src.hists {
-		hists[k] = append([]float64(nil), v...)
-	}
-	src.mu.Unlock()
-
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for k, v := range counters {
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	for k, v := range src.counters {
 		m.counters[k] += v
 	}
-	for k, v := range gauges {
+	for k, v := range src.gauges {
 		if cur, ok := m.gauges[k]; !ok || v > cur {
 			m.gauges[k] = v
 		}
 	}
-	for k, v := range hists {
-		m.hists[k] = append(m.hists[k], v...)
+	for k, sh := range src.hists {
+		h := m.hists[k]
+		if h == nil {
+			h = &hist{}
+			m.hists[k] = h
+		}
+		h.merge(sh)
 	}
 }
 
-// Count returns the number of samples in the named histogram.
+// Count returns the number of finite samples in the named histogram.
 func (m *Metrics) Count(name string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.hists[name])
+	if h := m.hists[name]; h != nil {
+		return h.n
+	}
+	return 0
 }
 
 // Quantile returns the q-quantile (nearest-rank, q in (0, 1]) of the named
-// histogram, or 0 if it has no samples.
+// histogram to within its 1/32 relative bound, or 0 if it has no samples.
 func (m *Metrics) Quantile(name string, q float64) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return quantile(m.sortedLocked(name), q)
+	if h := m.hists[name]; h != nil {
+		return h.quantile(q)
+	}
+	return 0
 }
 
-// Mean returns the mean of the named histogram's samples (0 when empty).
+// Mean returns the exact mean of the named histogram's samples (0 when
+// empty).
 func (m *Metrics) Mean(name string) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := m.hists[name]
-	if len(s) == 0 {
-		return 0
+	if h := m.hists[name]; h != nil {
+		return h.mean()
 	}
-	var sum float64
-	for _, v := range s {
-		sum += v
-	}
-	return sum / float64(len(s))
-}
-
-// sortedLocked returns an ascending copy of the histogram's samples; the
-// caller holds m.mu.
-func (m *Metrics) sortedLocked(name string) []float64 {
-	s := append([]float64(nil), m.hists[name]...)
-	sort.Float64s(s)
-	return s
-}
-
-// quantile is nearest-rank over an ascending sample slice.
-func quantile(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	idx := int(float64(n)*q+0.999999999) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return sorted[idx]
+	return 0
 }
 
 // Snapshot renders the whole registry as deterministic text: sections in
@@ -223,17 +204,12 @@ func (m *Metrics) Snapshot() string {
 	}
 	sort.Strings(names)
 	for _, k := range names {
-		s := m.sortedLocked(k)
-		if len(s) == 0 {
-			continue
-		}
-		var sum float64
-		for _, v := range s {
-			sum += v
-		}
-		fmt.Fprintf(&b, "hist    %-24s n=%d mean=%.3f min=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f\n",
-			k, len(s), sum/float64(len(s)), s[0],
-			quantile(s, 0.50), quantile(s, 0.95), quantile(s, 0.99), s[len(s)-1])
+		h := m.hists[k]
+		writeHistLine(&b, SnapshotHist{
+			Name: k, N: h.n, Mean: h.mean(), Min: h.min,
+			P50: h.quantile(0.50), P95: h.quantile(0.95), P99: h.quantile(0.99),
+			Max: h.max, NonFinite: h.nonfinite,
+		})
 	}
 	return b.String()
 }

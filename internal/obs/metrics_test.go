@@ -33,35 +33,6 @@ func TestMetricsCountersAndGauges(t *testing.T) {
 	}
 }
 
-func TestMetricsQuantilesExact(t *testing.T) {
-	m := NewMetrics()
-	if m.Quantile("empty", 0.5) != 0 || m.Mean("empty") != 0 || m.Count("empty") != 0 {
-		t.Fatal("empty histogram not zero-valued")
-	}
-	// 1..100 inserted out of order: nearest-rank quantiles are exact.
-	for _, v := range []float64{50, 1, 100, 99} {
-		m.Observe("lat", v)
-	}
-	for v := 2.0; v <= 98; v++ {
-		if v != 50 && v != 99 {
-			m.Observe("lat", v)
-		}
-	}
-	if n := m.Count("lat"); n != 100 {
-		t.Fatalf("count = %d, want 100", n)
-	}
-	for _, tc := range []struct{ q, want float64 }{
-		{0.50, 50}, {0.95, 95}, {0.99, 99}, {1.0, 100}, {0.01, 1},
-	} {
-		if got := m.Quantile("lat", tc.q); got != tc.want {
-			t.Fatalf("p%v = %v, want %v", tc.q*100, got, tc.want)
-		}
-	}
-	if got := m.Mean("lat"); got != 50.5 {
-		t.Fatalf("mean = %v, want 50.5", got)
-	}
-}
-
 func TestMetricsSnapshotDeterministic(t *testing.T) {
 	build := func(order []string) *Metrics {
 		m := NewMetrics()

@@ -11,12 +11,14 @@ import (
 // deterministic internal contract (fixed-width text, committed goldens),
 // Prometheus() renders the same registry in the text exposition format
 // (version 0.0.4) a real scrape expects. Counters map to counters, gauges
-// to gauges, and the exact-quantile histograms to summaries (quantile
-// labels + _sum + _count) — the registry keeps every observation, so the
-// quantiles are exact, not sketched. Rendering is deterministic: metrics
-// sort by name, and values format with the shortest round-trip float
-// representation, so a scrape of a virtual-time registry is as
-// golden-testable as its Snapshot.
+// to gauges, and the histograms to summaries (quantile labels + _sum +
+// _count): _sum and _count are exact, each quantile is the registry's
+// bucketed one — at most 1/32 below the exact nearest-rank sample — and a
+// scrape walks bucket counts, so it costs the same after a million samples
+// as after a thousand. Rendering is deterministic: metrics sort by name,
+// and values format with the shortest round-trip float representation, so
+// a scrape of a virtual-time registry is as golden-testable as its
+// Snapshot.
 
 // promQuantiles are the summary quantiles exported per histogram, chosen
 // to match the percentiles Snapshot() renders.
@@ -87,22 +89,18 @@ func (m *Metrics) Prometheus(namespace string) string {
 	}
 	sort.Strings(names)
 	for _, k := range names {
-		s := m.sortedLocked(k)
-		if len(s) == 0 {
+		h := m.hists[k]
+		if h.n == 0 {
 			continue
-		}
-		var sum float64
-		for _, v := range s {
-			sum += v
 		}
 		pn := PromName(namespace, k)
 		fmt.Fprintf(&b, "# HELP %s summary %s\n", pn, k)
 		fmt.Fprintf(&b, "# TYPE %s summary\n", pn)
 		for _, q := range promQuantiles {
-			fmt.Fprintf(&b, "%s{quantile=%q} %s\n", pn, promFloat(q), promFloat(quantile(s, q)))
+			fmt.Fprintf(&b, "%s{quantile=%q} %s\n", pn, promFloat(q), promFloat(h.quantile(q)))
 		}
-		fmt.Fprintf(&b, "%s_sum %s\n", pn, promFloat(sum))
-		fmt.Fprintf(&b, "%s_count %d\n", pn, len(s))
+		fmt.Fprintf(&b, "%s_sum %s\n", pn, promFloat(h.sum))
+		fmt.Fprintf(&b, "%s_count %d\n", pn, h.n)
 	}
 	return b.String()
 }

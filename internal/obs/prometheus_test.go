@@ -7,8 +7,8 @@ import (
 )
 
 // TestPrometheusRender pins the exposition format end to end: section
-// order (counters, gauges, summaries), HELP/TYPE lines, exact quantiles
-// and shortest-round-trip floats.
+// order (counters, gauges, summaries), HELP/TYPE lines, quantiles (of small
+// integers, which the buckets report exactly) and shortest-round-trip floats.
 func TestPrometheusRender(t *testing.T) {
 	m := NewMetrics()
 	m.Inc("frames/served", 3)

@@ -27,11 +27,13 @@ type SnapshotGauge struct {
 	Value float64
 }
 
-// SnapshotHist is one parsed histogram summary line.
+// SnapshotHist is one parsed histogram summary line. NonFinite is the
+// trailing nonfinite= tally, rendered only when it is not zero.
 type SnapshotHist struct {
 	Name                          string
 	N                             int
 	Mean, Min, P50, P95, P99, Max float64
+	NonFinite                     int
 }
 
 // ParsedSnapshot is the structured form of a Metrics.Snapshot text.
@@ -87,7 +89,7 @@ func ParseSnapshot(s string) (*ParsedSnapshot, error) {
 				return nil, bad(err)
 			}
 			p.Gauges = append(p.Gauges, SnapshotGauge{Name: fields[1], Value: v})
-		case fields[0] == "hist" && len(fields) == 9:
+		case fields[0] == "hist" && (len(fields) == 9 || len(fields) == 10):
 			h := SnapshotHist{Name: fields[1]}
 			dsts := []struct {
 				key string
@@ -96,9 +98,9 @@ func ParseSnapshot(s string) (*ParsedSnapshot, error) {
 			}{
 				{key: "n", n: &h.N}, {key: "mean", f: &h.Mean}, {key: "min", f: &h.Min},
 				{key: "p50", f: &h.P50}, {key: "p95", f: &h.P95}, {key: "p99", f: &h.P99},
-				{key: "max", f: &h.Max},
+				{key: "max", f: &h.Max}, {key: "nonfinite", n: &h.NonFinite},
 			}
-			for i, d := range dsts {
+			for i, d := range dsts[:len(fields)-2] {
 				k, v, ok := strings.Cut(fields[2+i], "=")
 				if !ok || k != d.key {
 					return nil, bad(fmt.Errorf("want field %q", d.key))
@@ -137,8 +139,17 @@ func (p *ParsedSnapshot) String() string {
 		fmt.Fprintf(&b, "gauge   %-24s %.3f\n", g.Name, g.Value)
 	}
 	for _, h := range p.Hists {
-		fmt.Fprintf(&b, "hist    %-24s n=%d mean=%.3f min=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f\n",
-			h.Name, h.N, h.Mean, h.Min, h.P50, h.P95, h.P99, h.Max)
+		writeHistLine(&b, h)
 	}
 	return b.String()
+}
+
+// writeHistLine renders one histogram line of the snapshot format.
+func writeHistLine(b *strings.Builder, h SnapshotHist) {
+	fmt.Fprintf(b, "hist    %-24s n=%d mean=%.3f min=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f",
+		h.Name, h.N, h.Mean, h.Min, h.P50, h.P95, h.P99, h.Max)
+	if h.NonFinite > 0 {
+		fmt.Fprintf(b, " nonfinite=%d", h.NonFinite)
+	}
+	b.WriteByte('\n')
 }

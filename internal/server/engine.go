@@ -115,19 +115,31 @@ type stream struct {
 	results resultLog
 }
 
-// resultLog is a stream's append-only log of served frames, held in fixed
-// pages rather than one slice: a slice re-grown by append keeps the old and
-// the new array alive together — transiently twice the log — and the log is
-// longest exactly when a fast closed loop serves the most frames.
+// resultLog is a stream's served frames as a bounded ring of fixed pages:
+// result i of the stream keeps index i for ever, but only the newest
+// resultPages pages are held, so a stream's memory does not grow with the
+// frames it has served. Pages, not one slice: a slice re-grown by append
+// keeps the old and the new array alive together, and retiring a page is
+// dropping one pointer.
 type resultLog struct {
 	pages [][]FrameResult // every page but the last holds resultPage entries
-	n     int
+	base  int             // index of pages[0][0]; results [0, base) are retired
+	n     int             // results ever appended
 }
 
-const resultPage = 256
+// A stream keeps its last 768–1024 results: a reader further behind than
+// that is answered from the oldest one retained (see engine.results).
+const (
+	resultPage  = 256
+	resultPages = 4
+)
 
 func (l *resultLog) append(r FrameResult) {
 	if l.n%resultPage == 0 {
+		if len(l.pages) == resultPages {
+			l.pages = append(l.pages[:0], l.pages[1:]...)
+			l.base += resultPage
+		}
 		l.pages = append(l.pages, make([]FrameResult, 0, resultPage))
 	}
 	last := &l.pages[len(l.pages)-1]
@@ -135,9 +147,10 @@ func (l *resultLog) append(r FrameResult) {
 	l.n++
 }
 
-// tail returns a copy of entries [from, n); from must be in [0, n].
+// tail returns a copy of entries [from, n); from must be in [base, n].
 func (l *resultLog) tail(from int) []FrameResult {
 	out := make([]FrameResult, 0, l.n-from)
+	from -= l.base
 	for i := from / resultPage; i < len(l.pages); i++ {
 		out = append(out, l.pages[i][max(from-i*resultPage, 0):]...)
 	}
@@ -267,7 +280,9 @@ func (e *engine) ingest(id int, frames []FrameSpec) (IngestReply, error) {
 }
 
 // results returns stream id's served outputs from offset `from` on, plus
-// its running accounting.
+// its running accounting. The reply's From is where the results actually
+// start: it is greater than the one asked for exactly when a slow reader's
+// offset has been retired from the ring, and the difference is the gap.
 func (e *engine) results(id, from int) (ResultsReply, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -275,12 +290,7 @@ func (e *engine) results(id, from int) (ResultsReply, error) {
 		return ResultsReply{}, ErrNoSuchStream
 	}
 	s := e.streams[id]
-	if from < 0 {
-		from = 0
-	}
-	if from > s.results.n {
-		from = s.results.n
-	}
+	from = min(max(from, s.results.base), s.results.n)
 	return ResultsReply{
 		StreamID: id, From: from,
 		Offered: s.Offered, Served: s.Served, Dropped: s.Dropped,

@@ -48,8 +48,16 @@ func (s *Server) logMiddleware(next http.Handler) http.Handler {
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(rec, r)
 		s.metrics.Inc("http/requests", 1)
-		s.metrics.Inc(fmt.Sprintf("http/status/%dxx", rec.status/100), 1)
+		s.metrics.Inc(statusKeys[min(rec.status/100, len(statusKeys)-1)], 1)
 	})
+}
+
+// statusKeys are the per-status-class counter names by status/100, so a
+// request does not format one (net/http refuses codes below 100; one above
+// 599, which no handler here writes, would count as 5xx).
+var statusKeys = [6]string{
+	"http/status/0xx", "http/status/1xx", "http/status/2xx",
+	"http/status/3xx", "http/status/4xx", "http/status/5xx",
 }
 
 // tenantLimiter applies a token bucket per tenant, refilled from the clock

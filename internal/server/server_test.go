@@ -462,18 +462,20 @@ GET /metrics
 	}
 }
 
-// TestResultLogTailAcrossPages pins the paged result log against the slice
+// TestResultLogTailAcrossPages pins the paged result ring against the slice
 // it replaced: every offset's tail, including offsets on and either side of
-// a page boundary and the empty tail, which must stay non-nil (it is the
-// JSON `[]` of a caught-up reader).
+// a page boundary, offsets already retired (answered from the oldest entry
+// kept) and the empty tail, which must stay non-nil (it is the JSON `[]` of
+// a caught-up reader).
 func TestResultLogTailAcrossPages(t *testing.T) {
 	var l resultLog
 	var want []FrameResult
-	for i := 0; i <= 2*resultPage+3; i++ {
-		for _, from := range []int{0, i / 2, resultPage - 1, resultPage, resultPage + 1, 2 * resultPage, i} {
-			if from > i {
-				continue
-			}
+	for i := 0; i <= (resultPages+2)*resultPage+3; i++ {
+		if i > resultPages*resultPage && (i-l.base > resultPages*resultPage || i-l.base < (resultPages-1)*resultPage) {
+			t.Fatalf("n=%d: ring holds %d results, want %d–%d", i, i-l.base, (resultPages-1)*resultPage, resultPages*resultPage)
+		}
+		for _, from := range []int{0, i / 2, resultPage - 1, resultPage, resultPage + 1, i - resultPage, i} {
+			from = min(max(from, l.base), i) // what engine.results clamps to
 			got := l.tail(from)
 			if got == nil || len(got) != len(want)-from {
 				t.Fatalf("n=%d from=%d: tail has %d entries (nil %v), want %d", i, from, len(got), got == nil, len(want)-from)
@@ -486,5 +488,35 @@ func TestResultLogTailAcrossPages(t *testing.T) {
 		}
 		l.append(FrameResult{Index: i})
 		want = append(want, FrameResult{Index: i})
+	}
+}
+
+// TestSlowReaderAcrossRetirement: a reader that polls once after more than
+// a ring of frames were served gets the retained tail, is told where it
+// starts (From > the offset asked: the gap), continues from there without a
+// hole or a repeat, and the stream's accounting never notices.
+func TestSlowReaderAcrossRetirement(t *testing.T) {
+	srv := newServer(t, Config{Workers: 1, Sync: true, Clock: NewScriptClock()})
+	id := admit(t, srv, "cam")
+	const total = resultPages*resultPage + 10
+	for i := 0; i < total; i++ {
+		if _, err := srv.engine.ingest(id, []FrameSpec{{W: 64, H: 48}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := srv.engine.results(id, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.From != resultPage || len(res.Results) != total-resultPage || res.Results[0].Index != resultPage {
+		t.Fatalf("slow reader: from=%d, %d results starting at frame %d; want the gap answer from=%d",
+			res.From, len(res.Results), res.Results[0].Index, resultPage)
+	}
+	if res.Offered != total || res.Served+res.Dropped != total {
+		t.Fatalf("conservation broken by retirement: offered %d served %d dropped %d", res.Offered, res.Served, res.Dropped)
+	}
+	next, err := srv.engine.results(id, res.From+len(res.Results))
+	if err != nil || next.From != total || len(next.Results) != 0 {
+		t.Fatalf("caught-up reader: from=%d, %d results, err %v", next.From, len(next.Results), err)
 	}
 }

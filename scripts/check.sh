@@ -76,7 +76,8 @@ gate "go-test-race" go test -race -shuffle=on -timeout 60m ./...
 # Brief randomized fuzzing on top of the committed seed corpus — the NMS
 # and evaluator harnesses must hold on degenerate boxes (NaN/Inf
 # coordinates, out-of-range classes) far beyond what the unit tests pin,
-# and the random stream must equal math/rand's from any seed.
+# the random stream must equal math/rand's from any seed, and a histogram
+# must conserve counts and keep its quantiles ordered on any float bits.
 gate "fuzz-nms" go test -run='^$' -fuzz='^FuzzNMS$' -fuzztime=5s ./internal/detect
 gate "fuzz-evaluate" go test -run='^$' -fuzz='^FuzzEvaluate$' -fuzztime=5s ./internal/eval
 gate "fuzz-loadgen" go test -run='^$' -fuzz='^FuzzLoadgen$' -fuzztime=5s ./internal/serve
@@ -84,6 +85,7 @@ gate "fuzz-ingest" go test -run='^$' -fuzz='^FuzzIngestDecode$' -fuzztime=5s ./i
 gate "fuzz-cluster" go test -run='^$' -fuzz='^FuzzClusterEvents$' -fuzztime=5s ./internal/cluster
 gate "fuzz-conv" go test -run='^$' -fuzz='^FuzzConvGeometry$' -fuzztime=5s ./internal/tensor
 gate "fuzz-rng" go test -run='^$' -fuzz='^FuzzSeedStream$' -fuzztime=5s ./internal/rng
+gate "fuzz-histogram" go test -run='^$' -fuzz='^FuzzHistogram$' -fuzztime=5s ./internal/obs
 
 # End-to-end serving gate under the race detector: 200 simulated frames
 # across 4 streams at an unloaded rate must serve with zero drops and a
