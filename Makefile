@@ -59,11 +59,13 @@ race:
 bench:
 	$(GO) test -run=^$$ -bench=. -benchmem .
 
-# Kernel-level microbenchmarks: the serial matmul, im2col, the band-tiled
-# convolution at the backbone's layer shapes (the log names the row kernel
-# that ran: AVX2 assembly or the Go tile) vs the historical im2col+matmul
-# lowering, and the arena pool — serial kernels, so one CPU — then the
-# scheduler alone
+# Kernel-level microbenchmarks: the serial matmul, the tiled A·Bᵀ at the
+# regressor's three dW shapes, im2col, the band-tiled convolution at the
+# backbone's layer shapes (the log names the row kernel that ran: AVX2
+# assembly or the Go tile) vs the historical im2col+matmul lowering, and the
+# arena pool — serial kernels, so one CPU — a whole regressor Fit on the
+# repository benchmark's 960 labels (the serial three quarters of setup_s),
+# then the scheduler alone
 # (model-only Run, ns/frame and allocs/frame at 16 / 1000 / 10000 streams,
 # plain and under chaos: the curve the dispatch index keeps flat), the
 # random stream with math/rand's figure beside each (seed + 12 draws, a
@@ -74,6 +76,7 @@ bench:
 # in BENCHMARK.json).
 microbench:
 	$(GO) test -run=^$$ -bench=. -benchmem -cpu 1 ./internal/tensor
+	$(GO) test -run=^$$ -bench=Fit -benchtime=3x -cpu 1 ./internal/regressor
 	$(GO) test -run=^$$ -bench=SchedulerModelOnly -benchtime=3x ./internal/serve
 	$(GO) test -run=^$$ -bench=. -cpu 1 ./internal/rng
 	$(GO) test -run=^$$ -bench=FrameRender -benchmem -cpu 1 .
@@ -88,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=^FuzzIngestDecode$$ -fuzztime=5s ./internal/server
 	$(GO) test -run=^$$ -fuzz=^FuzzClusterEvents$$ -fuzztime=5s ./internal/cluster
 	$(GO) test -run=^$$ -fuzz=^FuzzConvGeometry$$ -fuzztime=5s ./internal/tensor
+	$(GO) test -run=^$$ -fuzz=^FuzzMatMulABT$$ -fuzztime=5s ./internal/tensor
 	$(GO) test -run=^$$ -fuzz=^FuzzSeedStream$$ -fuzztime=5s ./internal/rng
 	$(GO) test -run=^$$ -fuzz=^FuzzHistogram$$ -fuzztime=5s ./internal/obs
 

@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"adascale/internal/adascale"
@@ -49,6 +50,9 @@ func main() {
 	}
 	ks, err := cli.ParseInts(*kernels)
 	if err != nil {
+		fail(err)
+	}
+	if err := checkRecipe(*epochs, *lr); err != nil {
 		fail(err)
 	}
 
@@ -84,6 +88,19 @@ func main() {
 	}
 
 	common.WriteTrace("adascale-train")
+}
+
+// checkRecipe rejects a training recipe that cannot produce usable weights.
+// Zero epochs is among them: adascale.Build reads Train.Epochs == 0 as "no
+// recipe given" and substitutes the whole default one, -lr included.
+func checkRecipe(epochs int, lr float64) error {
+	if epochs < 1 {
+		return fmt.Errorf("-epochs must be at least 1, got %d", epochs)
+	}
+	if math.IsNaN(lr) || math.IsInf(lr, 0) || lr <= 0 {
+		return fmt.Errorf("-lr must be a positive finite number, got %g", lr)
+	}
+	return nil
 }
 
 // resilienceSmoke runs the freshly trained system through the resilient

@@ -2,7 +2,7 @@ package nn
 
 import "adascale/internal/tensor"
 
-// ReLU applies max(0, x) elementwise. Shape-preserving.
+// ReLU applies max(0, x) elementwise, in place. Shape-preserving.
 type ReLU struct {
 	mask []bool
 }
@@ -10,10 +10,10 @@ type ReLU struct {
 // NewReLU returns a ReLU layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward applies the rectifier and records the active mask for Backward.
+// Forward rectifies x in place, records the active mask for Backward and
+// returns x.
 func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Clone()
-	d := out.Data()
+	d := x.Data()
 	if cap(r.mask) < len(d) {
 		r.mask = make([]bool, len(d))
 	}
@@ -26,13 +26,13 @@ func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 			d[i] = 0
 		}
 	}
-	return out
+	return x
 }
 
-// Backward zeroes gradient entries where the input was non-positive.
+// Backward zeroes, in place, the entries of dy where the input was
+// non-positive, and returns dy.
 func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	out := dy.Clone()
-	d := out.Data()
+	d := dy.Data()
 	if len(r.mask) != len(d) {
 		panic("nn: ReLU.Backward shape does not match last Forward")
 	}
@@ -41,7 +41,7 @@ func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			d[i] = 0
 		}
 	}
-	return out
+	return dy
 }
 
 // Clone returns a fresh ReLU (the active-mask cache is per instance).

@@ -20,9 +20,9 @@ type Conv2D struct {
 
 	lastX *tensor.Tensor // the last Forward input, for Backward
 
-	// cols is Backward's im2col scratch, reused whenever its capacity covers
-	// the input (training presents a few feature-map sizes over and over).
-	cols []float32
+	// Training scratch: Forward's output, Backward's lowered input, dy seen
+	// as a matrix, and dW before it is added to the gradient.
+	out, cols, dym, dw scratch
 }
 
 // NewConv2D creates a convolution with He-initialised weights and zero
@@ -40,10 +40,14 @@ func NewConv2D(rng *rand.Rand, inC, outC, kernel, stride, pad int) *Conv2D {
 	}
 }
 
-// Forward computes the convolution of a C×H×W input into a fresh tensor
-// and remembers the input for Backward.
+// Forward computes the convolution of a C×H×W input into the layer's output
+// scratch and remembers the input for Backward.
 func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := c.Infer(x, nil)
+	mustDims(x, 3, "Conv2D")
+	out := c.out.get(c.OutC,
+		tensor.ConvOutSize(x.Dim(1), c.Kernel, c.Stride, c.Pad),
+		tensor.ConvOutSize(x.Dim(2), c.Kernel, c.Stride, c.Pad))
+	tensor.ConvInto(out, x, c.Weight.W, c.Bias.W, c.Stride, c.Pad) // panics on a channel mismatch
 	c.lastX = x
 	return out
 }
@@ -73,17 +77,24 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) {
 		panic("nn: Conv2D.Backward called before Forward")
 	}
 	n := dy.Dim(1) * dy.Dim(2)
-	dym := dy.Reshape(c.OutC, n)
+	dym := c.dym.view(dy.Data(), c.OutC, n)
 
-	// dW = dy · colsᵀ, cols the im2col lowering of the saved input.
+	// dW = dy · colsᵀ, cols the im2col lowering of the saved input — which
+	// for a 1×1, stride-1, unpadded kernel is the input itself, row for row.
 	rows := c.InC * c.Kernel * c.Kernel
-	if cap(c.cols) < rows*n {
-		c.cols = make([]float32, rows*n)
+	var cols *tensor.Tensor
+	if c.Kernel == 1 && c.Stride == 1 && c.Pad == 0 {
+		cols = c.cols.view(x.Data(), rows, n)
+	} else {
+		cols = c.cols.get(rows, n)
+		tensor.Im2ColInto(cols, x, c.Kernel, c.Stride, c.Pad)
 	}
-	cols := tensor.FromSlice(c.cols[:rows*n], rows, n)
-	tensor.Im2ColInto(cols, x, c.Kernel, c.Stride, c.Pad)
-	dw := tensor.MatMulABT(dym, cols)
-	c.Weight.Grad.AddInPlace(dw.Reshape(c.Weight.W.Shape()...))
+	dw := c.dw.get(c.OutC, rows)
+	tensor.MatMulABTInto(dw, dym, cols)
+	wg := c.Weight.Grad.Data()
+	for i, v := range dw.Data() {
+		wg[i] += v
+	}
 
 	// db = row sums of dy
 	bd := c.Bias.Grad.Data()
@@ -100,9 +111,10 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) {
 // Params returns the weight and bias parameters.
 func (c *Conv2D) Params() []*Param { return []*Param{c.Weight, c.Bias} }
 
-// Clone returns an independent deep copy with empty forward caches. Layers
-// cache activations between Forward and Backward and are not safe for
-// concurrent use; the parallel pipeline gives each worker its own clone.
+// Clone returns an independent deep copy with empty forward caches and no
+// training scratch. Layers cache activations between Forward and Backward
+// and are not safe for concurrent use; the parallel pipeline gives each
+// worker its own clone.
 func (c *Conv2D) Clone() *Conv2D {
 	return &Conv2D{
 		InC: c.InC, OutC: c.OutC, Kernel: c.Kernel, Stride: c.Stride, Pad: c.Pad,

@@ -15,6 +15,9 @@ type Dense struct {
 	Bias    *Param // Out
 
 	lastX *tensor.Tensor
+
+	// Training scratch: x and dy seen as columns, and the three products.
+	xcol, dycol, y, dw, dx scratch
 }
 
 // NewDense creates a Dense layer with Xavier-initialised weights.
@@ -35,8 +38,9 @@ func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Dense expects input length %d, got %d", d.In, x.Dim(0)))
 	}
 	d.lastX = x
-	out := tensor.MatMul(d.Weight.W, x.Reshape(d.In, 1))
-	y := out.Reshape(d.Out)
+	y := d.y.get(d.Out, 1)
+	tensor.MatMulInto(y, d.Weight.W, d.xcol.view(x.Data(), d.In, 1))
+	y = d.y.view(y.Data(), d.Out)
 	y.AddInPlace(d.Bias.W)
 	return y
 }
@@ -46,12 +50,14 @@ func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if d.lastX == nil {
 		panic("nn: Dense.Backward called before Forward")
 	}
-	dyCol := dy.Reshape(d.Out, 1)
-	dw := tensor.MatMulABT(dyCol, d.lastX.Reshape(d.In, 1))
+	d.Bias.Grad.AddInPlace(d.dycol.view(dy.Data(), d.Out))
+	dyCol := d.dycol.view(dy.Data(), d.Out, 1)
+	dw := d.dw.get(d.Out, d.In)
+	tensor.MatMulABTInto(dw, dyCol, d.xcol.view(d.lastX.Data(), d.In, 1))
 	d.Weight.Grad.AddInPlace(dw)
-	d.Bias.Grad.AddInPlace(dy.Reshape(d.Out))
-	dx := tensor.MatMulATB(d.Weight.W, dyCol)
-	return dx.Reshape(d.In)
+	dx := d.dx.get(d.In, 1)
+	tensor.MatMulATBInto(dx, d.Weight.W, dyCol)
+	return d.dx.view(dx.Data(), d.In)
 }
 
 // Params returns the weight and bias parameters.

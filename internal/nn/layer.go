@@ -14,6 +14,12 @@
 // Layers cache their last input between Forward and Backward and are
 // therefore not safe for concurrent use; clone a network per goroutine
 // instead.
+//
+// A training step allocates nothing once warm: what a layer's Forward or
+// Backward returns is the layer's own storage, valid until the next call of
+// that method on that layer (ReLU works in place on what it is handed), so a
+// caller that keeps a result across samples copies it. A Clone starts with
+// none of that storage.
 package nn
 
 import (
@@ -58,6 +64,32 @@ func CountParams(ps []*Param) int {
 		n += p.W.Size()
 	}
 	return n
+}
+
+// scratch is a tensor a layer owns and hands out again on every sample:
+// storage and header are reused, growing to the largest shape seen (training
+// presents the same few feature-map sizes over and over).
+type scratch struct {
+	t   *tensor.Tensor
+	buf []float32
+}
+
+// get returns the scratch with the given shape; its contents are stale.
+func (s *scratch) get(shape ...int) *tensor.Tensor {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	if cap(s.buf) < n {
+		s.buf = make([]float32, n)
+	}
+	return s.view(s.buf[:n], shape...)
+}
+
+// view points the scratch's header at storage the layer does not own.
+func (s *scratch) view(data []float32, shape ...int) *tensor.Tensor {
+	s.t = tensor.FromSliceInto(s.t, data, shape...)
+	return s.t
 }
 
 func mustDims(x *tensor.Tensor, dims int, layer string) {

@@ -174,6 +174,40 @@ func TestFusedConvBitIdentical(t *testing.T) {
 	}
 }
 
+// TestConvBackwardBitIdentical holds Conv2D.Backward's weight gradient to
+// the product it is defined as, dW = dy·Im2Col(x)ᵀ accumulated onto what was
+// there — in particular for the 1×1 branch, which reads its input in place
+// of a lowered copy, and across two samples of different sizes, which is
+// when the reused scratch is re-pointed.
+func TestConvBackwardBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(98))
+	for _, c := range []struct{ inC, outC, kernel, stride, pad int }{
+		{16, 8, 1, 1, -1}, // regressor 1×1 branch: no lowering
+		{16, 8, 3, 1, -1}, // regressor 3×3 branch
+		{4, 3, 1, 2, 0},   // 1×1 but strided: must lower
+		{4, 3, 1, 1, 1},   // 1×1 but padded: must lower
+	} {
+		conv := NewConv2D(rng, c.inC, c.outC, c.kernel, c.stride, c.pad)
+		want := tensor.New(c.outC, c.inC*c.kernel*c.kernel)
+		for _, hw := range [][2]int{{19, 34}, {4, 8}} {
+			x := tensor.New(c.inC, hw[0], hw[1])
+			x.RandNormal(rng, 0, 1)
+			y := conv.Forward(x)
+			dy := tensor.New(y.Shape()...)
+			dy.RandNormal(rng, 0, 1)
+			conv.Backward(dy)
+
+			cols := tensor.Im2Col(x, conv.Kernel, conv.Stride, conv.Pad)
+			want.AddInPlace(tensor.MatMulABT(dy.Reshape(c.outC, cols.Dim(1)), cols))
+			for i, v := range conv.Weight.Grad.Data() {
+				if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+					t.Fatalf("%+v at %v: dW[%d] = %v, lowered product %v", c, hw, i, v, want.Data()[i])
+				}
+			}
+		}
+	}
+}
+
 func TestConv2DOutputShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	conv := NewConv2D(rng, 3, 8, 3, 1, -1)
@@ -205,6 +239,48 @@ func TestDenseForwardKnown(t *testing.T) {
 	y := d.Forward(tensor.FromSlice([]float32{1, 1}, 2))
 	if y.At(0) != 3.5 || y.At(1) != 6.5 {
 		t.Fatalf("Dense forward = %v", y.Data())
+	}
+}
+
+// TestDenseBitIdenticalToMatMul: the head's products through reused scratch
+// give the bits of freshly allocated ones — W·x + b, dW += dy·xᵀ, dx = Wᵀ·dy
+// — with exact zeros among weights and inputs and over two accumulated
+// samples, the second of which finds every header already pointed somewhere.
+func TestDenseBitIdenticalToMatMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	const in, out = 16, 3
+	d := NewDense(rng, in, out)
+	d.Bias.W.RandNormal(rng, 0, 1)
+	wantW, wantB := tensor.New(out, in), tensor.New(out)
+	same := func(name string, got, want *tensor.Tensor) {
+		t.Helper()
+		for i, v := range got.Data() {
+			if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+				t.Fatalf("%s[%d] = %v (bits %08x), matmul gives %v (bits %08x)",
+					name, i, v, math.Float32bits(v), want.Data()[i], math.Float32bits(want.Data()[i]))
+			}
+		}
+	}
+	for sample := 0; sample < 2; sample++ {
+		x, dy := tensor.New(in), tensor.New(out)
+		x.RandNormal(rng, 0, 1)
+		dy.RandNormal(rng, 0, 1)
+		for i := 0; i < in; i += 3 {
+			x.Data()[i] = 0
+			d.Weight.W.Data()[rng.Intn(in*out)] = 0
+		}
+		dy.Data()[0] = -float32(math.Abs(float64(dy.Data()[0])))
+
+		y := tensor.MatMul(d.Weight.W, x.Reshape(in, 1)).Reshape(out)
+		y.AddInPlace(d.Bias.W)
+		same("y", d.Forward(x), y)
+
+		dx := d.Backward(dy)
+		same("dx", dx, tensor.MatMulATB(d.Weight.W, dy.Reshape(out, 1)))
+		wantW.AddInPlace(tensor.MatMulABT(dy.Reshape(out, 1), x.Reshape(in, 1)))
+		wantB.AddInPlace(dy)
+		same("dW", d.Weight.Grad, wantW)
+		same("db", d.Bias.Grad, wantB)
 	}
 }
 

@@ -9,6 +9,8 @@ import "adascale/internal/tensor"
 // from images at arbitrary scales.
 type GlobalAvgPool struct {
 	lastH, lastW int
+
+	out, dx scratch // Forward's and Backward's results
 }
 
 // NewGlobalAvgPool returns a global average pooling layer.
@@ -19,7 +21,7 @@ func (g *GlobalAvgPool) Forward(x *tensor.Tensor) *tensor.Tensor {
 	mustDims(x, 3, "GlobalAvgPool")
 	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
 	g.lastH, g.lastW = h, w
-	out := tensor.New(c)
+	out := g.out.get(c)
 	xd, od := x.Data(), out.Data()
 	n := h * w
 	inv := 1 / float32(n)
@@ -37,7 +39,7 @@ func (g *GlobalAvgPool) Forward(x *tensor.Tensor) *tensor.Tensor {
 func (g *GlobalAvgPool) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	c := dy.Dim(0)
 	n := g.lastH * g.lastW
-	out := tensor.New(c, g.lastH, g.lastW)
+	out := g.dx.get(c, g.lastH, g.lastW)
 	od, dyd := out.Data(), dy.Data()
 	inv := 1 / float32(n)
 	for ch := 0; ch < c; ch++ {

@@ -94,7 +94,10 @@ type Regressor struct {
 	pools    []*nn.GlobalAvgPool
 	fc       *nn.Dense
 
-	lastPooled []*tensor.Tensor
+	// Training scratch, reused across samples: the pooled branch outputs
+	// side by side (the head's input), the loss gradient as a tensor, and
+	// one branch's slice of the head's input gradient.
+	concat, dt, dv *tensor.Tensor
 
 	// scratch recycles branch activation buffers across Predict calls.
 	// Per-regressor (clones get their own), so workers never contend.
@@ -123,8 +126,9 @@ func New(rng *rand.Rand, kernels []int) *Regressor {
 }
 
 // Clone returns an independent regressor with identical weights. All
-// parameters are deep-copied and activation caches start empty, so a clone
-// can run Forward (or even train) concurrently with the original without
+// parameters are deep-copied and activation caches start empty — none of
+// the original's training scratch follows it into serving — so a clone can
+// run Forward (or even train) concurrently with the original without
 // sharing any mutable state.
 func (r *Regressor) Clone() *Regressor {
 	c := &Regressor{
@@ -143,15 +147,15 @@ func (r *Regressor) Clone() *Regressor {
 // Forward regresses t from a deep feature map (C×H×W, any spatial size —
 // global pooling absorbs the scale-dependent resolution).
 func (r *Regressor) Forward(features *tensor.Tensor) float64 {
-	concat := tensor.New(branchChannels * len(r.branches))
-	r.lastPooled = r.lastPooled[:0]
+	if r.concat == nil {
+		r.concat = tensor.New(branchChannels * len(r.branches))
+		r.dt, r.dv = tensor.New(1), tensor.New(branchChannels)
+	}
 	for i := range r.branches {
 		v := r.pools[i].Forward(r.relus[i].Forward(r.branches[i].Forward(features)))
-		copy(concat.Data()[i*branchChannels:], v.Data())
-		r.lastPooled = append(r.lastPooled, v)
+		copy(r.concat.Data()[i*branchChannels:], v.Data())
 	}
-	out := r.fc.Forward(concat)
-	return float64(out.At(0))
+	return float64(r.fc.Forward(r.concat).Data()[0])
 }
 
 // Predict regresses t through the inference-only fast path: fused pooled
@@ -195,15 +199,14 @@ func (r *Regressor) Predict(features *tensor.Tensor) float64 {
 // Backward propagates the scalar loss gradient dt through the module,
 // accumulating parameter gradients. Must follow Forward.
 func (r *Regressor) Backward(dt float64) {
-	if len(r.lastPooled) == 0 {
+	if r.concat == nil {
 		panic("regressor: Backward called before Forward")
 	}
-	dconcat := r.fc.Backward(tensor.FromSlice([]float32{float32(dt)}, 1))
+	r.dt.Data()[0] = float32(dt)
+	dconcat := r.fc.Backward(r.dt)
 	for i := range r.branches {
-		dv := tensor.FromSlice(
-			append([]float32(nil), dconcat.Data()[i*branchChannels:(i+1)*branchChannels]...),
-			branchChannels)
-		r.branches[i].Backward(r.relus[i].Backward(r.pools[i].Backward(dv)))
+		copy(r.dv.Data(), dconcat.Data()[i*branchChannels:(i+1)*branchChannels])
+		r.branches[i].Backward(r.relus[i].Backward(r.pools[i].Backward(r.dv)))
 	}
 }
 

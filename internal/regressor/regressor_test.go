@@ -305,3 +305,23 @@ func containsInt(xs []int, v int) bool {
 	}
 	return false
 }
+
+// BenchmarkFit trains a fresh regressor on the repository benchmark's
+// corpus — VIDLike(1), 16 training snippets, dense labels: 960 cached
+// feature maps, two epochs — which is the serial three quarters of an
+// adascale.Build and so of the benchmark's setup_s. The labels are generated
+// once, outside the timer.
+func BenchmarkFit(b *testing.B) {
+	ds, err := synth.Generate(synth.VIDLike(1), 16, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	det := rfcn.New(&ds.Config, []int{600, 480, 360, 240})
+	labels := GenerateLabelsAllScales(det, synth.Frames(ds.Train), SReg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		New(rand.New(rand.NewSource(1)), DefaultKernels).Fit(labels, DefaultTrainConfig())
+	}
+	b.ReportMetric(float64(len(labels)), "labels")
+}

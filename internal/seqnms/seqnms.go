@@ -68,10 +68,19 @@ func Apply(frames [][]detect.Detection, opts Options) [][]detect.Detection {
 		taken bool // selected into a chain (final)
 		score float64
 	}
+	// The DP tables and the traced chain are allocated once for the snippet:
+	// every pass below overwrites every entry of best and prev before it
+	// reads it, so one pass's values never leak into the next.
+	type ref struct{ t, i int }
 	work := make([][]node, len(frames))
+	best := make([][]float64, len(frames))
+	prev := make([][]int, len(frames))
+	var chain []ref
 	remaining := 0
 	for t, dets := range frames {
 		work[t] = make([]node, len(dets))
+		best[t] = make([]float64, len(dets))
+		prev[t] = make([]int, len(dets))
 		for i, d := range dets {
 			work[t][i] = node{det: d, alive: true, score: d.Score}
 			remaining++
@@ -81,13 +90,9 @@ func Apply(frames [][]detect.Detection, opts Options) [][]detect.Detection {
 	for remaining > 0 {
 		// Dynamic programming for the maximum-score chain over alive nodes:
 		// best[t][i] = det score + max over linked predecessors.
-		best := make([][]float64, len(work))
-		prev := make([][]int, len(work))
 		var maxScore float64 = -1
 		maxT, maxI := -1, -1
 		for t := range work {
-			best[t] = make([]float64, len(work[t]))
-			prev[t] = make([]int, len(work[t]))
 			for i := range work[t] {
 				if !work[t][i].alive {
 					best[t][i] = -1
@@ -123,8 +128,7 @@ func Apply(frames [][]detect.Detection, opts Options) [][]detect.Detection {
 		}
 
 		// Trace the chain back.
-		type ref struct{ t, i int }
-		var chain []ref
+		chain = chain[:0]
 		for t, i := maxT, maxI; i >= 0; {
 			chain = append(chain, ref{t, i})
 			pi := prev[t][i]

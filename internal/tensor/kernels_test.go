@@ -82,6 +82,101 @@ func TestMatMulIntoOverwritesDst(t *testing.T) {
 	bitsEqual(t, "MatMulABTInto", abt, MatMulABT(a, bt))
 }
 
+// naiveABT is the oracle MatMulABTInto is held to: one accumulator per
+// element, from +0, p ascending, the product rounded before the sum — the
+// loop the kernel was before it was tiled.
+func naiveABT(dst, a, b []float32, m, n, k int) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s float32
+			for p := 0; p < k; p++ {
+				s += a[i*k+p] * b[j*k+p]
+			}
+			dst[i*n+j] = s
+		}
+	}
+}
+
+// checkMatMulABT runs the kernel into a garbage-filled destination and holds
+// every element to the oracle's bits. Two NaNs count as equal whatever their
+// payloads: when a NaN sum meets a NaN product the hardware keeps the payload
+// of whichever the compiler made the destination operand, which is register
+// allocation, not arithmetic — where a NaN appears is what the chain decides.
+func checkMatMulABT(t *testing.T, a, b []float32, m, n, k int) {
+	t.Helper()
+	want := make([]float32, m*n)
+	naiveABT(want, a, b, m, n, k)
+	dst := New(m, n)
+	dst.Fill(999)
+	MatMulABTInto(dst, FromSlice(a, m, k), FromSlice(b, n, k))
+	for i, g := range dst.Data() {
+		if math.Float32bits(g) != math.Float32bits(want[i]) && !(g != g && want[i] != want[i]) {
+			t.Fatalf("%dx%d·(%dx%d)ᵀ element (%d,%d) = %v (bits %08x), want %v (bits %08x)",
+				m, k, n, k, i/n, i%n, g, math.Float32bits(g), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
+// TestMatMulABTBitIdentical sweeps every tile/edge combination of the 4-row
+// tile (m 0…9: no tile, one, two, each with 0–3 rows left over) against
+// short and long inner dimensions — 646 is a scale-600 feature map — with the
+// values a dense accumulation must not be careless about mixed in: ±0,
+// subnormals, ±Inf (so Inf·0 and Inf−Inf make NaNs mid-chain) and NaN.
+func TestMatMulABTBitIdentical(t *testing.T) {
+	special := []float32{
+		0, float32(math.Copysign(0, -1)),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40,
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		math.MaxFloat32, -math.MaxFloat32,
+	}
+	rng := rand.New(rand.NewSource(24))
+	fill := func(n int, specials bool) []float32 {
+		x := make([]float32, n)
+		for i := range x {
+			if specials && rng.Intn(8) == 0 {
+				x[i] = special[rng.Intn(len(special))]
+			} else {
+				x[i] = float32(rng.NormFloat64())
+			}
+		}
+		return x
+	}
+	for _, k := range []int{0, 1, 7, 32, 646} {
+		for m := 0; m <= 9; m++ {
+			for n := 0; n <= 5; n++ {
+				for _, specials := range []bool{false, true} {
+					checkMatMulABT(t, fill(m*k, specials), fill(n*k, specials), m, n, k)
+				}
+			}
+		}
+	}
+}
+
+// FuzzMatMulABT drives the same oracle from the shape and raw bits: of the
+// operands' values, a share raw/256 are arbitrary float32 bit patterns (every
+// exponent, so subnormals, infinities and NaNs of any payload occur), the
+// rest ordinary, so that not every sum is NaN.
+func FuzzMatMulABT(f *testing.F) {
+	f.Add(int64(1), uint8(8), uint8(16), uint16(70), uint8(0))   // the 1×1 branch's dW, a short k
+	f.Add(int64(2), uint8(5), uint8(3), uint16(200), uint8(255)) // one tile, one row over, all raw bits
+	f.Fuzz(func(t *testing.T, seed int64, m, n uint8, k uint16, raw uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		fill := func(n int) []float32 {
+			x := make([]float32, n)
+			for i := range x {
+				if uint8(rng.Intn(256)) < raw {
+					x[i] = math.Float32frombits(rng.Uint32())
+				} else {
+					x[i] = float32(rng.NormFloat64())
+				}
+			}
+			return x
+		}
+		mm, nn, kk := int(m)%13, int(n)%160, int(k)%700
+		checkMatMulABT(t, fill(mm*kk), fill(nn*kk), mm, nn, kk)
+	})
+}
+
 // convReference is the historical im2col + matmul + bias path.
 func convReference(x, weight, bias *Tensor, stride, pad int) *Tensor {
 	outC, cin, kernel := weight.Dim(0), weight.Dim(1), weight.Dim(2)

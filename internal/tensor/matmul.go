@@ -2,12 +2,14 @@ package tensor
 
 import "fmt"
 
-// The three products below are plain serial loops: after the backbone moved
-// to ConvInto their callers are the scale regressor's training step (one
-// dW product per convolution branch, the fully-connected head) and the
-// tests' im2col oracle. Parallelism lives across frames and snippets
+// The three products below are serial loops: after the backbone moved to
+// ConvInto their callers are the scale regressor's training step (one dW
+// product per convolution branch, the fully-connected head) and the tests'
+// im2col oracle. Parallelism lives across frames and snippets
 // (internal/parallel), never inside a kernel, so a result cannot depend on
-// the worker count.
+// the worker count. MatMul and MatMulATB are the plain i-k-j loops; MatMulABT,
+// which is where training spends its time, takes four rows at once — same
+// sums, see there.
 
 // MatMul computes C = A·B for 2-D tensors A (m×k) and B (k×n), returning a
 // new m×n tensor. The inner loop is ordered i-k-j so B is traversed
@@ -97,7 +99,12 @@ func MatMulABT(a, b *Tensor) *Tensor {
 }
 
 // MatMulABTInto computes dst = A·Bᵀ, reusing dst's storage (m×n,
-// overwritten): plain dot products of A's rows with B's rows.
+// overwritten): dot products of A's rows with B's rows, four rows of A at a
+// time. Each of the four accumulators is the plain dot product of its own
+// row pair — from +0, p ascending, the product rounded before the sum — so
+// every element gets the bits a one-at-a-time loop gives it, while the four
+// add chains overlap instead of one waiting on itself and B is streamed
+// once per four rows of A instead of once per row.
 func MatMulABTInto(dst, a, b *Tensor) {
 	if a.Dims() != 2 || b.Dims() != 2 || dst.Dims() != 2 {
 		panic("tensor: MatMulABT requires 2-D tensors")
@@ -108,16 +115,31 @@ func MatMulABTInto(dst, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMulABT shape mismatch %v vs %v -> %v", a.shape, b.shape, dst.shape))
 	}
 	ad, bd, cd := a.data, b.data, dst.data
-	for i := 0; i < m; i++ {
-		arow := ad[i*k : (i+1)*k]
-		crow := cd[i*n : (i+1)*n]
-		for j := range crow {
-			brow := bd[j*k : (j+1)*k]
-			var s float32
-			for p, av := range arow {
-				s += av * brow[p]
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		a0 := ad[i*k : (i+1)*k]
+		a1 := ad[(i+1)*k : (i+2)*k]
+		a2 := ad[(i+2)*k : (i+3)*k]
+		a3 := ad[(i+3)*k : (i+4)*k]
+		for j := 0; j < n; j++ {
+			var s0, s1, s2, s3 float32
+			for p, bv := range bd[j*k : (j+1)*k] {
+				s0 += a0[p] * bv
+				s1 += a1[p] * bv
+				s2 += a2[p] * bv
+				s3 += a3[p] * bv
 			}
-			crow[j] = s
+			cd[i*n+j], cd[(i+1)*n+j], cd[(i+2)*n+j], cd[(i+3)*n+j] = s0, s1, s2, s3
+		}
+	}
+	for ; i < m; i++ {
+		arow := ad[i*k : (i+1)*k]
+		for j := 0; j < n; j++ {
+			var s float32
+			for p, bv := range bd[j*k : (j+1)*k] {
+				s += arow[p] * bv
+			}
+			cd[i*n+j] = s
 		}
 	}
 }

@@ -27,6 +27,34 @@ func benchMatMul(b *testing.B, m, k, n int) {
 func BenchmarkMatMulSmall(b *testing.B)     { benchMatMul(b, 16, 16, 16) }
 func BenchmarkMatMulMidSquare(b *testing.B) { benchMatMul(b, 96, 96, 96) }
 
+// BenchmarkMatMulABT times dst = A·Bᵀ at the products the regressor's
+// training step takes: dW = dy·colsᵀ with dy 8 channels × H·W positions and
+// cols the lowered 16-channel feature map (19×34 at scale 600, 4×8 at 128)
+// of the 3×3 and the 1×1 branch.
+func BenchmarkMatMulABT(b *testing.B) {
+	for _, s := range []struct {
+		name    string
+		m, k, n int
+	}{
+		{"dW3x3@600", 8, 646, 144},
+		{"dW1x1@600", 8, 646, 16},
+		{"dW3x3@128", 8, 32, 144},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(4))
+			x := randTensor(rng, s.m, s.k)
+			y := randTensor(rng, s.n, s.k)
+			dst := New(s.m, s.n)
+			b.SetBytes(int64(s.m*s.k+s.n*s.k+s.m*s.n) * 4)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MatMulABTInto(dst, x, y)
+			}
+		})
+	}
+}
+
 func BenchmarkIm2Col600(b *testing.B) { // conv2 @600
 	rng := rand.New(rand.NewSource(2))
 	x := randTensor(rng, 8, 75, 134)

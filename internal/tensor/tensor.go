@@ -52,16 +52,19 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 // header wired through FromSliceInto makes repeated wrapping allocation-free.
 func FromSliceInto(t *Tensor, data []float32, shape ...int) *Tensor {
 	if t == nil {
-		return FromSlice(data, shape...)
+		t = new(Tensor)
 	}
+	// The shape is copied before it is checked so that the panic formats the
+	// copy: a shape that reached fmt would escape, and every caller's
+	// variadic literal would be a heap allocation.
+	t.shape = append(t.shape[:0], shape...)
 	n := 1
-	for _, d := range shape {
+	for _, d := range t.shape {
 		n *= d
 	}
 	if n != len(data) {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d elements)", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d elements)", len(data), t.shape, n))
 	}
-	t.shape = append(t.shape[:0], shape...)
 	t.data = data
 	return t
 }

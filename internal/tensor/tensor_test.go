@@ -322,3 +322,23 @@ func TestInitialisers(t *testing.T) {
 		t.Fatal("Zero failed")
 	}
 }
+
+// TestFromSliceIntoReusesHeader: wrapping storage in a recycled header is the
+// allocation-free view its comment promises — the nn layers re-point their
+// scratch headers once per training sample and the backbone once per frame.
+func TestFromSliceIntoReusesHeader(t *testing.T) {
+	data := make([]float32, 24)
+	hdr := FromSliceInto(nil, data, 2, 3, 4)
+	if a := testing.AllocsPerRun(100, func() { hdr = FromSliceInto(hdr, data[:12], 3, 4) }); a != 0 {
+		t.Fatalf("FromSliceInto with a recycled header allocates %v times", a)
+	}
+	if hdr.Dims() != 2 || hdr.Dim(0) != 3 || hdr.Dim(1) != 4 || &hdr.Data()[0] != &data[0] {
+		t.Fatalf("header re-pointed to shape %v", hdr.Shape())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a shape that does not cover the data must panic")
+		}
+	}()
+	FromSliceInto(hdr, data, 5, 5)
+}

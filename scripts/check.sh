@@ -84,6 +84,7 @@ gate "fuzz-loadgen" go test -run='^$' -fuzz='^FuzzLoadgen$' -fuzztime=5s ./inter
 gate "fuzz-ingest" go test -run='^$' -fuzz='^FuzzIngestDecode$' -fuzztime=5s ./internal/server
 gate "fuzz-cluster" go test -run='^$' -fuzz='^FuzzClusterEvents$' -fuzztime=5s ./internal/cluster
 gate "fuzz-conv" go test -run='^$' -fuzz='^FuzzConvGeometry$' -fuzztime=5s ./internal/tensor
+gate "fuzz-matmul-abt" go test -run='^$' -fuzz='^FuzzMatMulABT$' -fuzztime=5s ./internal/tensor
 gate "fuzz-rng" go test -run='^$' -fuzz='^FuzzSeedStream$' -fuzztime=5s ./internal/rng
 gate "fuzz-histogram" go test -run='^$' -fuzz='^FuzzHistogram$' -fuzztime=5s ./internal/obs
 
