@@ -67,7 +67,8 @@ bench:
 # repository benchmark's 960 labels (the serial three quarters of setup_s),
 # then the scheduler alone
 # (model-only Run, ns/frame and allocs/frame at 16 / 1000 / 10000 streams,
-# plain and under chaos: the curve the dispatch index keeps flat), the
+# plain and under chaos: the curve the dispatch index keeps flat) and with
+# real compute at des_serve's shape (ServeRun), the
 # random stream with math/rand's figure beside each (seed + 12 draws, a
 # frame's 30 000 normals) and a render of the val split (all frames at 600 and
 # 128, the motion-blurred ones, a noise fault).
@@ -77,7 +78,7 @@ bench:
 microbench:
 	$(GO) test -run=^$$ -bench=. -benchmem -cpu 1 ./internal/tensor
 	$(GO) test -run=^$$ -bench=Fit -benchtime=3x -cpu 1 ./internal/regressor
-	$(GO) test -run=^$$ -bench=SchedulerModelOnly -benchtime=3x ./internal/serve
+	$(GO) test -run=^$$ -bench='SchedulerModelOnly|ServeRun' -benchtime=3x ./internal/serve
 	$(GO) test -run=^$$ -bench=. -cpu 1 ./internal/rng
 	$(GO) test -run=^$$ -bench=FrameRender -benchmem -cpu 1 .
 

@@ -65,6 +65,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -106,6 +107,9 @@ func main() {
 	common.Apply("adascale-serve")
 
 	fail := func(err error) { cli.Fail("adascale-serve", err) }
+	if err := errors.Join(checkRate("-faults", *faultRate), checkRate("-chaos", *chaosRate)); err != nil {
+		fail(err)
+	}
 	start := time.Now()
 
 	dcfg, err := common.SynthConfig()
@@ -256,6 +260,16 @@ func main() {
 	}
 
 	common.WriteTrace("adascale-serve")
+}
+
+// checkRate rejects a -faults or -chaos value that is not a rate. Both are
+// read only when positive, so a negative or NaN one used to run a clean,
+// fault-free simulation and exit 0.
+func checkRate(flag string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+		return fmt.Errorf("%s must be a finite rate >= 0, got %g", flag, v)
+	}
+	return nil
 }
 
 // clusterRun bundles the cluster-mode knobs main hands to runCluster.

@@ -420,7 +420,8 @@ func (s *ResilientSession) propagate(h *Health) []detect.Detection {
 // Finish closes the frame opened by Plan: validates the regressor
 // prediction (rung 3), applies propagation (rungs 1/2), updates the
 // last-good state and charges chargeMS against the deadline budget. For a
-// skipped plan r and t are ignored (pass nil, 0). chargeMS is the frame's
+// skipped plan r and t are ignored (pass nil, 0). The output keeps nothing
+// of r, so the caller releases r afterwards. chargeMS is the frame's
 // cost as the budget should see it — modelled runtime for the offline
 // runner, end-to-end latency for the serving layer, whose deadline is a
 // latency SLO rather than a compute budget.
@@ -533,6 +534,7 @@ func (s *ResilientSession) Step(det *rfcn.Detector, reg *regressor.Regressor, f 
 		c = Compute(det, reg, f, p.Scale, s.tracer)
 	}
 	out := s.Finish(f, p, c.R, c.T, s.CostMS(f, p))
+	c.R.Release() // Finish copied the detections out
 	s.traceStep(out, c.DetWallMS, c.RegWallMS)
 	return out
 }

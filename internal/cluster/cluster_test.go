@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -259,5 +261,11 @@ func TestClusterConfigValidation(t *testing.T) {
 	withChaos.Chaos = &faults.SystemPlan{}
 	if _, err := New(sys.Detector, sys.Regressor, Config{Nodes: 2, Node: withChaos}); err == nil {
 		t.Fatal("caller-owned node chaos plan accepted")
+	}
+	nanSLO := nodeConfig()
+	nanSLO.SLOMS = math.NaN()
+	var ce *serve.ConfigError
+	if _, err := New(sys.Detector, sys.Regressor, Config{Nodes: 2, Node: nanSLO}); !errors.As(err, &ce) || ce.Field != "SLOMS" {
+		t.Fatalf("NaN node SLO: New = %v, want the node's *serve.ConfigError on SLOMS", err)
 	}
 }

@@ -6,9 +6,10 @@
 package detect
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -112,26 +113,29 @@ type GroundTruth struct {
 	Class int
 }
 
-// byClassScore orders detections by (class ascending, score descending);
-// byScore orders by score descending. Concrete sort.Interface types keep
-// sort.Stable off the sort.Slice reflection path (reflectlite.Swapper
-// allocated on every call in the detect hot loop).
-type byClassScore []Detection
-
-func (s byClassScore) Len() int      { return len(s) }
-func (s byClassScore) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
-func (s byClassScore) Less(i, j int) bool {
-	if s[i].Class != s[j].Class {
-		return s[i].Class < s[j].Class
+// ByScore orders detections by descending score, for slices.SortStableFunc.
+// That sort is generated from sort.Stable's template and only ever asks
+// whether a comparison is negative, so a comparison that is negative exactly
+// when sort.Stable's Less would be true makes the same swaps in the same
+// order — NaN scores, greater and less than nothing, included — without an
+// interface conversion or a reflection swapper per call.
+func ByScore(a, b Detection) int {
+	switch {
+	case a.Score > b.Score:
+		return -1
+	case a.Score < b.Score:
+		return 1
 	}
-	return s[i].Score > s[j].Score
+	return 0
 }
 
-type byScore []Detection
-
-func (s byScore) Len() int           { return len(s) }
-func (s byScore) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-func (s byScore) Less(i, j int) bool { return s[i].Score > s[j].Score }
+// byClassScore orders by class ascending, then score descending.
+func byClassScore(a, b Detection) int {
+	if c := cmp.Compare(a.Class, b.Class); c != 0 {
+		return c
+	}
+	return ByScore(a, b)
+}
 
 // NMS performs class-wise greedy non-maximum suppression with the given IoU
 // threshold, returning at most topK detections sorted by descending score
@@ -179,7 +183,7 @@ func NMSAppend(dst, dets []Detection, iouThreshold float64, topK int) []Detectio
 	for i := range suppressed {
 		suppressed[i] = false
 	}
-	sort.Stable(byClassScore(work))
+	slices.SortStableFunc(work, byClassScore)
 	base := len(dst)
 	kept := dst
 	for lo := 0; lo < len(work); {
@@ -201,7 +205,7 @@ func NMSAppend(dst, dets []Detection, iouThreshold float64, topK int) []Detectio
 		lo = hi
 	}
 	nmsScratchPool.Put(sc)
-	sort.Stable(byScore(kept[base:]))
+	slices.SortStableFunc(kept[base:], ByScore)
 	if topK > 0 && len(kept)-base > topK {
 		kept = kept[:base+topK]
 	}

@@ -3,6 +3,9 @@ package detect
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -183,6 +186,77 @@ func TestNMSInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSortsMatchSortStable holds the comparators to the sort.Stable orders
+// they replaced, swap for swap: lengths across the insertion-sort block (20)
+// and several merge levels, few distinct classes and scores so ties are
+// everywhere, NaN scores among them, and GTIndex recording each input
+// position so any other arrangement of equal keys shows.
+func TestSortsMatchSortStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	orders := []struct {
+		cmp  func(a, b Detection) int
+		less func(a, b Detection) bool
+	}{
+		{byClassScore, func(a, b Detection) bool {
+			if a.Class != b.Class {
+				return a.Class < b.Class
+			}
+			return a.Score > b.Score
+		}},
+		{ByScore, func(a, b Detection) bool { return a.Score > b.Score }},
+	}
+	for _, n := range []int{0, 1, 2, 19, 20, 21, 40, 41, 97, 300} {
+		for trial := 0; trial < 20; trial++ {
+			dets := make([]Detection, n)
+			for i := range dets {
+				score := float64(rng.Intn(5)) / 4
+				if rng.Intn(6) == 0 {
+					score = math.NaN()
+				}
+				dets[i] = Detection{Class: rng.Intn(3), Score: score, GTIndex: i}
+			}
+			for k, o := range orders {
+				got, want := slices.Clone(dets), slices.Clone(dets)
+				slices.SortStableFunc(got, o.cmp)
+				sort.SliceStable(want, func(i, j int) bool { return o.less(want[i], want[j]) })
+				for i := range want {
+					if got[i].GTIndex != want[i].GTIndex {
+						t.Fatalf("order %d, n=%d trial %d: position %d holds input %d, sort.Stable puts %d there", k, n, trial, i, got[i].GTIndex, want[i].GTIndex)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNMSAppendSteadyStateAllocs: with a recycled dst, a warm NMSAppend —
+// the detector's per-frame call — allocates nothing.
+func TestNMSAppendSteadyStateAllocs(t *testing.T) {
+	if !poolRetains() {
+		t.Skip("sync.Pool is dropping Puts (race detector): a zero-allocation pin through it cannot hold")
+	}
+	rng := rand.New(rand.NewSource(3))
+	dets := make([]Detection, 300)
+	for i := range dets {
+		dets[i] = Detection{Box: randBox(rng), Class: rng.Intn(5), Score: rng.Float64()}
+	}
+	kept := NMSAppend(nil, dets, 0.3, 300)
+	if a := testing.AllocsPerRun(100, func() { kept = NMSAppend(kept[:0], dets, 0.3, 300) }); a != 0 {
+		t.Fatalf("a warm NMSAppend of %d detections allocates %v times", len(dets), a)
+	}
+}
+
+// poolRetains reports whether a sync.Pool hands back what was just Put. Under
+// the race detector it deliberately drops a quarter of all Puts.
+func poolRetains() bool {
+	news := 0
+	p := sync.Pool{New: func() any { news++; return new(int) }}
+	for i := 0; i < 64; i++ {
+		p.Put(p.Get())
+	}
+	return news == 1
 }
 
 func TestAssignForeground(t *testing.T) {

@@ -5,7 +5,7 @@
 package eval
 
 import (
-	"sort"
+	"slices"
 
 	"adascale/internal/detect"
 )
@@ -62,24 +62,39 @@ func Evaluate(frames []FrameDetections, nClasses int) *Result {
 		score float64
 		tp    bool
 	}
-	perClass := make([][]scored, nClasses)
-	numGT := make([]int, nClasses)
-
+	// Each class's list is allocated once at the size a first pass counts,
+	// and one sort buffer and one match buffer serve every frame: what
+	// Evaluate allocates grows with the class count, not the frame count.
+	numGT, numDets := make([]int, nClasses), make([]int, nClasses)
 	for _, fr := range frames {
 		for _, gt := range fr.GroundTruth {
 			// Out-of-range GT classes are skipped rather than crashing the
 			// evaluation (the matching loop below never pairs them either,
 			// since detection classes are range-checked).
-			if gt.Class < 0 || gt.Class >= nClasses {
-				continue
+			if gt.Class >= 0 && gt.Class < nClasses {
+				numGT[gt.Class]++
 			}
-			numGT[gt.Class]++
 		}
+		for _, d := range fr.Detections {
+			if d.Class >= 0 && d.Class < nClasses {
+				numDets[d.Class]++
+			}
+		}
+	}
+	perClass := make([][]scored, nClasses)
+	for c, n := range numDets {
+		perClass[c] = make([]scored, 0, n)
+	}
+	var dets []detect.Detection
+	var used []bool
+
+	for _, fr := range frames {
 		// Sort this frame's detections by score so greedy matching is
 		// confidence-first within the frame.
-		dets := append([]detect.Detection(nil), fr.Detections...)
-		sort.SliceStable(dets, func(i, j int) bool { return dets[i].Score > dets[j].Score })
-		used := make([]bool, len(fr.GroundTruth))
+		dets = append(dets[:0], fr.Detections...)
+		slices.SortStableFunc(dets, detect.ByScore)
+		used = slices.Grow(used[:0], len(fr.GroundTruth))[:len(fr.GroundTruth)]
+		clear(used)
 		for _, d := range dets {
 			if d.Class < 0 || d.Class >= nClasses {
 				continue
@@ -107,11 +122,14 @@ func Evaluate(frames []FrameDetections, nClasses int) *Result {
 		cr := &res.PerClass[c]
 		cr.Class = c
 		cr.NumGT = numGT[c]
-		sort.SliceStable(perClass[c], func(i, j int) bool {
-			return perClass[c][i].score > perClass[c][j].score
+		slices.SortStableFunc(perClass[c], func(a, b scored) int {
+			return detect.ByScore(detect.Detection{Score: a.score}, detect.Detection{Score: b.score})
 		})
 		tp, fp := 0, 0
 		var curve []PRPoint
+		if numGT[c] > 0 && len(perClass[c]) > 0 {
+			curve = make([]PRPoint, 0, len(perClass[c]))
+		}
 		for _, s := range perClass[c] {
 			if s.tp {
 				tp++

@@ -200,6 +200,40 @@ func TestTPFPCountsAndCurveAt(t *testing.T) {
 	}
 }
 
+// TestEvaluateAllocsIndependentOfFrames: the per-frame sort and match
+// buffers are reused and each class's list is allocated once at its final
+// size, so evaluating four times the frames costs no more allocations, while
+// a class more costs at most three: its list, its curve and the curve's
+// envelope. Before, every frame cost a copy, a match buffer and a sort.
+func TestEvaluateAllocsIndependentOfFrames(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	frame := func(nClasses int) FrameDetections {
+		var fd FrameDetections
+		for j := 0; j < 6; j++ {
+			b, c := box(rng.Float64()*200, rng.Float64()*200, 20), rng.Intn(nClasses)
+			fd.GroundTruth = append(fd.GroundTruth, detect.GroundTruth{Box: b, Class: c})
+			fd.Detections = append(fd.Detections,
+				detect.Detection{Box: b, Class: c, Score: rng.Float64()},
+				detect.Detection{Box: box(400, 400, 20), Class: c, Score: rng.Float64()})
+		}
+		return fd
+	}
+	allocs := func(nFrames, nClasses int) float64 {
+		frames := make([]FrameDetections, nFrames)
+		for i := range frames {
+			frames[i] = frame(nClasses)
+		}
+		return testing.AllocsPerRun(10, func() { Evaluate(frames, nClasses) })
+	}
+	few, many := allocs(50, 4), allocs(200, 4)
+	if many != few {
+		t.Fatalf("Evaluate allocates %v times over 50 frames, %v over 200: it grows with the frame count", few, many)
+	}
+	if wider := allocs(200, 8); wider <= many || wider > many+4*3 {
+		t.Fatalf("Evaluate allocates %v times at 4 classes, %v at 8: want at most three a class more", many, wider)
+	}
+}
+
 func TestEmptyInputs(t *testing.T) {
 	r := Evaluate(nil, 3)
 	if r.MAP != 0 {

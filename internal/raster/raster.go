@@ -17,6 +17,8 @@ import (
 type Image struct {
 	W, H int
 	Pix  []float32
+
+	blur []float32 // BoxBlurInPlace's few lines of scratch, kept for the next call
 }
 
 // New returns a zero (black) image of the given size.
@@ -221,7 +223,11 @@ func (im *Image) BoxBlurInPlace(radius int) {
 	// per column and a ring of saved original rows.
 	padLen := w + 2*radius + 1
 	ring := min(radius+1, h)
-	scratch := make([]float32, max(blurRows*padLen, (ring+1)*w))
+	need := max(blurRows*padLen, (ring+1)*w)
+	if cap(im.blur) < need {
+		im.blur = make([]float32, need)
+	}
+	scratch := im.blur[:need]
 
 	var pads [blurRows][]float32
 	for i := range pads {

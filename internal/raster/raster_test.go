@@ -188,8 +188,9 @@ func TestBoxBlurInPlaceBitIdentical(t *testing.T) {
 	for h := 1; h <= 5; h++ { // the four-row block of the horizontal pass and its remainder
 		cases = append(cases, struct{ w, h, radius int }{11, h, 2})
 	}
+	var buf Image // one image for every case: the in-place blur also runs on scratch a previous case left stale
 	for _, c := range cases {
-		im := New(c.w, c.h)
+		im := Reuse(&buf, c.w, c.h)
 		for i := range im.Pix {
 			im.Pix[i] = rng.Float32()
 		}
@@ -281,6 +282,20 @@ func TestAddNoiseDoesNotAllocate(t *testing.T) {
 		im.AddNoise(r, 0.015)
 	}); a != 0 {
 		t.Fatalf("a 30 000-pixel AddNoise allocates %v times", a)
+	}
+}
+
+// TestBoxBlurInPlaceDoesNotAllocate: the blur's scratch stays with the
+// image, so once an image has been blurred at a radius, blurring it again at
+// that radius or a smaller one allocates nothing.
+func TestBoxBlurInPlaceDoesNotAllocate(t *testing.T) {
+	im := New(150, 200)
+	im.BoxBlurInPlace(5)
+	if a := testing.AllocsPerRun(10, func() {
+		im.BoxBlurInPlace(5)
+		im.BoxBlurInPlace(2)
+	}); a != 0 {
+		t.Fatalf("a warm 30 000-pixel BoxBlurInPlace allocates %v times", a)
 	}
 }
 

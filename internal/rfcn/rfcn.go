@@ -187,6 +187,8 @@ type Result struct {
 	// probBuf is the arena backing the Detections' ClassProbs vectors; it
 	// travels with the Result so Release can recycle it.
 	probBuf []float64
+
+	released bool // by Release, until Detect hands the struct out again
 }
 
 // resultPool recycles Result structs together with their detection,
@@ -197,13 +199,17 @@ var resultPool = sync.Pool{New: func() any { return new(Result) }}
 // Release returns the result's storage to the detector's pools. The result
 // and every slice obtained from it — Detections, ClassProbs — must not be
 // used afterwards (PlainDetections/AppendDetections copies are unaffected),
-// and a result must not be released twice. Features is NOT recycled here:
-// hand it to Detector.Recycle first. Hot eval loops release each frame's
-// result after copying out the survivors; callers that retain results
-// (label generation, serving traces) just skip the call.
+// and a result must not be released twice: that would let two later Detect
+// calls share one struct, so it panics instead. Features is NOT recycled
+// here: hand it to Detector.Recycle first. Hot eval loops and the serving
+// step release each frame's result after copying out the survivors; callers
+// that retain results (label generation) just skip the call.
 func (r *Result) Release() {
 	if r == nil {
 		return
+	}
+	if r.released {
+		panic("rfcn: Result released twice; the pool would hand one result to two Detect calls")
 	}
 	for i := range r.Detections {
 		r.Detections[i].ClassProbs = nil
@@ -212,6 +218,7 @@ func (r *Result) Release() {
 		Detections: r.Detections[:0],
 		proposals:  r.proposals[:0],
 		probBuf:    r.probBuf,
+		released:   true,
 	}
 	resultPool.Put(r)
 }

@@ -2,6 +2,7 @@ package rfcn
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"adascale/internal/detect"
@@ -361,6 +362,26 @@ func TestPlainDetections(t *testing.T) {
 			t.Fatal("PlainDetections content mismatch")
 		}
 	}
+}
+
+// TestReleaseTwicePanics: releasing a result twice before Detect hands it
+// out again would put one struct in the pool twice — two later Detect calls
+// sharing it — so the second Release panics, naming the bug; once Detect
+// has handed the struct out again, releasing it is legal again.
+func TestReleaseTwicePanics(t *testing.T) {
+	ds := testDataset(t, 12, 1, 0)
+	det := NewSS(&ds.Config)
+	r := det.Detect(&ds.Train[0].Frames[0], 600)
+	r.Release()
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "released twice") {
+				t.Fatalf("second Release recovered %q, want a panic naming the double release", msg)
+			}
+		}()
+		r.Release()
+	}()
+	det.Detect(&ds.Train[0].Frames[0], 600).Release()
 }
 
 func TestResponseCurveShape(t *testing.T) {

@@ -98,33 +98,37 @@ func TestApplyTiedOverlapSuppressed(t *testing.T) {
 	}
 }
 
-// TestApplyAllocsIndependentOfChains: the DP tables are allocated once per
-// snippet, not once per extracted chain. A 12-frame snippet of six detections
-// a frame in six classes' worth of disjoint places links into many short
-// chains (a jump every third frame breaks each track); what Apply allocates
-// must stay a per-frame constant — tables, output, the sort — however many
-// chains it extracts (127 here). With the tables inside the loop this snippet
-// cost 26 more for each of its 24 chains, 794 in all.
+// TestApplyAllocsIndependentOfChains: the nodes, DP tables and output are
+// allocated once per snippet, not once per extracted chain or per frame. A
+// snippet of six detections a frame in six classes' worth of disjoint places
+// links into many short chains (a jump every third frame breaks each track);
+// what Apply allocates — one array each for the nodes, best, prev and the
+// emitted detections, their four per-frame index slices and the chain — must
+// stay the same constant however many frames and chains it has (127 chains
+// at 12 frames). With the tables inside the loop the 12-frame snippet cost 26
+// more for each of its 24 chains, 794 in all; with per-frame tables, 12 a
+// frame.
 func TestApplyAllocsIndependentOfChains(t *testing.T) {
-	const frames, perFrame = 12, 6
-	snippet := make([][]detect.Detection, frames)
-	for f := range snippet {
-		for k := 0; k < perFrame; k++ {
-			x := float64(100*k + 40*(f/3%2)) // the track jumps every third frame
-			snippet[f] = append(snippet[f], detect.Detection{
-				Box: box(x, 0, 20), Class: k % 3, Score: 0.3 + 0.1*float64(k),
-			})
+	const perFrame, perSnippet = 6, 9
+	for _, frames := range []int{12, 48} {
+		snippet := make([][]detect.Detection, frames)
+		for f := range snippet {
+			for k := 0; k < perFrame; k++ {
+				x := float64(100*k + 40*(f/3%2)) // the track jumps every third frame
+				snippet[f] = append(snippet[f], detect.Detection{
+					Box: box(x, 0, 20), Class: k % 3, Score: 0.3 + 0.1*float64(k),
+				})
+			}
 		}
-	}
-	chains := 0
-	for _, dets := range Apply(snippet, Options{}) {
-		chains += len(dets)
-	}
-	if chains != frames*perFrame {
-		t.Fatalf("snippet is meant to keep all %d detections, kept %d", frames*perFrame, chains)
-	}
-	const bound = 12 * frames
-	if got := testing.AllocsPerRun(20, func() { Apply(snippet, Options{}) }); got > bound {
-		t.Fatalf("Apply allocates %v times on a %d-frame snippet, want <= %d", got, frames, bound)
+		chains := 0
+		for _, dets := range Apply(snippet, Options{}) {
+			chains += len(dets)
+		}
+		if chains != frames*perFrame {
+			t.Fatalf("snippet is meant to keep all %d detections, kept %d", frames*perFrame, chains)
+		}
+		if got := testing.AllocsPerRun(20, func() { Apply(snippet, Options{}) }); got > perSnippet {
+			t.Fatalf("Apply allocates %v times on a %d-frame snippet, want <= %d", got, frames, perSnippet)
+		}
 	}
 }

@@ -11,7 +11,7 @@
 package seqnms
 
 import (
-	"sort"
+	"slices"
 
 	"adascale/internal/detect"
 )
@@ -68,24 +68,30 @@ func Apply(frames [][]detect.Detection, opts Options) [][]detect.Detection {
 		taken bool // selected into a chain (final)
 		score float64
 	}
-	// The DP tables and the traced chain are allocated once for the snippet:
-	// every pass below overwrites every entry of best and prev before it
-	// reads it, so one pass's values never leak into the next.
+	// The nodes, the DP tables and the traced chain are allocated once for
+	// the snippet, each table one array carved into per-frame sub-slices of
+	// clipped capacity. Every pass below overwrites every entry of best and
+	// prev before it reads it, so one pass's values never leak into the
+	// next; a chain holds at most one node per frame.
 	type ref struct{ t, i int }
+	total := 0
+	for _, dets := range frames {
+		total += len(dets)
+	}
+	nodes, bests, prevs := make([]node, total), make([]float64, total), make([]int, total)
 	work := make([][]node, len(frames))
 	best := make([][]float64, len(frames))
 	prev := make([][]int, len(frames))
-	var chain []ref
-	remaining := 0
+	chain := make([]ref, 0, len(frames))
 	for t, dets := range frames {
-		work[t] = make([]node, len(dets))
-		best[t] = make([]float64, len(dets))
-		prev[t] = make([]int, len(dets))
+		n := len(dets)
+		work[t], best[t], prev[t] = nodes[:n:n], bests[:n:n], prevs[:n:n]
+		nodes, bests, prevs = nodes[n:], bests[n:], prevs[n:]
 		for i, d := range dets {
 			work[t][i] = node{det: d, alive: true, score: d.Score}
-			remaining++
 		}
 	}
+	remaining, suppressed := total, 0
 
 	for remaining > 0 {
 		// Dynamic programming for the maximum-score chain over alive nodes:
@@ -164,24 +170,30 @@ func Apply(frames [][]detect.Detection, opts Options) [][]detect.Detection {
 				if detect.IoU(o.det.Box, n.det.Box) > opts.SuppressIoU {
 					o.alive = false // suppressed, not emitted
 					remaining--
+					suppressed++
 				}
 			}
 		}
 	}
 
 	// Emit: chain members with their new scores; untouched nodes keep
-	// their original scores; suppressed nodes are dropped.
+	// their original scores; suppressed nodes are dropped. Every frame's
+	// survivors share one array; a frame with none stays nil.
+	emitted := make([]detect.Detection, 0, total-suppressed)
 	out := make([][]detect.Detection, len(frames))
 	for t := range work {
-		for i := range work[t] {
-			n := work[t][i]
+		start := len(emitted)
+		for _, n := range work[t] {
 			if n.taken || n.alive {
 				d := n.det
 				d.Score = n.score
-				out[t] = append(out[t], d)
+				emitted = append(emitted, d)
 			}
 		}
-		sort.SliceStable(out[t], func(a, b int) bool { return out[t][a].Score > out[t][b].Score })
+		if len(emitted) > start {
+			out[t] = slices.Clip(emitted[start:])
+			slices.SortStableFunc(out[t], detect.ByScore)
+		}
 	}
 	return out
 }

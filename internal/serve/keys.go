@@ -3,7 +3,9 @@ package serve
 import (
 	"fmt"
 
+	"adascale/internal/adascale"
 	"adascale/internal/regressor"
+	"adascale/internal/synth"
 )
 
 // scaleKeys holds the "scale/<s>" counter names over the regressor's test
@@ -14,6 +16,19 @@ var scaleKeys = func() (keys [regressor.MaxScale - regressor.MinScale + 1]string
 		keys[i] = fmt.Sprintf("scale/%d", regressor.MinScale+i)
 	}
 	return keys
+}()
+
+// faultKeys and fallbackKeys are the "fault/<kind>" and "fallback/<rung>"
+// counter names Settle increments, built once for the same reason: a
+// model-only node settles every frame through a fallback rung.
+var faultKeys, fallbackKeys = func() (faults [synth.NumFaultKinds]string, fallbacks [adascale.NumFallbacks]string) {
+	for k := range faults {
+		faults[k] = "fault/" + synth.FaultKind(k).String()
+	}
+	for k := range fallbacks {
+		fallbacks[k] = "fallback/" + adascale.Fallback(k).String()
+	}
+	return faults, fallbacks
 }()
 
 // ScaleKey returns the served-scale counter's name, "scale/<scale>" — the

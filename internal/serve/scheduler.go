@@ -21,8 +21,9 @@ import (
 // blocks on a frame's result only when its virtual completion fires. The
 // virtual in-service count never exceeds the pool's worker count, so a
 // Submit can never deadlock behind jobs whose results the loop has not
-// yet consumed. A dispatch invalidated by a fault simply abandons its
-// buffered result channel — the real worker never blocks sending into it.
+// yet consumed. A dispatch invalidated by a fault abandons the lane's job
+// and its buffered result channel (Lane.Abandon) — the real worker never
+// blocks sending into it, and the stream's next dispatch gets a fresh one.
 const (
 	kindCompletion = iota
 	kindFault
@@ -317,7 +318,8 @@ func (l *eventLoop) dispatchShed(i int) {
 func (l *eventLoop) open(s *session) *inflightFrame {
 	tf := s.queue.Pop()
 	plan := s.Sess.Plan(tf.Frame)
-	inf := &inflightFrame{
+	inf := &s.rec
+	*inf = inflightFrame{
 		frame: tf.Frame, plan: plan, arrivalMS: tf.ArrivalMS, startMS: l.clockMS,
 		serviceMS: s.Sess.CostMS(tf.Frame, plan),
 		worker:    anonSlot, firstFailMS: -1,
@@ -352,7 +354,7 @@ func (l *eventLoop) dispatchInflight(i, w int, inf *inflightFrame) {
 	// runs leave inf.res nil too, so settle takes the propagation path: pure
 	// bookkeeping on the virtual clock, no detector compute.
 	if !inf.plan.Skip && !l.cfg.ModelOnly {
-		inf.res = l.Submit(inf.frame, inf.plan.Scale)
+		inf.res = l.Submit(&l.sessions[i].Lane, inf.frame, inf.plan.Scale)
 	}
 	l.place(i, inf, w, inf.serviceMS)
 }
@@ -543,7 +545,8 @@ func (l *eventLoop) failDispatch(i int, reason string) {
 		l.busy--
 	}
 	inf.probe, inf.shed = false, false
-	inf.res = nil // the buffered result channel is abandoned, never joined
+	inf.res = nil
+	s.Abandon() // a worker still computing it sends where no frame reads
 	if inf.firstFailMS < 0 {
 		inf.firstFailMS = l.clockMS
 	}

@@ -29,6 +29,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"adascale/internal/adascale"
 	"adascale/internal/faults"
@@ -156,8 +157,8 @@ func (c Config) withDefaults() Config {
 
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
-	if c.SLOMS < 0 {
-		return &ConfigError{Field: "SLOMS", Reason: fmt.Sprintf("negative SLO %v ms", c.SLOMS)}
+	if math.IsNaN(c.SLOMS) || math.IsInf(c.SLOMS, 0) || c.SLOMS < 0 {
+		return &ConfigError{Field: "SLOMS", Reason: fmt.Sprintf("SLO %v ms is not a usable deadline", c.SLOMS)}
 	}
 	if c.QueueDepth <= 0 {
 		return &ConfigError{Field: "QueueDepth", Reason: fmt.Sprintf("queue capacity %d cannot admit a frame; need >= 1", c.QueueDepth)}
@@ -165,8 +166,8 @@ func (c *Config) Validate() error {
 	if c.MaxStreams < 0 {
 		return &ConfigError{Field: "MaxStreams", Reason: fmt.Sprintf("negative MaxStreams %d", c.MaxStreams)}
 	}
-	if c.TickMS < 0 {
-		return &ConfigError{Field: "TickMS", Reason: fmt.Sprintf("negative TickMS %v", c.TickMS)}
+	if math.IsNaN(c.TickMS) || math.IsInf(c.TickMS, 0) || c.TickMS < 0 {
+		return &ConfigError{Field: "TickMS", Reason: fmt.Sprintf("tick %v ms is not a usable interval", c.TickMS)}
 	}
 	if err := c.Supervisor.Validate(); err != nil {
 		return err
@@ -311,7 +312,11 @@ func (s *Server) run(streams []Stream, audit func(*eventLoop, bool)) *Report {
 	core := Core{Metrics: m, Tracer: s.cfg.Tracer, Compact: s.cfg.CompactMetrics}
 	sessions := make([]*session, len(admitted))
 	for i, st := range admitted {
-		sessions[i] = &session{Lane: core.NewLane(st.ID, adascale.NewResilientSession(s.reg.Kernels, s.cfg.Resilient))}
+		sessions[i] = &session{
+			Lane:    core.NewLane(st.ID, adascale.NewResilientSession(s.reg.Kernels, s.cfg.Resilient)),
+			queue:   FrameQueue{items: make([]TimedFrame, 0, min(s.cfg.QueueDepth, len(st.Frames)))},
+			outputs: make([]adascale.FrameOutput, 0, len(st.Frames)),
+		}
 		if st.Checkpoint != nil {
 			sessions[i].Sess.Restore(*st.Checkpoint)
 		}

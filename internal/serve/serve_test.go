@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -334,6 +335,29 @@ func TestServeConfigValidation(t *testing.T) {
 	}
 	if _, err := New(sys.Detector, sys.Regressor, base()); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
+	}
+}
+
+// TestServeConfigRejectsNonFinite: NaN passes a `< 0` check, and an infinite
+// tick pushes the virtual clock to +Inf, so both knobs must be finite — a NaN
+// SLO used to run silently with no SLO at all. cluster.Config inherits this
+// through Node.Validate.
+func TestServeConfigRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"SLOMS", Config{SLOMS: math.NaN()}},
+		{"SLOMS", Config{SLOMS: math.Inf(1)}},
+		{"SLOMS", Config{SLOMS: math.Inf(-1)}},
+		{"TickMS", Config{TickMS: math.NaN()}},
+		{"TickMS", Config{TickMS: math.Inf(1)}},
+	} {
+		tc.cfg.QueueDepth = 4
+		var ce *ConfigError
+		if err := tc.cfg.Validate(); !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Errorf("SLOMS %v, TickMS %v: Validate = %v, want a *ConfigError on %s", tc.cfg.SLOMS, tc.cfg.TickMS, err, tc.field)
+		}
 	}
 }
 

@@ -19,10 +19,12 @@ type session struct {
 
 	// inflight is non-nil while one frame of this stream is being served;
 	// streams are strictly sequential (frame k+1's scale depends on frame
-	// k's regressor output), so at most one frame is in flight.
+	// k's regressor output), so at most one frame is in flight and inflight
+	// always points at rec, the session's one record, reused frame by frame.
 	inflight *inflightFrame
+	rec      inflightFrame
 
-	outputs []adascale.FrameOutput
+	outputs []adascale.FrameOutput // allocated at the stream's frame count
 	dropped []*synth.Frame
 }
 
@@ -34,10 +36,10 @@ type inflightFrame struct {
 	arrivalMS float64
 	startMS   float64 // first dispatch instant (virtual ms)
 
-	// res delivers the worker's compute result; nil for skipped frames
-	// (sensor-observable faults never reach a worker), for breaker-shed
-	// propagation-only frames and in model-only runs.
-	res chan Result
+	// res delivers the worker's compute result (the lane's job's channel);
+	// nil for skipped frames (sensor-observable faults never reach a worker),
+	// for breaker-shed propagation-only frames and in model-only runs.
+	res <-chan Result
 
 	// Supervision state (meaningful only when the server runs a chaos
 	// plan; all zero on the plain path).

@@ -76,29 +76,46 @@ type Result struct {
 	Err error
 }
 
-// Submit ships one frame's detector + regressor pass to a pool worker and
-// returns the channel its Result arrives on. Exactly one Result is always
-// delivered, into a buffered channel, so a driver may block on it or
-// abandon it: a panicking frame still delivers (Err set) and then
-// re-panics, so the pool counts it and rebuilds the worker's state; a pool
-// already closed (drain raced a straggler) delivers Err at once, so the
+// Submit ships one frame of lane ln — its detector + regressor pass — to a
+// pool worker and returns the channel its Result arrives on. The job and its
+// buffered channel are the lane's, reused frame after frame, so the lane's
+// previous Result must have been received or abandoned (Abandon). Exactly one
+// Result is always delivered: a panicking frame still delivers (Err set) and
+// then re-panics, so the pool counts it and rebuilds the worker's state; a
+// pool already closed (drain raced a straggler) delivers Err at once, so the
 // frame degrades to propagation rather than being lost.
-func (c *Core) Submit(f *synth.Frame, scale int) chan Result {
-	res := make(chan Result, 1)
-	tr := c.Tracer
-	submitted := c.pool.Submit(func(w worker) {
-		defer func() {
-			if r := recover(); r != nil {
-				res <- Result{Err: fmt.Errorf("serve: frame compute panicked: %v", r)}
-				panic(r)
-			}
-		}()
-		res <- Result{Computed: adascale.Compute(w.det, w.reg, f, scale, tr)}
-	})
-	if !submitted {
-		res <- Result{Err: errors.New("serve: compute pool closed")}
+func (c *Core) Submit(ln *Lane, f *synth.Frame, scale int) <-chan Result {
+	j := ln.job
+	if j == nil {
+		j = &job{res: make(chan Result, 1)}
+		j.run = j.compute // bound once, so a Submit builds no closure
+		ln.job = j
 	}
-	return res
+	j.f, j.scale, j.tr = f, scale, c.Tracer
+	if !c.pool.Submit(j.run) {
+		j.res <- Result{Err: errors.New("serve: compute pool closed")}
+	}
+	return j.res
+}
+
+// job is a lane's frame on its way to a worker. The worker reads it only
+// until it delivers the Result; the lane rewrites it only after receiving.
+type job struct {
+	f     *synth.Frame
+	scale int
+	tr    *obs.Tracer
+	res   chan Result
+	run   func(worker)
+}
+
+func (j *job) compute(w worker) {
+	defer func() {
+		if r := recover(); r != nil {
+			j.res <- Result{Err: fmt.Errorf("serve: frame compute panicked: %v", r)}
+			panic(r)
+		}
+	}()
+	j.res <- Result{Computed: adascale.Compute(w.det, w.reg, j.f, j.scale, j.tr)}
 }
 
 // Lane is one stream's share of the step: its resilient scale-state
@@ -112,7 +129,13 @@ type Lane struct {
 	Offered, Served, Dropped, SLOMisses int
 
 	keys *laneKeys // nil under Core.Compact
+	job  *job      // Submit's; nil until the first Submit and after Abandon
 }
+
+// Abandon gives up on the lane's frame in compute: its worker keeps the job
+// and delivers into a channel nobody reads, and the next Submit makes a
+// fresh job, so a stale send can never be read as a later frame's result.
+func (ln *Lane) Abandon() { ln.job = nil }
 
 // laneKeys are a lane's metric names, formatted once at admission so the
 // per-frame path names its counters without building a string per frame.
@@ -168,16 +191,17 @@ func (c *Core) Settle(ln *Lane, f *synth.Frame, plan adascale.FramePlan, res Res
 		m.Inc("frames/panic", 1)
 	}
 	out = ln.Sess.Finish(f, plan, res.R, res.T, latencyMS)
+	res.R.Release() // Finish copied the detections out
 
 	m.Inc("frames/served", 1)
 	m.Inc(ScaleKey(out.Scale), 1)
 	m.Observe("latency/ms", latencyMS)
 	m.Observe("service/ms", serviceMS)
 	if out.Health.Fault != synth.FaultNone {
-		m.Inc("fault/"+out.Health.Fault.String(), 1)
+		m.Inc(faultKeys[out.Health.Fault], 1)
 	}
 	if out.Health.Fallback != adascale.FallbackNone {
-		m.Inc("fallback/"+out.Health.Fallback.String(), 1)
+		m.Inc(fallbackKeys[out.Health.Fallback], 1)
 	}
 	if sloMiss = sloMS > 0 && latencyMS > sloMS; sloMiss {
 		ln.SLOMisses++

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -27,12 +28,13 @@ func TestSubmitPanicContract(t *testing.T) {
 	})
 	defer c.Close()
 
-	if res := <-c.Submit(f, 600); res.Err == nil || res.R != nil {
+	var ln Lane
+	if res := <-c.Submit(&ln, f, 600); res.Err == nil || res.R != nil {
 		t.Fatalf("poisoned submission delivered %+v, want an error and no result", res)
 	}
 	// One worker: the second job is accepted only after the first job's
 	// panic hook has fired and the state has been rebuilt.
-	res := <-c.Submit(f, 600)
+	res := <-c.Submit(&ln, f, 600)
 	if res.Err != nil || res.R == nil {
 		t.Fatalf("submission after the rebuild delivered %+v, want a result", res)
 	}
@@ -48,8 +50,97 @@ func TestSubmitPanicContract(t *testing.T) {
 
 	// A closed pool degrades the frame instead of losing it or blocking.
 	c.Close()
-	if res := <-c.Submit(f, 600); res.Err == nil {
+	if res := <-c.Submit(&ln, f, 600); res.Err == nil {
 		t.Fatal("submission to a closed pool delivered no error")
+	}
+}
+
+// TestAbandonedDispatchNeverCrossesFrames: a dispatch the driver abandons
+// still delivers, but into the channel it abandoned; the lane's next Submit
+// gets a fresh channel, on which only its own frame's result arrives.
+func TestAbandonedDispatchNeverCrossesFrames(t *testing.T) {
+	ds, sys := system(t)
+	a, b := &ds.Val[0].Frames[0], &ds.Val[0].Frames[1]
+	c := Core{Metrics: obs.NewMetrics()}
+	c.StartPool(sys.Detector, sys.Regressor, 1)
+	defer c.Close()
+	var ln Lane
+	stale := c.Submit(&ln, a, 600)
+	ln.Abandon()
+	fresh := c.Submit(&ln, b, 128)
+	if stale == fresh {
+		t.Fatal("the lane reused the abandoned dispatch's channel")
+	}
+	if res := <-fresh; res.R == nil || res.R.Frame != b || res.R.Scale != 128 {
+		t.Fatalf("the fresh channel delivered %+v, want frame b at scale 128", res)
+	}
+	if res := <-stale; res.R == nil || res.R.Frame != a {
+		t.Fatalf("the abandoned dispatch delivered %+v, want frame a's result", res)
+	}
+}
+
+// TestSubmitSettleAllocatesOnlyOutput: once the pool, the detector's pools
+// and the registry are warm, a frame's whole trip through the step —
+// Submit, the worker's compute, receive, Settle — allocates only the output's
+// own detection slice. Settle hands the detector's result back, the job and
+// the lane's channel are reused, and every metric key is prebuilt.
+func TestSubmitSettleAllocatesOnlyOutput(t *testing.T) {
+	if !poolRetains() {
+		t.Skip("sync.Pool is dropping Puts (race detector): a zero-allocation pin through it cannot hold")
+	}
+	ds, sys := system(t)
+	f := &ds.Val[0].Frames[0]
+	c := Core{Metrics: obs.NewMetrics()}
+	c.StartPool(sys.Detector, sys.Regressor, 1)
+	defer c.Close()
+	ln := c.NewLane(0, adascale.NewResilientSession(sys.Regressor.Kernels, adascale.DefaultResilientConfig()))
+	var out adascale.FrameOutput
+	step := func() {
+		plan := ln.Sess.Plan(f)
+		out, _ = c.Settle(&ln, f, plan, <-c.Submit(&ln, f, plan.Scale), 0, 1, 1, 0)
+	}
+	for i := 0; i < 10; i++ {
+		step()
+	}
+	if len(out.Detections) == 0 {
+		t.Fatal("the frame has no detections; the test needs an output slice to count")
+	}
+	if a := testing.AllocsPerRun(50, step); a != 1 {
+		t.Fatalf("a warm Submit → receive → Settle allocates %v times, want 1 (the output's detections)", a)
+	}
+}
+
+// poolRetains reports whether a sync.Pool hands back what was just Put. Under
+// the race detector it deliberately drops a quarter of all Puts.
+func poolRetains() bool {
+	news := 0
+	p := sync.Pool{New: func() any { news++; return new(int) }}
+	for i := 0; i < 64; i++ {
+		p.Put(p.Get())
+	}
+	return news == 1
+}
+
+// TestModelOnlyRunAllocsPerFrame: without compute, everything a Run
+// allocates is per-Run set-up — the in-flight record, the outputs, the queue
+// and every metric key are allocated once per stream, and a model-only frame
+// settles through a prebuilt fallback key — so serving four times the frames
+// (des_serve's 16 streams at 4 frames/s) costs at most perFrame more a frame.
+// Before, a frame cost 2.0: its in-flight record, its "fallback/empty"
+// string, and the outputs' growth.
+func TestModelOnlyRunAllocsPerFrame(t *testing.T) {
+	const streams, perFrame = 16, 0.05
+	ds, sys := system(t)
+	srv := newServer(t, sys, Config{
+		Workers: 4, QueueDepth: 8, SLOMS: 200, Resilient: adascale.DefaultResilientConfig(), ModelOnly: true,
+	})
+	run := func(frames int) float64 {
+		ld := load(t, ds, streams, 4, frames, 3)
+		return testing.AllocsPerRun(3, func() { srv.Run(ld) })
+	}
+	short, long := run(50), run(200)
+	if got := (long - short) / (streams * 150); got > perFrame {
+		t.Fatalf("a model-only Run allocates %.0f times at 50 frames a stream, %.0f at 200: %.2f a frame, want <= %v", short, long, got, perFrame)
 	}
 }
 

@@ -334,7 +334,7 @@ func (e *engine) processLocked(s *stream) {
 
 	var res serve.Result
 	if !plan.Skip {
-		res = <-e.Submit(tf.Frame, plan.Scale)
+		res = <-e.Submit(&s.Lane, tf.Frame, plan.Scale)
 	}
 
 	e.mu.Lock()
