@@ -8,6 +8,7 @@ import (
 	"adascale/internal/adascale"
 	"adascale/internal/faults"
 	"adascale/internal/obs"
+	"adascale/internal/parallel"
 	"adascale/internal/regressor"
 	"adascale/internal/rfcn"
 	"adascale/internal/serve"
@@ -18,7 +19,8 @@ import (
 // leaves, blackouts, migrations), runs the autoscaler, recomputes the
 // bounded-load placement, and then runs every up node's serve scheduler
 // over the frames arriving in the window — each node an independent
-// discrete-event simulation sharing the cluster's absolute clock. A node
+// discrete-event simulation sharing the cluster's absolute clock, so the
+// epoch's node runs proceed in parallel (runEpoch). A node
 // run drains completely (the serve layer runs to its last completion), so
 // no queued frame ever crosses an epoch boundary: conservation at the
 // cluster level is the sum of per-(node, epoch) conservation, which the
@@ -98,14 +100,28 @@ func (c *Config) Validate() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("cluster: need at least one node, got %d", c.Nodes)
 	}
-	if c.EpochMS < 0 {
-		return fmt.Errorf("cluster: negative epoch %v", c.EpochMS)
+	// NaN fails every comparison: each would slip past its `<= 0` default,
+	// so the test is written to fail for it.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"EpochMS", c.EpochMS}, {"MigrateP95MS", c.MigrateP95MS}, {"Ring.LoadFactor", c.Ring.LoadFactor},
+		{"Autoscale.ScaleUpP95MS", c.Autoscale.ScaleUpP95MS}, {"Autoscale.ScaleDownP95MS", c.Autoscale.ScaleDownP95MS},
+		{"Autoscale.CooldownMS", c.Autoscale.CooldownMS}} {
+		if !(f.v >= 0 && f.v <= math.MaxFloat64) {
+			return fmt.Errorf("cluster: invalid config: %s: %v is not a finite value >= 0", f.name, f.v)
+		}
 	}
 	if c.Node.Workers <= 0 {
 		return fmt.Errorf("cluster: node config needs an explicit worker count (cluster determinism forbids a machine-derived capacity)")
 	}
 	if c.Node.Chaos != nil {
 		return fmt.Errorf("cluster: the node config's Chaos plan is owned by the cluster (schedule blackouts through a cluster Plan instead)")
+	}
+	// Node runs execute concurrently and restart every epoch: a callback or
+	// tracer would be called from several goroutines on per-epoch clocks.
+	if c.Node.OnTick != nil || c.Node.Tracer != nil {
+		return fmt.Errorf("cluster: invalid config: Node.OnTick, Node.Tracer: node runs are concurrent and per-epoch; read the cluster report and registry instead")
 	}
 	return c.Node.Validate()
 }
@@ -127,14 +143,15 @@ func New(det *rfcn.Detector, reg *regressor.Regressor, cfg Config) (*Cluster, er
 	return &Cluster{cfg: cfg.withDefaults(), det: det, reg: reg}, nil
 }
 
-// runState is the mutable state of one cluster run.
+// runState is the mutable state of one cluster run. Per-stream state is
+// indexed by the stream's position in the ID-sorted stream list.
 type runState struct {
 	ring       *Ring
 	down       map[int]float64 // node -> virtual instant it comes back up
 	nextNode   int
-	checkpoint map[int]*adascale.SessionCheckpoint
-	prevAssign map[int]int // stream -> node last epoch
-	overloaded []int       // nodes that tripped MigrateP95MS last epoch
+	checkpoint []*adascale.SessionCheckpoint // nil until the stream first serves
+	prevAssign []int                         // node last epoch, -1 if unplaced
+	overloaded []int                         // nodes that tripped MigrateP95MS last epoch
 	chaosFor   map[int][]faults.SystemEvent
 	forced     []int // stream IDs with a forced migration this epoch
 	lastScale  float64
@@ -146,12 +163,16 @@ func (c *Cluster) Run(streams []serve.Stream) *Report {
 	cfg := c.cfg
 	rep := newReport(cfg.Nodes)
 	rep.Metrics = obs.NewMetrics()
+	// Sort streams by ID and index their frames; loadgen emits frames in
+	// arrival order per stream, which the epoch slicing relies on.
+	ordered := append([]serve.Stream(nil), streams...)
+	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
 	st := &runState{
 		ring:       NewRing(cfg.Ring),
 		down:       map[int]float64{},
 		nextNode:   cfg.Nodes,
-		checkpoint: map[int]*adascale.SessionCheckpoint{},
-		prevAssign: map[int]int{},
+		checkpoint: make([]*adascale.SessionCheckpoint, len(ordered)),
+		prevAssign: make([]int, len(ordered)),
 		lastScale:  math.Inf(-1),
 		rep:        rep,
 	}
@@ -159,14 +180,9 @@ func (c *Cluster) Run(streams []serve.Stream) *Report {
 		st.ring.Add(n)
 		rep.node(n)
 	}
-
-	// Sort streams by ID and index their frames; loadgen emits frames in
-	// arrival order per stream, which the epoch slicing relies on.
-	ordered := append([]serve.Stream(nil), streams...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
 	horizon := 0.0
 	cursor := make([]int, len(ordered))
-	for _, s := range ordered {
+	for i, s := range ordered {
 		rep.Streams++
 		rep.Offered += len(s.Frames)
 		if n := len(s.Frames); n > 0 && s.Frames[n-1].ArrivalMS > horizon {
@@ -174,8 +190,9 @@ func (c *Cluster) Run(streams []serve.Stream) *Report {
 		}
 		if s.Checkpoint != nil {
 			cp := *s.Checkpoint
-			st.checkpoint[s.ID] = &cp
+			st.checkpoint[i] = &cp
 		}
+		st.prevAssign[i] = -1
 	}
 	if rep.Offered == 0 {
 		rep.FinalNodes = st.ring.Len()
@@ -320,20 +337,23 @@ func (c *Cluster) autoscale(st *runState, nowMS, p95 float64) {
 // the previous epoch's placement: a stream that has already served
 // somewhere (it has a checkpoint) and lands on a different node is a
 // migration; if its old node is gone from the ring it is a failover.
-func (c *Cluster) place(st *runState, ordered []serve.Stream, cursor []int) map[int]int {
+func (c *Cluster) place(st *runState, ordered []serve.Stream, cursor []int) []int {
+	assign := make([]int, len(ordered)) // stream position -> node, -1 if drained
 	keys := make([]int, 0, len(ordered))
+	at := make([]int, 0, len(ordered)) // position of keys[j]
 	for i, s := range ordered {
+		assign[i] = -1
 		if cursor[i] < len(s.Frames) {
 			keys = append(keys, s.ID)
+			at = append(at, i)
 		}
 	}
 	if len(keys) == 0 {
-		return map[int]int{}
+		return assign
 	}
-	assign := st.ring.Assign(keys)
-
 	load := map[int]int{}
-	for _, n := range assign {
+	for j, n := range st.ring.Assign(keys) {
+		assign[at[j]] = n
 		load[n]++
 	}
 
@@ -345,16 +365,15 @@ func (c *Cluster) place(st *runState, ordered []serve.Stream, cursor []int) map[
 			continue
 		}
 		var mine []int
-		for k, nn := range assign {
+		for i, nn := range assign {
 			if nn == n {
-				mine = append(mine, k)
+				mine = append(mine, i)
 			}
 		}
-		sort.Ints(mine)
 		shed := len(mine) / 4
-		for _, k := range mine[len(mine)-shed:] {
+		for _, i := range mine[len(mine)-shed:] {
 			if t := leastLoaded(st.ring, load, n); t >= 0 {
-				assign[k] = t
+				assign[i] = t
 				load[n]--
 				load[t]++
 			}
@@ -363,20 +382,21 @@ func (c *Cluster) place(st *runState, ordered []serve.Stream, cursor []int) map[
 
 	// Forced migrations from the event plan.
 	for _, k := range st.forced {
-		n, ok := assign[k]
-		if !ok {
-			continue // stream already drained
+		i := sort.Search(len(ordered), func(i int) bool { return ordered[i].ID >= k })
+		if i == len(ordered) || ordered[i].ID != k || assign[i] < 0 {
+			continue // no such stream, or it has already drained
 		}
+		n := assign[i]
 		if t := leastLoaded(st.ring, load, n); t >= 0 {
-			assign[k] = t
+			assign[i] = t
 			load[n]--
 			load[t]++
 		}
 	}
 
-	for _, k := range keys {
-		prev, moved := st.prevAssign[k]
-		if !moved || prev == assign[k] || st.checkpoint[k] == nil {
+	for i, n := range assign {
+		prev := st.prevAssign[i]
+		if n < 0 || prev < 0 || prev == n || st.checkpoint[i] == nil {
 			continue
 		}
 		st.rep.Migrations++
@@ -402,12 +422,33 @@ func leastLoaded(ring *Ring, load map[int]int, exclude int) int {
 	return best
 }
 
+// nodeEpoch is one node's share of an epoch: the streams it serves and, once
+// it has run, the ledger the cluster folds.
+type nodeEpoch struct {
+	node    int
+	streams []serve.Stream
+	at      []int // stream position of streams[j]
+	chaos   []faults.SystemEvent
+
+	served, dropped, sloMisses int
+	durationMS                 float64
+}
+
 // runEpoch runs every up node's serve scheduler over the epoch's arrivals
 // and folds the results into the cluster report. Returns the epoch's
 // cluster-wide p95 queue wait (the autoscaler's input signal).
-func (c *Cluster) runEpoch(st *runState, ordered []serve.Stream, cursor []int, assign map[int]int, startMS, endMS float64) float64 {
+//
+// The node runs are independent simulations, so they fan out over
+// parallel.Workers() goroutines. Each folds its own streams' results (counts
+// and checkpoints, disjoint by stream) and keeps nothing else of its report
+// but the registry, which is merged here in ring order: histogram means are
+// float sums, so the merge order is part of the snapshot.
+func (c *Cluster) runEpoch(st *runState, ordered []serve.Stream, cursor []int, assign []int, startMS, endMS float64) float64 {
 	// Slice each stream's frames for the window and group by node.
-	perNode := map[int][]serve.Stream{}
+	work := make([]nodeEpoch, st.ring.Len())
+	for s, n := range st.ring.Nodes() {
+		work[s] = nodeEpoch{node: n, chaos: st.chaosFor[n]}
+	}
 	for i := range ordered {
 		s := &ordered[i]
 		lo := cursor[i]
@@ -419,53 +460,66 @@ func (c *Cluster) runEpoch(st *runState, ordered []serve.Stream, cursor []int, a
 			continue
 		}
 		cursor[i] = hi
-		n := assign[s.ID]
-		perNode[n] = append(perNode[n], serve.Stream{
-			ID: s.ID, Frames: s.Frames[lo:hi], Checkpoint: st.checkpoint[s.ID],
-		})
+		w := &work[st.ring.slot(assign[i])]
+		w.streams = append(w.streams, serve.Stream{ID: s.ID, Frames: s.Frames[lo:hi], Checkpoint: st.checkpoint[i]})
+		w.at = append(w.at, i)
 	}
-
+	regs := parallel.Map(len(work), func(i int) *obs.Metrics { return c.runNode(st, &work[i]) })
 	epochM := obs.NewMetrics()
 	var tripped []int
-	for _, n := range st.ring.Nodes() {
-		nodeStreams := perNode[n]
-		if len(nodeStreams) == 0 && st.chaosFor[n] == nil {
-			continue
+	for i := range work {
+		w := &work[i]
+		if regs[i] == nil {
+			continue // idle: no streams, no chaos
 		}
-		nodeCfg := c.cfg.Node
-		if ev := st.chaosFor[n]; ev != nil {
-			nodeCfg.Chaos = &faults.SystemPlan{Seed: c.cfg.Ring.Seed, Events: ev}
-		}
-		srv, err := serve.New(c.det, c.reg, nodeCfg)
-		if err != nil {
-			// Config was validated at New; a per-epoch failure here is a
-			// programming error, not an input condition.
-			panic(fmt.Sprintf("cluster: node %d epoch config rejected: %v", n, err))
-		}
-		nodeRep := srv.Run(nodeStreams)
-
-		nr := st.rep.node(n)
+		nr := st.rep.node(w.node)
 		nr.EpochsUp++
-		for _, sr := range nodeRep.Streams {
-			nr.Served += len(sr.Outputs)
-			nr.Dropped += len(sr.Dropped)
-			nr.SLOMisses += sr.SLOMisses
-			st.rep.Served += len(sr.Outputs)
-			st.rep.Dropped += len(sr.Dropped)
-			st.rep.SLOMisses += sr.SLOMisses
-			cp := sr.Checkpoint
-			st.checkpoint[sr.ID] = &cp
-		}
-		if d := nodeRep.DurationMS; d > st.rep.DurationMS {
-			st.rep.DurationMS = d
-		}
-		epochM.Merge(nodeRep.Metrics)
-		if c.cfg.MigrateP95MS > 0 && nodeRep.Metrics.Quantile("queue/wait_ms", 0.95) > c.cfg.MigrateP95MS {
-			tripped = append(tripped, n)
+		nr.Served += w.served
+		nr.Dropped += w.dropped
+		nr.SLOMisses += w.sloMisses
+		st.rep.Served += w.served
+		st.rep.Dropped += w.dropped
+		st.rep.SLOMisses += w.sloMisses
+		st.rep.DurationMS = max(st.rep.DurationMS, w.durationMS)
+		epochM.Merge(regs[i])
+		if c.cfg.MigrateP95MS > 0 && regs[i].Quantile("queue/wait_ms", 0.95) > c.cfg.MigrateP95MS {
+			tripped = append(tripped, w.node)
 		}
 	}
 	st.overloaded = tripped
 	p95 := epochM.Quantile("queue/wait_ms", 0.95)
 	st.rep.Metrics.Merge(epochM)
 	return p95
+}
+
+// runNode serves one node's epoch and folds its streams' results into w and
+// st.checkpoint — no other node run touches those streams. It returns the
+// node's registry and nothing else of its report; nil if the node is idle.
+func (c *Cluster) runNode(st *runState, w *nodeEpoch) *obs.Metrics {
+	if len(w.streams) == 0 && w.chaos == nil {
+		return nil
+	}
+	nodeCfg := c.cfg.Node
+	if w.chaos != nil {
+		nodeCfg.Chaos = &faults.SystemPlan{Seed: c.cfg.Ring.Seed, Events: w.chaos}
+	}
+	srv, err := serve.New(c.det, c.reg, nodeCfg)
+	if err != nil {
+		// Config was validated at New; a per-epoch failure here is a
+		// programming error, not an input condition.
+		panic(fmt.Sprintf("cluster: node %d epoch config rejected: %v", w.node, err))
+	}
+	rep := srv.Tally(w.streams)
+	for j, sr := range rep.Streams {
+		w.served += sr.Served
+		w.dropped += sr.Drops
+		w.sloMisses += sr.SLOMisses
+		cp := &st.checkpoint[w.at[j]]
+		if *cp == nil {
+			*cp = new(adascale.SessionCheckpoint)
+		}
+		**cp = sr.Checkpoint
+	}
+	w.durationMS = rep.DurationMS
+	return rep.Metrics
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"adascale/internal/adascale"
 	"adascale/internal/faults"
+	"adascale/internal/obs"
 	"adascale/internal/parallel"
 	"adascale/internal/serve"
 	"adascale/internal/synth"
@@ -131,6 +133,70 @@ func TestClusterDeterministic(t *testing.T) {
 		if got := run(); got != ref {
 			t.Fatalf("cluster run diverged at real workers=%d", w)
 		}
+	}
+}
+
+// TestClusterWorkersByteIdentical pins the epoch fan-out: node runs proceed
+// on parallel.Workers() goroutines, and at 1, 2 and 8 workers the report and
+// the merged snapshot are byte-identical — for model-only and computed
+// nodes, under a plan with every event kind and the overload trigger armed.
+func TestClusterWorkersByteIdentical(t *testing.T) {
+	ds, sys := system(t)
+	plan := &Plan{Events: []Event{
+		{AtMS: 100, Kind: EvJoin},
+		{AtMS: 150, Kind: EvBlackout, Node: 1, DurationMS: 700},
+		{AtMS: 500, Kind: EvMigrate, Stream: 3},
+		{AtMS: 900, Kind: EvLeave, Node: 0},
+	}}
+	t.Cleanup(func() { parallel.SetWorkers(0) })
+	for _, modelOnly := range []bool{true, false} {
+		node := nodeConfig()
+		node.ModelOnly = modelOnly
+		var ref string
+		for _, w := range []int{1, 2, 8} {
+			parallel.SetWorkers(w)
+			c := newCluster(t, sys, Config{Nodes: 4, EpochMS: 400, Plan: plan, MigrateP95MS: 20, Node: node})
+			rep := c.Run(load(t, ds, 12, 15, 16, 11))
+			checkConserved(t, rep)
+			// The snapshot prints means to 3 decimals; a merge in another
+			// order moves only their last bits.
+			got := rep.String() + rep.Metrics.Snapshot()
+			for _, h := range []string{"latency/ms", "queue/wait_ms", "service/ms"} {
+				got += fmt.Sprintf("%s mean %b\n", h, rep.Metrics.Mean(h))
+			}
+			switch {
+			case ref == "":
+				if rep.Joins != 1 || rep.Leaves != 1 || rep.Blackouts != 1 || rep.Failovers == 0 || rep.Migrations <= rep.Failovers {
+					t.Fatalf("model-only=%v: the plan did not exercise every event kind:\n%s", modelOnly, rep)
+				}
+				ref = got
+			case got != ref:
+				t.Fatalf("model-only=%v: workers=%d diverged from workers=1:\n--- 1 ---\n%s\n--- %d ---\n%s", modelOnly, w, ref, w, got)
+			}
+		}
+	}
+}
+
+// TestClusterNodePanicSurfaces: a node run that panics — here on a nil
+// frame — re-raises on Run's caller as a *parallel.PanicError at any worker
+// count, instead of killing the process from a pool goroutine.
+func TestClusterNodePanicSurfaces(t *testing.T) {
+	ds, sys := system(t)
+	node := nodeConfig()
+	node.ModelOnly = true
+	t.Cleanup(func() { parallel.SetWorkers(0) })
+	for _, w := range []int{1, 4} {
+		parallel.SetWorkers(w)
+		streams := load(t, ds, 8, 20, 6, 11)
+		streams[5].Frames[2].Frame = nil
+		func() {
+			defer func() {
+				if _, ok := recover().(*parallel.PanicError); !ok {
+					t.Fatalf("workers=%d: Run did not re-raise the node's panic as a *parallel.PanicError", w)
+				}
+			}()
+			newCluster(t, sys, Config{Nodes: 3, EpochMS: 400, Node: node}).Run(streams)
+		}()
 	}
 }
 
@@ -267,5 +333,37 @@ func TestClusterConfigValidation(t *testing.T) {
 	var ce *serve.ConfigError
 	if _, err := New(sys.Detector, sys.Regressor, Config{Nodes: 2, Node: nanSLO}); !errors.As(err, &ce) || ce.Field != "SLOMS" {
 		t.Fatalf("NaN node SLO: New = %v, want the node's *serve.ConfigError on SLOMS", err)
+	}
+}
+
+// TestClusterConfigRejectsNonFinite: NaN fails every comparison, so a NaN
+// epoch used to run with Epochs = MinInt64 and an infinite one with a NaN
+// epoch start — both serving nothing and losing every frame. Validate names
+// the field of every non-finite or negative value, and of the per-run
+// callbacks concurrent node runs cannot honour.
+func TestClusterConfigRejectsNonFinite(t *testing.T) {
+	_, sys := system(t)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"EpochMS", func(c *Config) { c.EpochMS = nan }},
+		{"EpochMS", func(c *Config) { c.EpochMS = inf }},
+		{"EpochMS", func(c *Config) { c.EpochMS = -1 }},
+		{"MigrateP95MS", func(c *Config) { c.MigrateP95MS = nan }},
+		{"Ring.LoadFactor", func(c *Config) { c.Ring.LoadFactor = nan }},
+		{"Ring.LoadFactor", func(c *Config) { c.Ring.LoadFactor = inf }},
+		{"Autoscale.ScaleUpP95MS", func(c *Config) { c.Autoscale.ScaleUpP95MS = nan }},
+		{"Autoscale.ScaleDownP95MS", func(c *Config) { c.Autoscale.ScaleDownP95MS = -inf }},
+		{"Autoscale.CooldownMS", func(c *Config) { c.Autoscale.CooldownMS = nan }},
+		{"Node.OnTick", func(c *Config) { c.Node.OnTick = func(float64, *obs.Metrics) {} }},
+		{"Node.Tracer", func(c *Config) { c.Node.Tracer = obs.NewTracer() }},
+	} {
+		cfg := Config{Nodes: 2, Node: nodeConfig()}
+		tc.set(&cfg)
+		if _, err := New(sys.Detector, sys.Regressor, cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: New = %v, want an error naming the field", tc.field, err)
+		}
 	}
 }

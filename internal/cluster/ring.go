@@ -15,7 +15,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -149,58 +151,53 @@ func (r *Ring) Cap(k int) int {
 
 // Assign maps every key to a node under the bounded-load walk, processing
 // keys in ascending order so the assignment is a deterministic function of
-// (key set, ring state). Returns key→node. Panics if the ring is empty —
-// the cluster simulator guarantees at least one node is always up.
-func (r *Ring) Assign(keys []int) map[int]int {
+// (key set, ring state). Node j of the result is keys[j]'s. Panics if the
+// ring is empty — the cluster simulator guarantees at least one node is
+// always up.
+func (r *Ring) Assign(keys []int) []int {
 	if len(r.nodes) == 0 {
 		panic("cluster: assigning streams on an empty ring")
 	}
-	sorted := append([]int(nil), keys...)
-	sort.Ints(sorted)
-	cap := r.Cap(len(sorted))
-	load := make(map[int]int, len(r.nodes))
-	out := make(map[int]int, len(sorted))
-	for _, k := range sorted {
-		n := r.walk(k, func(node int) bool { return load[node] < cap })
-		load[n]++
-		out[k] = n
+	order := make([]int, len(keys)) // positions in keys, ascending by key
+	for j := range order {
+		order[j] = j
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(keys[a], keys[b]) })
+	cap := r.Cap(len(keys))
+	// Both indexed by a node's position in r.nodes; seen is the walk's
+	// visited set, reused key after key.
+	load := make([]int, len(r.nodes))
+	seen := make([]bool, len(r.nodes))
+	out := make([]int, len(keys))
+	for _, j := range order {
+		k := keys[j]
+		// Walk clockwise from the key's position to the first node under
+		// cap. If every node is at cap (impossible when cap·M ≥ K) the key
+		// goes to the first one, its unbounded owner.
+		h := ringHash(r.cfg.Seed, uint64(k), 0, 0x5EED)
+		i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+		slot := r.slot(r.points[i%len(r.points)].node)
+		clear(seen)
+		for off, visited := 0, 0; off < len(r.points) && visited < len(r.nodes); off++ {
+			s := r.slot(r.points[(i+off)%len(r.points)].node)
+			if seen[s] {
+				continue
+			}
+			seen[s] = true
+			visited++
+			if load[s] < cap {
+				slot = s
+				break
+			}
+		}
+		load[slot]++
+		out[j] = r.nodes[slot]
 	}
 	return out
 }
 
-// Owner returns the unbounded consistent-hash owner of a key: the first
-// node clockwise from the key's ring position, ignoring load caps. The
-// simulator uses it for single-stream placement decisions (migration
-// targets); bulk placement goes through Assign.
-func (r *Ring) Owner(key int) int {
-	if len(r.nodes) == 0 {
-		panic("cluster: looking up a stream on an empty ring")
-	}
-	return r.walk(key, func(int) bool { return true })
-}
-
-// walk finds the first acceptable node clockwise from the key's position.
-// If every node rejects (all at cap — impossible when cap·M ≥ K), it
-// falls back to the key's unbounded owner.
-func (r *Ring) walk(key int, ok func(node int) bool) int {
-	h := ringHash(r.cfg.Seed, uint64(key), 0, 0x5EED)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	seen := make(map[int]bool, len(r.nodes))
-	for off := 0; off < len(r.points); off++ {
-		p := r.points[(i+off)%len(r.points)]
-		if seen[p.node] {
-			continue
-		}
-		seen[p.node] = true
-		if ok(p.node) {
-			return p.node
-		}
-		if len(seen) == len(r.nodes) {
-			break
-		}
-	}
-	return r.points[i%len(r.points)].node
-}
+// slot is a node's position in r.nodes.
+func (r *Ring) slot(node int) int { return sort.SearchInts(r.nodes, node) }
 
 // ringHash mixes the seed and identifiers through a splitmix64-style
 // finaliser — the same hashing idiom the fault and load layers use, kept

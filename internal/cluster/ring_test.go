@@ -32,7 +32,7 @@ func ringWith(seed int64, m int) *Ring {
 }
 
 // loads tallies keys per node.
-func loads(assign map[int]int) map[int]int {
+func loads(assign []int) map[int]int {
 	l := map[int]int{}
 	for _, n := range assign {
 		l[n]++
@@ -80,11 +80,12 @@ func TestRingBalanceBound(t *testing.T) {
 	}
 }
 
-// moved counts keys whose node changed between two assignments.
-func moved(a, b map[int]int) int {
+// moved counts keys whose node changed between two assignments of the same
+// keys.
+func moved(a, b []int) int {
 	n := 0
 	for k, na := range a {
-		if nb, ok := b[k]; ok && na != nb {
+		if na != b[k] {
 			n++
 		}
 	}
@@ -191,6 +192,33 @@ func TestRingRandomizedProperties(t *testing.T) {
 		}
 		if moved(assign, r.Assign(seqKeys(k))) != 0 {
 			t.Errorf("trial %d: assignment not stable across calls", trial)
+		}
+	}
+}
+
+// TestRingAssignAnyKeyOrder: the caller's key order changes only where each
+// key's node is written, never which node it gets.
+func TestRingAssignAnyKeyOrder(t *testing.T) {
+	const keys, nodes = 3000, 8
+	r := ringWith(11, nodes)
+	want := r.Assign(seqKeys(keys))
+	shuffled := rand.New(rand.NewSource(5)).Perm(keys)
+	for j, n := range r.Assign(shuffled) {
+		if k := shuffled[j]; n != want[k] {
+			t.Fatalf("key %d: node %d given in shuffled order, %d in ascending order", k, n, want[k])
+		}
+	}
+}
+
+// TestRingAssignAllocs pins Assign's allocations to a constant — the output,
+// the key order and two node-sized scratch slices — whatever the key count:
+// the walk's visited set is reused key after key, not built per key.
+func TestRingAssignAllocs(t *testing.T) {
+	r := ringWith(7, 16)
+	for _, k := range []int{10, 1000, 30000} {
+		keys := seqKeys(k)
+		if n := testing.AllocsPerRun(3, func() { r.Assign(keys) }); n > 4 {
+			t.Errorf("Assign over %d keys: %.0f allocations, want at most 4", k, n)
 		}
 	}
 }

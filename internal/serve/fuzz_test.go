@@ -100,7 +100,7 @@ func FuzzLoadgen(f *testing.F) {
 			}
 			scfg.Chaos = plan
 		}
-		if rep := newServer(t, sys, scfg).run(served, oracleAudit(t, nil)); rep.Lost() != 0 {
+		if rep := newServer(t, sys, scfg).run(served, oracleAudit(t, nil), true); rep.Lost() != 0 {
 			t.Fatalf("lost %d frames serving %+v", rep.Lost(), cfg)
 		}
 	})

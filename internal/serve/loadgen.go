@@ -3,9 +3,9 @@ package serve
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"adascale/internal/adascale"
+	"adascale/internal/rng"
 	"adascale/internal/synth"
 )
 
@@ -87,8 +87,11 @@ func GenLoad(snippets []synth.Snippet, cfg LoadConfig) ([]Stream, error) {
 		return nil, fmt.Errorf("serve: no snippets to generate load from")
 	}
 	streams := make([]Stream, cfg.Streams)
+	// One generator reseeded per stream: rng's Seed is O(1) where a fresh
+	// math/rand source per stream costs 4.9 KB and its whole state.
+	r := rng.New(0)
 	for id := range streams {
-		rng := rand.New(rand.NewSource(loadSeed(cfg.Seed, id)))
+		r.Seed(loadSeed(cfg.Seed, id))
 		frames := make([]TimedFrame, 0, cfg.FramesPerStream)
 		clock := 0.0
 		sn, idx := id%len(snippets), 0
@@ -97,7 +100,7 @@ func GenLoad(snippets []synth.Snippet, cfg LoadConfig) ([]Stream, error) {
 				sn, idx = (sn+1)%len(snippets), 0
 				continue
 			}
-			clock += rng.ExpFloat64() * 1000 / cfg.FPS
+			clock += r.ExpFloat64() * 1000 / cfg.FPS
 			frames = append(frames, TimedFrame{Frame: &snippets[sn].Frames[idx], ArrivalMS: clock})
 			idx++
 		}

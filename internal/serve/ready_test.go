@@ -162,7 +162,7 @@ func TestDispatchIndexMatchesScans(t *testing.T) {
 			}
 		}
 		var picks []pickRecord
-		rep := newServer(t, sys, cfg).run(ld, oracleAudit(t, &picks))
+		rep := newServer(t, sys, cfg).run(ld, oracleAudit(t, &picks), true)
 		if rep.Lost() != 0 {
 			t.Fatalf("trial %d: %d frames lost", trial, rep.Lost())
 		}
@@ -232,7 +232,7 @@ func TestDispatchIndexKeys(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var picks []pickRecord
 			cfg := Config{Workers: 1, QueueDepth: tc.depth, Resilient: adascale.DefaultResilientConfig(), ModelOnly: true}
-			newServer(t, sys, cfg).run(tc.streams, oracleAudit(t, &picks))
+			newServer(t, sys, cfg).run(tc.streams, oracleAudit(t, &picks), true)
 			var got []int
 			for _, p := range picks {
 				if p.path != pickReady {

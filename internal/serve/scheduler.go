@@ -124,6 +124,7 @@ type eventLoop struct {
 	clockMS     float64
 	busy        int // frames virtually in service (≤ cfg.Workers)
 	dispatchSeq int
+	keep        bool // Run: sessions list their outputs and drops; Tally: counts only
 
 	// audit, when non-nil, is called after every event (picking false) and
 	// at the top of every dispatch iteration (picking true). Tests only.
@@ -195,7 +196,7 @@ func (l *eventLoop) arrive(ev event) {
 	if l.sup != nil {
 		depth = l.sup.queueDepth(l.clockMS, depth)
 	}
-	if dropped := l.Offer(&s.Lane, &s.queue, l.streams[ev.stream].Frames[ev.seq], depth); dropped != nil {
+	if dropped := l.Offer(&s.Lane, &s.queue, l.streams[ev.stream].Frames[ev.seq], depth); dropped != nil && l.keep {
 		s.dropped = append(s.dropped, dropped)
 	}
 	// A drop-oldest eviction changes a waiting session's head, hence its key.
@@ -447,7 +448,9 @@ func (l *eventLoop) settle(i int, inf *inflightFrame, res Result) {
 	s.inflight = nil
 	out, _ := l.Settle(&s.Lane, inf.frame, inf.plan, res,
 		inf.startMS, l.clockMS-inf.startMS, l.clockMS-inf.arrivalMS, l.cfg.SLOMS)
-	s.outputs = append(s.outputs, out)
+	if l.keep {
+		s.outputs = append(s.outputs, out)
+	}
 	if l.sup != nil {
 		if res.R != nil && l.sup.breakers[i].onSuccess() {
 			l.Metrics.Inc("breaker/close", 1)

@@ -207,19 +207,23 @@ type StreamReport struct {
 	ID int
 
 	// Offered is the number of frames the load schedule offered the
-	// stream. Every offered frame is accounted for: it appears in Outputs
-	// (served — possibly via propagation after retries were exhausted) or
-	// in Dropped (evicted by the queue policy). Offered == len(Outputs) +
-	// len(Dropped) is the zero-lost-frames invariant the chaos gate
-	// asserts.
+	// stream. Every offered frame is accounted for: it is served (possibly
+	// via propagation after retries were exhausted) or dropped (evicted by
+	// the queue policy). Offered == Served + Drops is the zero-lost-frames
+	// invariant the chaos gate asserts.
 	Offered int
 
+	// Served and Drops count the stream's served and dropped frames: under
+	// Run, len(Outputs) and len(Dropped).
+	Served, Drops int
+
 	// Outputs are the served frames in arrival order, with full resilient
-	// Health accounting (identical semantics to the offline runners).
+	// Health accounting (identical semantics to the offline runners). Nil
+	// under Tally.
 	Outputs []adascale.FrameOutput
 
 	// Dropped lists the frames evicted by the drop-oldest policy; they
-	// were never served.
+	// were never served. Nil under Tally.
 	Dropped []*synth.Frame
 
 	// SLOMisses counts served frames whose end-to-end latency exceeded
@@ -265,19 +269,18 @@ func (r *Report) Served() []adascale.FrameOutput {
 func (r *Report) TotalDropped() int {
 	n := 0
 	for i := range r.Streams {
-		n += len(r.Streams[i].Dropped)
+		n += r.Streams[i].Drops
 	}
 	return n
 }
 
-// Lost returns the number of offered frames that are neither in a
-// stream's outputs nor in its drop list — always zero by the scheduler's
-// accounting invariant; the chaos smoke gate asserts it stays that way
-// under fault injection.
+// Lost returns the number of offered frames that were neither served nor
+// dropped — always zero by the scheduler's accounting invariant; the chaos
+// smoke gate asserts it stays that way under fault injection.
 func (r *Report) Lost() int {
 	n := 0
 	for i := range r.Streams {
-		n += r.Streams[i].Offered - len(r.Streams[i].Outputs) - len(r.Streams[i].Dropped)
+		n += r.Streams[i].Offered - r.Streams[i].Served - r.Streams[i].Drops
 	}
 	return n
 }
@@ -286,16 +289,21 @@ func (r *Report) Lost() int {
 // Admission control runs first: with MaxStreams > 0, streams beyond the
 // capacity (in slice order) are rejected outright — a rejected session
 // fails fast instead of silently degrading every admitted one.
-func (s *Server) Run(streams []Stream) *Report {
-	var audit func(*eventLoop, bool)
-	if indexAudit.Load() {
+func (s *Server) Run(streams []Stream) *Report { return s.run(streams, nil, true) }
+
+// Tally is Run for a caller that reads only the counts: the same event
+// loop, schedule, registry and checkpoints, but no per-frame lists — every
+// StreamReport's Outputs and Dropped stay nil and Summary stays empty. The
+// cluster runs its nodes this way; a fleet's worth of FrameOutputs would be
+// built only to be counted.
+func (s *Server) Tally(streams []Stream) *Report { return s.run(streams, nil, false) }
+
+// run is Run (keep) or Tally (!keep) with the event loop's audit hook
+// exposed; nil means AuditIndex's, if installed.
+func (s *Server) run(streams []Stream, audit func(*eventLoop, bool), keep bool) *Report {
+	if audit == nil && indexAudit.Load() {
 		audit = mustCheckIndex
 	}
-	return s.run(streams, audit)
-}
-
-// run is Run with the event loop's audit hook exposed (nil outside tests).
-func (s *Server) run(streams []Stream, audit func(*eventLoop, bool)) *Report {
 	m := obs.NewMetrics()
 	rep := &Report{Metrics: m}
 
@@ -313,9 +321,11 @@ func (s *Server) run(streams []Stream, audit func(*eventLoop, bool)) *Report {
 	sessions := make([]*session, len(admitted))
 	for i, st := range admitted {
 		sessions[i] = &session{
-			Lane:    core.NewLane(st.ID, adascale.NewResilientSession(s.reg.Kernels, s.cfg.Resilient)),
-			queue:   FrameQueue{items: make([]TimedFrame, 0, min(s.cfg.QueueDepth, len(st.Frames)))},
-			outputs: make([]adascale.FrameOutput, 0, len(st.Frames)),
+			Lane:  core.NewLane(st.ID, adascale.NewResilientSession(s.reg.Kernels, s.cfg.Resilient)),
+			queue: FrameQueue{items: make([]TimedFrame, 0, min(s.cfg.QueueDepth, len(st.Frames)))},
+		}
+		if keep {
+			sessions[i].outputs = make([]adascale.FrameOutput, 0, len(st.Frames))
 		}
 		if st.Checkpoint != nil {
 			sessions[i].Sess.Restore(*st.Checkpoint)
@@ -328,6 +338,7 @@ func (s *Server) run(streams []Stream, audit func(*eventLoop, bool)) *Report {
 		streams:  admitted,
 		sessions: sessions,
 		index:    newDispatchIndex(len(sessions)),
+		keep:     keep,
 		audit:    audit,
 	}
 	if !s.cfg.ModelOnly {
@@ -344,10 +355,13 @@ func (s *Server) run(streams []Stream, audit func(*eventLoop, bool)) *Report {
 
 	rep.DurationMS = loop.clockMS
 	m.Set("time/final_ms", loop.clockMS)
+	rep.Streams = make([]StreamReport, 0, len(sessions))
 	for i, sess := range sessions {
 		rep.Streams = append(rep.Streams, StreamReport{
 			ID:         sess.ID,
 			Offered:    len(admitted[i].Frames),
+			Served:     sess.Served,
+			Drops:      sess.Lane.Dropped,
 			Outputs:    sess.outputs,
 			Dropped:    sess.dropped,
 			SLOMisses:  sess.SLOMisses,

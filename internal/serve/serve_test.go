@@ -3,6 +3,8 @@ package serve
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -87,6 +89,50 @@ func TestGenLoadDeterministicAndOrdered(t *testing.T) {
 	}
 	if _, err := GenLoad(nil, LoadConfig{Streams: 1, FPS: 30, FramesPerStream: 1}); err == nil {
 		t.Fatal("empty snippet corpus accepted")
+	}
+}
+
+// TestGenLoadMatchesMathRand pins GenLoad's arrivals value for value to the
+// schedule it drew when every stream had its own math/rand source seeded
+// by loadSeed: reseeding one internal/rng generator must not move a single
+// arrival.
+func TestGenLoadMatchesMathRand(t *testing.T) {
+	ds, _ := system(t)
+	const fps = 30.0
+	for id, st := range load(t, ds, 500, fps, 30, 41) {
+		r := rand.New(rand.NewSource(loadSeed(41, id)))
+		clock := 0.0
+		for j, tf := range st.Frames {
+			clock += r.ExpFloat64() * 1000 / fps
+			if tf.ArrivalMS != clock {
+				t.Fatalf("stream %d frame %d: arrival %v, math/rand draws %v", id, j, tf.ArrivalMS, clock)
+			}
+		}
+	}
+}
+
+// TestTallyMatchesRun: Tally is Run without the per-frame lists — the same
+// registry, counts and checkpoints, with Outputs and Dropped left nil.
+func TestTallyMatchesRun(t *testing.T) {
+	ds, sys := system(t)
+	cfg := Config{Workers: 1, QueueDepth: 2, SLOMS: 80, Resilient: adascale.DefaultResilientConfig()}
+	ld := load(t, ds, 6, 40, 20, 13)
+	run, tally := newServer(t, sys, cfg).Run(ld), newServer(t, sys, cfg).Tally(ld)
+	if a, b := run.Metrics.Snapshot(), tally.Metrics.Snapshot(); a != b {
+		t.Fatalf("snapshots diverge:\n--- Run ---\n%s\n--- Tally ---\n%s", a, b)
+	}
+	if run.TotalDropped() == 0 || tally.TotalDropped() != run.TotalDropped() || tally.Lost() != 0 {
+		t.Fatalf("drops: Run %d, Tally %d (lost %d); the load must overflow a queue", run.TotalDropped(), tally.TotalDropped(), tally.Lost())
+	}
+	for i, sr := range tally.Streams {
+		want := run.Streams[i]
+		if sr.Outputs != nil || sr.Dropped != nil {
+			t.Fatalf("stream %d: Tally kept per-frame lists", sr.ID)
+		}
+		if sr.Served != len(want.Outputs) || sr.Drops != len(want.Dropped) || sr.SLOMisses != want.SLOMisses ||
+			!reflect.DeepEqual(sr.Checkpoint, want.Checkpoint) {
+			t.Fatalf("stream %d: Tally %+v, Run served %d dropped %d", sr.ID, sr, len(want.Outputs), len(want.Dropped))
+		}
 	}
 }
 
