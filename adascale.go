@@ -319,14 +319,14 @@ func NewHTTPServer(det *Detector, reg *Regressor, cfg HTTPConfig) (*HTTPServer, 
 
 // Cluster-scale simulation (internal/cluster): shard streams across a
 // fleet of simulated serving nodes on one virtual clock — bounded-load
-// consistent hashing, epoch-based placement, blackout failover carrying
-// session checkpoints, p95-driven autoscaling — with a cluster-wide report
-// that proves the conservation invariant (offered = served + dropped,
-// lost = 0).
+// consistent hashing, epoch-based placement, planned joins, leaves and
+// migrations, blackout failover carrying session checkpoints — with a
+// cluster-wide report that proves the conservation invariant (offered =
+// served + dropped, lost = 0).
 type (
 	// ClusterConfig parameterises a cluster run: initial fleet size,
-	// placement epoch, ring/autoscale policies, the optional event plan,
-	// and the per-node serving template (which must pin Workers).
+	// placement epoch, ring policy, the optional event plan, and the
+	// per-node serving template (which must pin Workers).
 	ClusterConfig = cluster.Config
 	// Cluster is the virtual-time fleet simulator.
 	Cluster = cluster.Cluster
@@ -336,8 +336,6 @@ type (
 	ClusterReport = cluster.Report
 	// ClusterNodeReport is one node's serving rollup inside the report.
 	ClusterNodeReport = cluster.NodeReport
-	// ClusterAutoscale is the p95-queue-delay-driven fleet sizing policy.
-	ClusterAutoscale = cluster.Autoscale
 	// ClusterRing is the bounded-load consistent-hash ring that assigns
 	// streams to nodes with minimal remapping on membership change.
 	ClusterRing = cluster.Ring
@@ -355,9 +353,9 @@ type (
 )
 
 // NewCluster creates a fleet simulator over a trained system. Every node
-// runs the same scheduler + supervisor as NewServer; placement, failover
-// and autoscaling happen at epoch boundaries on the shared virtual clock,
-// so a cluster run is byte-identical across runs and worker counts.
+// runs the same scheduler + supervisor as NewServer; placement and failover
+// happen at epoch boundaries on the shared virtual clock, so a cluster run
+// is byte-identical across runs and worker counts.
 func NewCluster(det *Detector, reg *Regressor, cfg ClusterConfig) (*Cluster, error) {
 	return cluster.New(det, reg, cfg)
 }

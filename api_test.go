@@ -1,6 +1,8 @@
 package adascale_test
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"adascale"
@@ -80,6 +82,9 @@ func TestClusterPublicAPI(t *testing.T) {
 	}
 	if plan == nil {
 		t.Fatal("nil generated plan")
+	}
+	if _, err := adascale.GenClusterPlan(adascale.ClusterPlanConfig{HorizonMS: 1000, Rate: math.Inf(1), Nodes: 2, Streams: 4}); err == nil || !strings.Contains(err.Error(), "Rate") {
+		t.Fatalf("GenClusterPlan at an infinite rate = %v, want an error naming Rate", err)
 	}
 	if counts := adascale.DecodeClusterPlan([]byte{2, 0x20, 0x00, 1, 0, 200}, 2, 4, 1000).Count(); counts[adascale.ClusterEventKind(2)] != 1 {
 		t.Fatal("DecodeClusterPlan dropped the blackout event")

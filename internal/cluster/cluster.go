@@ -16,8 +16,8 @@ import (
 
 // The cluster simulator proper. Virtual time is divided into fixed epochs;
 // at each epoch boundary the simulator applies cluster events (joins,
-// leaves, blackouts, migrations), runs the autoscaler, recomputes the
-// bounded-load placement, and then runs every up node's serve scheduler
+// leaves, blackouts, migrations), recomputes the bounded-load placement,
+// and then runs every up node's serve scheduler
 // over the frames arriving in the window — each node an independent
 // discrete-event simulation sharing the cluster's absolute clock, so the
 // epoch's node runs proceed in parallel (runEpoch). A node
@@ -29,45 +29,18 @@ import (
 // stream resumes its scale ladder, last-good detections and deadline budget
 // exactly where it left them.
 
-// Autoscale tunes the p95-driven node autoscaler. The zero value disables
-// autoscaling.
-type Autoscale struct {
-	// ScaleUpP95MS adds a node when the cluster's epoch p95 queue wait
-	// exceeds it (0 disables scaling up).
-	ScaleUpP95MS float64
-
-	// ScaleDownP95MS removes the highest-ID node when the epoch p95 queue
-	// wait falls below it (0 disables scaling down).
-	ScaleDownP95MS float64
-
-	// CooldownMS is the minimum virtual time between scaling actions.
-	// 0 means twice the epoch.
-	CooldownMS float64
-
-	// MinNodes / MaxNodes bound the fleet. Defaults: 1 and 4× the initial
-	// node count.
-	MinNodes, MaxNodes int
-}
-
 // Config parameterises a cluster run.
 type Config struct {
-	// Nodes is the initial node count (IDs 0..Nodes-1).
+	// Nodes is the initial node count (IDs 0..Nodes-1); each plan join
+	// adds the next ID.
 	Nodes int
 
-	// EpochMS is the placement epoch: events, scaling and rebalancing
-	// happen at epoch boundaries. 0 means 1000.
+	// EpochMS is the placement epoch: events and rebalancing happen at
+	// epoch boundaries. 0 means 1000.
 	EpochMS float64
 
 	// Ring tunes the bounded-load placement ring.
 	Ring RingConfig
-
-	// Autoscale tunes the node autoscaler (zero value: disabled).
-	Autoscale Autoscale
-
-	// MigrateP95MS is the overload-migration trigger: a node whose epoch
-	// p95 queue wait exceeds it sheds a quarter of its streams to the
-	// least-loaded peer at the next epoch. 0 disables.
-	MigrateP95MS float64
 
 	// Plan, when non-nil, is the cluster event schedule.
 	Plan *Plan
@@ -83,15 +56,6 @@ func (c Config) withDefaults() Config {
 	if c.EpochMS <= 0 {
 		c.EpochMS = 1000
 	}
-	if c.Autoscale.CooldownMS <= 0 {
-		c.Autoscale.CooldownMS = 2 * c.EpochMS
-	}
-	if c.Autoscale.MinNodes <= 0 {
-		c.Autoscale.MinNodes = 1
-	}
-	if c.Autoscale.MaxNodes <= 0 {
-		c.Autoscale.MaxNodes = 4 * c.Nodes
-	}
 	return c
 }
 
@@ -105,9 +69,7 @@ func (c *Config) Validate() error {
 	for _, f := range []struct {
 		name string
 		v    float64
-	}{{"EpochMS", c.EpochMS}, {"MigrateP95MS", c.MigrateP95MS}, {"Ring.LoadFactor", c.Ring.LoadFactor},
-		{"Autoscale.ScaleUpP95MS", c.Autoscale.ScaleUpP95MS}, {"Autoscale.ScaleDownP95MS", c.Autoscale.ScaleDownP95MS},
-		{"Autoscale.CooldownMS", c.Autoscale.CooldownMS}} {
+	}{{"EpochMS", c.EpochMS}, {"Ring.LoadFactor", c.Ring.LoadFactor}} {
 		if !(f.v >= 0 && f.v <= math.MaxFloat64) {
 			return fmt.Errorf("cluster: invalid config: %s: %v is not a finite value >= 0", f.name, f.v)
 		}
@@ -144,41 +106,44 @@ func New(det *rfcn.Detector, reg *regressor.Regressor, cfg Config) (*Cluster, er
 }
 
 // runState is the mutable state of one cluster run. Per-stream state is
-// indexed by the stream's position in the ID-sorted stream list.
+// indexed by the stream's position in the ID-sorted stream list, per-node
+// state by node ID (addNode mints IDs densely).
 type runState struct {
 	ring       *Ring
-	down       map[int]float64 // node -> virtual instant it comes back up
-	nextNode   int
+	down       []float64                     // node -> virtual instant it comes back up, 0 while not down
+	chaosFor   [][]faults.SystemEvent        // node -> blackouts injected this epoch
 	checkpoint []*adascale.SessionCheckpoint // nil until the stream first serves
 	prevAssign []int                         // node last epoch, -1 if unplaced
-	overloaded []int                         // nodes that tripped MigrateP95MS last epoch
-	chaosFor   map[int][]faults.SystemEvent
-	forced     []int // stream IDs with a forced migration this epoch
-	lastScale  float64
+	forced     []int                         // stream IDs with a forced migration this epoch
 	rep        *Report
+}
+
+// addNode mints the next node ID and puts the node on the ring. Run's
+// initial nodes and the plan's joins are its only callers.
+func (st *runState) addNode() {
+	n := len(st.down)
+	st.down = append(st.down, 0)
+	st.chaosFor = append(st.chaosFor, nil)
+	st.rep.PerNode = append(st.rep.PerNode, NodeReport{Node: n})
+	st.ring.Add(n)
 }
 
 // Run shards the streams across the cluster and serves them to completion.
 func (c *Cluster) Run(streams []serve.Stream) *Report {
 	cfg := c.cfg
-	rep := newReport(cfg.Nodes)
-	rep.Metrics = obs.NewMetrics()
+	rep := &Report{InitialNodes: cfg.Nodes, Metrics: obs.NewMetrics()}
 	// Sort streams by ID and index their frames; loadgen emits frames in
 	// arrival order per stream, which the epoch slicing relies on.
 	ordered := append([]serve.Stream(nil), streams...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
 	st := &runState{
 		ring:       NewRing(cfg.Ring),
-		down:       map[int]float64{},
-		nextNode:   cfg.Nodes,
 		checkpoint: make([]*adascale.SessionCheckpoint, len(ordered)),
 		prevAssign: make([]int, len(ordered)),
-		lastScale:  math.Inf(-1),
 		rep:        rep,
 	}
 	for n := 0; n < cfg.Nodes; n++ {
-		st.ring.Add(n)
-		rep.node(n)
+		st.addNode()
 	}
 	horizon := 0.0
 	cursor := make([]int, len(ordered))
@@ -202,11 +167,10 @@ func (c *Cluster) Run(streams []serve.Stream) *Report {
 	rep.Epochs = epochs
 
 	eventIdx := 0
-	var p95 float64 // last epoch's cluster p95 queue wait
 	for epoch := 0; epoch < epochs; epoch++ {
 		start := float64(epoch) * cfg.EpochMS
 		end := start + cfg.EpochMS
-		st.chaosFor = map[int][]faults.SystemEvent{}
+		clear(st.chaosFor)
 		st.forced = st.forced[:0]
 
 		c.syncMembership(st, start)
@@ -215,17 +179,13 @@ func (c *Cluster) Run(streams []serve.Stream) *Report {
 				c.apply(st, cfg.Plan.Events[eventIdx], end)
 			}
 		}
-		if epoch > 0 {
-			c.autoscale(st, start, p95)
-		}
 
 		assign := c.place(st, ordered, cursor)
-		p95 = c.runEpoch(st, ordered, cursor, assign, start, end)
+		c.runEpoch(st, ordered, cursor, assign, end)
 		st.prevAssign = assign
 	}
 
 	rep.FinalNodes = st.ring.Len()
-	sort.Slice(rep.PerNode, func(i, j int) bool { return rep.PerNode[i].Node < rep.PerNode[j].Node })
 	return rep
 }
 
@@ -238,15 +198,13 @@ func (c *Cluster) Run(streams []serve.Stream) *Report {
 // a health-check interval after it stops answering. The last node standing
 // is never removed: the cluster always has somewhere to route frames.
 func (c *Cluster) syncMembership(st *runState, startMS float64) {
-	ids := make([]int, 0, len(st.down))
-	for n := range st.down {
-		ids = append(ids, n)
-	}
-	sort.Ints(ids)
-	for _, n := range ids {
+	for n, upAt := range st.down {
 		switch {
-		case st.down[n] <= startMS:
-			delete(st.down, n)
+		case upAt == 0:
+			// Not down: an outage always outlives its own epoch, so it
+			// never ends at 0.
+		case upAt <= startMS:
+			st.down[n] = 0
 			st.ring.Add(n)
 		case st.ring.Has(n):
 			if st.ring.Len() > 1 {
@@ -254,7 +212,7 @@ func (c *Cluster) syncMembership(st *runState, startMS float64) {
 			} else {
 				// The only node up: the outage is overridden — degraded
 				// serving through the supervisor beats losing the fleet.
-				delete(st.down, n)
+				st.down[n] = 0
 			}
 		}
 	}
@@ -267,10 +225,7 @@ func (c *Cluster) syncMembership(st *runState, startMS float64) {
 func (c *Cluster) apply(st *runState, e Event, epochEndMS float64) {
 	switch e.Kind {
 	case EvJoin:
-		n := st.nextNode
-		st.nextNode++
-		st.ring.Add(n)
-		st.rep.node(n)
+		st.addNode()
 		st.rep.Joins++
 	case EvLeave:
 		if !st.ring.Has(e.Node) || st.ring.Len() <= 1 {
@@ -306,34 +261,9 @@ func (c *Cluster) apply(st *runState, e Event, epochEndMS float64) {
 	}
 }
 
-// autoscale applies the p95-driven scaling policy at an epoch boundary.
-func (c *Cluster) autoscale(st *runState, nowMS, p95 float64) {
-	a := c.cfg.Autoscale
-	if a.ScaleUpP95MS <= 0 && a.ScaleDownP95MS <= 0 {
-		return
-	}
-	if nowMS-st.lastScale < a.CooldownMS {
-		return
-	}
-	switch {
-	case a.ScaleUpP95MS > 0 && p95 > a.ScaleUpP95MS && st.ring.Len() < a.MaxNodes:
-		n := st.nextNode
-		st.nextNode++
-		st.ring.Add(n)
-		st.rep.node(n)
-		st.rep.ScaleUps++
-		st.lastScale = nowMS
-	case a.ScaleDownP95MS > 0 && p95 < a.ScaleDownP95MS && st.ring.Len() > a.MinNodes:
-		nodes := st.ring.Nodes()
-		st.ring.Remove(nodes[len(nodes)-1])
-		st.rep.ScaleDowns++
-		st.lastScale = nowMS
-	}
-}
-
 // place computes the epoch's stream→node assignment: the bounded-load ring
-// assignment over every stream with frames remaining, then the overload
-// shed and forced migrations on top. Migration counting compares against
+// assignment over every stream with frames remaining, then the plan's
+// forced migrations on top. Migration counting compares against
 // the previous epoch's placement: a stream that has already served
 // somewhere (it has a checkpoint) and lands on a different node is a
 // migration; if its old node is gone from the ring it is a failover.
@@ -351,33 +281,10 @@ func (c *Cluster) place(st *runState, ordered []serve.Stream, cursor []int) []in
 	if len(keys) == 0 {
 		return assign
 	}
-	load := map[int]int{}
+	load := make([]int, len(st.down)) // by node ID
 	for j, n := range st.ring.Assign(keys) {
 		assign[at[j]] = n
 		load[n]++
-	}
-
-	// Overload shed: each tripped node moves the top quarter of its
-	// streams (highest IDs — deterministic, and the streams placed there
-	// most recently under ascending assignment) to the least-loaded peer.
-	for _, n := range st.overloaded {
-		if !st.ring.Has(n) || st.ring.Len() <= 1 {
-			continue
-		}
-		var mine []int
-		for i, nn := range assign {
-			if nn == n {
-				mine = append(mine, i)
-			}
-		}
-		shed := len(mine) / 4
-		for _, i := range mine[len(mine)-shed:] {
-			if t := leastLoaded(st.ring, load, n); t >= 0 {
-				assign[i] = t
-				load[n]--
-				load[t]++
-			}
-		}
 	}
 
 	// Forced migrations from the event plan.
@@ -407,9 +314,9 @@ func (c *Cluster) place(st *runState, ordered []serve.Stream, cursor []int) []in
 	return assign
 }
 
-// leastLoaded returns the up node with the smallest assigned load other
-// than exclude (lowest ID on ties), or -1 if none exists.
-func leastLoaded(ring *Ring, load map[int]int, exclude int) int {
+// leastLoaded returns the up node with the smallest assigned load (indexed
+// by node ID) other than exclude (lowest ID on ties), or -1 if none exists.
+func leastLoaded(ring *Ring, load []int, exclude int) int {
 	best := -1
 	for _, n := range ring.Nodes() {
 		if n == exclude {
@@ -434,16 +341,15 @@ type nodeEpoch struct {
 	durationMS                 float64
 }
 
-// runEpoch runs every up node's serve scheduler over the epoch's arrivals
-// and folds the results into the cluster report. Returns the epoch's
-// cluster-wide p95 queue wait (the autoscaler's input signal).
+// runEpoch runs every up node's serve scheduler over the arrivals before
+// endMS and folds the results into the cluster report.
 //
 // The node runs are independent simulations, so they fan out over
 // parallel.Workers() goroutines. Each folds its own streams' results (counts
 // and checkpoints, disjoint by stream) and keeps nothing else of its report
 // but the registry, which is merged here in ring order: histogram means are
 // float sums, so the merge order is part of the snapshot.
-func (c *Cluster) runEpoch(st *runState, ordered []serve.Stream, cursor []int, assign []int, startMS, endMS float64) float64 {
+func (c *Cluster) runEpoch(st *runState, ordered []serve.Stream, cursor []int, assign []int, endMS float64) {
 	// Slice each stream's frames for the window and group by node.
 	work := make([]nodeEpoch, st.ring.Len())
 	for s, n := range st.ring.Nodes() {
@@ -465,14 +371,12 @@ func (c *Cluster) runEpoch(st *runState, ordered []serve.Stream, cursor []int, a
 		w.at = append(w.at, i)
 	}
 	regs := parallel.Map(len(work), func(i int) *obs.Metrics { return c.runNode(st, &work[i]) })
-	epochM := obs.NewMetrics()
-	var tripped []int
 	for i := range work {
 		w := &work[i]
 		if regs[i] == nil {
 			continue // idle: no streams, no chaos
 		}
-		nr := st.rep.node(w.node)
+		nr := &st.rep.PerNode[w.node]
 		nr.EpochsUp++
 		nr.Served += w.served
 		nr.Dropped += w.dropped
@@ -481,15 +385,8 @@ func (c *Cluster) runEpoch(st *runState, ordered []serve.Stream, cursor []int, a
 		st.rep.Dropped += w.dropped
 		st.rep.SLOMisses += w.sloMisses
 		st.rep.DurationMS = max(st.rep.DurationMS, w.durationMS)
-		epochM.Merge(regs[i])
-		if c.cfg.MigrateP95MS > 0 && regs[i].Quantile("queue/wait_ms", 0.95) > c.cfg.MigrateP95MS {
-			tripped = append(tripped, w.node)
-		}
+		st.rep.Metrics.Merge(regs[i])
 	}
-	st.overloaded = tripped
-	p95 := epochM.Quantile("queue/wait_ms", 0.95)
-	st.rep.Metrics.Merge(epochM)
-	return p95
 }
 
 // runNode serves one node's epoch and folds its streams' results into w and

@@ -66,7 +66,7 @@ func newCluster(t *testing.T, sys *adascale.System, cfg Config) *Cluster {
 }
 
 // checkConserved asserts the conservation invariant and internal
-// consistency of a cluster report.
+// consistency of a cluster report, PerNode's dense node IDs included.
 func checkConserved(t *testing.T, rep *Report) {
 	t.Helper()
 	if rep.Lost() != 0 {
@@ -74,7 +74,10 @@ func checkConserved(t *testing.T, rep *Report) {
 			rep.Lost(), rep.Offered, rep.Served, rep.Dropped)
 	}
 	var served, dropped int
-	for _, n := range rep.PerNode {
+	for i, n := range rep.PerNode {
+		if n.Node != i {
+			t.Fatalf("PerNode[%d] is node %d: node IDs must be dense from 0", i, n.Node)
+		}
 		served += n.Served
 		dropped += n.Dropped
 	}
@@ -99,7 +102,7 @@ func TestClusterConservation(t *testing.T) {
 		t.Fatal("cluster served nothing")
 	}
 	if rep.FinalNodes != 3 {
-		t.Fatalf("final nodes %d, want 3 (no plan, no autoscale)", rep.FinalNodes)
+		t.Fatalf("final nodes %d, want 3 (no plan)", rep.FinalNodes)
 	}
 	for _, want := range []string{"cluster:", "lost=0", "node 0", "node 2"} {
 		if !strings.Contains(rep.String(), want) {
@@ -139,7 +142,7 @@ func TestClusterDeterministic(t *testing.T) {
 // TestClusterWorkersByteIdentical pins the epoch fan-out: node runs proceed
 // on parallel.Workers() goroutines, and at 1, 2 and 8 workers the report and
 // the merged snapshot are byte-identical — for model-only and computed
-// nodes, under a plan with every event kind and the overload trigger armed.
+// nodes, under a plan with every event kind.
 func TestClusterWorkersByteIdentical(t *testing.T) {
 	ds, sys := system(t)
 	plan := &Plan{Events: []Event{
@@ -155,7 +158,7 @@ func TestClusterWorkersByteIdentical(t *testing.T) {
 		var ref string
 		for _, w := range []int{1, 2, 8} {
 			parallel.SetWorkers(w)
-			c := newCluster(t, sys, Config{Nodes: 4, EpochMS: 400, Plan: plan, MigrateP95MS: 20, Node: node})
+			c := newCluster(t, sys, Config{Nodes: 4, EpochMS: 400, Plan: plan, Node: node})
 			rep := c.Run(load(t, ds, 12, 15, 16, 11))
 			checkConserved(t, rep)
 			// The snapshot prints means to 3 decimals; a merge in another
@@ -221,10 +224,8 @@ func TestClusterBlackoutFailover(t *testing.T) {
 		t.Fatalf("final nodes %d, want 3 (node 1 recovers at 850ms)", rep.FinalNodes)
 	}
 	// The blacked-out node must have sat out at least one epoch.
-	for _, n := range rep.PerNode {
-		if n.Node == 1 && n.EpochsUp >= rep.Epochs {
-			t.Fatalf("node 1 up for all %d epochs despite a 700ms blackout", rep.Epochs)
-		}
+	if rep.PerNode[1].EpochsUp >= rep.Epochs {
+		t.Fatalf("node 1 up for all %d epochs despite a 700ms blackout", rep.Epochs)
 	}
 }
 
@@ -261,28 +262,6 @@ func TestClusterJoinLeave(t *testing.T) {
 	checkConserved(t, rep2)
 	if rep2.FinalNodes != 1 {
 		t.Fatalf("final nodes %d, want exactly 1 survivor", rep2.FinalNodes)
-	}
-}
-
-// TestClusterAutoscale overloads a single node and checks the p95 policy
-// grows the fleet (within bounds, respecting cooldown) without losing
-// frames.
-func TestClusterAutoscale(t *testing.T) {
-	ds, sys := system(t)
-	node := nodeConfig()
-	node.Workers = 1
-	c := newCluster(t, sys, Config{
-		Nodes: 1, EpochMS: 400,
-		Autoscale: Autoscale{ScaleUpP95MS: 5, CooldownMS: 400, MaxNodes: 4},
-		Node:      node,
-	})
-	rep := c.Run(load(t, ds, 12, 40, 12, 11))
-	checkConserved(t, rep)
-	if rep.ScaleUps == 0 {
-		t.Fatalf("overloaded single node never scaled up:\n%s", rep.String())
-	}
-	if rep.FinalNodes > 4 {
-		t.Fatalf("fleet grew past MaxNodes: %d", rep.FinalNodes)
 	}
 }
 
@@ -351,12 +330,8 @@ func TestClusterConfigRejectsNonFinite(t *testing.T) {
 		{"EpochMS", func(c *Config) { c.EpochMS = nan }},
 		{"EpochMS", func(c *Config) { c.EpochMS = inf }},
 		{"EpochMS", func(c *Config) { c.EpochMS = -1 }},
-		{"MigrateP95MS", func(c *Config) { c.MigrateP95MS = nan }},
 		{"Ring.LoadFactor", func(c *Config) { c.Ring.LoadFactor = nan }},
 		{"Ring.LoadFactor", func(c *Config) { c.Ring.LoadFactor = inf }},
-		{"Autoscale.ScaleUpP95MS", func(c *Config) { c.Autoscale.ScaleUpP95MS = nan }},
-		{"Autoscale.ScaleDownP95MS", func(c *Config) { c.Autoscale.ScaleDownP95MS = -inf }},
-		{"Autoscale.CooldownMS", func(c *Config) { c.Autoscale.CooldownMS = nan }},
 		{"Node.OnTick", func(c *Config) { c.Node.OnTick = func(float64, *obs.Metrics) {} }},
 		{"Node.Tracer", func(c *Config) { c.Node.Tracer = obs.NewTracer() }},
 	} {
@@ -364,6 +339,29 @@ func TestClusterConfigRejectsNonFinite(t *testing.T) {
 		tc.set(&cfg)
 		if _, err := New(sys.Detector, sys.Regressor, cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("%s: New = %v, want an error naming the field", tc.field, err)
+		}
+	}
+}
+
+// TestPlanConfigRejectsNonFinite: an infinite Rate makes every gap 0 and an
+// infinite HorizonMS never ends, so GenPlan appended events until memory ran
+// out; a NaN one returned an empty plan, a NaN BlackoutMS NaN durations.
+func TestPlanConfigRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		set   func(*PlanConfig)
+	}{
+		{"HorizonMS", func(c *PlanConfig) { c.HorizonMS = inf }},
+		{"HorizonMS", func(c *PlanConfig) { c.HorizonMS = nan }},
+		{"Rate", func(c *PlanConfig) { c.Rate = inf }},
+		{"Rate", func(c *PlanConfig) { c.Rate = nan }},
+		{"BlackoutMS", func(c *PlanConfig) { c.BlackoutMS = nan }},
+	} {
+		cfg := PlanConfig{Seed: 1, HorizonMS: 1000, Rate: 2, Nodes: 2, Streams: 4}
+		tc.set(&cfg)
+		if _, err := GenPlan(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: GenPlan = %v, want an error naming the field", tc.field, err)
 		}
 	}
 }

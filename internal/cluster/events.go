@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -153,11 +154,19 @@ func (c PlanConfig) withDefaults() PlanConfig {
 
 // Validate reports configuration errors.
 func (c *PlanConfig) Validate() error {
+	// NaN fails every comparison, and GenPlan's loop never ends at an
+	// infinite rate (every gap is 0) or horizon: each must be finite.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"HorizonMS", c.HorizonMS}, {"Rate", c.Rate}, {"BlackoutMS", c.BlackoutMS}} {
+		if !(f.v >= 0 && f.v <= math.MaxFloat64) {
+			return fmt.Errorf("cluster: invalid plan config: %s: %v is not a finite value >= 0", f.name, f.v)
+		}
+	}
 	switch {
-	case c.HorizonMS <= 0:
+	case c.HorizonMS == 0:
 		return fmt.Errorf("cluster: plan needs a positive horizon, got %v", c.HorizonMS)
-	case c.Rate < 0:
-		return fmt.Errorf("cluster: negative event rate %v", c.Rate)
 	case c.Nodes <= 0:
 		return fmt.Errorf("cluster: plan needs the node-ID space, got %d", c.Nodes)
 	case c.Streams <= 0:
@@ -170,10 +179,10 @@ func (c *PlanConfig) Validate() error {
 // (exponential inter-arrivals at the configured rate) with kinds drawn
 // join:leave:blackout:migrate at weights 2:2:3:3.
 func GenPlan(cfg PlanConfig) (*Plan, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	p := &Plan{Seed: cfg.Seed}
 	if cfg.Rate == 0 {
 		return p, nil

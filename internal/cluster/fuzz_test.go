@@ -57,21 +57,9 @@ func FuzzClusterEvents(f *testing.F) {
 			t.Fatalf("valid fuzz config rejected: %v", err)
 		}
 		rep := c.Run(streams)
-		if rep.Lost() != 0 {
-			t.Fatalf("plan %s lost %d frames (offered=%d served=%d dropped=%d)",
-				plan, rep.Lost(), rep.Offered, rep.Served, rep.Dropped)
-		}
+		checkConserved(t, rep)
 		if rep.FinalNodes < 1 {
 			t.Fatalf("cluster ended with %d nodes", rep.FinalNodes)
-		}
-		var served, dropped int
-		for _, nr := range rep.PerNode {
-			served += nr.Served
-			dropped += nr.Dropped
-		}
-		if served != rep.Served || dropped != rep.Dropped {
-			t.Fatalf("per-node rollups (%d/%d) disagree with totals (%d/%d)",
-				served, dropped, rep.Served, rep.Dropped)
 		}
 		ref := rep.String() + rep.Metrics.Snapshot()
 		c2, _ := New(sys.Detector, sys.Regressor, cfg)

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"adascale/internal/obs"
@@ -38,34 +37,17 @@ type Report struct {
 	Joins        int // plan joins
 	Leaves       int // plan leaves (graceful)
 	Blackouts    int // plan blackouts applied
-	ScaleUps     int // autoscaler joins
-	ScaleDowns   int // autoscaler removals
 	Migrations   int // streams whose placement moved with session state
 	Failovers    int // migrations whose origin node was down or gone
 
-	// PerNode holds one rollup per node ever on the ring, in node-ID order.
+	// PerNode holds one rollup per node ever on the ring, indexed by node
+	// ID: IDs are dense (0..InitialNodes-1, then one per plan join).
 	PerNode []NodeReport
 
 	// Metrics is the cluster-wide registry: every (node, epoch) serving
 	// registry merged in deterministic order. Its Snapshot() is the
 	// cluster's golden surface.
 	Metrics *obs.Metrics
-
-	nodeIdx map[int]int // node ID -> index into PerNode
-}
-
-func newReport(initialNodes int) *Report {
-	return &Report{InitialNodes: initialNodes, nodeIdx: map[int]int{}}
-}
-
-// node returns the rollup for a node ID, creating it on first sight.
-func (r *Report) node(id int) *NodeReport {
-	if i, ok := r.nodeIdx[id]; ok {
-		return &r.PerNode[i]
-	}
-	r.nodeIdx[id] = len(r.PerNode)
-	r.PerNode = append(r.PerNode, NodeReport{Node: id})
-	return &r.PerNode[len(r.PerNode)-1]
 }
 
 // Lost returns the number of offered frames that were neither served nor
@@ -75,19 +57,17 @@ func (r *Report) Lost() int {
 }
 
 // String renders the report as deterministic text: the fixed-order summary
-// block plus per-node rollups sorted by node ID. The cluster goldens and
+// block plus per-node rollups in node-ID order. The cluster goldens and
 // the cluster-smoke gate compare this byte for byte.
 func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cluster: streams=%d offered=%d served=%d dropped=%d lost=%d slo_miss=%d\n",
 		r.Streams, r.Offered, r.Served, r.Dropped, r.Lost(), r.SLOMisses)
 	fmt.Fprintf(&b, "epochs=%d duration_ms=%.3f\n", r.Epochs, r.DurationMS)
-	fmt.Fprintf(&b, "nodes: initial=%d final=%d joins=%d leaves=%d blackouts=%d scale_up=%d scale_down=%d\n",
-		r.InitialNodes, r.FinalNodes, r.Joins, r.Leaves, r.Blackouts, r.ScaleUps, r.ScaleDowns)
+	fmt.Fprintf(&b, "nodes: initial=%d final=%d joins=%d leaves=%d blackouts=%d\n",
+		r.InitialNodes, r.FinalNodes, r.Joins, r.Leaves, r.Blackouts)
 	fmt.Fprintf(&b, "migrations=%d failovers=%d\n", r.Migrations, r.Failovers)
-	per := append([]NodeReport(nil), r.PerNode...)
-	sort.Slice(per, func(i, j int) bool { return per[i].Node < per[j].Node })
-	for _, n := range per {
+	for _, n := range r.PerNode {
 		fmt.Fprintf(&b, "node %-3d epochs_up=%-3d served=%-6d dropped=%-5d slo_miss=%d\n",
 			n.Node, n.EpochsUp, n.Served, n.Dropped, n.SLOMisses)
 	}

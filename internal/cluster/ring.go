@@ -1,10 +1,9 @@
 // Package cluster is the virtual-time cluster simulator: it shards N video
 // streams across M simulated nodes — each node an instance of the
 // internal/serve scheduler + supervisor — and layers cluster-level concerns
-// on top: consistent-hash placement with bounded load, p95-driven
-// autoscaling with virtual-time cooldown, overload-triggered stream
-// migration, and node-blackout failover that carries each stream's
-// resilient-session checkpoint to its new node.
+// on top: consistent-hash placement with bounded load, planned node joins,
+// leaves and stream migrations, and node-blackout failover that carries
+// each stream's resilient-session checkpoint to its new node.
 //
 // Everything runs on the same discrete-event virtual clock as the serving
 // layer, so a cluster run is a pure function of (dataset seed, load seed,

@@ -8,7 +8,7 @@
 # at least one node standing. This script additionally requires the two
 # runs' stdout (the cluster report and the merged metrics snapshot) to be
 # byte-identical, which is the cluster simulator's determinism contract:
-# sharding, placement, failover and autoscale all live on the virtual
+# sharding, placement, failover and migration all live on the virtual
 # clock, so neither the run nor the machine's core count may leak into the
 # output. Model-only serving keeps the 1k-stream fleet to seconds; queue
 # dynamics, drops and recovery are exactly the full run's.
