@@ -101,10 +101,13 @@ fuzz-smoke:
 
 # End-to-end serving gate under the race detector: 200 simulated frames
 # across 4 streams at an unloaded rate must serve with zero drops and a
-# non-empty metrics snapshot (-smoke exits non-zero otherwise).
+# non-empty metrics snapshot (-smoke exits non-zero otherwise). The
+# wall-clock trace puts the one wall-measuring path (worker-side Compute
+# timing, the scheduler's span recording) under -race too.
 serve-smoke:
-	$(GO) run -race ./cmd/adascale-serve -streams 4 -frames 50 -rate 5 \
-		-slo-ms 0 -tick-ms 0 -train 8 -val 4 -workers 4 -seed 5 -smoke
+	trace=$$(mktemp) && $(GO) run -race ./cmd/adascale-serve -streams 4 -frames 50 -rate 5 \
+		-slo-ms 0 -tick-ms 0 -train 8 -val 4 -workers 4 -seed 5 -smoke \
+		-trace $$trace -trace-wall; status=$$?; rm -f $$trace; exit $$status
 
 # Fault-tolerance gate: a seeded chaos run (worker kills/stalls, node
 # blackout, queue saturation) under -race, twice — once at default

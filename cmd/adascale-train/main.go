@@ -117,8 +117,8 @@ func resilienceSmoke(sys *adascale.System, cfg synth.Config, common *cli.Common,
 	}
 	rcfg := adascale.DefaultResilientConfig()
 	rcfg.DeadlineMS = deadlineMS
-	rcfg.Tracer = common.Tracer()
-	outs, errs := adascale.RunDatasetPartial(val, adascale.ResilientRunner(sys.Detector, sys.Regressor, rcfg))
+	runner := adascale.TracedRunner(adascale.ResilientRunner(sys.Detector, sys.Regressor, rcfg), common.Tracer())
+	outs, errs := adascale.RunDatasetPartial(val, runner)
 	for _, e := range errs {
 		fmt.Printf("smoke check: recovered %v\n", e)
 	}

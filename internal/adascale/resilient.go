@@ -142,14 +142,6 @@ type ResilientConfig struct {
 	// gives up and emits an explicitly-empty frame (stale detections
 	// eventually do more harm than good); 0 means 12.
 	MaxPropagate int
-
-	// Tracer, when non-nil, makes sessions built from this config record
-	// per-frame pipeline spans live from Step — including wall-clock
-	// detect/regress measurement when the tracer is in wall mode. Never
-	// combine with TracedRunner on the same factory: every span would be
-	// recorded twice. The serving layer ignores this field (the scheduler
-	// records its own spans with true event-loop timestamps).
-	Tracer *obs.Tracer
 }
 
 // DefaultResilientConfig returns the standard ladder tuning.
@@ -211,7 +203,6 @@ type ResilientSession struct {
 	cfg      ResilientConfig
 	overhead float64
 	budget   *simclock.Budget
-	tracer   *obs.Tracer
 
 	targetScale   int
 	scaleCap      int // deadline enforcement lowers this
@@ -219,10 +210,6 @@ type ResilientSession struct {
 	lastDets      []detect.Detection
 	propagated    int // consecutive propagated frames
 	degradedRun   int // consecutive content-degraded frames (frames-to-recover)
-
-	trStream int     // stream id stamped on recorded spans
-	trFrame  int     // next frame index on the trace clock
-	clockMS  float64 // snippet-local virtual clock for span start times
 }
 
 // NewResilientSession creates a fresh session for one stream. kernels is
@@ -233,7 +220,6 @@ func NewResilientSession(kernels []int, cfg ResilientConfig) *ResilientSession {
 		cfg:      cfg,
 		overhead: simclock.RegressorMS(kernels),
 		budget:   simclock.NewBudget(cfg.DeadlineMS, cfg.BudgetWindow),
-		tracer:   cfg.Tracer,
 	}
 	s.reset()
 	return s
@@ -254,29 +240,6 @@ func (s *ResilientSession) reset() {
 	s.lastDets = nil
 	s.propagated = 0
 	s.degradedRun = 0
-	s.trFrame = 0
-	s.clockMS = 0
-}
-
-// SetTraceStream stamps subsequent recorded spans with the given stream id
-// and rewinds the session's trace clock to frame 0 at time 0 — called at
-// the start of every snippet (or stream) the session serves.
-func (s *ResilientSession) SetTraceStream(id int) {
-	s.trStream = id
-	s.trFrame = 0
-	s.clockMS = 0
-}
-
-// traceStep records one finished frame's spans on the session's trace
-// clock. No-op without a tracer.
-func (s *ResilientSession) traceStep(o FrameOutput, detWallMS, regWallMS float64) {
-	if s.tracer == nil {
-		return
-	}
-	var spans []obs.Span
-	spans, s.clockMS = frameSpans(s.tracer, spans, s.trStream, s.trFrame, s.clockMS, o, detWallMS, regWallMS)
-	s.trFrame++
-	s.tracer.Add(spans)
 }
 
 // Overhead returns the per-frame regressor overhead the session charges on
@@ -291,8 +254,6 @@ func (s *ResilientSession) Overhead() float64 { return s.overhead }
 // the property that lets the serving supervisor migrate a stream to a new
 // session (a stand-in for a healthy node) after a node failure without
 // losing scale-ladder state or the last-good detections it propagates.
-// The trace clock is deliberately not part of the checkpoint: spans belong
-// to whoever is recording them, not to the stream.
 type SessionCheckpoint struct {
 	// TargetScale, ScaleCap and LastGoodScale are the scale-ladder state
 	// (the next frame's target, the deadline-enforcement cap, and the last
@@ -531,11 +492,10 @@ func (s *ResilientSession) Step(det *rfcn.Detector, reg *regressor.Regressor, f 
 	p := s.Plan(f)
 	var c Computed
 	if !p.Skip {
-		c = Compute(det, reg, f, p.Scale, s.tracer)
+		c = Compute(det, reg, f, p.Scale, nil)
 	}
 	out := s.Finish(f, p, c.R, c.T, s.CostMS(f, p))
 	c.R.Release() // Finish copied the detections out
-	s.traceStep(out, c.DetWallMS, c.RegWallMS)
 	return out
 }
 
@@ -550,7 +510,6 @@ func RunResilient(det *rfcn.Detector, reg *regressor.Regressor, sn *synth.Snippe
 
 // runSession drives an already-reset session over one snippet.
 func runSession(sess *ResilientSession, det *rfcn.Detector, reg *regressor.Regressor, sn *synth.Snippet) []FrameOutput {
-	sess.SetTraceStream(sn.ID)
 	outputs := make([]FrameOutput, 0, len(sn.Frames))
 	for i := range sn.Frames {
 		outputs = append(outputs, sess.Step(det, reg, &sn.Frames[i]))

@@ -6,6 +6,7 @@ import (
 
 	"adascale/internal/eval"
 	"adascale/internal/faults"
+	"adascale/internal/obs"
 	"adascale/internal/parallel"
 	"adascale/internal/regressor"
 	"adascale/internal/synth"
@@ -156,6 +157,55 @@ func TestResilientDeterministicAcrossWorkers(t *testing.T) {
 		assertSameOutputs(t, serial, got)
 		if s := Summarize(got); s != ref {
 			t.Fatalf("workers=%d: summary diverged:\n  %v\nvs %v", workers, s, ref)
+		}
+	}
+}
+
+// TestTracedResilientSpans traces the resilient runner post hoc over a
+// faulted stream, the way adascale-train's fault smoke does: each frame's
+// spans sum to its output's TotalMS, a fault-inject span marks exactly the
+// frames that carry a fault, frames are numbered 0…n−1 under their snippet's
+// ID, and the trace text is the same at workers 1 and 4.
+func TestTracedResilientSpans(t *testing.T) {
+	ds, sys := system(t)
+	val := faulted(t, ds, 0.3, 11)
+	type key struct{ stream, frame int }
+	var ref string
+	t.Cleanup(func() { parallel.SetWorkers(0) })
+	for _, workers := range []int{1, 4} {
+		parallel.SetWorkers(workers)
+		tr := obs.NewTracer()
+		outs := RunDataset(val, TracedRunner(ResilientRunner(sys.Detector, sys.Regressor, DefaultResilientConfig()), tr))
+		sum, injected := map[key]float64{}, map[key]bool{}
+		for _, sp := range tr.Spans() {
+			sum[key{sp.Stream, sp.Frame}] += sp.DurMS
+			if sp.Stage == obs.StageFaultInject {
+				injected[key{sp.Stream, sp.Frame}] = true
+			}
+		}
+		i, nFaulted := 0, 0
+		for _, sn := range val {
+			for f := range sn.Frames {
+				o, k := outs[i], key{sn.ID, f}
+				i++
+				if math.Abs(sum[k]-o.TotalMS()) > 1e-9 {
+					t.Fatalf("workers=%d s%03d/%02d: spans sum to %v ms, output costs %v", workers, k.stream, k.frame, sum[k], o.TotalMS())
+				}
+				if hasFault := o.Health.Fault != synth.FaultNone; injected[k] != hasFault {
+					t.Fatalf("workers=%d s%03d/%02d: fault-inject span %v, Health.Fault %v", workers, k.stream, k.frame, injected[k], o.Health.Fault)
+				}
+				if injected[k] {
+					nFaulted++
+				}
+			}
+		}
+		if len(sum) != len(outs) || nFaulted == 0 {
+			t.Fatalf("workers=%d: spans on %d (stream, frame) pairs for %d frames, %d faulted", workers, len(sum), len(outs), nFaulted)
+		}
+		if workers == 1 {
+			ref = tr.Format()
+		} else if tr.Format() != ref {
+			t.Fatalf("trace at workers=%d differs from workers=1", workers)
 		}
 	}
 }

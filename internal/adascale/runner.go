@@ -43,15 +43,6 @@ func AdaScaleRunner(det *rfcn.Detector, reg *regressor.Regressor) RunnerFactory 
 	}
 }
 
-// AdaScaleMultiShotRunner returns a factory for the adaptive multi-shot
-// extension.
-func AdaScaleMultiShotRunner(det *rfcn.Detector, reg *regressor.Regressor, cfg MultiShotConfig) RunnerFactory {
-	return func() SnippetRunner {
-		d, r := det.Clone(), reg.Clone()
-		return func(sn *synth.Snippet) []FrameOutput { return RunAdaScaleMultiShot(d, r, sn, cfg) }
-	}
-}
-
 // MultiShotRunner returns a factory for MS/MS testing over scales.
 func MultiShotRunner(det *rfcn.Detector, scales []int) RunnerFactory {
 	s := append([]int(nil), scales...)

@@ -13,15 +13,12 @@ import (
 // pure function of the outputs — byte-identical across runs and worker
 // counts — and the stage durations sum exactly to the frame's TotalMS.
 //
-// There are two ways to attach a tracer and they must not be combined on
-// the same runner (spans would record twice):
-//
-//   - TracedRunner wraps any RunnerFactory and derives spans from the
-//     finished outputs. This is what the experiments layer and the bench
-//     harness use: it works for every method uniformly.
-//   - ResilientConfig.Tracer makes sessions record live from Step, which
-//     additionally supports wall-clock measurement of the detect/regress
-//     stages (obs.NewWallTracer) for profiling on hardware.
+// Spans are built in one place per driver: TracedRunner derives them post
+// hoc from the finished outputs of any offline method, and the serving
+// step (serve.Core.Settle) calls FrameSpans at the frame's dispatch time.
+// Only the serving scheduler measures a frame's wall time (Compute's
+// tracer); an offline run under a wall tracer records the modelled
+// durations.
 
 // frameSpans appends one frame's pipeline-stage spans to buf, advancing
 // the snippet-local virtual clock, and returns the grown buffer and new

@@ -41,8 +41,10 @@ type Common struct {
 	// TracePath, when non-empty, collects per-frame pipeline spans during
 	// the run and writes them (plus the stage breakdown) to this file at
 	// exit via WriteTrace. TraceWall switches the tracer to wall-clock
-	// mode — real measured detect/regress time for profiling on hardware,
-	// explicitly not deterministic.
+	// mode: frames the serving scheduler computes (adascale-serve) carry
+	// measured detect/regress time, explicitly not deterministic; offline
+	// runs (adascale-train, -eval, -bench) trace post hoc and still record
+	// the modelled frame durations.
 	TracePath string
 	TraceWall bool
 

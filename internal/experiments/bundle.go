@@ -163,7 +163,7 @@ func (b *Bundle) evaluateMethodOn(name string, snippets []synth.Snippet, factory
 	// in virtual mode, measured duration in wall mode.
 	ref := b.Trace.Now()
 	res := eval.Evaluate(ToEval(outputs), len(b.DS.Config.Classes))
-	b.Trace.Record(-1, -1, obs.StageEval, 0, b.Trace.SinceMS(ref))
+	b.Trace.Add([]obs.Span{{Stream: -1, Frame: -1, Stage: obs.StageEval, DurMS: b.Trace.SinceMS(ref)}})
 	per := make([]float64, len(res.PerClass))
 	for i, c := range res.PerClass {
 		per[i] = c.AP

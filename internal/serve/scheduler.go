@@ -302,13 +302,12 @@ func (l *eventLoop) dispatchShed(i int) {
 	} else {
 		inf = l.open(s)
 	}
-	inf.shed, inf.probe = true, false
+	inf.shed = true
 	inf.res = nil
 	serviceMS := simclock.DetectorBaseMS + inf.plan.JitterMS
 	if !inf.plan.Skip {
 		serviceMS += simclock.FlowMS
 		l.Metrics.Inc("breaker/shed", 1)
-		l.sup.breakers[i].shedFrames++
 	}
 	l.place(i, inf, anonSlot, serviceMS)
 }
@@ -349,7 +348,7 @@ func (l *eventLoop) redispatch(i, w int) {
 // dispatches never reach here — dispatch routes open-breaker streams
 // through dispatchShed before any capacity is claimed.
 func (l *eventLoop) dispatchInflight(i, w int, inf *inflightFrame) {
-	inf.shed, inf.probe = false, l.probing(i, inf)
+	inf.shed = false
 	inf.res = nil
 	// Rung 1: a sensor-observable fault never reaches a worker. Model-only
 	// runs leave inf.res nil too, so settle takes the propagation path: pure
@@ -358,16 +357,6 @@ func (l *eventLoop) dispatchInflight(i, w int, inf *inflightFrame) {
 		inf.res = l.Submit(&l.sessions[i].Lane, inf.frame, inf.plan.Scale)
 	}
 	l.place(i, inf, w, inf.serviceMS)
-}
-
-// probing reports whether this dispatch is a half-open breaker's probe:
-// its success closes the breaker, its failure re-opens with a longer
-// cooldown.
-func (l *eventLoop) probing(i int, inf *inflightFrame) bool {
-	if l.sup == nil || inf.plan.Skip {
-		return false
-	}
-	return l.sup.breakers[i].state == breakerHalfOpen
 }
 
 // place assigns the dispatch a fresh ID, occupies the worker slot, and
@@ -547,7 +536,7 @@ func (l *eventLoop) failDispatch(i int, reason string) {
 	if !inf.shed {
 		l.busy--
 	}
-	inf.probe, inf.shed = false, false
+	inf.shed = false
 	inf.res = nil
 	s.Abandon() // a worker still computing it sends where no frame reads
 	if inf.firstFailMS < 0 {

@@ -149,9 +149,6 @@ func (c Config) withDefaults() Config {
 		c.Workers = parallel.Workers()
 	}
 	c.Resilient.DeadlineMS = c.SLOMS
-	// The scheduler records spans itself with true event-loop timestamps;
-	// a session-level tracer would record every frame twice.
-	c.Resilient.Tracer = nil
 	return c
 }
 

@@ -48,7 +48,6 @@ type inflightFrame struct {
 	completionMS float64 // scheduled completion instant of the current dispatch
 	serviceMS    float64 // modelled detector-path service time (reused on retry)
 	shed         bool    // current dispatch bypasses the detector (breaker open)
-	probe        bool    // current dispatch is a half-open breaker probe
 	attempts     int     // failed dispatches so far
 	retryReady   bool    // backoff elapsed; waiting for a free worker
 	firstFailMS  float64 // first dispatch-failure instant (-1 = never failed)

@@ -222,15 +222,17 @@ func (c *Core) Settle(ln *Lane, f *synth.Frame, plan adascale.FramePlan, res Res
 
 // trace records the served frame's pipeline-stage spans (start = the
 // frame's dispatch time on the driver's clock) and the per-stage metric
-// histograms — overall, per-stream, and per-SLO-miss, so a miss can be
-// localised to the stage that ate the budget.
+// histograms — overall, per-stream (unless the lane is compact), and
+// per-SLO-miss, so a miss can be localised to the stage that ate the budget.
 func (c *Core) trace(ln *Lane, out adascale.FrameOutput, res Result, startMS float64, sloMiss bool) {
 	spans := adascale.FrameSpans(c.Tracer, ln.ID, ln.Served, startMS, out, res.DetWallMS, res.RegWallMS)
 	c.Tracer.Add(spans)
 	for _, sp := range spans {
 		stage := sp.Stage.String()
 		c.Metrics.Observe("stage/"+stage+"/ms", sp.DurMS)
-		c.Metrics.Observe(fmt.Sprintf("stream/%d/stage/%s/ms", ln.ID, stage), sp.DurMS)
+		if ln.keys != nil {
+			c.Metrics.Observe(fmt.Sprintf("stream/%d/stage/%s/ms", ln.ID, stage), sp.DurMS)
+		}
 		if sloMiss {
 			c.Metrics.Observe("slo_miss/stage/"+stage+"/ms", sp.DurMS)
 		}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -186,5 +187,23 @@ func TestStepKeysCostNoAllocations(t *testing.T) {
 	}
 	if settle != compactSettle {
 		t.Fatalf("Settle allocates %v per frame with per-stream keys, %v without", settle, compactSettle)
+	}
+}
+
+// TestCompactTracedRunHasNoStreamKeys: CompactMetrics suppresses every
+// per-stream key, the per-stream stage histograms a tracer adds included,
+// while the aggregate stage histograms stay.
+func TestCompactTracedRunHasNoStreamKeys(t *testing.T) {
+	ds, sys := system(t)
+	srv := newServer(t, sys, Config{
+		Workers: 2, QueueDepth: 4, SLOMS: 30, Resilient: adascale.DefaultResilientConfig(),
+		ModelOnly: true, CompactMetrics: true, Tracer: obs.NewTracer(),
+	})
+	snap := srv.Run(load(t, ds, 3, 10, 8, 77)).Metrics.Snapshot()
+	if strings.Contains(snap, "stream/") {
+		t.Fatalf("a compact run recorded per-stream keys:\n%s", snap)
+	}
+	if !strings.Contains(snap, "hist    stage/decode/ms") {
+		t.Fatalf("a compact traced run lost its aggregate stage histograms:\n%s", snap)
 	}
 }

@@ -266,55 +266,46 @@ func TestDriversAgreePerFrame(t *testing.T) {
 // hold (every sample, for histograms) and returns how many names that was.
 func compareRegistries(t *testing.T, a, b *obs.Metrics) (common int) {
 	t.Helper()
-	pa, err := obs.ParseSnapshot(a.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := obs.ParseSnapshot(b.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
 	inB := map[string]bool{}
-	for _, c := range pb.Counters {
-		inB[c.Name] = true
-	}
-	for _, g := range pb.Gauges {
-		inB[g.Name] = true
-	}
-	for _, c := range pa.Counters {
-		if inB[c.Name] {
-			common++
-			if av, bv := a.Counter(c.Name), b.Counter(c.Name); av != bv {
-				t.Errorf("counter %s: HTTP %d, scheduler %d", c.Name, av, bv)
-			}
+	for _, line := range strings.Split(b.Snapshot(), "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] != "hist" {
+			inB[f[1]] = true
 		}
 	}
-	for _, g := range pa.Gauges {
-		if inB[g.Name] && g.Name != "queue/peak_depth" {
+	for _, line := range strings.Split(strings.TrimSuffix(a.Snapshot(), "\n"), "\n") {
+		f := strings.Fields(line)
+		kind, name := f[0], f[1]
+		switch {
+		case kind == "counter" && inB[name]:
 			common++
-			if av, bv := a.Gauge(g.Name), b.Gauge(g.Name); av != bv {
-				t.Errorf("gauge %s: HTTP %v, scheduler %v", g.Name, av, bv)
+			if av, bv := a.Counter(name), b.Counter(name); av != bv {
+				t.Errorf("counter %s: HTTP %d, scheduler %d", name, av, bv)
 			}
+			continue
+		case kind == "gauge" && inB[name] && name != "queue/peak_depth":
+			common++
+			if av, bv := a.Gauge(name), b.Gauge(name); av != bv {
+				t.Errorf("gauge %s: HTTP %v, scheduler %v", name, av, bv)
+			}
+			continue
 		}
-	}
-	for _, h := range pa.Hists {
-		n := b.Count(h.Name)
-		if n == 0 || h.Name == "queue/depth" {
+		n := b.Count(name)
+		if kind != "hist" || n == 0 || name == "queue/depth" {
 			continue
 		}
 		common++
-		if a.Count(h.Name) != n {
-			t.Errorf("hist %s: HTTP n=%d, scheduler n=%d", h.Name, a.Count(h.Name), n)
+		if a.Count(name) != n {
+			t.Errorf("hist %s: HTTP n=%d, scheduler n=%d", name, a.Count(name), n)
 			continue
 		}
 		tol := 0.0
-		if h.Name == "service/ms" {
+		if name == "service/ms" {
 			tol = 1e-9
 		}
 		for k := 1; k <= n; k++ {
 			q := float64(k) / float64(n)
-			if av, bv := a.Quantile(h.Name, q), b.Quantile(h.Name, q); math.Abs(av-bv) > tol {
-				t.Errorf("hist %s sample %d of %d: HTTP %v, scheduler %v", h.Name, k, n, av, bv)
+			if av, bv := a.Quantile(name, q), b.Quantile(name, q); math.Abs(av-bv) > tol {
+				t.Errorf("hist %s sample %d of %d: HTTP %v, scheduler %v", name, k, n, av, bv)
 				break
 			}
 		}

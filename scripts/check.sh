@@ -90,9 +90,14 @@ gate "fuzz-histogram" go test -run='^$' -fuzz='^FuzzHistogram$' -fuzztime=5s ./i
 
 # End-to-end serving gate under the race detector: 200 simulated frames
 # across 4 streams at an unloaded rate must serve with zero drops and a
-# non-empty metrics snapshot (-smoke exits non-zero otherwise).
+# non-empty metrics snapshot (-smoke exits non-zero otherwise). The
+# wall-clock trace puts the one wall-measuring path (worker-side Compute
+# timing, the scheduler's span recording) under -race too.
+smoke_trace=$(mktemp) || exit 1
 gate "serve-smoke" go run -race ./cmd/adascale-serve -streams 4 -frames 50 -rate 5 \
-	-slo-ms 0 -tick-ms 0 -train 8 -val 4 -workers 4 -seed 5 -smoke
+	-slo-ms 0 -tick-ms 0 -train 8 -val 4 -workers 4 -seed 5 -smoke \
+	-trace "$smoke_trace" -trace-wall
+rm -f "$smoke_trace"
 
 # Fault-tolerance gate: a seeded chaos run (worker kills/stalls, node
 # blackout, queue saturation) under the race detector, twice — once at
