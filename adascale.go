@@ -266,10 +266,10 @@ func GenLoad(snippets []Snippet, cfg LoadConfig) ([]ServeStream, error) {
 // System fault tolerance: the serving layer's supervision machinery and
 // the migratable session underneath it.
 type (
-	// SupervisorConfig tunes the serving layer's recovery machinery:
-	// retry with exponential backoff and deterministic jitter, per-stream
-	// circuit breakers that shed to propagation-only while open, the
-	// watchdog that reassigns stalled dispatches, and worker rebuild time.
+	// SupervisorConfig tunes the per-stream circuit breakers of the
+	// serving layer's recovery machinery, which shed to propagation-only
+	// while open; retry backoff, the stalled-dispatch watchdog and worker
+	// rebuild time are fixed.
 	SupervisorConfig = serve.SupervisorConfig
 	// ServeConfigError is the typed validation error ServeConfig reports,
 	// naming the offending field.
@@ -339,7 +339,7 @@ type (
 	// ClusterRing is the bounded-load consistent-hash ring that assigns
 	// streams to nodes with minimal remapping on membership change.
 	ClusterRing = cluster.Ring
-	// ClusterRingConfig tunes the ring (vnode replicas, load factor, seed).
+	// ClusterRingConfig seeds the ring's hashes.
 	ClusterRingConfig = cluster.RingConfig
 	// ClusterPlan is a seeded, sorted schedule of cluster events.
 	ClusterPlan = cluster.Plan
@@ -381,11 +381,13 @@ func DecodeClusterPlan(data []byte, nodes, streams int, horizonMS float64) *Clus
 type (
 	// DFFConfig parameterises Deep Feature Flow.
 	DFFConfig = dff.Config
-	// SeqNMSOptions parameterises Seq-NMS.
+	// SeqNMSOptions is Seq-NMS's option set; it has no fields (the
+	// thresholds and average rescoring are fixed).
 	SeqNMSOptions = seqnms.Options
 )
 
-// DefaultDFFConfig mirrors the DFF paper's operating point.
+// DefaultDFFConfig returns the repository's DFF operating point (key
+// interval 5; see dff.DefaultConfig).
 func DefaultDFFConfig() DFFConfig { return dff.DefaultConfig() }
 
 // ApplySeqNMS rescoring over per-frame detections of one snippet.

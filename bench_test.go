@@ -256,10 +256,9 @@ func BenchmarkRegressorTrainEpoch(b *testing.B) {
 func BenchmarkOptimalScaleLabel(b *testing.B) {
 	bundle(b)
 	frames := synth.Frames(benchDS.Train)[:1]
-	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		regressor.GenerateLabels(benchSys.Detector, frames, regressor.SReg, rng)
+		regressor.GenerateLabelsAllScales(benchSys.Detector, frames, regressor.SReg)
 	}
 }
 

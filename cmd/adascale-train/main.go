@@ -27,6 +27,7 @@ import (
 	"adascale/internal/adascale"
 	"adascale/internal/cli"
 	"adascale/internal/faults"
+	"adascale/internal/regressor"
 	"adascale/internal/synth"
 )
 
@@ -68,7 +69,7 @@ func main() {
 	bc.Train.Epochs = *epochs
 	bc.Train.BaseLR = *lr
 	fmt.Printf("building: S_train=%v, S_reg=%v, kernels=%v, %d epochs at lr %g\n",
-		bc.TrainScales, bc.RegScales, bc.Kernels, bc.Train.Epochs, bc.Train.BaseLR)
+		bc.TrainScales, regressor.SReg, bc.Kernels, bc.Train.Epochs, bc.Train.BaseLR)
 	sys := adascale.Build(ds, bc)
 
 	f, err := os.Create(*out)

@@ -129,38 +129,22 @@ type ResilientConfig struct {
 	// DeadlineMS is the per-frame modelled-runtime deadline; 0 disables
 	// deadline enforcement.
 	DeadlineMS float64
+}
 
-	// BudgetWindow is the rolling window (frames) of the deadline budget;
-	// 0 means 8.
-	BudgetWindow int
+// DefaultResilientConfig returns the standard ladder tuning: no deadline.
+func DefaultResilientConfig() ResilientConfig { return ResilientConfig{} }
 
-	// PropagateDecay is the per-propagated-frame confidence decay applied
-	// to carried-over detections; 0 means 0.9.
-	PropagateDecay float64
-
-	// MaxPropagate bounds consecutive propagated frames before the ladder
+const (
+	// budgetWindow is the rolling window (frames) of the deadline budget.
+	budgetWindow = 8
+	// propagateDecay is the per-propagated-frame confidence decay applied
+	// to carried-over detections.
+	propagateDecay = 0.9
+	// maxPropagate bounds consecutive propagated frames before the ladder
 	// gives up and emits an explicitly-empty frame (stale detections
-	// eventually do more harm than good); 0 means 12.
-	MaxPropagate int
-}
-
-// DefaultResilientConfig returns the standard ladder tuning.
-func DefaultResilientConfig() ResilientConfig {
-	return ResilientConfig{PropagateDecay: 0.9, BudgetWindow: 8, MaxPropagate: 12}
-}
-
-func (c ResilientConfig) withDefaults() ResilientConfig {
-	if c.BudgetWindow <= 0 {
-		c.BudgetWindow = 8
-	}
-	if c.PropagateDecay <= 0 || c.PropagateDecay > 1 {
-		c.PropagateDecay = 0.9
-	}
-	if c.MaxPropagate <= 0 {
-		c.MaxPropagate = 12
-	}
-	return c
-}
+	// eventually do more harm than good).
+	maxPropagate = 12
+)
 
 // deadlineLadder is the scale ladder the deadline enforcement walks — the
 // paper's S_reg test-scale set, descending.
@@ -215,11 +199,10 @@ type ResilientSession struct {
 // NewResilientSession creates a fresh session for one stream. kernels is
 // the regressor's branch kernel set (charged as per-frame overhead).
 func NewResilientSession(kernels []int, cfg ResilientConfig) *ResilientSession {
-	cfg = cfg.withDefaults()
 	s := &ResilientSession{
 		cfg:      cfg,
 		overhead: simclock.RegressorMS(kernels),
-		budget:   simclock.NewBudget(cfg.DeadlineMS, cfg.BudgetWindow),
+		budget:   simclock.NewBudget(cfg.DeadlineMS, budgetWindow),
 	}
 	s.reset()
 	return s
@@ -361,13 +344,13 @@ func (s *ResilientSession) Plan(f *synth.Frame) FramePlan {
 // propagate re-emits the last good detections with confidence decay, or an
 // explicitly-empty frame once the horizon is exhausted (rungs 1 and 2).
 func (s *ResilientSession) propagate(h *Health) []detect.Detection {
-	if len(s.lastDets) == 0 || s.propagated >= s.cfg.MaxPropagate {
+	if len(s.lastDets) == 0 || s.propagated >= maxPropagate {
 		h.Fallback = FallbackEmpty
 		s.propagated++
 		return nil
 	}
 	s.propagated++
-	decay := math.Pow(s.cfg.PropagateDecay, float64(s.propagated))
+	decay := math.Pow(propagateDecay, float64(s.propagated))
 	out := make([]detect.Detection, len(s.lastDets))
 	for i, d := range s.lastDets {
 		d.Score *= decay

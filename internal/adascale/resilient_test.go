@@ -235,7 +235,6 @@ func TestResilientDeadlineForcesScaleDown(t *testing.T) {
 	ds, sys := system(t)
 	cfg := DefaultResilientConfig()
 	cfg.DeadlineMS = 40
-	cfg.BudgetWindow = 4
 	outs := RunResilient(sys.Detector, sys.Regressor, &ds.Val[0], cfg)
 	free := RunResilient(sys.Detector, sys.Regressor, &ds.Val[0], DefaultResilientConfig())
 

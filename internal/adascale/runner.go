@@ -7,6 +7,7 @@ import (
 	"adascale/internal/parallel"
 	"adascale/internal/regressor"
 	"adascale/internal/rfcn"
+	"adascale/internal/rng"
 	"adascale/internal/synth"
 )
 
@@ -71,10 +72,7 @@ func RandomRunner(det *rfcn.Detector, scales []int, seed int64) RunnerFactory {
 // into an independent per-snippet stream.
 func snippetSeed(base int64, id int) int64 {
 	z := uint64(base) + uint64(id)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z & 0x7FFFFFFFFFFFFFFF)
+	return int64(rng.Mix64(z) & 0x7FFFFFFFFFFFFFFF)
 }
 
 // RunDataset fans the snippets of a split across the worker pool (see

@@ -21,62 +21,41 @@ type BuildConfig struct {
 	// is {600, 480, 360, 240}.
 	TrainScales []int
 
-	// RegScales is S_reg for label generation; the paper default adds 128.
-	RegScales []int
-
 	// Kernels selects the regressor branch architecture (Table 3).
 	Kernels []int
 
 	// Train overrides the regressor training recipe; zero value means
 	// regressor.DefaultTrainConfig.
 	Train regressor.TrainConfig
-
-	// Seed drives regressor initialisation and label-scale sampling.
-	Seed int64
-
-	// DenseLabels enumerates every S_reg scale per frame instead of the
-	// paper's one-random-scale-per-image draw (useful on small synthetic
-	// corpora; see regressor.GenerateLabelsAllScales).
-	DenseLabels bool
 }
 
-// DefaultBuildConfig returns the paper's configuration with dense labels
-// enabled for the synthetic corpus.
+// buildSeed drives regressor initialisation.
+const buildSeed = 1
+
+// DefaultBuildConfig returns the paper's configuration.
 func DefaultBuildConfig() BuildConfig {
 	return BuildConfig{
 		TrainScales: []int{600, 480, 360, 240},
-		RegScales:   regressor.SReg,
 		Kernels:     regressor.DefaultKernels,
 		Train:       regressor.DefaultTrainConfig(),
-		Seed:        1,
-		DenseLabels: true,
 	}
 }
 
 // Build runs the full Fig. 2 methodology on a dataset: multi-scale
 // fine-tune the detector (behavioural: configure its training scales),
-// generate optimal-scale labels over the training split with the Sec. 3.1
-// metric, and train the scale regressor. It returns the deployable system.
+// generate optimal-scale labels at every S_reg scale over the training
+// split with the Sec. 3.1 metric, and train the scale regressor. It returns
+// the deployable system.
 func Build(ds *synth.Dataset, cfg BuildConfig) *System {
 	if len(cfg.TrainScales) == 0 {
 		cfg.TrainScales = []int{600, 480, 360, 240}
-	}
-	if len(cfg.RegScales) == 0 {
-		cfg.RegScales = regressor.SReg
 	}
 	if cfg.Train.Epochs == 0 {
 		cfg.Train = regressor.DefaultTrainConfig()
 	}
 	det := rfcn.New(&ds.Config, cfg.TrainScales)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	frames := synth.Frames(ds.Train)
-	var labels []regressor.Label
-	if cfg.DenseLabels {
-		labels = regressor.GenerateLabelsAllScales(det, frames, cfg.RegScales)
-	} else {
-		labels = regressor.GenerateLabels(det, frames, cfg.RegScales, rng)
-	}
-	reg := regressor.New(rng, cfg.Kernels)
+	labels := regressor.GenerateLabelsAllScales(det, synth.Frames(ds.Train), regressor.SReg)
+	reg := regressor.New(rand.New(rand.NewSource(buildSeed)), cfg.Kernels)
 	reg.Fit(labels, cfg.Train)
 	return &System{Detector: det, Regressor: reg}
 }

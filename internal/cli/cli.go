@@ -21,6 +21,7 @@ import (
 
 	"adascale/internal/obs"
 	"adascale/internal/parallel"
+	"adascale/internal/rng"
 	"adascale/internal/synth"
 )
 
@@ -142,10 +143,7 @@ func (c Common) ChaosSeed() int64 { return mix(c.Seed, 0xC405) }
 // mix is a splitmix64-style finaliser over (seed, stream tag).
 func mix(seed int64, tag uint64) int64 {
 	z := uint64(seed)*0x9E3779B97F4A7C15 + tag
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z & 0x7FFFFFFFFFFFFFFF)
+	return int64(rng.Mix64(z) & 0x7FFFFFFFFFFFFFFF)
 }
 
 // Fail prints "cmd: err" to stderr and exits 1.

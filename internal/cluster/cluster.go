@@ -39,16 +39,14 @@ type Config struct {
 	// epoch boundaries. 0 means 1000.
 	EpochMS float64
 
-	// Ring tunes the bounded-load placement ring.
-	Ring RingConfig
-
 	// Plan, when non-nil, is the cluster event schedule.
 	Plan *Plan
 
 	// Node is the per-node serving configuration. Workers must be
 	// explicit (> 0): node capacity is part of the cluster's determinism
 	// contract, and blackout injection reuses the serve chaos path, which
-	// forbids a machine-derived worker count.
+	// forbids a machine-derived worker count. Its Resilient.DeadlineMS is
+	// overridden by SLOMS, as in any serve run.
 	Node serve.Config
 }
 
@@ -69,7 +67,7 @@ func (c *Config) Validate() error {
 	for _, f := range []struct {
 		name string
 		v    float64
-	}{{"EpochMS", c.EpochMS}, {"Ring.LoadFactor", c.Ring.LoadFactor}} {
+	}{{"EpochMS", c.EpochMS}} {
 		if !(f.v >= 0 && f.v <= math.MaxFloat64) {
 			return fmt.Errorf("cluster: invalid config: %s: %v is not a finite value >= 0", f.name, f.v)
 		}
@@ -137,7 +135,7 @@ func (c *Cluster) Run(streams []serve.Stream) *Report {
 	ordered := append([]serve.Stream(nil), streams...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
 	st := &runState{
-		ring:       NewRing(cfg.Ring),
+		ring:       NewRing(RingConfig{}),
 		checkpoint: make([]*adascale.SessionCheckpoint, len(ordered)),
 		prevAssign: make([]int, len(ordered)),
 		rep:        rep,
@@ -398,7 +396,7 @@ func (c *Cluster) runNode(st *runState, w *nodeEpoch) *obs.Metrics {
 	}
 	nodeCfg := c.cfg.Node
 	if w.chaos != nil {
-		nodeCfg.Chaos = &faults.SystemPlan{Seed: c.cfg.Ring.Seed, Events: w.chaos}
+		nodeCfg.Chaos = &faults.SystemPlan{Events: w.chaos}
 	}
 	srv, err := serve.New(c.det, c.reg, nodeCfg)
 	if err != nil {

@@ -330,8 +330,6 @@ func TestClusterConfigRejectsNonFinite(t *testing.T) {
 		{"EpochMS", func(c *Config) { c.EpochMS = nan }},
 		{"EpochMS", func(c *Config) { c.EpochMS = inf }},
 		{"EpochMS", func(c *Config) { c.EpochMS = -1 }},
-		{"Ring.LoadFactor", func(c *Config) { c.Ring.LoadFactor = nan }},
-		{"Ring.LoadFactor", func(c *Config) { c.Ring.LoadFactor = inf }},
 		{"Node.OnTick", func(c *Config) { c.Node.OnTick = func(float64, *obs.Metrics) {} }},
 		{"Node.Tracer", func(c *Config) { c.Node.Tracer = obs.NewTracer() }},
 	} {
@@ -345,7 +343,7 @@ func TestClusterConfigRejectsNonFinite(t *testing.T) {
 
 // TestPlanConfigRejectsNonFinite: an infinite Rate makes every gap 0 and an
 // infinite HorizonMS never ends, so GenPlan appended events until memory ran
-// out; a NaN one returned an empty plan, a NaN BlackoutMS NaN durations.
+// out; a NaN one returned an empty plan.
 func TestPlanConfigRejectsNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
@@ -356,7 +354,6 @@ func TestPlanConfigRejectsNonFinite(t *testing.T) {
 		{"HorizonMS", func(c *PlanConfig) { c.HorizonMS = nan }},
 		{"Rate", func(c *PlanConfig) { c.Rate = inf }},
 		{"Rate", func(c *PlanConfig) { c.Rate = nan }},
-		{"BlackoutMS", func(c *PlanConfig) { c.BlackoutMS = nan }},
 	} {
 		cfg := PlanConfig{Seed: 1, HorizonMS: 1000, Rate: 2, Nodes: 2, Streams: 4}
 		tc.set(&cfg)

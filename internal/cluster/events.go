@@ -138,19 +138,12 @@ type PlanConfig struct {
 
 	// Streams is the stream-ID space migrate draws target.
 	Streams int
-
-	// BlackoutMS is the mean blackout duration. 0 means 900 (long enough
-	// to span an epoch boundary at the default EpochMS, so blackouts
-	// exercise cross-node failover, not just intra-node shedding).
-	BlackoutMS float64
 }
 
-func (c PlanConfig) withDefaults() PlanConfig {
-	if c.BlackoutMS <= 0 {
-		c.BlackoutMS = 900
-	}
-	return c
-}
+// planBlackoutMS is the mean blackout duration: long enough to span an
+// epoch boundary at the default EpochMS, so blackouts exercise cross-node
+// failover, not just intra-node shedding.
+const planBlackoutMS = 900
 
 // Validate reports configuration errors.
 func (c *PlanConfig) Validate() error {
@@ -159,7 +152,7 @@ func (c *PlanConfig) Validate() error {
 	for _, f := range []struct {
 		name string
 		v    float64
-	}{{"HorizonMS", c.HorizonMS}, {"Rate", c.Rate}, {"BlackoutMS", c.BlackoutMS}} {
+	}{{"HorizonMS", c.HorizonMS}, {"Rate", c.Rate}} {
 		if !(f.v >= 0 && f.v <= math.MaxFloat64) {
 			return fmt.Errorf("cluster: invalid plan config: %s: %v is not a finite value >= 0", f.name, f.v)
 		}
@@ -182,7 +175,6 @@ func GenPlan(cfg PlanConfig) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	p := &Plan{Seed: cfg.Seed}
 	if cfg.Rate == 0 {
 		return p, nil
@@ -199,7 +191,7 @@ func GenPlan(cfg PlanConfig) (*Plan, error) {
 		case w < 7:
 			e.Kind = EvBlackout
 			e.Node = rng.Intn(cfg.Nodes)
-			e.DurationMS = cfg.BlackoutMS * (0.5 + rng.Float64())
+			e.DurationMS = planBlackoutMS * (0.5 + rng.Float64())
 		default:
 			e.Kind = EvMigrate
 			e.Stream = rng.Intn(cfg.Streams)

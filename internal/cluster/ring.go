@@ -18,15 +18,18 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+
+	"adascale/internal/rng"
 )
 
 // The stream→node placement layer: consistent hashing with bounded loads.
-// Each node projects Replicas virtual points onto a 64-bit ring; a stream
-// hashes to a ring position and walks clockwise to the first node whose
-// assigned load is below the cap ceil(LoadFactor·K/M). The walk keeps the
-// classic consistent-hashing property — node join/leave moves only the keys
-// adjacent to the changed points (plus bounded-load cascade) — while the cap
-// guarantees no node ever holds more than ~LoadFactor times its fair share.
+// Each node projects ringReplicas virtual points onto a 64-bit ring; a
+// stream hashes to a ring position and walks clockwise to the first node
+// whose assigned load is below the cap ceil(ringLoadFactor·K/M). The walk
+// keeps the classic consistent-hashing property — node join/leave moves
+// only the keys adjacent to the changed points (plus bounded-load
+// cascade) — while the cap guarantees no node ever holds more than
+// ~ringLoadFactor times its fair share.
 
 // ringPoint is one virtual node position on the hash ring.
 type ringPoint struct {
@@ -34,31 +37,23 @@ type ringPoint struct {
 	node int
 }
 
+const (
+	// ringReplicas is the number of virtual points per node (more points,
+	// smoother balance, slower rebuild).
+	ringReplicas = 64
+
+	// ringLoadFactor bounds any node's load at ceil(ringLoadFactor·K/M)
+	// keys: the classic bounded-load sweet spot, near-minimal disruption
+	// with max/mean load provably ≤ ringLoadFactor (+ the ceiling's
+	// rounding) for K ≳ 4M.
+	ringLoadFactor = 1.25
+)
+
 // RingConfig parameterises the placement ring.
 type RingConfig struct {
-	// Replicas is the number of virtual points per node (more points,
-	// smoother balance, slower rebuild). Default 64.
-	Replicas int
-
-	// LoadFactor bounds any node's load at ceil(LoadFactor·K/M) keys.
-	// Default 1.25 — the classic bounded-load sweet spot: near-minimal
-	// disruption with max/mean load provably ≤ LoadFactor (+ the ceiling's
-	// rounding) for K ≳ 4M.
-	LoadFactor float64
-
 	// Seed perturbs every ring hash, so two clusters with different seeds
 	// place streams independently.
 	Seed int64
-}
-
-func (c RingConfig) withDefaults() RingConfig {
-	if c.Replicas <= 0 {
-		c.Replicas = 64
-	}
-	if c.LoadFactor <= 1 {
-		c.LoadFactor = 1.25
-	}
-	return c
 }
 
 // Ring is a bounded-load consistent-hash ring over integer node IDs.
@@ -72,7 +67,7 @@ type Ring struct {
 
 // NewRing builds an empty ring.
 func NewRing(cfg RingConfig) *Ring {
-	return &Ring{cfg: cfg.withDefaults()}
+	return &Ring{cfg: cfg}
 }
 
 // Nodes returns the ring's node IDs in ascending order (shared slice; do
@@ -97,7 +92,7 @@ func (r *Ring) Add(node int) {
 	r.nodes = append(r.nodes, 0)
 	copy(r.nodes[i+1:], r.nodes[i:])
 	r.nodes[i] = node
-	for rep := 0; rep < r.cfg.Replicas; rep++ {
+	for rep := 0; rep < ringReplicas; rep++ {
 		r.points = append(r.points, ringPoint{hash: ringHash(r.cfg.Seed, uint64(node), uint64(rep), 0xA11CE), node: node})
 	}
 	sortPoints(r.points)
@@ -132,8 +127,8 @@ func sortPoints(ps []ringPoint) {
 }
 
 // Cap returns the bounded-load per-node cap for k keys: the maximum of
-// ceil(k/M) (feasibility: the keys must fit) and floor(LoadFactor·k/M)
-// (the balance bound ceil would loosen past LoadFactor on non-divisible
+// ceil(k/M) (feasibility: the keys must fit) and floor(ringLoadFactor·k/M)
+// (the balance bound ceil would loosen past ringLoadFactor on non-divisible
 // loads).
 func (r *Ring) Cap(k int) int {
 	m := len(r.nodes)
@@ -141,7 +136,7 @@ func (r *Ring) Cap(k int) int {
 		return 0
 	}
 	fair := (k + m - 1) / m
-	bounded := int(r.cfg.LoadFactor * float64(k) / float64(m))
+	bounded := int(ringLoadFactor * float64(k) / float64(m))
 	if bounded > fair {
 		return bounded
 	}
@@ -204,13 +199,11 @@ func (r *Ring) slot(node int) int { return sort.SearchInts(r.nodes, node) }
 // arrival or fault draws.
 func ringHash(seed int64, a, b, salt uint64) uint64 {
 	z := uint64(seed)*0x9E3779B97F4A7C15 + a*0xBF58476D1CE4E5B9 + b*0x94D049BB133111EB + salt
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	return rng.Mix64(z)
 }
 
 // String renders the ring for debugging: node count and per-node point
 // counts.
 func (r *Ring) String() string {
-	return fmt.Sprintf("ring{nodes=%d replicas=%d load_factor=%.2f}", len(r.nodes), r.cfg.Replicas, r.cfg.LoadFactor)
+	return fmt.Sprintf("ring{nodes=%d replicas=%d load_factor=%.2f}", len(r.nodes), ringReplicas, ringLoadFactor)
 }

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// Property tests for the bounded-load placement ring. Three invariants from
-// the issue: (1) balance — max/mean load ≤ LoadFactor for K ≳ 4M; (2)
+// Property tests for the bounded-load placement ring. Three invariants:
+// (1) balance — max/mean load ≤ ringLoadFactor for K ≳ 4M; (2)
 // minimal disruption — a node join or leave moves at most ceil(K/M)+slack
 // keys, where slack absorbs the bounded-load cascade; (3) determinism —
 // the assignment is a pure function of (seed, key set, ring state),
@@ -229,7 +229,7 @@ func TestRingAddRemoveIdempotent(t *testing.T) {
 	if r.Len() != 4 {
 		t.Fatalf("double-add changed node count: %d", r.Len())
 	}
-	if want, got := 4*r.cfg.Replicas, len(r.points); want != got {
+	if want, got := 4*ringReplicas, len(r.points); want != got {
 		t.Fatalf("double-add changed point count: %d, want %d", got, want)
 	}
 	r.Remove(9) // absent

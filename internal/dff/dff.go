@@ -26,27 +26,30 @@ import (
 
 // Config parameterises the DFF runner.
 type Config struct {
-	// KeyInterval is the key-frame period; the DFF paper's default is 10.
+	// KeyInterval is the key-frame period; values below 1 mean 1.
 	KeyInterval int
+}
 
-	// FlowScale is the test scale (shortest side, native convention) at
+// DefaultConfig returns the repository's operating point: a key frame
+// every 5 frames, half the DFF paper's 10, because the VID-like snippets
+// are 12 frames long and 5 keeps three key frames in each where 10 would
+// leave two.
+func DefaultConfig() Config { return Config{KeyInterval: 5} }
+
+const (
+	// flowScale is the test scale (shortest side, native convention) at
 	// which frames are rendered for flow estimation; flow runs on images
 	// an order of magnitude smaller than detection, like FlowNet's input.
-	FlowScale int
+	flowScale = 360
 
-	// Block and Radius parameterise the block matcher at the flow render
-	// resolution.
-	Block, Radius int
+	// flowBlock and flowRadius parameterise the block matcher at the flow
+	// render resolution.
+	flowBlock, flowRadius = 8, 8
 
-	// DecayPerStep is the per-propagation-step confidence decay; flow
+	// decayPerStep is the per-propagation-step confidence decay; flow
 	// residual adds on top of it.
-	DecayPerStep float64
-}
-
-// DefaultConfig mirrors the DFF paper's operating point.
-func DefaultConfig() Config {
-	return Config{KeyInterval: 5, FlowScale: 360, Block: 8, Radius: 8, DecayPerStep: 0.02}
-}
+	decayPerStep = 0.02
+)
 
 // Run executes DFF over a snippet with key frames detected at a fixed
 // scale. Non-key frames cost only flow estimation.
@@ -86,7 +89,7 @@ func run(det *rfcn.Detector, reg *regressor.Regressor, sn *synth.Snippet, keySca
 	if cfg.KeyInterval < 1 {
 		cfg.KeyInterval = 1
 	}
-	renderShort := cfg.FlowScale / det.Data.RenderDiv
+	renderShort := flowScale / det.Data.RenderDiv
 	if renderShort < 16 {
 		renderShort = 16
 	}
@@ -129,17 +132,17 @@ func run(det *rfcn.Detector, reg *regressor.Regressor, sn *synth.Snippet, keySca
 		// quantisation error of one match does not accumulate over the
 		// interval; the search radius widens with temporal distance.
 		steps := i % cfg.KeyInterval
-		radius := cfg.Radius + 2*steps
+		radius := flowRadius + 2*steps
 		if radius > 20 {
 			radius = 20
 		}
 		curRender := f.Render(renderShort, maxLong, det.Data.RenderDiv)
-		fl, flErr := flow.Estimate(keyRender, curRender, cfg.Block, radius)
+		fl, flErr := flow.Estimate(keyRender, curRender, flowBlock, radius)
 		if flErr != nil {
 			// Flow failed on a malformed frame pair: degrade to propagating
 			// the key detections unwarped (decayed as usual) instead of
 			// aborting the snippet.
-			decay := math.Pow(1-cfg.DecayPerStep, float64(steps))
+			decay := math.Pow(1-decayPerStep, float64(steps))
 			emitted := make([]detect.Detection, len(keyDets))
 			for j, d := range keyDets {
 				d.Score *= decay
@@ -155,7 +158,7 @@ func run(det *rfcn.Detector, reg *regressor.Regressor, sn *synth.Snippet, keySca
 		}
 
 		factor := raster.ScaleFactor(f.W, f.H, renderShort*det.Data.RenderDiv, maxLong) / float64(det.Data.RenderDiv)
-		decay := math.Pow(1-cfg.DecayPerStep, float64(steps)) *
+		decay := math.Pow(1-decayPerStep, float64(steps)) *
 			(1 - math.Min(0.05, 0.5*fl.MeanResidual()))
 		if decay < 0 {
 			decay = 0

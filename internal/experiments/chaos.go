@@ -28,7 +28,8 @@ type ChaosConfig struct {
 	// QueueDepth bounds each stream's queue; defaults to 4.
 	QueueDepth int
 
-	// SLOMS is the per-frame latency SLO (virtual ms); defaults to 80.
+	// SLOMS is the per-frame latency SLO (virtual ms); 0 means no SLO.
+	// DefaultChaosConfig sets 80.
 	SLOMS float64
 
 	// BreakerThreshold is the supervised mode's consecutive-failure trip

@@ -18,6 +18,7 @@ import (
 	"math/rand"
 
 	"adascale/internal/parallel"
+	"adascale/internal/rng"
 	"adascale/internal/synth"
 )
 
@@ -29,20 +30,21 @@ type Config struct {
 
 	// Per-frame fault probabilities.
 	Drop, Stale, Blackout, Overexpose, Noise, Jitter float64
-
-	// MaxSeverity bounds the severity drawn for partial faults
-	// (overexposure, noise); 0 means the default 1.0.
-	MaxSeverity float64
-
-	// MaxJitterMS bounds the arrival latency drawn for jitter faults;
-	// 0 means the default 25 ms.
-	MaxJitterMS float64
-
-	// BurstMax is the maximum number of extra consecutive frames a
-	// blackout or noise fault extends over (real sensor faults are bursty,
-	// not i.i.d.); 0 means the default 2.
-	BurstMax int
 }
+
+const (
+	// maxSeverity bounds the severity drawn for partial faults
+	// (overexposure, noise).
+	maxSeverity = 1
+
+	// maxJitterMS bounds the arrival latency drawn for jitter faults.
+	maxJitterMS = 25
+
+	// burstMax is the maximum number of extra consecutive frames a
+	// blackout or noise fault extends over (real sensor faults are bursty,
+	// not i.i.d.).
+	burstMax = 2
+)
 
 // Mixed returns a config that splits the given total per-frame fault rate
 // evenly across all six fault kinds — the standard mixed-fault condition
@@ -63,36 +65,15 @@ func (c *Config) TotalRate() float64 {
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
 	for _, r := range []float64{c.Drop, c.Stale, c.Blackout, c.Overexpose, c.Noise, c.Jitter} {
-		if r < 0 || r > 1 {
+		// Written so that NaN, which fails every comparison, fails it too.
+		if !(r >= 0 && r <= 1) {
 			return fmt.Errorf("faults: rate %v out of [0, 1]", r)
 		}
 	}
 	if t := c.TotalRate(); t > 1 {
 		return fmt.Errorf("faults: total fault rate %v exceeds 1", t)
 	}
-	if c.MaxSeverity < 0 || c.MaxSeverity > 1 {
-		return fmt.Errorf("faults: MaxSeverity %v out of [0, 1]", c.MaxSeverity)
-	}
-	if c.MaxJitterMS < 0 {
-		return fmt.Errorf("faults: negative MaxJitterMS %v", c.MaxJitterMS)
-	}
-	if c.BurstMax < 0 {
-		return fmt.Errorf("faults: negative BurstMax %d", c.BurstMax)
-	}
 	return nil
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxSeverity == 0 {
-		c.MaxSeverity = 1
-	}
-	if c.MaxJitterMS == 0 {
-		c.MaxJitterMS = 25
-	}
-	if c.BurstMax == 0 {
-		c.BurstMax = 2
-	}
-	return c
 }
 
 // Inject returns a perturbed copy of the snippets; the input is not
@@ -103,7 +84,6 @@ func Inject(snippets []synth.Snippet, cfg Config) ([]synth.Snippet, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	out := parallel.Map(len(snippets), func(i int) synth.Snippet {
 		return injectSnippet(&snippets[i], cfg)
 	})
@@ -135,13 +115,13 @@ func injectSnippet(sn *synth.Snippet, cfg Config) synth.Snippet {
 			fault = synth.Fault{Kind: kind}
 			switch kind {
 			case synth.FaultOverexpose, synth.FaultNoise, synth.FaultBlackout:
-				fault.Severity = (0.3 + 0.7*rng.Float64()) * cfg.MaxSeverity
-				if kind != synth.FaultOverexpose && cfg.BurstMax > 0 {
-					burst = rng.Intn(cfg.BurstMax + 1)
+				fault.Severity = (0.3 + 0.7*rng.Float64()) * maxSeverity
+				if kind != synth.FaultOverexpose {
+					burst = rng.Intn(burstMax + 1)
 					burstFault = fault
 				}
 			case synth.FaultJitter:
-				fault.JitterMS = (0.2 + 0.8*rng.Float64()) * cfg.MaxJitterMS
+				fault.JitterMS = (0.2 + 0.8*rng.Float64()) * maxJitterMS
 			}
 		}
 		applyFault(out.Frames, i, delivered, fault)
@@ -225,8 +205,5 @@ func Count(snippets []synth.Snippet) (counts [synth.NumFaultKinds]int, frames in
 // runner streams.
 func injectSeed(base int64, id int) int64 {
 	z := uint64(base)*0xD1B54A32D192ED03 + uint64(id)*0x9E3779B97F4A7C15 + 0xFA17
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z & 0x7FFFFFFFFFFFFFFF)
+	return int64(rng.Mix64(z) & 0x7FFFFFFFFFFFFFFF)
 }

@@ -140,9 +140,8 @@ func TestInjectValidation(t *testing.T) {
 	bad := []Config{
 		{Drop: -0.1},
 		{Drop: 0.6, Noise: 0.6},
-		{MaxSeverity: 2},
-		{MaxJitterMS: -1},
-		{BurstMax: -2},
+		Mixed(math.NaN(), 1),
+		{Jitter: math.Inf(1)},
 	}
 	for i, cfg := range bad {
 		if _, err := Inject(nil, cfg); err == nil {
@@ -287,18 +286,22 @@ func TestScaledSystemConfig(t *testing.T) {
 	}
 }
 
-// TestGenSystemPlanValidation rejects nonsense configs.
+// TestGenSystemPlanValidation rejects nonsense configs. An infinite rate
+// made GenSystemPlan's Poisson loop never return, so Validate is called on
+// its own.
 func TestGenSystemPlanValidation(t *testing.T) {
 	bad := []SystemConfig{
 		{HorizonMS: 0, Workers: 1},
 		{HorizonMS: math.NaN(), Workers: 1},
 		{HorizonMS: 1000, Workers: 0},
 		{HorizonMS: 1000, Workers: 1, KillsPerSec: -1},
-		{HorizonMS: 1000, Workers: 1, StallMS: -5},
+		{HorizonMS: 1000, Workers: 1, KillsPerSec: math.Inf(1)},
+		{HorizonMS: 1000, Workers: 1, StallsPerSec: math.Inf(1)},
+		{HorizonMS: 1000, Workers: 1, StallsPerSec: math.NaN()},
 		{HorizonMS: 1000, Workers: 1, Blackouts: -1},
 	}
 	for i, cfg := range bad {
-		if _, err := GenSystemPlan(cfg); err == nil {
+		if err := cfg.Validate(); err == nil {
 			t.Fatalf("config %d (%+v) accepted", i, cfg)
 		}
 	}

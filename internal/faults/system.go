@@ -119,23 +119,19 @@ type SystemConfig struct {
 	// second) for worker kills and stalls.
 	KillsPerSec, StallsPerSec float64
 
-	// StallMS is the mean stall duration; 0 means the default 250.
-	StallMS float64
-
 	// Blackouts is the number of node blackout windows, spread evenly over
 	// the horizon with seeded jitter.
 	Blackouts int
 
-	// BlackoutMS is each blackout's duration; 0 means the default 400.
-	BlackoutMS float64
-
 	// Saturations is the number of queue-saturation windows.
 	Saturations int
-
-	// SaturateMS is each saturation window's duration; 0 means the
-	// default 300.
-	SaturateMS float64
 }
+
+const (
+	stallMS    = 250 // mean stall duration
+	blackoutMS = 400 // each blackout's duration
+	saturateMS = 300 // each queue-saturation window's duration
+)
 
 // Validate reports configuration errors.
 func (c *SystemConfig) Validate() error {
@@ -144,31 +140,17 @@ func (c *SystemConfig) Validate() error {
 		return fmt.Errorf("faults: system plan needs a positive finite horizon, got %v ms", c.HorizonMS)
 	case c.Workers <= 0:
 		return fmt.Errorf("faults: system plan needs a positive worker count, got %d", c.Workers)
-	case c.KillsPerSec < 0 || math.IsNaN(c.KillsPerSec):
-		return fmt.Errorf("faults: negative kill rate %v", c.KillsPerSec)
-	case c.StallsPerSec < 0 || math.IsNaN(c.StallsPerSec):
-		return fmt.Errorf("faults: negative stall rate %v", c.StallsPerSec)
-	case c.StallMS < 0 || c.BlackoutMS < 0 || c.SaturateMS < 0:
-		return fmt.Errorf("faults: negative fault duration (stall %v, blackout %v, saturate %v)",
-			c.StallMS, c.BlackoutMS, c.SaturateMS)
+	// NaN fails every comparison, and GenSystemPlan's Poisson loop never
+	// ends at an infinite rate (every gap is 0): each must be finite.
+	case !(c.KillsPerSec >= 0 && c.KillsPerSec <= math.MaxFloat64):
+		return fmt.Errorf("faults: kill rate %v is not a finite value >= 0", c.KillsPerSec)
+	case !(c.StallsPerSec >= 0 && c.StallsPerSec <= math.MaxFloat64):
+		return fmt.Errorf("faults: stall rate %v is not a finite value >= 0", c.StallsPerSec)
 	case c.Blackouts < 0 || c.Saturations < 0:
 		return fmt.Errorf("faults: negative window count (blackouts %d, saturations %d)",
 			c.Blackouts, c.Saturations)
 	}
 	return nil
-}
-
-func (c SystemConfig) withDefaults() SystemConfig {
-	if c.StallMS == 0 {
-		c.StallMS = 250
-	}
-	if c.BlackoutMS == 0 {
-		c.BlackoutMS = 400
-	}
-	if c.SaturateMS == 0 {
-		c.SaturateMS = 300
-	}
-	return c
 }
 
 // ScaledSystemConfig returns the standard mixed chaos condition at the
@@ -198,7 +180,6 @@ func GenSystemPlan(cfg SystemConfig) (*SystemPlan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(injectSeed(cfg.Seed, 0x5F5)))
 	plan := &SystemPlan{Seed: cfg.Seed}
 
@@ -220,7 +201,7 @@ func GenSystemPlan(cfg SystemConfig) (*SystemPlan, error) {
 	poisson(cfg.StallsPerSec, func(atMS float64) {
 		plan.Events = append(plan.Events, SystemEvent{
 			AtMS: atMS, Kind: SysWorkerStall, Worker: rng.Intn(cfg.Workers),
-			DurationMS: cfg.StallMS * (0.5 + rng.Float64()),
+			DurationMS: stallMS * (0.5 + rng.Float64()),
 		})
 	})
 
@@ -237,8 +218,8 @@ func GenSystemPlan(cfg SystemConfig) (*SystemPlan, error) {
 			})
 		}
 	}
-	windows(cfg.Blackouts, SysNodeBlackout, cfg.BlackoutMS)
-	windows(cfg.Saturations, SysQueueSaturate, cfg.SaturateMS)
+	windows(cfg.Blackouts, SysNodeBlackout, blackoutMS)
+	windows(cfg.Saturations, SysQueueSaturate, saturateMS)
 
 	sort.Slice(plan.Events, func(a, b int) bool {
 		x, y := plan.Events[a], plan.Events[b]

@@ -233,10 +233,9 @@ func TestGenerateLabels(t *testing.T) {
 	cfg.FramesPerSnippet = 3
 	ds, _ := synth.Generate(cfg, 4, 0)
 	det := rfcn.NewMS(&ds.Config)
-	rng := rand.New(rand.NewSource(8))
-	labels := GenerateLabels(det, synth.Frames(ds.Train), SReg, rng)
-	if len(labels) != 12 {
-		t.Fatalf("labels = %d, want 12", len(labels))
+	labels := GenerateLabelsAllScales(det, synth.Frames(ds.Train), SReg)
+	if want := 4 * 3 * len(SReg); len(labels) != want {
+		t.Fatalf("labels = %d, want %d", len(labels), want)
 	}
 	for _, lb := range labels {
 		if lb.Target < -1-1e-9 || lb.Target > 1+1e-9 {

@@ -23,41 +23,16 @@ type Label struct {
 	Features   *tensor.Tensor
 }
 
-// GenerateLabels implements the label-generation stage of Fig. 2: for every
-// frame, the optimal scale m_opt is computed with the Sec. 3.1 metric over
-// sReg; the training input scale is drawn uniformly from sReg ("to best
-// train the regressor, we should scale the image to every possible scale
-// for the regressor to learn the dynamics"), and the target is Eq. 3's
-// t(m, m_opt). Deep features are extracted once here and cached on the
-// label.
-// Frames are processed in parallel with per-worker detector clones; the
-// random input scales are drawn serially up front, so the labels (and the
-// rng stream consumed) are identical to the historical serial loop.
-func GenerateLabels(det *rfcn.Detector, frames []*synth.Frame, sReg []int, rng *rand.Rand) []Label {
-	scales := make([]int, len(frames))
-	for i := range scales {
-		scales[i] = sReg[rng.Intn(len(sReg))]
-	}
-	return parallel.MapWorkers(len(frames), det.Clone, func(d *rfcn.Detector, i int) Label {
-		f := frames[i]
-		mOpt, _ := scaleopt.OptimalScale(d, f, sReg, scaleopt.DefaultLambda)
-		m := scales[i]
-		return Label{
-			Frame:      f,
-			InputScale: m,
-			OptScale:   mOpt,
-			Target:     EncodeTarget(m, mOpt),
-			Features:   d.Features(f, m),
-		}
-	})
-}
-
-// GenerateLabelsAllScales is a densified variant of GenerateLabels: every
-// frame contributes one label per scale in sReg instead of one at a random
-// scale. The paper draws a single random scale per image per pass; with a
-// synthetic corpus far smaller than ImageNet VID, enumerating the scales
-// provides the same coverage of "the dynamics between 600 and 128" with
-// less variance.
+// GenerateLabelsAllScales implements the label-generation stage of Fig. 2:
+// for every frame, the optimal scale m_opt is computed with the Sec. 3.1
+// metric over sReg, and the frame contributes one label per scale m in sReg
+// with Eq. 3's target t(m, m_opt). The paper draws a single random input
+// scale per image per pass ("to best train the regressor, we should scale
+// the image to every possible scale for the regressor to learn the
+// dynamics"); with a synthetic corpus far smaller than ImageNet VID,
+// enumerating the scales provides the same coverage of the dynamics
+// between 600 and 128 with less variance. Deep features are extracted once
+// here and cached on the label.
 // Frames are processed in parallel with per-worker detector clones and the
 // per-frame label groups concatenated in frame order, matching the
 // historical serial loop exactly.

@@ -207,3 +207,14 @@ func absInt32(i int32) uint32 {
 	}
 	return uint32(i)
 }
+
+// Mix64 is the splitmix64 finaliser: a bijective avalanche of z in which
+// every input bit flips each output bit with probability about one half.
+// Callers derive seeds from (seed, IDs) by pre-mixing them into z with their
+// own odd multipliers and salt, so the streams of different callers stay
+// independent.
+func Mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}

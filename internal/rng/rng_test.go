@@ -242,3 +242,11 @@ func BenchmarkNormFloat64s30k(b *testing.B) {
 		}
 	})
 }
+
+// TestMix64 pins the finaliser to splitmix64's published first output for
+// state 0 (the state advances by the golden gamma before mixing).
+func TestMix64(t *testing.T) {
+	if got := Mix64(0x9E3779B97F4A7C15); got != 0xE220A8397B1DCDAF {
+		t.Fatalf("Mix64 = %#x, want 0xe220a8397b1dcdaf", got)
+	}
+}

@@ -36,22 +36,20 @@ func TestApplyDegenerateInputs(t *testing.T) {
 	}
 }
 
-// TestApplySingleFrame: with one frame every chain has length 1, so average
-// and max rescoring both leave scores untouched and nothing that does not
-// overlap gets suppressed.
+// TestApplySingleFrame: with one frame every chain has length 1, so
+// rescoring leaves scores untouched and nothing that does not overlap gets
+// suppressed.
 func TestApplySingleFrame(t *testing.T) {
 	frames := [][]detect.Detection{{
 		{Box: box(0, 0, 20), Class: 1, Score: 0.9},
 		{Box: box(100, 100, 20), Class: 2, Score: 0.4},
 	}}
-	for _, mode := range []Rescoring{RescoreAverage, RescoreMax} {
-		out := Apply(frames, Options{Rescoring: mode})
-		if len(out) != 1 || len(out[0]) != 2 {
-			t.Fatalf("mode %v: got %d frames / %d detections", mode, len(out), len(out[0]))
-		}
-		if math.Abs(out[0][0].Score-0.9) > 1e-12 || math.Abs(out[0][1].Score-0.4) > 1e-12 {
-			t.Fatalf("mode %v: singleton chains changed scores: %+v", mode, out[0])
-		}
+	out := Apply(frames, Options{})
+	if len(out) != 1 || len(out[0]) != 2 {
+		t.Fatalf("got %d frames / %d detections", len(out), len(out[0]))
+	}
+	if math.Abs(out[0][0].Score-0.9) > 1e-12 || math.Abs(out[0][1].Score-0.4) > 1e-12 {
+		t.Fatalf("singleton chains changed scores: %+v", out[0])
 	}
 }
 

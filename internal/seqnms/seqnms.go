@@ -18,49 +18,23 @@ import (
 
 // Thresholds from the Seq-NMS paper.
 const (
-	// DefaultLinkIoU is the minimum IoU for a cross-frame link.
-	DefaultLinkIoU = 0.5
+	// linkIoU is the minimum IoU for a cross-frame link.
+	linkIoU = 0.5
 
-	// DefaultSuppressIoU is the within-frame suppression threshold applied
+	// suppressIoU is the within-frame suppression threshold applied
 	// around selected chain members (matching the detector's NMS level).
-	DefaultSuppressIoU = 0.3
+	suppressIoU = 0.3
 )
 
-// Rescoring selects how a chain's scores are redistributed.
-type Rescoring int
-
-// Rescoring modes.
-const (
-	// RescoreAverage assigns every chain member the chain's mean score
-	// (the Seq-NMS paper's best-performing variant).
-	RescoreAverage Rescoring = iota
-	// RescoreMax assigns every chain member the chain's maximum score.
-	RescoreMax
-)
-
-// Options configures Apply; the zero value selects the paper defaults.
-type Options struct {
-	LinkIoU     float64
-	SuppressIoU float64
-	Rescoring   Rescoring
-}
-
-func (o Options) withDefaults() Options {
-	if o.LinkIoU == 0 {
-		o.LinkIoU = DefaultLinkIoU
-	}
-	if o.SuppressIoU == 0 {
-		o.SuppressIoU = DefaultSuppressIoU
-	}
-	return o
-}
+// Options configures Apply. It has no fields: Apply always runs at the
+// Seq-NMS paper's thresholds with average rescoring (the paper's
+// best-performing variant).
+type Options struct{}
 
 // Apply runs Seq-NMS over a snippet's per-frame detections and returns the
 // rescored per-frame detections (same frame count; detections suppressed by
 // a selected chain are dropped). The input is not modified.
-func Apply(frames [][]detect.Detection, opts Options) [][]detect.Detection {
-	opts = opts.withDefaults()
-
+func Apply(frames [][]detect.Detection, _ Options) [][]detect.Detection {
 	// Working copy with liveness flags.
 	type node struct {
 		det   detect.Detection
@@ -115,7 +89,7 @@ func Apply(frames [][]detect.Detection, opts Options) [][]detect.Detection {
 						if work[t-1][j].det.Class != work[t][i].det.Class {
 							continue
 						}
-						if detect.IoU(work[t-1][j].det.Box, work[t][i].det.Box) <= opts.LinkIoU {
+						if detect.IoU(work[t-1][j].det.Box, work[t][i].det.Box) <= linkIoU {
 							continue
 						}
 						if cand := best[t-1][j] + work[t][i].det.Score; cand > best[t][i] {
@@ -141,19 +115,12 @@ func Apply(frames [][]detect.Detection, opts Options) [][]detect.Detection {
 			t, i = t-1, pi
 		}
 
-		// Rescore.
-		var sum, maxS float64
+		// Rescore: every chain member gets the chain's mean score.
+		var sum float64
 		for _, r := range chain {
-			s := work[r.t][r.i].det.Score
-			sum += s
-			if s > maxS {
-				maxS = s
-			}
+			sum += work[r.t][r.i].det.Score
 		}
 		newScore := sum / float64(len(chain))
-		if opts.Rescoring == RescoreMax {
-			newScore = maxS
-		}
 
 		// Commit the chain and suppress the overlapped.
 		for _, r := range chain {
@@ -167,7 +134,7 @@ func Apply(frames [][]detect.Detection, opts Options) [][]detect.Detection {
 				if !o.alive || o.det.Class != n.det.Class {
 					continue
 				}
-				if detect.IoU(o.det.Box, n.det.Box) > opts.SuppressIoU {
+				if detect.IoU(o.det.Box, n.det.Box) > suppressIoU {
 					o.alive = false // suppressed, not emitted
 					remaining--
 					suppressed++

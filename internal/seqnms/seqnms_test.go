@@ -32,17 +32,6 @@ func TestChainAverageRescoring(t *testing.T) {
 	}
 }
 
-func TestMaxRescoring(t *testing.T) {
-	frames := [][]detect.Detection{
-		{{Box: box(0, 0, 20), Class: 1, Score: 0.9}},
-		{{Box: box(1, 0, 20), Class: 1, Score: 0.3}},
-	}
-	out := Apply(frames, Options{Rescoring: RescoreMax})
-	if out[1][0].Score != 0.9 {
-		t.Fatalf("max rescoring gave %v", out[1][0].Score)
-	}
-}
-
 func TestUnlinkedDetectionsKeepScores(t *testing.T) {
 	// Flickering false positives at unrelated positions never link.
 	frames := [][]detect.Detection{
@@ -174,17 +163,5 @@ func TestApplyInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDefaultsApplied(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.LinkIoU != DefaultLinkIoU || o.SuppressIoU != DefaultSuppressIoU {
-		t.Fatalf("defaults not applied: %+v", o)
-	}
-	// Custom thresholds survive.
-	o2 := Options{LinkIoU: 0.7, SuppressIoU: 0.4}.withDefaults()
-	if o2.LinkIoU != 0.7 || o2.SuppressIoU != 0.4 {
-		t.Fatal("custom thresholds overwritten")
 	}
 }

@@ -42,8 +42,6 @@ type breaker struct {
 	fails       int     // consecutive detector-path failures
 	openUntilMS float64 // when an open circuit goes half-open
 	curCooldown float64 // current (escalated) cooldown
-	openCount   int     // transitions into open
-	closeCount  int     // transitions into closed from half-open
 }
 
 // newBreaker builds a breaker; threshold <= 0 produces a disabled breaker
@@ -101,7 +99,6 @@ func (b *breaker) onFailure(nowMS float64) (opened bool) {
 	}
 	b.state = breakerOpen
 	b.openUntilMS = nowMS + b.curCooldown
-	b.openCount++
 	return true
 }
 
@@ -112,7 +109,6 @@ func (b *breaker) onSuccess() (closed bool) {
 	if b.state == breakerHalfOpen {
 		b.state = breakerClosed
 		b.curCooldown = b.cooldownMS
-		b.closeCount++
 		return true
 	}
 	return false

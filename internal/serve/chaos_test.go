@@ -197,15 +197,11 @@ func TestServeChaosSaturationCollapsesQueues(t *testing.T) {
 }
 
 // TestSupervisorBackoffDeterministic is the table-driven backoff contract:
-// exponential doubling capped at RetryMaxMS, deterministic jitter — the
-// same (seed, stream, attempt) always yields the same delay, different
-// streams decorrelate, and a different seed moves the jitter.
+// exponential doubling capped at retryMaxMS, deterministic jitter — the
+// same (stream, attempt) always yields the same delay, and different
+// streams decorrelate.
 func TestSupervisorBackoffDeterministic(t *testing.T) {
-	mk := func(seed int64) *supervisor {
-		cfg := SupervisorConfig{RetryBaseMS: 20, RetryMaxMS: 160, RetrySeed: seed}
-		return &supervisor{cfg: cfg.withDefaults(0)}
-	}
-	s := mk(11)
+	s := &supervisor{}
 	for _, tc := range []struct {
 		attempt int
 		baseMS  float64 // the un-jittered exponential component
@@ -216,15 +212,12 @@ func TestSupervisorBackoffDeterministic(t *testing.T) {
 		if got < tc.baseMS || got >= tc.baseMS+20 {
 			t.Fatalf("attempt %d: backoff %v outside [%v, %v)", tc.attempt, got, tc.baseMS, tc.baseMS+20)
 		}
-		if again := mk(11).backoffMS(0, tc.attempt); again != got {
+		if again := s.backoffMS(0, tc.attempt); again != got {
 			t.Fatalf("attempt %d: backoff not reproducible (%v then %v)", tc.attempt, got, again)
 		}
 	}
-	if mk(11).backoffMS(0, 1) == mk(11).backoffMS(1, 1) {
+	if s.backoffMS(0, 1) == s.backoffMS(1, 1) {
 		t.Fatal("streams 0 and 1 share a retry timeline; thundering-herd jitter is not decorrelating")
-	}
-	if mk(11).backoffMS(0, 1) == mk(12).backoffMS(0, 1) {
-		t.Fatal("jitter ignores the seed")
 	}
 }
 
@@ -235,6 +228,7 @@ func TestSupervisorBackoffDeterministic(t *testing.T) {
 func TestBreakerTransitions(t *testing.T) {
 	t.Run("full lifecycle", func(t *testing.T) {
 		b := newBreaker(2, 100)
+		opens, closes := 0, 0
 		steps := []struct {
 			op    string // "fail@t", "ok", "shed@t"
 			at    float64
@@ -253,9 +247,13 @@ func TestBreakerTransitions(t *testing.T) {
 		for i, st := range steps {
 			switch st.op {
 			case "fail":
-				b.onFailure(st.at)
+				if b.onFailure(st.at) {
+					opens++
+				}
 			case "ok":
-				b.onSuccess()
+				if b.onSuccess() {
+					closes++
+				}
 			case "shed":
 				if got := b.shouldShed(st.at); got != st.sheds {
 					t.Fatalf("step %d: shouldShed(%v) = %v, want %v", i, st.at, got, st.sheds)
@@ -265,8 +263,8 @@ func TestBreakerTransitions(t *testing.T) {
 				t.Fatalf("step %d (%s@%v): state %v, want %v", i, st.op, st.at, b.state, st.want)
 			}
 		}
-		if b.openCount != 1 || b.closeCount != 1 {
-			t.Fatalf("openCount %d closeCount %d, want 1 and 1", b.openCount, b.closeCount)
+		if opens != 1 || closes != 1 {
+			t.Fatalf("%d transitions into open and %d into closed, want 1 and 1", opens, closes)
 		}
 	})
 
@@ -328,9 +326,6 @@ func TestBreakerTransitions(t *testing.T) {
 		}
 		if b.openUntilMS != 150 {
 			t.Fatalf("open window end %v, want 150 (extended from the later failure)", b.openUntilMS)
-		}
-		if b.openCount != 1 {
-			t.Fatalf("openCount %d, want 1", b.openCount)
 		}
 	})
 }

@@ -114,8 +114,5 @@ func GenLoad(snippets []synth.Snippet, cfg LoadConfig) ([]Stream, error) {
 // generation and fault-injection streams.
 func loadSeed(base int64, id int) int64 {
 	z := uint64(base)*0xBF58476D1CE4E5B9 + uint64(id)*0x9E3779B97F4A7C15 + 0x5EED
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z & 0x7FFFFFFFFFFFFFFF)
+	return int64(rng.Mix64(z) & 0x7FFFFFFFFFFFFFFF)
 }

@@ -378,8 +378,8 @@ func (l *eventLoop) place(i int, inf *inflightFrame, w int, serviceMS float64) {
 		l.busy++
 	}
 	l.events.push(event{timeMS: inf.completionMS, kind: kindCompletion, stream: i, seq: inf.dispID})
-	if l.sup != nil && l.sup.cfg.WatchdogMS > 0 && !inf.plan.Skip && !inf.shed {
-		l.events.push(event{timeMS: l.clockMS + l.sup.cfg.WatchdogMS, kind: kindWatchdog, stream: i, seq: inf.dispID})
+	if l.sup != nil && !inf.plan.Skip && !inf.shed {
+		l.events.push(event{timeMS: l.clockMS + l.sup.watchdogMS, kind: kindWatchdog, stream: i, seq: inf.dispID})
 	}
 }
 
@@ -464,7 +464,7 @@ func (l *eventLoop) fault(ev event) {
 	switch e.Kind {
 	case faults.SysWorkerKill:
 		l.Metrics.Inc("workers/rebuilt", 1)
-		l.killWorker(e.Worker, l.clockMS+l.sup.cfg.RebuildMS, "kill")
+		l.killWorker(e.Worker, l.clockMS+rebuildMS, "kill")
 	case faults.SysWorkerStall:
 		l.stallWorker(e.Worker, e.DurationMS)
 	case faults.SysNodeBlackout:
@@ -522,7 +522,7 @@ func (l *eventLoop) stallWorker(wi int, durMS float64) {
 
 // failDispatch invalidates session index i's current dispatch: the frame
 // goes to retry with exponential backoff and deterministic jitter, or —
-// once MaxRetries is exhausted — is abandoned into the degradation ladder
+// once maxRetries is exhausted — is abandoned into the degradation ladder
 // (propagated output; never silently lost). The breaker records the
 // failure. The worker slot itself is the caller's to release.
 func (l *eventLoop) failDispatch(i int, reason string) {
@@ -548,7 +548,7 @@ func (l *eventLoop) failDispatch(i int, reason string) {
 	if l.sup.breakers[i].onFailure(l.clockMS) {
 		l.Metrics.Inc("breaker/open", 1)
 	}
-	if inf.attempts > l.sup.cfg.MaxRetries {
+	if inf.attempts > maxRetries {
 		l.Metrics.Inc("frames/abandoned", 1)
 		l.settle(i, inf, Result{})
 		return
@@ -569,7 +569,7 @@ func (l *eventLoop) retryExpired(ev event) {
 	l.dispatch()
 }
 
-// watchdog fires WatchdogMS after a dispatch; if that dispatch is still in
+// watchdog fires watchdogMS after a dispatch; if that dispatch is still in
 // flight it is presumed stalled and reassigned.
 func (l *eventLoop) watchdog(ev event) {
 	s := l.sessions[ev.stream]

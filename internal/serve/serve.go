@@ -79,9 +79,9 @@ type Config struct {
 	// enforcement.
 	SLOMS float64
 
-	// Resilient tunes each session's degradation ladder. Its DeadlineMS
-	// is overridden by SLOMS: in the serving layer the deadline budget
-	// tracks latency, not compute.
+	// Resilient is each session's degradation-ladder config. Its only
+	// field, DeadlineMS, is overridden by SLOMS: in the serving layer the
+	// deadline budget tracks latency, not compute.
 	Resilient adascale.ResilientConfig
 
 	// TickMS emits a periodic OnTick callback every TickMS of virtual
@@ -139,8 +139,8 @@ type Config struct {
 	// without a supervision layer at all.
 	Chaos *faults.SystemPlan
 
-	// Supervisor tunes the recovery machinery; consulted only when Chaos
-	// is set. The zero value means all defaults.
+	// Supervisor tunes the circuit breakers; consulted only when Chaos is
+	// set. The zero value means all defaults.
 	Supervisor SupervisorConfig
 }
 

@@ -353,7 +353,6 @@ func TestServeConfigValidation(t *testing.T) {
 		{"negative queue depth", func(c *Config) { c.QueueDepth = -3 }, "QueueDepth"},
 		{"negative max streams", func(c *Config) { c.MaxStreams = -2 }, "MaxStreams"},
 		{"negative tick", func(c *Config) { c.TickMS = -5 }, "TickMS"},
-		{"negative retry bound", func(c *Config) { c.Supervisor.MaxRetries = -1 }, "Supervisor.MaxRetries"},
 		{"chaos without workers", func(c *Config) {
 			c.Workers = 0
 			c.Chaos = &faults.SystemPlan{}

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"adascale/internal/adascale"
+	"adascale/internal/obs"
 	"adascale/internal/regressor"
 	"adascale/internal/rfcn"
 	"adascale/internal/serve"
@@ -176,7 +177,7 @@ type engine struct {
 // newEngine builds the engine for a validated, defaulted config.
 func newEngine(det *rfcn.Detector, reg *regressor.Regressor, cfg Config) *engine {
 	e := &engine{
-		Core:       serve.Core{Metrics: cfg.Metrics},
+		Core:       serve.Core{Metrics: obs.NewMetrics()},
 		cfg:        cfg,
 		clock:      cfg.Clock,
 		numClasses: len(det.Data.Classes),

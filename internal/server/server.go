@@ -91,8 +91,8 @@ type Config struct {
 	// ingestion requests.
 	Rate RateLimit
 
-	// Resilient tunes each stream's degradation ladder; its DeadlineMS is
-	// overridden per stream by the effective SLO.
+	// Resilient is each stream's degradation-ladder config. Its only field,
+	// DeadlineMS, is overridden per stream by the effective SLO.
 	Resilient adascale.ResilientConfig
 
 	// Clock is the transport→virtual-time bridge. nil means a WallClock
@@ -104,10 +104,6 @@ type Config struct {
 	// replay recorded scripts in, where responses must already carry the
 	// frame's outcome.
 	Sync bool
-
-	// Metrics is the registry the server records into (shared with
-	// /metrics). nil means a fresh registry.
-	Metrics *obs.Metrics
 }
 
 // withDefaults resolves the zero values.
@@ -118,14 +114,11 @@ func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = NewWallClock()
 	}
-	if c.Metrics == nil {
-		c.Metrics = obs.NewMetrics()
-	}
 	return c
 }
 
 // Validate reports configuration errors. Zero values that mean "default"
-// (QueueDepth, Workers, Clock, Metrics) pass; values that cannot mean
+// (QueueDepth, Workers, Clock) pass; values that cannot mean
 // anything (negative capacities, non-finite or negative rates) are
 // rejected with a typed *ConfigError naming the field.
 func (c *Config) Validate() error {
@@ -165,9 +158,8 @@ type Server struct {
 	limiter *tenantLimiter
 	handler http.Handler
 
-	mu       sync.Mutex
-	draining bool
-	httpSrv  *http.Server
+	mu      sync.Mutex
+	httpSrv *http.Server
 }
 
 // New builds a server for a trained system. The detector and regressor are
@@ -177,12 +169,9 @@ func New(det *rfcn.Detector, reg *regressor.Regressor, cfg Config) (*Server, err
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	s := &Server{
-		cfg:     cfg,
-		metrics: cfg.Metrics,
-		clock:   cfg.Clock,
-	}
+	s := &Server{cfg: cfg, clock: cfg.Clock}
 	s.engine = newEngine(det, reg, cfg)
+	s.metrics = s.engine.Metrics
 	s.limiter = newTenantLimiter(cfg.Rate, cfg.Clock)
 	s.handler = s.routes()
 	return s, nil
@@ -197,20 +186,15 @@ func (s *Server) Handler() http.Handler { return s.handler }
 
 // Draining reports whether drain has started (readiness probes flip 503).
 func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
+	s.engine.mu.Lock()
+	defer s.engine.mu.Unlock()
+	return s.engine.draining
 }
 
 // StartDrain closes the front door without waiting: admission and
 // ingestion begin returning 503, /readyz flips to 503, already-admitted
 // frames keep flowing to results.
-func (s *Server) StartDrain() {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
-	s.engine.stopAdmission()
-}
+func (s *Server) StartDrain() { s.engine.stopAdmission() }
 
 // Drain performs the full graceful drain: stop admission, flush every
 // queued and in-flight frame through the pipeline, close the compute

@@ -360,10 +360,7 @@ func genSnippet(cfg *Config, rng *rand.Rand, id, primaryClass int) Snippet {
 // deterministic 64-bit seed (splitmix64-style finaliser).
 func frameSeed(base int64, snippet, frame int) int64 {
 	z := uint64(base) ^ uint64(snippet)*0x9E3779B97F4A7C15 ^ uint64(frame)*0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z & 0x7FFFFFFFFFFFFFFF)
+	return int64(rng.Mix64(z) & 0x7FFFFFFFFFFFFFFF)
 }
 
 // Render rasterises the frame with its shortest side equal to renderShort
