@@ -70,7 +70,8 @@ bench:
 # plain and under chaos: the curve the dispatch index keeps flat) and with
 # real compute at des_serve's shape (ServeRun), a quarter-size cluster_model
 # fleet (ClusterRun: ns, allocs and bytes per frame, node runs fanned out over
-# both CPUs), the
+# both CPUs), a 32-item no-op batch on parallel.Pool (Map: ns and allocs per
+# item at workers 1 and 2), the
 # random stream with math/rand's figure beside each (seed + 12 draws, a
 # frame's 30 000 normals) and a render of the val split (all frames at 600 and
 # 128, the motion-blurred ones, a noise fault).
@@ -82,6 +83,7 @@ microbench:
 	$(GO) test -run=^$$ -bench=Fit -benchtime=3x -cpu 1 ./internal/regressor
 	$(GO) test -run=^$$ -bench='SchedulerModelOnly|ServeRun' -benchtime=3x ./internal/serve
 	$(GO) test -run=^$$ -bench=ClusterRun -benchtime=3x ./internal/cluster
+	$(GO) test -run=^$$ -bench=Map -benchmem ./internal/parallel
 	$(GO) test -run=^$$ -bench=. -cpu 1 ./internal/rng
 	$(GO) test -run=^$$ -bench=FrameRender -benchmem -cpu 1 .
 

@@ -192,15 +192,7 @@ func main() {
 		if seed == 0 {
 			seed = common.ChaosSeed()
 		}
-		horizon := 0.0
-		for _, st := range load {
-			for _, f := range st.Frames {
-				if f.ArrivalMS > horizon {
-					horizon = f.ArrivalMS
-				}
-			}
-		}
-		plan, err := faults.GenSystemPlan(faults.ScaledSystemConfig(*chaosRate, seed, horizon+500, cfg.Workers))
+		plan, err := faults.GenSystemPlan(faults.ScaledSystemConfig(*chaosRate, seed, serve.LastArrivalMS(load)+500, cfg.Workers))
 		if err != nil {
 			fail(err)
 		}
@@ -311,17 +303,9 @@ func runCluster(sys *adascale.System, load []serve.Stream, opt clusterRun, fail 
 		},
 	}
 	if opt.eventRate > 0 {
-		horizon := 0.0
-		for _, st := range load {
-			for _, f := range st.Frames {
-				if f.ArrivalMS > horizon {
-					horizon = f.ArrivalMS
-				}
-			}
-		}
 		plan, err := cluster.GenPlan(cluster.PlanConfig{
 			Seed:      opt.planSeed,
-			HorizonMS: horizon + opt.epochMS,
+			HorizonMS: serve.LastArrivalMS(load) + opt.epochMS,
 			Rate:      opt.eventRate,
 			Nodes:     opt.nodes,
 			Streams:   len(load),

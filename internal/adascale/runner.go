@@ -80,13 +80,12 @@ func snippetSeed(base int64, id int) int64 {
 // and concatenates the per-snippet outputs in snippet order. Snippets are
 // independent by construction — all detector randomness derives from
 // per-frame seeds — so the output stream is identical to RunDatasetSerial
-// for any worker count.
+// for any worker count. A runner panic is re-raised as the lowest-index
+// failing snippet's *parallel.PanicError once every snippet has run.
 func RunDataset(snippets []synth.Snippet, factory RunnerFactory) []FrameOutput {
-	perSnippet := parallel.MapWorkers(len(snippets), factory,
-		func(run SnippetRunner, i int) []FrameOutput { return run(&snippets[i]) })
-	out := make([]FrameOutput, 0, totalFrames(snippets))
-	for _, outs := range perSnippet {
-		out = append(out, outs...)
+	out, errs := RunDatasetPartial(snippets, factory)
+	if len(errs) > 0 {
+		panic(errs[0].Err)
 	}
 	return out
 }

@@ -150,17 +150,9 @@ func (b *Bundle) Chaos(cfg ChaosConfig) (*ChaosResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	horizon := 0.0
-	for _, st := range load {
-		for _, f := range st.Frames {
-			if f.ArrivalMS > horizon {
-				horizon = f.ArrivalMS
-			}
-		}
-	}
 
 	for _, rate := range cfg.Rates {
-		plan, err := faults.GenSystemPlan(faults.ScaledSystemConfig(rate, cfg.PlanSeed, horizon+500, cfg.Workers))
+		plan, err := faults.GenSystemPlan(faults.ScaledSystemConfig(rate, cfg.PlanSeed, serve.LastArrivalMS(load)+500, cfg.Workers))
 		if err != nil {
 			return nil, err
 		}

@@ -154,12 +154,7 @@ func (b *Bundle) Cluster(cfg ClusterSweepConfig) (*ClusterResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		horizon := 0.0
-		for _, st := range load {
-			if n := len(st.Frames); n > 0 && st.Frames[n-1].ArrivalMS > horizon {
-				horizon = st.Frames[n-1].ArrivalMS
-			}
-		}
+		horizon := serve.LastArrivalMS(load)
 		row := ClusterRow{Streams: streams}
 		for _, nodes := range cfg.Nodes {
 			plan, err := cluster.GenPlan(cluster.PlanConfig{

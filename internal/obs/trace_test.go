@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -64,7 +65,9 @@ func TestTracerDeterministicAcrossWorkerCounts(t *testing.T) {
 	produce := func(workers int) string {
 		tr := NewTracer()
 		type buf struct{ spans []Span }
-		parallel.MapWorkersN(workers, 8, func() *buf { return &buf{} },
+		defer parallel.SetWorkers(0)
+		parallel.SetWorkers(workers)
+		parallel.MapWorkers(8, func() *buf { return &buf{} },
 			func(b *buf, i int) int {
 				local := synthSpans(1, 2)
 				for j := range local {
@@ -92,15 +95,16 @@ func TestTracerOrderingUnderPoolPanicRebuild(t *testing.T) {
 	// record nothing, surviving jobs' spans sort identically to a serial
 	// run. This pins the per-worker span merge against the pool's
 	// panic-recovery path.
-	run := func(workers int) (string, int) {
+	run := func(workers int) (string, int64) {
 		tr := NewTracer()
 		pool := parallel.NewPool(workers, func() int { return 0 })
 		done := make(chan struct{}, 16)
+		var panics atomic.Int64
 		for i := 0; i < 16; i++ {
-			i := i
 			pool.Submit(func(int) {
 				defer func() { done <- struct{}{} }()
 				if i%5 == 2 {
+					panics.Add(1)
 					panic(fmt.Sprintf("poisoned frame %d", i))
 				}
 				local := synthSpans(1, 1)
@@ -114,7 +118,7 @@ func TestTracerOrderingUnderPoolPanicRebuild(t *testing.T) {
 			<-done
 		}
 		pool.Close()
-		return tr.Format(), pool.Panics()
+		return tr.Format(), panics.Load()
 	}
 	ref, panics := run(1)
 	if panics != 3 {

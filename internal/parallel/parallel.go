@@ -8,10 +8,12 @@
 // is deterministic — the invariant the determinism tests in
 // internal/adascale assert end to end.
 //
-// The worker count honours GOMAXPROCS by default and can be overridden
-// globally with SetWorkers (wired to the -workers flag of the commands) or
-// per call with the *N variants. A pool is created per call and never
-// outlives it; nested parallel calls are safe, they simply share the CPUs.
+// Pool is the only worker loop. A batch (Map, MapWorkers,
+// MapWorkersPartial) runs its items as jobs on a Pool opened for the call
+// and closed before it returns; nested batches are safe, they simply share
+// the CPUs. The worker count honours GOMAXPROCS by default and can be
+// overridden globally with SetWorkers (wired to the -workers flag of the
+// commands).
 package parallel
 
 import (
@@ -56,93 +58,6 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("parallel: task panicked: %v", e.Value)
 }
 
-// run executes task(i) for every i in [0, n) on up to workers goroutines.
-// Indices are handed out through an atomic counter, so the pool is bounded
-// and work-stealing-free. The first task panic is recovered and returned as
-// a *PanicError; remaining workers stop picking up new work, and the pool
-// always drains (no deadlock).
-func run(workers, n int, task func(int)) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return runSerial(n, task)
-	}
-
-	var (
-		next    atomic.Int64
-		failed  atomic.Bool
-		errOnce sync.Once
-		err     error
-		wg      sync.WaitGroup
-	)
-	worker := func() {
-		defer wg.Done()
-		// A recover here catches at most one panic per worker; the worker
-		// then exits, which is fine — the other workers keep draining.
-		defer func() {
-			if r := recover(); r != nil {
-				errOnce.Do(func() { err = &PanicError{Value: r} })
-				failed.Store(true)
-			}
-		}()
-		for !failed.Load() {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			task(i)
-		}
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go worker()
-	}
-	wg.Wait()
-	return err
-}
-
-// runSerial is the single-worker path: no goroutines, same error contract.
-func runSerial(n int, task func(int)) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Value: r}
-		}
-	}()
-	for i := 0; i < n; i++ {
-		task(i)
-	}
-	return nil
-}
-
-// Map runs fn(i) for every i in [0, n) across Workers() goroutines and
-// returns the results in index order. A task panic is re-raised on the
-// calling goroutine (wrapped in *PanicError), matching the behaviour of the
-// equivalent serial loop closely enough for drop-in use.
-func Map[R any](n int, fn func(int) R) []R { return MapN(Workers(), n, fn) }
-
-// MapN is Map with an explicit worker count.
-func MapN[R any](workers, n int, fn func(int) R) []R {
-	out := make([]R, n)
-	if err := run(workers, n, func(i int) { out[i] = fn(i) }); err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// MapWorkers runs fn across Workers() goroutines with per-worker state:
-// each worker calls newWorker once and passes the value to every task it
-// executes. This is how the pipeline gives each worker its own detector /
-// regressor clone (the nn layers cache activations and are not safe to
-// share). Results are collected in index order; task panics re-raise on the
-// calling goroutine.
-func MapWorkers[S, R any](n int, newWorker func() S, fn func(S, int) R) []R {
-	return MapWorkersN(Workers(), n, newWorker, fn)
-}
-
 // ItemError pairs a work-item index with the error its task produced —
 // the structured form a recovered per-item panic surfaces as.
 type ItemError struct {
@@ -155,94 +70,82 @@ func (e ItemError) Error() string {
 	return fmt.Sprintf("parallel: item %d: %v", e.Index, e.Err)
 }
 
-// MapWorkersPartial is MapWorkers with graceful degradation: a panicking
-// task is recovered into an ItemError for its index (zero value in the
-// result slot) and the remaining items still execute, so one poisoned work
-// item cannot take down a whole run. After a recovered panic the worker
-// rebuilds its per-worker state with newWorker — the panic may have left
-// the old state (e.g. a half-updated activation cache) corrupted. Errors
-// are returned sorted by item index; results keep index order as always.
-func MapWorkersPartial[S, R any](n int, newWorker func() S, fn func(S, int) R) ([]R, []ItemError) {
-	return MapWorkersPartialN(Workers(), n, newWorker, fn)
+// Map runs fn(i) for every i in [0, n) on Workers() pool workers and
+// returns the results in index order. Every item runs even if some panic;
+// the lowest-index panic is then re-raised on the calling goroutine as a
+// *PanicError, so which panic surfaces never depends on scheduling.
+func Map[R any](n int, fn func(int) R) []R {
+	return MapWorkers(n, func() struct{} { return struct{}{} }, func(_ struct{}, i int) R { return fn(i) })
 }
 
-// MapWorkersPartialN is MapWorkersPartial with an explicit worker count.
-func MapWorkersPartialN[S, R any](workers, n int, newWorker func() S, fn func(S, int) R) ([]R, []ItemError) {
+// MapWorkers is Map with per-worker state: each worker calls newWorker
+// once and passes the value to every task it executes. This is how the
+// pipeline gives each worker its own detector / regressor clone (the nn
+// layers cache activations and are not safe to share).
+func MapWorkers[S, R any](n int, newWorker func() S, fn func(S, int) R) []R {
+	out, errs := mapWorkers(Workers(), n, newWorker, fn)
+	if len(errs) > 0 {
+		panic(errs[0].Err)
+	}
+	return out
+}
+
+// MapWorkersPartial is MapWorkers with graceful degradation: a panicking
+// task is recovered into an ItemError for its index (zero value in the
+// result slot), so one poisoned work item cannot take down a whole run.
+// The worker rebuilds its state with newWorker after a panic (see Pool).
+// Errors are returned sorted by item index.
+func MapWorkersPartial[S, R any](n int, newWorker func() S, fn func(S, int) R) ([]R, []ItemError) {
+	return mapWorkers(Workers(), n, newWorker, fn)
+}
+
+// mapWorkers runs the batch as n jobs on a Pool of min(workers, n)
+// workers; Close is the barrier. No pool is opened for an empty batch, so
+// newWorker never runs.
+func mapWorkers[S, R any](workers, n int, newWorker func() S, fn func(S, int) R) ([]R, []ItemError) {
 	out := make([]R, n)
 	if n <= 0 {
 		return out, nil
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	var (
-		next atomic.Int64
 		mu   sync.Mutex
 		errs []ItemError
-		wg   sync.WaitGroup
 	)
-	// runOne isolates a single task so a panic loses only that item.
-	runOne := func(s S, i int) (ok bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				mu.Lock()
-				errs = append(errs, ItemError{Index: i, Err: &PanicError{Value: r}})
-				mu.Unlock()
-			}
-		}()
-		out[i] = fn(s, i)
-		return true
+	p := NewPool(min(workers, n), newWorker)
+	for i := range out {
+		p.Submit(func(s S) {
+			defer func() {
+				if r := recover(); r != nil {
+					mu.Lock()
+					errs = append(errs, ItemError{Index: i, Err: &PanicError{Value: r}})
+					mu.Unlock()
+					panic(r) // the Pool rebuilds this worker's state
+				}
+			}()
+			out[i] = fn(s, i)
+		})
 	}
-	worker := func() {
-		defer wg.Done()
-		s := newWorker()
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if !runOne(s, i) {
-				s = newWorker()
-			}
-		}
-	}
-	if workers == 1 {
-		wg.Add(1)
-		worker()
-	} else {
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go worker()
-		}
-		wg.Wait()
-	}
+	p.Close()
 	sort.Slice(errs, func(a, b int) bool { return errs[a].Index < errs[b].Index })
 	return out, errs
 }
 
-// Pool is a persistent bounded worker pool with per-worker state — the
-// serving substrate's counterpart to the per-call MapWorkers pools. Each
-// worker owns one S (detector/regressor clones in the serving layer),
-// built once at start; jobs submitted with Submit run on whichever worker
-// picks them up. Unlike the Map* helpers a Pool outlives any single batch:
-// the serving scheduler keeps it running for the lifetime of the server
-// and feeds it frames as streams make them ready.
+// Pool is a bounded worker pool with per-worker state. Each worker owns
+// one S (detector/regressor clones), built once at start; jobs submitted
+// with Submit run on whichever worker picks them up. A batch opens a Pool
+// for one call; the serving scheduler keeps one running for the lifetime
+// of the server and feeds it frames as streams make them ready.
 //
-// A job that panics is recovered: the panic is counted (Panics) and the
-// worker rebuilds its state with newWorker before picking up more work, so
-// one poisoned frame cannot take a worker — let alone the pool — down.
-// Jobs that must report completion should do so themselves (e.g. by
-// sending on a channel in a defer), since Submit is fire-and-forget.
+// A job that panics is recovered and the worker rebuilds its state with
+// newWorker before picking up more work — the panic may have left the old
+// state (e.g. a half-updated activation cache) corrupted — so one poisoned
+// frame cannot take a worker, let alone the pool, down. Submit is
+// fire-and-forget: a job that must report completion or failure does so
+// itself, before re-panicking.
 type Pool[S any] struct {
-	jobs    chan func(S)
-	wg      sync.WaitGroup
-	workers int
-	panics  atomic.Int64
-	closed  atomic.Bool
-	onPanic func(v any)
+	jobs   chan func(S)
+	wg     sync.WaitGroup
+	closed atomic.Bool
 }
 
 // NewPool starts workers goroutines, each holding its own newWorker()
@@ -250,20 +153,10 @@ type Pool[S any] struct {
 // hands the job directly to an idle worker or blocks until one frees —
 // backpressure belongs to the caller's queues, not a hidden channel.
 func NewPool[S any](workers int, newWorker func() S) *Pool[S] {
-	return NewPoolHooked(workers, newWorker, nil)
-}
-
-// NewPoolHooked is NewPool with a recovery hook: onPanic (nil is allowed
-// and ignored) is called with the recovered value once per job panic,
-// after the panic is counted and before the worker rebuilds its state.
-// The hook runs on the panicking worker's goroutine, so it must be safe
-// for concurrent use — the serving layer points it at an obs counter,
-// which is how a pool rebuild becomes visible in metric snapshots.
-func NewPoolHooked[S any](workers int, newWorker func() S, onPanic func(v any)) *Pool[S] {
 	if workers < 1 {
 		workers = Workers()
 	}
-	p := &Pool[S]{jobs: make(chan func(S)), workers: workers, onPanic: onPanic}
+	p := &Pool[S]{jobs: make(chan func(S))}
 	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go p.worker(newWorker)
@@ -271,34 +164,19 @@ func NewPoolHooked[S any](workers int, newWorker func() S, onPanic func(v any)) 
 	return p
 }
 
-// Workers returns the pool's worker count.
-func (p *Pool[S]) Workers() int { return p.workers }
-
-// Panics returns the number of recovered job panics since start.
-func (p *Pool[S]) Panics() int { return int(p.panics.Load()) }
-
 func (p *Pool[S]) worker(newWorker func() S) {
 	defer p.wg.Done()
 	s := newWorker()
 	for job := range p.jobs {
-		if !p.runJob(s, job) {
-			// The panic may have left the state (e.g. a half-updated
-			// activation cache) corrupted: rebuild it.
+		if !runJob(s, job) {
 			s = newWorker()
 		}
 	}
 }
 
 // runJob isolates one job so a panic loses only that job.
-func (p *Pool[S]) runJob(s S, job func(S)) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			p.panics.Add(1)
-			if p.onPanic != nil {
-				p.onPanic(r)
-			}
-		}
-	}()
+func runJob[S any](s S, job func(S)) (ok bool) {
+	defer func() { recover() }()
 	job(s)
 	return true
 }
@@ -324,55 +202,4 @@ func (p *Pool[S]) Close() {
 		close(p.jobs)
 	}
 	p.wg.Wait()
-}
-
-// MapWorkersN is MapWorkers with an explicit worker count.
-func MapWorkersN[S, R any](workers, n int, newWorker func() S, fn func(S, int) R) []R {
-	out := make([]R, n)
-	if n <= 0 {
-		return out
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		s := newWorker()
-		if err := runSerial(n, func(i int) { out[i] = fn(s, i) }); err != nil {
-			panic(err)
-		}
-		return out
-	}
-	var (
-		next    atomic.Int64
-		failed  atomic.Bool
-		errOnce sync.Once
-		err     error
-		wg      sync.WaitGroup
-	)
-	worker := func() {
-		defer wg.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				errOnce.Do(func() { err = &PanicError{Value: r} })
-				failed.Store(true)
-			}
-		}()
-		s := newWorker()
-		for !failed.Load() {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			out[i] = fn(s, i)
-		}
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go worker()
-	}
-	wg.Wait()
-	if err != nil {
-		panic(err)
-	}
-	return out
 }

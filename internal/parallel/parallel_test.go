@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -26,9 +27,16 @@ func TestSetWorkersOverride(t *testing.T) {
 	}
 }
 
+// mapN is Map at an explicit worker count.
+func mapN[R any](workers, n int, fn func(int) R) []R {
+	defer SetWorkers(0)
+	SetWorkers(workers)
+	return Map(n, fn)
+}
+
 func TestMapOrderedResults(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
-		got := MapN(workers, 100, func(i int) int { return i * i })
+		got := mapN(workers, 100, func(i int) int { return i * i })
 		if len(got) != 100 {
 			t.Fatalf("workers=%d: len = %d", workers, len(got))
 		}
@@ -41,21 +49,14 @@ func TestMapOrderedResults(t *testing.T) {
 }
 
 func TestZeroItems(t *testing.T) {
-	if got := MapN(4, 0, func(i int) int { t.Error("task ran"); return 0 }); len(got) != 0 {
+	if got := mapN(4, 0, func(i int) int { t.Error("task ran"); return 0 }); len(got) != 0 {
 		t.Fatalf("Map over 0 items returned %d results", len(got))
-	}
-	if got := MapWorkersN(4, 0, func() int { t.Error("newWorker ran"); return 0 },
-		func(int, int) int { return 0 }); len(got) != 0 {
-		t.Fatalf("MapWorkers over 0 items returned %d results", len(got))
 	}
 }
 
 func TestMoreWorkersThanItems(t *testing.T) {
 	var calls atomic.Int64
-	got := MapN(64, 3, func(i int) int {
-		calls.Add(1)
-		return i + 1
-	})
+	got := mapN(64, 3, func(i int) int { calls.Add(1); return i + 1 })
 	if calls.Load() != 3 {
 		t.Fatalf("ran %d tasks, want 3", calls.Load())
 	}
@@ -66,28 +67,26 @@ func TestMoreWorkersThanItems(t *testing.T) {
 	}
 }
 
+// repanic runs Map at workers over 20 items, item poison panicking "boom",
+// and returns what Map re-raised.
+func repanic(workers, poison int) (r any) {
+	defer func() { r = recover() }()
+	mapN(workers, 20, func(i int) int {
+		if i == poison {
+			panic("boom")
+		}
+		return i
+	})
+	return nil
+}
+
 func TestPanicSurfacesAsErrorNotDeadlock(t *testing.T) {
 	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
-		MapN(4, 100, func(i int) int {
-			if i == 13 {
-				panic("boom")
-			}
-			return i
-		})
-	}()
+	go func() { done <- repanic(4, 13) }()
 	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("panicking task must surface as an error")
-		}
-		pe, ok := err.(*PanicError)
-		if !ok {
-			t.Fatalf("error type %T, want *PanicError", err)
-		}
-		if pe.Value != "boom" {
-			t.Fatalf("panic value %v, want boom", pe.Value)
+	case r := <-done:
+		if pe, ok := r.(*PanicError); !ok || pe.Value != "boom" {
+			t.Fatalf("re-raised %v (%T), want *PanicError{boom}", r, r)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("pool deadlocked on a panicking task")
@@ -95,48 +94,27 @@ func TestPanicSurfacesAsErrorNotDeadlock(t *testing.T) {
 }
 
 func TestPanicSerialPathAlsoErrors(t *testing.T) {
-	defer func() {
-		if _, ok := recover().(*PanicError); !ok {
-			t.Fatal("serial path must also convert panics to errors")
-		}
-	}()
-	MapN(1, 5, func(i int) int {
-		if i == 2 {
-			panic("serial boom")
-		}
-		return i
-	})
+	if _, ok := repanic(1, 2).(*PanicError); !ok {
+		t.Fatal("one worker must also convert panics to errors")
+	}
 }
 
 func TestMapRepanics(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Map must re-raise task panics")
-		}
-		if _, ok := r.(*PanicError); !ok {
-			t.Fatalf("repanic type %T, want *PanicError", r)
-		}
-	}()
-	MapN(4, 10, func(i int) int {
-		if i == 5 {
-			panic("map boom")
-		}
-		return i
-	})
+	if _, ok := repanic(4, 5).(*PanicError); !ok {
+		t.Fatal("Map must re-raise task panics as *PanicError")
+	}
 }
 
 func TestMapWorkersPerWorkerState(t *testing.T) {
 	var created atomic.Int64
 	type state struct{ id int64 }
-	got := MapWorkersN(4, 200, func() *state {
-		return &state{id: created.Add(1)}
-	}, func(s *state, i int) int64 {
-		if s == nil {
-			t.Error("nil worker state")
-		}
-		return s.id
-	})
+	got, _ := mapWorkers(4, 200, func() *state { return &state{id: created.Add(1)} },
+		func(s *state, i int) int64 {
+			if s == nil {
+				t.Error("nil worker state")
+			}
+			return s.id
+		})
 	n := created.Load()
 	if n < 1 || n > 4 {
 		t.Fatalf("created %d worker states, want 1..4", n)
@@ -151,7 +129,7 @@ func TestMapWorkersPerWorkerState(t *testing.T) {
 
 func TestForEachCompletesAllItems(t *testing.T) {
 	seen := make([]atomic.Int64, 500)
-	MapN(8, len(seen), func(i int) int64 { return seen[i].Add(1) })
+	mapN(8, len(seen), func(i int) int64 { return seen[i].Add(1) })
 	for i := range seen {
 		if n := seen[i].Load(); n != 1 {
 			t.Fatalf("item %d ran %d times, want once", i, n)
@@ -161,7 +139,7 @@ func TestForEachCompletesAllItems(t *testing.T) {
 
 func TestMapWorkersPartialRecoversPerItem(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
-		out, errs := MapWorkersPartialN(workers, 20,
+		out, errs := mapWorkers(workers, 20,
 			func() int { return 7 },
 			func(s, i int) int {
 				if i%5 == 3 {
@@ -173,12 +151,8 @@ func TestMapWorkersPartialRecoversPerItem(t *testing.T) {
 			t.Fatalf("workers=%d: %d errors, want 4: %v", workers, len(errs), errs)
 		}
 		for k, e := range errs {
-			if e.Index != 5*k+3 {
-				t.Fatalf("workers=%d: errs[%d].Index = %d, want %d (sorted)", workers, k, e.Index, 5*k+3)
-			}
-			var pe *PanicError
-			if !errorsAs(e.Err, &pe) {
-				t.Fatalf("workers=%d: error not a *PanicError: %v", workers, e.Err)
+			if _, ok := e.Err.(*PanicError); e.Index != 5*k+3 || !ok {
+				t.Fatalf("workers=%d: errs[%d] = %v, want item %d's *PanicError (sorted)", workers, k, e, 5*k+3)
 			}
 		}
 		for i, v := range out {
@@ -193,18 +167,9 @@ func TestMapWorkersPartialRecoversPerItem(t *testing.T) {
 	}
 }
 
-// errorsAs is a tiny local stand-in so the test file keeps its import list.
-func errorsAs(err error, target **PanicError) bool {
-	pe, ok := err.(*PanicError)
-	if ok {
-		*target = pe
-	}
-	return ok
-}
-
 func TestMapWorkersPartialRebuildsStateAfterPanic(t *testing.T) {
 	var built atomic.Int64
-	out, errs := MapWorkersPartialN(1, 5,
+	out, errs := mapWorkers(1, 5,
 		func() int64 { return built.Add(1) },
 		func(s int64, i int) int64 {
 			if i == 1 {
@@ -229,8 +194,10 @@ func TestMapWorkersPartialRebuildsStateAfterPanic(t *testing.T) {
 }
 
 func TestMapWorkersPartialCleanRunMatchesMapWorkers(t *testing.T) {
-	ref := MapWorkersN(3, 50, func() int { return 1 }, func(s, i int) int { return s + i })
-	got, errs := MapWorkersPartialN(3, 50, func() int { return 1 }, func(s, i int) int { return s + i })
+	defer SetWorkers(0)
+	SetWorkers(3)
+	ref := MapWorkers(50, func() int { return 1 }, func(s, i int) int { return s + i })
+	got, errs := mapWorkers(3, 50, func() int { return 1 }, func(s, i int) int { return s + i })
 	if len(errs) != 0 {
 		t.Fatalf("unexpected errors: %v", errs)
 	}
@@ -270,9 +237,6 @@ func TestPoolRunsJobsWithPerWorkerState(t *testing.T) {
 	if built.Load() != 3 {
 		t.Fatalf("built %d worker states, want exactly 3", built.Load())
 	}
-	if p.Workers() != 3 {
-		t.Fatalf("Workers() = %d, want 3", p.Workers())
-	}
 }
 
 // TestPoolZeroJobs: a pool opened and closed without any Submit — the
@@ -300,8 +264,8 @@ func TestPoolMoreWorkersThanJobs(t *testing.T) {
 	}
 }
 
-// TestPoolPanicRecoveryRebuildsState: a panicking job is counted, the
-// worker survives with a freshly built state, and later jobs still run.
+// TestPoolPanicRecoveryRebuildsState: after a panicking job the worker
+// survives with a freshly built state, and later jobs still run.
 func TestPoolPanicRecoveryRebuildsState(t *testing.T) {
 	var built atomic.Int64
 	p := NewPool(1, func() int { return int(built.Add(1)) })
@@ -309,9 +273,6 @@ func TestPoolPanicRecoveryRebuildsState(t *testing.T) {
 	p.Submit(func(int) { panic("poisoned frame") })
 	p.Submit(func(s int) { done <- s })
 	p.Close()
-	if p.Panics() != 1 {
-		t.Fatalf("Panics() = %d, want 1", p.Panics())
-	}
 	if got := <-done; got != 2 {
 		t.Fatalf("job after panic saw state %d, want the rebuilt state 2", got)
 	}
@@ -366,12 +327,12 @@ func assertNoGoroutineLeak(t *testing.T, baseline int) {
 // serving shapes on the batch API: zero items (no worker state is built)
 // and worker count above item count.
 func TestMapWorkersPartialZeroItemsAndExcessWorkers(t *testing.T) {
-	out, errs := MapWorkersPartialN(4, 0, func() int { t.Error("newWorker ran"); return 0 },
+	out, errs := mapWorkers(4, 0, func() int { t.Error("newWorker ran"); return 0 },
 		func(int, int) int { return 0 })
 	if len(out) != 0 || len(errs) != 0 {
 		t.Fatalf("zero items: out %d errs %d", len(out), len(errs))
 	}
-	out, errs = MapWorkersPartialN(32, 3, func() int { return 0 }, func(_, i int) int { return i * i })
+	out, errs = mapWorkers(32, 3, func() int { return 0 }, func(_, i int) int { return i * i })
 	if len(errs) != 0 {
 		t.Fatalf("unexpected errors: %v", errs)
 	}
@@ -383,29 +344,29 @@ func TestMapWorkersPartialZeroItemsAndExcessWorkers(t *testing.T) {
 }
 
 // TestPoolHookedPanicMidBatch is the serving layer's pool-recovery
-// contract at workers 1 and 4: killing a worker mid-batch (a job that
-// panics) fires the onPanic hook exactly once per kill, rebuilds the
-// worker's state, and every surviving job still delivers its result —
-// with per-job result channels drained in submit order, so the batch's
-// observable ordering is unchanged by the panic.
+// contract at workers 1 and 4: a job that panics mid-batch records its
+// panic itself (recover, count, re-panic — the serving compute job's
+// pattern) exactly once, its worker rebuilds its state, and every surviving
+// job still delivers its result — with per-job result channels drained in
+// submit order, so the batch's observable ordering is unchanged by the panic.
 func TestPoolHookedPanicMidBatch(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		const jobs = 24
 		const killAt = 11 // the mid-batch job that kills its worker
 
-		var hookCalls atomic.Int64
-		var hookValue atomic.Value
-		var built atomic.Int64
-		p := NewPoolHooked(workers, func() int { return int(built.Add(1)) }, func(v any) {
-			hookCalls.Add(1)
-			hookValue.Store(v)
-		})
+		var panics, built atomic.Int64
+		p := NewPool(workers, func() int { return int(built.Add(1)) })
 
 		results := make([]chan int, jobs)
 		for i := 0; i < jobs; i++ {
-			i := i
 			results[i] = make(chan int, 1)
 			p.Submit(func(state int) {
+				defer func() {
+					if r := recover(); r != nil {
+						panics.Add(1)
+						panic(r)
+					}
+				}()
 				if i == killAt {
 					panic("killed worker mid-batch")
 				}
@@ -418,31 +379,19 @@ func TestPoolHookedPanicMidBatch(t *testing.T) {
 		// in submit order yields the submit-order indices: the panic did
 		// not reorder or drop any other job's result.
 		for i := 0; i < jobs; i++ {
-			if i == killAt {
-				select {
-				case v := <-results[i]:
-					t.Fatalf("workers=%d: killed job delivered %d", workers, v)
-				default:
-				}
-				continue
-			}
 			select {
 			case v := <-results[i]:
-				if v != i {
+				if i == killAt || v != i {
 					t.Fatalf("workers=%d: slot %d holds result %d", workers, i, v)
 				}
 			default:
-				t.Fatalf("workers=%d: job %d lost its result after the mid-batch kill", workers, i)
+				if i != killAt {
+					t.Fatalf("workers=%d: job %d lost its result after the mid-batch kill", workers, i)
+				}
 			}
 		}
-		if p.Panics() != 1 {
-			t.Fatalf("workers=%d: Panics() = %d, want 1", workers, p.Panics())
-		}
-		if hookCalls.Load() != 1 {
-			t.Fatalf("workers=%d: onPanic fired %d times, want 1", workers, hookCalls.Load())
-		}
-		if got, _ := hookValue.Load().(string); got != "killed worker mid-batch" {
-			t.Fatalf("workers=%d: onPanic saw %v, want the panic value", workers, hookValue.Load())
+		if panics.Load() != 1 {
+			t.Fatalf("workers=%d: recorded %d panics, want 1", workers, panics.Load())
 		}
 		// The killed worker rebuilt its state: more states were built than
 		// workers exist.
@@ -452,16 +401,67 @@ func TestPoolHookedPanicMidBatch(t *testing.T) {
 	}
 }
 
-// TestPoolNilHookStillCounts: NewPoolHooked with a nil hook behaves like
-// NewPool — panics counted, no crash dereferencing the hook.
-func TestPoolNilHookStillCounts(t *testing.T) {
-	p := NewPoolHooked(1, func() struct{} { return struct{}{} }, nil)
-	p.Submit(func(struct{}) { panic("boom") })
-	done := make(chan struct{}, 1)
-	p.Submit(func(struct{}) { done <- struct{}{} })
-	p.Close()
-	if p.Panics() != 1 {
-		t.Fatalf("Panics() = %d, want 1", p.Panics())
+// TestMapWorkersLowestIndexPanic: items 7 and 3 both panic, and with more
+// than one worker item 3 waits until item 7 has panicked. At every worker
+// count and on every run, MapWorkers still runs every other item and then
+// re-raises item 3's panic, and MapWorkersPartial returns both errors
+// sorted with every other item computed.
+func TestMapWorkersLowestIndexPanic(t *testing.T) {
+	defer SetWorkers(0)
+	state := func() struct{} { return struct{}{} }
+	for _, workers := range []int{1, 2, 4} {
+		SetWorkers(workers)
+		for run := 0; run < 50; run++ {
+			var ran atomic.Int64
+			fn := func() func(struct{}, int) int {
+				seven := make(chan struct{})
+				return func(_ struct{}, i int) int {
+					if i == 7 {
+						close(seven)
+					}
+					if i == 3 && workers > 1 {
+						<-seven // item 7 panics first
+					}
+					if i == 3 || i == 7 {
+						panic(i)
+					}
+					ran.Add(1)
+					return i + 1
+				}
+			}
+			func() {
+				defer func() {
+					if pe, ok := recover().(*PanicError); !ok || pe.Value != 3 || ran.Load() != 10 {
+						t.Fatalf("workers=%d run %d: MapWorkers raised %v after %d items, want item 3's *PanicError after 10", workers, run, pe, ran.Load())
+					}
+				}()
+				MapWorkers(12, state, fn())
+			}()
+			out, errs := MapWorkersPartial(12, state, fn())
+			if len(errs) != 2 || errs[0].Index != 3 || errs[1].Index != 7 {
+				t.Fatalf("workers=%d run %d: errs = %v, want items 3 and 7", workers, run, errs)
+			}
+			for i, v := range out {
+				if want := i + 1; i != 3 && i != 7 && v != want {
+					t.Fatalf("workers=%d run %d: out[%d] = %d, want %d", workers, run, i, v, want)
+				}
+			}
+		}
 	}
-	<-done
+}
+
+// BenchmarkMap is the batch path's own cost, per item of a 32-item no-op batch.
+func BenchmarkMap(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			defer SetWorkers(0)
+			SetWorkers(workers)
+			batch := func() { Map(32, func(i int) int { return i }) }
+			for k := 0; k < b.N; k++ {
+				batch()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(32*b.N), "ns/item")
+			b.ReportMetric(testing.AllocsPerRun(10, batch)/32, "allocs/item")
+		})
+	}
 }

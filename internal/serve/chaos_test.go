@@ -84,27 +84,33 @@ func TestServeChaosDeterministicZeroLost(t *testing.T) {
 
 // TestServeChaosEmptyPlanMatchesPlainPath: supervision with an event-free
 // plan must reduce exactly to the unsupervised scheduler — byte-identical
-// snapshot and identical outputs. This pins the "chaos off ⇒ nothing
-// changed" half of the determinism contract from the supervised side.
+// snapshot and identical outputs — at every SLO, including ones whose
+// watchdog (4 × SLO) is shorter than a full-scale frame's service time.
+// This pins the "chaos off ⇒ nothing changed" half of the determinism
+// contract from the supervised side.
 func TestServeChaosEmptyPlanMatchesPlainPath(t *testing.T) {
 	ds, sys := system(t)
 	streams := load(t, ds, 3, 15, 12, 19)
 
-	plain := chaosConfig(nil)
-	plain.Chaos = nil
-	a := newServer(t, sys, plain).Run(streams)
-	b := newServer(t, sys, chaosConfig(&faults.SystemPlan{Seed: 1})).Run(streams)
+	for _, slo := range []float64{0, 10, 15, 40, 80} {
+		plain := chaosConfig(nil)
+		plain.Chaos, plain.SLOMS = nil, slo
+		a := newServer(t, sys, plain).Run(streams)
+		sup := chaosConfig(&faults.SystemPlan{Seed: 1})
+		sup.SLOMS = slo
+		b := newServer(t, sys, sup).Run(streams)
 
-	if sa, sb := a.Metrics.Snapshot(), b.Metrics.Snapshot(); sa != sb {
-		t.Fatalf("empty chaos plan perturbed the schedule:\n--- plain ---\n%s\n--- empty plan ---\n%s", sa, sb)
-	}
-	av, bv := a.Served(), b.Served()
-	if len(av) != len(bv) {
-		t.Fatalf("served %d vs %d frames", len(av), len(bv))
-	}
-	for i := range av {
-		if av[i].Scale != bv[i].Scale || av[i].Health != bv[i].Health {
-			t.Fatalf("output %d diverges between plain and empty-plan runs", i)
+		if sa, sb := a.Metrics.Snapshot(), b.Metrics.Snapshot(); sa != sb {
+			t.Fatalf("SLO %v: empty chaos plan perturbed the schedule:\n--- plain ---\n%s\n--- empty plan ---\n%s", slo, sa, sb)
+		}
+		av, bv := a.Served(), b.Served()
+		if len(av) != len(bv) {
+			t.Fatalf("SLO %v: served %d vs %d frames", slo, len(av), len(bv))
+		}
+		for i := range av {
+			if av[i].Scale != bv[i].Scale || av[i].Health != bv[i].Health {
+				t.Fatalf("SLO %v: output %d diverges between plain and empty-plan runs", slo, i)
+			}
 		}
 	}
 }

@@ -75,6 +75,18 @@ func (c *LoadConfig) Validate() error {
 	return nil
 }
 
+// LastArrivalMS is the latest frame arrival in the load (0 if it has no
+// frames): the horizon a fault or cluster plan must cover.
+func LastArrivalMS(streams []Stream) float64 {
+	last := 0.0
+	for _, st := range streams {
+		for _, f := range st.Frames {
+			last = max(last, f.ArrivalMS)
+		}
+	}
+	return last
+}
+
 // GenLoad builds the per-stream arrival schedules. Stream i cycles through
 // the snippet list starting at snippet i (so concurrent streams exercise
 // different content), flattening frames in order; frames are referenced,

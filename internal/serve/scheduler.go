@@ -379,7 +379,8 @@ func (l *eventLoop) place(i int, inf *inflightFrame, w int, serviceMS float64) {
 	}
 	l.events.push(event{timeMS: inf.completionMS, kind: kindCompletion, stream: i, seq: inf.dispID})
 	if l.sup != nil && !inf.plan.Skip && !inf.shed {
-		l.events.push(event{timeMS: l.clockMS + l.sup.watchdogMS, kind: kindWatchdog, stream: i, seq: inf.dispID})
+		// A frame whose modelled service outlasts the watchdog is not stalled.
+		l.events.push(event{timeMS: l.clockMS + max(l.sup.watchdogMS, 2*serviceMS), kind: kindWatchdog, stream: i, seq: inf.dispID})
 	}
 }
 
@@ -472,11 +473,12 @@ func (l *eventLoop) fault(ev event) {
 		for wi := range l.sup.workers {
 			l.killWorker(wi, until, "blackout")
 		}
-		// The node is gone: every stream migrates — its session checkpoint
-		// restored into a fresh session, as a replacement node would do
-		// before replaying the stream.
+		// The node is gone: every stream migrates — its session reset and
+		// restored from its own checkpoint, as a replacement node would do
+		// before replaying the stream. The round-trip is exact (pinned by
+		// test), so the stream continues precisely where it left off.
 		for _, s := range l.sessions {
-			l.sup.migrate(s)
+			s.Sess.Restore(s.Sess.Checkpoint())
 			l.Metrics.Inc("migrations", 1)
 		}
 	case faults.SysQueueSaturate:

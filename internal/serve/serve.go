@@ -345,8 +345,7 @@ func (s *Server) run(streams []Stream, audit func(*eventLoop, bool), keep bool) 
 		defer loop.Close()
 	}
 	if s.cfg.Chaos != nil {
-		loop.sup = newSupervisor(s.cfg.Chaos, s.cfg.Supervisor, s.cfg.SLOMS,
-			s.reg.Kernels, s.cfg.Resilient, s.cfg.Workers, len(sessions))
+		loop.sup = newSupervisor(s.cfg.Chaos, s.cfg.Supervisor, s.cfg.SLOMS, s.cfg.Workers, len(sessions))
 	}
 	loop.run()
 

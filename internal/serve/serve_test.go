@@ -92,6 +92,22 @@ func TestGenLoadDeterministicAndOrdered(t *testing.T) {
 	}
 }
 
+// TestLastArrivalMS: the horizon is the latest arrival over every stream's
+// frames, and 0 for a load with none.
+func TestLastArrivalMS(t *testing.T) {
+	streams := []Stream{
+		{Frames: []TimedFrame{{ArrivalMS: 5}, {ArrivalMS: 40}}},
+		{},
+		{Frames: []TimedFrame{{ArrivalMS: 12}, {ArrivalMS: 71.5}}},
+	}
+	if got := LastArrivalMS(streams); got != 71.5 {
+		t.Fatalf("LastArrivalMS = %v, want 71.5", got)
+	}
+	if got := LastArrivalMS(streams[1:2]); got != 0 {
+		t.Fatalf("LastArrivalMS of a frameless load = %v, want 0", got)
+	}
+}
+
 // TestGenLoadMatchesMathRand pins GenLoad's arrivals value for value to the
 // schedule it drew when every stream had its own math/rand source seeded
 // by loadSeed: reseeding one internal/rng generator must not move a single

@@ -58,11 +58,10 @@ func (c *Core) StartPool(det *rfcn.Detector, reg *regressor.Regressor, workers i
 }
 
 // startPool is StartPool with the worker factory exposed. A job panic
-// rebuilds the worker's state inside the pool; the hook makes that rebuild
-// visible in the metrics snapshot.
+// rebuilds the worker's state inside the pool; the job itself counts the
+// rebuild (job.compute).
 func (c *Core) startPool(workers int, newWorker func() worker) {
-	m := c.Metrics
-	c.pool = parallel.NewPoolHooked(workers, newWorker, func(any) { m.Inc("pool/panic_rebuild", 1) })
+	c.pool = parallel.NewPool(workers, newWorker)
 }
 
 // Close drains and stops the compute pool StartPool started.
@@ -80,8 +79,9 @@ type Result struct {
 // pool worker and returns the channel its Result arrives on. The job and its
 // buffered channel are the lane's, reused frame after frame, so the lane's
 // previous Result must have been received or abandoned (Abandon). Exactly one
-// Result is always delivered: a panicking frame still delivers (Err set) and
-// then re-panics, so the pool counts it and rebuilds the worker's state; a
+// Result is always delivered: a panicking frame counts pool/panic_rebuild,
+// delivers (Err set) and then re-panics, so the pool rebuilds the worker's
+// state — the counter is in the registry before the Result is received; a
 // pool already closed (drain raced a straggler) delivers Err at once, so the
 // frame degrades to propagation rather than being lost.
 func (c *Core) Submit(ln *Lane, f *synth.Frame, scale int) <-chan Result {
@@ -91,7 +91,7 @@ func (c *Core) Submit(ln *Lane, f *synth.Frame, scale int) <-chan Result {
 		j.run = j.compute // bound once, so a Submit builds no closure
 		ln.job = j
 	}
-	j.f, j.scale, j.tr = f, scale, c.Tracer
+	j.f, j.scale, j.tr, j.m = f, scale, c.Tracer, c.Metrics
 	if !c.pool.Submit(j.run) {
 		j.res <- Result{Err: errors.New("serve: compute pool closed")}
 	}
@@ -104,6 +104,7 @@ type job struct {
 	f     *synth.Frame
 	scale int
 	tr    *obs.Tracer
+	m     *obs.Metrics
 	res   chan Result
 	run   func(worker)
 }
@@ -111,6 +112,7 @@ type job struct {
 func (j *job) compute(w worker) {
 	defer func() {
 		if r := recover(); r != nil {
+			j.m.Inc("pool/panic_rebuild", 1)
 			j.res <- Result{Err: fmt.Errorf("serve: frame compute panicked: %v", r)}
 			panic(r)
 		}

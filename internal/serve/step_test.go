@@ -11,48 +11,60 @@ import (
 )
 
 // TestSubmitPanicContract pins the one copy of the compute job's panic
-// contract: a frame that panics inside Compute (the first worker state has
-// no detector) still delivers a Result, with Err set; the pool counts the
-// panic and rebuilds the worker's state; and the next submission is served
-// by the rebuilt state.
+// contract at workers 1 and 4: a frame that panics inside Compute (every
+// starting worker state has no detector) still delivers a Result, with Err
+// set, and pool/panic_rebuild already counts it when that Result is
+// received (the k-th poisoned Result reads k); the pool rebuilds the
+// worker's state, and later submissions are served by rebuilt states.
 func TestSubmitPanicContract(t *testing.T) {
 	ds, sys := system(t)
 	f := &ds.Val[0].Frames[0]
-	c := Core{Metrics: obs.NewMetrics()}
-	var built atomic.Int32
-	c.startPool(1, func() worker {
-		w := worker{det: sys.Detector.Clone(), reg: sys.Regressor.Clone()}
-		if built.Add(1) == 1 {
-			w.det = nil
+	for _, workers := range []int{1, 4} {
+		c := Core{Metrics: obs.NewMetrics()}
+		var built atomic.Int32
+		c.startPool(workers, func() worker {
+			w := worker{det: sys.Detector.Clone(), reg: sys.Regressor.Clone()}
+			if built.Add(1) <= int32(workers) {
+				w.det = nil
+			}
+			return w
+		})
+
+		var ln Lane
+		poisoned := 0
+		for n := 0; poisoned < workers; n++ {
+			if n == 64 {
+				t.Fatalf("workers=%d: %d poisoned Results in 64 submissions, want %d", workers, poisoned, workers)
+			}
+			res := <-c.Submit(&ln, f, 600)
+			if res.Err == nil {
+				res.R.Release()
+				continue
+			}
+			if res.R != nil {
+				t.Fatalf("workers=%d: poisoned submission delivered a result", workers)
+			}
+			poisoned++
+			if got := c.Metrics.Counter("pool/panic_rebuild"); got != int64(poisoned) {
+				t.Fatalf("workers=%d: pool/panic_rebuild = %d at poisoned Result %d", workers, got, poisoned)
+			}
 		}
-		return w
-	})
-	defer c.Close()
+		res := <-c.Submit(&ln, f, 600)
+		if res.Err != nil || res.R == nil {
+			t.Fatalf("workers=%d: submission after the rebuilds delivered %+v, want a result", workers, res)
+		}
+		if res.R.Features != nil {
+			t.Fatal("Compute left the feature map on the result; it must be recycled")
+		}
 
-	var ln Lane
-	if res := <-c.Submit(&ln, f, 600); res.Err == nil || res.R != nil {
-		t.Fatalf("poisoned submission delivered %+v, want an error and no result", res)
-	}
-	// One worker: the second job is accepted only after the first job's
-	// panic hook has fired and the state has been rebuilt.
-	res := <-c.Submit(&ln, f, 600)
-	if res.Err != nil || res.R == nil {
-		t.Fatalf("submission after the rebuild delivered %+v, want a result", res)
-	}
-	if res.R.Features != nil {
-		t.Fatal("Compute left the feature map on the result; it must be recycled")
-	}
-	if got := c.Metrics.Counter("pool/panic_rebuild"); got != 1 {
-		t.Fatalf("pool/panic_rebuild = %d, want 1", got)
-	}
-	if got := built.Load(); got != 2 {
-		t.Fatalf("worker state built %d times, want 2 (start + rebuild)", got)
-	}
-
-	// A closed pool degrades the frame instead of losing it or blocking.
-	c.Close()
-	if res := <-c.Submit(&ln, f, 600); res.Err == nil {
-		t.Fatal("submission to a closed pool delivered no error")
+		// A closed pool degrades the frame instead of losing it or blocking.
+		c.Close()
+		if got := built.Load(); got != int32(2*workers) {
+			t.Fatalf("workers=%d: worker state built %d times, want %d (start + rebuild)", workers, got, 2*workers)
+		}
+		if res := <-c.Submit(&ln, f, 600); res.Err == nil {
+			t.Fatal("submission to a closed pool delivered no error")
+		}
 	}
 }
 

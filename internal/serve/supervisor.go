@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 
-	"adascale/internal/adascale"
 	"adascale/internal/faults"
 	"adascale/internal/rng"
 )
@@ -11,9 +10,9 @@ import (
 // The supervision layer: everything the scheduler needs to survive the
 // system fault plan (faults.SystemPlan). It tracks virtual worker health
 // (alive / stalled / dead-rebuilding), owns the per-stream circuit
-// breakers, derives deterministic retry backoff, and performs stream
-// migration (checkpoint/restore of the resilient session) on node
-// blackout. The supervisor holds no clock of its own — every decision is a
+// breakers and derives deterministic retry backoff; on node blackout the
+// scheduler migrates every stream (checkpoint/restore of its resilient
+// session). The supervisor holds no clock of its own — every decision is a
 // pure function of the event loop's virtual time and the seeded plan, so
 // chaos runs are byte-identical across runs and real core counts.
 
@@ -53,7 +52,8 @@ const (
 
 // watchdogMS is the stalled-dispatch threshold: a dispatch still in flight
 // this long after starting is presumed stalled and reassigned. It is 4 ×
-// the SLO if one is set, else 400.
+// the SLO if one is set, else 400; place stretches it to twice the frame's
+// modelled service time, so a tight SLO never reassigns a healthy frame.
 func watchdogMS(sloMS float64) float64 {
 	if sloMS > 0 {
 		return 4 * sloMS
@@ -93,22 +93,17 @@ type vworker struct {
 type supervisor struct {
 	watchdogMS float64
 	plan       *faults.SystemPlan
-	kernels    []int                    // regressor kernels, for rebuilding sessions on migration
-	rcfg       adascale.ResilientConfig // the exact session config Run used
 	workers    []vworker
 	breakers   []breaker
 	satUntil   float64 // queue-saturation window end (virtual ms)
 }
 
 // newSupervisor builds the supervision state for one Run.
-func newSupervisor(plan *faults.SystemPlan, cfg SupervisorConfig, sloMS float64,
-	kernels []int, rcfg adascale.ResilientConfig, workers, sessions int) *supervisor {
+func newSupervisor(plan *faults.SystemPlan, cfg SupervisorConfig, sloMS float64, workers, sessions int) *supervisor {
 	cfg = cfg.withDefaults()
 	s := &supervisor{
 		watchdogMS: watchdogMS(sloMS),
 		plan:       plan,
-		kernels:    kernels,
-		rcfg:       rcfg,
 		workers:    make([]vworker, workers),
 		breakers:   make([]breaker, sessions),
 	}
@@ -161,16 +156,4 @@ func (s *supervisor) backoffMS(stream, attempt int) float64 {
 func jitter01(stream, attempt int) float64 {
 	z := uint64(stream)*0xD1B54A32D192ED03 + uint64(attempt)*0x8CB92BA72F3D8DD7 + 0xBAC0FF
 	return float64(rng.Mix64(z)>>11) / float64(1<<53)
-}
-
-// migrate replaces a session's resilient state machine with a fresh one
-// restored from its checkpoint — the single-process stand-in for replaying
-// the stream on a replacement node. The checkpoint round-trip is exact
-// (pinned by test), so a migrated stream continues precisely where the
-// dead node left it.
-func (s *supervisor) migrate(sess *session) {
-	cp := sess.Sess.Checkpoint()
-	fresh := adascale.NewResilientSession(s.kernels, s.rcfg)
-	fresh.Restore(cp)
-	sess.Sess = fresh
 }
