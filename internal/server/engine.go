@@ -24,13 +24,16 @@ import (
 // clock bridge, its service time is the step's modelled cost at the scale
 // the session chose, and its completion chains on the stream's virtual busy
 // horizon (streams are strictly sequential — frame k+1's scale depends on
-// frame k's regressor output). The stream's serializer — its consumer
-// goroutine, or the handler itself in sync mode — blocks on the pool for
-// each frame, so there is no supervisor here: no retries, breakers or shed.
-// Latency, SLO accounting and every metric are therefore pure functions of
-// (admitted requests, arrival stamps), which is what makes the handler
-// layer golden-testable under a scripted clock while the same engine serves
-// wall-clock traffic.
+// frame k's regressor output). So at most one frame of a stream is in the
+// step at a time: a stream with queued frames has exactly one runner, which
+// serves the queue dry, blocking on the pool for each frame, and then ends.
+// The ingest that finds the stream without one starts it — on a new
+// goroutine, or inline in the handler under Config.Sync — and an idle
+// stream holds no goroutine. There is no supervisor here (no retries,
+// breakers or shed), so latency, SLO accounting and every metric are pure
+// functions of (admitted requests, arrival stamps), which is what makes the
+// handler layer golden-testable under a scripted clock while the same
+// engine serves wall-clock traffic.
 //
 // Accounting invariant: every admitted frame is offered, and ends up
 // served (possibly via the degradation ladder) or dropped (queue
@@ -108,10 +111,9 @@ type stream struct {
 	sloMS      float64
 	depth      int
 
-	queue serve.FrameQueue
-	done  bool // consumer goroutine exited (drain finished)
-
+	queue       serve.FrameQueue
 	busyUntilMS float64 // virtual completion horizon of the last frame
+	running     bool    // a runner is serving queue (engine.serveLocked)
 
 	results resultLog
 }
@@ -168,10 +170,11 @@ type engine struct {
 	kernels    []int // regressor branch kernels, for per-stream sessions
 
 	mu       sync.Mutex
-	cond     *sync.Cond
 	streams  []*stream
 	byTenant map[string]int
 	draining bool
+
+	runners sync.WaitGroup // one per stream with a runner
 }
 
 // newEngine builds the engine for a validated, defaulted config.
@@ -184,7 +187,6 @@ func newEngine(det *rfcn.Detector, reg *regressor.Regressor, cfg Config) *engine
 		kernels:    reg.Kernels,
 		byTenant:   map[string]int{},
 	}
-	e.cond = sync.NewCond(&e.mu)
 	e.StartPool(det, reg, cfg.Workers)
 	return e
 }
@@ -225,9 +227,6 @@ func (e *engine) admit(tenant string, sloMS float64, depth int) (id int, effSLO 
 	e.byTenant[tenant]++
 	e.Metrics.Inc("sessions/accepted", 1)
 	e.Metrics.Set("streams/live", float64(len(e.streams)))
-	if !e.cfg.Sync {
-		go e.consume(s)
-	}
 	return s.ID, sloMS, depth, nil
 }
 
@@ -243,17 +242,17 @@ func (e *engine) tenantOf(id int) (string, bool) {
 }
 
 // ingest admits a validated batch of frame specs into stream id's bounded
-// queue, stamping each with the bridge clock's current instant. In sync
-// mode the queue is then flushed inline before returning; otherwise the
-// stream's consumer goroutine is woken.
+// queue, stamping each with the bridge clock's current instant. The whole
+// batch is offered before any of it is served. If the stream has no runner,
+// this call starts one: in sync mode it serves the queue dry before
+// returning, otherwise on its own goroutine.
 func (e *engine) ingest(id int, frames []FrameSpec) (IngestReply, error) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if id < 0 || id >= len(e.streams) {
-		e.mu.Unlock()
 		return IngestReply{}, ErrNoSuchStream
 	}
 	if e.draining {
-		e.mu.Unlock()
 		return IngestReply{}, ErrDraining
 	}
 	s := e.streams[id]
@@ -268,15 +267,20 @@ func (e *engine) ingest(id int, frames []FrameSpec) (IngestReply, error) {
 	}
 	e.Metrics.Observe("queue/depth", float64(s.queue.Len()))
 	e.Metrics.SetMax("queue/peak_depth", float64(s.queue.Len()))
-	if e.cfg.Sync {
-		for s.queue.Len() > 0 {
-			e.processLocked(s)
+	if !s.running {
+		s.running = true
+		e.runners.Add(1)
+		if e.cfg.Sync {
+			e.serveLocked(s)
+		} else {
+			go func() {
+				e.mu.Lock()
+				e.serveLocked(s)
+				e.mu.Unlock()
+			}()
 		}
-	} else {
-		e.cond.Broadcast()
 	}
 	reply.Queued = s.queue.Len()
-	e.mu.Unlock()
 	return reply, nil
 }
 
@@ -300,23 +304,15 @@ func (e *engine) results(id, from int) (ResultsReply, error) {
 	}, nil
 }
 
-// consume is stream s's serializer goroutine (async mode): it drains the
-// queue one frame at a time — sessions are strictly sequential — until
-// drain is requested and the queue is empty.
-func (e *engine) consume(s *stream) {
-	e.mu.Lock()
-	for {
-		for !e.draining && s.queue.Len() == 0 {
-			e.cond.Wait()
-		}
-		if s.queue.Len() == 0 {
-			break
-		}
+// serveLocked is stream s's runner: it serves the queue one frame at a
+// time until it is empty, then ends. Frames ingested meanwhile join the
+// queue it is serving. Called with e.mu held; returns with it held.
+func (e *engine) serveLocked(s *stream) {
+	for s.queue.Len() > 0 {
 		e.processLocked(s)
 	}
-	s.done = true
-	e.cond.Broadcast()
-	e.mu.Unlock()
+	s.running = false
+	e.runners.Done()
 }
 
 // processLocked serves the head frame of s: plans and costs it, places it
@@ -342,7 +338,6 @@ func (e *engine) processLocked(s *stream) {
 	latency := doneMS - tf.ArrivalMS
 	out, sloMiss := e.Settle(&s.Lane, tf.Frame, plan, res, startMS, serviceMS, latency, s.sloMS)
 	s.results.append(newFrameResult(out, latency, sloMiss))
-	e.cond.Broadcast()
 }
 
 // newFrameResult renders one settled frame for the results endpoint.
@@ -370,45 +365,21 @@ func newFrameResult(out adascale.FrameOutput, latencyMS float64, sloMiss bool) F
 }
 
 // stopAdmission closes the front door: admission and ingestion start
-// returning ErrDraining, consumers begin draining their queues.
+// returning ErrDraining; runners keep serving what is already queued.
 func (e *engine) stopAdmission() {
 	e.mu.Lock()
 	e.draining = true
-	e.cond.Broadcast()
 	e.mu.Unlock()
 }
 
-// drain stops admission, flushes every queued and in-flight frame through
-// the pipeline, then closes the compute pool. After drain returns, offered
-// == served + dropped on every stream — no admitted frame is lost to
-// shutdown — and the engine accepts no further work.
+// drain stops admission, waits for every runner to serve its queue dry,
+// then closes the compute pool. Every queued frame has a runner, and none
+// can start once admission is stopped, so after drain returns offered ==
+// served + dropped on every stream — no admitted frame is lost to shutdown
+// — and the engine accepts no further work.
 func (e *engine) drain() {
 	e.stopAdmission()
-	e.mu.Lock()
-	if e.cfg.Sync {
-		// No consumers in sync mode; flush any residue inline.
-		for _, s := range e.streams {
-			for s.queue.Len() > 0 {
-				e.processLocked(s)
-			}
-			s.done = true
-		}
-	} else {
-		for {
-			alive := false
-			for _, s := range e.streams {
-				if !s.done {
-					alive = true
-					break
-				}
-			}
-			if !alive {
-				break
-			}
-			e.cond.Wait()
-		}
-	}
-	e.mu.Unlock()
+	e.runners.Wait()
 	e.Close()
 }
 

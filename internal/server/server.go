@@ -68,8 +68,11 @@ type Config struct {
 	// recorded request script are byte-identical.
 	Seed int64
 
-	// Workers sizes the compute pool backing all streams. 0 means
-	// parallel.Workers().
+	// Workers sizes the real compute pool backing all streams. 0 means
+	// parallel.Workers(). It does not enter modelled time: a frame's
+	// modelled latency chains on its own stream's busy horizon, as if each
+	// stream had a modelled GPU of its own — which is why the per-frame
+	// agreement test runs the DES at max(workers, streams).
 	Workers int
 
 	// QueueDepth is the default per-stream arrival queue bound (streams
@@ -99,10 +102,12 @@ type Config struct {
 	// started at construction; tests install a ScriptClock.
 	Clock Clock
 
-	// Sync makes ingestion process frames inline in the handler instead
-	// of on per-stream consumer goroutines — the mode the golden tests
-	// replay recorded scripts in, where responses must already carry the
-	// frame's outcome.
+	// Sync makes the ingest that starts a stream's runner run it inline in
+	// the handler instead of on a goroutine, so the reply comes after the
+	// stream's queue is served — the mode the golden tests replay recorded
+	// scripts in, where responses must already carry the frame's outcome.
+	// An ingest that finds the stream's runner already busy (a concurrent
+	// post to the same stream) only queues its frames for that runner.
 	Sync bool
 }
 
@@ -199,10 +204,7 @@ func (s *Server) StartDrain() { s.engine.stopAdmission() }
 // Drain performs the full graceful drain: stop admission, flush every
 // queued and in-flight frame through the pipeline, close the compute
 // pool. After Drain, offered == served + dropped on every stream.
-func (s *Server) Drain() {
-	s.StartDrain()
-	s.engine.drain()
-}
+func (s *Server) Drain() { s.engine.drain() }
 
 // Stats reports the accounting invariant's terms summed over streams.
 func (s *Server) Stats() (offered, served, dropped int) { return s.engine.stats() }

@@ -291,10 +291,9 @@ func TestRateLimit(t *testing.T) {
 // them in both the reply and the registry.
 func TestQueueDropOldest(t *testing.T) {
 	clock := NewScriptClock()
-	// Async server whose consumer can't run: workers exist but the queue
-	// fills faster than the virtual clock lets frames complete. Use sync
-	// mode off and drain later — here we only check the push-side
-	// accounting, so use a stream with depth 2 and a 5-frame batch.
+	// Async server: the whole batch is offered before the stream's runner
+	// starts, so a 5-frame batch into a depth-2 queue drops at least 3.
+	// Drain later — here we only check the push-side accounting.
 	srv := newServer(t, Config{Workers: 1, Clock: clock, QueueDepth: 2})
 	rec := do(t, srv, "POST", "/v1/streams", "cam", `{"tenant":"cam","queue":2}`)
 	if rec.Code != http.StatusCreated {

@@ -2,18 +2,20 @@
 # HTTP serving smoke gate: boot adascale-serve -http on an ephemeral port
 # under the race detector, drive the whole API surface with curl — health
 # probes, stream admission, frame ingestion, result polling, a Prometheus
-# scrape — then send SIGTERM and require a graceful drain: the process must
-# exit zero and report `lost=0` (offered == served + dropped held through
-# shutdown), with /readyz flipping to 503 while results stay readable.
+# scrape, concurrent posts to both admitted streams — then send SIGTERM and
+# require a graceful drain: the process must exit zero and report `lost=0`
+# (offered == served + dropped held through shutdown), with /readyz flipping
+# to 503 while results stay readable.
 set -eu
 cd "$(dirname "$0")/.."
 
 PORTLOG=$(mktemp) || exit 1
 BODY=$(mktemp) || exit 1
+CODES=$(mktemp) || exit 1
 SRVPID=""
 cleanup() {
 	[ -n "$SRVPID" ] && kill "$SRVPID" 2>/dev/null || true
-	rm -f "$PORTLOG" "$BODY"
+	rm -f "$PORTLOG" "$BODY" "$CODES"
 }
 trap cleanup EXIT
 
@@ -68,7 +70,7 @@ req 202 -X POST -H 'X-Tenant: cam' \
 grep -q '"accepted":2' "$BODY" || { echo "http-smoke: bad ingest reply" >&2; cat "$BODY" >&2; exit 1; }
 
 echo "== results"
-# Poll until the async consumer has served both frames.
+# Poll until the stream's runner has served both frames.
 served=""
 for _ in $(seq 1 100); do
 	req 200 "$BASE/v1/streams/0/results"
@@ -86,6 +88,20 @@ grep -q '^adascale_frames_served 2$' "$BODY" || {
 	echo "http-smoke: /metrics frames_served != 2" >&2; cat "$BODY" >&2; exit 1; }
 grep -q 'adascale_latency_ms{quantile="0.99"}' "$BODY" || {
 	echo "http-smoke: /metrics missing latency summary" >&2; cat "$BODY" >&2; exit 1; }
+
+echo "== concurrent ingestion"
+# Three posts to each admitted stream at once, so each stream's runner starts
+# and ends while other posts queue behind it; drain must still lose nothing.
+CURLS=""
+for id in 0 1 0 1 0 1; do
+	curl -s -o /dev/null -w '%{http_code}\n' -X POST -H 'X-Tenant: cam' \
+		-d '{"frames":[{"w":320,"h":240},{"w":320,"h":240}]}' \
+		"$BASE/v1/streams/$id/frames" >>"$CODES" &
+	CURLS="$CURLS $!"
+done
+wait $CURLS
+[ "$(grep -c '^202$' "$CODES")" = 6 ] || {
+	echo "http-smoke: concurrent posts not all 202" >&2; cat "$CODES" >&2; exit 1; }
 
 echo "== graceful drain"
 kill -TERM "$SRVPID"
