@@ -82,35 +82,97 @@ func TestServeChaosDeterministicZeroLost(t *testing.T) {
 	}
 }
 
-// TestServeChaosEmptyPlanMatchesPlainPath: supervision with an event-free
-// plan must reduce exactly to the unsupervised scheduler — byte-identical
-// snapshot and identical outputs — at every SLO, including ones whose
-// watchdog (4 × SLO) is shorter than a full-scale frame's service time.
-// This pins the "chaos off ⇒ nothing changed" half of the determinism
-// contract from the supervised side.
-func TestServeChaosEmptyPlanMatchesPlainPath(t *testing.T) {
+// workerDispatch is one dispatch the probe run saw on a worker.
+type workerDispatch struct {
+	worker           int
+	startMS, service float64
+	skip             bool
+}
+
+// probeDispatches runs streams under cfg and returns, in dispatch order,
+// every dispatch that held a worker, as the audit hook first saw it.
+func probeDispatches(t *testing.T, sys *adascale.System, cfg Config, streams []Stream) []workerDispatch {
+	t.Helper()
+	var out []workerDispatch
+	seen := map[int]bool{}
+	newServer(t, sys, cfg).run(streams, func(l *eventLoop, picking bool) {
+		for wi, w := range l.sup.workers {
+			if picking || w.dispID == 0 || seen[w.dispID] {
+				continue
+			}
+			seen[w.dispID] = true
+			inf := l.sessions[w.stream].inflight
+			out = append(out, workerDispatch{wi, l.clockMS, inf.serviceMS, inf.plan.Skip})
+		}
+	}, false)
+	return out
+}
+
+// TestServeChaosWatchdogArmsOnlyOnLongStall: a dispatch's watchdog is
+// armed only by a stall that moves its completion past the watchdog
+// instant (max(4 × SLO or 400, 2 × service) after dispatch), and never for
+// a sensor-skipped frame, which holds a worker but has no detector pass to
+// reassign. Checked at SLOs whose 4 × SLO is below, near and above a
+// full-scale frame's service time.
+func TestServeChaosWatchdogArmsOnlyOnLongStall(t *testing.T) {
 	ds, sys := system(t)
-	streams := load(t, ds, 3, 15, 12, 19)
+	snippets, err := faults.Inject(ds.Val, faults.Mixed(0.3, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams, err := GenLoad(snippets, LoadConfig{Streams: 3, FPS: 15, FramesPerStream: 12, Seed: 19})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, slo := range []float64{0, 10, 15, 40, 80} {
-		plain := chaosConfig(nil)
-		plain.Chaos, plain.SLOMS = nil, slo
-		a := newServer(t, sys, plain).Run(streams)
-		sup := chaosConfig(&faults.SystemPlan{Seed: 1})
-		sup.SLOMS = slo
-		b := newServer(t, sys, sup).Run(streams)
-
-		if sa, sb := a.Metrics.Snapshot(), b.Metrics.Snapshot(); sa != sb {
-			t.Fatalf("SLO %v: empty chaos plan perturbed the schedule:\n--- plain ---\n%s\n--- empty plan ---\n%s", slo, sa, sb)
-		}
-		av, bv := a.Served(), b.Served()
-		if len(av) != len(bv) {
-			t.Fatalf("SLO %v: served %d vs %d frames", slo, len(av), len(bv))
-		}
-		for i := range av {
-			if av[i].Scale != bv[i].Scale || av[i].Health != bv[i].Health {
-				t.Fatalf("SLO %v: output %d diverges between plain and empty-plan runs", slo, i)
+		cfg := chaosConfig(nil)
+		cfg.SLOMS = slo
+		var frame, skipped *workerDispatch
+		probe := probeDispatches(t, sys, cfg, streams)
+		for i := range probe {
+			if d := &probe[i]; d.skip && skipped == nil {
+				skipped = d
+			} else if !d.skip && frame == nil {
+				frame = d
 			}
+		}
+		if frame == nil || skipped == nil {
+			t.Fatalf("SLO %v: the load dispatched no detector frame or no sensor-skipped frame", slo)
+		}
+
+		// One stall in the middle of the probed dispatch, on its worker: the
+		// schedule up to that instant is the probe's, so it lands in flight.
+		stallRun := func(d *workerDispatch, durMS float64) *Report {
+			c := cfg
+			c.Chaos = &faults.SystemPlan{Seed: 1, Events: []faults.SystemEvent{
+				{AtMS: d.startMS + d.service/2, Kind: faults.SysWorkerStall, Worker: d.worker, DurationMS: durMS},
+			}}
+			rep := newServer(t, sys, c).Run(streams)
+			if lost := rep.Lost(); lost != 0 {
+				t.Fatalf("SLO %v: %d frames lost", slo, lost)
+			}
+			if n := rep.Metrics.Counter("stall/delayed"); n != 1 {
+				t.Fatalf("SLO %v: stall delayed %d dispatches, want 1", slo, n)
+			}
+			return rep
+		}
+		reassigned := func(rep *Report) int64 { return rep.Metrics.Counter("watchdog/reassigned") }
+
+		// Shorter than the frame's service: the completion stays before
+		// 2 × service, so the watchdog never arms.
+		if n := reassigned(stallRun(frame, 0.9*frame.service)); n != 0 {
+			t.Fatalf("SLO %v: a %.1f ms stall of a %.1f ms frame reassigned %d dispatches", slo, 0.9*frame.service, frame.service, n)
+		}
+		// Longer than the watchdog window: reassigned exactly once.
+		long := max(watchdogMS(slo), 2*frame.service) + 1
+		if rep := stallRun(frame, long); reassigned(rep) != 1 || rep.Metrics.Counter("fail/watchdog") != 1 {
+			t.Fatalf("SLO %v: a %.1f ms stall reassigned %d dispatches (fail/watchdog %d), want 1",
+				slo, long, reassigned(rep), rep.Metrics.Counter("fail/watchdog"))
+		}
+		// The same stall on a sensor-skipped frame reassigns nothing.
+		if n := reassigned(stallRun(skipped, long)); n != 0 {
+			t.Fatalf("SLO %v: a stalled sensor-skipped frame was reassigned %d times", slo, n)
 		}
 	}
 }

@@ -18,8 +18,8 @@ import (
 //   - shed:  sessions in either set whose breaker is open, ordered by
 //     session index. breakerOpen is the only state in which shouldShed can
 //     return true or move the breaker (open → half-open), so visiting just
-//     these, lowest index first, is the full scan's behaviour. Without a
-//     supervisor there are no breakers and the set stays empty.
+//     these, lowest index first, is the full scan's behaviour. A run
+//     without a fault plan never opens a breaker, so the set stays empty.
 //
 // Picking a frame is a peek at a heap root; a mutation is one touch, so a
 // dispatch costs O(log sessions) where it used to cost three scans.
@@ -148,7 +148,7 @@ func (l *eventLoop) membership(i int) (ready, retry, shed bool, readyKey, retryK
 	if retry = s.inflight != nil && s.inflight.retryReady; retry {
 		retryKey = s.inflight.arrivalMS
 	}
-	shed = (ready || retry) && l.sup != nil && l.sup.breakers[i].state == breakerOpen
+	shed = (ready || retry) && l.sup.breakers[i].state == breakerOpen
 	return
 }
 
@@ -165,7 +165,8 @@ func (l *eventLoop) touch(i int) {
 
 // checkIndex verifies, in O(sessions), that the index is exactly what the
 // predicates yield when recomputed from scratch and that each heap is
-// ordered — i.e. that no mutation escaped touch.
+// ordered — i.e. that no mutation escaped touch — and that the worker set
+// maps one to one onto the frames on the pool (checkWorkers).
 func (l *eventLoop) checkIndex() error {
 	for i := range l.sessions {
 		ready, retry, shed, readyKey, retryKey := l.membership(i)
@@ -184,7 +185,7 @@ func (l *eventLoop) checkIndex() error {
 			}
 		}
 	}
-	return nil
+	return l.checkWorkers()
 }
 
 // check reports how session i's entry differs from the given membership
@@ -211,12 +212,11 @@ func (h *sessionHeap) check(i int, member bool, key float64) error {
 var indexAudit atomic.Bool
 
 // AuditIndex makes every Run started before the returned restore function
-// is called verify its dispatch index against the predicates recomputed
-// from scratch after every event and before every pick, and panic on the
-// first divergence (a scheduler bug by construction). It multiplies a
-// run's cost by O(sessions) and exists for tests and fuzz harnesses — the
-// cluster fuzzer drives whole fleets of servers it does not construct
-// itself — never for serving.
+// is called run checkIndex after every event and before every pick, and
+// panic on the first divergence (a scheduler bug by construction). It
+// multiplies a run's cost by O(sessions) and exists for tests and fuzz
+// harnesses — the cluster fuzzer drives whole fleets of servers it does not
+// construct itself — never for serving.
 func AuditIndex() (restore func()) {
 	old := indexAudit.Swap(true)
 	return func() { indexAudit.Store(old) }

@@ -16,9 +16,6 @@ import (
 // scanShed is the historical shedCandidate: the lowest dispatchable session
 // whose breaker sheds, expiring open breakers to half-open as it walks.
 func scanShed(l *eventLoop) int {
-	if l.sup == nil {
-		return -1
-	}
 	for i, s := range l.sessions {
 		if (s.inflight == nil || !s.inflight.retryReady) && !s.ready() {
 			continue
@@ -63,7 +60,7 @@ func scanPick(l *eventLoop) (path, i int) {
 	if i := scanShed(l); i >= 0 {
 		return pickShed, i
 	}
-	if l.claimCapacity() == noCapacity {
+	if l.sup.freeWorker(l.clockMS) < 0 {
 		return pickNone, -1
 	}
 	if i := scanRetry(l); i >= 0 {
@@ -93,21 +90,16 @@ func oracleAudit(t testing.TB, picks *[]pickRecord) func(*eventLoop, bool) {
 		if !picking {
 			return
 		}
-		var before, want []breaker
-		if l.sup != nil {
-			before = append(before, l.sup.breakers...)
-		}
+		before := append([]breaker(nil), l.sup.breakers...)
 		wantPath, wantI := scanPick(l)
-		if l.sup != nil {
-			want = append(want, l.sup.breakers...)
-			copy(l.sup.breakers, before)
-		}
+		want := append([]breaker(nil), l.sup.breakers...)
+		copy(l.sup.breakers, before)
 		path, i, _ := l.pick()
 		if path != wantPath || i != wantI {
 			t.Fatalf("t=%v: index picks (path %d, session %d), scans pick (path %d, session %d)",
 				l.clockMS, path, i, wantPath, wantI)
 		}
-		if l.sup != nil && !reflect.DeepEqual(l.sup.breakers, want) {
+		if !reflect.DeepEqual(l.sup.breakers, want) {
 			t.Fatalf("t=%v: breaker states after the index pick differ from the scans'", l.clockMS)
 		}
 		if err := l.checkIndex(); err != nil {
@@ -185,6 +177,46 @@ func TestDispatchIndexMatchesScans(t *testing.T) {
 			sheds, retries, readies, opens, closes)
 	}
 	t.Logf("picks: shed %d, retry %d, ready %d; breakers opened %d, closed %d", sheds, retries, readies, opens, closes)
+}
+
+// TestCheckIndexCatchesWorkerMismatch: the audit holds the worker set and
+// the frames on the pool one to one. A worker that drops its frame, holds a
+// dispatch nobody has, or shares another worker's is reported.
+func TestCheckIndexCatchesWorkerMismatch(t *testing.T) {
+	ds, sys := system(t)
+	cfg := Config{Workers: 2, QueueDepth: 4, Resilient: adascale.DefaultResilientConfig(), ModelOnly: true}
+	var dropped, phantom, shared int
+	newServer(t, sys, cfg).run(load(t, ds, 3, 20, 8, 3), func(l *eventLoop, _ bool) {
+		if err := l.checkIndex(); err != nil {
+			t.Fatal(err)
+		}
+		workers := l.sup.workers
+		for wi := range workers {
+			w := &workers[wi]
+			saved := *w
+			corrupt := func(what string, count *int) {
+				if l.checkIndex() == nil {
+					t.Fatalf("t=%v: worker %d %s, and the audit passed", l.clockMS, wi, what)
+				}
+				*w = saved
+				*count++
+			}
+			if w.dispID != 0 {
+				w.dispID = 0
+				corrupt("dropped its frame", &dropped)
+				continue
+			}
+			w.dispID, w.stream = l.dispatchSeq+1, 0
+			corrupt("holds a dispatch nobody has", &phantom)
+			if other := workers[1-wi]; other.dispID != 0 {
+				w.dispID, w.stream = other.dispID, other.stream
+				corrupt("shares another worker's dispatch", &shared)
+			}
+		}
+	}, false)
+	if dropped == 0 || phantom == 0 || shared == 0 {
+		t.Fatalf("not every corruption exercised: dropped %d, phantom %d, shared %d", dropped, phantom, shared)
+	}
 }
 
 // TestDispatchIndexKeys pins the two orderings a heap can get wrong where

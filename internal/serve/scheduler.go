@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"fmt"
+
 	"adascale/internal/faults"
 	"adascale/internal/simclock"
 )
@@ -8,7 +10,8 @@ import (
 // The central scheduler: the discrete-event driver of the frame step
 // (step.go). Its time source is a single-goroutine event loop over virtual
 // time; its executor policy is the supervised worker set — capacity,
-// retries, breakers, shed. Six event kinds exist — frame completions,
+// retries, breakers, shed — in every run: a server without a chaos plan
+// runs an empty one. Six event kinds exist — frame completions,
 // system fault events, retry expirations, frame arrivals, watchdog checks,
 // metric ticks — processed in (time, kind, stream, seq) order, so the whole
 // schedule is a deterministic function of the arrival schedule, the fault
@@ -18,11 +21,11 @@ import (
 // state; ticks sort last so a snapshot at t observes all of t's work.
 //
 // Real compute runs ahead asynchronously on the parallel.Pool; the loop
-// blocks on a frame's result only when its virtual completion fires. The
-// virtual in-service count never exceeds the pool's worker count, so a
-// Submit can never deadlock behind jobs whose results the loop has not
-// yet consumed. A dispatch invalidated by a fault abandons the lane's job
-// and its buffered result channel (Lane.Abandon) — the real worker never
+// blocks on a frame's result only when its virtual completion fires. Each
+// frame on the pool holds one virtual worker (checkWorkers), so a Submit
+// can never deadlock behind jobs whose results the loop has not yet
+// consumed. A dispatch invalidated by a fault abandons the lane's job and
+// its buffered result channel (Lane.Abandon) — the real worker never
 // blocks sending into it, and the stream's next dispatch gets a fresh one.
 const (
 	kindCompletion = iota
@@ -104,12 +107,9 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// noCapacity marks "no serving slot free"; anonSlot is the sup-less path's
-// placeholder worker index (capacity is a bare counter there).
-const (
-	noCapacity = -2
-	anonSlot   = -1
-)
+// noWorker is the worker index of a dispatch that holds none: a shed frame,
+// or a frame between dispatches.
+const noWorker = -1
 
 // eventLoop is the scheduler state for one Run.
 type eventLoop struct {
@@ -117,12 +117,11 @@ type eventLoop struct {
 	cfg      Config
 	streams  []Stream
 	sessions []*session
-	sup      *supervisor // nil without a chaos plan
+	sup      *supervisor
 
 	events      eventHeap
 	index       dispatchIndex // maintained by touch only (ready.go)
-	clockMS     float64
-	busy        int // frames virtually in service (≤ cfg.Workers)
+	clockMS     float64       // the last non-tick event's instant
 	dispatchSeq int
 	keep        bool // Run: sessions list their outputs and drops; Tally: counts only
 
@@ -146,10 +145,8 @@ func (l *eventLoop) run() {
 			})
 		}
 	}
-	if l.sup != nil {
-		for i, e := range l.sup.plan.Events {
-			l.events.push(event{timeMS: e.AtMS, kind: kindFault, stream: -1, seq: i})
-		}
+	for i, e := range l.sup.plan.Events {
+		l.events.push(event{timeMS: e.AtMS, kind: kindFault, stream: -1, seq: i})
 	}
 	if l.cfg.TickMS > 0 && l.cfg.OnTick != nil {
 		l.events.push(event{timeMS: l.cfg.TickMS, kind: kindTick})
@@ -160,6 +157,19 @@ func (l *eventLoop) run() {
 			// Skipped before the clock advances: an abandoned timer (a
 			// watchdog for a completed dispatch, a completion superseded by
 			// a fault or stall) must not stretch the run's duration.
+			continue
+		}
+		if ev.kind == kindTick {
+			// A tick observes the run without moving its clock, and
+			// re-arms only while a live event remains: ticks never stretch
+			// the run's duration or outlive its work.
+			l.cfg.OnTick(ev.timeMS, l.Metrics)
+			for len(l.events) > 0 && l.stale(l.events[0]) {
+				l.events.pop()
+			}
+			if len(l.events) > 0 {
+				l.events.push(event{timeMS: ev.timeMS + l.cfg.TickMS, kind: kindTick})
+			}
 			continue
 		}
 		l.clockMS = ev.timeMS
@@ -174,13 +184,6 @@ func (l *eventLoop) run() {
 			l.retryExpired(ev)
 		case kindWatchdog:
 			l.watchdog(ev)
-		case kindTick:
-			l.cfg.OnTick(l.clockMS, l.Metrics)
-			// Re-arm only while the simulation still has events: a tick
-			// must never keep an otherwise-finished run alive.
-			if len(l.events) > 0 {
-				l.events.push(event{timeMS: ev.timeMS + l.cfg.TickMS, kind: kindTick})
-			}
 		}
 		if l.audit != nil {
 			l.audit(l, false)
@@ -192,10 +195,7 @@ func (l *eventLoop) run() {
 // queue-saturation window the effective capacity collapses to one frame.
 func (l *eventLoop) arrive(ev event) {
 	s := l.sessions[ev.stream]
-	depth := l.cfg.QueueDepth
-	if l.sup != nil {
-		depth = l.sup.queueDepth(l.clockMS, depth)
-	}
+	depth := l.sup.queueDepth(l.clockMS, l.cfg.QueueDepth)
 	if dropped := l.Offer(&s.Lane, &s.queue, l.streams[ev.stream].Frames[ev.seq], depth); dropped != nil && l.keep {
 		s.dropped = append(s.dropped, dropped)
 	}
@@ -204,22 +204,6 @@ func (l *eventLoop) arrive(ev event) {
 	l.Metrics.Observe("queue/depth", float64(s.queue.Len()))
 	l.Metrics.SetMax("queue/peak_depth", float64(s.queue.Len()))
 	l.dispatch()
-}
-
-// claimCapacity reports a serving slot for a new dispatch: a concrete
-// healthy idle worker under supervision, the anonymous counter slot
-// otherwise, or noCapacity.
-func (l *eventLoop) claimCapacity() int {
-	if l.sup != nil {
-		if w := l.sup.freeWorker(l.clockMS); w >= 0 {
-			return w
-		}
-		return noCapacity
-	}
-	if l.busy < l.cfg.Workers {
-		return anonSlot
-	}
-	return noCapacity
 }
 
 // What pick found: nothing dispatchable, or the path the frame takes.
@@ -249,21 +233,21 @@ func (l *eventLoop) dispatch() {
 	}
 }
 
-// pick chooses the next dispatch — the one rule, for every mode: shed,
-// then retry, then FIFO. Open-breaker streams go first and bypass the
-// capacity claim entirely: shed serving is propagation-only on the stream's
-// session state (the DFF warp), not the worker pool, so those streams keep
-// draining while the pool is dead or saturated — the availability contract
-// of the shed rung. Then, given a serving slot w, retry-ready frames (failed
-// dispatches whose backoff has expired); among them, and then among fresh
-// head frames, the earliest-arrived frame wins (lowest session index on
-// ties) — FIFO across streams, so no stream starves. Each step is a peek at
-// the dispatch index, O(log sessions) once the picked session is touched.
+// pick chooses the next dispatch — the one rule: shed, then retry, then
+// FIFO. Open-breaker streams go first and bypass the worker set entirely:
+// shed serving is propagation-only on the stream's session state (the DFF
+// warp), not the worker pool, so those streams keep draining while the pool
+// is dead or saturated — the availability contract of the shed rung. Then,
+// given a free worker w, retry-ready frames (failed dispatches whose backoff
+// has expired); among them, and then among fresh head frames, the
+// earliest-arrived frame wins (lowest session index on ties) — FIFO across
+// streams, so no stream starves. Each step is a peek at the dispatch index,
+// O(log sessions) once the picked session is touched.
 func (l *eventLoop) pick() (path, i, w int) {
 	if i = l.shedCandidate(); i >= 0 {
-		return pickShed, i, anonSlot
+		return pickShed, i, noWorker
 	}
-	if w = l.claimCapacity(); w == noCapacity {
+	if w = l.sup.freeWorker(l.clockMS); w < 0 {
 		return pickNone, -1, w
 	}
 	if i = l.index.retry.min(); i >= 0 {
@@ -309,7 +293,7 @@ func (l *eventLoop) dispatchShed(i int) {
 		serviceMS += simclock.FlowMS
 		l.Metrics.Inc("breaker/shed", 1)
 	}
-	l.place(i, inf, anonSlot, serviceMS)
+	l.place(i, inf, noWorker, serviceMS)
 }
 
 // open takes the head frame off s's queue and makes it the stream's
@@ -322,22 +306,21 @@ func (l *eventLoop) open(s *session) *inflightFrame {
 	*inf = inflightFrame{
 		frame: tf.Frame, plan: plan, arrivalMS: tf.ArrivalMS, startMS: l.clockMS,
 		serviceMS: s.Sess.CostMS(tf.Frame, plan),
-		worker:    anonSlot, firstFailMS: -1,
+		worker:    noWorker, firstFailMS: -1,
 	}
 	s.inflight = inf
 	l.Metrics.Observe("queue/wait_ms", l.clockMS-tf.ArrivalMS)
 	return inf
 }
 
-// start dispatches the head frame of session index i on worker slot w.
+// start dispatches the head frame of session index i on worker w.
 func (l *eventLoop) start(i, w int) {
 	l.dispatchInflight(i, w, l.open(l.sessions[i]))
 }
 
-// redispatch re-dispatches session index i's retry-ready frame on worker
-// slot w, with the plan (and therefore the modelled cost) it was first
-// dispatched with — re-planning would double-step the session's deadline
-// hysteresis.
+// redispatch re-dispatches session index i's retry-ready frame on worker w,
+// with the plan (and therefore the modelled cost) it was first dispatched
+// with — re-planning would double-step the session's deadline hysteresis.
 func (l *eventLoop) redispatch(i, w int) {
 	l.Metrics.Inc("retry/dispatched", 1)
 	l.dispatchInflight(i, w, l.sessions[i].inflight)
@@ -346,7 +329,7 @@ func (l *eventLoop) redispatch(i, w int) {
 // dispatchInflight places the frame on the virtual clock in its current
 // mode: skip (sensor fault) or the full detector path on the pool. Shed
 // dispatches never reach here — dispatch routes open-breaker streams
-// through dispatchShed before any capacity is claimed.
+// through dispatchShed before a worker is claimed.
 func (l *eventLoop) dispatchInflight(i, w int, inf *inflightFrame) {
 	inf.shed = false
 	inf.res = nil
@@ -359,8 +342,9 @@ func (l *eventLoop) dispatchInflight(i, w int, inf *inflightFrame) {
 	l.place(i, inf, w, inf.serviceMS)
 }
 
-// place assigns the dispatch a fresh ID, occupies the worker slot, and
-// schedules the completion (and, under supervision, the watchdog).
+// place assigns the dispatch a fresh ID, occupies worker w (shed
+// dispatches take none), schedules the completion and records the watchdog
+// instant, which a healthy completion always precedes (stallWorker).
 func (l *eventLoop) place(i int, inf *inflightFrame, w int, serviceMS float64) {
 	l.dispatchSeq++
 	inf.dispID = l.dispatchSeq
@@ -372,37 +356,53 @@ func (l *eventLoop) place(i int, inf *inflightFrame, w int, serviceMS float64) {
 		l.sup.workers[w].dispID = inf.dispID
 		l.sup.workers[w].stream = i
 	}
-	if !inf.shed {
-		// Shed dispatches run off-pool; busy guards only real pool
-		// submissions (the Submit-never-deadlocks invariant).
-		l.busy++
-	}
 	l.events.push(event{timeMS: inf.completionMS, kind: kindCompletion, stream: i, seq: inf.dispID})
-	if l.sup != nil && !inf.plan.Skip && !inf.shed {
-		// A frame whose modelled service outlasts the watchdog is not stalled.
-		l.events.push(event{timeMS: l.clockMS + max(l.sup.watchdogMS, 2*serviceMS), kind: kindWatchdog, stream: i, seq: inf.dispID})
-	}
+	// A frame whose modelled service outlasts the watchdog is not stalled.
+	inf.watchdogMS = l.clockMS + max(l.sup.watchdogMS, 2*serviceMS)
 }
 
-// freeDispatch releases the frame's worker slot and invalidates its
-// dispatch ID, so any already-scheduled completion or watchdog event for
-// it is recognised as stale.
+// freeDispatch releases the frame's worker and invalidates its dispatch
+// ID, so any already-scheduled completion or watchdog event for it is
+// recognised as stale.
 func (l *eventLoop) freeDispatch(inf *inflightFrame) {
 	if inf.worker >= 0 {
 		l.sup.workers[inf.worker].dispID = 0
 	}
 	inf.dispID = 0
-	inf.worker = anonSlot
-	if !inf.shed {
-		l.busy--
+	inf.worker = noWorker
+}
+
+// checkWorkers verifies that the workers holding a dispatch and the frames
+// on the pool (in flight, not shed) map one to one: each such frame's
+// worker holds its dispatch, and no other worker holds one. So at most
+// Workers frames are in service, and Submit never deadlocks.
+func (l *eventLoop) checkWorkers() error {
+	held := 0
+	for i := range l.sup.workers {
+		if l.sup.workers[i].dispID != 0 {
+			held++
+		}
 	}
+	for i, s := range l.sessions {
+		if inf := s.inflight; inf != nil && inf.dispID != 0 && !inf.shed {
+			if w := inf.worker; w < 0 || l.sup.workers[w].dispID != inf.dispID || l.sup.workers[w].stream != i {
+				return fmt.Errorf("serve: session %d's dispatch %d is not held by its worker %d (t=%v)", i, inf.dispID, w, l.clockMS)
+			}
+			held--
+		}
+	}
+	if held != 0 {
+		return fmt.Errorf("serve: %d workers hold a dispatch no frame on the pool has (t=%v)", held, l.clockMS)
+	}
+	return nil
 }
 
 // stale recognises events whose dispatch no longer exists: a completion
 // or watchdog whose dispatch ID was invalidated by a fault, or a
 // completion superseded by a stall's rescheduled one (the completionMS
-// check). run skips them without advancing the clock; the handlers below
-// therefore only ever see live events.
+// check). A stale event never becomes live again. run skips them without
+// advancing the clock; the handlers below therefore only ever see live
+// events.
 func (l *eventLoop) stale(ev event) bool {
 	switch ev.kind {
 	case kindCompletion:
@@ -441,14 +441,12 @@ func (l *eventLoop) settle(i int, inf *inflightFrame, res Result) {
 	if l.keep {
 		s.outputs = append(s.outputs, out)
 	}
-	if l.sup != nil {
-		if res.R != nil && l.sup.breakers[i].onSuccess() {
-			l.Metrics.Inc("breaker/close", 1)
-		}
-		if inf.firstFailMS >= 0 {
-			// Recovery time: first dispatch failure → the frame's output.
-			l.Metrics.Observe("recovery/ms", l.clockMS-inf.firstFailMS)
-		}
+	if res.R != nil && l.sup.breakers[i].onSuccess() {
+		l.Metrics.Inc("breaker/close", 1)
+	}
+	if inf.firstFailMS >= 0 {
+		// Recovery time: first dispatch failure → the frame's output.
+		l.Metrics.Observe("recovery/ms", l.clockMS-inf.firstFailMS)
 	}
 	l.touch(i)
 }
@@ -497,16 +495,17 @@ func (l *eventLoop) killWorker(wi int, deadUntil float64, reason string) {
 		w.deadUntilMS = deadUntil
 	}
 	if w.dispID != 0 {
-		stream := w.stream
-		w.dispID = 0
-		l.failDispatch(stream, reason)
+		l.failDispatch(w.stream, reason)
 	}
 	l.wakeAt(w.deadUntilMS)
 }
 
 // stallWorker freezes a worker for durMS; an in-flight dispatch resumes
 // where it left off when the stall ends, so its completion moves out by
-// the stall (the watchdog may reassign it first).
+// the stall. Only a stall can move a completion past the dispatch's
+// watchdog instant; the one that does pushes the watchdog event, which
+// then reassigns the frame — unless it is sensor-skipped, with no detector
+// pass to reassign (shed frames hold no worker to stall).
 func (l *eventLoop) stallWorker(wi int, durMS float64) {
 	w := &l.sup.workers[wi]
 	until := l.clockMS + durMS
@@ -515,9 +514,13 @@ func (l *eventLoop) stallWorker(wi int, durMS float64) {
 	}
 	if w.dispID != 0 {
 		inf := l.sessions[w.stream].inflight
+		was := inf.completionMS
 		inf.completionMS += durMS
 		l.Metrics.Inc("stall/delayed", 1)
 		l.events.push(event{timeMS: inf.completionMS, kind: kindCompletion, stream: w.stream, seq: inf.dispID})
+		if !inf.plan.Skip && was <= inf.watchdogMS && inf.watchdogMS < inf.completionMS {
+			l.events.push(event{timeMS: inf.watchdogMS, kind: kindWatchdog, stream: w.stream, seq: inf.dispID})
+		}
 	}
 	l.wakeAt(w.stallUntilMS)
 }
@@ -526,18 +529,11 @@ func (l *eventLoop) stallWorker(wi int, durMS float64) {
 // goes to retry with exponential backoff and deterministic jitter, or —
 // once maxRetries is exhausted — is abandoned into the degradation ladder
 // (propagated output; never silently lost). The breaker records the
-// failure. The worker slot itself is the caller's to release.
+// failure.
 func (l *eventLoop) failDispatch(i int, reason string) {
 	s := l.sessions[i]
 	inf := s.inflight
-	if inf == nil || inf.dispID == 0 {
-		return
-	}
-	inf.dispID = 0
-	inf.worker = anonSlot
-	if !inf.shed {
-		l.busy--
-	}
+	l.freeDispatch(inf)
 	inf.shed = false
 	inf.res = nil
 	s.Abandon() // a worker still computing it sends where no frame reads
@@ -571,17 +567,12 @@ func (l *eventLoop) retryExpired(ev event) {
 	l.dispatch()
 }
 
-// watchdog fires watchdogMS after a dispatch; if that dispatch is still in
-// flight it is presumed stalled and reassigned.
+// watchdog fires at a stalled dispatch's watchdog instant; the dispatch is
+// still in flight (else the event is stale), so it is reassigned.
 func (l *eventLoop) watchdog(ev event) {
-	s := l.sessions[ev.stream]
-	inf := s.inflight
 	l.Metrics.Inc("watchdog/reassigned", 1)
-	if inf.worker >= 0 {
-		// The stalled worker is abandoned to its stall; it frees when the
-		// stall ends, not when the reassigned frame completes.
-		l.sup.workers[inf.worker].dispID = 0
-	}
+	// The worker is released but stays frozen until its stall ends, not
+	// until the reassigned frame completes.
 	l.failDispatch(ev.stream, "watchdog")
 	l.dispatch()
 }

@@ -135,12 +135,12 @@ type Config struct {
 	// migration via session checkpoints) recovers from them. Chaos runs
 	// require an explicit Workers count — the plan targets worker indices,
 	// and determinism across machines forbids a GOMAXPROCS-derived
-	// capacity. Nil runs the plain scheduler, byte-identical to a server
-	// without a supervision layer at all.
+	// capacity. Nil is an empty plan: the same supervised scheduler with no
+	// fault to recover from.
 	Chaos *faults.SystemPlan
 
-	// Supervisor tunes the circuit breakers; consulted only when Chaos is
-	// set. The zero value means all defaults.
+	// Supervisor tunes the circuit breakers, which only a fault plan can
+	// open. The zero value means all defaults.
 	Supervisor SupervisorConfig
 }
 
@@ -334,6 +334,7 @@ func (s *Server) run(streams []Stream, audit func(*eventLoop, bool), keep bool) 
 		cfg:      s.cfg,
 		streams:  admitted,
 		sessions: sessions,
+		sup:      newSupervisor(s.cfg.Chaos, s.cfg.Supervisor, s.cfg.SLOMS, s.cfg.Workers, len(sessions)),
 		index:    newDispatchIndex(len(sessions)),
 		keep:     keep,
 		audit:    audit,
@@ -343,9 +344,6 @@ func (s *Server) run(streams []Stream, audit func(*eventLoop, bool), keep bool) 
 		// its per-worker detector/regressor clones) entirely.
 		loop.StartPool(s.det, s.reg, s.cfg.Workers)
 		defer loop.Close()
-	}
-	if s.cfg.Chaos != nil {
-		loop.sup = newSupervisor(s.cfg.Chaos, s.cfg.Supervisor, s.cfg.SLOMS, s.cfg.Workers, len(sessions))
 	}
 	loop.run()
 

@@ -423,31 +423,57 @@ func TestServeConfigRejectsNonFinite(t *testing.T) {
 }
 
 // TestServeTicksFireDeterministically: ticks fire at exact virtual
-// instants, strictly increasing, and stop with the simulation.
+// instants, strictly increasing, and stop with the simulation; they only
+// observe it, so the snapshot and DurationMS are the ones the same run
+// gives without ticks. Covered on a plain run and on one that stalls
+// worker 0 a millisecond into the first frame for longer than the whole
+// load: the watchdog reassigns that frame, the stall's end is the run's
+// last live event, and the superseded completion is left in the heap after
+// it.
 func TestServeTicksFireDeterministically(t *testing.T) {
+	const tickMS = 10
 	ds, sys := system(t)
-	var ticks []float64
-	cfg := Config{
-		Workers: 2, QueueDepth: 4, TickMS: 250,
-		Resilient: adascale.DefaultResilientConfig(),
-		OnTick: func(simMS float64, m *obs.Metrics) {
+	streams := load(t, ds, 2, 10, 10, 21)
+	first := min(streams[0].Frames[0].ArrivalMS, streams[1].Frames[0].ArrivalMS)
+	stall := &faults.SystemPlan{Seed: 1, Events: []faults.SystemEvent{
+		{AtMS: first + 1, Kind: faults.SysWorkerStall, Worker: 0, DurationMS: 2000},
+	}}
+	for _, plan := range []*faults.SystemPlan{nil, stall} {
+		cfg := Config{
+			Workers: 2, QueueDepth: 4,
+			Resilient: adascale.DefaultResilientConfig(),
+			Chaos:     plan,
+		}
+		quiet := newServer(t, sys, cfg).Run(streams)
+		if plan != nil && (quiet.Metrics.Counter("watchdog/reassigned") != 1 || quiet.DurationMS != first+1+2000) {
+			t.Fatalf("the stall did not reassign the first frame and end the run:\n%s", quiet.Metrics.Snapshot())
+		}
+
+		var ticks []float64
+		cfg.TickMS = tickMS
+		cfg.OnTick = func(simMS float64, m *obs.Metrics) {
 			if m.Snapshot() == "" {
 				t.Error("tick observed an empty registry")
 			}
 			ticks = append(ticks, simMS)
-		},
-	}
-	rep := newServer(t, sys, cfg).Run(load(t, ds, 2, 10, 10, 21))
-	if len(ticks) == 0 {
-		t.Fatal("no ticks fired")
-	}
-	for i, at := range ticks {
-		if want := 250 * float64(i+1); at != want {
-			t.Fatalf("tick %d at %vms, want %vms", i, at, want)
 		}
-	}
-	if last := ticks[len(ticks)-1]; last > rep.DurationMS+250 {
-		t.Fatalf("tick at %vms outlived the %vms simulation", last, rep.DurationMS)
+		rep := newServer(t, sys, cfg).Run(streams)
+		for i, at := range ticks {
+			if want := tickMS * float64(i+1); at != want {
+				t.Fatalf("tick %d at %vms, want %vms", i, at, want)
+			}
+		}
+		// A tick re-arms while live work remains, so the last one is the
+		// first at or after the last event.
+		if n := len(ticks); n == 0 || ticks[n-1] < rep.DurationMS || ticks[n-1] >= rep.DurationMS+tickMS {
+			t.Fatalf("chaos %v: %d ticks around a %vms simulation", plan != nil, n, rep.DurationMS)
+		}
+		if rep.DurationMS != quiet.DurationMS {
+			t.Fatalf("chaos %v: ticks stretched the run from %vms to %vms", plan != nil, quiet.DurationMS, rep.DurationMS)
+		}
+		if a, b := quiet.Metrics.Snapshot(), rep.Metrics.Snapshot(); a != b {
+			t.Fatalf("chaos %v: ticks changed the snapshot:\n--- without ---\n%s\n--- with ---\n%s", plan != nil, a, b)
+		}
 	}
 }
 

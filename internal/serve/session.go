@@ -29,7 +29,7 @@ type session struct {
 }
 
 // inflightFrame tracks a frame from its first dispatch until its
-// completion event — across retries, when the supervision layer is active.
+// completion event — across retries.
 type inflightFrame struct {
 	frame     *synth.Frame
 	plan      adascale.FramePlan
@@ -41,11 +41,11 @@ type inflightFrame struct {
 	// for breaker-shed propagation-only frames and in model-only runs.
 	res <-chan Result
 
-	// Supervision state (meaningful only when the server runs a chaos
-	// plan; all zero on the plain path).
+	// Supervision state.
 	dispID       int     // current dispatch ID (0 = not dispatched right now)
 	worker       int     // virtual worker of the current dispatch (-1 = none)
 	completionMS float64 // scheduled completion instant of the current dispatch
+	watchdogMS   float64 // watchdog instant of the current dispatch (stallWorker)
 	serviceMS    float64 // modelled detector-path service time (reused on retry)
 	shed         bool    // current dispatch bypasses the detector (breaker open)
 	attempts     int     // failed dispatches so far

@@ -23,7 +23,7 @@ import (
 // executor policy (which frames reach the pool, and what a failure there
 // costs). The discrete-event scheduler (scheduler.go: event heap, supervised
 // workers, retries, breakers, shed) and the HTTP engine (internal/server:
-// clock bridge, per-stream busy horizon) are the two drivers.
+// clock bridge, per-stream completion horizon) are the two drivers.
 
 // Core is what every frame of one server shares: the registry the step
 // records into, the optional tracer, and the compute pool. The zero value

@@ -16,9 +16,9 @@ import (
 // pure function of the event loop's virtual time and the seeded plan, so
 // chaos runs are byte-identical across runs and real core counts.
 
-// SupervisorConfig tunes the circuit breakers of a chaos-enabled server.
-// The zero value means "all defaults"; it is only consulted when
-// Config.Chaos is set.
+// SupervisorConfig tunes the circuit breakers. The zero value means "all
+// defaults". Only a fault plan (Config.Chaos) fails dispatches, so without
+// one no breaker ever opens and the settings change nothing.
 type SupervisorConfig struct {
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// stream's circuit breaker. 0 means 2; negative disables the breaker
@@ -79,9 +79,8 @@ func (c *SupervisorConfig) Validate() error {
 	return nil
 }
 
-// vworker is one virtual serving slot's health state. The scheduler's
-// virtual in-service count is the number of workers with a non-zero
-// dispatch; a worker accepts new work only when idle, alive and unstalled.
+// vworker is one virtual worker's health state; every frame on the pool
+// holds one. A worker accepts new work only when idle, alive and unstalled.
 type vworker struct {
 	deadUntilMS  float64 // rebuilding after a kill / blackout until then
 	stallUntilMS float64 // frozen by a stall fault until then
@@ -98,8 +97,11 @@ type supervisor struct {
 	satUntil   float64 // queue-saturation window end (virtual ms)
 }
 
-// newSupervisor builds the supervision state for one Run.
+// newSupervisor builds the supervision state for one Run (nil plan: empty).
 func newSupervisor(plan *faults.SystemPlan, cfg SupervisorConfig, sloMS float64, workers, sessions int) *supervisor {
+	if plan == nil {
+		plan = &faults.SystemPlan{}
+	}
 	cfg = cfg.withDefaults()
 	s := &supervisor{
 		watchdogMS: watchdogMS(sloMS),
