@@ -297,9 +297,6 @@ func runCluster(sys *adascale.System, load []serve.Stream, opt clusterRun, fail 
 			SLOMS:      opt.sloMS,
 			Resilient:  adascale.DefaultResilientConfig(),
 			ModelOnly:  opt.modelOnly,
-			// Per-stream metric keys would make the snapshot O(streams);
-			// the cluster rollup keeps the fleet-level series instead.
-			CompactMetrics: true,
 		},
 	}
 	if opt.eventRate > 0 {

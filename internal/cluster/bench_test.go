@@ -28,7 +28,7 @@ func BenchmarkClusterRun(b *testing.B) {
 		Nodes: 16, EpochMS: 500, Plan: plan,
 		Node: serve.Config{
 			Workers: 4, QueueDepth: 8, SLOMS: 80, Resilient: adascale.DefaultResilientConfig(),
-			ModelOnly: true, CompactMetrics: true,
+			ModelOnly: true,
 		},
 	})
 	if err != nil {

@@ -49,7 +49,7 @@ func FuzzClusterEvents(f *testing.F) {
 				// Model-only: scheduling, queueing and recovery are exactly
 				// the real run's; only detector content is absent — which
 				// keeps each fuzz iteration sub-millisecond.
-				ModelOnly: true, CompactMetrics: true,
+				ModelOnly: true,
 			},
 		}
 		c, err := New(sys.Detector, sys.Regressor, cfg)

@@ -11,7 +11,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"adascale/internal/adascale"
 	"adascale/internal/eval"
@@ -209,16 +208,6 @@ func printRuler(w io.Writer, n int) {
 		line[i] = '-'
 	}
 	fmt.Fprintf(w, "%s\n", line)
-}
-
-// sortedKeys is a small helper for deterministic map iteration in reports.
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // scalesString renders a scale set compactly, e.g. "{600,480,360,240}".

@@ -172,12 +172,11 @@ func (b *Bundle) Cluster(cfg ClusterSweepConfig) (*ClusterResult, error) {
 				EpochMS: cfg.EpochMS,
 				Plan:    plan,
 				Node: serve.Config{
-					Workers:        cfg.Workers,
-					QueueDepth:     cfg.QueueDepth,
-					SLOMS:          cfg.SLOMS,
-					Resilient:      adascale.DefaultResilientConfig(),
-					ModelOnly:      true,
-					CompactMetrics: true,
+					Workers:    cfg.Workers,
+					QueueDepth: cfg.QueueDepth,
+					SLOMS:      cfg.SLOMS,
+					Resilient:  adascale.DefaultResilientConfig(),
+					ModelOnly:  true,
 				},
 			})
 			if err != nil {

@@ -30,7 +30,7 @@ import (
 
 // Metrics is the dependency-free metrics registry: counters, gauges and
 // histograms keyed by slash-delimited names ("frames/served",
-// "stream/3/dropped", "latency/ms"). Recorded in virtual simulation time,
+// "scale/600", "latency/ms"). Recorded in virtual simulation time,
 // the registry's final state — and therefore Snapshot() — is
 // byte-identical across runs and worker counts, which is what makes
 // throughput/SLO experiments reproducible.

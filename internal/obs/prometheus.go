@@ -25,7 +25,7 @@ import (
 var promQuantiles = []float64{0.5, 0.95, 0.99}
 
 // PromName sanitises a slash-delimited registry name ("frames/served",
-// "stream/3/slo_miss") into a legal Prometheus metric name under the
+// "chaos/worker-kill") into a legal Prometheus metric name under the
 // given namespace: every character outside [a-zA-Z0-9_] becomes "_", and
 // the namespace prefix keeps names starting with a digit legal.
 func PromName(namespace, name string) string {

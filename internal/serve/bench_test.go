@@ -9,10 +9,9 @@ import (
 	"adascale/internal/faults"
 )
 
-// BenchmarkSchedulerModelOnly measures the scheduler alone: a ModelOnly +
-// CompactMetrics Run (no detector, no per-stream keys) at des_serve's 16
-// streams, at a cluster node's ~1000 and at 10 000, plain and under a chaos
-// plan. ns/frame and allocs/frame are per served-or-dropped frame of one
+// BenchmarkSchedulerModelOnly measures the scheduler alone: a ModelOnly Run
+// (no detector) at des_serve's 16 streams, at a cluster node's ~1000 and at
+// 10 000, plain and under a chaos plan. ns/frame and allocs/frame are per served-or-dropped frame of one
 // Run; with the dispatch index the curve across stream counts is flat up to
 // the log factor, where the per-dispatch scans made it linear.
 func BenchmarkSchedulerModelOnly(b *testing.B) {
@@ -31,7 +30,7 @@ func BenchmarkSchedulerModelOnly(b *testing.B) {
 				cfg := Config{
 					Workers: 4, QueueDepth: 8, SLOMS: 200,
 					Resilient: adascale.DefaultResilientConfig(),
-					ModelOnly: true, CompactMetrics: true,
+					ModelOnly: true,
 				}
 				if chaos {
 					horizon := ld[0].Frames[frames-1].ArrivalMS

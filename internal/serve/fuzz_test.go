@@ -88,7 +88,7 @@ func FuzzLoadgen(f *testing.F) {
 		}
 		scfg := Config{
 			Workers: 1 + int(uint64(seed)%4), QueueDepth: 1 + int(uint64(seed)>>2%8), SLOMS: 80,
-			Resilient: adascale.DefaultResilientConfig(), ModelOnly: true, CompactMetrics: true,
+			Resilient: adascale.DefaultResilientConfig(), ModelOnly: true,
 		}
 		// The plan's event count grows with its horizon; a near-zero frame
 		// rate stretches the schedule over years of virtual time.

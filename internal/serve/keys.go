@@ -4,9 +4,16 @@ import (
 	"fmt"
 
 	"adascale/internal/adascale"
+	"adascale/internal/faults"
+	"adascale/internal/obs"
 	"adascale/internal/regressor"
 	"adascale/internal/synth"
 )
+
+// Every metric name serve records is a constant: a literal at its call site
+// or an entry of a table below, built once at init. The registry's key set
+// therefore depends only on the code — never on how many streams, frames or
+// fault events a run saw — and the per-frame path formats no string.
 
 // scaleKeys holds the "scale/<s>" counter names over the regressor's test
 // range, built once: the per-frame path then names its scale counter
@@ -31,8 +38,36 @@ var faultKeys, fallbackKeys = func() (faults [synth.NumFaultKinds]string, fallba
 	return faults, fallbacks
 }()
 
-// ScaleKey returns the served-scale counter's name, "scale/<scale>" — the
-// one spelling the scheduler and the HTTP engine (internal/server) share.
+// stageKeys and sloMissStageKeys are the "stage/<name>/ms" and
+// "slo_miss/stage/<name>/ms" histogram names a traced Settle observes for
+// each span.
+var stageKeys, sloMissStageKeys = func() (all, sloMiss [obs.NumStages]string) {
+	for st := range obs.NumStages {
+		all[st] = "stage/" + st.String() + "/ms"
+		sloMiss[st] = "slo_miss/" + all[st]
+	}
+	return all, sloMiss
+}()
+
+// chaosKeys are the "chaos/<kind>" counter names, one per system fault kind
+// the scheduler applies.
+var chaosKeys = func() (keys [faults.NumSystemEventKinds]string) {
+	for k := range faults.NumSystemEventKinds {
+		keys[k] = "chaos/" + k.String()
+	}
+	return keys
+}()
+
+// The "fail/<reason>" counter names, one per way a dispatch is lost.
+const (
+	failKill     = "fail/kill"
+	failBlackout = "fail/blackout"
+	failWatchdog = "fail/watchdog"
+)
+
+// ScaleKey returns the served-scale counter's name, "scale/<scale>", from
+// scaleKeys. Only a scale outside the regressor's range is formatted, and no
+// session serves one: every scale it plans is clipped to that range.
 func ScaleKey(scale int) string {
 	if scale >= regressor.MinScale && scale <= regressor.MaxScale {
 		return scaleKeys[scale-regressor.MinScale]

@@ -459,17 +459,17 @@ func (l *eventLoop) fault(ev event) {
 		return
 	}
 	e := l.sup.plan.Events[ev.seq]
-	l.Metrics.Inc("chaos/"+e.Kind.String(), 1)
+	l.Metrics.Inc(chaosKeys[e.Kind], 1)
 	switch e.Kind {
 	case faults.SysWorkerKill:
 		l.Metrics.Inc("workers/rebuilt", 1)
-		l.killWorker(e.Worker, l.clockMS+rebuildMS, "kill")
+		l.killWorker(e.Worker, l.clockMS+rebuildMS, failKill)
 	case faults.SysWorkerStall:
 		l.stallWorker(e.Worker, e.DurationMS)
 	case faults.SysNodeBlackout:
 		until := l.clockMS + e.DurationMS
 		for wi := range l.sup.workers {
-			l.killWorker(wi, until, "blackout")
+			l.killWorker(wi, until, failBlackout)
 		}
 		// The node is gone: every stream migrates — its session reset and
 		// restored from its own checkpoint, as a replacement node would do
@@ -489,13 +489,13 @@ func (l *eventLoop) fault(ev event) {
 
 // killWorker takes a worker down until deadUntil; its in-flight dispatch
 // (if any) is lost and routed to retry.
-func (l *eventLoop) killWorker(wi int, deadUntil float64, reason string) {
+func (l *eventLoop) killWorker(wi int, deadUntil float64, failKey string) {
 	w := &l.sup.workers[wi]
 	if deadUntil > w.deadUntilMS {
 		w.deadUntilMS = deadUntil
 	}
 	if w.dispID != 0 {
-		l.failDispatch(w.stream, reason)
+		l.failDispatch(w.stream, failKey)
 	}
 	l.wakeAt(w.deadUntilMS)
 }
@@ -529,8 +529,8 @@ func (l *eventLoop) stallWorker(wi int, durMS float64) {
 // goes to retry with exponential backoff and deterministic jitter, or —
 // once maxRetries is exhausted — is abandoned into the degradation ladder
 // (propagated output; never silently lost). The breaker records the
-// failure.
-func (l *eventLoop) failDispatch(i int, reason string) {
+// failure, and failKey — one of keys.go's fail/<reason> counters — counts it.
+func (l *eventLoop) failDispatch(i int, failKey string) {
 	s := l.sessions[i]
 	inf := s.inflight
 	l.freeDispatch(inf)
@@ -542,7 +542,7 @@ func (l *eventLoop) failDispatch(i int, reason string) {
 	}
 	inf.attempts++
 	l.Metrics.Inc("retry/failures", 1)
-	l.Metrics.Inc("fail/"+reason, 1)
+	l.Metrics.Inc(failKey, 1)
 	if l.sup.breakers[i].onFailure(l.clockMS) {
 		l.Metrics.Inc("breaker/open", 1)
 	}
@@ -573,7 +573,7 @@ func (l *eventLoop) watchdog(ev event) {
 	l.Metrics.Inc("watchdog/reassigned", 1)
 	// The worker is released but stays frozen until its stall ends, not
 	// until the reassigned frame completes.
-	l.failDispatch(ev.stream, "watchdog")
+	l.failDispatch(ev.stream, failWatchdog)
 	l.dispatch()
 }
 

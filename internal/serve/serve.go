@@ -97,9 +97,9 @@ type Config struct {
 	// pipeline stage per served frame (stream = stream ID, frame = index
 	// within the stream, start = the frame's dispatch time on the virtual
 	// clock) and adds per-stage histograms to the metrics registry:
-	// stage/<name>/ms, stream/<id>/stage/<name>/ms, and — for frames that
-	// missed the SLO — slo_miss/stage/<name>/ms, so an SLO investigation
-	// can see which stage the missing milliseconds went to. With a
+	// stage/<name>/ms and — for frames that missed the SLO —
+	// slo_miss/stage/<name>/ms, so an SLO investigation can see which
+	// stage the missing milliseconds went to. With a
 	// wall-mode tracer the detect/regress stages carry measured wall time
 	// (profiling aid; not deterministic). Nil leaves the snapshot exactly
 	// as it was before tracing existed.
@@ -118,13 +118,8 @@ type Config struct {
 	// scheduling, not breaker recovery.
 	ModelOnly bool
 
-	// CompactMetrics suppresses the per-stream metric keys
-	// (stream/<id>/served, stream/<id>/dropped, stream/<id>/slo_miss and
-	// the per-stream stage histograms): a cluster node serving tens of
-	// thousands of streams would otherwise spend most of its time and
-	// memory on snapshot keys nobody reads. Aggregate metrics are
-	// unaffected; the default (false) keeps snapshots byte-identical to
-	// the committed goldens.
+	// CompactMetrics is a no-op, kept for callers that still set it: the
+	// registry holds no per-stream keys left to suppress.
 	CompactMetrics bool
 
 	// Chaos, when non-nil, runs the server under the given system fault
@@ -314,11 +309,11 @@ func (s *Server) run(streams []Stream, audit func(*eventLoop, bool), keep bool) 
 	m.Inc("sessions/accepted", int64(len(admitted)))
 	m.Inc("sessions/rejected", int64(len(rep.Rejected)))
 
-	core := Core{Metrics: m, Tracer: s.cfg.Tracer, Compact: s.cfg.CompactMetrics}
+	core := Core{Metrics: m, Tracer: s.cfg.Tracer}
 	sessions := make([]*session, len(admitted))
 	for i, st := range admitted {
 		sessions[i] = &session{
-			Lane:  core.NewLane(st.ID, adascale.NewResilientSession(s.reg.Kernels, s.cfg.Resilient)),
+			Lane:  Lane{ID: st.ID, Sess: adascale.NewResilientSession(s.reg.Kernels, s.cfg.Resilient)},
 			queue: FrameQueue{items: make([]TimedFrame, 0, min(s.cfg.QueueDepth, len(st.Frames)))},
 		}
 		if keep {

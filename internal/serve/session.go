@@ -6,10 +6,10 @@ import (
 )
 
 // session is one admitted video stream: its lane of the frame step
-// (resilient scale-state session, ledger, metric keys), its bounded frame
-// queue, and what the report keeps of it. All access happens on the
-// scheduler's event-loop goroutine; only the compute (detector + regressor
-// forward) leaves it.
+// (resilient scale-state session and ledger), its bounded frame queue, and
+// what the report keeps of it. All access happens on the scheduler's
+// event-loop goroutine; only the compute (detector + regressor forward)
+// leaves it.
 type session struct {
 	Lane
 

@@ -36,9 +36,6 @@ type Core struct {
 	// spans and stage histograms, and (in wall mode) workers measure them.
 	Tracer *obs.Tracer
 
-	// Compact suppresses the per-stream metric keys; lanes then carry none.
-	Compact bool
-
 	pool *parallel.Pool[worker]
 }
 
@@ -121,40 +118,24 @@ func (j *job) compute(w worker) {
 }
 
 // Lane is one stream's share of the step: its resilient scale-state
-// session, its ledger (Offered == Served + Dropped once the stream has
-// drained), and its per-stream metric keys. Not safe for concurrent use;
-// each driver serialises a lane's Offer and Settle calls.
+// session and its ledger (Offered == Served + Dropped once the stream has
+// drained). The ledger is the stream's only per-stream record: the registry
+// holds aggregates, so its key set never grows with the stream count. Not
+// safe for concurrent use; each driver serialises a lane's Offer and Settle
+// calls.
 type Lane struct {
 	ID   int
 	Sess *adascale.ResilientSession
 
 	Offered, Served, Dropped, SLOMisses int
 
-	keys *laneKeys // nil under Core.Compact
-	job  *job      // Submit's; nil until the first Submit and after Abandon
+	job *job // Submit's; nil until the first Submit and after Abandon
 }
 
 // Abandon gives up on the lane's frame in compute: its worker keeps the job
 // and delivers into a channel nobody reads, and the next Submit makes a
 // fresh job, so a stale send can never be read as a later frame's result.
 func (ln *Lane) Abandon() { ln.job = nil }
-
-// laneKeys are a lane's metric names, formatted once at admission so the
-// per-frame path names its counters without building a string per frame.
-type laneKeys struct{ served, dropped, sloMiss string }
-
-// NewLane opens stream id's lane over sess.
-func (c *Core) NewLane(id int, sess *adascale.ResilientSession) Lane {
-	ln := Lane{ID: id, Sess: sess}
-	if !c.Compact {
-		ln.keys = &laneKeys{
-			served:  fmt.Sprintf("stream/%d/served", id),
-			dropped: fmt.Sprintf("stream/%d/dropped", id),
-			sloMiss: fmt.Sprintf("stream/%d/slo_miss", id),
-		}
-	}
-	return ln
-}
 
 // Offer enqueues an arrival on the lane's queue q under the bounded
 // drop-oldest policy and returns the frame evicted to make room, if any.
@@ -164,9 +145,6 @@ func (c *Core) Offer(ln *Lane, q *FrameQueue, tf TimedFrame, depth int) (dropped
 	if dropped = q.Push(tf, depth); dropped != nil {
 		ln.Dropped++
 		c.Metrics.Inc("frames/dropped", 1)
-		if ln.keys != nil {
-			c.Metrics.Inc(ln.keys.dropped, 1)
-		}
 	}
 	return dropped
 }
@@ -209,12 +187,6 @@ func (c *Core) Settle(ln *Lane, f *synth.Frame, plan adascale.FramePlan, res Res
 		ln.SLOMisses++
 		m.Inc("slo/miss", 1)
 	}
-	if ln.keys != nil {
-		m.Inc(ln.keys.served, 1)
-		if sloMiss {
-			m.Inc(ln.keys.sloMiss, 1)
-		}
-	}
 	if c.Tracer != nil {
 		c.trace(ln, out, res, startMS, sloMiss)
 	}
@@ -224,19 +196,15 @@ func (c *Core) Settle(ln *Lane, f *synth.Frame, plan adascale.FramePlan, res Res
 
 // trace records the served frame's pipeline-stage spans (start = the
 // frame's dispatch time on the driver's clock) and the per-stage metric
-// histograms — overall, per-stream (unless the lane is compact), and
-// per-SLO-miss, so a miss can be localised to the stage that ate the budget.
+// histograms — overall and per-SLO-miss, so a miss can be localised to the
+// stage that ate the budget.
 func (c *Core) trace(ln *Lane, out adascale.FrameOutput, res Result, startMS float64, sloMiss bool) {
 	spans := adascale.FrameSpans(c.Tracer, ln.ID, ln.Served, startMS, out, res.DetWallMS, res.RegWallMS)
 	c.Tracer.Add(spans)
 	for _, sp := range spans {
-		stage := sp.Stage.String()
-		c.Metrics.Observe("stage/"+stage+"/ms", sp.DurMS)
-		if ln.keys != nil {
-			c.Metrics.Observe(fmt.Sprintf("stream/%d/stage/%s/ms", ln.ID, stage), sp.DurMS)
-		}
+		c.Metrics.Observe(stageKeys[sp.Stage], sp.DurMS)
 		if sloMiss {
-			c.Metrics.Observe("slo_miss/stage/"+stage+"/ms", sp.DurMS)
+			c.Metrics.Observe(sloMissStageKeys[sp.Stage], sp.DurMS)
 		}
 	}
 }

@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"adascale/internal/adascale"
+	"adascale/internal/faults"
 	"adascale/internal/obs"
 )
 
@@ -106,7 +108,7 @@ func TestSubmitSettleAllocatesOnlyOutput(t *testing.T) {
 	c := Core{Metrics: obs.NewMetrics()}
 	c.StartPool(sys.Detector, sys.Regressor, 1)
 	defer c.Close()
-	ln := c.NewLane(0, adascale.NewResilientSession(sys.Regressor.Kernels, adascale.DefaultResilientConfig()))
+	ln := Lane{Sess: adascale.NewResilientSession(sys.Regressor.Kernels, adascale.DefaultResilientConfig())}
 	var out adascale.FrameOutput
 	step := func() {
 		plan := ln.Sess.Plan(f)
@@ -135,12 +137,13 @@ func poolRetains() bool {
 }
 
 // TestModelOnlyRunAllocsPerFrame: without compute, everything a Run
-// allocates is per-Run set-up — the in-flight record, the outputs, the queue
-// and every metric key are allocated once per stream, and a model-only frame
-// settles through a prebuilt fallback key — so serving four times the frames
-// (des_serve's 16 streams at 4 frames/s) costs at most perFrame more a frame.
-// Before, a frame cost 2.0: its in-flight record, its "fallback/empty"
-// string, and the outputs' growth.
+// allocates is per-Run set-up — the in-flight record, the outputs and the
+// queue are allocated once per stream, each metric key once per Run (every
+// name is a prebuilt constant), and a model-only frame settles through a
+// prebuilt fallback key — so serving four times the frames (des_serve's 16
+// streams at 4 frames/s) costs at most perFrame more a frame. Before, a
+// frame cost 2.0: its in-flight record, its "fallback/empty" string, and the
+// outputs' growth.
 func TestModelOnlyRunAllocsPerFrame(t *testing.T) {
 	const streams, perFrame = 16, 0.05
 	ds, sys := system(t)
@@ -157,65 +160,66 @@ func TestModelOnlyRunAllocsPerFrame(t *testing.T) {
 	}
 }
 
-// TestStepKeysCostNoAllocations pins the per-stream metric keys to
-// admission time: with the keys on, offering a frame that evicts another
-// and settling a frame that misses its SLO — the calls that touch all three
-// of stream/<id>/dropped, served and slo_miss — allocate exactly what they
-// allocate under Compact, where the keys do not exist.
+// TestStepKeysCostNoAllocations: once the registry holds the step's keys,
+// offering a frame that evicts another and settling a frame that misses its
+// SLO — the calls that touch the most metric names — allocate nothing: every
+// name is a prebuilt constant.
 func TestStepKeysCostNoAllocations(t *testing.T) {
 	ds, sys := system(t)
 	tf := TimedFrame{Frame: &ds.Val[0].Frames[0]}
-	measure := func(compact bool) (offer, settle float64) {
-		c := Core{Metrics: obs.NewMetrics(), Compact: compact}
-		ln := c.NewLane(7, adascale.NewResilientSession(sys.Regressor.Kernels, adascale.DefaultResilientConfig()))
-		var q FrameQueue
-		c.Offer(&ln, &q, tf, 1)
-		offer = testing.AllocsPerRun(200, func() {
-			if c.Offer(&ln, &q, tf, 1) == nil {
-				t.Fatal("a full queue evicted nothing")
-			}
-		})
-		settle = testing.AllocsPerRun(200, func() {
-			plan := ln.Sess.Plan(tf.Frame)
-			if _, miss := c.Settle(&ln, tf.Frame, plan, Result{}, 0, 75, 90, 50); !miss {
-				t.Fatal("a 90 ms frame met a 50 ms SLO")
-			}
-		})
-		if !compact {
-			for key, want := range map[string]int{
-				"stream/7/served": ln.Served, "stream/7/slo_miss": ln.SLOMisses, "stream/7/dropped": ln.Dropped,
-			} {
-				if got := c.Metrics.Counter(key); want == 0 || got != int64(want) {
-					t.Fatalf("%s = %d, lane ledger says %d", key, got, want)
-				}
-			}
+	c := Core{Metrics: obs.NewMetrics()}
+	ln := Lane{ID: 7, Sess: adascale.NewResilientSession(sys.Regressor.Kernels, adascale.DefaultResilientConfig())}
+	var q FrameQueue
+	c.Offer(&ln, &q, tf, 1)
+	offer := testing.AllocsPerRun(200, func() {
+		if c.Offer(&ln, &q, tf, 1) == nil {
+			t.Fatal("a full queue evicted nothing")
 		}
-		return offer, settle
-	}
-	offer, settle := measure(false)
-	compactOffer, compactSettle := measure(true)
-	if offer != 0 || compactOffer != 0 {
-		t.Fatalf("Offer allocates %v per frame (%v compact), want 0", offer, compactOffer)
-	}
-	if settle != compactSettle {
-		t.Fatalf("Settle allocates %v per frame with per-stream keys, %v without", settle, compactSettle)
+	})
+	settle := testing.AllocsPerRun(200, func() {
+		plan := ln.Sess.Plan(tf.Frame)
+		if _, miss := c.Settle(&ln, tf.Frame, plan, Result{}, 0, 75, 90, 50); !miss {
+			t.Fatal("a 90 ms frame met a 50 ms SLO")
+		}
+	})
+	if offer != 0 || settle != 0 {
+		t.Fatalf("Offer allocates %v per frame and Settle %v, want 0", offer, settle)
 	}
 }
 
-// TestCompactTracedRunHasNoStreamKeys: CompactMetrics suppresses every
-// per-stream key, the per-stream stage histograms a tracer adds included,
-// while the aggregate stage histograms stay.
-func TestCompactTracedRunHasNoStreamKeys(t *testing.T) {
+// TestMetricNamesIndependentOfStreamCount: the registry's key set depends
+// only on the code — a Run's metric names at 64 streams are its names at 4,
+// traced and untraced, with and without a system fault plan. The load
+// overloads two workers for long enough that every stream count reaches the
+// same drops, SLO misses, fault recoveries and deadline-capped scales.
+func TestMetricNamesIndependentOfStreamCount(t *testing.T) {
 	ds, sys := system(t)
-	srv := newServer(t, sys, Config{
-		Workers: 2, QueueDepth: 4, SLOMS: 30, Resilient: adascale.DefaultResilientConfig(),
-		ModelOnly: true, CompactMetrics: true, Tracer: obs.NewTracer(),
-	})
-	snap := srv.Run(load(t, ds, 3, 10, 8, 77)).Metrics.Snapshot()
-	if strings.Contains(snap, "stream/") {
-		t.Fatalf("a compact run recorded per-stream keys:\n%s", snap)
+	names := func(streams int, traced, chaos bool) []string {
+		ld := load(t, ds, streams, 30, 80, 9)
+		cfg := Config{Workers: 2, QueueDepth: 2, SLOMS: 30, Resilient: adascale.DefaultResilientConfig(), ModelOnly: true}
+		if traced {
+			cfg.Tracer = obs.NewTracer()
+		}
+		if chaos {
+			plan, err := faults.GenSystemPlan(faults.ScaledSystemConfig(3, 41, LastArrivalMS(ld), cfg.Workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Chaos = plan
+		}
+		var out []string
+		for _, line := range strings.Split(newServer(t, sys, cfg).Run(ld).Metrics.Snapshot(), "\n") {
+			if f := strings.Fields(line); len(f) > 1 {
+				out = append(out, f[1])
+			}
+		}
+		return out
 	}
-	if !strings.Contains(snap, "hist    stage/decode/ms") {
-		t.Fatalf("a compact traced run lost its aggregate stage histograms:\n%s", snap)
+	for _, traced := range []bool{false, true} {
+		for _, chaos := range []bool{false, true} {
+			if few, many := names(4, traced, chaos), names(64, traced, chaos); !slices.Equal(few, many) {
+				t.Fatalf("traced=%v chaos=%v: metric names differ with the stream count:\n4:  %v\n64: %v", traced, chaos, few, many)
+			}
+		}
 	}
 }

@@ -106,7 +106,7 @@ type ResultsReply struct {
 
 // stream is one admitted video session.
 type stream struct {
-	serve.Lane // session, ledger and metric keys of the frame step
+	serve.Lane // session and ledger of the frame step
 	tenant     string
 	sloMS      float64
 	depth      int
@@ -218,7 +218,7 @@ func (e *engine) admit(tenant string, sloMS float64, depth int) (id int, effSLO 
 	rcfg := e.cfg.Resilient
 	rcfg.DeadlineMS = sloMS
 	s := &stream{
-		Lane:   e.NewLane(len(e.streams), adascale.NewResilientSession(e.kernels, rcfg)),
+		Lane:   serve.Lane{ID: len(e.streams), Sess: adascale.NewResilientSession(e.kernels, rcfg)},
 		tenant: tenant,
 		sloMS:  sloMS,
 		depth:  depth,

@@ -76,17 +76,17 @@ func readBody(r *http.Request) ([]byte, error) {
 	return body, nil
 }
 
-// routes assembles the ServeMux. API routes go through the middleware
-// chain; the probes and /metrics stay outside the rate limiter so a
-// throttled tenant cannot starve health checking or scraping.
+// routes assembles the ServeMux. API routes are logged and rate limited;
+// the probes and /metrics stay outside the rate limiter so a throttled
+// tenant cannot starve health checking or scraping.
 func (s *Server) routes() http.Handler {
 	api := http.NewServeMux()
-	api.HandleFunc("POST /v1/streams", s.handleAdmit)
-	api.HandleFunc("POST /v1/streams/{id}/frames", s.handleFrames)
-	api.HandleFunc("GET /v1/streams/{id}/results", s.handleResults)
+	api.Handle("POST /v1/streams", s.rateLimit(s.handleAdmit))
+	api.Handle("POST /v1/streams/{id}/frames", s.rateLimit(s.handleFrames))
+	api.Handle("GET /v1/streams/{id}/results", s.rateLimit(s.handleResults))
 
 	root := http.NewServeMux()
-	root.Handle("/v1/", s.chain(api))
+	root.Handle("/v1/", s.logMiddleware(api))
 	root.HandleFunc("GET /healthz", s.handleHealthz)
 	root.HandleFunc("GET /readyz", s.handleReadyz)
 	root.HandleFunc("GET /metrics", s.handleMetrics)

@@ -3,14 +3,17 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 )
 
 // Middleware for the serving front end. The chain, outermost first, is
-// recovery → logging → rate limiting: a panic anywhere below becomes a
-// 503 instead of a dead connection, every request lands in the obs
-// registry whatever its fate, and tenants are throttled before their
-// request touches the engine.
+// recovery (every route) → logging (the API) → the API's routing → rate
+// limiting (each API route): a panic anywhere below becomes a 503 instead
+// of a dead connection, every API request lands in the obs registry
+// whatever its fate, and each API route throttles its tenant before the
+// request touches the engine. Limiting after routing lets a stream-scoped
+// route read its stream ID.
 
 // recoverMiddleware converts handler panics into 503 responses and counts
 // them, mirroring the compute pool's panic containment: one bad request
@@ -82,11 +85,8 @@ func newTenantLimiter(rate RateLimit, clock Clock) *tenantLimiter {
 }
 
 // allow spends one token from tenant's bucket, reporting whether one was
-// available. A zero-RPS limiter admits everything.
+// available. Only a limiter with a positive RPS is asked.
 func (l *tenantLimiter) allow(tenant string) bool {
-	if l.rate.RPS <= 0 {
-		return true
-	}
 	now := l.clock.NowMS()
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -111,22 +111,36 @@ func (l *tenantLimiter) allow(tenant string) bool {
 	return true
 }
 
-// rateLimitMiddleware throttles admission and ingestion per tenant. The
-// tenant is taken from the X-Tenant header on ingestion/results routes and
-// from the admission body by the admission handler itself — so here,
-// header-less requests fall into the shared "" bucket.
-func (s *Server) rateLimitMiddleware(next http.Handler) http.Handler {
+// rateLimit throttles one API route per tenant (chargedTenant says whom).
+func (s *Server) rateLimit(next http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !s.limiter.allow(r.Header.Get("X-Tenant")) {
+		if tenant, ok := s.chargedTenant(r); ok && !s.limiter.allow(tenant) {
 			s.metrics.Inc("ratelimit/throttled", 1)
 			writeError(w, http.StatusTooManyRequests, "rate limit exceeded")
 			return
 		}
-		next.ServeHTTP(w, r)
+		next(w, r)
 	})
 }
 
-// chain applies the standard middleware stack to the API routes.
-func (s *Server) chain(h http.Handler) http.Handler {
-	return s.recoverMiddleware(s.logMiddleware(s.rateLimitMiddleware(h)))
+// chargedTenant names the tenant a request is charged to, if any. A
+// stream-scoped route (an {id} in its pattern) is charged to the stream's
+// admitting tenant, so a client cannot leave its tenant's bucket by omitting
+// or forging X-Tenant; an ID that names no stream is not charged and reaches
+// the handler's 400/404. Admission is charged to the X-Tenant header (the
+// body's tenant is not read here), so header-less admissions share the ""
+// bucket. With the limiter off nobody is charged.
+func (s *Server) chargedTenant(r *http.Request) (string, bool) {
+	if s.limiter.rate.RPS <= 0 {
+		return "", false
+	}
+	v := r.PathValue("id")
+	if v == "" {
+		return r.Header.Get("X-Tenant"), true
+	}
+	id, err := strconv.Atoi(v)
+	if err != nil {
+		return "", false
+	}
+	return s.engine.tenantOf(id)
 }

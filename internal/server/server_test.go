@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -184,6 +185,34 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestMetricsFamiliesIndependentOfStreamCount: the /metrics family set
+// after serving one stream is the family set after serving eight — the
+// registry names what the server does, never which streams it did it for.
+// Each stream serves one frame, at the session's initial scale, so the
+// served-scale family is the same at both counts.
+func TestMetricsFamiliesIndependentOfStreamCount(t *testing.T) {
+	families := func(streams int) []string {
+		srv := newServer(t, Config{Workers: 1, Sync: true, Clock: NewScriptClock(), SLOMS: 1000})
+		for range streams {
+			id := admit(t, srv, "cam")
+			if rec := do(t, srv, "POST", fmt.Sprintf("/v1/streams/%d/frames", id), "cam", frameBody); rec.Code != http.StatusAccepted {
+				t.Fatalf("ingest status = %d, body %s", rec.Code, rec.Body)
+			}
+		}
+		var out []string
+		for _, line := range strings.Split(do(t, srv, "GET", "/metrics", "", "").Body.String(), "\n") {
+			if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+				out = append(out, name)
+			}
+		}
+		return out
+	}
+	one, eight := families(1), families(8)
+	if !slices.Equal(one, eight) {
+		t.Fatalf("/metrics families differ with the stream count:\n1 stream:  %v\n8 streams: %v", one, eight)
+	}
+}
+
 // TestResultsFromOffset pins the from= pagination contract.
 func TestResultsFromOffset(t *testing.T) {
 	srv := newServer(t, Config{Workers: 1, Sync: true, Clock: NewScriptClock()})
@@ -283,6 +312,38 @@ func TestRateLimit(t *testing.T) {
 		if rec := do(t, srv, "GET", p, "a", ""); rec.Code != http.StatusOK {
 			t.Fatalf("%s throttled: status %d, want 200", p, rec.Code)
 		}
+	}
+}
+
+// TestRateLimitChargesStreamTenant: a stream-scoped route is charged to
+// the tenant that admitted the stream, whatever X-Tenant the request sends,
+// so dropping or forging the header does not escape a throttled bucket. An
+// unknown stream ID is not charged and gets the handler's 404.
+func TestRateLimitChargesStreamTenant(t *testing.T) {
+	srv := newServer(t, Config{
+		Workers: 1, Sync: true, Clock: NewScriptClock(),
+		Rate: RateLimit{RPS: 1, Burst: 2},
+	})
+	id := admit(t, srv, "a") // spends a's token 1
+	frames := fmt.Sprintf("/v1/streams/%d/frames", id)
+	if rec := do(t, srv, "POST", frames, "", frameBody); rec.Code != http.StatusAccepted {
+		t.Fatalf("header-less post on a's last token: status %d, want 202", rec.Code)
+	}
+	for _, tenant := range []string{"a", "", "spoof"} {
+		if rec := do(t, srv, "POST", frames, tenant, frameBody); rec.Code != http.StatusTooManyRequests {
+			t.Fatalf("post with X-Tenant %q to throttled a's stream: status %d, want 429", tenant, rec.Code)
+		}
+	}
+	if rec := do(t, srv, "GET", fmt.Sprintf("/v1/streams/%d/results", id), "spoof", ""); rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("results for throttled a's stream: status %d, want 429", rec.Code)
+	}
+	for _, path := range []string{"/v1/streams/99/frames", "/v1/streams/x/frames"} {
+		if rec := do(t, srv, "POST", path, "a", frameBody); rec.Code == http.StatusTooManyRequests {
+			t.Fatalf("%s for throttled a: 429, want the handler's own error", path)
+		}
+	}
+	if got := srv.Metrics().Counter("ratelimit/throttled"); got != 4 {
+		t.Fatalf("ratelimit/throttled = %d, want 4", got)
 	}
 }
 

@@ -166,14 +166,6 @@ type Config struct {
 	Seed             int64
 }
 
-// NativeShortest returns the shorter native side.
-func (c *Config) NativeShortest() int {
-	if c.NativeW < c.NativeH {
-		return c.NativeW
-	}
-	return c.NativeH
-}
-
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
 	switch {

@@ -103,6 +103,23 @@ wait $CURLS
 [ "$(grep -c '^202$' "$CODES")" = 6 ] || {
 	echo "http-smoke: concurrent posts not all 202" >&2; cat "$CODES" >&2; exit 1; }
 
+echo "== bounded metric vocabulary"
+# Once both admitted streams have served, /metrics must still name no stream:
+# each stream's ledger is its results, not a family of its own.
+served=""
+for _ in $(seq 1 100); do
+	req 200 "$BASE/v1/streams/1/results"
+	if ! grep -q '"served":0[,}]' "$BODY"; then served=1; break; fi
+	sleep 0.1
+done
+[ -n "$served" ] || { echo "http-smoke: stream 1 never served" >&2; cat "$BODY" >&2; exit 1; }
+req 200 "$BASE/metrics"
+if grep -q '^# TYPE adascale_stream_' "$BODY"; then
+	echo "http-smoke: /metrics has per-stream families" >&2
+	grep '^# TYPE adascale_stream_' "$BODY" >&2
+	exit 1
+fi
+
 echo "== graceful drain"
 kill -TERM "$SRVPID"
 EXIT=0
