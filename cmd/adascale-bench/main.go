@@ -6,7 +6,7 @@
 //	adascale-bench [-dataset vid|ytbb] [-exp all|table1,table2,...] \
 //	               [-train N] [-val N] [-seed N] [-workers N] \
 //	               [-faults 0,0.05,0.1,0.2] [-deadline-ms 0] \
-//	               [-trace trace.txt] [-trace-wall] [-pprof localhost:6060] \
+//	               [-trace trace.txt] [-pprof localhost:6060] \
 //	               [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // Experiments: table1, table2, table3, fig5, fig6, fig7, fig9, fig10,
@@ -70,13 +70,13 @@ var experimentTable = []experiment{
 		return b.Robustness(f.rates, f.deadlineMS)
 	}},
 	{"serving", func(b *experiments.Bundle, _ sweepFlags) (experiments.Printer, error) {
-		return b.Serving(experiments.DefaultServingConfig())
+		return b.Serving(experiments.ServingConfig{})
 	}},
 	{"chaos", func(b *experiments.Bundle, _ sweepFlags) (experiments.Printer, error) {
-		return b.Chaos(experiments.DefaultChaosConfig())
+		return b.Chaos(experiments.ChaosConfig{})
 	}},
 	{"cluster", func(b *experiments.Bundle, _ sweepFlags) (experiments.Printer, error) {
-		return b.Cluster(experiments.DefaultClusterSweepConfig())
+		return b.Cluster(experiments.ClusterSweepConfig{})
 	}},
 }
 

@@ -7,7 +7,7 @@
 //	adascale-eval [-dataset vid|ytbb] [-train N] [-val N] [-seed N] \
 //	              [-weights weights.bin] [-workers N] \
 //	              [-faults 0.1] [-deadline-ms 0] \
-//	              [-trace trace.txt] [-trace-wall] [-pprof localhost:6060]
+//	              [-trace trace.txt] [-pprof localhost:6060]
 //
 // With -faults > 0 the validation split is additionally corrupted with the
 // deterministic fault injector at that per-frame rate and the protocols

@@ -12,7 +12,7 @@
 //	               [-dataset vid|ytbb] [-train 12] [-val 8] [-seed 5] \
 //	               [-faults 0] [-chaos 0] [-chaos-seed 0] [-smoke] \
 //	               [-cluster] [-nodes 4] [-epoch-ms 500] [-model-only] \
-//	               [-trace trace.txt] [-trace-wall] [-pprof localhost:6060] \
+//	               [-trace trace.txt] [-pprof localhost:6060] \
 //	               [-http addr] [-rate-limit 0] [-burst 0] [-tenant-streams 0]
 //
 // -http <addr> switches the command from the offline simulation into the

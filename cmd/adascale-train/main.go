@@ -8,7 +8,7 @@
 //	adascale-train [-dataset vid|ytbb] [-train N] [-seed N] \
 //	               [-kernels 1,3] [-epochs 2] [-lr 0.01] [-o weights.bin] \
 //	               [-workers N] [-faults 0] [-deadline-ms 0] \
-//	               [-trace trace.txt] [-trace-wall] [-pprof localhost:6060]
+//	               [-trace trace.txt] [-pprof localhost:6060]
 //
 // With -faults > 0 a post-training smoke check runs the freshly trained
 // system through the resilient pipeline on a small fault-injected split

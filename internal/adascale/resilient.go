@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"adascale/internal/detect"
-	"adascale/internal/obs"
 	"adascale/internal/regressor"
 	"adascale/internal/rfcn"
 	"adascale/internal/simclock"
@@ -146,14 +145,10 @@ const (
 	maxPropagate = 12
 )
 
-// deadlineLadder is the scale ladder the deadline enforcement walks — the
-// paper's S_reg test-scale set, descending.
-var deadlineLadder = []int{600, 480, 360, 240, 128}
-
-// nextLowerScale returns the largest ladder scale strictly below s (s if
-// already at the bottom).
+// nextLowerScale returns the largest S_reg scale strictly below s (s if
+// already at the bottom); the deadline enforcement walks S_reg.
 func nextLowerScale(s int) int {
-	for _, v := range deadlineLadder {
+	for _, v := range regressor.SReg {
 		if v < s {
 			return v
 		}
@@ -161,12 +156,12 @@ func nextLowerScale(s int) int {
 	return s
 }
 
-// nextHigherScale returns the smallest ladder scale strictly above s (s if
+// nextHigherScale returns the smallest S_reg scale strictly above s (s if
 // already at the top).
 func nextHigherScale(s int) int {
-	for i := len(deadlineLadder) - 1; i >= 0; i-- {
-		if deadlineLadder[i] > s {
-			return deadlineLadder[i]
+	for i := len(regressor.SReg) - 1; i >= 0; i-- {
+		if regressor.SReg[i] > s {
+			return regressor.SReg[i]
 		}
 	}
 	return s
@@ -445,27 +440,21 @@ func (s *ResilientSession) CostMS(f *synth.Frame, p FramePlan) float64 {
 }
 
 // Computed is one frame's compute: the detector pass at the planned scale
-// and the regressor's prediction from the same features, with the two
-// stages' measured wall time when the tracer is in wall mode (0 otherwise).
+// and the regressor's prediction from the same features.
 type Computed struct {
 	R *rfcn.Result
 	T float64
-
-	DetWallMS, RegWallMS float64
 }
 
 // Compute runs the detector and the regressor for one frame — everything
 // of Algorithm 1's step that happens between Plan and Finish — and recycles
-// the feature map, so R.Features is nil on return. tr may be nil.
-func Compute(det *rfcn.Detector, reg *regressor.Regressor, f *synth.Frame, scale int, tr *obs.Tracer) Computed {
-	ref := tr.Now()
+// the feature map, so R.Features is nil on return.
+func Compute(det *rfcn.Detector, reg *regressor.Regressor, f *synth.Frame, scale int) Computed {
 	r := det.DetectWithFeatures(f, scale)
-	detWall := tr.SinceMS(ref)
-	ref = tr.Now()
 	t := reg.Predict(r.Features)
 	det.Recycle(r.Features)
 	r.Features = nil
-	return Computed{R: r, T: t, DetWallMS: detWall, RegWallMS: tr.SinceMS(ref)}
+	return Computed{R: r, T: t}
 }
 
 // Step runs one frame through the full ladder on the calling goroutine:
@@ -475,7 +464,7 @@ func (s *ResilientSession) Step(det *rfcn.Detector, reg *regressor.Regressor, f 
 	p := s.Plan(f)
 	var c Computed
 	if !p.Skip {
-		c = Compute(det, reg, f, p.Scale, nil)
+		c = Compute(det, reg, f, p.Scale)
 	}
 	out := s.Finish(f, p, c.R, c.T, s.CostMS(f, p))
 	c.R.Release() // Finish copied the detections out

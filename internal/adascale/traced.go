@@ -16,18 +16,15 @@ import (
 // Spans are built in one place per driver: TracedRunner derives them post
 // hoc from the finished outputs of any offline method, and the serving
 // step (serve.Core.Settle) calls FrameSpans at the frame's dispatch time.
-// Only the serving scheduler measures a frame's wall time (Compute's
-// tracer); an offline run under a wall tracer records the modelled
-// durations.
+// Both record the modelled durations only; measured wall time is the
+// repository benchmark's.
 
 // frameSpans appends one frame's pipeline-stage spans to buf, advancing
 // the snippet-local virtual clock, and returns the grown buffer and new
 // clock. Stages that cost nothing on this frame are omitted, except
 // fault-inject, which is recorded at zero duration whenever a fault was
 // observed (injection is modelled as free but the trace should show it).
-// detWallMS/regWallMS are optional wall measurements; tr.Dur prefers them
-// only in wall mode.
-func frameSpans(tr *obs.Tracer, buf []obs.Span, stream, frame int, clockMS float64, o FrameOutput, detWallMS, regWallMS float64) ([]obs.Span, float64) {
+func frameSpans(buf []obs.Span, stream, frame int, clockMS float64, o FrameOutput) ([]obs.Span, float64) {
 	decodeMS, rescaleMS, backboneMS := simclock.SplitDetectMS(o.DetectorMS)
 	add := func(st obs.Stage, durMS float64) {
 		buf = append(buf, obs.Span{Stream: stream, Frame: frame, Stage: st, StartMS: clockMS, DurMS: durMS})
@@ -42,11 +39,11 @@ func frameSpans(tr *obs.Tracer, buf []obs.Span, stream, frame int, clockMS float
 	if rescaleMS > 0 {
 		add(obs.StageRescale, rescaleMS)
 	}
-	if backboneMS > 0 || detWallMS > 0 {
-		add(obs.StageDetect, tr.Dur(backboneMS, detWallMS))
+	if backboneMS > 0 {
+		add(obs.StageDetect, backboneMS)
 	}
-	if o.OverheadMS > 0 || regWallMS > 0 {
-		add(obs.StageRegress, tr.Dur(o.OverheadMS, regWallMS))
+	if o.OverheadMS > 0 {
+		add(obs.StageRegress, o.OverheadMS)
 	}
 	if o.SeqNMSMS > 0 {
 		add(obs.StageSeqNMS, o.SeqNMSMS)
@@ -58,8 +55,8 @@ func frameSpans(tr *obs.Tracer, buf []obs.Span, stream, frame int, clockMS float
 // startMS on the caller's clock — the entry point for callers that own
 // their own notion of time, like the serving scheduler, whose frames start
 // at true event-loop timestamps rather than on a snippet-local clock.
-func FrameSpans(tr *obs.Tracer, stream, frame int, startMS float64, o FrameOutput, detWallMS, regWallMS float64) []obs.Span {
-	spans, _ := frameSpans(tr, nil, stream, frame, startMS, o, detWallMS, regWallMS)
+func FrameSpans(stream, frame int, startMS float64, o FrameOutput) []obs.Span {
+	spans, _ := frameSpans(nil, stream, frame, startMS, o)
 	return spans
 }
 
@@ -81,7 +78,7 @@ func TracedRunner(factory RunnerFactory, tr *obs.Tracer) RunnerFactory {
 			spans := make([]obs.Span, 0, 4*len(outs))
 			clock := 0.0
 			for i := range outs {
-				spans, clock = frameSpans(tr, spans, sn.ID, i, clock, outs[i], 0, 0)
+				spans, clock = frameSpans(spans, sn.ID, i, clock, outs[i])
 			}
 			tr.Add(spans)
 			return outs

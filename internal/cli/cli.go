@@ -41,13 +41,9 @@ type Common struct {
 
 	// TracePath, when non-empty, collects per-frame pipeline spans during
 	// the run and writes them (plus the stage breakdown) to this file at
-	// exit via WriteTrace. TraceWall switches the tracer to wall-clock
-	// mode: frames the serving scheduler computes (adascale-serve) carry
-	// measured detect/regress time, explicitly not deterministic; offline
-	// runs (adascale-train, -eval, -bench) trace post hoc and still record
-	// the modelled frame durations.
+	// exit via WriteTrace. Every span is a modelled duration, so the file
+	// is byte-identical across runs and worker counts.
 	TracePath string
-	TraceWall bool
 
 	// PprofAddr, when non-empty, serves net/http/pprof on this address
 	// for the life of the process.
@@ -67,7 +63,6 @@ func (c *Common) Register(defTrain, defVal int) {
 	flag.Int64Var(&c.Seed, "seed", 5, "master seed: drives the dataset and every derived fault/load stream")
 	flag.IntVar(&c.Workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	flag.StringVar(&c.TracePath, "trace", "", "write per-stage pipeline trace to this file")
-	flag.BoolVar(&c.TraceWall, "trace-wall", false, "trace in wall-clock mode (profiling aid; not deterministic)")
 	flag.StringVar(&c.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 }
 
@@ -83,15 +78,11 @@ func (c *Common) Apply(cmd string) {
 		fmt.Fprintf(os.Stderr, "%s: pprof at http://%s/debug/pprof/\n", cmd, addr)
 	}
 	if c.TracePath != "" {
-		if c.TraceWall {
-			c.tracer = obs.NewWallTracer()
-		} else {
-			c.tracer = obs.NewTracer()
-		}
+		c.tracer = obs.NewTracer()
 	}
 }
 
-// Tracer returns the tracer Apply built from the -trace/-trace-wall flags,
+// Tracer returns the tracer Apply built from the -trace flag,
 // or nil when tracing is off — safe to pass anywhere, every obs.Tracer
 // method is nil-safe.
 func (c *Common) Tracer() *obs.Tracer { return c.tracer }

@@ -103,27 +103,21 @@ func run(det *rfcn.Detector, reg *regressor.Regressor, sn *synth.Snippet, keySca
 	for i := range sn.Frames {
 		f := &sn.Frames[i]
 		if i%cfg.KeyInterval == 0 {
-			// Key frame: full detection (with features when adaptive).
+			// Key frame: full detection; when adaptive, the regressor reads
+			// the same features for the next key frame's scale.
+			out := adascale.FrameOutput{Frame: f, Scale: targetScale}
 			var r *rfcn.Result
-			overhead := 0.0
 			if reg != nil {
-				r = det.DetectWithFeatures(f, targetScale)
-				overhead = simclock.RegressorMS(reg.Kernels)
+				c := adascale.Compute(det, reg, f, targetScale)
+				r, out.OverheadMS = c.R, simclock.RegressorMS(reg.Kernels)
+				targetScale = regressor.DecodeScale(c.T, targetScale)
 			} else {
 				r = det.Detect(f, targetScale)
 			}
 			keyDets = r.PlainDetections()
-			outputs = append(outputs, adascale.FrameOutput{
-				Frame: f, Scale: targetScale,
-				Detections: keyDets,
-				DetectorMS: r.RuntimeMS,
-				OverheadMS: overhead,
-			})
-			if reg != nil {
-				targetScale = regressor.DecodeScale(reg.Predict(r.Features), targetScale)
-				det.Recycle(r.Features)
-				r.Features = nil
-			}
+			out.Detections, out.DetectorMS = keyDets, r.RuntimeMS
+			r.Release()
+			outputs = append(outputs, out)
 			keyRender = f.Render(renderShort, maxLong, det.Data.RenderDiv)
 			continue
 		}

@@ -32,11 +32,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns the standard experiment sizing.
-func DefaultConfig() Config {
-	return Config{Dataset: "vid", TrainSnippets: 60, ValSnippets: 30, Seed: 5}
-}
-
 // Bundle holds the dataset and trained systems shared across experiments.
 // Systems per S_train set and per regressor architecture are built lazily
 // and memoised.
@@ -49,10 +44,9 @@ type Bundle struct {
 
 	// Trace, when non-nil, records pipeline-stage spans for every method
 	// any experiment evaluates (each runner factory is wrapped with
-	// adascale.TracedRunner) plus one aggregate eval span per scoring
-	// pass. The caller owns the tracer's lifecycle — the bench harness
-	// resets it between experiments to attribute stage time per
-	// experiment.
+	// adascale.TracedRunner). The caller owns the tracer's lifecycle —
+	// the bench harness resets it between experiments to attribute stage
+	// time per experiment.
 	Trace *obs.Tracer
 
 	systems map[string]*adascale.System
@@ -156,13 +150,7 @@ func (b *Bundle) evaluateMethod(name string, factory adascale.RunnerFactory) Met
 // validation split.
 func (b *Bundle) evaluateMethodOn(name string, snippets []synth.Snippet, factory adascale.RunnerFactory) MethodRow {
 	outputs := adascale.RunDataset(snippets, adascale.TracedRunner(factory, b.Trace))
-	// The scoring pass is traced as one whole-dataset aggregate span
-	// (stream/frame = -1): evaluation is not part of the deployed
-	// pipeline's runtime, so it carries no modelled cost — zero duration
-	// in virtual mode, measured duration in wall mode.
-	ref := b.Trace.Now()
 	res := eval.Evaluate(ToEval(outputs), len(b.DS.Config.Classes))
-	b.Trace.Add([]obs.Span{{Stream: -1, Frame: -1, Stage: obs.StageEval, DurMS: b.Trace.SinceMS(ref)}})
 	per := make([]float64, len(res.PerClass))
 	for i, c := range res.PerClass {
 		per[i] = c.AP

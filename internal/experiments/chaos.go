@@ -28,8 +28,7 @@ type ChaosConfig struct {
 	// QueueDepth bounds each stream's queue; defaults to 4.
 	QueueDepth int
 
-	// SLOMS is the per-frame latency SLO (virtual ms); 0 means no SLO.
-	// DefaultChaosConfig sets 80.
+	// SLOMS is the per-frame latency SLO (virtual ms); defaults to 80.
 	SLOMS float64
 
 	// BreakerThreshold is the supervised mode's consecutive-failure trip
@@ -41,20 +40,6 @@ type ChaosConfig struct {
 
 	// PlanSeed seeds the fault plans; zero derives from the bundle seed.
 	PlanSeed int64
-}
-
-// DefaultChaosConfig returns the standard sweep sizing.
-func DefaultChaosConfig() ChaosConfig {
-	return ChaosConfig{
-		Rates:            []float64{0, 1, 2, 4},
-		Streams:          4,
-		FPS:              12,
-		FramesPerStream:  24,
-		Workers:          2,
-		QueueDepth:       4,
-		SLOMS:            80,
-		BreakerThreshold: 1,
-	}
 }
 
 func (c ChaosConfig) withDefaults(bundleSeed int64) ChaosConfig {
@@ -76,8 +61,8 @@ func (c ChaosConfig) withDefaults(bundleSeed int64) ChaosConfig {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4
 	}
-	if c.SLOMS < 0 {
-		c.SLOMS = 0
+	if c.SLOMS <= 0 {
+		c.SLOMS = 80
 	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 1

@@ -48,14 +48,6 @@ type ClusterSweepConfig struct {
 	PlanSeed int64
 }
 
-// DefaultClusterSweepConfig returns the full capacity-planning sizing.
-func DefaultClusterSweepConfig() ClusterSweepConfig {
-	return ClusterSweepConfig{
-		Streams: []int{1000, 10000, 100000},
-		Nodes:   []int{16, 64, 256},
-	}
-}
-
 func (c ClusterSweepConfig) withDefaults(bundleSeed int64) ClusterSweepConfig {
 	if len(c.Streams) == 0 {
 		c.Streams = []int{1000, 10000, 100000}
@@ -75,10 +67,7 @@ func (c ClusterSweepConfig) withDefaults(bundleSeed int64) ClusterSweepConfig {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 3
 	}
-	if c.SLOMS < 0 {
-		c.SLOMS = 0
-	}
-	if c.SLOMS == 0 {
+	if c.SLOMS <= 0 {
 		c.SLOMS = 80
 	}
 	if c.EpochMS <= 0 {

@@ -35,18 +35,6 @@ type ServingConfig struct {
 	QueueDepth int
 }
 
-// DefaultServingConfig returns the standard sweep sizing.
-func DefaultServingConfig() ServingConfig {
-	return ServingConfig{
-		StreamCounts:    []int{2, 4, 8, 16},
-		SLOs:            []float64{0, 150, 40},
-		Workers:         4,
-		FPS:             8,
-		FramesPerStream: 40,
-		QueueDepth:      8,
-	}
-}
-
 func (c ServingConfig) withDefaults() ServingConfig {
 	if len(c.StreamCounts) == 0 {
 		c.StreamCounts = []int{2, 4, 8, 16}

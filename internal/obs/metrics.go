@@ -11,7 +11,8 @@
 // pinned byte for byte by the committed golden snapshots under
 // internal/regress/testdata. The tracer only collects the spans its
 // producers build (adascale.TracedRunner offline, serve.Core.Settle when
-// serving) and renders them.
+// serving) and renders them; every span is a modelled simclock duration,
+// never a wall measurement.
 //
 // Everything in this package is deterministic by construction when fed
 // deterministic inputs: snapshots render sections in fixed order with

@@ -5,15 +5,13 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Stage identifies one step of the per-frame pipeline. The order is the
 // pipeline order: a frame is decoded from the synthetic generator, faults
 // are injected, the image is rescaled to the test scale, the backbone +
 // detection head run, the scale regressor predicts the next frame's scale,
-// Seq-NMS links detections across frames, and evaluation scores the
-// output.
+// and Seq-NMS links detections across frames.
 type Stage int
 
 const (
@@ -23,12 +21,11 @@ const (
 	StageDetect
 	StageRegress
 	StageSeqNMS
-	StageEval
 	NumStages
 )
 
 var stageNames = [NumStages]string{
-	"decode", "fault-inject", "rescale", "detect", "regress", "seqnms", "eval",
+	"decode", "fault-inject", "rescale", "detect", "regress", "seqnms",
 }
 
 // String returns the stage's canonical short name, used in trace files,
@@ -41,10 +38,8 @@ func (s Stage) String() string {
 }
 
 // Span is one traced stage execution for one frame. Stream and Frame
-// identify the frame (-1/-1 marks a whole-dataset aggregate such as the
-// eval pass); StartMS and DurMS are milliseconds on the tracer's clock —
-// simclock virtual time in the default deterministic mode, wall time in
-// wall mode.
+// identify the frame; StartMS and DurMS are simclock virtual milliseconds,
+// the frame's modelled cost decomposed by stage.
 type Span struct {
 	Stream  int
 	Frame   int
@@ -57,13 +52,10 @@ type Span struct {
 // every method is nil-safe, so instrumented code never branches on
 // "tracing enabled".
 //
-// In the default virtual-time mode every span duration comes from the
-// simclock cost model, so a trace is a pure function of the inputs —
-// byte-identical across runs and worker counts — and safe to pin as a
-// golden file. In wall-clock mode (NewWallTracer, the -trace-wall flag)
-// SinceMS returns real elapsed time for the stages that do real compute;
-// the resulting trace is a profiling aid for hardware and is explicitly
-// not deterministic.
+// Every span duration comes from the simclock cost model, so a trace is a
+// pure function of the inputs — byte-identical across runs and worker
+// counts — and safe to pin as a golden file. Measured wall time is not a
+// span's business: the repository benchmark reports it per layer.
 //
 // Recording is mutex-guarded so per-worker goroutines can add spans
 // concurrently; determinism comes from Format sorting spans by
@@ -71,16 +63,11 @@ type Span struct {
 // order. Workers that buffer locally and Add in bulk get the same result.
 type Tracer struct {
 	mu    sync.Mutex
-	wall  bool
 	spans []Span
 }
 
-// NewTracer creates a deterministic virtual-time tracer.
+// NewTracer creates a tracer.
 func NewTracer() *Tracer { return &Tracer{} }
-
-// NewWallTracer creates a wall-clock tracer for profiling on hardware.
-// Its traces are NOT deterministic; never pin them as goldens.
-func NewWallTracer() *Tracer { return &Tracer{wall: true} }
 
 // Add appends a batch of spans in one lock acquisition — the per-worker
 // merge path: each worker buffers its snippet's spans locally and adds
@@ -138,17 +125,12 @@ func sortSpans(s []Span) {
 //
 //	span s003/07 seqnms       start=123.456 dur=1.500
 //
-// Aggregate spans (Stream/Frame == -1) render the ids as "agg". In
-// virtual-time mode the output is byte-identical across runs and worker
-// counts. Nil tracer renders "".
+// The output is byte-identical across runs and worker counts. Nil tracer
+// renders "".
 func (t *Tracer) Format() string {
 	var b strings.Builder
 	for _, s := range t.Spans() {
-		id := fmt.Sprintf("s%03d/%02d", s.Stream, s.Frame)
-		if s.Stream < 0 && s.Frame < 0 {
-			id = "agg    "
-		}
-		fmt.Fprintf(&b, "span %s %-12s start=%.3f dur=%.3f\n", id, s.Stage, s.StartMS, s.DurMS)
+		fmt.Fprintf(&b, "span s%03d/%02d %-12s start=%.3f dur=%.3f\n", s.Stream, s.Frame, s.Stage, s.StartMS, s.DurMS)
 	}
 	return b.String()
 }
@@ -193,41 +175,4 @@ func (t *Tracer) FormatBreakdown() string {
 		fmt.Fprintf(&b, "stage %-12s ms=%.3f share=%.1f%%\n", Stage(st), ms, share)
 	}
 	return b.String()
-}
-
-// --- wall-clock helpers -------------------------------------------------
-//
-// Instrumented code uses these so the same call sites serve both modes:
-// in virtual mode Now/SinceMS cost nothing and return zero, and Dur picks
-// the modelled duration; in wall mode SinceMS measures real elapsed time
-// and Dur prefers it.
-
-// Now returns a wall reference for SinceMS, or the zero Time in virtual
-// mode (including on a nil tracer) so the deterministic path never reads
-// the real clock.
-func (t *Tracer) Now() time.Time {
-	if t == nil || !t.wall {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// SinceMS returns wall milliseconds elapsed since ref (a Now() result), or
-// 0 in virtual mode.
-func (t *Tracer) SinceMS(ref time.Time) float64 {
-	if t == nil || !t.wall || ref.IsZero() {
-		return 0
-	}
-	return float64(time.Since(ref)) / float64(time.Millisecond)
-}
-
-// Dur selects the span duration for the tracer's mode: the modelled
-// virtual duration normally, the measured wall duration in wall mode
-// (falling back to the modelled value when no measurement was taken,
-// e.g. for stages whose cost is purely modelled).
-func (t *Tracer) Dur(virtualMS, wallMS float64) float64 {
-	if t != nil && t.wall && wallMS > 0 {
-		return wallMS
-	}
-	return virtualMS
 }

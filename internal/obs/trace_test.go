@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"adascale/internal/parallel"
 )
@@ -35,12 +34,6 @@ func TestTracerNilSafe(t *testing.T) {
 	}
 	if bd := tr.Breakdown(); bd != [NumStages]float64{} {
 		t.Fatal("nil tracer breakdown non-zero")
-	}
-	if !tr.Now().IsZero() || tr.SinceMS(time.Now()) != 0 {
-		t.Fatal("nil tracer reads the wall clock")
-	}
-	if tr.Dur(3.5, 9.9) != 3.5 {
-		t.Fatal("nil tracer Dur must pick the virtual duration")
 	}
 }
 
@@ -137,9 +130,9 @@ func TestTracerOrderingUnderPoolPanicRebuild(t *testing.T) {
 
 func TestTracerFormatShape(t *testing.T) {
 	tr := NewTracer()
-	tr.Add([]Span{{3, 7, StageSeqNMS, 123.456, 1.5}, {-1, -1, StageEval, 0, 42}})
+	tr.Add([]Span{{3, 7, StageSeqNMS, 123.456, 1.5}, {0, 12, StageFaultInject, 0, 0}})
 	got := tr.Format()
-	want := "span agg     eval         start=0.000 dur=42.000\n" +
+	want := "span s000/12 fault-inject start=0.000 dur=0.000\n" +
 		"span s003/07 seqnms       start=123.456 dur=1.500\n"
 	if got != want {
 		t.Fatalf("format:\n got %q\nwant %q", got, want)
@@ -164,32 +157,8 @@ func TestTracerBreakdown(t *testing.T) {
 	}
 }
 
-func TestWallTracerMode(t *testing.T) {
-	tr := NewWallTracer()
-	ref := tr.Now()
-	if ref.IsZero() {
-		t.Fatal("wall tracer Now returned zero time")
-	}
-	if ms := tr.SinceMS(ref); ms < 0 {
-		t.Fatalf("SinceMS negative: %v", ms)
-	}
-	if tr.Dur(5, 2.5) != 2.5 {
-		t.Fatal("wall tracer Dur must prefer the measured duration")
-	}
-	if tr.Dur(5, 0) != 5 {
-		t.Fatal("wall tracer Dur must fall back to the modelled duration")
-	}
-	vt := NewTracer()
-	if !vt.Now().IsZero() || vt.SinceMS(ref) != 0 {
-		t.Fatal("virtual tracer must not read the wall clock")
-	}
-	if vt.Dur(5, 2.5) != 5 {
-		t.Fatal("virtual tracer Dur must pick the modelled duration")
-	}
-}
-
 func TestStageNames(t *testing.T) {
-	want := []string{"decode", "fault-inject", "rescale", "detect", "regress", "seqnms", "eval"}
+	want := []string{"decode", "fault-inject", "rescale", "detect", "regress", "seqnms"}
 	if len(want) != int(NumStages) {
 		t.Fatalf("NumStages = %d, want %d", NumStages, len(want))
 	}

@@ -99,10 +99,9 @@ type Config struct {
 	// clock) and adds per-stage histograms to the metrics registry:
 	// stage/<name>/ms and — for frames that missed the SLO —
 	// slo_miss/stage/<name>/ms, so an SLO investigation can see which
-	// stage the missing milliseconds went to. With a
-	// wall-mode tracer the detect/regress stages carry measured wall time
-	// (profiling aid; not deterministic). Nil leaves the snapshot exactly
-	// as it was before tracing existed.
+	// stage the missing milliseconds went to. Every span is the frame's
+	// modelled cost split by stage, so a trace is deterministic. Nil leaves
+	// the snapshot exactly as it was before tracing existed.
 	Tracer *obs.Tracer
 
 	// ModelOnly serves every frame entirely on the modelled virtual clock:

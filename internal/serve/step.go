@@ -33,7 +33,7 @@ type Core struct {
 	Metrics *obs.Metrics
 
 	// Tracer, when non-nil, makes Settle record the frame's pipeline-stage
-	// spans and stage histograms, and (in wall mode) workers measure them.
+	// spans and stage histograms.
 	Tracer *obs.Tracer
 
 	pool *parallel.Pool[worker]
@@ -88,7 +88,7 @@ func (c *Core) Submit(ln *Lane, f *synth.Frame, scale int) <-chan Result {
 		j.run = j.compute // bound once, so a Submit builds no closure
 		ln.job = j
 	}
-	j.f, j.scale, j.tr, j.m = f, scale, c.Tracer, c.Metrics
+	j.f, j.scale, j.m = f, scale, c.Metrics
 	if !c.pool.Submit(j.run) {
 		j.res <- Result{Err: errors.New("serve: compute pool closed")}
 	}
@@ -100,7 +100,6 @@ func (c *Core) Submit(ln *Lane, f *synth.Frame, scale int) <-chan Result {
 type job struct {
 	f     *synth.Frame
 	scale int
-	tr    *obs.Tracer
 	m     *obs.Metrics
 	res   chan Result
 	run   func(worker)
@@ -114,7 +113,7 @@ func (j *job) compute(w worker) {
 			panic(r)
 		}
 	}()
-	j.res <- Result{Computed: adascale.Compute(w.det, w.reg, j.f, j.scale, j.tr)}
+	j.res <- Result{Computed: adascale.Compute(w.det, w.reg, j.f, j.scale)}
 }
 
 // Lane is one stream's share of the step: its resilient scale-state
@@ -188,7 +187,7 @@ func (c *Core) Settle(ln *Lane, f *synth.Frame, plan adascale.FramePlan, res Res
 		m.Inc("slo/miss", 1)
 	}
 	if c.Tracer != nil {
-		c.trace(ln, out, res, startMS, sloMiss)
+		c.trace(ln, out, startMS, sloMiss)
 	}
 	ln.Served++
 	return out, sloMiss
@@ -198,8 +197,8 @@ func (c *Core) Settle(ln *Lane, f *synth.Frame, plan adascale.FramePlan, res Res
 // frame's dispatch time on the driver's clock) and the per-stage metric
 // histograms — overall and per-SLO-miss, so a miss can be localised to the
 // stage that ate the budget.
-func (c *Core) trace(ln *Lane, out adascale.FrameOutput, res Result, startMS float64, sloMiss bool) {
-	spans := adascale.FrameSpans(c.Tracer, ln.ID, ln.Served, startMS, out, res.DetWallMS, res.RegWallMS)
+func (c *Core) trace(ln *Lane, out adascale.FrameOutput, startMS float64, sloMiss bool) {
+	spans := adascale.FrameSpans(ln.ID, ln.Served, startMS, out)
 	c.Tracer.Add(spans)
 	for _, sp := range spans {
 		c.Metrics.Observe(stageKeys[sp.Stage], sp.DurMS)

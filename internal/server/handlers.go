@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -112,8 +113,8 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, &RequestError{Field: "slo_ms", Reason: "not a usable deadline"})
 		return
 	}
-	if req.Queue < 0 {
-		writeEngineError(w, &RequestError{Field: "queue", Reason: "negative queue depth"})
+	if req.Queue < 0 || req.Queue > MaxQueueDepth {
+		writeEngineError(w, &RequestError{Field: "queue", Reason: fmt.Sprintf("queue depth %d outside [0, %d]", req.Queue, MaxQueueDepth)})
 		return
 	}
 	id, effSLO, effQueue, err := s.engine.admit(req.Tenant, req.SLOMS, req.Queue)

@@ -77,7 +77,8 @@ type Config struct {
 
 	// QueueDepth is the default per-stream arrival queue bound (streams
 	// may request their own at admission); beyond it the oldest queued
-	// frame is dropped. 0 means 8; negative is rejected.
+	// frame is dropped. 0 means 8; negative or above MaxQueueDepth is
+	// rejected.
 	QueueDepth int
 
 	// MaxStreams caps admitted streams across all tenants (0 = unlimited).
@@ -111,6 +112,11 @@ type Config struct {
 	Sync bool
 }
 
+// MaxQueueDepth caps every stream's arrival queue, whether it comes from
+// Config.QueueDepth or a client's admission request, so no client chooses
+// how much memory its stream holds. It is what a stream's result log keeps.
+const MaxQueueDepth = resultPage * resultPages
+
 // withDefaults resolves the zero values.
 func (c Config) withDefaults() Config {
 	if c.QueueDepth == 0 {
@@ -124,14 +130,15 @@ func (c Config) withDefaults() Config {
 
 // Validate reports configuration errors. Zero values that mean "default"
 // (QueueDepth, Workers, Clock) pass; values that cannot mean
-// anything (negative capacities, non-finite or negative rates) are
-// rejected with a typed *ConfigError naming the field.
+// anything (negative capacities, non-finite or negative rates) and a
+// QueueDepth above MaxQueueDepth are rejected with a typed *ConfigError
+// naming the field.
 func (c *Config) Validate() error {
 	if c.Workers < 0 {
 		return &ConfigError{Field: "Workers", Reason: fmt.Sprintf("negative worker count %d", c.Workers)}
 	}
-	if c.QueueDepth < 0 {
-		return &ConfigError{Field: "QueueDepth", Reason: fmt.Sprintf("negative queue depth %d cannot admit a frame", c.QueueDepth)}
+	if c.QueueDepth < 0 || c.QueueDepth > MaxQueueDepth {
+		return &ConfigError{Field: "QueueDepth", Reason: fmt.Sprintf("queue depth %d outside [0, %d]", c.QueueDepth, MaxQueueDepth)}
 	}
 	if c.MaxStreams < 0 {
 		return &ConfigError{Field: "MaxStreams", Reason: fmt.Sprintf("negative MaxStreams %d", c.MaxStreams)}

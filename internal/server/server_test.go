@@ -86,6 +86,8 @@ func TestConfigValidate(t *testing.T) {
 		{"defaults ok", Config{Workers: 2, QueueDepth: 4, SLOMS: 80, Rate: RateLimit{RPS: 10, Burst: 5}}, ""},
 		{"negative workers", Config{Workers: -1}, "Workers"},
 		{"negative queue depth", Config{QueueDepth: -3}, "QueueDepth"},
+		{"queue depth above cap", Config{QueueDepth: MaxQueueDepth + 1}, "QueueDepth"},
+		{"queue depth at cap ok", Config{QueueDepth: MaxQueueDepth}, ""},
 		{"negative max streams", Config{MaxStreams: -1}, "MaxStreams"},
 		{"negative tenant quota", Config{TenantStreams: -2}, "TenantStreams"},
 		{"negative slo", Config{SLOMS: -10}, "SLOMS"},
@@ -137,6 +139,29 @@ func TestEmptyTenantRejected(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "tenant") {
 		t.Fatalf("error body %q does not name the tenant field", rec.Body)
+	}
+}
+
+// TestAdmitQueueCapped pins the typed 400 for a client asking for a queue
+// deeper than MaxQueueDepth: the stream is not admitted, and a request at
+// the cap still is.
+func TestAdmitQueueCapped(t *testing.T) {
+	srv := newServer(t, Config{Workers: 1, Sync: true, Clock: NewScriptClock()})
+	for _, q := range []int{MaxQueueDepth + 1, 1 << 30} {
+		rec := do(t, srv, "POST", "/v1/streams", "cam", fmt.Sprintf(`{"tenant":"cam","queue":%d}`, q))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("queue %d: status = %d, want 400", q, rec.Code)
+		}
+		if !strings.Contains(rec.Body.String(), "queue") {
+			t.Fatalf("queue %d: error body %q does not name the queue field", q, rec.Body)
+		}
+	}
+	if got := srv.Metrics().Counter("sessions/accepted"); got != 0 {
+		t.Fatalf("sessions/accepted = %d after rejected admissions, want 0", got)
+	}
+	rec := do(t, srv, "POST", "/v1/streams", "cam", fmt.Sprintf(`{"tenant":"cam","queue":%d}`, MaxQueueDepth))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("queue at the cap: status = %d, want 201", rec.Code)
 	}
 }
 

@@ -1,8 +1,9 @@
 #!/bin/sh
-# Tier-1 gate (same contract as `make check`): gofmt cleanliness, vet,
-# build, and the full test suite under the race detector. The race run
-# matters because RunDataset, label generation and snippet synthesis all
-# fan out across the worker pool by default.
+# Tier-1 gate, the one list of gates (`make check` runs this script):
+# gofmt cleanliness, vet, build, and the full test suite under the race
+# detector, then the fuzz, serve, chaos, HTTP, cluster and bench smokes.
+# The race run matters because RunDataset, label generation and snippet
+# synthesis all fan out across the worker pool by default.
 #
 # Locally the gate fails fast: the first broken gate stops the run.
 # In CI mode (-ci flag or CHECK_CI_MODE=1, the mode `make ci` and the
@@ -90,13 +91,12 @@ gate "fuzz-histogram" go test -run='^$' -fuzz='^FuzzHistogram$' -fuzztime=5s ./i
 
 # End-to-end serving gate under the race detector: 200 simulated frames
 # across 4 streams at an unloaded rate must serve with zero drops and a
-# non-empty metrics snapshot (-smoke exits non-zero otherwise). The
-# wall-clock trace puts the one wall-measuring path (worker-side Compute
-# timing, the scheduler's span recording) under -race too.
+# non-empty metrics snapshot (-smoke exits non-zero otherwise). -trace
+# puts the serving step's span recording under -race too.
 smoke_trace=$(mktemp) || exit 1
 gate "serve-smoke" go run -race ./cmd/adascale-serve -streams 4 -frames 50 -rate 5 \
 	-slo-ms 0 -tick-ms 0 -train 8 -val 4 -workers 4 -seed 5 -smoke \
-	-trace "$smoke_trace" -trace-wall
+	-trace "$smoke_trace"
 rm -f "$smoke_trace"
 
 # Fault-tolerance gate: a seeded chaos run (worker kills/stalls, node
