@@ -39,7 +39,8 @@ bench:
 # real compute at des_serve's shape (ServeRun), a quarter-size cluster_model
 # fleet (ClusterRun: ns, allocs and bytes per frame, node runs fanned out over
 # both CPUs), a 32-item no-op batch on parallel.Pool (Map: ns and allocs per
-# item at workers 1 and 2), the
+# item at workers 1 and 2), one metric sample through a resolved handle vs by
+# name (Metrics: inc, setmax, observe), the
 # random stream with math/rand's figure beside each (seed + 12 draws, a
 # frame's 30 000 normals) and a render of the val split (all frames at 600 and
 # 128, the motion-blurred ones, a noise fault).
@@ -52,6 +53,7 @@ microbench:
 	$(GO) test -run=^$$ -bench='SchedulerModelOnly|ServeRun' -benchtime=3x ./internal/serve
 	$(GO) test -run=^$$ -bench=ClusterRun -benchtime=3x ./internal/cluster
 	$(GO) test -run=^$$ -bench=Map -benchmem ./internal/parallel
+	$(GO) test -run=^$$ -bench=Metrics -benchmem ./internal/obs
 	$(GO) test -run=^$$ -bench=. -cpu 1 ./internal/rng
 	$(GO) test -run=^$$ -bench=FrameRender -benchmem -cpu 1 .
 

@@ -75,16 +75,23 @@ func TestPropagationTracksMotionBetterThanFreezing(t *testing.T) {
 	cfg.KeyInterval = 12 // one key frame, eleven propagated
 	nC := len(d.Config.Classes)
 
-	frozen := func(sn *synth.Snippet) []adascale.FrameOutput {
-		outs := Run(s.Detector, sn, 600, cfg)
-		key := outs[0].Detections
-		for i := 1; i < len(outs); i++ {
-			outs[i].Detections = key
+	// Frozen boxes: the key frame's detections, exactly as Run detects them,
+	// repeated on every frame with no flow estimated.
+	frozen := func() adascale.SnippetRunner {
+		det := s.Detector.Clone()
+		return func(sn *synth.Snippet) []adascale.FrameOutput {
+			r := det.Detect(&sn.Frames[0], 600)
+			key := r.PlainDetections()
+			r.Release()
+			outs := make([]adascale.FrameOutput, len(sn.Frames))
+			for i := range sn.Frames {
+				outs[i] = adascale.FrameOutput{Frame: &sn.Frames[i], Scale: 600, Detections: key}
+			}
+			return outs
 		}
-		return outs
 	}
 	flowed := adascale.RunDataset(d.Val, Runner(s.Detector, 600, cfg))
-	frozenOut := adascale.RunDataset(d.Val, adascale.SharedRunner(frozen))
+	frozenOut := adascale.RunDataset(d.Val, frozen)
 	mFlow := eval.Evaluate(toEval(flowed), nC).MAP
 	mFrozen := eval.Evaluate(toEval(frozenOut), nC).MAP
 	if mFlow <= mFrozen {

@@ -2,8 +2,9 @@ package obs
 
 import "math"
 
-// hist is one named histogram: log-linear bucket counts beside the exact
-// sample count, minimum, maximum and running sum.
+// Histogram is a handle on one registry histogram (Metrics.HistogramOf):
+// log-linear bucket counts beside the exact sample count, minimum, maximum
+// and running sum.
 //
 // A positive value's bucket is the top of its IEEE-754 bit pattern — the 11
 // exponent bits and the first subBits mantissa bits — so every power of two
@@ -18,7 +19,7 @@ import "math"
 // value seen — one count after one value, ~13 octaves × 32 for latencies
 // from 0.1 to 1000 ms — so memory follows the range observed, never the
 // number of samples.
-type hist struct {
+type Histogram struct {
 	n, low, nonfinite int      // finite samples; those ≤ 0; NaN/±Inf seen
 	sum, min, max     float64  // over the n finite samples
 	lo                int      // bucket index of counts[0]
@@ -27,14 +28,19 @@ type hist struct {
 
 const subBits = 5 // 2^5 sub-buckets per power of two: the 1/32 bound
 
-func bucketOf(v float64) int   { return int(math.Float64bits(v) >> (52 - subBits)) }
-func bucketEdge(i int) float64 { return math.Float64frombits(uint64(i) << (52 - subBits)) }
-func (h *hist) hi() int        { return h.lo + len(h.counts) }
-func (h *hist) mean() float64  { return h.sum / float64(max(h.n, 1)) }
+func bucketOf(v float64) int       { return int(math.Float64bits(v) >> (52 - subBits)) }
+func bucketEdge(i int) float64     { return math.Float64frombits(uint64(i) << (52 - subBits)) }
+func (h *Histogram) hi() int       { return h.lo + len(h.counts) }
+func (h *Histogram) mean() float64 { return h.sum / float64(max(h.n, 1)) }
 
-// observe records one sample: an index and an increment once the span
-// covers the value's bucket.
-func (h *hist) observe(v float64) {
+// recorded reports whether any sample, finite or not, was observed.
+func (h *Histogram) recorded() bool { return h.n > 0 || h.nonfinite > 0 }
+
+// Observe records one sample: an index and an increment once the span
+// covers the value's bucket. NaN and ±Inf are tallied (Snapshot shows the
+// tally when it is non-zero) and otherwise ignored: they enter no bucket,
+// count, minimum, maximum or mean.
+func (h *Histogram) Observe(v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		h.nonfinite++
 		return
@@ -57,7 +63,7 @@ func (h *hist) observe(v float64) {
 // cover widens the span to include buckets [lo, hi). A side that has to
 // move moves by at least half the current span, so a distribution that keeps
 // widening reallocates O(log span) times, not once per new bucket.
-func (h *hist) cover(lo, hi int) {
+func (h *Histogram) cover(lo, hi int) {
 	n := len(h.counts)
 	if n == 0 {
 		h.lo, h.counts = lo, make([]uint64, hi-lo)
@@ -81,7 +87,7 @@ func (h *hist) cover(lo, hi int) {
 // merge adds src into h: counts add bucket by bucket, so merging is
 // commutative and associative in everything but the last bits of sum, which
 // follow the order float64 addition was done in.
-func (h *hist) merge(src *hist) {
+func (h *Histogram) merge(src *Histogram) {
 	h.nonfinite += src.nonfinite
 	if src.n == 0 {
 		return
@@ -103,8 +109,8 @@ func (h *hist) merge(src *hist) {
 }
 
 // quantile is nearest-rank over the buckets: the q-quantile (q in (0, 1])
-// of n samples is the sample of rank ⌈n·q⌉, reported as described on hist.
-func (h *hist) quantile(q float64) float64 {
+// of n samples is the sample of rank ⌈n·q⌉, reported as described on Histogram.
+func (h *Histogram) quantile(q float64) float64 {
 	rank := int(float64(h.n)*q + 0.999999999)
 	switch {
 	case h.n == 0:

@@ -237,7 +237,7 @@ func FuzzHistogram(f *testing.F) {
 		a.Merge(b)
 		h := a.hists["h"]
 		if h == nil {
-			h = &hist{}
+			h = &Histogram{}
 		}
 		if h.n != finite || h.nonfinite != nonfinite {
 			t.Fatalf("n=%d nonfinite=%d, want %d and %d", h.n, h.nonfinite, finite, nonfinite)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -65,12 +66,17 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 
 func TestMetricsConcurrentAccess(t *testing.T) {
 	// Hammer every method from many goroutines; under -race this pins the
-	// registry's locking. The final state must equal the serial sum.
+	// registry's locking. Handle writers serialise among themselves and with
+	// every reader through one writers' lock, as a driver does (the event
+	// loop's single goroutine, the HTTP engine's mutex, which a scrape
+	// takes); string-keyed writers and the resolvers need only the
+	// registry's own. The final state must equal the serial sum.
 	m := NewMetrics()
+	var writers sync.Mutex
 	var wg sync.WaitGroup
 	const goroutines, perG = 8, 200
 	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
+		wg.Add(2)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
@@ -78,24 +84,115 @@ func TestMetricsConcurrentAccess(t *testing.T) {
 				m.Set("g", float64(i))
 				m.SetMax("peak", float64(g*perG+i))
 				m.Observe("h", float64(i))
+
+				writers.Lock()
 				_ = m.Counter("c")
 				_ = m.Gauge("g")
 				_ = m.Quantile("h", 0.5)
 				_ = m.Mean("h")
 				_ = m.Count("h")
 				_ = m.Snapshot()
+				writers.Unlock()
+			}
+		}(g)
+		go func(g int) {
+			defer wg.Done()
+			c, peak, h := m.CounterOf("handle/c"), m.GaugeOf("handle/peak"), m.HistogramOf("handle/h")
+			merged := NewMetrics()
+			for i := 0; i < perG; i++ {
+				writers.Lock()
+				c.Add(1)
+				peak.SetMax(float64(g*perG + i))
+				h.Observe(float64(i))
+				writers.Unlock()
+
+				writers.Lock()
+				_ = m.Prometheus("x")
+				merged.Merge(m)
+				writers.Unlock()
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := m.Counter("c"); got != goroutines*perG {
-		t.Fatalf("counter = %d, want %d", got, goroutines*perG)
+	for _, name := range []string{"c", "handle/c"} {
+		if got := m.Counter(name); got != goroutines*perG {
+			t.Fatalf("counter %s = %d, want %d", name, got, goroutines*perG)
+		}
 	}
-	if got := m.Count("h"); got != goroutines*perG {
-		t.Fatalf("hist count = %d, want %d", got, goroutines*perG)
+	for _, name := range []string{"h", "handle/h"} {
+		if got := m.Count(name); got != goroutines*perG {
+			t.Fatalf("hist %s count = %d, want %d", name, got, goroutines*perG)
+		}
 	}
-	if got := m.Gauge("peak"); got != goroutines*perG-1 {
-		t.Fatalf("peak = %v, want %d", got, goroutines*perG-1)
+	for _, name := range []string{"peak", "handle/peak"} {
+		if got := m.Gauge(name); got != goroutines*perG-1 {
+			t.Fatalf("%s = %v, want %d", name, got, goroutines*perG-1)
+		}
+	}
+}
+
+// TestMetricsHandles pins what a handle changes and what it must not: a
+// handle shares its name's state with the string-keyed methods, resolving
+// one adds no name to any output until it is written, Inc(name, 0) still
+// creates its name, and SetMax and Merge keep their first-value, NaN and
+// high-water rules whether or not the destination's handle was resolved
+// ahead of its first write.
+func TestMetricsHandles(t *testing.T) {
+	m := NewMetrics()
+	c, g, h := m.CounterOf("c"), m.GaugeOf("g"), m.HistogramOf("h")
+	if m.CounterOf("c") != c || m.GaugeOf("g") != g || m.HistogramOf("h") != h {
+		t.Fatal("resolving a name twice gave two handles")
+	}
+	dst := NewMetrics()
+	dst.Merge(m)
+	if m.Snapshot() != "" || m.Prometheus("x") != "" || dst.Snapshot() != "" {
+		t.Fatalf("unwritten handles appear:\n%s%s%s", m.Snapshot(), m.Prometheus("x"), dst.Snapshot())
+	}
+
+	c.Add(2)
+	m.Inc("c", 3)
+	h.Observe(4)
+	m.Observe("h", 6)
+	if m.Counter("c") != 5 || m.Count("h") != 2 || m.Mean("h") != 5 {
+		t.Fatalf("handle and name disagree: c=%d h n=%d mean=%v", m.Counter("c"), m.Count("h"), m.Mean("h"))
+	}
+
+	zero := NewMetrics()
+	zero.Inc("sessions/rejected", 0)
+	zero.CounterOf("handle/zero").Add(0)
+	if got, want := zero.Snapshot(), "counter handle/zero              0\ncounter sessions/rejected        0\n"; got != want {
+		t.Fatalf("zero increments: snapshot %q, want %q", got, want)
+	}
+
+	// SetMax takes its first value whatever it is: negative, or NaN, which
+	// no later value then exceeds.
+	g.SetMax(-4)
+	g.SetMax(-9)
+	if got := m.Gauge("g"); got != -4 {
+		t.Fatalf("SetMax first value = %v, want -4", got)
+	}
+	nan := m.GaugeOf("nan")
+	nan.SetMax(math.NaN())
+	nan.SetMax(5)
+	if got := m.Gauge("nan"); !math.IsNaN(got) {
+		t.Fatalf("SetMax after a first NaN = %v, want NaN", got)
+	}
+
+	// Merge keeps the high-water mark; a destination handle resolved but
+	// never written holds no value to compare against.
+	into := NewMetrics()
+	peak := into.GaugeOf("g")
+	into.Merge(m)
+	if got := into.Gauge("g"); got != -4 {
+		t.Fatalf("merged into an unwritten handle: %v, want -4", got)
+	}
+	peak.SetMax(-7)
+	into.Merge(m)
+	if got := into.Gauge("g"); got != -4 {
+		t.Fatalf("merge max = %v, want -4", got)
+	}
+	if want := m.Snapshot(); !strings.Contains(want, "gauge   nan                      NaN") {
+		t.Fatalf("NaN gauge missing from:\n%s", want)
 	}
 }
 
@@ -145,5 +242,31 @@ func TestMetricsMerge(t *testing.T) {
 	a.Merge(nil)
 	if got := a.Counter("frames/served"); got != 7 {
 		t.Fatalf("self/nil merge changed counter to %d, want 7", got)
+	}
+}
+
+// BenchmarkMetrics prices one per-frame sample each way: through a resolved
+// handle (what the serving step does) and by name (a map lookup, a string
+// hash and the registry lock).
+func BenchmarkMetrics(b *testing.B) {
+	m := NewMetrics()
+	c, g, h := m.CounterOf("frames/served"), m.GaugeOf("queue/peak_depth"), m.HistogramOf("latency/ms")
+	for _, bc := range []struct {
+		name   string
+		sample func(v float64)
+	}{
+		{"inc/handle", func(float64) { c.Add(1) }},
+		{"inc/name", func(float64) { m.Inc("frames/served", 1) }},
+		{"setmax/handle", g.SetMax},
+		{"setmax/name", func(v float64) { m.SetMax("queue/peak_depth", v) }},
+		{"observe/handle", h.Observe},
+		{"observe/name", func(v float64) { m.Observe("latency/ms", v) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.sample(float64(i&63) + 0.5)
+			}
+		})
 	}
 }

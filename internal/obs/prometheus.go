@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -59,35 +58,23 @@ func (m *Metrics) Prometheus(namespace string) string {
 	defer m.mu.Unlock()
 	var b strings.Builder
 
-	names := make([]string, 0, len(m.counters))
-	for k := range m.counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
+	names := appendRecorded(make([]string, 0, len(m.counters)), m.counters)
 	for _, k := range names {
 		pn := PromName(namespace, k)
 		fmt.Fprintf(&b, "# HELP %s counter %s\n", pn, k)
 		fmt.Fprintf(&b, "# TYPE %s counter\n", pn)
-		fmt.Fprintf(&b, "%s %d\n", pn, m.counters[k])
+		fmt.Fprintf(&b, "%s %d\n", pn, m.counters[k].v)
 	}
 
-	names = names[:0]
-	for k := range m.gauges {
-		names = append(names, k)
-	}
-	sort.Strings(names)
+	names = appendRecorded(names[:0], m.gauges)
 	for _, k := range names {
 		pn := PromName(namespace, k)
 		fmt.Fprintf(&b, "# HELP %s gauge %s\n", pn, k)
 		fmt.Fprintf(&b, "# TYPE %s gauge\n", pn)
-		fmt.Fprintf(&b, "%s %s\n", pn, promFloat(m.gauges[k]))
+		fmt.Fprintf(&b, "%s %s\n", pn, promFloat(m.gauges[k].v))
 	}
 
-	names = names[:0]
-	for k := range m.hists {
-		names = append(names, k)
-	}
-	sort.Strings(names)
+	names = appendRecorded(names[:0], m.hists)
 	for _, k := range names {
 		h := m.hists[k]
 		if h.n == 0 {

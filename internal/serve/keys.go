@@ -16,8 +16,8 @@ import (
 // fault events a run saw — and the per-frame path formats no string.
 
 // scaleKeys holds the "scale/<s>" counter names over the regressor's test
-// range, built once: the per-frame path then names its scale counter
-// without formatting (and allocating) a string per served frame.
+// range, built once: a Core resolves its per-scale handles (stepMetrics)
+// from them without formatting (and allocating) a string per run.
 var scaleKeys = func() (keys [regressor.MaxScale - regressor.MinScale + 1]string) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("scale/%d", regressor.MinScale+i)
@@ -26,8 +26,8 @@ var scaleKeys = func() (keys [regressor.MaxScale - regressor.MinScale + 1]string
 }()
 
 // faultKeys and fallbackKeys are the "fault/<kind>" and "fallback/<rung>"
-// counter names Settle increments, built once for the same reason: a
-// model-only node settles every frame through a fallback rung.
+// counter names behind Settle's handle tables, built once for the same
+// reason: a model-only node settles every frame through a fallback rung.
 var faultKeys, fallbackKeys = func() (faults [synth.NumFaultKinds]string, fallbacks [adascale.NumFallbacks]string) {
 	for k := range faults {
 		faults[k] = "fault/" + synth.FaultKind(k).String()

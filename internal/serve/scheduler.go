@@ -201,8 +201,7 @@ func (l *eventLoop) arrive(ev event) {
 	}
 	// A drop-oldest eviction changes a waiting session's head, hence its key.
 	l.touch(ev.stream)
-	l.Metrics.Observe("queue/depth", float64(s.queue.Len()))
-	l.Metrics.SetMax("queue/peak_depth", float64(s.queue.Len()))
+	l.ObserveQueue(&s.queue)
 	l.dispatch()
 }
 
@@ -309,7 +308,7 @@ func (l *eventLoop) open(s *session) *inflightFrame {
 		worker:    noWorker, firstFailMS: -1,
 	}
 	s.inflight = inf
-	l.Metrics.Observe("queue/wait_ms", l.clockMS-tf.ArrivalMS)
+	l.ObserveWait(l.clockMS - tf.ArrivalMS)
 	return inf
 }
 

@@ -308,7 +308,7 @@ func (s *Server) run(streams []Stream, audit func(*eventLoop, bool), keep bool) 
 	m.Inc("sessions/accepted", int64(len(admitted)))
 	m.Inc("sessions/rejected", int64(len(rep.Rejected)))
 
-	core := Core{Metrics: m, Tracer: s.cfg.Tracer}
+	core := NewCore(m, s.cfg.Tracer)
 	sessions := make([]*session, len(admitted))
 	for i, st := range admitted {
 		sessions[i] = &session{

@@ -26,9 +26,9 @@ import (
 // clock bridge, per-stream completion horizon) are the two drivers.
 
 // Core is what every frame of one server shares: the registry the step
-// records into, the optional tracer, and the compute pool. The zero value
-// of every field but Metrics is meaningful; a Core without StartPool can
-// Offer and Settle but not Submit (the model-only scheduler).
+// records into, the optional tracer, and the compute pool. Build it with
+// NewCore, which resolves the step's metric handles; a Core without
+// StartPool can Offer and Settle but not Submit (the model-only scheduler).
 type Core struct {
 	Metrics *obs.Metrics
 
@@ -36,7 +36,53 @@ type Core struct {
 	// spans and stage histograms.
 	Tracer *obs.Tracer
 
+	h    stepMetrics
 	pool *parallel.Pool[worker]
+}
+
+// stepMetrics are the frame step's registry handles, resolved once per
+// Core, so recording a frame is a handle operation per metric: no name
+// lookup and no registry lock. The driver serialises the step (the event
+// loop is one goroutine; the HTTP engine holds its lock), which is the
+// serialisation obs.Metrics asks of handle writers. The per-scale, per-fault
+// and per-rung tables fill as a name is first recorded (Core.counter); a
+// resolved handle adds no name until it is written, so the registry's key
+// set is what recording by name would give.
+type stepMetrics struct {
+	offered, dropped, served, skipped, panicked, sloMiss *obs.Counter
+	latency, service, queueDepth, queueWait              *obs.Histogram
+	peakDepth                                            *obs.Gauge
+
+	scale    [len(scaleKeys)]*obs.Counter
+	fault    [len(faultKeys)]*obs.Counter
+	fallback [len(fallbackKeys)]*obs.Counter
+}
+
+// NewCore returns a Core recording into m (and tracing into tracer, if
+// non-nil).
+func NewCore(m *obs.Metrics, tracer *obs.Tracer) Core {
+	return Core{Metrics: m, Tracer: tracer, h: stepMetrics{
+		offered:    m.CounterOf("frames/offered"),
+		dropped:    m.CounterOf("frames/dropped"),
+		served:     m.CounterOf("frames/served"),
+		skipped:    m.CounterOf("frames/skipped"),
+		panicked:   m.CounterOf("frames/panic"),
+		sloMiss:    m.CounterOf("slo/miss"),
+		latency:    m.HistogramOf("latency/ms"),
+		service:    m.HistogramOf("service/ms"),
+		queueDepth: m.HistogramOf("queue/depth"),
+		queueWait:  m.HistogramOf("queue/wait_ms"),
+		peakDepth:  m.GaugeOf("queue/peak_depth"),
+	}}
+}
+
+// counter returns the handle in slot, resolving name's counter into it on
+// first use.
+func (c *Core) counter(slot **obs.Counter, name string) *obs.Counter {
+	if *slot == nil {
+		*slot = c.Metrics.CounterOf(name)
+	}
+	return *slot
 }
 
 // worker is one pool worker's private clones; the nn layers cache
@@ -108,6 +154,8 @@ type job struct {
 func (j *job) compute(w worker) {
 	defer func() {
 		if r := recover(); r != nil {
+			// By name, under the registry lock: this is the one write made
+			// on a pool goroutine, outside the driver's serialisation.
 			j.m.Inc("pool/panic_rebuild", 1)
 			j.res <- Result{Err: fmt.Errorf("serve: frame compute panicked: %v", r)}
 			panic(r)
@@ -140,13 +188,24 @@ func (ln *Lane) Abandon() { ln.job = nil }
 // drop-oldest policy and returns the frame evicted to make room, if any.
 func (c *Core) Offer(ln *Lane, q *FrameQueue, tf TimedFrame, depth int) (dropped *synth.Frame) {
 	ln.Offered++
-	c.Metrics.Inc("frames/offered", 1)
+	c.h.offered.Add(1)
 	if dropped = q.Push(tf, depth); dropped != nil {
 		ln.Dropped++
-		c.Metrics.Inc("frames/dropped", 1)
+		c.h.dropped.Add(1)
 	}
 	return dropped
 }
+
+// ObserveQueue records a queue's depth after the driver's arrivals: the
+// depth histogram and the peak-depth gauge.
+func (c *Core) ObserveQueue(q *FrameQueue) {
+	n := float64(q.Len())
+	c.h.queueDepth.Observe(n)
+	c.h.peakDepth.SetMax(n)
+}
+
+// ObserveWait records how long a frame queued before its first dispatch.
+func (c *Core) ObserveWait(ms float64) { c.h.queueWait.Observe(ms) }
 
 // Settle is the single exit for every served frame, whatever path it took:
 // computed, skipped by its plan (sensor fault), shed or abandoned by the
@@ -160,31 +219,35 @@ func (c *Core) Offer(ln *Lane, q *FrameQueue, tf TimedFrame, depth int) (dropped
 // re-derived, because snapshots print them at full precision.
 func (c *Core) Settle(ln *Lane, f *synth.Frame, plan adascale.FramePlan, res Result,
 	startMS, serviceMS, latencyMS, sloMS float64) (out adascale.FrameOutput, sloMiss bool) {
-	m := c.Metrics
+	h := &c.h
 	if plan.Skip {
-		m.Inc("frames/skipped", 1)
+		h.skipped.Add(1)
 	}
 	if res.Err != nil {
 		// One bad frame must not take down the stream, let alone the
 		// server: it degrades like a sensed fault, and is counted.
-		m.Inc("frames/panic", 1)
+		h.panicked.Add(1)
 	}
 	out = ln.Sess.Finish(f, plan, res.R, res.T, latencyMS)
 	res.R.Release() // Finish copied the detections out
 
-	m.Inc("frames/served", 1)
-	m.Inc(ScaleKey(out.Scale), 1)
-	m.Observe("latency/ms", latencyMS)
-	m.Observe("service/ms", serviceMS)
-	if out.Health.Fault != synth.FaultNone {
-		m.Inc(faultKeys[out.Health.Fault], 1)
+	h.served.Add(1)
+	if i := out.Scale - regressor.MinScale; i >= 0 && i < len(h.scale) {
+		c.counter(&h.scale[i], scaleKeys[i]).Add(1)
+	} else {
+		c.Metrics.Inc(ScaleKey(out.Scale), 1)
 	}
-	if out.Health.Fallback != adascale.FallbackNone {
-		m.Inc(fallbackKeys[out.Health.Fallback], 1)
+	h.latency.Observe(latencyMS)
+	h.service.Observe(serviceMS)
+	if k := out.Health.Fault; k != synth.FaultNone {
+		c.counter(&h.fault[k], faultKeys[k]).Add(1)
+	}
+	if k := out.Health.Fallback; k != adascale.FallbackNone {
+		c.counter(&h.fallback[k], fallbackKeys[k]).Add(1)
 	}
 	if sloMiss = sloMS > 0 && latencyMS > sloMS; sloMiss {
 		ln.SLOMisses++
-		m.Inc("slo/miss", 1)
+		h.sloMiss.Add(1)
 	}
 	if c.Tracer != nil {
 		c.trace(ln, out, startMS, sloMiss)

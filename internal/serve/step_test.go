@@ -22,7 +22,7 @@ func TestSubmitPanicContract(t *testing.T) {
 	ds, sys := system(t)
 	f := &ds.Val[0].Frames[0]
 	for _, workers := range []int{1, 4} {
-		c := Core{Metrics: obs.NewMetrics()}
+		c := NewCore(obs.NewMetrics(), nil)
 		var built atomic.Int32
 		c.startPool(workers, func() worker {
 			w := worker{det: sys.Detector.Clone(), reg: sys.Regressor.Clone()}
@@ -76,7 +76,7 @@ func TestSubmitPanicContract(t *testing.T) {
 func TestAbandonedDispatchNeverCrossesFrames(t *testing.T) {
 	ds, sys := system(t)
 	a, b := &ds.Val[0].Frames[0], &ds.Val[0].Frames[1]
-	c := Core{Metrics: obs.NewMetrics()}
+	c := NewCore(obs.NewMetrics(), nil)
 	c.StartPool(sys.Detector, sys.Regressor, 1)
 	defer c.Close()
 	var ln Lane
@@ -105,7 +105,7 @@ func TestSubmitSettleAllocatesOnlyOutput(t *testing.T) {
 	}
 	ds, sys := system(t)
 	f := &ds.Val[0].Frames[0]
-	c := Core{Metrics: obs.NewMetrics()}
+	c := NewCore(obs.NewMetrics(), nil)
 	c.StartPool(sys.Detector, sys.Regressor, 1)
 	defer c.Close()
 	ln := Lane{Sess: adascale.NewResilientSession(sys.Regressor.Kernels, adascale.DefaultResilientConfig())}
@@ -160,14 +160,16 @@ func TestModelOnlyRunAllocsPerFrame(t *testing.T) {
 	}
 }
 
-// TestStepKeysCostNoAllocations: once the registry holds the step's keys,
+// TestStepKeysCostNoAllocations: once the step's handles are resolved,
 // offering a frame that evicts another and settling a frame that misses its
-// SLO — the calls that touch the most metric names — allocate nothing: every
-// name is a prebuilt constant.
+// SLO — the calls that touch the most metrics — allocate nothing, and
+// neither does a whole model-only frame, Offer through Settle: every metric
+// is a handle the Core resolved once, and the per-scale, per-fault and
+// per-rung tables are filled in place, not rebuilt per frame.
 func TestStepKeysCostNoAllocations(t *testing.T) {
 	ds, sys := system(t)
 	tf := TimedFrame{Frame: &ds.Val[0].Frames[0]}
-	c := Core{Metrics: obs.NewMetrics()}
+	c := NewCore(obs.NewMetrics(), nil)
 	ln := Lane{ID: 7, Sess: adascale.NewResilientSession(sys.Regressor.Kernels, adascale.DefaultResilientConfig())}
 	var q FrameQueue
 	c.Offer(&ln, &q, tf, 1)
@@ -182,8 +184,15 @@ func TestStepKeysCostNoAllocations(t *testing.T) {
 			t.Fatal("a 90 ms frame met a 50 ms SLO")
 		}
 	})
-	if offer != 0 || settle != 0 {
-		t.Fatalf("Offer allocates %v per frame and Settle %v, want 0", offer, settle)
+	frame := testing.AllocsPerRun(200, func() {
+		c.Offer(&ln, &q, tf, 1)
+		c.ObserveQueue(&q)
+		next := q.Pop()
+		c.ObserveWait(0)
+		c.Settle(&ln, next.Frame, ln.Sess.Plan(next.Frame), Result{}, 0, 75, 90, 50)
+	})
+	if offer != 0 || settle != 0 || frame != 0 {
+		t.Fatalf("Offer allocates %v per frame, Settle %v and a model-only frame %v, want 0", offer, settle, frame)
 	}
 }
 

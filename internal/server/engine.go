@@ -180,7 +180,7 @@ type engine struct {
 // newEngine builds the engine for a validated, defaulted config.
 func newEngine(det *rfcn.Detector, reg *regressor.Regressor, cfg Config) *engine {
 	e := &engine{
-		Core:       serve.Core{Metrics: obs.NewMetrics()},
+		Core:       serve.NewCore(obs.NewMetrics(), nil),
 		cfg:        cfg,
 		clock:      cfg.Clock,
 		numClasses: len(det.Data.Classes),
@@ -230,6 +230,16 @@ func (e *engine) admit(tenant string, sloMS float64, depth int) (id int, effSLO 
 	return s.ID, sloMS, depth, nil
 }
 
+// prometheus renders the registry for a scrape under e.mu: the frame step
+// records through handles without the registry's lock, serialised by e.mu
+// (serve.Core), so a scrape of a serving engine is ordered against it by
+// e.mu too.
+func (e *engine) prometheus(namespace string) string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.Metrics.Prometheus(namespace)
+}
+
 // tenantOf resolves a stream ID to its admitting tenant (for the
 // rate-limit middleware on stream-scoped routes).
 func (e *engine) tenantOf(id int) (string, bool) {
@@ -265,8 +275,7 @@ func (e *engine) ingest(id int, frames []FrameSpec) (IngestReply, error) {
 			reply.Dropped++
 		}
 	}
-	e.Metrics.Observe("queue/depth", float64(s.queue.Len()))
-	e.Metrics.SetMax("queue/peak_depth", float64(s.queue.Len()))
+	e.ObserveQueue(&s.queue)
 	if !s.running {
 		s.running = true
 		e.runners.Add(1)
@@ -326,7 +335,7 @@ func (e *engine) processLocked(s *stream) {
 	serviceMS := s.Sess.CostMS(tf.Frame, plan)
 	doneMS := startMS + serviceMS
 	s.busyUntilMS = doneMS
-	e.Metrics.Observe("queue/wait_ms", startMS-tf.ArrivalMS)
+	e.ObserveWait(startMS - tf.ArrivalMS)
 	e.mu.Unlock()
 
 	var res serve.Result

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -177,5 +178,73 @@ func TestIdleStreamsHoldNoGoroutines(t *testing.T) {
 			t.Fatalf("goroutines stayed at %d after every stream was served, baseline %d", n, base)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestScrapeWhileServing scrapes /metrics while streams ingest and settle on
+// their runners: the frame step writes its metric handles under the engine's
+// lock and no other, so under -race this pins that a scrape takes that lock
+// too. Every scrape is well formed, its served count never goes backwards,
+// and the scrape after Drain accounts for every frame offered.
+func TestScrapeWhileServing(t *testing.T) {
+	srv := newServer(t, Config{Workers: 2, Clock: NewScriptClock(), QueueDepth: 4})
+	const streams, posts = 3, 6
+	counter := func(body, name string) int {
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				n, err := strconv.Atoi(v)
+				if err != nil {
+					t.Errorf("%s: %v", line, err)
+				}
+				return n
+			}
+		}
+		return 0
+	}
+	scrape := func() string {
+		rec := do(t, srv, "GET", "/metrics", "", "")
+		if rec.Code != http.StatusOK {
+			t.Errorf("scrape: status %d", rec.Code)
+		}
+		return rec.Body.String()
+	}
+
+	var ingest sync.WaitGroup
+	for i := 0; i < streams; i++ {
+		path := fmt.Sprintf("/v1/streams/%d/frames", admit(t, srv, "cam"))
+		ingest.Add(1)
+		go func() {
+			defer ingest.Done()
+			for p := 0; p < posts; p++ {
+				if rec := do(t, srv, "POST", path, "cam", `{"frames":[{"w":64,"h":48},{"w":64,"h":48}]}`); rec.Code != http.StatusAccepted {
+					t.Errorf("ingest: status %d, body %s", rec.Code, rec.Body)
+				}
+			}
+		}()
+	}
+	ingested := make(chan struct{})
+	go func() {
+		ingest.Wait()
+		close(ingested)
+	}()
+	served, scrapes := 0, 0
+	for done := false; !done || scrapes < 2; scrapes++ {
+		select {
+		case <-ingested:
+			done = true
+		default:
+		}
+		n := counter(scrape(), "adascale_frames_served")
+		if n < served {
+			t.Fatalf("frames/served went from %d to %d between scrapes", served, n)
+		}
+		served = n
+	}
+	srv.Drain()
+	body := scrape()
+	offered := counter(body, "adascale_frames_offered")
+	if offered != streams*posts*2 || offered != counter(body, "adascale_frames_served")+counter(body, "adascale_frames_dropped") {
+		t.Fatalf("after drain: offered %d served %d dropped %d, want %d offered, all served or dropped",
+			offered, counter(body, "adascale_frames_served"), counter(body, "adascale_frames_dropped"), streams*posts*2)
 	}
 }

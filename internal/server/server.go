@@ -189,7 +189,10 @@ func New(det *rfcn.Detector, reg *regressor.Regressor, cfg Config) (*Server, err
 	return s, nil
 }
 
-// Metrics returns the registry the server records into.
+// Metrics returns the registry the server records into. The frame step
+// writes it without the registry's lock while streams are served, so read it
+// once serving is idle (after Drain, or a Sync-mode ingest); GET /metrics is
+// the way to read a serving one.
 func (s *Server) Metrics() *obs.Metrics { return s.metrics }
 
 // Handler returns the fully-middlewared HTTP handler — what Serve binds to
