@@ -1,9 +1,11 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 
 	"adascale/internal/adascale"
@@ -34,6 +36,13 @@ import (
 // functions of (admitted requests, arrival stamps), which is what makes the
 // handler layer golden-testable under a scripted clock while the same
 // engine serves wall-clock traffic.
+//
+// Results are encoded once, by the runner that settles the frame: the ring
+// holds each FrameResult's encoding/json bytes, and a poll's reply is the
+// accounting integers and those bytes, joined. The encoding runs outside
+// e.mu — it costs several times the settle, and other streams' requests
+// would queue behind it — so a reply's served and slo_misses are the
+// ring's own counts: a frame is in flight until its result is readable.
 //
 // Accounting invariant: every admitted frame is offered, and ends up
 // served (possibly via the degradation ladder) or dropped (queue
@@ -91,8 +100,25 @@ type IngestReply struct {
 	Queued   int `json:"queued"`
 }
 
+// appendJSON appends r as encoding/json's Encoder writes it, newline
+// included.
+func (r IngestReply) appendJSON(buf []byte) []byte {
+	buf = appendField(buf, `{"stream_id":`, r.StreamID)
+	buf = appendField(buf, `,"accepted":`, r.Accepted)
+	buf = appendField(buf, `,"dropped":`, r.Dropped)
+	buf = appendField(buf, `,"queued":`, r.Queued)
+	return append(buf, "}\n"...)
+}
+
+// appendField appends a member's key text and its integer value.
+func appendField(buf []byte, key string, v int) []byte {
+	return strconv.AppendInt(append(buf, key...), int64(v), 10)
+}
+
 // ResultsReply is the results endpoint's answer: served outputs from the
-// requested offset plus the stream's running accounting.
+// requested offset plus the stream's running accounting (engine.results
+// writes it field by field). Served counts the results written, so From +
+// len(Results) is Served whenever From has not been retired.
 type ResultsReply struct {
 	StreamID  int           `json:"stream_id"`
 	From      int           `json:"from"`
@@ -116,18 +142,20 @@ type stream struct {
 	running     bool    // a runner is serving queue (engine.serveLocked)
 
 	results resultLog
+	res     FrameResult // the runner's encoding scratch; Dets is never nil
 }
 
-// resultLog is a stream's served frames as a bounded ring of fixed pages:
+// resultLog is a stream's encoded results as a bounded ring of fixed pages:
 // result i of the stream keeps index i for ever, but only the newest
 // resultPages pages are held, so a stream's memory does not grow with the
 // frames it has served. Pages, not one slice: a slice re-grown by append
 // keeps the old and the new array alive together, and retiring a page is
 // dropping one pointer.
 type resultLog struct {
-	pages [][]FrameResult // every page but the last holds resultPage entries
-	base  int             // index of pages[0][0]; results [0, base) are retired
-	n     int             // results ever appended
+	pages  [][][]byte // every page but the last holds resultPage entries
+	base   int        // index of pages[0][0]; results [0, base) are retired
+	n      int        // results ever appended
+	misses int        // of which SLO misses
 }
 
 // A stream keeps its last 768–1024 results: a reader further behind than
@@ -137,27 +165,48 @@ const (
 	resultPages = 4
 )
 
-func (l *resultLog) append(r FrameResult) {
+func (l *resultLog) append(r []byte, sloMiss bool) {
 	if l.n%resultPage == 0 {
 		if len(l.pages) == resultPages {
 			l.pages = append(l.pages[:0], l.pages[1:]...)
 			l.base += resultPage
 		}
-		l.pages = append(l.pages, make([]FrameResult, 0, resultPage))
+		l.pages = append(l.pages, make([][]byte, 0, resultPage))
 	}
 	last := &l.pages[len(l.pages)-1]
 	*last = append(*last, r)
 	l.n++
+	if sloMiss {
+		l.misses++
+	}
 }
 
-// tail returns a copy of entries [from, n); from must be in [base, n].
-func (l *resultLog) tail(from int) []FrameResult {
-	out := make([]FrameResult, 0, l.n-from)
-	from -= l.base
-	for i := from / resultPage; i < len(l.pages); i++ {
-		out = append(out, l.pages[i][max(from-i*resultPage, 0):]...)
+// at returns result i; i must be in [base, n).
+func (l *resultLog) at(i int) []byte {
+	i -= l.base
+	return l.pages[i/resultPage][i%resultPage]
+}
+
+// tailLen bounds the length of appendTail's array.
+func (l *resultLog) tailLen(from int) int {
+	size := len("[]")
+	for i := from; i < l.n; i++ {
+		size += len(l.at(i)) + len(",")
 	}
-	return out
+	return size
+}
+
+// appendTail appends results [from, n) as a JSON array (`[]` when from is
+// n); from must be in [base, n].
+func (l *resultLog) appendTail(buf []byte, from int) []byte {
+	buf = append(buf, '[')
+	for i := from; i < l.n; i++ {
+		if i > from {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, l.at(i)...)
+	}
+	return append(buf, ']')
 }
 
 // engine owns the admitted streams and, through the frame step's core, the
@@ -222,6 +271,7 @@ func (e *engine) admit(tenant string, sloMS float64, depth int) (id int, effSLO 
 		tenant: tenant,
 		sloMS:  sloMS,
 		depth:  depth,
+		res:    FrameResult{Dets: []DetectionJSON{}},
 	}
 	e.streams = append(e.streams, s)
 	e.byTenant[tenant]++
@@ -294,23 +344,29 @@ func (e *engine) ingest(id int, frames []FrameSpec) (IngestReply, error) {
 }
 
 // results returns stream id's served outputs from offset `from` on, plus
-// its running accounting. The reply's From is where the results actually
-// start: it is greater than the one asked for exactly when a slow reader's
-// offset has been retired from the ring, and the difference is the gap.
-func (e *engine) results(id, from int) (ResultsReply, error) {
+// its running accounting, as the ResultsReply JSON encoding/json's Encoder
+// writes. The reply's from is where the results actually start: it is
+// greater than the one asked for exactly when a slow reader's offset has
+// been retired from the ring, and the difference is the gap.
+func (e *engine) results(id, from int) ([]byte, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if id < 0 || id >= len(e.streams) {
-		return ResultsReply{}, ErrNoSuchStream
+		return nil, ErrNoSuchStream
 	}
 	s := e.streams[id]
-	from = min(max(from, s.results.base), s.results.n)
-	return ResultsReply{
-		StreamID: id, From: from,
-		Offered: s.Offered, Served: s.Served, Dropped: s.Dropped,
-		Queued: s.queue.Len(), SLOMisses: s.SLOMisses,
-		Results: s.results.tail(from),
-	}, nil
+	l := &s.results
+	from = min(max(from, l.base), l.n)
+	buf := make([]byte, 0, 256+l.tailLen(from)) // 90 bytes of keys and 7 integers fit in 256
+	buf = appendField(buf, `{"stream_id":`, id)
+	buf = appendField(buf, `,"from":`, from)
+	buf = appendField(buf, `,"offered":`, s.Offered)
+	buf = appendField(buf, `,"served":`, l.n)
+	buf = appendField(buf, `,"dropped":`, s.Dropped)
+	buf = appendField(buf, `,"queued":`, s.queue.Len())
+	buf = appendField(buf, `,"slo_misses":`, l.misses)
+	buf = l.appendTail(append(buf, `,"results":`...), from)
+	return append(buf, "}\n"...), nil
 }
 
 // serveLocked is stream s's runner: it serves the queue one frame at a
@@ -325,9 +381,10 @@ func (e *engine) serveLocked(s *stream) {
 }
 
 // processLocked serves the head frame of s: plans and costs it, places it
-// on the stream's virtual busy horizon, blocks on its compute (lock released
-// around it), and settles it with its end-to-end virtual latency as the SLO
-// charge. Called with e.mu held; returns with it held.
+// on the stream's virtual busy horizon, blocks on its compute, settles it
+// with its end-to-end virtual latency as the SLO charge, and encodes its
+// result into the ring (lock released around the compute and the encoding).
+// Called with e.mu held; returns with it held.
 func (e *engine) processLocked(s *stream) {
 	tf := s.queue.Pop()
 	plan := s.Sess.Plan(tf.Frame)
@@ -346,17 +403,24 @@ func (e *engine) processLocked(s *stream) {
 	e.mu.Lock()
 	latency := doneMS - tf.ArrivalMS
 	out, sloMiss := e.Settle(&s.Lane, tf.Frame, plan, res, startMS, serviceMS, latency, s.sloMS)
-	s.results.append(newFrameResult(out, latency, sloMiss))
+	e.mu.Unlock()
+	r := s.encodeResult(out, latency, sloMiss)
+	e.mu.Lock()
+	s.results.append(r, sloMiss)
 }
 
-// newFrameResult renders one settled frame for the results endpoint.
-func newFrameResult(out adascale.FrameOutput, latencyMS float64, sloMiss bool) FrameResult {
-	fr := FrameResult{
+// encodeResult renders one settled frame for the results endpoint: its
+// FrameResult's encoding/json bytes. The FrameResult is s.res, which only
+// the stream's runner touches, rebuilt in place, so the bytes are all a
+// frame's result allocates.
+func (s *stream) encodeResult(out adascale.FrameOutput, latencyMS float64, sloMiss bool) []byte {
+	fr := &s.res
+	*fr = FrameResult{
 		Index:     out.Frame.Index,
 		Scale:     out.Scale,
 		LatencyMS: latencyMS,
 		SLOMiss:   sloMiss,
-		Dets:      make([]DetectionJSON, len(out.Detections)),
+		Dets:      fr.Dets[:0],
 	}
 	if out.Health.Fault != synth.FaultNone {
 		fr.Fault = out.Health.Fault.String()
@@ -364,13 +428,17 @@ func newFrameResult(out adascale.FrameOutput, latencyMS float64, sloMiss bool) F
 	if out.Health.Fallback != adascale.FallbackNone {
 		fr.Fallback = out.Health.Fallback.String()
 	}
-	for i, d := range out.Detections {
-		fr.Dets[i] = DetectionJSON{
+	for _, d := range out.Detections {
+		fr.Dets = append(fr.Dets, DetectionJSON{
 			Class: d.Class, Score: d.Score,
 			X1: d.Box.X1, Y1: d.Box.Y1, X2: d.Box.X2, Y2: d.Box.Y2,
-		}
+		})
 	}
-	return fr
+	b, err := json.Marshal(fr)
+	if err != nil { // a non-finite number, which validated frames never settle
+		return []byte("null")
+	}
+	return b
 }
 
 // stopAdmission closes the front door: admission and ingestion start

@@ -26,6 +26,21 @@ func resultsOf(t *testing.T, srv *Server, id int) (ResultsReply, string) {
 	return res, rec.Body.String()
 }
 
+// engineResults reads stream id's results from offset from off the engine,
+// decoded.
+func engineResults(t *testing.T, srv *Server, id, from int) ResultsReply {
+	t.Helper()
+	body, err := srv.engine.results(id, from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res ResultsReply
+	if err := json.Unmarshal(body, &res); err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestSyncConcurrentIngestSameStream: posts racing on one stream of a Sync
 // server are still served one frame at a time — whichever post starts the
 // stream's runner also serves the frames the others queue behind it — so
@@ -73,8 +88,9 @@ func TestSyncConcurrentIngestSameStream(t *testing.T) {
 
 // TestDrainRacesIngest drives ingests and results polls on several streams
 // while Drain runs, in both modes: every frame admitted before the door
-// closed is accounted on its own stream, nothing is left queued, and every
-// ingest after Drain is a 503.
+// closed is accounted on its own stream, nothing is left queued, every
+// ingest after Drain is a 503, and no poll shows a frame served without its
+// result.
 func TestDrainRacesIngest(t *testing.T) {
 	for _, syncMode := range []bool{false, true} {
 		t.Run(fmt.Sprintf("sync=%v", syncMode), func(t *testing.T) {
@@ -109,8 +125,16 @@ func TestDrainRacesIngest(t *testing.T) {
 							return
 						default:
 						}
-						if rec := do(t, srv, "GET", path, "cam", ""); rec.Code != http.StatusOK {
+						rec := do(t, srv, "GET", path, "cam", "")
+						var res ResultsReply
+						if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &res) != nil {
 							t.Errorf("results: status %d, body %s", rec.Code, rec.Body)
+							return
+						}
+						// A frame counts as served only once its result is
+						// in the reply.
+						if res.From+len(res.Results) != res.Served {
+							t.Errorf("results: from %d + %d results, served %d", res.From, len(res.Results), res.Served)
 							return
 						}
 					}
@@ -118,7 +142,7 @@ func TestDrainRacesIngest(t *testing.T) {
 			}
 			deadline := time.Now().Add(time.Minute)
 			for _, id := range ids { // every stream takes traffic before drain
-				for res, _ := srv.engine.results(id, 0); res.Offered < 4; res, _ = srv.engine.results(id, 0) {
+				for res := engineResults(t, srv, id, 0); res.Offered < 4; res = engineResults(t, srv, id, 0) {
 					if time.Now().After(deadline) {
 						t.Fatalf("stream %d took no traffic before drain", id)
 					}

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -41,6 +42,8 @@ func TestDecodeIngestRejects(t *testing.T) {
 	}{
 		{"not json", `nope`, "body"},
 		{"trailing document", `{"frames":[{"w":64,"h":64}]}{"frames":[]}`, "body"},
+		{"trailing bracket", `{"frames":[{"w":64,"h":64}]}]`, "body"},
+		{"trailing brace and garbage", `{"frames":[{"w":64,"h":64}]}}garbage`, "body"},
 		{"unknown field", `{"frames":[{"w":64,"h":64,"wat":1}]}`, "body"},
 		{"empty batch", `{"frames":[]}`, "frames"},
 		{"missing frames", `{}`, "frames"},
@@ -131,5 +134,34 @@ func TestFrameDefaultIntensity(t *testing.T) {
 	fr := spec.frame(1, 0, 0)
 	if got := fr.Objects[0].Intensity; got != 0.8 {
 		t.Fatalf("default intensity = %v, want 0.8", got)
+	}
+}
+
+// TestScanIngestCanonicalOnly pins which bodies the scanner takes itself
+// and which it leaves to encoding/json, and that what it takes matches.
+func TestScanIngestCanonicalOnly(t *testing.T) {
+	for _, body := range []string{
+		hotFrameBody,
+		`{"frames":[{"w":-0,"blur":1e2,"clutter":-0,"objects":[]}]} `,
+		`{}`,
+	} {
+		got, ok := scanIngest([]byte(body))
+		want, err := decodeIngestJSON([]byte(body))
+		if !ok || err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: scanned %v (%+v), encoding/json %+v err %v", body, ok, got, want, err)
+		}
+	}
+	for _, body := range []string{
+		`null`, `"frames"`, `[]`, ``, ` `,
+		`{"Frames":[]}`, `{"fr\u0061mes":[]}`, `{"frames":[],"frames":[]}`,
+		`{"frames":null}`, `{"frames":[{"objects":null}]}`, `{"frames":[{"w":"64"}]}`,
+		`{"frames":[{"w":1.0}]}`, `{"frames":[{"w":99999999999999999999}]}`, `{"frames":[{"blur":1e999}]}`,
+		`{"frames":[{"w":01}]}`, `{"frames":[{"w":+1}]}`, `{"frames":[{"w":.5}]}`, `{"frames":[{"blur":1.}]}`,
+		`{"frames":[{"blur":1e}]}`, `{"frames":[{"w":-}]}`, `{"frames":[{"w":1,}]}`, `{"frames":[],}`,
+		`{"frames":[{"w":64}]}]`, `{"frames":[{"w":64}]} x`, `{"frames":[{"wat":1}]}`,
+	} {
+		if req, ok := scanIngest([]byte(body)); ok {
+			t.Errorf("%s: scanned as %+v, want it declined", body, req)
+		}
 	}
 }

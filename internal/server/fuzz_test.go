@@ -1,6 +1,7 @@
 package server
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -19,6 +20,8 @@ func FuzzIngestDecode(f *testing.F) {
 		`{"frames":[{"w":64,"h":64,"clutter":1e308}]}`,
 		`not json at all`,
 		`{"frames":[{"w":64,"h":64}]}{"frames":[{"w":64,"h":64}]}`,
+		`{"frames":[{"w":64,"h":64}]}]`,
+		`{"frames":[{"w":64,"h":64}]}}garbage`,
 		`{"frames":[{"w":64,"h":64,"unknown":true}]}`,
 		`{}`,
 	}
@@ -55,6 +58,45 @@ func FuzzIngestDecode(f *testing.F) {
 					t.Fatalf("accepted class %d outside vocabulary", o.Class)
 				}
 			}
+		}
+	})
+}
+
+// FuzzIngestScan holds the reflection-free scanner to encoding/json: any
+// body the scanner accepts, the reference decoder (unknown fields refused,
+// nothing after the document) accepts too, into a request DeepEqual to the
+// scanner's — nil and empty slices told apart. A body the scanner declines
+// is not checked here: it goes to the reference decoder unchanged.
+func FuzzIngestScan(f *testing.F) {
+	seeds := []string{
+		hotFrameBody,
+		`{"frames":[{"w":-0,"h":1e2,"clutter":-0,"blur":1E+2,"objects":[]}]}`,
+		` { "frames" : [ { "w" : 64 , "h" : 64 , "objects" : [ { "id" : 1 , "x1" : 0.5 } ] } ] } ` + "\t\r\n",
+		`{"frames":[]}`,
+		`{}`,
+		`{"frames":[{"w":64,"h":64},{"w":32,"h":32,"objects":[{"class":1},{"class":2}]}]}`,
+		`{"frames":[{"W":64}]}`,
+		`{"frames":[{"w":64,"w":64}]}`,
+		`{"fr\u0061mes":[]}`,
+		`{"frames":null}`,
+		`{"frames":[{"w":1.5}]}`,
+		`{"frames":[{"clutter":1e400}]}`,
+		`{"frames":[{"w":64,"h":64}]}]`,
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, ok := scanIngest(data)
+		if !ok {
+			return
+		}
+		want, err := decodeIngestJSON(data)
+		if err != nil {
+			t.Fatalf("scanner accepted %q, encoding/json refused it: %v", data, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("scanner and encoding/json disagree on %q:\n scan %+v\n json %+v", data, got, want)
 		}
 	})
 }

@@ -1,13 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
+	"sync"
 )
 
 // Route handlers. Error mapping is uniform: *RequestError → 400,
@@ -15,6 +19,10 @@ import (
 // ErrDraining → 503. Every response body — success or error — is a single
 // JSON document terminated by a newline, so recorded transcripts diff
 // cleanly.
+//
+// The two routes a camera client hits per frame, ingest and results,
+// allocate only what they return and write encoding/json's bytes without
+// calling it (writeBody); the cold routes keep writeJSON.
 
 // errorReply is the JSON body of every non-2xx response.
 type errorReply struct {
@@ -36,12 +44,23 @@ type AdmitReply struct {
 	Queue    int     `json:"queue"`
 }
 
+// jsonContentType is shared so that setting it allocates nothing; net/http
+// only reads it.
+var jsonContentType = []string{"application/json"}
+
 // writeJSON writes v as the complete response with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(v) // Encode appends the trailing newline transcripts rely on
+}
+
+// writeBody writes an already encoded JSON reply with the given status.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
 
 // writeError writes a uniform JSON error body.
@@ -67,31 +86,52 @@ func writeEngineError(w http.ResponseWriter, err error) {
 	}
 }
 
-// readBody drains a bounded request body; too-large bodies become 400s via
-// the typed error path rather than connection resets.
-func readBody(r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	if err != nil {
-		return nil, &RequestError{Field: "body", Reason: err.Error()}
-	}
-	return body, nil
+// requestBody is a pooled body buffer; a handler releases it once nothing
+// it decoded or wrote refers to it.
+type requestBody struct {
+	bytes.Buffer
+	lim io.LimitedReader
 }
 
-// routes assembles the ServeMux. API routes are logged and rate limited;
-// the probes and /metrics stay outside the rate limiter so a throttled
-// tenant cannot starve health checking or scraping.
-func (s *Server) routes() http.Handler {
-	api := http.NewServeMux()
-	api.Handle("POST /v1/streams", s.rateLimit(s.handleAdmit))
-	api.Handle("POST /v1/streams/{id}/frames", s.rateLimit(s.handleFrames))
-	api.Handle("GET /v1/streams/{id}/results", s.rateLimit(s.handleResults))
+var bodyPool = sync.Pool{New: func() any { return new(requestBody) }}
 
-	root := http.NewServeMux()
-	root.Handle("/v1/", s.logMiddleware(api))
-	root.HandleFunc("GET /healthz", s.handleHealthz)
-	root.HandleFunc("GET /readyz", s.handleReadyz)
-	root.HandleFunc("GET /metrics", s.handleMetrics)
-	return s.recoverMiddleware(root)
+// readBody reads a bounded request body; too-large bodies become 400s via
+// the typed error path (net/http's MaxBytesError text) rather than
+// connection resets.
+func readBody(r *http.Request) (*requestBody, error) {
+	b := bodyPool.Get().(*requestBody)
+	b.Reset()
+	b.lim = io.LimitedReader{R: r.Body, N: maxBodyBytes + 1}
+	_, err := b.ReadFrom(&b.lim)
+	if b.lim.R = nil; err == nil && b.Len() > maxBodyBytes {
+		err = &http.MaxBytesError{Limit: maxBodyBytes}
+	}
+	if err != nil {
+		b.release()
+		return nil, &RequestError{Field: "body", Reason: err.Error()}
+	}
+	return b, nil
+}
+
+// release returns b to the pool, unless a rare large body grew it.
+func (b *requestBody) release() {
+	if b.Cap() <= 64<<10 {
+		bodyPool.Put(b)
+	}
+}
+
+// routes assembles the one ServeMux. API routes are logged and rate
+// limited; the probes and /metrics stay outside the rate limiter so a
+// throttled tenant cannot starve health checking or scraping.
+func (s *Server) routes() http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("POST /v1/streams", s.rateLimit(s.handleAdmit))
+	mux.Handle("POST /v1/streams/{id}/frames", s.rateLimit(s.handleFrames))
+	mux.Handle("GET /v1/streams/{id}/results", s.rateLimit(s.handleResults))
+	mux.HandleFunc("GET /healthz", s.handleHealthz)
+	mux.HandleFunc("GET /readyz", s.handleReadyz)
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	return s.recoverMiddleware(s.logMiddleware(mux))
 }
 
 func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
@@ -101,7 +141,9 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AdmitRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	err = json.Unmarshal(body.Bytes(), &req)
+	body.release()
+	if err != nil {
 		writeEngineError(w, &RequestError{Field: "body", Reason: err.Error()})
 		return
 	}
@@ -141,7 +183,8 @@ func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err)
 		return
 	}
-	req, err := DecodeIngest(body, s.engine.numClasses)
+	defer body.release()
+	req, err := DecodeIngest(body.Bytes(), s.engine.numClasses)
 	if err != nil {
 		writeEngineError(w, err)
 		return
@@ -151,7 +194,8 @@ func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, reply)
+	body.Reset() // nothing decoded aliases the body: its buffer takes the reply
+	writeBody(w, http.StatusAccepted, reply.appendJSON(body.AvailableBuffer()))
 }
 
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
@@ -161,7 +205,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	from := 0
-	if v := r.URL.Query().Get("from"); v != "" {
+	if v := queryValue(r.URL.RawQuery, "from"); v != "" {
 		from, err = strconv.Atoi(v)
 		if err != nil || from < 0 {
 			writeEngineError(w, &RequestError{Field: "from", Reason: "not a non-negative integer"})
@@ -173,7 +217,27 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, reply)
+	writeBody(w, http.StatusOK, reply)
+}
+
+// queryValue is url.ParseQuery(raw).Get(key) without the map: pairs split
+// on '&', and one holding ';' or failing to unescape is skipped.
+func queryValue(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -3,12 +3,14 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"path"
 	"strconv"
+	"strings"
 	"sync"
 )
 
 // Middleware for the serving front end. The chain, outermost first, is
-// recovery (every route) → logging (the API) → the API's routing → rate
+// recovery (every route) → logging (API paths) → the one router → rate
 // limiting (each API route): a panic anywhere below becomes a 503 instead
 // of a dead connection, every API request lands in the obs registry
 // whatever its fate, and each API route throttles its tenant before the
@@ -31,7 +33,7 @@ func (s *Server) recoverMiddleware(next http.Handler) http.Handler {
 }
 
 // statusRecorder captures the status code a handler wrote so the logging
-// middleware can bucket it after the fact.
+// middleware can bucket it after the fact. One is pooled per request.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
@@ -42,17 +44,34 @@ func (w *statusRecorder) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// logMiddleware records every request into the obs registry: a total
+var recorderPool = sync.Pool{New: func() any { return new(statusRecorder) }}
+
+// logMiddleware records every API request into the obs registry: a total
 // counter, a per-status-class counter, and (under a deterministic clock)
 // nothing that would perturb golden replays — virtual timestamps come from
 // the same bridge as frame arrivals, so no wall time leaks in.
 func (s *Server) logMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		if !apiRequest(r) {
+			next.ServeHTTP(w, r)
+			return
+		}
+		rec := recorderPool.Get().(*statusRecorder)
+		rec.ResponseWriter, rec.status = w, http.StatusOK
 		next.ServeHTTP(rec, r)
 		s.metrics.Inc("http/requests", 1)
 		s.metrics.Inc(statusKeys[min(rec.status/100, len(statusKeys)-1)], 1)
+		rec.ResponseWriter = nil
+		recorderPool.Put(rec)
 	})
+}
+
+// apiRequest reports whether the logger counts r: an API path (/v1/…) that
+// the router does not first redirect to its clean form, which it does not
+// do for CONNECT. (A trailing slash is clean to the router, not path.Clean.)
+func apiRequest(r *http.Request) bool {
+	p := r.URL.EscapedPath()
+	return strings.HasPrefix(p, "/v1/") && (r.Method == http.MethodConnect || path.Clean(p) == strings.TrimSuffix(p, "/"))
 }
 
 // statusKeys are the per-status-class counter names by status/100, so a

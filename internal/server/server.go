@@ -206,11 +206,6 @@ func (s *Server) Draining() bool {
 	return s.engine.draining
 }
 
-// StartDrain closes the front door without waiting: admission and
-// ingestion begin returning 503, /readyz flips to 503, already-admitted
-// frames keep flowing to results.
-func (s *Server) StartDrain() { s.engine.stopAdmission() }
-
 // Drain performs the full graceful drain: stop admission, flush every
 // queued and in-flight frame through the pipeline, close the compute
 // pool. After Drain, offered == served + dropped on every stream.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -464,7 +465,7 @@ func TestProbes(t *testing.T) {
 	if rec := do(t, srv, "GET", "/readyz", "", ""); rec.Code != http.StatusOK || rec.Body.String() != "ready\n" {
 		t.Fatalf("readyz: %d %q", rec.Code, rec.Body)
 	}
-	srv.StartDrain()
+	srv.engine.stopAdmission() // the front door closes; queued frames still flow
 	if rec := do(t, srv, "GET", "/healthz", "", ""); rec.Code != http.StatusOK {
 		t.Fatalf("healthz while draining: %d, want 200 (liveness is not readiness)", rec.Code)
 	}
@@ -547,32 +548,33 @@ GET /metrics
 	}
 }
 
-// TestResultLogTailAcrossPages pins the paged result ring against the slice
-// it replaced: every offset's tail, including offsets on and either side of
-// a page boundary, offsets already retired (answered from the oldest entry
-// kept) and the empty tail, which must stay non-nil (it is the JSON `[]` of
-// a caught-up reader).
+// TestResultLogTailAcrossPages pins the paged ring of encoded results
+// against a flat list of the same bytes: every offset's tail, including
+// offsets on and either side of a page boundary and offsets already retired
+// (answered from the oldest entry kept), is the JSON array of exactly those
+// results, within the length tailLen sized it for; the empty tail is `[]`,
+// the caught-up reader's array, never null.
 func TestResultLogTailAcrossPages(t *testing.T) {
 	var l resultLog
-	var want []FrameResult
+	var want [][]byte
 	for i := 0; i <= (resultPages+2)*resultPage+3; i++ {
 		if i > resultPages*resultPage && (i-l.base > resultPages*resultPage || i-l.base < (resultPages-1)*resultPage) {
 			t.Fatalf("n=%d: ring holds %d results, want %d–%d", i, i-l.base, (resultPages-1)*resultPage, resultPages*resultPage)
 		}
 		for _, from := range []int{0, i / 2, resultPage - 1, resultPage, resultPage + 1, i - resultPage, i} {
 			from = min(max(from, l.base), i) // what engine.results clamps to
-			got := l.tail(from)
-			if got == nil || len(got) != len(want)-from {
-				t.Fatalf("n=%d from=%d: tail has %d entries (nil %v), want %d", i, from, len(got), got == nil, len(want)-from)
+			got := l.appendTail(nil, from)
+			exp := "[" + string(bytes.Join(want[from:], []byte(","))) + "]"
+			if string(got) != exp {
+				t.Fatalf("n=%d from=%d: tail %.60q…, want %.60q…", i, from, got, exp)
 			}
-			for j := range got {
-				if got[j].Index != want[from+j].Index {
-					t.Fatalf("n=%d from=%d: entry %d is frame %d, want %d", i, from, j, got[j].Index, want[from+j].Index)
-				}
+			if len(got) > l.tailLen(from) {
+				t.Fatalf("n=%d from=%d: tail is %d bytes, sized for %d", i, from, len(got), l.tailLen(from))
 			}
 		}
-		l.append(FrameResult{Index: i})
-		want = append(want, FrameResult{Index: i})
+		r := []byte(fmt.Sprintf(`{"index":%d}`, i))
+		l.append(r, false)
+		want = append(want, r)
 	}
 }
 
@@ -589,10 +591,7 @@ func TestSlowReaderAcrossRetirement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := srv.engine.results(id, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := engineResults(t, srv, id, 5)
 	if res.From != resultPage || len(res.Results) != total-resultPage || res.Results[0].Index != resultPage {
 		t.Fatalf("slow reader: from=%d, %d results starting at frame %d; want the gap answer from=%d",
 			res.From, len(res.Results), res.Results[0].Index, resultPage)
@@ -600,8 +599,61 @@ func TestSlowReaderAcrossRetirement(t *testing.T) {
 	if res.Offered != total || res.Served+res.Dropped != total {
 		t.Fatalf("conservation broken by retirement: offered %d served %d dropped %d", res.Offered, res.Served, res.Dropped)
 	}
-	next, err := srv.engine.results(id, res.From+len(res.Results))
-	if err != nil || next.From != total || len(next.Results) != 0 {
-		t.Fatalf("caught-up reader: from=%d, %d results, err %v", next.From, len(next.Results), err)
+	next := engineResults(t, srv, id, res.From+len(res.Results))
+	if next.From != total || next.Results == nil || len(next.Results) != 0 {
+		t.Fatalf("caught-up reader: from=%d, %d results (nil %v)", next.From, len(next.Results), next.Results == nil)
+	}
+}
+
+// TestRoutingMisses pins what a request no route serves gets: the status,
+// the Allow header of a 405, the body net/http writes, and whether the
+// request logger counts it (http/requests and its status class). API paths
+// (/v1/…) are counted whatever their fate; a path the router first
+// redirects to its clean form is not, and neither is a miss outside /v1/.
+func TestRoutingMisses(t *testing.T) {
+	srv := newServer(t, Config{Workers: 1, Sync: true, Clock: NewScriptClock()})
+	admit(t, srv, "cam")
+	const (
+		notAllowed = "Method Not Allowed\n"
+		notFound   = "404 page not found\n"
+	)
+	cases := []struct {
+		method, path string
+		status       int
+		allow, body  string
+		logged       bool
+	}{
+		{"GET", "/v1/streams", 405, "POST", notAllowed, true},
+		{"POST", "/v1/streams/0/results", 405, "GET, HEAD", notAllowed, true},
+		{"DELETE", "/v1/streams/0/frames", 405, "POST", notAllowed, true},
+		{"GET", "/v1/nope", 404, "", notFound, true},
+		{"GET", "/v1/", 404, "", notFound, true},
+		{"GET", "/v1/streams/0/results/", 404, "", notFound, true},
+		{"GET", "/v1//streams", 301, "", `<a href="/v1/streams">Moved Permanently</a>.` + "\n\n", false},
+		{"POST", "/v1//streams", 301, "", "", false},
+		{"GET", "/v1/streams/0/./results", 301, "", `<a href="/v1/streams/0/results">Moved Permanently</a>.` + "\n\n", false},
+		{"POST", "/healthz", 405, "GET, HEAD", notAllowed, false},
+		{"GET", "/nope", 404, "", notFound, false},
+		{"GET", "/metrics/", 404, "", notFound, false},
+	}
+	m := srv.Metrics()
+	class := func(status int) string { return fmt.Sprintf("http/status/%dxx", status/100) }
+	for _, tc := range cases {
+		requests, inClass := m.Counter("http/requests"), m.Counter(class(tc.status))
+		rec := do(t, srv, tc.method, tc.path, "cam", "")
+		if rec.Code != tc.status || rec.Header().Get("Allow") != tc.allow || rec.Body.String() != tc.body {
+			t.Errorf("%s %s: %d Allow %q body %q; want %d Allow %q body %q",
+				tc.method, tc.path, rec.Code, rec.Header().Get("Allow"), rec.Body, tc.status, tc.allow, tc.body)
+		}
+		want := int64(0)
+		if tc.logged {
+			want = 1
+		}
+		if got := m.Counter("http/requests") - requests; got != want {
+			t.Errorf("%s %s: http/requests moved by %d, want %d", tc.method, tc.path, got, want)
+		}
+		if got := m.Counter(class(tc.status)) - inClass; got != want {
+			t.Errorf("%s %s: %s moved by %d, want %d", tc.method, tc.path, class(tc.status), got, want)
+		}
 	}
 }

@@ -51,10 +51,7 @@ func httpLedgers(t *testing.T, srv *Server, streams int) []ledger {
 	t.Helper()
 	out := make([]ledger, streams)
 	for id := range out {
-		rep, err := srv.engine.results(id, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := engineResults(t, srv, id, 0)
 		out[id] = ledger{Offered: rep.Offered, Served: rep.Served, Dropped: rep.Dropped, SLOMisses: rep.SLOMisses}
 		for _, fr := range rep.Results {
 			dets := make([]detect.Detection, len(fr.Dets))

@@ -83,6 +83,9 @@ gate "fuzz-nms" go test -run='^$' -fuzz='^FuzzNMS$' -fuzztime=5s ./internal/dete
 gate "fuzz-evaluate" go test -run='^$' -fuzz='^FuzzEvaluate$' -fuzztime=5s ./internal/eval
 gate "fuzz-loadgen" go test -run='^$' -fuzz='^FuzzLoadgen$' -fuzztime=5s ./internal/serve
 gate "fuzz-ingest" go test -run='^$' -fuzz='^FuzzIngestDecode$' -fuzztime=5s ./internal/server
+# The ingest scanner must build exactly what encoding/json builds for any
+# body it accepts itself.
+gate "fuzz-ingest-scan" go test -run='^$' -fuzz='^FuzzIngestScan$' -fuzztime=5s ./internal/server
 gate "fuzz-cluster" go test -run='^$' -fuzz='^FuzzClusterEvents$' -fuzztime=5s ./internal/cluster
 gate "fuzz-conv" go test -run='^$' -fuzz='^FuzzConvGeometry$' -fuzztime=5s ./internal/tensor
 gate "fuzz-matmul-abt" go test -run='^$' -fuzz='^FuzzMatMulABT$' -fuzztime=5s ./internal/tensor
