@@ -229,8 +229,8 @@ func main() {
 			fail(fmt.Errorf("smoke: empty metrics snapshot"))
 		}
 		if *chaosRate > 0 {
-			// Chaos gate: drops are legitimate (saturation windows collapse
-			// the queues), lost streams or frames never are.
+			// Chaos gate: drops are legitimate (saturation windows shed an
+			// arrival's oldest frame), lost streams or frames never are.
 			if n := rep.Lost(); n != 0 {
 				fail(fmt.Errorf("smoke: %d frames lost (neither served nor dropped)", n))
 			}

@@ -134,8 +134,9 @@ type ResilientConfig struct {
 func DefaultResilientConfig() ResilientConfig { return ResilientConfig{} }
 
 const (
-	// budgetWindow is the rolling window (frames) of the deadline budget.
-	budgetWindow = 8
+	// BudgetWindow is the rolling window (frames) of the deadline budget,
+	// so the most BudgetCharges a checkpoint carries.
+	BudgetWindow = 8
 	// propagateDecay is the per-propagated-frame confidence decay applied
 	// to carried-over detections.
 	propagateDecay = 0.9
@@ -181,7 +182,7 @@ func nextHigherScale(s int) int {
 type ResilientSession struct {
 	cfg      ResilientConfig
 	overhead float64
-	budget   *simclock.Budget
+	budget   simclock.Budget
 
 	targetScale   int
 	scaleCap      int // deadline enforcement lowers this
@@ -194,13 +195,20 @@ type ResilientSession struct {
 // NewResilientSession creates a fresh session for one stream. kernels is
 // the regressor's branch kernel set (charged as per-frame overhead).
 func NewResilientSession(kernels []int, cfg ResilientConfig) *ResilientSession {
-	s := &ResilientSession{
-		cfg:      cfg,
-		overhead: simclock.RegressorMS(kernels),
-		budget:   simclock.NewBudget(cfg.DeadlineMS, budgetWindow),
+	return &NewResilientSessions(1, kernels, cfg)[0]
+}
+
+// NewResilientSessions creates n fresh sessions in one slab (windows in a second).
+func NewResilientSessions(n int, kernels []int, cfg ResilientConfig) []ResilientSession {
+	ss := make([]ResilientSession, n)
+	windows := make([]float64, n*BudgetWindow)
+	overhead := simclock.RegressorMS(kernels)
+	for i := range ss {
+		w := windows[i*BudgetWindow : (i+1)*BudgetWindow : (i+1)*BudgetWindow]
+		ss[i] = ResilientSession{cfg: cfg, overhead: overhead, budget: simclock.MakeBudget(cfg.DeadlineMS, w)}
+		ss[i].reset()
 	}
-	s.reset()
-	return s
+	return ss
 }
 
 // Reset returns the session to its just-constructed state so it can be
@@ -252,7 +260,15 @@ type SessionCheckpoint struct {
 // Checkpoint captures the session's ladder state. The returned checkpoint
 // is independent of the session: mutating the session afterwards does not
 // alter it.
-func (s *ResilientSession) Checkpoint() SessionCheckpoint {
+func (s *ResilientSession) Checkpoint() SessionCheckpoint { return s.checkpoint(s.budget.Charges()) }
+
+// CheckpointInto is Checkpoint with BudgetCharges appended to charges: a
+// caller checkpointing many sessions carves each one's from a slab.
+func (s *ResilientSession) CheckpointInto(charges []float64) SessionCheckpoint {
+	return s.checkpoint(s.budget.AppendCharges(charges))
+}
+
+func (s *ResilientSession) checkpoint(charges []float64) SessionCheckpoint {
 	return SessionCheckpoint{
 		TargetScale:   s.targetScale,
 		ScaleCap:      s.scaleCap,
@@ -260,7 +276,7 @@ func (s *ResilientSession) Checkpoint() SessionCheckpoint {
 		LastDets:      append([]detect.Detection(nil), s.lastDets...),
 		Propagated:    s.propagated,
 		DegradedRun:   s.degradedRun,
-		BudgetCharges: s.budget.Charges(),
+		BudgetCharges: charges,
 	}
 }
 

@@ -108,11 +108,13 @@ func New(det *rfcn.Detector, reg *regressor.Regressor, cfg Config) (*Cluster, er
 // state by node ID (addNode mints IDs densely).
 type runState struct {
 	ring       *Ring
-	down       []float64                     // node -> virtual instant it comes back up, 0 while not down
-	chaosFor   [][]faults.SystemEvent        // node -> blackouts injected this epoch
-	checkpoint []*adascale.SessionCheckpoint // nil until the stream first serves
-	prevAssign []int                         // node last epoch, -1 if unplaced
-	forced     []int                         // stream IDs with a forced migration this epoch
+	down       []float64                    // node -> virtual instant it comes back up, 0 while not down
+	chaosFor   [][]faults.SystemEvent       // node -> blackouts injected this epoch
+	checkpoint []adascale.SessionCheckpoint // the stream's ladder state, once resumed
+	resumed    []bool                       // checkpoint holds state: given, or served
+	charges    []float64                    // BudgetWindow floats a stream: its served BudgetCharges
+	prevAssign []int                        // node last epoch, -1 if unplaced
+	forced     []int                        // stream IDs with a forced migration this epoch
 	rep        *Report
 }
 
@@ -136,7 +138,9 @@ func (c *Cluster) Run(streams []serve.Stream) *Report {
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
 	st := &runState{
 		ring:       NewRing(RingConfig{}),
-		checkpoint: make([]*adascale.SessionCheckpoint, len(ordered)),
+		checkpoint: make([]adascale.SessionCheckpoint, len(ordered)),
+		resumed:    make([]bool, len(ordered)),
+		charges:    make([]float64, len(ordered)*adascale.BudgetWindow),
 		prevAssign: make([]int, len(ordered)),
 		rep:        rep,
 	}
@@ -152,8 +156,7 @@ func (c *Cluster) Run(streams []serve.Stream) *Report {
 			horizon = s.Frames[n-1].ArrivalMS
 		}
 		if s.Checkpoint != nil {
-			cp := *s.Checkpoint
-			st.checkpoint[i] = &cp
+			st.checkpoint[i], st.resumed[i] = *s.Checkpoint, true
 		}
 		st.prevAssign[i] = -1
 	}
@@ -301,7 +304,7 @@ func (c *Cluster) place(st *runState, ordered []serve.Stream, cursor []int) []in
 
 	for i, n := range assign {
 		prev := st.prevAssign[i]
-		if n < 0 || prev < 0 || prev == n || st.checkpoint[i] == nil {
+		if n < 0 || prev < 0 || prev == n || !st.resumed[i] {
 			continue
 		}
 		st.rep.Migrations++
@@ -364,8 +367,12 @@ func (c *Cluster) runEpoch(st *runState, ordered []serve.Stream, cursor []int, a
 			continue
 		}
 		cursor[i] = hi
+		var cp *adascale.SessionCheckpoint
+		if st.resumed[i] {
+			cp = &st.checkpoint[i]
+		}
 		w := &work[st.ring.slot(assign[i])]
-		w.streams = append(w.streams, serve.Stream{ID: s.ID, Frames: s.Frames[lo:hi], Checkpoint: st.checkpoint[i]})
+		w.streams = append(w.streams, serve.Stream{ID: s.ID, Frames: s.Frames[lo:hi], Checkpoint: cp})
 		w.at = append(w.at, i)
 	}
 	regs := parallel.Map(len(work), func(i int) *obs.Metrics { return c.runNode(st, &work[i]) })
@@ -409,11 +416,11 @@ func (c *Cluster) runNode(st *runState, w *nodeEpoch) *obs.Metrics {
 		w.served += sr.Served
 		w.dropped += sr.Drops
 		w.sloMisses += sr.SLOMisses
-		cp := &st.checkpoint[w.at[j]]
-		if *cp == nil {
-			*cp = new(adascale.SessionCheckpoint)
-		}
-		**cp = sr.Checkpoint
+		// Copied out of the node run's slab, which they would otherwise
+		// keep live until every one of its streams served again.
+		k, bw, cp := w.at[j], adascale.BudgetWindow, sr.Checkpoint
+		cp.BudgetCharges = append(st.charges[k*bw:k*bw:(k+1)*bw], cp.BudgetCharges...)
+		st.checkpoint[k], st.resumed[k] = cp, true
 	}
 	w.durationMS = rep.DurationMS
 	return rep.Metrics

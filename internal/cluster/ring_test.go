@@ -212,12 +212,14 @@ func TestRingAssignAnyKeyOrder(t *testing.T) {
 
 // TestRingAssignAllocs pins Assign's allocations to a constant — the output,
 // the key order and two node-sized scratch slices — whatever the key count:
-// the walk's visited set is reused key after key, not built per key.
+// the walk's visited set is reused key after key, not built per key. The
+// count is averaged over 25 runs: over 3, a stray runtime allocation or two
+// during a run read as 5 or 6.
 func TestRingAssignAllocs(t *testing.T) {
 	r := ringWith(7, 16)
 	for _, k := range []int{10, 1000, 30000} {
 		keys := seqKeys(k)
-		if n := testing.AllocsPerRun(3, func() { r.Assign(keys) }); n > 4 {
+		if n := testing.AllocsPerRun(25, func() { r.Assign(keys) }); n > 4 {
 			t.Errorf("Assign over %d keys: %.0f allocations, want at most 4", k, n)
 		}
 	}

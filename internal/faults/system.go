@@ -37,8 +37,10 @@ const (
 	SysNodeBlackout
 
 	// SysQueueSaturate models upstream memory pressure for DurationMS:
-	// every stream's effective queue capacity collapses to one frame, so
-	// arrivals during the window shed via drop-oldest.
+	// every stream's effective queue depth is one frame, so no queue grows
+	// during the window and each arrival to a non-empty queue evicts its
+	// oldest frame (drop-oldest evicts one frame per arrival: a backlog
+	// queued before the window is shed frame by frame, not cut at once).
 	SysQueueSaturate
 
 	// NumSystemEventKinds sizes per-kind counter arrays.

@@ -264,6 +264,52 @@ func TestServeChaosSaturationCollapsesQueues(t *testing.T) {
 	}
 }
 
+// TestServeSaturationHoldsBacklog pins what a queue-saturation window does:
+// the effective depth is one, and Push evicts at most one frame per arrival,
+// so inside the window a queue never grows (an empty one admits one frame)
+// and every arrival to a non-empty queue drops its oldest frame, but a
+// backlog that was already queued is not cut down — a queue holding the
+// configured 8 frames stays at 8 for the whole window.
+func TestServeSaturationHoldsBacklog(t *testing.T) {
+	ds, sys := system(t)
+	srv := newServer(t, sys, Config{
+		Workers: 1, QueueDepth: 8, ModelOnly: true,
+		Resilient: adascale.DefaultResilientConfig(),
+		Chaos: &faults.SystemPlan{Events: []faults.SystemEvent{
+			{AtMS: 300, Kind: faults.SysQueueSaturate, Worker: -1, DurationMS: 400},
+		}},
+	})
+	var prev []int
+	peak, dropped, drops := 0, 0, 0 // drops: inside the window
+	srv.run(load(t, ds, 2, 40, 40, 23), func(l *eventLoop, picking bool) {
+		if prev == nil {
+			prev = make([]int, len(l.sessions))
+		}
+		was := dropped
+		dropped = 0
+		for i, s := range l.sessions {
+			n := s.queue.Len()
+			if l.clockMS < l.sup.satUntil {
+				if n > max(prev[i], 1) {
+					t.Fatalf("t=%v: session %d's queue grew from %d to %d inside the saturation window", l.clockMS, i, prev[i], n)
+				}
+				peak = max(peak, n)
+			}
+			prev[i] = n
+			dropped += s.Lane.Dropped
+		}
+		if l.clockMS < l.sup.satUntil {
+			drops += dropped - was
+		}
+	}, false)
+	if drops == 0 {
+		t.Fatal("no frame dropped inside the saturation window: the load does not reach it")
+	}
+	if peak != 8 {
+		t.Fatalf("deepest queue inside the window = %d, want the configured 8 (the backlog is kept)", peak)
+	}
+}
+
 // TestSupervisorBackoffDeterministic is the table-driven backoff contract:
 // exponential doubling capped at retryMaxMS, deterministic jitter — the
 // same (stream, attempt) always yields the same delay, and different

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"adascale/internal/faults"
 	"adascale/internal/simclock"
@@ -107,6 +109,56 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
+// agenda is a run's event schedule: the arrivals, known up front, sorted once;
+// a heap of the events the run schedules as it goes. pop merges the two into
+// the order a heap of every event pops (an arrival never ties another event).
+type agenda struct {
+	arrivals []event // sorted; arrivals[next:] are still to come
+	next     int
+	heap     eventHeap
+}
+
+// newAgenda sorts the arrivals (frame j of streams[i]: ArrivalMS, i, j) by before.
+func newAgenda(streams []Stream) agenda {
+	n := 0
+	for i := range streams {
+		n += len(streams[i].Frames)
+	}
+	a := agenda{arrivals: make([]event, 0, n)}
+	for i := range streams {
+		for j, f := range streams[i].Frames {
+			a.arrivals = append(a.arrivals, event{timeMS: f.ArrivalMS, kind: kindArrival, stream: i, seq: j})
+		}
+	}
+	slices.SortFunc(a.arrivals, func(x, y event) int {
+		if x.timeMS != y.timeMS {
+			return cmp.Compare(x.timeMS, y.timeMS)
+		}
+		return cmp.Or(x.stream-y.stream, x.seq-y.seq)
+	})
+	return a
+}
+
+func (a *agenda) len() int { return len(a.arrivals) - a.next + len(a.heap) }
+
+func (a *agenda) push(e event) { a.heap.push(e) }
+
+// pop removes and returns the earliest event; the agenda must not be empty.
+func (a *agenda) pop() event {
+	if a.next < len(a.arrivals) && (len(a.heap) == 0 || a.arrivals[a.next].before(a.heap[0])) {
+		a.next++
+		return a.arrivals[a.next-1]
+	}
+	return a.heap.pop()
+}
+
+// dropStale pops the heap's stale top events; one never becomes live again.
+func (a *agenda) dropStale(stale func(event) bool) {
+	for len(a.heap) > 0 && stale(a.heap[0]) {
+		a.heap.pop()
+	}
+}
+
 // noWorker is the worker index of a dispatch that holds none: a shed frame,
 // or a frame between dispatches.
 const noWorker = -1
@@ -119,7 +171,7 @@ type eventLoop struct {
 	sessions []*session
 	sup      *supervisor
 
-	events      eventHeap
+	events      agenda
 	index       dispatchIndex // maintained by touch only (ready.go)
 	clockMS     float64       // the last non-tick event's instant
 	dispatchSeq int
@@ -132,26 +184,14 @@ type eventLoop struct {
 
 // run drives the simulation to completion.
 func (l *eventLoop) run() {
-	arrivals := 0
-	for i := range l.streams {
-		arrivals += len(l.streams[i].Frames)
-	}
-	l.events = make(eventHeap, 0, arrivals)
-	for i := range l.streams {
-		for j := range l.streams[i].Frames {
-			l.events.push(event{
-				timeMS: l.streams[i].Frames[j].ArrivalMS,
-				kind:   kindArrival, stream: i, seq: j,
-			})
-		}
-	}
+	l.events = newAgenda(l.streams)
 	for i, e := range l.sup.plan.Events {
 		l.events.push(event{timeMS: e.AtMS, kind: kindFault, stream: -1, seq: i})
 	}
 	if l.cfg.TickMS > 0 && l.cfg.OnTick != nil {
 		l.events.push(event{timeMS: l.cfg.TickMS, kind: kindTick})
 	}
-	for len(l.events) > 0 {
+	for l.events.len() > 0 {
 		ev := l.events.pop()
 		if l.stale(ev) {
 			// Skipped before the clock advances: an abandoned timer (a
@@ -164,10 +204,8 @@ func (l *eventLoop) run() {
 			// re-arms only while a live event remains: ticks never stretch
 			// the run's duration or outlive its work.
 			l.cfg.OnTick(ev.timeMS, l.Metrics)
-			for len(l.events) > 0 && l.stale(l.events[0]) {
-				l.events.pop()
-			}
-			if len(l.events) > 0 {
+			l.events.dropStale(l.stale)
+			if l.events.len() > 0 {
 				l.events.push(event{timeMS: ev.timeMS + l.cfg.TickMS, kind: kindTick})
 			}
 			continue
@@ -191,8 +229,8 @@ func (l *eventLoop) run() {
 	}
 }
 
-// arrive enqueues a frame under the bounded drop-oldest policy. Inside a
-// queue-saturation window the effective capacity collapses to one frame.
+// arrive enqueues a frame under the bounded drop-oldest policy, at depth one
+// inside a queue-saturation window (supervisor.queueDepth).
 func (l *eventLoop) arrive(ev event) {
 	s := l.sessions[ev.stream]
 	depth := l.sup.queueDepth(l.clockMS, l.cfg.QueueDepth)

@@ -308,13 +308,21 @@ func (s *Server) run(streams []Stream, audit func(*eventLoop, bool), keep bool) 
 	m.Inc("sessions/accepted", int64(len(admitted)))
 	m.Inc("sessions/rejected", int64(len(rep.Rejected)))
 
+	// The sessions, their resilient sessions and queue rings: a slab each.
 	core := NewCore(m, s.cfg.Tracer)
+	slab := make([]session, len(admitted))
 	sessions := make([]*session, len(admitted))
+	ladders := adascale.NewResilientSessions(len(admitted), s.reg.Kernels, s.cfg.Resilient)
+	depth := 0
+	for _, st := range admitted {
+		depth += min(s.cfg.QueueDepth, len(st.Frames))
+	}
+	rings := make([]TimedFrame, depth)
 	for i, st := range admitted {
-		sessions[i] = &session{
-			Lane:  Lane{ID: st.ID, Sess: adascale.NewResilientSession(s.reg.Kernels, s.cfg.Resilient)},
-			queue: FrameQueue{items: make([]TimedFrame, 0, min(s.cfg.QueueDepth, len(st.Frames)))},
-		}
+		depth = min(s.cfg.QueueDepth, len(st.Frames))
+		sessions[i] = &slab[i]
+		slab[i] = session{Lane: Lane{ID: st.ID, Sess: &ladders[i]}, queue: FrameQueue{buf: rings[:depth:depth]}}
+		rings = rings[depth:]
 		if keep {
 			sessions[i].outputs = make([]adascale.FrameOutput, 0, len(st.Frames))
 		}
@@ -344,6 +352,8 @@ func (s *Server) run(streams []Stream, audit func(*eventLoop, bool), keep bool) 
 	rep.DurationMS = loop.clockMS
 	m.Set("time/final_ms", loop.clockMS)
 	rep.Streams = make([]StreamReport, 0, len(sessions))
+	w := adascale.BudgetWindow
+	charges := make([]float64, len(sessions)*w) // the checkpoints' BudgetCharges
 	for i, sess := range sessions {
 		rep.Streams = append(rep.Streams, StreamReport{
 			ID:         sess.ID,
@@ -353,7 +363,7 @@ func (s *Server) run(streams []Stream, audit func(*eventLoop, bool), keep bool) 
 			Outputs:    sess.outputs,
 			Dropped:    sess.dropped,
 			SLOMisses:  sess.SLOMisses,
-			Checkpoint: sess.Sess.Checkpoint(),
+			Checkpoint: sess.Sess.CheckpointInto(charges[i*w : i*w : (i+1)*w]),
 		})
 		rep.Summary.Add(sess.outputs)
 	}

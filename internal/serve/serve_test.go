@@ -497,3 +497,23 @@ func TestServeNoGoroutineLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestTallyAllocsIndependentOfStreams: a model-only Tally allocates per run,
+// not per stream — its sessions, their resilient sessions, their queue rings
+// and the report's checkpoint charges each come from one slab, and no
+// arrival enters the event heap. So 1024 streams cost at most a few
+// allocations more than 64 (slice growth is logarithmic in the stream count).
+func TestTallyAllocsIndependentOfStreams(t *testing.T) {
+	ds, sys := system(t)
+	srv := newServer(t, sys, Config{
+		Workers: 4, QueueDepth: 8, SLOMS: 80, Resilient: adascale.DefaultResilientConfig(), ModelOnly: true,
+	})
+	allocs := func(streams int) float64 {
+		ld := load(t, ds, streams, 30, 4, 13)
+		return testing.AllocsPerRun(5, func() { srv.Tally(ld) })
+	}
+	few, many := allocs(64), allocs(1024)
+	if many-few > 16 {
+		t.Fatalf("Tally allocates %.0f times at 64 streams and %.0f at 1024: per-stream allocation is back", few, many)
+	}
+}

@@ -127,8 +127,8 @@ func (s *supervisor) freeWorker(nowMS float64) int {
 	return -1
 }
 
-// queueDepth returns the effective per-stream queue capacity at nowMS —
-// collapsed to one frame inside a saturation window.
+// queueDepth returns the effective per-stream queue depth at nowMS: one in a
+// saturation window (a deeper queue keeps its length: Push evicts one frame).
 func (s *supervisor) queueDepth(nowMS float64, configured int) int {
 	if nowMS < s.satUntil {
 		return 1

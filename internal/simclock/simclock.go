@@ -117,6 +117,11 @@ func NewBudget(deadlineMS float64, window int) *Budget {
 	return &Budget{deadlineMS: deadlineMS, window: make([]float64, window)}
 }
 
+// MakeBudget returns a budget whose rolling window is buf (len ≥ 1), by value.
+func MakeBudget(deadlineMS float64, buf []float64) Budget {
+	return Budget{deadlineMS: deadlineMS, window: buf}
+}
+
 // DeadlineMS returns the configured per-frame deadline (0 = disabled).
 func (b *Budget) DeadlineMS() float64 { return b.deadlineMS }
 
@@ -148,16 +153,18 @@ func (b *Budget) Reset() {
 // Charges returns the recorded window contents oldest-first — the state a
 // checkpoint must carry so a restored budget resumes with the same rolling
 // mean (replay them through Charge after a Reset).
-func (b *Budget) Charges() []float64 {
-	out := make([]float64, 0, b.filled)
+func (b *Budget) Charges() []float64 { return b.AppendCharges(make([]float64, 0, b.filled)) }
+
+// AppendCharges appends Charges' contents to dst and returns the result.
+func (b *Budget) AppendCharges(dst []float64) []float64 {
 	start := b.next - b.filled
 	if start < 0 {
 		start += len(b.window)
 	}
 	for i := 0; i < b.filled; i++ {
-		out = append(out, b.window[(start+i)%len(b.window)])
+		dst = append(dst, b.window[(start+i)%len(b.window)])
 	}
-	return out
+	return dst
 }
 
 // MeanMS returns the rolling mean per-frame cost (0 before any charge).

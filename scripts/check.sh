@@ -82,6 +82,9 @@ gate "go-test-race" go test -race -shuffle=on -timeout 60m ./...
 gate "fuzz-nms" go test -run='^$' -fuzz='^FuzzNMS$' -fuzztime=5s ./internal/detect
 gate "fuzz-evaluate" go test -run='^$' -fuzz='^FuzzEvaluate$' -fuzztime=5s ./internal/eval
 gate "fuzz-loadgen" go test -run='^$' -fuzz='^FuzzLoadgen$' -fuzztime=5s ./internal/serve
+# The queue ring must drop, pop and peek exactly as the slice queue it
+# replaced, at any depth schedule.
+gate "fuzz-frame-queue" go test -run='^$' -fuzz='^FuzzFrameQueue$' -fuzztime=5s ./internal/serve
 gate "fuzz-ingest" go test -run='^$' -fuzz='^FuzzIngestDecode$' -fuzztime=5s ./internal/server
 # The ingest scanner must build exactly what encoding/json builds for any
 # body it accepts itself.
@@ -91,6 +94,10 @@ gate "fuzz-conv" go test -run='^$' -fuzz='^FuzzConvGeometry$' -fuzztime=5s ./int
 gate "fuzz-matmul-abt" go test -run='^$' -fuzz='^FuzzMatMulABT$' -fuzztime=5s ./internal/tensor
 gate "fuzz-rng" go test -run='^$' -fuzz='^FuzzSeedStream$' -fuzztime=5s ./internal/rng
 gate "fuzz-histogram" go test -run='^$' -fuzz='^FuzzHistogram$' -fuzztime=5s ./internal/obs
+
+# The goldens again with fused multiply-add disabled in the runtime: a
+# second source for the figures they pin.
+gate "fma-off-regress" env GODEBUG=cpu.fma=off go test -count=1 ./internal/regress
 
 # End-to-end serving gate under the race detector: 200 simulated frames
 # across 4 streams at an unloaded rate must serve with zero drops and a
