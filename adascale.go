@@ -174,16 +174,11 @@ func Inject(snippets []Snippet, cfg FaultConfig) ([]Snippet, error) {
 // DefaultResilientConfig returns the standard degradation-ladder tuning.
 func DefaultResilientConfig() ResilientConfig { return adascale.DefaultResilientConfig() }
 
-// RunResilient runs Algorithm 1 over a snippet behind the degradation
-// ladder: sensor-observable faults propagate last-good detections,
-// invalid regressor predictions fall back to the last good scale, and an
-// optional per-frame deadline (ResilientConfig.DeadlineMS) forces lower
-// test scales when the rolling budget is exceeded.
-func RunResilient(det *Detector, reg *Regressor, sn *Snippet, cfg ResilientConfig) []FrameOutput {
-	return adascale.RunResilient(det, reg, sn, cfg)
-}
-
-// ResilientRunner returns a per-worker factory for the resilient pipeline.
+// ResilientRunner returns a per-worker factory for Algorithm 1 behind the
+// degradation ladder: sensor-observable faults propagate last-good
+// detections, invalid regressor predictions fall back to the last good
+// scale, and an optional per-frame deadline (ResilientConfig.DeadlineMS)
+// forces lower test scales when the rolling budget is exceeded.
 func ResilientRunner(det *Detector, reg *Regressor, cfg ResilientConfig) RunnerFactory {
 	return adascale.ResilientRunner(det, reg, cfg)
 }
@@ -336,11 +331,6 @@ type (
 	ClusterReport = cluster.Report
 	// ClusterNodeReport is one node's serving rollup inside the report.
 	ClusterNodeReport = cluster.NodeReport
-	// ClusterRing is the bounded-load consistent-hash ring that assigns
-	// streams to nodes with minimal remapping on membership change.
-	ClusterRing = cluster.Ring
-	// ClusterRingConfig seeds the ring's hashes.
-	ClusterRingConfig = cluster.RingConfig
 	// ClusterPlan is a seeded, sorted schedule of cluster events.
 	ClusterPlan = cluster.Plan
 	// ClusterEvent is one scheduled cluster event.
@@ -360,22 +350,9 @@ func NewCluster(det *Detector, reg *Regressor, cfg ClusterConfig) (*Cluster, err
 	return cluster.New(det, reg, cfg)
 }
 
-// NewClusterRing builds an empty bounded-load consistent-hash ring; Add
-// nodes, then Assign keys.
-func NewClusterRing(cfg ClusterRingConfig) *ClusterRing {
-	return cluster.NewRing(cfg)
-}
-
 // GenClusterPlan builds the deterministic cluster event schedule for the
 // config: same seed and config give the identical plan on any machine.
 func GenClusterPlan(cfg ClusterPlanConfig) (*ClusterPlan, error) { return cluster.GenPlan(cfg) }
-
-// DecodeClusterPlan decodes an arbitrary byte string into a structurally
-// valid cluster event plan (total: every input decodes), the adversarial
-// entry point the cluster fuzz harness drives.
-func DecodeClusterPlan(data []byte, nodes, streams int, horizonMS float64) *ClusterPlan {
-	return cluster.DecodePlan(data, nodes, streams, horizonMS)
-}
 
 // Video-acceleration baselines.
 type (

@@ -14,7 +14,7 @@ import (
 
 // This file is the graceful-degradation wrapper around Algorithm 1. The
 // plain AdaScale loop assumes a pristine camera feed and a well-behaved
-// regressor; deployed vision systems get neither. RunResilient keeps
+// regressor; deployed vision systems get neither. A ResilientSession keeps
 // producing detections — degraded, not absent — through a fixed fallback
 // order (the degradation ladder):
 //
@@ -171,7 +171,7 @@ func nextHigherScale(s int) int {
 // ResilientSession is the per-stream state of the degradation ladder: the
 // temporally-consistent scale schedule (target scale, deadline cap), the
 // last-good detections that propagation rungs re-emit, and the rolling
-// deadline budget. RunResilient drives one session over one snippet; the
+// deadline budget. ResilientRunner drives one session per snippet; the
 // serving layer (internal/serve) keeps one long-lived session per video
 // stream and feeds it frame by frame.
 //
@@ -487,15 +487,6 @@ func (s *ResilientSession) Step(det *rfcn.Detector, reg *regressor.Regressor, f 
 	return out
 }
 
-// RunResilient runs Algorithm 1 over a snippet with the degradation
-// ladder. With a clean stream, a finite regressor and no deadline it emits
-// exactly what RunAdaScale emits (pinned by test), so resilience costs
-// nothing when nothing goes wrong.
-func RunResilient(det *rfcn.Detector, reg *regressor.Regressor, sn *synth.Snippet, cfg ResilientConfig) []FrameOutput {
-	sess := NewResilientSession(reg.Kernels, cfg)
-	return runSession(sess, det, reg, sn)
-}
-
 // runSession drives an already-reset session over one snippet.
 func runSession(sess *ResilientSession, det *rfcn.Detector, reg *regressor.Regressor, sn *synth.Snippet) []FrameOutput {
 	outputs := make([]FrameOutput, 0, len(sn.Frames))
@@ -546,7 +537,7 @@ type HealthSummary struct {
 	RecoveryFrames int
 
 	// Unaccounted counts frames that emitted no detections without any
-	// degradation accounting — zero by construction for RunResilient (the
+	// degradation accounting — zero by construction for ResilientRunner (the
 	// acceptance invariant), typically non-zero for naive runners on a
 	// faulted stream.
 	Unaccounted int

@@ -9,6 +9,7 @@ import (
 	"adascale/internal/obs"
 	"adascale/internal/parallel"
 	"adascale/internal/regressor"
+	"adascale/internal/rfcn"
 	"adascale/internal/synth"
 )
 
@@ -22,17 +23,24 @@ func faulted(t *testing.T, ds *synth.Dataset, rate float64, seed int64) []synth.
 	return out
 }
 
+// runResilient runs Algorithm 1 over a snippet with the degradation ladder,
+// on a fresh session and the given detector and regressor (no clones).
+func runResilient(det *rfcn.Detector, reg *regressor.Regressor, sn *synth.Snippet, cfg ResilientConfig) []FrameOutput {
+	return runSession(NewResilientSession(reg.Kernels, cfg), det, reg, sn)
+}
+
 // TestResilientMatchesAdaScaleOnCleanStream pins the "resilience is free"
-// contract: with no faults, a finite regressor and no deadline,
-// RunResilient follows exactly RunAdaScale's scale schedule and costs, and
-// emits identical detections on every frame where the detector produced
-// any — the only permitted divergence is bridging a detector flicker
-// (naive emits empty, resilient propagates with explicit accounting).
+// contract: with no faults, a finite regressor and no deadline, the
+// resilient ladder follows exactly RunAdaScale's scale schedule and costs,
+// and emits identical detections on every frame where the detector
+// produced any — the only permitted divergence is bridging a detector
+// flicker (naive emits empty, resilient propagates with explicit
+// accounting).
 func TestResilientMatchesAdaScaleOnCleanStream(t *testing.T) {
 	ds, sys := system(t)
 	for i := range ds.Val {
 		want := RunAdaScale(sys.Detector, sys.Regressor, &ds.Val[i])
-		got := RunResilient(sys.Detector, sys.Regressor, &ds.Val[i], DefaultResilientConfig())
+		got := runResilient(sys.Detector, sys.Regressor, &ds.Val[i], DefaultResilientConfig())
 		if len(want) != len(got) {
 			t.Fatalf("snippet %d: %d outputs, want %d", i, len(got), len(want))
 		}
@@ -72,7 +80,7 @@ func TestResilientSurvivesPoisonedRegressor(t *testing.T) {
 	for _, p := range bad.Params() {
 		p.W.Fill(float32(math.NaN()))
 	}
-	outs := RunResilient(sys.Detector, bad, &ds.Val[0], DefaultResilientConfig())
+	outs := runResilient(sys.Detector, bad, &ds.Val[0], DefaultResilientConfig())
 	clamped := 0
 	for i, o := range outs {
 		if o.Scale < regressor.MinScale || o.Scale > regressor.MaxScale {
@@ -235,8 +243,8 @@ func TestResilientDeadlineForcesScaleDown(t *testing.T) {
 	ds, sys := system(t)
 	cfg := DefaultResilientConfig()
 	cfg.DeadlineMS = 40
-	outs := RunResilient(sys.Detector, sys.Regressor, &ds.Val[0], cfg)
-	free := RunResilient(sys.Detector, sys.Regressor, &ds.Val[0], DefaultResilientConfig())
+	outs := runResilient(sys.Detector, sys.Regressor, &ds.Val[0], cfg)
+	free := runResilient(sys.Detector, sys.Regressor, &ds.Val[0], DefaultResilientConfig())
 
 	s := Summarize(outs)
 	if s.DeadlineForced == 0 {
@@ -277,7 +285,7 @@ func TestResilientSessionResetNoLeak(t *testing.T) {
 	// Reused with Reset: byte-identical to a fresh session on stream 2.
 	sess.Reset()
 	got := runSession(sess, sys.Detector, sys.Regressor, &val[1])
-	want := RunResilient(sys.Detector, sys.Regressor, &val[1], cfg)
+	want := runResilient(sys.Detector, sys.Regressor, &val[1], cfg)
 	assertSameOutputs(t, want, got)
 	if s, w := Summarize(got), Summarize(want); s != w {
 		t.Fatalf("reused session summary diverged:\n  %v\nvs %v", s, w)
@@ -293,10 +301,10 @@ func TestResilientSessionResetNoLeak(t *testing.T) {
 	}
 
 	// The factory contract: every snippet a reused worker runner processes
-	// matches a fresh RunResilient (sequential reuse across sessions).
+	// matches a fresh runResilient (sequential reuse across sessions).
 	run := ResilientRunner(sys.Detector, sys.Regressor, cfg)()
 	for i := range val[:3] {
-		assertSameOutputs(t, RunResilient(sys.Detector, sys.Regressor, &val[i], cfg), run(&val[i]))
+		assertSameOutputs(t, runResilient(sys.Detector, sys.Regressor, &val[i], cfg), run(&val[i]))
 	}
 }
 

@@ -20,12 +20,6 @@ type SnippetRunner func(*synth.Snippet) []FrameOutput
 // the nn layers cache activations between calls and must not be shared.
 type RunnerFactory func() SnippetRunner
 
-// SharedRunner adapts a goroutine-safe runner (one that touches no mutable
-// state) into a RunnerFactory without cloning anything.
-func SharedRunner(run SnippetRunner) RunnerFactory {
-	return func() SnippetRunner { return run }
-}
-
 // FixedRunner returns a factory for RunFixed at the given scale. Each
 // worker gets its own detector clone.
 func FixedRunner(det *rfcn.Detector, scale int) RunnerFactory {

@@ -15,7 +15,6 @@ package cluster
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sort"
 
@@ -200,10 +199,4 @@ func (r *Ring) slot(node int) int { return sort.SearchInts(r.nodes, node) }
 func ringHash(seed int64, a, b, salt uint64) uint64 {
 	z := uint64(seed)*0x9E3779B97F4A7C15 + a*0xBF58476D1CE4E5B9 + b*0x94D049BB133111EB + salt
 	return rng.Mix64(z)
-}
-
-// String renders the ring for debugging: node count and per-node point
-// counts.
-func (r *Ring) String() string {
-	return fmt.Sprintf("ring{nodes=%d replicas=%d load_factor=%.2f}", len(r.nodes), ringReplicas, ringLoadFactor)
 }

@@ -184,22 +184,6 @@ func drawKind(rng *rand.Rand, cfg *Config) synth.FaultKind {
 	return synth.FaultNone
 }
 
-// Count returns the number of faulted frames per kind across the snippets
-// (index by synth.FaultKind) and the total frame count.
-func Count(snippets []synth.Snippet) (counts [synth.NumFaultKinds]int, frames int) {
-	for i := range snippets {
-		for j := range snippets[i].Frames {
-			frames++
-			if fl := snippets[i].Frames[j].Fault; fl != nil {
-				counts[fl.Kind]++
-			} else {
-				counts[synth.FaultNone]++
-			}
-		}
-	}
-	return counts, frames
-}
-
 // injectSeed mixes the config seed and snippet ID (splitmix64 finaliser)
 // into an independent per-snippet stream, distinct from the generation and
 // runner streams.

@@ -71,14 +71,22 @@ func TestInjectTagsAndRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts, frames := Count(out)
-	faulted := frames - counts[synth.FaultNone]
+	var counts [synth.NumFaultKinds]int
+	frames := synth.Frames(out)
+	for _, f := range frames {
+		kind := synth.FaultNone
+		if f.Fault != nil {
+			kind = f.Fault.Kind
+		}
+		counts[kind]++
+	}
+	faulted := len(frames) - counts[synth.FaultNone]
 	if faulted == 0 {
 		t.Fatal("no faults injected at rate 0.4")
 	}
 	// Bursts push the realised rate above the nominal draw rate; allow a
 	// generous band around it.
-	realised := float64(faulted) / float64(frames)
+	realised := float64(faulted) / float64(len(frames))
 	if realised < rate*0.5 || realised > rate*1.8 {
 		t.Fatalf("realised fault rate %.2f far from nominal %.2f", realised, rate)
 	}

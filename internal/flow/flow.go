@@ -147,37 +147,6 @@ func subpixel(l, c, r float64) float64 {
 	return d
 }
 
-// At returns the flow at pixel (x, y) of the estimation image.
-func (f *Field) At(x, y int) (u, v float32) {
-	bx, by := x/f.Block, y/f.Block
-	if bx < 0 {
-		bx = 0
-	}
-	if by < 0 {
-		by = 0
-	}
-	if bx >= f.Cols {
-		bx = f.Cols - 1
-	}
-	if by >= f.Rows {
-		by = f.Rows - 1
-	}
-	i := by*f.Cols + bx
-	return f.U[i], f.V[i]
-}
-
-// MeanMagnitude returns the average displacement magnitude over all cells.
-func (f *Field) MeanMagnitude() float64 {
-	if len(f.U) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range f.U {
-		s += math.Hypot(float64(f.U[i]), float64(f.V[i]))
-	}
-	return s / float64(len(f.U))
-}
-
 // MeanResidual returns the average per-pixel matching residual — the flow
 // quality metric DFF-style systems use to decide how trustworthy
 // propagation is.

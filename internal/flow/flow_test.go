@@ -16,14 +16,17 @@ func texturedImage(rng *rand.Rand, w, h int) *raster.Image {
 	for i := range im.Pix {
 		im.Pix[i] = rng.Float32()
 	}
-	return im.BoxBlur(1) // correlate neighbours slightly
+	im.BoxBlurInPlace(1) // correlate neighbours slightly
+	return im
 }
 
 // shifted returns a copy of im translated by (dx, dy), filling new pixels
 // with mid-gray.
 func shifted(im *raster.Image, dx, dy int) *raster.Image {
 	out := raster.New(im.W, im.H)
-	out.Fill(0.5)
+	for i := range out.Pix {
+		out.Pix[i] = 0.5
+	}
 	for y := 0; y < im.H; y++ {
 		for x := 0; x < im.W; x++ {
 			sx, sy := x-dx, y-dy
@@ -50,8 +53,10 @@ func TestZeroFlowOnIdenticalFrames(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	im := texturedImage(rng, 48, 32)
 	f := mustEstimate(t, im, im, 8, 4)
-	if f.MeanMagnitude() != 0 {
-		t.Fatalf("identical frames must give zero flow, got %v", f.MeanMagnitude())
+	for i := range f.U {
+		if f.U[i] != 0 || f.V[i] != 0 {
+			t.Fatalf("identical frames must give zero flow, cell %d has (%v, %v)", i, f.U[i], f.V[i])
+		}
 	}
 	if f.MeanResidual() != 0 {
 		t.Fatalf("identical frames must match perfectly, residual %v", f.MeanResidual())
@@ -80,19 +85,6 @@ func TestRecoversGlobalTranslation(t *testing.T) {
 			t.Fatalf("shift %v: only %d/%d interior blocks recovered", shift, okCount, total)
 		}
 	}
-}
-
-func TestFieldAtClamps(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	im := texturedImage(rng, 32, 32)
-	f := mustEstimate(t, im, shifted(im, 1, 0), 8, 2)
-	// Out-of-range lookups clamp to border cells rather than panicking.
-	u1, v1 := f.At(-5, -5)
-	u2, v2 := f.At(0, 0)
-	if u1 != u2 || v1 != v2 {
-		t.Fatal("negative lookup must clamp to cell (0,0)")
-	}
-	f.At(1000, 1000) // must not panic
 }
 
 func TestWarpBoxFollowsMotion(t *testing.T) {

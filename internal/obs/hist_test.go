@@ -33,7 +33,7 @@ func logUniform(r *rand.Rand, n int, lo, hi, zeroShare float64) []float64 {
 // nearest-rank sample and never above it.
 func TestMetricsQuantilesBounded(t *testing.T) {
 	m := NewMetrics()
-	if m.Quantile("empty", 0.5) != 0 || m.Mean("empty") != 0 || m.Count("empty") != 0 {
+	if m.Quantile("empty", 0.5) != 0 || m.Mean("empty") != 0 || m.HistogramOf("empty").n != 0 {
 		t.Fatal("empty histogram not zero-valued")
 	}
 	for seed := int64(1); seed <= 20; seed++ {
@@ -47,8 +47,8 @@ func TestMetricsQuantilesBounded(t *testing.T) {
 		}
 		sort.Float64s(samples)
 		n := len(samples)
-		if m.Count("h") != n || m.Mean("h") != sum/float64(n) {
-			t.Fatalf("seed %d: n=%d mean=%v, want %d %v", seed, m.Count("h"), m.Mean("h"), n, sum/float64(n))
+		if m.HistogramOf("h").n != n || m.Mean("h") != sum/float64(n) {
+			t.Fatalf("seed %d: n=%d mean=%v, want %d %v", seed, m.HistogramOf("h").n, m.Mean("h"), n, sum/float64(n))
 		}
 		if lo, hi := m.Quantile("h", 1e-9), m.Quantile("h", 1); lo != samples[0] || hi != samples[n-1] {
 			t.Fatalf("seed %d: min/max = %v/%v, want %v/%v", seed, lo, hi, samples[0], samples[n-1])
@@ -100,7 +100,7 @@ func TestMetricsMergeOrderIndependent(t *testing.T) {
 			for _, m := range []*Metrics{parts[i], all} {
 				m.Observe(name, v)
 				m.Inc("frames/served", 1)
-				m.SetMax("queue/peak_depth", v)
+				m.GaugeOf("queue/peak_depth").SetMax(v)
 			}
 		}
 	}
@@ -141,7 +141,7 @@ func TestMetricsNonFinite(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		m.Observe("h", v)
 	}
-	if m.Count("h") != 2 || m.Mean("h") != 2 || m.Quantile("h", 1e-9) != 1 || m.Quantile("h", 1) != 3 {
+	if m.HistogramOf("h").n != 2 || m.Mean("h") != 2 || m.Quantile("h", 1e-9) != 1 || m.Quantile("h", 1) != 3 {
 		t.Fatalf("non-finite samples leaked into the histogram:\n%s", m.Snapshot())
 	}
 	snap := m.Snapshot()
@@ -220,10 +220,10 @@ func FuzzHistogram(f *testing.F) {
 			case 2:
 				b.Observe("h", v)
 			case 3:
-				na, nb := a.Count("h"), b.Count("h")
+				na, nb := a.HistogramOf("h").n, b.HistogramOf("h").n
 				a.Merge(b)
-				if a.Count("h") != na+nb || b.Count("h") != nb {
-					t.Fatalf("Merge: %d + %d samples became %d (source now %d)", na, nb, a.Count("h"), b.Count("h"))
+				if a.HistogramOf("h").n != na+nb || b.HistogramOf("h").n != nb {
+					t.Fatalf("Merge: %d + %d samples became %d (source now %d)", na, nb, a.HistogramOf("h").n, b.HistogramOf("h").n)
 				}
 				b = NewMetrics()
 				continue

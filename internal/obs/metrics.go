@@ -9,8 +9,8 @@
 // record into the same structures the serving scheduler uses. A hot path
 // records through handles (Counter, Gauge, Histogram) it resolves once, so a
 // sample costs no name lookup and no lock; the string-keyed methods (Inc,
-// Set, SetMax, Observe) are the cold path, for writes too rare to resolve
-// and for callers on goroutines of their own. The snapshot is write-only:
+// Set, Observe) are the cold path, for writes too rare to resolve and for
+// callers on goroutines of their own. The snapshot is write-only:
 // no library code parses it back, and its text format is pinned byte for
 // byte by the committed golden snapshots under internal/regress/testdata.
 // The tracer only collects the spans its producers build
@@ -175,23 +175,6 @@ func (m *Metrics) Set(name string, v float64) {
 	m.mu.Unlock()
 }
 
-// SetMax raises the named gauge to v if v is greater (peak tracking).
-func (m *Metrics) SetMax(name string, v float64) {
-	m.mu.Lock()
-	handle(m.gauges, &m.spareGauges, name).SetMax(v)
-	m.mu.Unlock()
-}
-
-// Gauge returns the named gauge's value (0 if never set).
-func (m *Metrics) Gauge(name string) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if g := m.gauges[name]; g != nil {
-		return g.v
-	}
-	return 0
-}
-
 // Observe records one sample in the named histogram (Histogram.Observe).
 func (m *Metrics) Observe(name string, v float64) {
 	m.mu.Lock()
@@ -233,16 +216,6 @@ func (m *Metrics) Merge(src *Metrics) {
 			handle(m.hists, &m.spareHists, k).merge(h)
 		}
 	}
-}
-
-// Count returns the number of finite samples in the named histogram.
-func (m *Metrics) Count(name string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if h := m.hists[name]; h != nil {
-		return h.n
-	}
-	return 0
 }
 
 // Quantile returns the q-quantile (nearest-rank, q in (0, 1]) of the named

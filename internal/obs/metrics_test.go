@@ -9,7 +9,7 @@ import (
 
 func TestMetricsCountersAndGauges(t *testing.T) {
 	m := NewMetrics()
-	if m.Counter("missing") != 0 || m.Gauge("missing") != 0 {
+	if m.Counter("missing") != 0 || m.GaugeOf("missing").v != 0 {
 		t.Fatal("unset counter/gauge not zero")
 	}
 	m.Inc("frames/served", 3)
@@ -18,18 +18,19 @@ func TestMetricsCountersAndGauges(t *testing.T) {
 		t.Fatalf("counter = %d, want 5", got)
 	}
 	m.Set("time/final_ms", 12.5)
-	if got := m.Gauge("time/final_ms"); got != 12.5 {
+	if got := m.GaugeOf("time/final_ms").v; got != 12.5 {
 		t.Fatalf("gauge = %v, want 12.5", got)
 	}
-	m.SetMax("queue/peak_depth", 3)
-	m.SetMax("queue/peak_depth", 1)
-	m.SetMax("queue/peak_depth", 7)
-	if got := m.Gauge("queue/peak_depth"); got != 7 {
+	peak := m.GaugeOf("queue/peak_depth")
+	peak.SetMax(3)
+	peak.SetMax(1)
+	peak.SetMax(7)
+	if got := m.GaugeOf("queue/peak_depth").v; got != 7 {
 		t.Fatalf("SetMax gauge = %v, want 7", got)
 	}
 	// SetMax must also establish a gauge whose first value is negative.
-	m.SetMax("neg", -4)
-	if got := m.Gauge("neg"); got != -4 {
+	m.GaugeOf("neg").SetMax(-4)
+	if got := m.GaugeOf("neg").v; got != -4 {
 		t.Fatalf("SetMax first value = %v, want -4", got)
 	}
 }
@@ -82,15 +83,12 @@ func TestMetricsConcurrentAccess(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				m.Inc("c", 1)
 				m.Set("g", float64(i))
-				m.SetMax("peak", float64(g*perG+i))
 				m.Observe("h", float64(i))
 
 				writers.Lock()
 				_ = m.Counter("c")
-				_ = m.Gauge("g")
 				_ = m.Quantile("h", 0.5)
 				_ = m.Mean("h")
-				_ = m.Count("h")
 				_ = m.Snapshot()
 				writers.Unlock()
 			}
@@ -120,14 +118,12 @@ func TestMetricsConcurrentAccess(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"h", "handle/h"} {
-		if got := m.Count(name); got != goroutines*perG {
+		if got := m.HistogramOf(name).n; got != goroutines*perG {
 			t.Fatalf("hist %s count = %d, want %d", name, got, goroutines*perG)
 		}
 	}
-	for _, name := range []string{"peak", "handle/peak"} {
-		if got := m.Gauge(name); got != goroutines*perG-1 {
-			t.Fatalf("%s = %v, want %d", name, got, goroutines*perG-1)
-		}
+	if got := m.GaugeOf("handle/peak").v; got != goroutines*perG-1 {
+		t.Fatalf("handle/peak = %v, want %d", got, goroutines*perG-1)
 	}
 }
 
@@ -153,8 +149,8 @@ func TestMetricsHandles(t *testing.T) {
 	m.Inc("c", 3)
 	h.Observe(4)
 	m.Observe("h", 6)
-	if m.Counter("c") != 5 || m.Count("h") != 2 || m.Mean("h") != 5 {
-		t.Fatalf("handle and name disagree: c=%d h n=%d mean=%v", m.Counter("c"), m.Count("h"), m.Mean("h"))
+	if m.Counter("c") != 5 || m.HistogramOf("h").n != 2 || m.Mean("h") != 5 {
+		t.Fatalf("handle and name disagree: c=%d h n=%d mean=%v", m.Counter("c"), m.HistogramOf("h").n, m.Mean("h"))
 	}
 
 	zero := NewMetrics()
@@ -168,13 +164,13 @@ func TestMetricsHandles(t *testing.T) {
 	// no later value then exceeds.
 	g.SetMax(-4)
 	g.SetMax(-9)
-	if got := m.Gauge("g"); got != -4 {
+	if got := m.GaugeOf("g").v; got != -4 {
 		t.Fatalf("SetMax first value = %v, want -4", got)
 	}
 	nan := m.GaugeOf("nan")
 	nan.SetMax(math.NaN())
 	nan.SetMax(5)
-	if got := m.Gauge("nan"); !math.IsNaN(got) {
+	if got := m.GaugeOf("nan").v; !math.IsNaN(got) {
 		t.Fatalf("SetMax after a first NaN = %v, want NaN", got)
 	}
 
@@ -183,12 +179,12 @@ func TestMetricsHandles(t *testing.T) {
 	into := NewMetrics()
 	peak := into.GaugeOf("g")
 	into.Merge(m)
-	if got := into.Gauge("g"); got != -4 {
+	if got := into.GaugeOf("g").v; got != -4 {
 		t.Fatalf("merged into an unwritten handle: %v, want -4", got)
 	}
 	peak.SetMax(-7)
 	into.Merge(m)
-	if got := into.Gauge("g"); got != -4 {
+	if got := into.GaugeOf("g").v; got != -4 {
 		t.Fatalf("merge max = %v, want -4", got)
 	}
 	if want := m.Snapshot(); !strings.Contains(want, "gauge   nan                      NaN") {
@@ -200,12 +196,12 @@ func TestMetricsMerge(t *testing.T) {
 	a, b := NewMetrics(), NewMetrics()
 	a.Inc("frames/served", 3)
 	a.Set("time/final_ms", 100)
-	a.SetMax("queue/peak_depth", 2)
+	a.GaugeOf("queue/peak_depth").SetMax(2)
 	a.Observe("latency/ms", 10)
 	b.Inc("frames/served", 4)
 	b.Inc("frames/dropped", 1)
 	b.Set("time/final_ms", 80)
-	b.SetMax("queue/peak_depth", 5)
+	b.GaugeOf("queue/peak_depth").SetMax(5)
 	b.Observe("latency/ms", 30)
 	b.Observe("queue/wait_ms", 7)
 
@@ -218,23 +214,23 @@ func TestMetricsMerge(t *testing.T) {
 	}
 	// Gauges merge as high-water marks: the larger side wins regardless of
 	// which registry held it.
-	if got := a.Gauge("time/final_ms"); got != 100 {
+	if got := a.GaugeOf("time/final_ms").v; got != 100 {
 		t.Fatalf("merged gauge = %v, want 100 (max)", got)
 	}
-	if got := a.Gauge("queue/peak_depth"); got != 5 {
+	if got := a.GaugeOf("queue/peak_depth").v; got != 5 {
 		t.Fatalf("merged peak gauge = %v, want 5 (max)", got)
 	}
-	if got := a.Count("latency/ms"); got != 2 {
+	if got := a.HistogramOf("latency/ms").n; got != 2 {
 		t.Fatalf("merged hist count = %d, want 2", got)
 	}
 	if got := a.Quantile("latency/ms", 1.0); got != 30 {
 		t.Fatalf("merged hist max = %v, want 30", got)
 	}
-	if got := a.Count("queue/wait_ms"); got != 1 {
+	if got := a.HistogramOf("queue/wait_ms").n; got != 1 {
 		t.Fatalf("merged new hist count = %d, want 1", got)
 	}
 	// The source registry must not be mutated by the merge.
-	if b.Counter("frames/served") != 4 || b.Count("latency/ms") != 1 {
+	if b.Counter("frames/served") != 4 || b.HistogramOf("latency/ms").n != 1 {
 		t.Fatal("Merge mutated its source registry")
 	}
 	// Self-merge and nil-merge are no-ops, not double counts.
@@ -258,7 +254,6 @@ func BenchmarkMetrics(b *testing.B) {
 		{"inc/handle", func(float64) { c.Add(1) }},
 		{"inc/name", func(float64) { m.Inc("frames/served", 1) }},
 		{"setmax/handle", g.SetMax},
-		{"setmax/name", func(v float64) { m.SetMax("queue/peak_depth", v) }},
 		{"observe/handle", h.Observe},
 		{"observe/name", func(v float64) { m.Observe("latency/ms", v) }},
 	} {

@@ -1,13 +1,13 @@
 // Package raster provides grayscale float32 images plus the operations the
-// AdaScale pipeline needs: bilinear resize following the Fast R-CNN
-// protocol (shortest side = scale, longest side capped), primitive drawing
-// with per-class texture patterns for the synthetic video renderer, additive
-// noise, and box blur used to model motion blur and camera-focus failure.
+// AdaScale pipeline needs: the Fast R-CNN scale factor (shortest side =
+// scale, longest side capped) at which frames are rendered directly,
+// primitive drawing with per-class texture patterns for the synthetic video
+// renderer, additive noise, and box blur used to model motion blur and
+// camera-focus failure.
 package raster
 
 import (
 	"fmt"
-	"math"
 
 	"adascale/internal/rng"
 )
@@ -31,8 +31,8 @@ func New(w, h int) *Image {
 
 // Reuse is New into caller-owned storage, for a caller about to write every
 // pixel: it resizes buf to w×h, keeping its pixel storage when the capacity
-// suffices, and returns it. The pixels are whatever the storage held — Fill
-// or overwrite them. A nil buf allocates as New does.
+// suffices, and returns it. The pixels are whatever the storage held —
+// overwrite them. A nil buf allocates as New does.
 func Reuse(buf *Image, w, h int) *Image {
 	if buf == nil {
 		return New(w, h)
@@ -45,93 +45,12 @@ func Reuse(buf *Image, w, h int) *Image {
 	return buf
 }
 
-// At returns the pixel at (x, y); out-of-bounds reads return 0.
-func (im *Image) At(x, y int) float32 {
-	if x < 0 || x >= im.W || y < 0 || y >= im.H {
-		return 0
-	}
-	return im.Pix[y*im.W+x]
-}
-
 // Set writes the pixel at (x, y); out-of-bounds writes are ignored.
 func (im *Image) Set(x, y int, v float32) {
 	if x < 0 || x >= im.W || y < 0 || y >= im.H {
 		return
 	}
 	im.Pix[y*im.W+x] = v
-}
-
-// Fill sets every pixel to v.
-func (im *Image) Fill(v float32) {
-	for i := range im.Pix {
-		im.Pix[i] = v
-	}
-}
-
-// Clone returns a deep copy.
-func (im *Image) Clone() *Image {
-	c := New(im.W, im.H)
-	copy(c.Pix, im.Pix)
-	return c
-}
-
-// Mean returns the average pixel value; 0 for empty images.
-func (im *Image) Mean() float64 {
-	if len(im.Pix) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range im.Pix {
-		s += float64(v)
-	}
-	return s / float64(len(im.Pix))
-}
-
-// Shortest returns the length of the shorter image side — the paper's
-// definition of "scale".
-func (im *Image) Shortest() int {
-	if im.W < im.H {
-		return im.W
-	}
-	return im.H
-}
-
-// Longest returns the length of the longer image side.
-func (im *Image) Longest() int {
-	if im.W > im.H {
-		return im.W
-	}
-	return im.H
-}
-
-// ResizeBilinear resizes to exactly newW×newH with bilinear sampling.
-func (im *Image) ResizeBilinear(newW, newH int) *Image {
-	out := New(newW, newH)
-	if newW == 0 || newH == 0 || im.W == 0 || im.H == 0 {
-		return out
-	}
-	sx := float64(im.W) / float64(newW)
-	sy := float64(im.H) / float64(newH)
-	for y := 0; y < newH; y++ {
-		fy := (float64(y)+0.5)*sy - 0.5
-		y0 := int(math.Floor(fy))
-		wy := float32(fy - float64(y0))
-		y1 := y0 + 1
-		y0 = clampInt(y0, 0, im.H-1)
-		y1 = clampInt(y1, 0, im.H-1)
-		for x := 0; x < newW; x++ {
-			fx := (float64(x)+0.5)*sx - 0.5
-			x0 := int(math.Floor(fx))
-			wx := float32(fx - float64(x0))
-			x1 := x0 + 1
-			x0 = clampInt(x0, 0, im.W-1)
-			x1 = clampInt(x1, 0, im.W-1)
-			top := im.Pix[y0*im.W+x0]*(1-wx) + im.Pix[y0*im.W+x1]*wx
-			bot := im.Pix[y1*im.W+x0]*(1-wx) + im.Pix[y1*im.W+x1]*wx
-			out.Pix[y*newW+x] = top*(1-wy) + bot*wy
-		}
-	}
-	return out
 }
 
 // ScaleFactor returns the resize factor that maps an image of size w×h to a
@@ -150,21 +69,6 @@ func ScaleFactor(w, h, scale, maxLong int) float64 {
 		f = float64(maxLong) / float64(long)
 	}
 	return f
-}
-
-// ResizeToScale resizes so the shortest side equals scale, capping the
-// longest side at maxLong per the Fast R-CNN protocol.
-func (im *Image) ResizeToScale(scale, maxLong int) *Image {
-	f := ScaleFactor(im.W, im.H, scale, maxLong)
-	nw := int(math.Round(float64(im.W) * f))
-	nh := int(math.Round(float64(im.H) * f))
-	if nw < 1 {
-		nw = 1
-	}
-	if nh < 1 {
-		nh = 1
-	}
-	return im.ResizeBilinear(nw, nh)
 }
 
 // noiseChunk is how many normals AddNoise draws at a time: a block long
@@ -193,25 +97,18 @@ func (im *Image) AddNoise(r *rng.Rand, sigma float64) {
 	}
 }
 
-// BoxBlur applies a separable box blur of the given radius; radius 0 is a
-// no-op. Used to model motion blur and de-focus.
-func (im *Image) BoxBlur(radius int) *Image {
-	out := im.Clone()
-	out.BoxBlurInPlace(radius)
-	return out
-}
-
 // blurRows is how many rows the horizontal pass runs at once: a running sum
 // is a chain of dependent adds, and four independent chains overlap them.
 const blurRows = 4
 
-// BoxBlurInPlace is BoxBlur written back over im: a horizontal running-sum
-// pass, then a vertical one, both clamping reads at the image edge. Every
-// pixel of either pass receives the chain `sum -= leaving; sum += entering;
-// sum/n` of the textbook column-by-column form, from the same start and in
-// the same order, so the pixels are that form's exactly; what differs is that
-// both passes walk memory row-wise and that the scratch is a few lines, not
-// an image.
+// BoxBlurInPlace applies a separable box blur of the given radius over im;
+// radius 0 is a no-op. Used to model motion blur and de-focus. It is a
+// horizontal running-sum pass, then a vertical one, both clamping reads at
+// the image edge. Every pixel of either pass receives the chain `sum -=
+// leaving; sum += entering; sum/n` of the textbook column-by-column form,
+// from the same start and in the same order, so the pixels are that form's
+// exactly; what differs is that both passes walk memory row-wise and that
+// the scratch is a few lines, not an image.
 func (im *Image) BoxBlurInPlace(radius int) {
 	w, h := im.W, im.H
 	if radius <= 0 || w == 0 || h == 0 {

@@ -137,20 +137,6 @@ func (r *Regressor) Fit(labels []Label, cfg TrainConfig) []float64 {
 	return epochLoss
 }
 
-// MSE evaluates the Eq. 4 loss of the regressor on labels without updating
-// weights.
-func (r *Regressor) MSE(labels []Label) float64 {
-	if len(labels) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, lb := range labels {
-		d := r.Forward(lb.Features) - lb.Target
-		sum += 0.5 * d * d
-	}
-	return sum / float64(len(labels))
-}
-
 // clipGradients rescales all gradients so their global L2 norm does not
 // exceed maxNorm — cheap insurance against the occasional exploding step
 // that can kill a ReLU branch for good.

@@ -9,7 +9,7 @@ import (
 // clones being behaviourally indistinguishable).
 func TestCloneProducesIdenticalOutputs(t *testing.T) {
 	ds := testDataset(t, 31, 2, 1)
-	det := NewMS(&ds.Config)
+	det := New(&ds.Config, []int{600, 480, 360, 240})
 	clone := det.Clone()
 
 	for _, scale := range []int{600, 360} {
@@ -44,7 +44,7 @@ func TestCloneProducesIdenticalOutputs(t *testing.T) {
 // depend on.
 func TestCloneIsIndependent(t *testing.T) {
 	ds := testDataset(t, 32, 2, 1)
-	det := NewMS(&ds.Config)
+	det := New(&ds.Config, []int{600, 480, 360, 240})
 	f := &ds.Val[0].Frames[0]
 	before := det.DetectWithFeatures(f, 480)
 

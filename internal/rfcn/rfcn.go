@@ -130,9 +130,6 @@ func New(data *synth.Config, trainScales []int) *Detector {
 // NewSS creates the SS baseline: trained at scale 600 only.
 func NewSS(data *synth.Config) *Detector { return New(data, []int{600}) }
 
-// NewMS creates the paper's default multi-scale detector.
-func NewMS(data *synth.Config) *Detector { return New(data, []int{600, 480, 360, 240}) }
-
 // MultiScale reports whether the detector was multi-scale trained.
 func (d *Detector) MultiScale() bool { return len(d.TrainScales) > 1 }
 

@@ -116,7 +116,7 @@ func TestFalsePositivesGrowWithScale(t *testing.T) {
 
 func TestMultiScaleTrainingReducesFalsePositives(t *testing.T) {
 	ds := testDataset(t, 4, 8, 0)
-	ss, ms := NewSS(&ds.Config), NewMS(&ds.Config)
+	ss, ms := NewSS(&ds.Config), New(&ds.Config, []int{600, 480, 360, 240})
 	ssFP, msFP := 0, 0
 	for _, fr := range synth.Frames(ds.Train) {
 		ssFP += countFPs(ss.Detect(fr, 600))
@@ -134,7 +134,7 @@ func TestOverLargeObjectDetectedBetterWhenDownscaled(t *testing.T) {
 	// A 560-px object at 600 has apparent size ≈ 467 px — far above the
 	// band. At 240 it is ≈ 187 px — inside. Paper source (ii).
 	fr := frameWithObject(560, 15 /* lion */, 0)
-	det := NewMS(&synth.Config{})
+	det := New(&synth.Config{}, []int{600, 480, 360, 240})
 	det.Data = func() *synth.Config { c := synth.VIDLike(1); return &c }()
 	hi, lo := 0, 0
 	// The detection draw is a single coin flip per frame seed; average over
@@ -165,7 +165,7 @@ func TestSmallObjectNeedsHighScale(t *testing.T) {
 	cfg.MaxObjects = 1
 	ds, _ := synth.Generate(cfg, 1, 0)
 	small := frameWithObject(70, 0, 0)
-	det := NewMS(&ds.Config)
+	det := New(&ds.Config, []int{600, 480, 360, 240})
 	hi, lo := 0, 0
 	for i := range ds.Train[0].Frames {
 		f := &ds.Train[0].Frames[i]
@@ -202,7 +202,7 @@ func TestRuntimeDecreasesWithScale(t *testing.T) {
 
 func TestClassProbsWellFormed(t *testing.T) {
 	ds := testDataset(t, 7, 3, 0)
-	det := NewMS(&ds.Config)
+	det := New(&ds.Config, []int{600, 480, 360, 240})
 	for _, fr := range synth.Frames(ds.Train) {
 		r := det.Detect(fr, 480)
 		for _, d := range r.Detections {

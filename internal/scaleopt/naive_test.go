@@ -48,7 +48,7 @@ func TestNaiveVsEqualisedOnDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	detr := rfcn.NewMS(&ds.Config)
+	detr := rfcn.New(&ds.Config, []int{600, 480, 360, 240})
 	scales := []int{600, 480, 360, 240}
 	var naiveSum, fairSum float64
 	n := 0

@@ -181,7 +181,7 @@ func TestOptimalScaleEndToEnd(t *testing.T) {
 	cfg.FramesPerSnippet = 30
 	cfg.MaxObjects = 1
 	ds, _ := synth.Generate(cfg, 1, 0)
-	detector := rfcn.NewMS(&ds.Config)
+	detector := rfcn.New(&ds.Config, []int{600, 480, 360, 240})
 	scales := []int{600, 480, 360, 240, 128}
 
 	place := func(f *synth.Frame, size float64) {

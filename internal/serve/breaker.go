@@ -20,18 +20,6 @@ const (
 	breakerHalfOpen
 )
 
-// String names the state for metrics.
-func (s breakerState) String() string {
-	switch s {
-	case breakerClosed:
-		return "closed"
-	case breakerOpen:
-		return "open"
-	default:
-		return "half-open"
-	}
-}
-
 // breaker is one stream's circuit state. The zero value is unusable; build
 // with newBreaker.
 type breaker struct {

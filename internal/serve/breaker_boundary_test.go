@@ -11,6 +11,18 @@ import "testing"
 // off-by-one in shouldShed/onFailure shows up as a table diff rather than a
 // subtle golden drift.
 
+// String names the state in failure messages.
+func (s breakerState) String() string {
+	switch s {
+	case breakerClosed:
+		return "closed"
+	case breakerOpen:
+		return "open"
+	default:
+		return "half-open"
+	}
+}
+
 // openBreaker returns a breaker driven into the open state at openAtMS.
 func openBreaker(t *testing.T, threshold int, cooldownMS, openAtMS float64) *breaker {
 	t.Helper()

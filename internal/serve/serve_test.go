@@ -294,13 +294,13 @@ func TestServeSLOStepsScaleDown(t *testing.T) {
 
 // TestServeMatchesOfflineRunner pins serving semantics to the offline
 // resilient runner: one unloaded stream over exactly one snippet, no SLO,
-// must emit the same scales, detections and health as RunResilient.
+// must emit the same scales, detections and health as ResilientRunner.
 func TestServeMatchesOfflineRunner(t *testing.T) {
 	ds, sys := system(t)
 	frames := len(ds.Val[0].Frames)
 	streams := load(t, ds, 1, 2, frames, 13)
 	rep := newServer(t, sys, Config{Workers: 2, QueueDepth: 8, Resilient: adascale.DefaultResilientConfig()}).Run(streams)
-	want := adascale.RunResilient(sys.Detector, sys.Regressor, &ds.Val[0], adascale.DefaultResilientConfig())
+	want := adascale.ResilientRunner(sys.Detector, sys.Regressor, adascale.DefaultResilientConfig())()(&ds.Val[0])
 
 	got := rep.Streams[0].Outputs
 	if len(got) != len(want) {

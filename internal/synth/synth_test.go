@@ -132,10 +132,10 @@ func TestRenderSizesFollowScaleProtocol(t *testing.T) {
 	for _, scale := range []int{600, 480, 360, 240, 128} {
 		im := fr.Render(scale/ds.Config.RenderDiv, 2000, ds.Config.RenderDiv)
 		want := scale / ds.Config.RenderDiv
-		if im.Shortest() != want {
-			t.Fatalf("scale %d: rendered shortest %d, want %d", scale, im.Shortest(), want)
+		if short := min(im.W, im.H); short != want {
+			t.Fatalf("scale %d: rendered shortest %d, want %d", scale, short, want)
 		}
-		ratio := float64(im.Longest()) / float64(im.Shortest())
+		ratio := float64(max(im.W, im.H)) / float64(min(im.W, im.H))
 		if math.Abs(ratio-1280.0/720.0) > 0.02 {
 			t.Fatalf("aspect ratio %v distorted", ratio)
 		}
@@ -175,8 +175,12 @@ func TestRenderPixelsInRange(t *testing.T) {
 				t.Fatalf("pixel %v out of range", v)
 			}
 		}
-		if im.Mean() < 0.05 || im.Mean() > 0.95 {
-			t.Fatalf("implausible mean brightness %v", im.Mean())
+		var sum float64
+		for _, v := range im.Pix {
+			sum += float64(v)
+		}
+		if mean := sum / float64(len(im.Pix)); mean < 0.05 || mean > 0.95 {
+			t.Fatalf("implausible mean brightness %v", mean)
 		}
 	}
 }
@@ -191,8 +195,8 @@ func TestObjectVisibleInRender(t *testing.T) {
 	factor := float64(150) / 720
 	o := fr.Objects[0]
 	cx, cy := o.Box.Center()
-	inVal := im.At(int(cx*factor), int(cy*factor))
-	corner := im.At(2, 2)
+	inVal := im.Pix[int(cy*factor)*im.W+int(cx*factor)]
+	corner := im.Pix[2*im.W+2]
 	if math.Abs(float64(inVal-corner)) < 0.02 && math.Abs(float64(inVal)-float64(o.Intensity)) > 0.4 {
 		t.Fatalf("object region (%v) indistinguishable from background (%v)", inVal, corner)
 	}

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1 gate, the one list of gates (`make check` runs this script):
-# gofmt cleanliness, vet, build, and the full test suite under the race
-# detector, then the fuzz, serve, chaos, HTTP, cluster and bench smokes.
+# gofmt cleanliness, vet, build, cross-builds, the reachability audit, and
+# the full test suite under the race detector, then the fuzz, serve, chaos,
+# HTTP, cluster and bench smokes.
 # The race run matters because RunDataset, label generation and snippet
 # synthesis all fan out across the worker pool by default.
 #
@@ -62,11 +63,17 @@ gate "go-build" go build ./...
 # snippets, never inside internal/tensor (DESIGN.md §4b).
 gate "tensor-leaf" sh -c '! go list -deps ./internal/tensor | grep -qx adascale/internal/parallel'
 # Portability gate: the `!amd64` stand-in for internal/tensor's assembly row
-# kernel is compiled by no test on an amd64 machine; cross-building for
-# arm64 (works offline) keeps it from rotting. go-vet above runs asmdecl on
-# the .s file and the race run below covers the amd64 path.
-gate "cross-build" env GOARCH=arm64 go build ./...
+# kernel is compiled by no test on an amd64 machine; cross-building (works
+# offline) keeps it from rotting. arm64, ppc64le, s390x and riscv64 are the
+# targets whose compilers fuse multiply-adds, where the same source may
+# round differently. go-vet above runs asmdecl on the .s file and the race
+# run below covers the amd64 path.
+gate "cross-build" sh -c 'for arch in arm64 ppc64le s390x riscv64; do GOARCH=$arch go build ./... || exit 1; done'
 gate "cross-vet" env GOARCH=arm64 go vet ./internal/tensor
+# Reachability gate: every non-test function is linked by one of the nine
+# programs (the commands, the examples, the benchmark) or allowlisted with a
+# reason in scripts/unreached.allow, and no allowlist entry is stale.
+gate "unreached" ./scripts/unreached.sh
 # -timeout covers the heavy experiment harnesses on small machines: the
 # race detector slows the regressor-training loops by ~10x. -shuffle=on
 # randomizes test order within each package so leaked package-level state
