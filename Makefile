@@ -28,11 +28,13 @@ bench:
 	$(GO) test -run=^$$ -bench=. -benchmem .
 
 # Kernel-level microbenchmarks: the serial matmul, the tiled A·Bᵀ at the
-# regressor's three dW shapes, im2col, the band-tiled convolution at the
-# backbone's layer shapes (the log names the row kernel that ran: AVX2
-# assembly or the Go tile) vs the historical im2col+matmul lowering, and the
-# arena pool — serial kernels, so one CPU — a whole regressor Fit on the
-# repository benchmark's 960 labels (the serial three quarters of setup_s),
+# regressor's three dW shapes beside tensor.ConvWeightGradInto (the AVX2
+# weight-gradient kernel Conv2D.Backward runs) at the same shapes, im2col,
+# the band-tiled convolution at the backbone's layer shapes (the log names
+# the row kernel that ran: AVX2 assembly or the Go tile) vs the historical
+# im2col+matmul lowering, and the arena pool — serial kernels, so one CPU —
+# a whole regressor Fit on the
+# repository benchmark's 960 labels (the serial part of setup_s),
 # then the scheduler alone
 # (model-only Run, ns/frame and allocs/frame at 16 / 1000 / 10000 streams,
 # plain and under chaos: the curve the dispatch index keeps flat) and with

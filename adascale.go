@@ -143,10 +143,6 @@ type (
 	// rates for dropped, stale, blacked-out, overexposed, noisy and
 	// time-jittered frames.
 	FaultConfig = faults.Config
-	// Fault tags an injected sensor fault on a frame.
-	Fault = synth.Fault
-	// FaultKind enumerates the fault taxonomy.
-	FaultKind = synth.FaultKind
 	// ResilientConfig tunes the degradation ladder.
 	ResilientConfig = adascale.ResilientConfig
 	// Health is one frame's fault/degradation accounting.
@@ -333,11 +329,6 @@ type (
 	ClusterNodeReport = cluster.NodeReport
 	// ClusterPlan is a seeded, sorted schedule of cluster events.
 	ClusterPlan = cluster.Plan
-	// ClusterEvent is one scheduled cluster event.
-	ClusterEvent = cluster.Event
-	// ClusterEventKind enumerates node join, graceful leave, node blackout
-	// and forced stream migration.
-	ClusterEventKind = cluster.EventKind
 	// ClusterPlanConfig parameterises cluster event-plan generation.
 	ClusterPlanConfig = cluster.PlanConfig
 )

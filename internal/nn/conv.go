@@ -9,8 +9,9 @@ import (
 
 // Conv2D is a 2-D convolution over C×H×W inputs with square kernels,
 // symmetric zero padding and stride. Forward and Infer run the one forward
-// lowering, tensor.ConvInto; im2col appears only in Backward, where the
-// weight gradient is a product with the lowered input.
+// lowering, tensor.ConvInto; Backward takes the weight gradient from
+// tensor.ConvWeightGradInto, which lowers the input through im2col only on
+// its portable path (the AVX2 kernel reads the input where it lies).
 type Conv2D struct {
 	InC, OutC           int
 	Kernel, Stride, Pad int
@@ -20,9 +21,9 @@ type Conv2D struct {
 
 	lastX *tensor.Tensor // the last Forward input, for Backward
 
-	// Training scratch: Forward's output, Backward's lowered input, dy seen
-	// as a matrix, and dW before it is added to the gradient.
-	out, cols, dym, dw scratch
+	// Training scratch: Forward's output, and dW before it is added to the
+	// gradient.
+	out, dw scratch
 }
 
 // NewConv2D creates a convolution with He-initialised weights and zero
@@ -76,29 +77,17 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) {
 	if x == nil {
 		panic("nn: Conv2D.Backward called before Forward")
 	}
-	n := dy.Dim(1) * dy.Dim(2)
-	dym := c.dym.view(dy.Data(), c.OutC, n)
-
-	// dW = dy · colsᵀ, cols the im2col lowering of the saved input — which
-	// for a 1×1, stride-1, unpadded kernel is the input itself, row for row.
-	rows := c.InC * c.Kernel * c.Kernel
-	var cols *tensor.Tensor
-	if c.Kernel == 1 && c.Stride == 1 && c.Pad == 0 {
-		cols = c.cols.view(x.Data(), rows, n)
-	} else {
-		cols = c.cols.get(rows, n)
-		tensor.Im2ColInto(cols, x, c.Kernel, c.Stride, c.Pad)
-	}
-	dw := c.dw.get(c.OutC, rows)
-	tensor.MatMulABTInto(dw, dym, cols)
+	dw := c.dw.get(c.OutC, c.InC*c.Kernel*c.Kernel)
+	tensor.ConvWeightGradInto(dw, dy, x, c.Kernel, c.Stride, c.Pad) // panics on a shape mismatch
 	wg := c.Weight.Grad.Data()
 	for i, v := range dw.Data() {
 		wg[i] += v
 	}
 
 	// db = row sums of dy
+	n := dy.Dim(1) * dy.Dim(2)
 	bd := c.Bias.Grad.Data()
-	dyd := dym.Data()
+	dyd := dy.Data()
 	for co := 0; co < c.OutC; co++ {
 		var s float32
 		for _, v := range dyd[co*n : (co+1)*n] {

@@ -118,9 +118,9 @@ func syncPoolRetains() bool {
 }
 
 // TestCloneRetainsNoTrainingScratch: a trained regressor holds activation
-// and im2col scratch sized for the largest feature map it saw; a clone — what
-// every serving worker runs — must reach nothing but the parameters, their
-// gradients and a few words of head scratch.
+// and weight-gradient scratch sized for the largest feature map it saw; a
+// clone — what every serving worker runs — must reach nothing but the
+// parameters, their gradients and a few words of head scratch.
 func TestCloneRetainsNoTrainingScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	r := New(rng, DefaultKernels)

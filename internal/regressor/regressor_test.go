@@ -307,9 +307,9 @@ func containsInt(xs []int, v int) bool {
 
 // BenchmarkFit trains a fresh regressor on the repository benchmark's
 // corpus — VIDLike(1), 16 training snippets, dense labels: 960 cached
-// feature maps, two epochs — which is the serial three quarters of an
-// adascale.Build and so of the benchmark's setup_s. The labels are generated
-// once, outside the timer.
+// feature maps, two epochs — which is the serial part of an adascale.Build
+// and so of the benchmark's setup_s. The labels are generated once, outside
+// the timer.
 func BenchmarkFit(b *testing.B) {
 	ds, err := synth.Generate(synth.VIDLike(1), 16, 1)
 	if err != nil {

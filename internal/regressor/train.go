@@ -31,24 +31,31 @@ type Label struct {
 // the image to every possible scale for the regressor to learn the
 // dynamics"); with a synthetic corpus far smaller than ImageNet VID,
 // enumerating the scales provides the same coverage of the dynamics
-// between 600 and 128 with less variance. Deep features are extracted once
-// here and cached on the label.
+// between 600 and 128 with less variance. The detector runs once per
+// (frame, scale): DetectWithFeatures gives both the detections the metric
+// compares (scaleopt.Compare, as scaleopt.OptimalScale would) and the deep
+// features, which move onto the label before the result is released.
 // Frames are processed in parallel with per-worker detector clones and the
 // per-frame label groups concatenated in frame order, matching the
 // historical serial loop exactly.
 func GenerateLabelsAllScales(det *rfcn.Detector, frames []*synth.Frame, sReg []int) []Label {
 	perFrame := parallel.MapWorkers(len(frames), det.Clone, func(d *rfcn.Detector, i int) []Label {
 		f := frames[i]
-		mOpt, _ := scaleopt.OptimalScale(d, f, sReg, scaleopt.DefaultLambda)
-		group := make([]Label, 0, len(sReg))
-		for _, m := range sReg {
-			group = append(group, Label{
+		results := make([]*rfcn.Result, len(sReg))
+		for j, m := range sReg {
+			results[j] = d.DetectWithFeatures(f, m)
+		}
+		_, mOpt := scaleopt.Compare(results, f.GroundTruth(), scaleopt.DefaultLambda)
+		group := make([]Label, len(sReg))
+		for j, r := range results {
+			group[j] = Label{
 				Frame:      f,
-				InputScale: m,
+				InputScale: r.Scale,
 				OptScale:   mOpt,
-				Target:     EncodeTarget(m, mOpt),
-				Features:   d.Features(f, m),
-			})
+				Target:     EncodeTarget(r.Scale, mOpt),
+				Features:   r.Features, // kept by the label: Release does not recycle it
+			}
+			r.Release()
 		}
 		return group
 	})

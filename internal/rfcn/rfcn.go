@@ -198,9 +198,10 @@ var resultPool = sync.Pool{New: func() any { return new(Result) }}
 // used afterwards (PlainDetections/AppendDetections copies are unaffected),
 // and a result must not be released twice: that would let two later Detect
 // calls share one struct, so it panics instead. Features is NOT recycled
-// here: hand it to Detector.Recycle first. Hot eval loops and the serving
-// step release each frame's result after copying out the survivors; callers
-// that retain results (label generation) just skip the call.
+// here: hand it to Detector.Recycle first, or keep it (label generation
+// moves each result's feature map onto its label, then releases the
+// result). Hot eval loops and the serving step release each frame's result
+// after copying out the survivors.
 func (r *Result) Release() {
 	if r == nil {
 		return

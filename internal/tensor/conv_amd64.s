@@ -151,3 +151,91 @@ gloop:
 
 gdone:
 	RET
+
+// func wgradAVX2(acc, dyT, x *float32, offs *int, ho, wo, wp int)
+//
+// Eight weight rows × eight output channels of a stride-1 convolution's
+// weight gradient: acc[j·8+l] = Σ_p dyT[p·8+l]·x[offs[j] + oy·wp + ox] over
+// p = oy·wo+ox ascending, from +0. The lanes are the output channels: per
+// position one load of dyT[p], then per row one VBROADCASTSS of the input
+// value, one VMULPS and one VADDPS into that row's accumulator — the
+// MULSS/ADDSS pair MatMulABTInto issues per term, never an FMA. ho, wo ≥ 1;
+// every x[offs[j] + (ho−1)·wp + wo−1] must be in bounds.
+//
+// DI dyT cursor (+32 a position), SI &x[oy·wp+ox], R8–R15 offs[0..7],
+// AX columns left in the row, BX rows left, CX wo, DX bytes from the end of
+// one output row's input to the start of the next; Y0–Y7 the rows'
+// accumulators, Y8 dyT[p], Y9–Y15 products.
+TEXT ·wgradAVX2(SB), NOSPLIT, $0-56
+	MOVQ dyT+8(FP), DI
+	MOVQ x+16(FP), SI
+	MOVQ offs+24(FP), AX
+	MOVQ 0(AX), R8
+	MOVQ 8(AX), R9
+	MOVQ 16(AX), R10
+	MOVQ 24(AX), R11
+	MOVQ 32(AX), R12
+	MOVQ 40(AX), R13
+	MOVQ 48(AX), R14
+	MOVQ 56(AX), R15
+	MOVQ ho+32(FP), BX
+	MOVQ wo+40(FP), CX
+	MOVQ wp+48(FP), DX
+	SUBQ CX, DX
+	SHLQ $2, DX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ   CX, AX
+
+wpos:
+	VMOVUPS      (DI), Y8
+	VBROADCASTSS (SI)(R8*4), Y9
+	VBROADCASTSS (SI)(R9*4), Y10
+	VBROADCASTSS (SI)(R10*4), Y11
+	VBROADCASTSS (SI)(R11*4), Y12
+	VMULPS       Y9, Y8, Y9
+	VMULPS       Y10, Y8, Y10
+	VMULPS       Y11, Y8, Y11
+	VMULPS       Y12, Y8, Y12
+	VADDPS       Y9, Y0, Y0
+	VADDPS       Y10, Y1, Y1
+	VADDPS       Y11, Y2, Y2
+	VADDPS       Y12, Y3, Y3
+	VBROADCASTSS (SI)(R12*4), Y13
+	VBROADCASTSS (SI)(R13*4), Y14
+	VBROADCASTSS (SI)(R14*4), Y15
+	VBROADCASTSS (SI)(R15*4), Y9
+	VMULPS       Y13, Y8, Y13
+	VMULPS       Y14, Y8, Y14
+	VMULPS       Y15, Y8, Y15
+	VMULPS       Y9, Y8, Y9
+	VADDPS       Y13, Y4, Y4
+	VADDPS       Y14, Y5, Y5
+	VADDPS       Y15, Y6, Y6
+	VADDPS       Y9, Y7, Y7
+	ADDQ         $32, DI
+	ADDQ         $4, SI
+	DECQ         AX
+	JNZ          wpos
+	ADDQ         DX, SI
+	MOVQ         CX, AX
+	DECQ         BX
+	JNZ          wpos
+
+	MOVQ    acc+0(FP), AX
+	VMOVUPS Y0, (AX)
+	VMOVUPS Y1, 32(AX)
+	VMOVUPS Y2, 64(AX)
+	VMOVUPS Y3, 96(AX)
+	VMOVUPS Y4, 128(AX)
+	VMOVUPS Y5, 160(AX)
+	VMOVUPS Y6, 192(AX)
+	VMOVUPS Y7, 224(AX)
+	VZEROUPPER
+	RET

@@ -3,13 +3,13 @@ package tensor
 import "fmt"
 
 // The three products below are serial loops: after the backbone moved to
-// ConvInto their callers are the scale regressor's training step (one dW
-// product per convolution branch, the fully-connected head) and the tests'
-// im2col oracle. Parallelism lives across frames and snippets
-// (internal/parallel), never inside a kernel, so a result cannot depend on
-// the worker count. MatMul and MatMulATB are the plain i-k-j loops; MatMulABT,
-// which is where training spends its time, takes four rows at once — same
-// sums, see there.
+// ConvInto their callers are the scale regressor's training step (the
+// fully-connected head, and the dW product of ConvWeightGradInto's portable
+// path) and the tests' im2col oracle. Parallelism lives across frames and
+// snippets (internal/parallel), never inside a kernel, so a result cannot
+// depend on the worker count. MatMul and MatMulATB are the plain i-k-j
+// loops; MatMulABT, which defines the weight gradient, takes four rows at
+// once — same sums, see there.
 
 // MatMul computes C = A·B for 2-D tensors A (m×k) and B (k×n), returning a
 // new m×n tensor. The inner loop is ordered i-k-j so B is traversed

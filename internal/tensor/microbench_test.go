@@ -28,17 +28,22 @@ func BenchmarkMatMulSmall(b *testing.B)     { benchMatMul(b, 16, 16, 16) }
 func BenchmarkMatMulMidSquare(b *testing.B) { benchMatMul(b, 96, 96, 96) }
 
 // BenchmarkMatMulABT times dst = A·Bᵀ at the products the regressor's
-// training step takes: dW = dy·colsᵀ with dy 8 channels × H·W positions and
-// cols the lowered 16-channel feature map (19×34 at scale 600, 4×8 at 128)
-// of the 3×3 and the 1×1 branch.
+// training step defines its weight gradient by: dW = dy·colsᵀ with dy 8
+// channels × H·W positions and cols the lowered 16-channel feature map
+// (19×34 at scale 600, 4×8 at 128) of the 3×3 and the 1×1 branch. Each
+// shape's "-ConvWeightGrad" sibling times the entry point Conv2D.Backward
+// calls, tensor.ConvWeightGradInto, from dy and the feature map itself: the
+// AVX2 kernel where the CPU has it (the log says), else im2col (not for the
+// 1×1 branch) and this same product.
 func BenchmarkMatMulABT(b *testing.B) {
 	for _, s := range []struct {
-		name    string
-		m, k, n int
+		name         string
+		m, k, n      int
+		h, w, kernel int
 	}{
-		{"dW3x3@600", 8, 646, 144},
-		{"dW1x1@600", 8, 646, 16},
-		{"dW3x3@128", 8, 32, 144},
+		{"dW3x3@600", 8, 646, 144, 19, 34, 3},
+		{"dW1x1@600", 8, 646, 16, 19, 34, 1},
+		{"dW3x3@128", 8, 32, 144, 4, 8, 3},
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(4))
@@ -50,6 +55,22 @@ func BenchmarkMatMulABT(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				MatMulABTInto(dst, x, y)
+			}
+		})
+		b.Run(s.name+"-ConvWeightGrad", func(b *testing.B) {
+			if b.N == 1 && s.name == "dW3x3@600" {
+				b.Logf("AVX2 kernels: %v", useAVX2)
+			}
+			rng := rand.New(rand.NewSource(4))
+			cin := s.n / (s.kernel * s.kernel)
+			dy := randTensor(rng, s.m, s.h, s.w)
+			x := randTensor(rng, cin, s.h, s.w)
+			dst := New(s.m, s.n)
+			b.SetBytes(int64(s.m*s.k+cin*s.k+s.m*s.n) * 4)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ConvWeightGradInto(dst, dy, x, s.kernel, 1, s.kernel/2)
 			}
 		})
 	}

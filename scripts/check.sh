@@ -99,12 +99,19 @@ gate "fuzz-ingest-scan" go test -run='^$' -fuzz='^FuzzIngestScan$' -fuzztime=5s 
 gate "fuzz-cluster" go test -run='^$' -fuzz='^FuzzClusterEvents$' -fuzztime=5s ./internal/cluster
 gate "fuzz-conv" go test -run='^$' -fuzz='^FuzzConvGeometry$' -fuzztime=5s ./internal/tensor
 gate "fuzz-matmul-abt" go test -run='^$' -fuzz='^FuzzMatMulABT$' -fuzztime=5s ./internal/tensor
+# The weight-gradient entry point, AVX2 kernel and portable lowering alike,
+# must give im2col + MatMulABTInto's bits at any geometry.
+gate "fuzz-conv-weight-grad" go test -run='^$' -fuzz='^FuzzConvWeightGrad$' -fuzztime=5s ./internal/tensor
 gate "fuzz-rng" go test -run='^$' -fuzz='^FuzzSeedStream$' -fuzztime=5s ./internal/rng
 gate "fuzz-histogram" go test -run='^$' -fuzz='^FuzzHistogram$' -fuzztime=5s ./internal/obs
 
 # The goldens again with fused multiply-add disabled in the runtime: a
 # second source for the figures they pin.
 gate "fma-off-regress" env GODEBUG=cpu.fma=off go test -count=1 ./internal/regress
+# And on the portable kernels: under cpu.avx2=off internal/tensor runs the Go
+# conv tile and the im2col + MatMulABTInto weight gradient, which must give
+# every golden the AVX2 kernels give it.
+gate "avx2-off-regress" env GODEBUG=cpu.avx2=off go test -count=1 ./internal/regress
 
 # End-to-end serving gate under the race detector: 200 simulated frames
 # across 4 streams at an unloaded rate must serve with zero drops and a
