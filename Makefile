@@ -27,7 +27,7 @@ test:
 bench:
 	$(GO) test -run=^$$ -bench=. -benchmem .
 
-# Kernel-level microbenchmarks: the serial matmul, the tiled A·Bᵀ at the
+# Kernel-level microbenchmarks: the tiled A·Bᵀ at the
 # regressor's three dW shapes beside tensor.ConvWeightGradInto (the AVX2
 # weight-gradient kernel Conv2D.Backward runs) at the same shapes, im2col,
 # the band-tiled convolution at the backbone's layer shapes (the log names

@@ -8,8 +8,8 @@ import (
 )
 
 // Conv2D is a 2-D convolution over C×H×W inputs with square kernels,
-// symmetric zero padding and stride. Forward and Infer run the one forward
-// lowering, tensor.ConvInto; Backward takes the weight gradient from
+// symmetric zero padding and stride. Infer is its one forward,
+// tensor.ConvInto; Backward takes the weight gradient from
 // tensor.ConvWeightGradInto, which lowers the input through im2col only on
 // its portable path (the AVX2 kernel reads the input where it lies).
 type Conv2D struct {
@@ -19,11 +19,7 @@ type Conv2D struct {
 	Weight *Param // OutC × InC × K × K
 	Bias   *Param // OutC
 
-	lastX *tensor.Tensor // the last Forward input, for Backward
-
-	// Training scratch: Forward's output, and dW before it is added to the
-	// gradient.
-	out, dw scratch
+	dw *tensor.Tensor // training scratch: dW before it is added to the gradient
 }
 
 // NewConv2D creates a convolution with He-initialised weights and zero
@@ -41,22 +37,10 @@ func NewConv2D(rng *rand.Rand, inC, outC, kernel, stride, pad int) *Conv2D {
 	}
 }
 
-// Forward computes the convolution of a C×H×W input into the layer's output
-// scratch and remembers the input for Backward.
-func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	mustDims(x, 3, "Conv2D")
-	out := c.out.get(c.OutC,
-		tensor.ConvOutSize(x.Dim(1), c.Kernel, c.Stride, c.Pad),
-		tensor.ConvOutSize(x.Dim(2), c.Kernel, c.Stride, c.Pad))
-	tensor.ConvInto(out, x, c.Weight.W, c.Bias.W, c.Stride, c.Pad) // panics on a channel mismatch
-	c.lastX = x
-	return out
-}
-
 // Infer computes the convolution through the band-tiled kernel into pooled
 // storage, which the caller owns (release via pool.PutTensor; a nil pool
-// allocates). Unlike Forward it touches no activation caches, so concurrent
-// Infer calls on a shared layer are safe; it cannot be followed by Backward.
+// allocates). It keeps nothing, so concurrent Infer calls on a shared layer
+// are safe.
 func (c *Conv2D) Infer(x *tensor.Tensor, pool *tensor.Pool) *tensor.Tensor {
 	mustDims(x, 3, "Conv2D")
 	if x.Dim(0) != c.InC {
@@ -70,17 +54,16 @@ func (c *Conv2D) Infer(x *tensor.Tensor, pool *tensor.Pool) *tensor.Tensor {
 }
 
 // Backward accumulates the weight and bias gradients for dy, the loss
-// gradient w.r.t. the last Forward's output. It returns no input gradient:
-// the layer's input is the fixed detector's features, which nothing trains.
-func (c *Conv2D) Backward(dy *tensor.Tensor) {
-	x := c.lastX
-	if x == nil {
-		panic("nn: Conv2D.Backward called before Forward")
+// gradient w.r.t. the output Infer computes from x. It returns no input
+// gradient: the layer's input is the fixed detector's features, which
+// nothing trains. Not safe for concurrent use on one layer.
+func (c *Conv2D) Backward(x, dy *tensor.Tensor) {
+	if c.dw == nil {
+		c.dw = tensor.New(c.OutC, c.InC*c.Kernel*c.Kernel)
 	}
-	dw := c.dw.get(c.OutC, c.InC*c.Kernel*c.Kernel)
-	tensor.ConvWeightGradInto(dw, dy, x, c.Kernel, c.Stride, c.Pad) // panics on a shape mismatch
+	tensor.ConvWeightGradInto(c.dw, dy, x, c.Kernel, c.Stride, c.Pad) // panics on a shape mismatch
 	wg := c.Weight.Grad.Data()
-	for i, v := range dw.Data() {
+	for i, v := range c.dw.Data() {
 		wg[i] += v
 	}
 
@@ -100,10 +83,9 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) {
 // Params returns the weight and bias parameters.
 func (c *Conv2D) Params() []*Param { return []*Param{c.Weight, c.Bias} }
 
-// Clone returns an independent deep copy with empty forward caches and no
-// training scratch. Layers cache activations between Forward and Backward
-// and are not safe for concurrent use; the parallel pipeline gives each
-// worker its own clone.
+// Clone returns an independent deep copy with no training scratch: Backward
+// is not safe for concurrent use, so each training goroutine gets its own
+// clone.
 func (c *Conv2D) Clone() *Conv2D {
 	return &Conv2D{
 		InC: c.InC, OutC: c.OutC, Kernel: c.Kernel, Stride: c.Stride, Pad: c.Pad,

@@ -46,7 +46,9 @@ func SaveParams(w io.Writer, params []*Param) error {
 }
 
 // LoadParams reads weights written by SaveParams into params, matching by
-// position. Names and shapes must agree with the targets.
+// position. Names and shapes must agree with the targets. It is all or
+// nothing: the whole file is read and checked before any parameter is
+// written, so on an error every parameter keeps its value.
 func LoadParams(r io.Reader, params []*Param) error {
 	magic := make([]byte, len(weightsMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -62,7 +64,8 @@ func LoadParams(r io.Reader, params []*Param) error {
 	if int(count) != len(params) {
 		return fmt.Errorf("nn: weight file has %d params, expected %d", count, len(params))
 	}
-	for _, p := range params {
+	staged := make([][]byte, len(params))
+	for i, p := range params {
 		name, err := readString(r)
 		if err != nil {
 			return err
@@ -78,22 +81,24 @@ func LoadParams(r io.Reader, params []*Param) error {
 		if int(ndim) != len(shape) {
 			return fmt.Errorf("nn: param %q has %d dims on disk, expected %d", name, ndim, len(shape))
 		}
-		for i := range shape {
+		for k := range shape {
 			var d uint32
 			if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
 				return err
 			}
-			if int(d) != shape[i] {
-				return fmt.Errorf("nn: param %q dim %d is %d on disk, expected %d", name, i, d, shape[i])
+			if int(d) != shape[k] {
+				return fmt.Errorf("nn: param %q dim %d is %d on disk, expected %d", name, k, d, shape[k])
 			}
 		}
-		data := p.W.Data()
-		buf := make([]byte, 4*len(data))
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return err
+		staged[i] = make([]byte, 4*p.W.Size())
+		if _, err := io.ReadFull(r, staged[i]); err != nil {
+			return fmt.Errorf("nn: reading param %q: %w", name, err)
 		}
-		for i := range data {
-			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+	}
+	for i, p := range params {
+		data := p.W.Data()
+		for j := range data {
+			data[j] = math.Float32frombits(binary.LittleEndian.Uint32(staged[i][4*j:]))
 		}
 	}
 	return nil

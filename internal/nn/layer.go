@@ -1,25 +1,21 @@
-// Package nn is the handful of layers the AdaScale scale-regressor (the
-// paper's core contribution, Fig. 4) is built from — convolution, ReLU,
-// global average pooling, a fully-connected head — with forward/backward
-// passes, SGD with momentum and a step learning-rate schedule, the scalar
+// Package nn is the training machinery the AdaScale scale regressor (the
+// paper's core contribution, Fig. 4) is built from: a convolution layer with
+// its forward (Infer) and weight-gradient (Backward) passes, trainable
+// parameters, SGD with momentum and a step learning-rate schedule, the scalar
 // losses of the optimal-scale metric, and binary weight (de)serialisation.
 // It trains the regressor for real, on CPU, with no dependencies beyond the
-// standard library. The regressor wires the layers by hand; there is no
-// generic container, and a layer's Backward returns an input gradient only
-// where something consumes it (the convolution reads the detector's fixed
-// features, so it returns none).
+// standard library. The regressor's rectification, global average pooling
+// and fully-connected head are a few fused loops in internal/regressor, not
+// layers here; the detector backbone runs the same Conv2D.
 //
-// Layers operate on single samples (the paper trains with batch size 2; the
-// training loops accumulate gradients across a mini-batch before stepping).
-// Layers cache their last input between Forward and Backward and are
-// therefore not safe for concurrent use; clone a network per goroutine
-// instead.
-//
-// A training step allocates nothing once warm: what a layer's Forward or
-// Backward returns is the layer's own storage, valid until the next call of
-// that method on that layer (ReLU works in place on what it is handed), so a
-// caller that keeps a result across samples copies it. A Clone starts with
-// none of that storage.
+// A convolution's Backward takes the input it differentiates at and returns
+// no input gradient (the layer reads the detector's fixed features, which
+// nothing trains). Training operates on single samples (the paper trains with
+// batch size 2; the training loop accumulates gradients across a mini-batch
+// before stepping) and allocates nothing once warm: Backward's weight-gradient
+// product lives in the layer's own scratch, so Backward is not safe for
+// concurrent use on one layer; clone it per goroutine instead. A Clone starts
+// with none of that storage.
 package nn
 
 import (
@@ -64,32 +60,6 @@ func CountParams(ps []*Param) int {
 		n += p.W.Size()
 	}
 	return n
-}
-
-// scratch is a tensor a layer owns and hands out again on every sample:
-// storage and header are reused, growing to the largest shape seen (training
-// presents the same few feature-map sizes over and over).
-type scratch struct {
-	t   *tensor.Tensor
-	buf []float32
-}
-
-// get returns the scratch with the given shape; its contents are stale.
-func (s *scratch) get(shape ...int) *tensor.Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if cap(s.buf) < n {
-		s.buf = make([]float32, n)
-	}
-	return s.view(s.buf[:n], shape...)
-}
-
-// view points the scratch's header at storage the layer does not own.
-func (s *scratch) view(data []float32, shape ...int) *tensor.Tensor {
-	s.t = tensor.FromSliceInto(s.t, data, shape...)
-	return s.t
 }
 
 func mustDims(x *tensor.Tensor, dims int, layer string) {

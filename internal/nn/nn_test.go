@@ -9,93 +9,42 @@ import (
 	"adascale/internal/tensor"
 )
 
-// projLoss is a deterministic scalar loss L = Σ r⊙y over the layer output,
-// whose gradient w.r.t. y is simply r. Used to drive finite-difference
-// gradient checks.
-func projLoss(y, r *tensor.Tensor) float64 {
-	var s float64
-	yd, rd := y.Data(), r.Data()
-	for i := range yd {
-		s += float64(yd[i]) * float64(rd[i])
-	}
-	return s
-}
-
-// gradCheck verifies a layer's analytic parameter gradients — and its input
-// gradient, where backward returns one — against central finite differences
-// of the projected loss.
-func gradCheck(t *testing.T, rng *rand.Rand, x *tensor.Tensor, params []*Param,
-	forward func(*tensor.Tensor) *tensor.Tensor, backward func(dy *tensor.Tensor) *tensor.Tensor) {
+// convGradCheck verifies a convolution's analytic weight and bias gradients
+// against central finite differences of the projected loss L = Σ r⊙y, whose
+// gradient w.r.t. the output y is r.
+func convGradCheck(t *testing.T, rng *rand.Rand, conv *Conv2D, x *tensor.Tensor) {
 	t.Helper()
-	y := forward(x)
-	r := tensor.New(y.Shape()...)
+	loss := func(r *tensor.Tensor) float64 {
+		var s float64
+		for i, v := range conv.Infer(x, nil).Data() {
+			s += float64(v) * float64(r.Data()[i])
+		}
+		return s
+	}
+	r := conv.Infer(x, nil)
 	r.RandNormal(rng, 0, 1)
-	ZeroGrads(params)
-	dx := backward(r)
+	ZeroGrads(conv.Params())
+	conv.Backward(x, r)
 
 	const eps = 1e-2
 	const tol = 2e-2
-
-	check := func(name string, w *tensor.Tensor, analytic *tensor.Tensor) {
-		for _, idx := range sampleIndices(rng, w.Size(), 12) {
-			orig := w.Data()[idx]
-			w.Data()[idx] = orig + eps
-			lp := projLoss(forward(x), r)
-			w.Data()[idx] = orig - eps
-			lm := projLoss(forward(x), r)
-			w.Data()[idx] = orig
+	for _, p := range conv.Params() {
+		w := p.W.Data()
+		for _, idx := range sampleIndices(rng, len(w), 12) {
+			orig := w[idx]
+			w[idx] = orig + eps
+			lp := loss(r)
+			w[idx] = orig - eps
+			lm := loss(r)
+			w[idx] = orig
 			fd := (lp - lm) / (2 * eps)
-			an := float64(analytic.Data()[idx])
+			an := float64(p.Grad.Data()[idx])
 			if math.Abs(fd-an) > tol*(1+math.Abs(fd)) {
-				t.Fatalf("%s grad[%d]: analytic %v vs finite-diff %v", name, idx, an, fd)
+				t.Fatalf("%s grad[%d]: analytic %v vs finite-diff %v", p.Name, idx, an, fd)
 			}
 		}
 	}
-	if dx != nil {
-		check("input", x, dx)
-	}
-	for _, p := range params {
-		check(p.Name, p.W, p.Grad)
-	}
 }
-
-// convGradCheck checks a convolution's dW and db; it has no input gradient.
-func convGradCheck(t *testing.T, rng *rand.Rand, conv *Conv2D, x *tensor.Tensor) {
-	t.Helper()
-	gradCheck(t, rng, x, conv.Params(), conv.Forward, func(dy *tensor.Tensor) *tensor.Tensor {
-		conv.Backward(dy)
-		return nil
-	})
-}
-
-// convNet is the scale regressor's shape in miniature — convolution → ReLU →
-// global average pool → fully-connected head — wired by hand the way
-// internal/regressor wires its branches.
-type convNet struct {
-	conv *Conv2D
-	relu *ReLU
-	gap  *GlobalAvgPool
-	fc   *Dense
-}
-
-func newConvNet(rng *rand.Rand, channels int) *convNet {
-	return &convNet{
-		conv: NewConv2D(rng, 1, channels, 3, 1, -1),
-		relu: NewReLU(),
-		gap:  NewGlobalAvgPool(),
-		fc:   NewDense(rng, channels, 1),
-	}
-}
-
-func (n *convNet) forward(x *tensor.Tensor) *tensor.Tensor {
-	return n.fc.Forward(n.gap.Forward(n.relu.Forward(n.conv.Forward(x))))
-}
-
-func (n *convNet) backward(dy *tensor.Tensor) {
-	n.conv.Backward(n.relu.Backward(n.gap.Backward(n.fc.Backward(dy))))
-}
-
-func (n *convNet) params() []*Param { return append(n.conv.Params(), n.fc.Params()...) }
 
 func sampleIndices(rng *rand.Rand, n, k int) []int {
 	if n <= k {
@@ -135,8 +84,8 @@ func TestConv2DStridedGradients(t *testing.T) {
 	convGradCheck(t, rng, conv, x)
 }
 
-// TestFusedConvBitIdentical holds Conv2D.Forward — the band-tiled kernel,
-// which Infer and therefore serving run too — to the im2col lowering it
+// TestFusedConvBitIdentical holds Conv2D.Infer — the band-tiled kernel,
+// which training and serving both run — to the im2col lowering it
 // replaced, bit for bit: MatMul(weights as a matrix, Im2Col(x)) plus bias,
 // the product Backward still differentiates.
 func TestFusedConvBitIdentical(t *testing.T) {
@@ -152,7 +101,7 @@ func TestFusedConvBitIdentical(t *testing.T) {
 		conv.Bias.W.RandNormal(rng, 0, 1)
 		x := tensor.New(c.inC, c.h, c.w)
 		x.RandNormal(rng, 0, 1)
-		got := conv.Forward(x)
+		got := conv.Infer(x, nil)
 
 		cols := tensor.Im2Col(x, conv.Kernel, conv.Stride, conv.Pad)
 		want := tensor.MatMul(conv.Weight.W.Reshape(c.outC, c.inC*c.kernel*c.kernel), cols)
@@ -164,7 +113,7 @@ func TestFusedConvBitIdentical(t *testing.T) {
 			}
 		}
 		if got.Size() != want.Size() {
-			t.Fatalf("%+v: Forward has %d elements, oracle %d", c, got.Size(), want.Size())
+			t.Fatalf("%+v: Infer has %d elements, oracle %d", c, got.Size(), want.Size())
 		}
 		for i, v := range got.Data() {
 			if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
@@ -177,8 +126,8 @@ func TestFusedConvBitIdentical(t *testing.T) {
 // TestConvBackwardBitIdentical holds Conv2D.Backward's weight gradient to
 // the product it is defined as, dW = dy·Im2Col(x)ᵀ accumulated onto what was
 // there — in particular for the 1×1 branch, which reads its input in place
-// of a lowered copy, and across two samples of different sizes, which is
-// when the reused scratch is re-pointed.
+// of a lowered copy, and across two samples of different sizes through the
+// one reused dW buffer.
 func TestConvBackwardBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(98))
 	for _, c := range []struct{ inC, outC, kernel, stride, pad int }{
@@ -192,13 +141,14 @@ func TestConvBackwardBitIdentical(t *testing.T) {
 		for _, hw := range [][2]int{{19, 34}, {4, 8}} {
 			x := tensor.New(c.inC, hw[0], hw[1])
 			x.RandNormal(rng, 0, 1)
-			y := conv.Forward(x)
-			dy := tensor.New(y.Shape()...)
+			dy := conv.Infer(x, nil)
 			dy.RandNormal(rng, 0, 1)
-			conv.Backward(dy)
+			conv.Backward(x, dy)
 
 			cols := tensor.Im2Col(x, conv.Kernel, conv.Stride, conv.Pad)
-			want.AddInPlace(tensor.MatMulABT(dy.Reshape(c.outC, cols.Dim(1)), cols))
+			for i, v := range tensor.MatMulABT(dy.Reshape(c.outC, cols.Dim(1)), cols).Data() {
+				want.Data()[i] += v
+			}
 			for i, v := range conv.Weight.Grad.Data() {
 				if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
 					t.Fatalf("%+v at %v: dW[%d] = %v, lowered product %v", c, hw, i, v, want.Data()[i])
@@ -211,7 +161,7 @@ func TestConvBackwardBitIdentical(t *testing.T) {
 func TestConv2DOutputShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	conv := NewConv2D(rng, 3, 8, 3, 1, -1)
-	y := conv.Forward(tensor.New(3, 10, 14))
+	y := conv.Infer(tensor.New(3, 10, 14), nil)
 	if y.Dim(0) != 8 || y.Dim(1) != 10 || y.Dim(2) != 14 {
 		t.Fatalf("same-pad conv output shape %v", y.Shape())
 	}
@@ -225,119 +175,140 @@ func TestConv2DBiasApplied(t *testing.T) {
 	conv.Bias.W.Set(-2, 1)
 	x := tensor.New(1, 2, 2)
 	x.Fill(3)
-	y := conv.Forward(x)
+	y := conv.Infer(x, nil)
 	if y.At(0, 0, 0) != 1.5 || y.At(1, 1, 1) != -2 {
 		t.Fatalf("bias not applied: %v", y.Data())
 	}
 }
 
-func TestDenseForwardKnown(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	d := NewDense(rng, 2, 2)
-	copy(d.Weight.W.Data(), []float32{1, 2, 3, 4})
-	copy(d.Bias.W.Data(), []float32{0.5, -0.5})
-	y := d.Forward(tensor.FromSlice([]float32{1, 1}, 2))
-	if y.At(0) != 3.5 || y.At(1) != 6.5 {
-		t.Fatalf("Dense forward = %v", y.Data())
+// convNet is the scale regressor's shape in miniature — convolution →
+// ReLU → global average pool → fully-connected head — with the rectified
+// mean and the head as plain loops around Conv2D and two Params, the way
+// internal/regressor wires its branches.
+type convNet struct {
+	conv *Conv2D
+	w, b *Param // head: 1 × conv.OutC weights, one bias
+
+	x, out *tensor.Tensor // what forward keeps for backward
+	mean   []float32
+}
+
+func newConvNet(rng *rand.Rand, channels int) *convNet {
+	w := tensor.New(1, channels)
+	w.XavierInit(rng, channels, 1)
+	return &convNet{
+		conv: NewConv2D(rng, 1, channels, 3, 1, -1),
+		w:    NewParam("dense.weight", w),
+		b:    NewParam("dense.bias", tensor.New(1)),
+		mean: make([]float32, channels),
 	}
 }
 
-// TestDenseBitIdenticalToMatMul: the head's products through reused scratch
-// give the bits of freshly allocated ones — W·x + b, dW += dy·xᵀ, dx = Wᵀ·dy
-// — with exact zeros among weights and inputs and over two accumulated
-// samples, the second of which finds every header already pointed somewhere.
-func TestDenseBitIdenticalToMatMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	const in, out = 16, 3
-	d := NewDense(rng, in, out)
-	d.Bias.W.RandNormal(rng, 0, 1)
-	wantW, wantB := tensor.New(out, in), tensor.New(out)
-	same := func(name string, got, want *tensor.Tensor) {
-		t.Helper()
-		for i, v := range got.Data() {
-			if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
-				t.Fatalf("%s[%d] = %v (bits %08x), matmul gives %v (bits %08x)",
-					name, i, v, math.Float32bits(v), want.Data()[i], math.Float32bits(want.Data()[i]))
+func (n *convNet) forward(x *tensor.Tensor) float32 {
+	n.x, n.out = x, n.conv.Infer(x, nil)
+	hw := n.out.Dim(1) * n.out.Dim(2)
+	y := n.b.W.Data()[0]
+	for ch := range n.mean {
+		var s float32
+		for _, v := range n.out.Data()[ch*hw : (ch+1)*hw] {
+			s += float32(math.Max(0, float64(v)))
+		}
+		n.mean[ch] = s / float32(hw)
+		y += n.w.W.Data()[ch] * n.mean[ch]
+	}
+	return y
+}
+
+// backward feeds the convolution the gradient the head and the rectified
+// mean hand down: dy/(H·W) where the output is positive, 0 elsewhere.
+func (n *convNet) backward(dy float32) {
+	hw := n.out.Dim(1) * n.out.Dim(2)
+	n.b.Grad.Data()[0] += dy
+	dout := tensor.New(n.out.Shape()...)
+	for ch := range n.mean {
+		n.w.Grad.Data()[ch] += dy * n.mean[ch]
+		dmean := n.w.W.Data()[ch] * dy
+		for j, v := range n.out.Data()[ch*hw : (ch+1)*hw] {
+			if v > 0 {
+				dout.Data()[ch*hw+j] = dmean / float32(hw)
 			}
 		}
 	}
-	for sample := 0; sample < 2; sample++ {
-		x, dy := tensor.New(in), tensor.New(out)
-		x.RandNormal(rng, 0, 1)
-		dy.RandNormal(rng, 0, 1)
-		for i := 0; i < in; i += 3 {
-			x.Data()[i] = 0
-			d.Weight.W.Data()[rng.Intn(in*out)] = 0
-		}
-		dy.Data()[0] = -float32(math.Abs(float64(dy.Data()[0])))
-
-		y := tensor.MatMul(d.Weight.W, x.Reshape(in, 1)).Reshape(out)
-		y.AddInPlace(d.Bias.W)
-		same("y", d.Forward(x), y)
-
-		dx := d.Backward(dy)
-		same("dx", dx, tensor.MatMulATB(d.Weight.W, dy.Reshape(out, 1)))
-		wantW.AddInPlace(tensor.MatMulABT(dy.Reshape(out, 1), x.Reshape(in, 1)))
-		wantB.AddInPlace(dy)
-		same("dW", d.Weight.Grad, wantW)
-		same("db", d.Bias.Grad, wantB)
-	}
+	n.conv.Backward(n.x, dout)
 }
 
-func TestDenseGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	d := NewDense(rng, 6, 4)
-	x := tensor.New(6)
-	x.RandNormal(rng, 0, 1)
-	gradCheck(t, rng, x, d.Params(), d.Forward, d.Backward)
-}
+func (n *convNet) params() []*Param { return append(n.conv.Params(), n.w, n.b) }
 
-func TestReLUForwardBackward(t *testing.T) {
-	r := NewReLU()
-	x := tensor.FromSlice([]float32{-1, 0, 2}, 3)
-	y := r.Forward(x)
-	if y.At(0) != 0 || y.At(1) != 0 || y.At(2) != 2 {
-		t.Fatalf("ReLU forward = %v", y.Data())
-	}
-	dy := tensor.FromSlice([]float32{5, 5, 5}, 3)
-	dx := r.Backward(dy)
-	if dx.At(0) != 0 || dx.At(1) != 0 || dx.At(2) != 5 {
-		t.Fatalf("ReLU backward = %v", dx.Data())
-	}
-}
-
-func TestGlobalAvgPool(t *testing.T) {
-	g := NewGlobalAvgPool()
-	x := tensor.FromSlice([]float32{1, 2, 3, 4, 10, 10, 10, 10}, 2, 2, 2)
-	y := g.Forward(x)
-	if y.At(0) != 2.5 || y.At(1) != 10 {
-		t.Fatalf("avg pool = %v", y.Data())
-	}
-	dx := g.Backward(tensor.FromSlice([]float32{4, 8}, 2))
-	if dx.At(0, 0, 0) != 1 || dx.At(1, 1, 1) != 2 {
-		t.Fatalf("avg pool backward = %v", dx.Data())
-	}
-}
-
-// TestChainComposesAndBackprops: the hand-wired chain's parameter gradients —
-// each layer's Backward fed by the next one's input gradient — match finite
-// differences of the whole chain.
+// TestChainComposesAndBackprops: the hand-wired chain's parameter
+// gradients — the convolution's Backward fed by the rectified mean's and
+// the head's — match finite differences of the whole chain.
 func TestChainComposesAndBackprops(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	net := newConvNet(rng, 2)
 	x := tensor.New(1, 6, 6)
 	x.RandNormal(rng, 0, 1)
-	y := net.forward(x)
-	if y.Dims() != 1 || y.Dim(0) != 1 {
-		t.Fatalf("output shape %v", y.Shape())
-	}
 	if got := CountParams(net.params()); got != 1*2*3*3+2+2+1 {
 		t.Fatalf("CountParams = %d", got)
 	}
-	gradCheck(t, rng, x, net.params(), net.forward, func(dy *tensor.Tensor) *tensor.Tensor {
-		net.backward(dy)
-		return nil
-	})
+	r := float32(rng.NormFloat64()) // L = r·y, so dL/dy = r
+	ZeroGrads(net.params())
+	net.forward(x)
+	net.backward(r)
+
+	const eps = 1e-2
+	const tol = 2e-2
+	loss := func() float64 { return float64(r) * float64(net.forward(x)) }
+	for _, p := range net.params() {
+		w := p.W.Data()
+		for _, idx := range sampleIndices(rng, len(w), 12) {
+			orig := w[idx]
+			w[idx] = orig + eps
+			lp := loss()
+			w[idx] = orig - eps
+			lm := loss()
+			w[idx] = orig
+			fd := (lp - lm) / (2 * eps)
+			an := float64(p.Grad.Data()[idx])
+			if math.Abs(fd-an) > tol*(1+math.Abs(fd)) {
+				t.Fatalf("%s grad[%d]: analytic %v vs finite-diff %v", p.Name, idx, an, fd)
+			}
+		}
+	}
+}
+
+// Integration: a tiny network can fit a simple function, proving the full
+// forward/backward/step loop learns.
+func TestEndToEndLearning(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	net := newConvNet(rng, 4)
+	// Target: bright images → +0.8, dark images → -0.8.
+	sample := func(bright bool) (*tensor.Tensor, float32) {
+		x := tensor.New(1, 5, 5)
+		if bright {
+			x.RandUniform(rng, 0.7, 1)
+			return x, 0.8
+		}
+		x.RandUniform(rng, 0, 0.3)
+		return x, -0.8
+	}
+	opt := NewSGD(0.05)
+	var last float64
+	for epoch := 0; epoch < 200; epoch++ {
+		ZeroGrads(net.params())
+		var total float64
+		for b := 0; b < 8; b++ {
+			x, tgt := sample(b%2 == 0)
+			// ½(y−t)², averaged over the batch as regressor.Fit does.
+			diff := net.forward(x) - tgt
+			total += 0.5 * float64(diff) * float64(diff)
+			net.backward(diff / 8)
+		}
+		opt.Step(net.params())
+		last = total / 8
+	}
+	if last > 0.02 {
+		t.Fatalf("network failed to learn: final loss %v", last)
+	}
 }
 
 func TestSmoothL1(t *testing.T) {
@@ -410,12 +381,18 @@ func TestStepSchedule(t *testing.T) {
 	}
 }
 
+// randParams is a convolution's parameters followed by a head's, the order
+// the regressor saves them in.
+func randParams(rng *rand.Rand, headIn int) []*Param {
+	w, b := tensor.New(1, headIn), tensor.New(1)
+	w.RandNormal(rng, 0, 1)
+	b.RandNormal(rng, 0, 1)
+	return append(NewConv2D(rng, 2, 3, 3, 1, -1).Params(), NewParam("dense.weight", w), NewParam("dense.bias", b))
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	newParams := func() []*Param {
-		return append(NewConv2D(rng, 2, 3, 3, 1, -1).Params(), NewDense(rng, 3, 1).Params()...)
-	}
-	saved, loaded := newParams(), newParams()
+	saved, loaded := randParams(rng, 3), randParams(rng, 3)
 	var buf bytes.Buffer
 	if err := SaveParams(&buf, saved); err != nil {
 		t.Fatal(err)
@@ -435,26 +412,26 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadRejectsMismatchedShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
-	a := NewDense(rng, 4, 2)
 	var buf bytes.Buffer
-	if err := SaveParams(&buf, a.Params()); err != nil {
+	if err := SaveParams(&buf, randParams(rng, 4)); err != nil {
 		t.Fatal(err)
 	}
-	b := NewDense(rng, 5, 2)
-	if err := LoadParams(&buf, b.Params()); err == nil {
+	if err := LoadParams(&buf, randParams(rng, 5)); err == nil {
 		t.Fatal("expected shape mismatch error")
 	}
 }
 
 func TestLoadRejectsBadMagic(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	d := NewDense(rng, 2, 2)
-	if err := LoadParams(bytes.NewReader([]byte("NOT-A-WEIGHT-FILE")), d.Params()); err == nil {
+	if err := LoadParams(bytes.NewReader([]byte("NOT-A-WEIGHT-FILE")), randParams(rng, 2)); err == nil {
 		t.Fatal("expected magic error")
 	}
 }
 
-func TestBackwardBeforeForwardPanics(t *testing.T) {
+// TestConv2DBackwardShapeMismatchPanics: Backward differentiates at the
+// input it is given, so a dy that is not the shape of that input's output
+// is refused.
+func TestConv2DBackwardShapeMismatchPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	conv := NewConv2D(rng, 1, 1, 3, 1, -1)
 	defer func() {
@@ -462,40 +439,5 @@ func TestBackwardBeforeForwardPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	conv.Backward(tensor.New(1, 3, 3))
-}
-
-// Integration: a tiny network can fit a simple function, proving the full
-// forward/backward/step loop learns.
-func TestEndToEndLearning(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	net := newConvNet(rng, 4)
-	// Target: bright images → +0.8, dark images → -0.8.
-	sample := func(bright bool) (*tensor.Tensor, float32) {
-		x := tensor.New(1, 5, 5)
-		if bright {
-			x.RandUniform(rng, 0.7, 1)
-			return x, 0.8
-		}
-		x.RandUniform(rng, 0, 0.3)
-		return x, -0.8
-	}
-	opt := NewSGD(0.05)
-	var last float64
-	for epoch := 0; epoch < 200; epoch++ {
-		ZeroGrads(net.params())
-		var total float64
-		for b := 0; b < 8; b++ {
-			x, tgt := sample(b%2 == 0)
-			// ½(y−t)², averaged over the batch as regressor.Fit does.
-			diff := net.forward(x).At(0) - tgt
-			total += 0.5 * float64(diff) * float64(diff)
-			net.backward(tensor.FromSlice([]float32{diff / 8}, 1))
-		}
-		opt.Step(net.params())
-		last = total / 8
-	}
-	if last > 0.02 {
-		t.Fatalf("network failed to learn: final loss %v", last)
-	}
+	conv.Backward(tensor.New(1, 4, 4), tensor.New(1, 3, 3))
 }

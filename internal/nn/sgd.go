@@ -34,11 +34,13 @@ func (s *SGD) Step(params []*Param) {
 		}
 		vd, gd, wdta := v.Data(), p.Grad.Data(), p.W.Data()
 		for i := range wdta {
+			// Each product is rounded before its sum (float32(…)), so no
+			// architecture fuses a multiply-add here.
 			g := gd[i]
 			if wd != 0 {
-				g += wd * wdta[i]
+				g += float32(wd * wdta[i])
 			}
-			vd[i] = mom*vd[i] - lr*g
+			vd[i] = float32(mom*vd[i]) - float32(lr*g)
 			wdta[i] += vd[i]
 		}
 	}

@@ -10,6 +10,11 @@
 // global average pooling ("a voting process"), concatenated and fed to a
 // fully-connected layer that regresses a single scalar.
 //
+// The module is one piece of arithmetic: Predict (serving) and Forward
+// (training) run the same forward — each branch's nn.Conv2D.Infer, then a
+// fused rectified channel mean, then the head's dot product — and Backward
+// is its chain rule, ending in each convolution's nn.Conv2D.Backward.
+//
 // The regressed value is not the optimal scale itself but the normalised
 // relative scale t of Eq. 3, in [-1, 1]: "what matters is the content
 // instead of the image size itself", so the module learns to react —
@@ -70,7 +75,7 @@ func DecodeScale(t float64, baseSize int) int {
 	}
 	rMin := float64(MinScale) / float64(MaxScale)
 	rMax := float64(MaxScale) / float64(MinScale)
-	ratio := (t+1)/2*(rMax-rMin) + rMin
+	ratio := float64((t+1)/2*(rMax-rMin)) + rMin // rounded: no fused multiply-add
 	return clipScale(int(math.Round(ratio * float64(baseSize))))
 }
 
@@ -85,21 +90,24 @@ func clipScale(s int) int {
 	return s
 }
 
-// Regressor is the trainable scale-regression module.
+// Regressor is the trainable scale-regression module. Its arithmetic is
+// one forward (forward), which Predict runs for serving and Forward for
+// training, and Backward, the chain rule through that same forward.
 type Regressor struct {
 	Kernels []int
 
 	branches []*nn.Conv2D
-	relus    []*nn.ReLU
-	pools    []*nn.GlobalAvgPool
-	fc       *nn.Dense
+	weight   *nn.Param // the head's 1 × (branchChannels·len(Kernels)) weights
+	bias     *nn.Param // the head's bias, 1
 
-	// Training scratch, reused across samples: the pooled branch outputs
-	// side by side (the head's input), the loss gradient as a tensor, and
-	// one branch's slice of the head's input gradient.
-	concat, dt, dv *tensor.Tensor
+	// What Forward keeps for Backward: the features, each branch's output
+	// (from scratch) and the rectified channel means side by side, the
+	// head's input.
+	x      *tensor.Tensor
+	outs   []*tensor.Tensor
+	concat []float32
 
-	// scratch recycles branch activation buffers across Predict calls.
+	// scratch recycles branch outputs across Predict and training calls.
 	// Per-regressor (clones get their own), so workers never contend.
 	scratch *tensor.Pool
 }
@@ -118,96 +126,141 @@ func New(rng *rand.Rand, kernels []int) *Regressor {
 		// branch unrecoverable).
 		conv.Bias.W.Fill(0.1)
 		r.branches = append(r.branches, conv)
-		r.relus = append(r.relus, nn.NewReLU())
-		r.pools = append(r.pools, nn.NewGlobalAvgPool())
 	}
-	r.fc = nn.NewDense(rng, branchChannels*len(kernels), 1)
+	in := branchChannels * len(kernels)
+	w := tensor.New(1, in)
+	w.XavierInit(rng, in, 1)
+	r.weight = nn.NewParam("dense.weight", w)
+	r.bias = nn.NewParam("dense.bias", tensor.New(1))
 	return r
 }
 
 // Clone returns an independent regressor with identical weights. All
-// parameters are deep-copied and activation caches start empty — none of
-// the original's training scratch follows it into serving — so a clone can
-// run Forward (or even train) concurrently with the original without
-// sharing any mutable state.
+// parameters are deep-copied and none of the original's training state
+// follows it into serving, so a clone can run Predict (or even train)
+// concurrently with the original without sharing any mutable state.
 func (r *Regressor) Clone() *Regressor {
 	c := &Regressor{
 		Kernels: append([]int(nil), r.Kernels...),
-		fc:      r.fc.Clone(),
+		weight:  r.weight.Clone(),
+		bias:    r.bias.Clone(),
 		scratch: tensor.NewPool(),
 	}
-	for i := range r.branches {
-		c.branches = append(c.branches, r.branches[i].Clone())
-		c.relus = append(c.relus, r.relus[i].Clone())
-		c.pools = append(c.pools, r.pools[i].Clone())
+	for _, b := range r.branches {
+		c.branches = append(c.branches, b.Clone())
 	}
 	return c
 }
 
-// Forward regresses t from a deep feature map (C×H×W, any spatial size —
-// global pooling absorbs the scale-dependent resolution).
-func (r *Regressor) Forward(features *tensor.Tensor) float64 {
-	if r.concat == nil {
-		r.concat = tensor.New(branchChannels * len(r.branches))
-		r.dt, r.dv = tensor.New(1), tensor.New(branchChannels)
-	}
-	for i := range r.branches {
-		v := r.pools[i].Forward(r.relus[i].Forward(r.branches[i].Forward(features)))
-		copy(r.concat.Data()[i*branchChannels:], v.Data())
-	}
-	return float64(r.fc.Forward(r.concat).Data()[0])
-}
-
-// Predict regresses t through the inference-only fast path: fused pooled
-// convolutions, in-place rectification and an inlined fully-connected
-// head. It is bit-identical to Forward, allocates nothing in steady
-// state, touches no activation caches (so it cannot be followed by
+// Predict regresses t from a deep feature map (C×H×W, any spatial size —
+// global pooling absorbs the scale-dependent resolution). It allocates
+// nothing in steady state, keeps nothing (so it cannot be followed by
 // Backward) and is safe for concurrent use on clones.
 func (r *Regressor) Predict(features *tensor.Tensor) float64 {
-	var concat [3 * branchChannels]float32 // supports up to 3 branches
-	if len(r.branches) > len(concat)/branchChannels {
-		return r.Forward(features)
+	return r.forward(features, false)
+}
+
+// Forward is Predict for training: the same arithmetic and result, but it
+// keeps the features, the branch outputs and the head's input for the
+// Backward that follows. A later Forward drops what an earlier one kept.
+func (r *Regressor) Forward(features *tensor.Tensor) float64 {
+	r.release()
+	if r.concat == nil {
+		r.concat = make([]float32, branchChannels*len(r.branches))
+		r.outs = make([]*tensor.Tensor, len(r.branches))
 	}
+	r.x = features
+	return r.forward(features, true)
+}
+
+// forward is the module (Fig. 4): per branch the convolution, then the
+// rectified mean of each output channel — max(0, ·) summed in ascending
+// position order, times 1/(H·W) — and per mean its head term, summed in
+// ascending index order from +0; then the bias. keep stores each branch's
+// output and means for Backward.
+func (r *Regressor) forward(features *tensor.Tensor, keep bool) float64 {
+	var means [branchChannels]float32
+	wd := r.weight.W.Data()
+	var y float32
 	for i, branch := range r.branches {
 		v := branch.Infer(features, r.scratch)
+		mean := means[:]
+		if keep {
+			r.outs[i] = v
+			mean = r.concat[i*branchChannels : (i+1)*branchChannels]
+		}
 		d := v.Data()
-		// ReLU in place, then the global average — the same ascending
-		// summation order as GlobalAvgPool.Forward.
 		n := v.Dim(1) * v.Dim(2)
 		inv := 1 / float32(n)
-		for ch := 0; ch < branchChannels; ch++ {
+		for ch := range mean {
 			var s float32
 			for _, x := range d[ch*n : (ch+1)*n] {
 				if x > 0 {
 					s += x
 				}
 			}
-			concat[i*branchChannels+ch] = s * inv
+			mean[ch] = s * inv
+			y += float32(wd[i*branchChannels+ch] * mean[ch]) // rounded: no fused multiply-add
 		}
-		r.scratch.PutTensor(v)
+		if !keep {
+			r.scratch.PutTensor(v)
+		}
 	}
-	// Inlined Dense head: y = W·concat + b, ascending-index accumulation
-	// exactly as the serial matmul kernel computes it.
-	wd := r.fc.Weight.W.Data()
-	var s float32
-	for p := 0; p < branchChannels*len(r.branches); p++ {
-		s += wd[p] * concat[p]
-	}
-	return float64(s + r.fc.Bias.W.Data()[0])
+	return float64(y + r.bias.W.Data()[0])
 }
 
 // Backward propagates the scalar loss gradient dt through the module,
-// accumulating parameter gradients. Must follow Forward.
+// accumulating parameter gradients. It must follow Forward, and consumes
+// what that Forward kept. Per branch, the gradient of its output is
+// dconcat/(H·W) where the output is positive and 0 elsewhere; it is written
+// over the output itself, which the convolution's Backward then reads as dy.
 func (r *Regressor) Backward(dt float64) {
-	if r.concat == nil {
+	if r.x == nil {
 		panic("regressor: Backward called before Forward")
 	}
-	r.dt.Data()[0] = float32(dt)
-	dconcat := r.fc.Backward(r.dt)
-	for i := range r.branches {
-		copy(r.dv.Data(), dconcat.Data()[i*branchChannels:(i+1)*branchChannels])
-		r.branches[i].Backward(r.relus[i].Backward(r.pools[i].Backward(r.dv)))
+	g := float32(dt)
+	wd, wg := r.weight.W.Data(), r.weight.Grad.Data()
+	r.bias.Grad.Data()[0] += g
+	for i, branch := range r.branches {
+		v := r.outs[i]
+		d := v.Data()
+		n := v.Dim(1) * v.Dim(2)
+		inv := 1 / float32(n)
+		for ch := 0; ch < branchChannels; ch++ {
+			p := i*branchChannels + ch
+			// Head: dW = dt·concatᵀ and dconcat = Wᵀ·dt, each an
+			// accumulator from +0, a zero weight contributing nothing to
+			// dconcat, every product rounded before its sum.
+			var dw, dc float32
+			dw += float32(g * r.concat[p])
+			wg[p] += dw
+			if wd[p] != 0 {
+				dc += float32(wd[p] * g)
+			}
+			dy := dc * inv
+			plane := d[ch*n : (ch+1)*n]
+			for j, x := range plane {
+				if x > 0 {
+					plane[j] = dy
+				} else {
+					plane[j] = 0
+				}
+			}
+		}
+		branch.Backward(r.x, v)
 	}
+	r.release()
+}
+
+// release returns the branch outputs a Forward kept to the pool.
+func (r *Regressor) release() {
+	for i, v := range r.outs {
+		if v != nil {
+			r.scratch.PutTensor(v)
+			r.outs[i] = nil
+		}
+	}
+	r.x = nil
 }
 
 // Params returns all trainable parameters.
@@ -216,7 +269,7 @@ func (r *Regressor) Params() []*nn.Param {
 	for _, b := range r.branches {
 		ps = append(ps, b.Params()...)
 	}
-	return append(ps, r.fc.Params()...)
+	return append(ps, r.weight, r.bias)
 }
 
 // Save serialises the regressor weights.

@@ -2,11 +2,13 @@ package regressor
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"adascale/internal/nn"
 	"adascale/internal/rfcn"
 	"adascale/internal/synth"
 	"adascale/internal/tensor"
@@ -124,17 +126,9 @@ func TestArchitectureVariants(t *testing.T) {
 // TestPredictBitIdenticalToForward: Predict is what serving runs and Forward
 // what Fit optimises, so a trained weight means the same thing in both only
 // if they agree to the bit — on the detector's real feature maps at every
-// S_reg scale and for every branch count, including a four-branch set that
-// takes Predict's fallback.
+// S_reg scale and for every branch count.
 func TestPredictBitIdenticalToForward(t *testing.T) {
-	cfg := synth.VIDLike(31)
-	cfg.FramesPerSnippet = 1
-	ds, err := synth.Generate(cfg, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	det := rfcn.New(&ds.Config, []int{600, 480, 360, 240})
-	frame := synth.Frames(ds.Train)[0]
+	det, frame := detectorFrame(t)
 	rng := rand.New(rand.NewSource(9))
 	for _, kernels := range [][]int{{1}, {1, 3}, {1, 3, 5}, {1, 3, 5, 7}} {
 		r := New(rng, kernels)
@@ -146,6 +140,115 @@ func TestPredictBitIdenticalToForward(t *testing.T) {
 			}
 		}
 	}
+}
+
+// detectorFrame is a detector and one frame of a small VID-like corpus, the
+// source of real feature maps.
+func detectorFrame(t *testing.T) (*rfcn.Detector, *synth.Frame) {
+	t.Helper()
+	cfg := synth.VIDLike(31)
+	cfg.FramesPerSnippet = 1
+	ds, err := synth.Generate(cfg, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rfcn.New(&ds.Config, []int{600, 480, 360, 240}), synth.Frames(ds.Train)[0]
+}
+
+// referencePredict is the Fig. 4 module written out as its definition, one
+// plain loop per step: each branch's convolution (tensor.ConvInto), max(0, ·)
+// per output element, the mean of each channel, then the head's dot product
+// with the concatenated means, plus the bias. Sums run from +0 in ascending
+// order and the mean is the sum times 1/(H·W).
+func referencePredict(r *Regressor, x *tensor.Tensor) float64 {
+	var concat []float32
+	for _, b := range r.branches {
+		ho := tensor.ConvOutSize(x.Dim(1), b.Kernel, b.Stride, b.Pad)
+		wo := tensor.ConvOutSize(x.Dim(2), b.Kernel, b.Stride, b.Pad)
+		out := tensor.New(b.OutC, ho, wo)
+		tensor.ConvInto(out, x, b.Weight.W, b.Bias.W, b.Stride, b.Pad)
+		d := out.Data()
+		for i, v := range d {
+			d[i] = max(0, v)
+		}
+		n := ho * wo
+		for ch := 0; ch < b.OutC; ch++ {
+			var s float32
+			for _, v := range d[ch*n : (ch+1)*n] {
+				s += v
+			}
+			concat = append(concat, s*(1/float32(n)))
+		}
+	}
+	var y float32
+	for p, v := range concat {
+		y += float32(r.weight.W.Data()[p] * v)
+	}
+	return float64(y + r.bias.W.Data()[0])
+}
+
+// TestPredictMatchesReference holds Predict to referencePredict, bit for
+// bit, on the detector's real feature maps at every S_reg scale and for one
+// to four branches.
+func TestPredictMatchesReference(t *testing.T) {
+	det, frame := detectorFrame(t)
+	rng := rand.New(rand.NewSource(8))
+	for _, kernels := range [][]int{{1}, {1, 3}, {1, 3, 5}, {1, 3, 5, 7}} {
+		r := New(rng, kernels)
+		r.bias.W.Data()[0] = 0.25
+		for _, m := range SReg {
+			feats := det.Features(frame, m)
+			got, want := r.Predict(feats), referencePredict(r, feats)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("kernels %v, scale %d: Predict %v, reference %v", kernels, m, got, want)
+			}
+		}
+	}
+}
+
+// TestRegressorGradients holds Backward's gradient of every parameter — the
+// head's weights and bias, each branch's convolution weights and biases —
+// to central finite differences of Predict, for one, two and three
+// branches. Every element of the head and the biases is checked, and a
+// sample of each convolution's weights.
+func TestRegressorGradients(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, kernels := range [][]int{{1}, {1, 3}, {1, 3, 5}} {
+		r := New(rng, kernels)
+		feats := tensor.New(rfcn.FeatureChannels, 5, 7)
+		feats.RandNormal(rng, 0.3, 1) // some of every branch's outputs rectified away
+		params := r.Params()
+		nn.ZeroGrads(params)
+		r.Forward(feats)
+		r.Backward(1) // dL/dy = 1: the gradients are those of y itself
+
+		const eps = 1e-3
+		for _, p := range params {
+			w := p.W.Data()
+			idx := sampleIndices(rng, len(w), 24)
+			for _, i := range idx {
+				orig := w[i]
+				w[i] = orig + eps
+				yp := r.Predict(feats)
+				w[i] = orig - eps
+				ym := r.Predict(feats)
+				w[i] = orig
+				fd := (yp - ym) / (2 * eps)
+				an := float64(p.Grad.Data()[i])
+				if math.Abs(fd-an) > 5e-3+2e-2*math.Abs(fd) {
+					t.Fatalf("kernels %v: %s grad[%d] = %v, finite difference %v", kernels, p.Name, i, an, fd)
+				}
+			}
+		}
+	}
+}
+
+// sampleIndices is every index below n when n <= k, else k distinct ones.
+func sampleIndices(rng *rand.Rand, n, k int) []int {
+	if n <= k {
+		k = n
+	}
+	return rng.Perm(n)[:k]
 }
 
 func TestBackwardBeforeForwardPanics(t *testing.T) {
@@ -225,6 +328,35 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	c := New(rng, []int{1, 3, 5})
 	if err := c.Load(&buf2); err == nil {
 		t.Fatal("loading mismatched architecture must error")
+	}
+}
+
+// TestLoadIsAllOrNothing: a load that fails changes no weight. A {1,3}
+// file read into a {1,5} regressor fails at the second branch's name, after
+// the first branch's weights were read, and every truncated prefix of a
+// valid file fails somewhere inside it; either way Predict gives the same
+// bits after the failed load as before.
+func TestLoadIsAllOrNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	feats := randFeatures(rng, 8, 8)
+	var file bytes.Buffer
+	if err := New(rng, []int{1, 3}).Save(&file); err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, r *Regressor, data []byte) {
+		t.Helper()
+		want := math.Float64bits(r.Predict(feats))
+		if err := r.Load(bytes.NewReader(data)); err == nil {
+			t.Fatalf("%s: load succeeded", name)
+		}
+		if got := math.Float64bits(r.Predict(feats)); got != want {
+			t.Fatalf("%s: failed load moved Predict from %x to %x", name, want, got)
+		}
+	}
+	check("{1,3} file into {1,5}", New(rng, []int{1, 5}), file.Bytes())
+	r := New(rng, []int{1, 3})
+	for n := 0; n < file.Len(); n++ {
+		check(fmt.Sprintf("prefix of %d/%d bytes", n, file.Len()), r, file.Bytes()[:n])
 	}
 }
 

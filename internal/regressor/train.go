@@ -131,7 +131,7 @@ func (r *Regressor) Fit(labels []Label, cfg TrainConfig) []float64 {
 				lb := labels[idx]
 				pred := r.Forward(lb.Features)
 				diff := pred - lb.Target
-				sum += 0.5 * diff * diff
+				sum += float64(0.5 * diff * diff) // rounded: no fused multiply-add
 				// d(½(pred-t)²)/dpred, averaged over the batch.
 				r.Backward(diff / float64(end-start))
 			}
@@ -151,7 +151,7 @@ func clipGradients(params []*nn.Param, maxNorm float64) {
 	var sq float64
 	for _, p := range params {
 		n := p.Grad.L2Norm()
-		sq += n * n
+		sq += float64(n * n) // rounded: no fused multiply-add
 	}
 	norm := math.Sqrt(sq)
 	if norm <= maxNorm {

@@ -45,40 +45,35 @@ func bitsEqual(t *testing.T, name string, got, want *Tensor) {
 	}
 }
 
+// TestMatMulIntoVariantsMatch: the two products agree to the bit on
+// transposed operands — MatMulABTInto(A, Bᵀ) is MatMul(A, B), zeros in A
+// included (MatMul skips them, MatMulABTInto adds their ±0 products) — so
+// the conv oracle and the weight gradient's portable path sum alike.
 func TestMatMulIntoVariantsMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randTensorWithZeros(rng, 9, 13)
-	b := randTensorWithZeros(rng, 9, 11) // for ATB: Aᵀ(13×9)·B(9×11)
-	c := randTensorWithZeros(rng, 5, 13) // for ABT: a(9×13)·cᵀ(13×5)
-
-	atb := New(13, 11)
-	MatMulATBInto(atb, a, b)
-	bitsEqual(t, "MatMulATBInto", atb, MatMulATB(a, b))
-
+	b := randTensorWithZeros(rng, 13, 5)
+	bt := New(5, 13)
+	for p := 0; p < 13; p++ {
+		for j := 0; j < 5; j++ {
+			bt.Data()[j*13+p] = b.Data()[p*5+j]
+		}
+	}
 	abt := New(9, 5)
-	MatMulABTInto(abt, a, c)
-	bitsEqual(t, "MatMulABTInto", abt, MatMulABT(a, c))
+	MatMulABTInto(abt, a, bt)
+	bitsEqual(t, "MatMulABTInto", abt, MatMul(a, b))
+	bitsEqual(t, "MatMulABT", MatMulABT(a, bt), MatMul(a, b))
 }
 
-// TestMatMulIntoOverwritesDst: the Into variants own their destination —
-// stale contents (a reused scratch) must not leak into the product.
+// TestMatMulIntoOverwritesDst: MatMulABTInto owns its destination — stale
+// contents (a reused scratch) must not leak into the product.
 func TestMatMulIntoOverwritesDst(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := randTensorWithZeros(rng, 6, 10)
-	b := randTensorWithZeros(rng, 10, 7)
-	at := randTensorWithZeros(rng, 10, 6)
 	bt := randTensorWithZeros(rng, 7, 10)
-	stale := func() *Tensor {
-		dst := New(6, 7)
-		dst.Fill(999)
-		return dst
-	}
-	ab, atb, abt := stale(), stale(), stale()
-	MatMulInto(ab, a, b)
-	MatMulATBInto(atb, at, b)
+	abt := New(6, 7)
+	abt.Fill(999)
 	MatMulABTInto(abt, a, bt)
-	bitsEqual(t, "MatMulInto", ab, MatMul(a, b))
-	bitsEqual(t, "MatMulATBInto", atb, MatMulATB(at, b))
 	bitsEqual(t, "MatMulABTInto", abt, MatMulABT(a, bt))
 }
 
@@ -184,8 +179,7 @@ func convReference(x, weight, bias *Tensor, stride, pad int) *Tensor {
 	wo := ConvOutSize(x.Dim(2), kernel, stride, pad)
 	cols := Im2Col(x, kernel, stride, pad)
 	wm := weight.Reshape(outC, cin*kernel*kernel)
-	out := New(outC, ho*wo)
-	MatMulInto(out, wm, cols)
+	out := MatMul(wm, cols)
 	od := out.Data()
 	bd := bias.Data()
 	n := ho * wo

@@ -2,37 +2,25 @@ package tensor
 
 import "fmt"
 
-// The three products below are serial loops: after the backbone moved to
-// ConvInto their callers are the scale regressor's training step (the
-// fully-connected head, and the dW product of ConvWeightGradInto's portable
-// path) and the tests' im2col oracle. Parallelism lives across frames and
+// The two matrix products: MatMulABTInto is the portable path of the
+// convolution weight gradient (ConvWeightGradInto) and defines its bits;
+// MatMul, the plain i-k-j loop, is the oracle the tests hold the lowered
+// convolution to (MatMul(weights, Im2Col(x)) plus bias is ConvInto's
+// definition). Both are serial loops: parallelism lives across frames and
 // snippets (internal/parallel), never inside a kernel, so a result cannot
-// depend on the worker count. MatMul and MatMulATB are the plain i-k-j
-// loops; MatMulABT, which defines the weight gradient, takes four rows at
-// once — same sums, see there.
+// depend on the worker count.
 
 // MatMul computes C = A·B for 2-D tensors A (m×k) and B (k×n), returning a
-// new m×n tensor. The inner loop is ordered i-k-j so B is traversed
-// row-major, which keeps the kernel cache-friendly without external BLAS.
+// new m×n tensor: each element summed from +0 over p ascending, a zero in A
+// skipped. The inner loop is ordered i-k-j so B is traversed row-major. It
+// panics on shape mismatch.
 func MatMul(a, b *Tensor) *Tensor {
-	c := New(a.Dim(0), b.Dim(1))
-	MatMulInto(c, a, b)
-	return c
-}
-
-// MatMulInto computes dst = A·B, reusing dst's storage. dst must be m×n and
-// is overwritten. It panics on shape mismatch.
-func MatMulInto(dst, a, b *Tensor) {
-	if a.Dims() != 2 || b.Dims() != 2 || dst.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: MatMul requires 2-D tensors, got %v · %v -> %v", a.shape, b.shape, dst.shape))
+	if a.Dims() != 2 || b.Dims() != 2 || a.Dim(1) != b.Dim(0) {
+		panic(fmt.Sprintf("tensor: MatMul shape mismatch %v · %v", a.shape, b.shape))
 	}
-	m, k := a.Dim(0), a.Dim(1)
-	k2, n := b.Dim(0), b.Dim(1)
-	if k != k2 || dst.Dim(0) != m || dst.Dim(1) != n {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch %v · %v -> %v", a.shape, b.shape, dst.shape))
-	}
-	ad, bd, cd := a.data, b.data, dst.data
-	clear(cd)
+	m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)
+	c := New(m, n)
+	ad, bd, cd := a.data, b.data, c.data
 	for i := 0; i < m; i++ {
 		arow := ad[i*k : (i+1)*k]
 		crow := cd[i*n : (i+1)*n]
@@ -46,46 +34,7 @@ func MatMulInto(dst, a, b *Tensor) {
 			}
 		}
 	}
-}
-
-// MatMulATB computes C = Aᵀ·B for A (k×m) and B (k×n), returning m×n.
-// Used in backward passes to avoid materialising explicit transposes.
-func MatMulATB(a, b *Tensor) *Tensor {
-	if a.Dims() != 2 || b.Dims() != 2 {
-		panic("tensor: MatMulATB requires 2-D tensors")
-	}
-	c := New(a.Dim(1), b.Dim(1))
-	MatMulATBInto(c, a, b)
 	return c
-}
-
-// MatMulATBInto computes dst = Aᵀ·B, reusing dst's storage (m×n,
-// overwritten). The inner dimension is the outermost loop, so A and B are
-// both read row-major.
-func MatMulATBInto(dst, a, b *Tensor) {
-	if a.Dims() != 2 || b.Dims() != 2 || dst.Dims() != 2 {
-		panic("tensor: MatMulATB requires 2-D tensors")
-	}
-	k, m := a.Dim(0), a.Dim(1)
-	k2, n := b.Dim(0), b.Dim(1)
-	if k != k2 || dst.Dim(0) != m || dst.Dim(1) != n {
-		panic(fmt.Sprintf("tensor: MatMulATB shape mismatch %v vs %v -> %v", a.shape, b.shape, dst.shape))
-	}
-	ad, bd, cd := a.data, b.data, dst.data
-	clear(cd)
-	for p := 0; p < k; p++ {
-		arow := ad[p*m : (p+1)*m]
-		brow := bd[p*n : (p+1)*n]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			crow := cd[i*n : (i+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
 }
 
 // MatMulABT computes C = A·Bᵀ for A (m×k) and B (n×k), returning m×n.

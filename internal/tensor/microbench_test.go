@@ -11,22 +11,6 @@ import (
 // 150×267 → 75×134 → 38×67 → 19×34 and a scale-128 frame 32×57 → 16×29 →
 // 8×15 → 4×8.
 
-func benchMatMul(b *testing.B, m, k, n int) {
-	rng := rand.New(rand.NewSource(1))
-	x := randTensor(rng, m, k)
-	y := randTensor(rng, k, n)
-	dst := New(m, n)
-	b.SetBytes(int64(m*k+k*n+m*n) * 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulInto(dst, x, y)
-	}
-}
-
-func BenchmarkMatMulSmall(b *testing.B)     { benchMatMul(b, 16, 16, 16) }
-func BenchmarkMatMulMidSquare(b *testing.B) { benchMatMul(b, 96, 96, 96) }
-
 // BenchmarkMatMulABT times dst = A·Bᵀ at the products the regressor's
 // training step defines its weight gradient by: dW = dy·colsᵀ with dy 8
 // channels × H·W positions and cols the lowered 16-channel feature map
@@ -132,12 +116,11 @@ func BenchmarkConvIm2ColPath(b *testing.B) {
 	weight := randTensor(rng, 12, 8, 3, 3)
 	wm := weight.Reshape(12, 72)
 	cols := New(72, 38*67)
-	out := New(12, 38*67)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Im2ColInto(cols, x, 3, 2, 1)
-		MatMulInto(out, wm, cols)
+		MatMul(wm, cols)
 	}
 }
 

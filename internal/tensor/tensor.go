@@ -1,9 +1,9 @@
 // Package tensor provides dense float32 tensors and the numeric kernels
-// (elementwise ops, the band-tiled convolution, serial matrix products,
-// im2col) used by the detector backbone and the neural network framework in
-// internal/nn. Tensors are row-major with an explicit shape; all operations
-// are deterministic and allocation behaviour is documented per function so
-// hot paths can reuse buffers.
+// (elementwise ops, the band-tiled convolution and its weight gradient,
+// serial matrix products, im2col) used by the detector backbone and the
+// scale regressor's convolutions in internal/nn. Tensors are row-major with
+// an explicit shape; all operations are deterministic and allocation
+// behaviour is documented per function so hot paths can reuse buffers.
 package tensor
 
 import (
@@ -140,33 +140,6 @@ func (t *Tensor) Fill(v float32) {
 	}
 }
 
-// SameShape reports whether t and u have identical shapes.
-func (t *Tensor) SameShape(u *Tensor) bool {
-	if len(t.shape) != len(u.shape) {
-		return false
-	}
-	for i := range t.shape {
-		if t.shape[i] != u.shape[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (t *Tensor) mustSameShape(u *Tensor, op string) {
-	if !t.SameShape(u) {
-		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v", op, t.shape, u.shape))
-	}
-}
-
-// AddInPlace adds u to t elementwise.
-func (t *Tensor) AddInPlace(u *Tensor) {
-	t.mustSameShape(u, "AddInPlace")
-	for i, v := range u.data {
-		t.data[i] += v
-	}
-}
-
 // ScaleInPlace multiplies every element by s.
 func (t *Tensor) ScaleInPlace(s float32) {
 	for i := range t.data {
@@ -193,7 +166,7 @@ func (t *Tensor) MaxAbs() float32 {
 func (t *Tensor) L2Norm() float64 {
 	var s float64
 	for _, v := range t.data {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v)) // rounded: no fused multiply-add
 	}
 	return math.Sqrt(s)
 }

@@ -93,28 +93,37 @@ func TestCloneIndependent(t *testing.T) {
 
 func TestElementwiseOps(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3}, 3)
-	b := FromSlice([]float32{4, 5, 6}, 3)
-	a.AddInPlace(b)
-	want := []float32{5, 7, 9}
-	for i, v := range a.Data() {
-		if v != want[i] {
-			t.Fatalf("AddInPlace[%d] = %v, want %v", i, v, want[i])
-		}
-	}
 	a.ScaleInPlace(0.5)
-	if a.At(0) != 2.5 || a.At(2) != 4.5 {
+	if a.At(0) != 0.5 || a.At(2) != 1.5 {
 		t.Fatalf("ScaleInPlace got %v", a.Data())
+	}
+	a.Fill(7)
+	if a.At(0) != 7 || a.At(2) != 7 {
+		t.Fatalf("Fill got %v", a.Data())
+	}
+	a.Zero()
+	if a.At(0) != 0 || a.At(2) != 0 {
+		t.Fatalf("Zero got %v", a.Data())
 	}
 }
 
+// TestShapeMismatchPanics: the products refuse operands whose shapes do not
+// compose rather than read past a row.
 func TestShapeMismatchPanics(t *testing.T) {
-	a, b := New(2), New(3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on shape mismatch")
-		}
-	}()
-	a.AddInPlace(b)
+	for name, f := range map[string]func(){
+		"MatMul":             func() { MatMul(New(2, 3), New(4, 2)) },
+		"MatMulABTInto":      func() { MatMulABTInto(New(2, 4), New(2, 3), New(4, 2)) },
+		"ConvWeightGradInto": func() { ConvWeightGradInto(New(2, 9), New(2, 4, 4), New(1, 5, 5), 3, 1, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic on shape mismatch", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 func TestSumMeanNorms(t *testing.T) {
@@ -167,13 +176,30 @@ func TestMatMulAgainstNaive(t *testing.T) {
 	}
 }
 
+// transpose returns Aᵀ of a 2-D tensor as a new tensor.
+func transpose(a *Tensor) *Tensor {
+	m, n := a.Dim(0), a.Dim(1)
+	at := New(n, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			at.Set(a.At(i, j), j, i)
+		}
+	}
+	return at
+}
+
+// TestMatMulATBAndABT: both transposed products against index-by-index
+// sums — Aᵀ·B, which MatMul forms over an explicit transpose, and A·Bᵀ,
+// which MatMulABT forms without one, also fed a transposed pair to give
+// Aᵀ·B a second way.
 func TestMatMulATBAndABT(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 20; trial++ {
 		m, k, n := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6)
 		a, b := randTensor(rng, k, m), randTensor(rng, k, n)
 		c, d := randTensor(rng, m, k), randTensor(rng, n, k)
-		atb, abt := MatMulATB(a, b), MatMulABT(c, d)
+		atb, abt := MatMul(transpose(a), b), MatMulABT(c, d)
+		atbABT := MatMulABT(transpose(a), transpose(b))
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
 				var wantATB, wantABT float32
@@ -182,7 +208,10 @@ func TestMatMulATBAndABT(t *testing.T) {
 					wantABT += c.At(i, p) * d.At(j, p)
 				}
 				if !almostEqual(float64(atb.At(i, j)), float64(wantATB), 1e-4) {
-					t.Fatalf("MatMulATB mismatch at (%d,%d)", i, j)
+					t.Fatalf("MatMul(Aᵀ, B) mismatch at (%d,%d)", i, j)
+				}
+				if !almostEqual(float64(atbABT.At(i, j)), float64(wantATB), 1e-4) {
+					t.Fatalf("MatMulABT(Aᵀ, Bᵀ) mismatch at (%d,%d)", i, j)
 				}
 				if !almostEqual(float64(abt.At(i, j)), float64(wantABT), 1e-4) {
 					t.Fatalf("MatMulABT mismatch at (%d,%d)", i, j)
@@ -211,12 +240,12 @@ func TestMatMulDistributesOverAddition(t *testing.T) {
 		a := randTensor(rng, m, k)
 		b, c := randTensor(rng, k, n), randTensor(rng, k, n)
 		bc := b.Clone()
-		bc.AddInPlace(c)
-		lhs := MatMul(a, bc)
-		rhs := MatMul(a, b)
-		rhs.AddInPlace(MatMul(a, c))
+		for i, v := range c.Data() {
+			bc.Data()[i] += v
+		}
+		lhs, ab, ac := MatMul(a, bc), MatMul(a, b), MatMul(a, c)
 		for i := range lhs.Data() {
-			if !almostEqual(float64(lhs.Data()[i]), float64(rhs.Data()[i]), 1e-3) {
+			if !almostEqual(float64(lhs.Data()[i]), float64(ab.Data()[i]+ac.Data()[i]), 1e-3) {
 				return false
 			}
 		}
