@@ -30,8 +30,9 @@ bench:
 # Kernel-level microbenchmarks: the tiled A·Bᵀ at the
 # regressor's three dW shapes beside tensor.ConvWeightGradInto (the AVX2
 # weight-gradient kernel Conv2D.Backward runs) at the same shapes, im2col,
-# the band-tiled convolution at the backbone's layer shapes (the log names
-# the row kernel that ran: AVX2 assembly or the Go tile) vs the historical
+# the band-tiled convolution at the backbone's layer shapes and the
+# regressor's branches at 600 and 480 (the log names the run kernel that
+# ran: AVX2 assembly or the Go tile) vs the historical
 # im2col+matmul lowering, and the arena pool — serial kernels, so one CPU —
 # a whole regressor Fit on the
 # repository benchmark's 960 labels (the serial part of setup_s),

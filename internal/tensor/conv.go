@@ -8,36 +8,50 @@ import (
 // Band-tiled im2col-free convolution. The historical path lowers the input
 // with Im2Col and multiplies by the reshaped weight matrix; that
 // materialises a (C·K·K)×(Ho·Wo) matrix that is K·K times larger than the
-// input and is read exactly once. ConvInto instead works one output row at
-// a time from two small structures:
+// input and is read exactly once. ConvInto instead works a band of R output
+// rows at a time from two small structures:
 //
 //   - a list of the *nonzero* weight taps per output channel — the
 //     backbone's hand-designed filters are mostly exact zeros, so skipping
 //     them (as the serial matmul kernel does via its a-value skip) is where
 //     the flops go away;
-//   - a row band: the Cin×K input rows output row oy reads, copied into a
-//     scratch that is zero-padded on every side and split by column phase,
-//     band[ci][ky][p][j] = xpad[ci][oy·s+ky][j·s+p]. Tap (ci,ky,kx) of
-//     output column ox then reads band[((ci·K+ky)·P + kx mod s)·L + kx/s + ox]:
-//     contiguous in ox, always in bounds, and at an offset that does not
-//     depend on oy. Padding makes every element "interior", so stride 1 and
-//     stride s, edge and middle, all take the same loop.
+//   - a band: the input rows output rows oy0 … oy0+R−1 read, copied into a
+//     scratch that is zero-padded on every side and split by row and column
+//     phase. Phase plane (ci, py, px) holds padded input rows s·(oy0+j)+py,
+//     j < R + (K−1−py)/s, sampled at padded columns s·c+px, each plane row
+//     L = wo + (K−1)/s long. Tap (ci, ky, kx) of output (r, ox) then reads
+//     plane (ci, ky mod s, kx mod s) at flat index (ky/s)·L + kx/s + r·L + ox:
+//     a tap's offset does not depend on r, ox or oy0, and the band's outputs
+//     are one run of (R−1)·L + wo columns, output (r, ox) at r·L + ox.
+//     Padding makes every element "interior", so stride 1 and stride s, edge
+//     and middle, all take the same loop.
 //
-// Each output channel walks the row in tiles of convTile columns, holding
+// The last (K−1)/s columns of each band row but the last are computed and
+// dropped: they read the next row's planes, always in bounds. R is
+// convCols/L, at least 1 and at most Ho, so a narrow layer — conv3 and the
+// regressor's branches, every layer at a low scale — runs a few hundred
+// columns per call instead of one short row ending in tail tiles. When R is
+// 1 or (K−1)/s is 0 (L = wo) the run is laid out as dst is and is written
+// straight into it; otherwise it goes to a small scratch whose kept columns
+// are copied out row by row. The last band holds the Ho mod R rows left,
+// in planes laid out for R.
+//
+// Each output channel walks the run in tiles of convTile columns, holding
 // the tile's accumulators in registers across the whole tap list and
 // storing acc+bias once. A tile is one AVX2 register: on amd64 CPUs that
-// have it, convRowAVX2 (conv_amd64.s) computes the row — per tap one
+// have it, convRowAVX2 (conv_amd64.s) computes the run — per tap one
 // broadcast weight, one VMULPS and one VADDPS per tile, four tiles in
 // flight to hide the add latency. It is never an FMA: a fused multiply-add
 // rounds once where `acc += w·x` rounds twice, and every golden pins the
-// twice-rounded bits. The Go tile below is the same arithmetic lane by
-// lane; it is the kernel on every other GOARCH and on amd64 without AVX2,
-// and the oracle the tests hold the assembly to. A row's last tile ends at
-// column wo: when wo is not a multiple of convTile it overlaps the tile
-// before it and recomputes those columns to the same bits, so only rows
-// narrower than one tile take a scalar loop. The band (≈13 KB for the
-// backbone's conv2 at scale 600) is built once per output row and reused by
-// every output channel while it sits in L1.
+// twice-rounded bits; the Go loops write each product float32(w·x) so that
+// no compiler fuses them either. The Go tile below is the same arithmetic
+// lane by lane; it is the kernel on every other GOARCH and on amd64 without
+// AVX2, and the oracle the tests hold the assembly to. A run's last tile
+// ends at its last column: when the run is not a multiple of convTile it
+// overlaps the tile before it and recomputes those columns to the same
+// bits, so only runs narrower than one tile take a scalar loop. The band
+// (≈34 KB for the backbone's conv2 at scale 600) is built once per band and
+// reused by every output channel while it sits in L1/L2.
 //
 // Bit-identity with the im2col path (DESIGN.md §4g): for an output element
 // (co, oy, ox), the im2col route accumulates wm[co][p]·cols[p][oyx] in
@@ -45,12 +59,14 @@ import (
 // the bias. ConvInto — Go tile and assembly alike — applies the same nonzero
 // taps in the same order to an accumulator that starts at +0, and an
 // out-of-bounds tap reads the band's zero padding exactly as it reads the
-// zero-padded cols matrix, so each element receives the identical chain of
-// float32 operations. A nil bias adds +0, the identity: a partial sum is
-// never -0 (it starts at +0 and exact cancellation rounds to +0).
+// zero-padded cols matrix, so each kept element receives the identical chain
+// of float32 operations whatever R is or where in the run it sits; a dropped
+// column's value never reaches dst. A nil bias adds +0, the identity: a
+// partial sum is never -0 (it starts at +0 and exact cancellation rounds to
+// +0).
 //
-// The kernel is a straight serial loop over output rows: frames and snippets
-// run in parallel (internal/parallel), a convolution never does, so its bits
+// The kernel is a straight serial loop over bands: frames and snippets run
+// in parallel (internal/parallel), a convolution never does, so its bits
 // cannot depend on the worker count.
 
 // convTile is the tile width: the eight float32 lanes of a YMM register,
@@ -59,8 +75,14 @@ import (
 // measured 20 % slower, EXPERIMENTS.md).
 const convTile = 8
 
+// convCols is a band's column target: R = convCols/L output rows share one
+// band, so a kernel call runs about convCols columns — long 4-tile blocks
+// rather than a narrow row's tail tiles — while the band stays near L1
+// (EXPERIMENTS.md, "Multi-row bands", lists the targets measured).
+const convCols = 256
+
 // tap is one nonzero weight of a convolution filter: off is where in the
-// row band its reads for output column 0 start.
+// band its reads for the band's output (0, 0) start.
 type tap struct {
 	off int
 	w   float32
@@ -92,51 +114,50 @@ func ConvInto(dst, x, weight, bias *Tensor, stride, pad int) {
 		return
 	}
 
-	// Only phases a tap can land on are built: kx mod s < min(s, K). A band
-	// row holds the wo columns plus the (K−1)/s a tap's kx/s shifts by.
+	// Only phases a tap can land on are built: ky, kx mod s < min(s, K).
+	// A band row holds the wo columns plus the (K−1)/s a tap's kx/s shifts
+	// by; every plane has room for the R + (K−1)/s rows phase 0 needs.
 	phases := min(stride, kernel)
 	rowLen := wo + (kernel-1)/stride
+	rows := max(1, min(ho, convCols/rowLen))
+	plane := (rows + (kernel-1)/stride) * rowLen
+	perCi := phases * phases * plane
 
 	// Nonzero taps per output channel, in ascending (ci, ky, kx) order —
-	// the accumulation order the im2col route uses and the goldens pin.
-	// The plan is rebuilt every call but its storage (tap list, counts and
-	// row band) recycles through a pool, so a steady-state convolution
-	// allocates nothing.
-	wd := weight.data
+	// the accumulation order the im2col route uses and the goldens pin —
+	// each at channel ci's planes plus its place in a K×K offset table.
+	// The plan is rebuilt every call but its storage (offset table, tap
+	// list, counts, band and run scratch) recycles through a pool, so a
+	// steady-state convolution allocates nothing.
 	cv := convPlanPool.Get().(*convPlan)
-	flat := cv.taps[:0]
-	counts := cv.counts
-	if cap(counts) < outC+1 {
-		counts = make([]int, outC+1)
+	kk := kernel * kernel
+	koff := grow(cv.koff, kk)
+	for ky := 0; ky < kernel; ky++ {
+		for kx := 0; kx < kernel; kx++ {
+			koff[ky*kernel+kx] = ((ky%stride)*phases+kx%stride)*plane + ky/stride*rowLen + kx/stride
+		}
 	}
-	counts = counts[:outC+1]
+	wd := weight.data
+	flat := cv.taps[:0]
+	counts := grow(cv.counts, outC+1)
 	counts[0] = 0
 	for co := 0; co < outC; co++ {
-		base := co * cin * kernel * kernel
 		for ci := 0; ci < cin; ci++ {
-			for ky := 0; ky < kernel; ky++ {
-				for kx := 0; kx < kernel; kx++ {
-					if wv := wd[base+(ci*kernel+ky)*kernel+kx]; wv != 0 {
-						off := ((ci*kernel+ky)*phases+kx%stride)*rowLen + kx/stride
-						flat = append(flat, tap{off, wv})
-					}
+			for k, wv := range wd[(co*cin+ci)*kk:][:kk] {
+				if wv != 0 {
+					flat = append(flat, tap{ci*perCi + koff[k], wv})
 				}
 			}
 		}
 		counts[co+1] = len(flat)
 	}
 
-	band := cv.band
-	if n := cin * kernel * phases * rowLen; cap(band) < n {
-		band = make([]float32, n)
-	} else {
-		band = band[:n]
-	}
 	*cv = convPlan{
 		xd: x.data, dd: dst.data, bias: bias,
 		cin: cin, h: h, w: w, kernel: kernel, stride: stride, pad: pad,
-		ho: ho, wo: wo, phases: phases, rowLen: rowLen,
-		taps: flat, counts: counts, band: band,
+		ho: ho, wo: wo, phases: phases, rowLen: rowLen, rows: rows, plane: plane,
+		koff: koff, taps: flat, counts: counts,
+		band: grow(cv.band, cin*perCi), wide: grow(cv.wide, (rows-1)*rowLen+wo),
 	}
 	cv.run()
 	// Drop the tensor references and recycle the plan's storage.
@@ -146,10 +167,10 @@ func ConvInto(dst, x, weight, bias *Tensor, stride, pad int) {
 
 // convPlanPool recycles convPlan structs and their slice storage across
 // ConvInto calls; every field is rebuilt before use, and the band only ever
-// grows to the largest row seen.
+// grows to the largest seen.
 var convPlanPool = sync.Pool{New: func() any { return new(convPlan) }}
 
-// convPlan is one call's geometry, tap list and row band.
+// convPlan is one call's geometry, tap list, band and run scratch.
 type convPlan struct {
 	xd, dd []float32
 	bias   *Tensor
@@ -159,80 +180,99 @@ type convPlan struct {
 	stride int
 	pad    int
 	ho, wo int
-	phases int // column phases in the band: min(stride, kernel)
-	rowLen int // band row length L: wo + (kernel−1)/stride
+	phases int   // row and column phases in the band: min(stride, kernel)
+	rowLen int   // band row length L: wo + (kernel−1)/stride
+	rows   int   // output rows a band holds, R
+	plane  int   // floats per phase plane: (R + (kernel−1)/stride)·L
+	koff   []int // K×K tap offsets within one channel's planes
 	taps   []tap
 	counts []int // taps[counts[co]:counts[co+1]] belong to channel co
 	band   []float32
+	wide   []float32 // a band's run when it is not laid out as dst
 }
 
-// run computes every output row of every output channel.
+// run computes every band of every output channel.
 func (cv *convPlan) run() {
 	band := cv.band
-	ho, wo := cv.ho, cv.wo
-	for oy := 0; oy < ho; oy++ {
-		cv.fillBand(band, oy)
+	ho, wo, rowLen := cv.ho, cv.wo, cv.rowLen
+	for oy0 := 0; oy0 < ho; oy0 += cv.rows {
+		rows := min(cv.rows, ho-oy0)
+		cv.fillBand(band, oy0, rows)
+		n := (rows-1)*rowLen + wo
+		direct := rows == 1 || rowLen == wo
 		for co := range cv.counts[1:] {
 			taps := cv.taps[cv.counts[co]:cv.counts[co+1]]
 			var bv float32
 			if cv.bias != nil {
 				bv = cv.bias.data[co]
 			}
-			orow := cv.dd[(co*ho+oy)*wo:][:wo]
-			if wo < convTile {
-				for ox := range orow {
+			out := cv.wide[:n]
+			if direct {
+				out = cv.dd[(co*ho+oy0)*wo:][:n]
+			}
+			switch {
+			case n < convTile:
+				for ox := range out {
 					var a float32
 					for _, tp := range taps {
-						a += tp.w * band[tp.off+ox]
+						a += float32(tp.w * band[tp.off+ox])
 					}
-					orow[ox] = a + bv
+					out[ox] = a + bv
 				}
-				continue
-			}
-			if useAVX2 && len(taps) > 0 {
-				convRowAVX2(&orow[0], &band[0], &taps[0], len(taps), wo, bv)
-				continue
-			}
-			for ox := 0; ox < wo; ox += convTile {
-				ox := min(ox, wo-convTile) // the last tile ends at column wo
-				var a0, a1, a2, a3, a4, a5, a6, a7 float32
-				for _, tp := range taps {
-					b := band[tp.off+ox : tp.off+ox+convTile : tp.off+ox+convTile]
-					wv := tp.w
-					a0 += wv * b[0]
-					a1 += wv * b[1]
-					a2 += wv * b[2]
-					a3 += wv * b[3]
-					a4 += wv * b[4]
-					a5 += wv * b[5]
-					a6 += wv * b[6]
-					a7 += wv * b[7]
+			case useAVX2 && len(taps) > 0:
+				convRowAVX2(&out[0], &band[0], &taps[0], len(taps), n, bv)
+			default:
+				for ox := 0; ox < n; ox += convTile {
+					ox := min(ox, n-convTile) // the last tile ends at column n
+					var a0, a1, a2, a3, a4, a5, a6, a7 float32
+					for _, tp := range taps {
+						b := band[tp.off+ox : tp.off+ox+convTile : tp.off+ox+convTile]
+						wv := tp.w
+						a0 += float32(wv * b[0])
+						a1 += float32(wv * b[1])
+						a2 += float32(wv * b[2])
+						a3 += float32(wv * b[3])
+						a4 += float32(wv * b[4])
+						a5 += float32(wv * b[5])
+						a6 += float32(wv * b[6])
+						a7 += float32(wv * b[7])
+					}
+					o := out[ox : ox+convTile : ox+convTile]
+					o[0], o[1], o[2], o[3] = a0+bv, a1+bv, a2+bv, a3+bv
+					o[4], o[5], o[6], o[7] = a4+bv, a5+bv, a6+bv, a7+bv
 				}
-				o := orow[ox : ox+convTile : ox+convTile]
-				o[0], o[1], o[2], o[3] = a0+bv, a1+bv, a2+bv, a3+bv
-				o[4], o[5], o[6], o[7] = a4+bv, a5+bv, a6+bv, a7+bv
+			}
+			if !direct {
+				for r := 0; r < rows; r++ {
+					copy(cv.dd[(co*ho+oy0+r)*wo:][:wo], out[r*rowLen:])
+				}
 			}
 		}
 	}
 }
 
-// fillBand builds output row oy's band: segment (ci, ky, p) holds padded
-// input row oy·s+ky of channel ci at padded columns p, p+s, p+2s, …, with
-// zeros wherever the padded coordinate falls outside the input.
-func (cv *convPlan) fillBand(band []float32, oy int) {
+// fillBand builds the band of output rows oy0 … oy0+rows−1: row j of plane
+// (ci, py, px) holds padded input row s·(oy0+j)+py of channel ci at padded
+// columns px, px+s, px+2s, …, with zeros wherever the padded coordinate
+// falls outside the input. Only the rows + (K−1−py)/s rows the band's taps
+// read are built.
+func (cv *convPlan) fillBand(band []float32, oy0, rows int) {
 	h, w, kernel, stride, pad, phases, rowLen := cv.h, cv.w, cv.kernel, cv.stride, cv.pad, cv.phases, cv.rowLen
-	for p := 0; p < phases; p++ {
-		// Band column j holds input column j·s + p − pad.
-		j0, j1 := padSpan(w, rowLen, stride, p-pad)
+	for px := 0; px < phases; px++ {
+		// Band column c holds input column c·s + px − pad.
+		j0, j1 := padSpan(w, rowLen, stride, px-pad)
 		for ci := 0; ci < cv.cin; ci++ {
-			for ky := 0; ky < kernel; ky++ {
-				seg := band[((ci*kernel+ky)*phases+p)*rowLen:][:rowLen]
-				iy := oy*stride - pad + ky
-				if iy < 0 || iy >= h {
-					clear(seg)
-					continue
+			for py := 0; py < phases; py++ {
+				pl := band[((ci*phases+py)*phases+px)*cv.plane:]
+				for j := 0; j < rows+(kernel-1-py)/stride; j++ {
+					seg := pl[j*rowLen:][:rowLen]
+					iy := (oy0+j)*stride + py - pad
+					if iy < 0 || iy >= h {
+						clear(seg)
+						continue
+					}
+					gatherRow(seg, cv.xd[(ci*h+iy)*w:][:w], j0, j1, stride, px-pad)
 				}
-				gatherRow(seg, cv.xd[(ci*h+iy)*w:][:w], j0, j1, stride, p-pad)
 			}
 		}
 	}

@@ -30,7 +30,7 @@ func avx2Off(godebug string) bool {
 // cpuHasAVX2 reports CPUID AVX2 with OS-enabled YMM state.
 func cpuHasAVX2() bool
 
-// convRowAVX2 computes n ≥ convTile output columns of one output row of one
+// convRowAVX2 computes n ≥ convTile columns of one band's run for one output
 // channel: out[ox] = Σ taps[t].w·band[taps[t].off+ox] + bias, the sum taken
 // from +0 in ascending t with a separately rounded multiply and add, exactly
 // as the Go tile does. ntaps must be ≥ 1; every band[off+ox], ox < n, must

@@ -228,10 +228,11 @@ func TestFusedConvBitIdentical(t *testing.T) {
 	}
 }
 
-// TestConvNilBias covers the two degenerate operands of a row kernel on a
-// row that takes a 32-column block, an 8-column block and an overlapping
-// last tile: no bias at all, and an output channel whose filter is all zeros
-// (no taps — the assembly is never entered for it).
+// TestConvNilBias covers the two degenerate operands of a run kernel on a
+// five-row band whose run takes 32-column blocks, 8-column blocks and an
+// overlapping last tile, and on the one-row band after it: no bias at all,
+// and an output channel whose filter is all zeros (no taps — the assembly is
+// never entered for it).
 func TestConvNilBias(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x := randTensorWithZeros(rng, 2, 6, 43)
@@ -244,7 +245,7 @@ func TestConvNilBias(t *testing.T) {
 	})
 }
 
-// kernelName says which row kernel ConvInto runs for rows of at least one
+// kernelName says which run kernel ConvInto runs for runs of at least one
 // tile, for the test and microbenchmark logs.
 func kernelName() string {
 	if useAVX2 {
@@ -302,24 +303,43 @@ func checkConvGeometry(t *testing.T, rng *rand.Rand, cin, h, w, outC, kernel, st
 	})
 }
 
-// TestConvRandomGeometry sweeps the row kernels' geometry space: rows
-// narrower than one tile (scalar loop), rows of 8-column blocks, rows wide
-// enough for the 32-column blocks, rows whose last tile overlaps the one
-// before, padding wider than the input and strides that skip whole kernel
-// columns all occur. h stays small so the wide rows cost no runtime.
+// convBands returns the band geometry ConvInto gives an output of ho×wo
+// rows and columns at kernel K and stride s: the band row length, the rows
+// of a full band and of the last one, and the columns one run of each spans.
+func convBands(ho, wo, kernel, stride int) (rowLen, rows, lastRows, run, lastRun int) {
+	rowLen = wo + (kernel-1)/stride
+	rows = max(1, min(ho, convCols/rowLen))
+	lastRows = ho - (ho-1)/rows*rows
+	return rowLen, rows, lastRows, (rows-1)*rowLen + wo, (lastRows-1)*rowLen + wo
+}
+
+// TestConvRandomGeometry sweeps the bands' and the run kernels' geometry
+// space: multi-row bands whose dropped columns cross into the next row and
+// are copied out, last bands shorter than the rest, one-row bands written
+// straight into dst, runs narrower than one tile (scalar loop), runs of
+// 8-column blocks, runs wide enough for the 32-column blocks, runs whose
+// last tile overlaps the one before, padding wider than the input and
+// strides that skip whole kernel columns all occur. h stays small so the
+// wide rows cost no runtime; w is drawn below 160, 80, 40 or 20 so that
+// one-row runs narrower than a tile occur too.
 func TestConvRandomGeometry(t *testing.T) {
 	t.Logf("row kernel on this machine: %s", kernelName())
 	rng := rand.New(rand.NewSource(1501))
 	loops := map[string]int{}
 	for i := 0; i < 400; i++ {
 		kernel := 1 + rng.Intn(5)
-		h, w, stride, pad := 1+rng.Intn(12), 1+rng.Intn(160), 1+rng.Intn(3), rng.Intn(kernel+1)
-		if wo := ConvOutSize(w, kernel, stride, pad); wo >= 1 {
+		h, w, stride, pad := 1+rng.Intn(12), 1+rng.Intn(160>>rng.Intn(4)), 1+rng.Intn(3), rng.Intn(kernel+1)
+		ho, wo := ConvOutSize(h, kernel, stride, pad), ConvOutSize(w, kernel, stride, pad)
+		if ho >= 1 && wo >= 1 {
+			rowLen, rows, lastRows, run, lastRun := convBands(ho, wo, kernel, stride)
 			for loop, taken := range map[string]bool{
-				"scalar":      wo < convTile,
-				"8-wide":      wo >= convTile && wo%32 >= convTile,
-				"32-wide":     wo >= 32,
-				"overlapping": wo >= convTile && wo%convTile != 0,
+				"multi-row copied-out": rows > 1 && rowLen > wo,
+				"last partial band":    lastRows < rows,
+				"one-row direct":       lastRows == 1 && rowLen > wo,
+				"scalar":               lastRun < convTile,
+				"8-wide":               run >= convTile && run%32 >= convTile,
+				"32-wide":              run >= 32,
+				"overlapping":          run >= convTile && run%convTile != 0,
 			} {
 				if taken {
 					loops[loop]++
@@ -329,7 +349,8 @@ func TestConvRandomGeometry(t *testing.T) {
 		checkConvGeometry(t, rng, 1+rng.Intn(4), h, w, 1+rng.Intn(8),
 			kernel, stride, pad, rng.Intn(2) == 0)
 	}
-	for _, loop := range []string{"scalar", "8-wide", "32-wide", "overlapping"} {
+	t.Logf("geometries per loop: %v", loops)
+	for _, loop := range []string{"multi-row copied-out", "last partial band", "one-row direct", "scalar", "8-wide", "32-wide", "overlapping"} {
 		if loops[loop] < 20 {
 			t.Errorf("only %d of 400 geometries reach the %s loop", loops[loop], loop)
 		}
@@ -360,12 +381,15 @@ func poolRetains() bool {
 }
 
 // TestConvIntoSteadyStateAllocs pins that the kernel allocates nothing once
-// warm even when the input size changes on every call — the adaptive scale
-// does exactly that, and the row band must absorb it — and that this holds
-// under a worker override: the larger convolution (the backbone's conv2 at
-// scale 600) is one an inner row fan-out would split, at 8 allocations a
-// call. (AllocsPerRun itself runs at GOMAXPROCS 1; the override is what a
-// fan-out would read.)
+// warm even when the geometry changes on every call — the adaptive scale
+// does exactly that, and the band, tap list and run scratch must absorb it:
+// the backbone's conv2 and the regressor's 3×3 branch, each at scale 600 and
+// 128 (multi-row bands copied out, last partial bands, a whole output in one
+// band) —
+// and that this holds under a worker override: the larger convolution is
+// one an inner row fan-out would split, at 8 allocations a call.
+// (AllocsPerRun itself runs at GOMAXPROCS 1; the override is what a fan-out
+// would read.)
 func TestConvIntoSteadyStateAllocs(t *testing.T) {
 	if !poolRetains() {
 		t.Skip("sync.Pool is dropping Puts (race detector): a zero-allocation pin through it cannot hold")
@@ -373,20 +397,32 @@ func TestConvIntoSteadyStateAllocs(t *testing.T) {
 	parallel.SetWorkers(4)
 	defer parallel.SetWorkers(0)
 	rng := rand.New(rand.NewSource(5))
-	weight := randTensor(rng, 12, 8, 3, 3)
-	bias := randTensor(rng, 12)
-	var xs, dsts [2]*Tensor
-	for i, hw := range [2][2]int{{75, 134}, {16, 29}} {
-		xs[i] = randTensor(rng, 8, hw[0], hw[1])
-		dsts[i] = New(12, ConvOutSize(hw[0], 3, 2, 1), ConvOutSize(hw[1], 3, 2, 1))
+	type conv struct {
+		x, weight, bias, dst *Tensor
+		stride               int
+	}
+	var convs []conv
+	for _, c := range []struct{ cin, h, w, outC, stride int }{
+		{8, 75, 134, 12, 2}, {8, 16, 29, 12, 2}, // conv2 at 600 and 128
+		{16, 19, 34, 8, 1}, {16, 4, 8, 8, 1}, // the 3×3 branch at 600 and 128
+	} {
+		convs = append(convs, conv{
+			x:      randTensor(rng, c.cin, c.h, c.w),
+			weight: randTensor(rng, c.outC, c.cin, 3, 3),
+			bias:   randTensor(rng, c.outC),
+			dst:    New(c.outC, ConvOutSize(c.h, 3, c.stride, 1), ConvOutSize(c.w, 3, c.stride, 1)),
+			stride: c.stride,
+		})
 	}
 	i := 0
 	step := func() {
-		ConvInto(dsts[i&1], xs[i&1], weight, bias, 2, 1)
+		c := convs[i%len(convs)]
+		ConvInto(c.dst, c.x, c.weight, c.bias, c.stride, 1)
 		i++
 	}
-	step()
-	step()
+	for range convs {
+		step()
+	}
 	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
 		t.Fatalf("steady-state ConvInto allocates %v per call, want 0", allocs)
 	}

@@ -8,7 +8,8 @@ import "fmt"
 // convolution to (MatMul(weights, Im2Col(x)) plus bias is ConvInto's
 // definition). Both are serial loops: parallelism lives across frames and
 // snippets (internal/parallel), never inside a kernel, so a result cannot
-// depend on the worker count.
+// depend on the worker count. Each product is written float32(x·y): rounded
+// before the sum, so no compiler fuses the two (scripts/nofma.sh).
 
 // MatMul computes C = A·B for 2-D tensors A (m×k) and B (k×n), returning a
 // new m×n tensor: each element summed from +0 over p ascending, a zero in A
@@ -30,7 +31,7 @@ func MatMul(a, b *Tensor) *Tensor {
 			}
 			brow := bd[p*n : (p+1)*n]
 			for j, bv := range brow {
-				crow[j] += av * bv
+				crow[j] += float32(av * bv)
 			}
 		}
 	}
@@ -73,10 +74,10 @@ func MatMulABTInto(dst, a, b *Tensor) {
 		for j := 0; j < n; j++ {
 			var s0, s1, s2, s3 float32
 			for p, bv := range bd[j*k : (j+1)*k] {
-				s0 += a0[p] * bv
-				s1 += a1[p] * bv
-				s2 += a2[p] * bv
-				s3 += a3[p] * bv
+				s0 += float32(a0[p] * bv)
+				s1 += float32(a1[p] * bv)
+				s2 += float32(a2[p] * bv)
+				s3 += float32(a3[p] * bv)
 			}
 			cd[i*n+j], cd[(i+1)*n+j], cd[(i+2)*n+j], cd[(i+3)*n+j] = s0, s1, s2, s3
 		}
@@ -86,7 +87,7 @@ func MatMulABTInto(dst, a, b *Tensor) {
 		for j := 0; j < n; j++ {
 			var s float32
 			for p, bv := range bd[j*k : (j+1)*k] {
-				s += arow[p] * bv
+				s += float32(arow[p] * bv)
 			}
 			cd[i*n+j] = s
 		}

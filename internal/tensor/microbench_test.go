@@ -9,7 +9,9 @@ import (
 // `make microbench`. Shapes are the backbone's real ones: three 3×3
 // stride-2 pad-1 layers over a RenderDiv-4 render, so a scale-600 frame is
 // 150×267 → 75×134 → 38×67 → 19×34 and a scale-128 frame 32×57 → 16×29 →
-// 8×15 → 4×8.
+// 8×15 → 4×8; at scale 480 conv3 reads 30×54 and writes 15×27. The
+// regressor's branches read the 16-channel feature map (19×34 at 600, 15×27
+// at 480, near the mean scale Algorithm 1 serves).
 
 // BenchmarkMatMulABT times dst = A·Bᵀ at the products the regressor's
 // training step defines its weight gradient by: dW = dy·colsᵀ with dy 8
@@ -94,10 +96,13 @@ func BenchmarkConv(b *testing.B) {
 		{"conv1@600", 1, 150, 267, 8, 3, 2, 1},
 		{"conv2@600", 8, 75, 134, 12, 3, 2, 1},
 		{"conv3@600", 12, 38, 67, 12, 3, 2, 1},
+		{"conv3@480", 12, 30, 54, 12, 3, 2, 1},
 		{"conv1@128", 1, 32, 57, 8, 3, 2, 1},
 		{"conv2@128", 8, 16, 29, 12, 3, 2, 1},
 		{"conv3@128", 12, 8, 15, 12, 3, 2, 1},
-		{"branch3x3@600", 16, 19, 34, 8, 3, 1, 1}, // regressor branch: stride 1, same-pad
+		{"branch3x3@600", 16, 19, 34, 8, 3, 1, 1}, // regressor branches: stride 1, same-pad
+		{"branch3x3@480", 16, 15, 27, 8, 3, 1, 1},
+		{"branch1x1@600", 16, 19, 34, 8, 1, 1, 0},
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			if b.N == 1 && s.name == "conv1@600" {

@@ -174,14 +174,14 @@ func (t *Tensor) L2Norm() float64 {
 // RandNormal fills t with samples from N(mean, std²) drawn from rng.
 func (t *Tensor) RandNormal(rng *rand.Rand, mean, std float64) {
 	for i := range t.data {
-		t.data[i] = float32(rng.NormFloat64()*std + mean)
+		t.data[i] = float32(float64(rng.NormFloat64()*std) + mean)
 	}
 }
 
 // RandUniform fills t with samples uniform in [lo, hi).
 func (t *Tensor) RandUniform(rng *rand.Rand, lo, hi float64) {
 	for i := range t.data {
-		t.data[i] = float32(lo + rng.Float64()*(hi-lo))
+		t.data[i] = float32(lo + float64(rng.Float64()*(hi-lo)))
 	}
 }
 
