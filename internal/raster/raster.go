@@ -18,7 +18,8 @@ type Image struct {
 	W, H int
 	Pix  []float32
 
-	blur []float32 // BoxBlurInPlace's few lines of scratch, kept for the next call
+	blur  []float32 // BoxBlurInPlace's few lines of scratch, kept for the next call
+	shape shapeCols // DrawEllipse's and DrawRect's per-column scratch, kept for the next shape
 }
 
 // New returns a zero (black) image of the given size.
@@ -43,14 +44,6 @@ func Reuse(buf *Image, w, h int) *Image {
 	}
 	buf.W, buf.H, buf.Pix = w, h, buf.Pix[:w*h]
 	return buf
-}
-
-// Set writes the pixel at (x, y); out-of-bounds writes are ignored.
-func (im *Image) Set(x, y int, v float32) {
-	if x < 0 || x >= im.W || y < 0 || y >= im.H {
-		return
-	}
-	im.Pix[y*im.W+x] = v
 }
 
 // ScaleFactor returns the resize factor that maps an image of size w×h to a

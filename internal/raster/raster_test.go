@@ -13,15 +13,9 @@ func TestNewAndAccessors(t *testing.T) {
 	if im.W != 4 || im.H != 3 || len(im.Pix) != 12 {
 		t.Fatalf("bad image %dx%d len %d", im.W, im.H, len(im.Pix))
 	}
-	im.Set(2, 1, 0.5)
-	if im.Pix[1*4+2] != 0.5 {
-		t.Fatal("Set wrote the wrong pixel")
-	}
-	im.Set(-1, -1, 9) // must not panic
-	im.Set(4, 0, 9)
 	for i, v := range im.Pix {
-		if v != 0 && i != 1*4+2 {
-			t.Fatalf("out-of-bounds Set wrote pixel %d", i)
+		if v != 0 {
+			t.Fatalf("New left pixel %d at %v", i, v)
 		}
 	}
 }
@@ -310,4 +304,176 @@ func TestDrawDegenerateBoxesNoPanic(t *testing.T) {
 	im := New(10, 10)
 	im.DrawEllipse(5, 5, 5, 5, TextureDots, 1, 2)
 	im.DrawRect(3, 3, 3, 9, TextureStripes, 1, 2)
+}
+
+// texValue, drawEllipsePerPixel and drawRectPerPixel are DrawEllipse and
+// DrawRect as they were: every pixel of the box's range evaluates its own
+// inside test and texture from scratch, through set. Kept as the oracle;
+// their products are written float64(x*y) as the drawing code's are, so the
+// oracle is the same function on a compiler that fuses.
+func texValue(t Texture, u, v float64, base float32, periodPx float64, wPx, hPx float64) float32 {
+	switch t {
+	case TextureSolid:
+		return base
+	case TextureGradient:
+		return base * float32(0.6+float64(0.4*u))
+	case TextureStripes:
+		phase := u * wPx / math.Max(periodPx, 1)
+		if int(math.Floor(phase))%2 == 0 {
+			return base
+		}
+		return base * 0.45
+	case TextureChecker:
+		pu := int(math.Floor(u * wPx / math.Max(periodPx, 1)))
+		pv := int(math.Floor(v * hPx / math.Max(periodPx, 1)))
+		if (pu+pv)%2 == 0 {
+			return base
+		}
+		return base * 0.4
+	case TextureDots:
+		du := math.Mod(u*wPx, math.Max(periodPx, 1)) / math.Max(periodPx, 1)
+		dv := math.Mod(v*hPx, math.Max(periodPx, 1)) / math.Max(periodPx, 1)
+		r := math.Hypot(du-0.5, dv-0.5)
+		if r < 0.3 {
+			return base * 0.35
+		}
+		return base
+	default:
+		return base
+	}
+}
+
+// set writes the pixel at (x, y); out-of-bounds writes are ignored.
+func set(im *Image, x, y int, v float32) {
+	if x < 0 || x >= im.W || y < 0 || y >= im.H {
+		return
+	}
+	im.Pix[y*im.W+x] = v
+}
+
+func drawEllipsePerPixel(im *Image, x0, y0, x1, y1 float64, tex Texture, base float32, periodPx float64) {
+	cx, cy := float64((x0+x1)/2), float64((y0+y1)/2)
+	rx, ry := (x1-x0)/2, (y1-y0)/2
+	if rx <= 0 || ry <= 0 {
+		return
+	}
+	for y := int(math.Floor(y0)); y <= int(math.Ceil(y1)); y++ {
+		for x := int(math.Floor(x0)); x <= int(math.Ceil(x1)); x++ {
+			dx := (float64(x) + 0.5 - cx) / rx
+			dy := (float64(y) + 0.5 - cy) / ry
+			if float64(dx*dx)+float64(dy*dy) > 1 {
+				continue
+			}
+			u := (float64(x) + 0.5 - x0) / (x1 - x0)
+			v := (float64(y) + 0.5 - y0) / (y1 - y0)
+			set(im, x, y, texValue(tex, u, v, base, periodPx, x1-x0, y1-y0))
+		}
+	}
+}
+
+func drawRectPerPixel(im *Image, x0, y0, x1, y1 float64, tex Texture, base float32, periodPx float64) {
+	for y := int(math.Floor(y0)); y < int(math.Ceil(y1)); y++ {
+		for x := int(math.Floor(x0)); x < int(math.Ceil(x1)); x++ {
+			u := (float64(x) + 0.5 - x0) / math.Max(x1-x0, 1e-9)
+			v := (float64(y) + 0.5 - y0) / math.Max(y1-y0, 1e-9)
+			if u < 0 || u >= 1 || v < 0 || v >= 1 {
+				continue
+			}
+			set(im, x, y, texValue(tex, u, v, base, periodPx, x1-x0, y1-y0))
+		}
+	}
+}
+
+// shapeCase is one DrawEllipse or DrawRect call.
+type shapeCase struct {
+	rect           bool
+	x0, y0, x1, y1 float64
+	tex            Texture
+	base           float32
+	period         float64
+}
+
+// checkShapes draws the shapes in order into im with the span code and into
+// a copy with the per-pixel oracle, and requires the two images to be equal
+// bit for bit — the pixels no shape touches included.
+func checkShapes(t *testing.T, im *Image, shapes []shapeCase) {
+	t.Helper()
+	want := clone(im)
+	for _, c := range shapes {
+		if c.rect {
+			im.DrawRect(c.x0, c.y0, c.x1, c.y1, c.tex, c.base, c.period)
+			drawRectPerPixel(want, c.x0, c.y0, c.x1, c.y1, c.tex, c.base, c.period)
+		} else {
+			im.DrawEllipse(c.x0, c.y0, c.x1, c.y1, c.tex, c.base, c.period)
+			drawEllipsePerPixel(want, c.x0, c.y0, c.x1, c.y1, c.tex, c.base, c.period)
+		}
+		for i := range want.Pix {
+			if math.Float32bits(im.Pix[i]) != math.Float32bits(want.Pix[i]) {
+				t.Fatalf("%dx%d image, after %+v: pixel (%d, %d) = %v, per-pixel drawing has %v",
+					im.W, im.H, c, i%im.W, i/im.W, im.Pix[i], want.Pix[i])
+			}
+		}
+	}
+}
+
+// TestDrawShapesMatchPerPixel draws a few hundred random shapes, one after
+// another, into images of a few sizes — so the column scratch grows, shrinks
+// and is reused stale — and holds each image to the per-pixel oracle. The
+// sizes share one image through Reuse, and its width grows twice within the
+// pixel storage of the first, narrow and tall size, so the scratch an image
+// keeps must grow with its width.
+func TestDrawShapesMatchPerPixel(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	var buf Image
+	for _, size := range [][2]int{{20, 720}, {40, 31}, {160, 90}, {7, 3}, {1, 1}} {
+		w, h := size[0], size[1]
+		im := Reuse(&buf, w, h)
+		for i := range im.Pix {
+			im.Pix[i] = rng.Float32()
+		}
+		var shapes []shapeCase
+		for range 200 {
+			// Boxes from well outside the image to well past it, of any size
+			// down to a fraction of a pixel, sometimes inverted.
+			x0 := (rng.Float64()*1.6 - 0.3) * float64(w)
+			y0 := (rng.Float64()*1.6 - 0.3) * float64(h)
+			bw := rng.Float64() * float64(w) * []float64{0.02, 0.3, 1, 2}[rng.Intn(4)]
+			bh := rng.Float64() * float64(h) * []float64{0.02, 0.3, 1, 2}[rng.Intn(4)]
+			if rng.Intn(10) == 0 {
+				bw = -bw
+			}
+			shapes = append(shapes, shapeCase{
+				rect: rng.Intn(2) == 0,
+				x0:   x0, y0: y0, x1: x0 + bw, y1: y0 + bh,
+				tex:    Texture(rng.Intn(7) - 1),
+				base:   rng.Float32(),
+				period: rng.Float64() * 12,
+			})
+		}
+		checkShapes(t, im, shapes)
+	}
+}
+
+// FuzzDrawShapes holds an ellipse and then a rectangle, drawn into one
+// image, to the per-pixel oracle. Coordinates are 1/128 of a pixel from −256
+// to 256 around an image of at most 48×48, so boxes land off the image,
+// partly clipped, inverted or empty (rx ≤ 0, x1 < x0), below a pixel, or
+// many times the image; textures run from −1 to 5, an unknown one at each
+// end; periods from −16 to 16 in eighths, so below 1 as well.
+func FuzzDrawShapes(f *testing.F) {
+	f.Add(uint8(39), uint8(29), int16(1280), int16(640), int16(3840), int16(3200), int8(4), int16(-640), int16(-640), int16(1300), int16(900), int8(3), int8(20), uint8(200))
+	f.Fuzz(func(t *testing.T, w, h uint8, ex0, ey0, ex1, ey1 int16, etex int8, rx0, ry0, rx1, ry1 int16, rtex int8, period int8, base uint8) {
+		im := New(1+int(w)%48, 1+int(h)%48)
+		r := rand.New(rand.NewSource(int64(w)<<8 | int64(h)))
+		for i := range im.Pix {
+			im.Pix[i] = r.Float32()
+		}
+		c := func(v int16) float64 { return float64(v) / 128 }
+		tex := func(v int8) Texture { return Texture(int(v)%7 - 1) }
+		p, b := float64(period)/8, float32(base)/255
+		checkShapes(t, im, []shapeCase{
+			{false, c(ex0), c(ey0), c(ex1), c(ey1), tex(etex), b, p},
+			{true, c(rx0), c(ry0), c(rx1), c(ry1), tex(rtex), b, p},
+		})
+	})
 }

@@ -1,7 +1,6 @@
 package rfcn
 
 import (
-	"math"
 	"math/rand"
 
 	"adascale/internal/nn"
@@ -37,9 +36,7 @@ const backboneSeed = 0x777
 // filters so the features carry interpretable size and texture energy; the
 // deeper layers are fixed random projections (extreme-learning style),
 // which preserve information for the trainable regressor head. The
-// nonlinearity is the magnitude |x| rather than ReLU: edge polarity is
-// irrelevant for size/texture energy and rectifying by magnitude keeps
-// twice the signal for the frozen random projections.
+// nonlinearity is the magnitude |x| (see layer).
 //
 // A Backbone is not safe for concurrent use (layers cache activations);
 // create one per goroutine via NewBackbone.
@@ -51,9 +48,10 @@ type Backbone struct {
 	// parallel runners clone per worker), so Get/Put never contend.
 	pool *tensor.Pool
 
-	// xhdr is the reusable header wrapping the input image for Extract
-	// (Backbone is single-goroutine by contract, so one suffices).
-	xhdr *tensor.Tensor
+	// xhdr and app are the reusable headers wrapping the input image and
+	// the appearance planes of the map extractInto fills (Backbone is
+	// single-goroutine by contract, so one of each suffices).
+	xhdr, app *tensor.Tensor
 }
 
 // featureGain rescales the final feature map so globally-pooled values land
@@ -112,32 +110,54 @@ func (b *Backbone) Clone() *Backbone {
 // owns it and should hand it back via Recycle once done (keeping it
 // forever is safe, it just isn't recycled).
 func (b *Backbone) Extract(im *raster.Image) *tensor.Tensor {
+	h, w := b.featureSize(im)
+	out := b.pool.GetTensor(backboneChannels, h, w)
+	b.extractInto(out, im)
+	return out
+}
+
+// featureSize is the h×w of the feature map the backbone extracts from im.
+func (b *Backbone) featureSize(im *raster.Image) (h, w int) {
+	h, w = im.H, im.W
+	for _, c := range [...]*nn.Conv2D{b.conv1, b.conv2, b.conv3} {
+		h, w = tensor.ConvOutSize(h, c.Kernel, c.Stride, c.Pad), tensor.ConvOutSize(w, c.Kernel, c.Stride, c.Pad)
+	}
+	return h, w
+}
+
+// extractInto writes Extract's appearance planes into the first
+// backboneChannels planes of dst, a C×h×w map of im's featureSize; the
+// planes after them are left as they are. conv3 stores straight into dst
+// and featureGain is applied there, so no plane is copied.
+func (b *Backbone) extractInto(dst *tensor.Tensor, im *raster.Image) {
 	// Wrapping im.Pix is safe: the convolutions only read their input and
 	// nothing below retains x.
 	x := tensor.FromSliceInto(b.xhdr, im.Pix, 1, im.H, im.W)
 	b.xhdr = x
-	t1 := abs(b.conv1.Infer(x, b.pool))
-	t2 := abs(b.conv2.Infer(t1, b.pool))
+	t1 := b.layer(b.conv1, x)
+	t2 := b.layer(b.conv2, t1)
 	b.pool.PutTensor(t1)
-	t3 := abs(b.conv3.Infer(t2, b.pool))
+	h, w := dst.Dim(1), dst.Dim(2)
+	app := tensor.FromSliceInto(b.app, dst.Data()[:backboneChannels*h*w], backboneChannels, h, w)
+	b.app = app
+	tensor.ConvAbsInto(app, t2, b.conv3.Weight.W, b.conv3.Bias.W, b.conv3.Stride, b.conv3.Pad)
 	b.pool.PutTensor(t2)
-	t3.ScaleInPlace(featureGain)
-	return t3
+	app.ScaleInPlace(featureGain)
+}
+
+// layer runs conv c over x into pooled storage, rectified by magnitude. The
+// nonlinearity is |x| rather than ReLU: edge polarity is irrelevant for
+// size/texture energy, and rectifying by magnitude keeps twice the signal
+// for the frozen random projections. ConvAbsInto applies it as the
+// convolution stores each element, by clearing the sign bit rather than
+// branching on the sign (which on random-signed activations mispredicts
+// every other element).
+func (b *Backbone) layer(c *nn.Conv2D, x *tensor.Tensor) *tensor.Tensor {
+	out := b.pool.GetTensor(c.OutC, tensor.ConvOutSize(x.Dim(1), c.Kernel, c.Stride, c.Pad), tensor.ConvOutSize(x.Dim(2), c.Kernel, c.Stride, c.Pad))
+	tensor.ConvAbsInto(out, x, c.Weight.W, c.Bias.W, c.Stride, c.Pad)
+	return out
 }
 
 // Recycle returns a tensor obtained from Extract (or Detector.Features)
 // to the backbone's buffer pool. The tensor must not be used afterwards.
 func (b *Backbone) Recycle(t *tensor.Tensor) { b.pool.PutTensor(t) }
-
-// abs rectifies a tensor by magnitude in place and returns it. It clears
-// the float32 sign bit rather than branching on the sign, which on
-// random-signed activations mispredicts every other element; so -0 becomes
-// +0 and a NaN loses its sign. Neither reaches it from the backbone: a
-// convolution of finite values never yields -0 (tensor/conv.go).
-func abs(t *tensor.Tensor) *tensor.Tensor {
-	d := t.Data()
-	for i, v := range d {
-		d[i] = math.Float32frombits(math.Float32bits(v) &^ (1 << 31))
-	}
-	return t
-}

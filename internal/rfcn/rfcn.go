@@ -96,9 +96,6 @@ const (
 	TopK = 300
 	// MaxLongSide is the Fast R-CNN resize protocol's longest-side bound.
 	MaxLongSide = 2000
-	// AnchorFloor is the smallest RPN anchor (the paper picks 128 as the
-	// minimum test scale because of it).
-	AnchorFloor = 128
 )
 
 // Detector is a behavioural R-FCN. Construct with New; the zero value is
@@ -236,8 +233,8 @@ func (r *Result) AppendDetections(dst []detect.Detection) []detect.Detection {
 }
 
 // Detect runs the behavioural detector on frame f at the given test scale
-// (shortest side in pixels, clipped to [AnchorFloor, 600]... callers may
-// exceed 600; the model extrapolates). It does not rasterise the frame.
+// (shortest side in pixels; a scale below 1 counts as 1, and past 600 the
+// model extrapolates). It does not rasterise the frame.
 func (d *Detector) Detect(f *synth.Frame, scale int) *Result {
 	if scale < 1 {
 		scale = 1
@@ -452,12 +449,10 @@ func (d *Detector) features(f *synth.Frame, scale int, r *Result) *tensor.Tensor
 		renderShort = 16
 	}
 	im := f.RenderInto(&d.render, renderShort, MaxLongSide*d.Data.RenderDiv, d.Data.RenderDiv)
-	app := d.backbone.Extract(im)
-	h, w := app.Dim(1), app.Dim(2)
+	h, w := d.backbone.featureSize(im)
 	out := d.backbone.pool.GetTensor(FeatureChannels, h, w)
-	copy(out.Data()[:backboneChannels*h*w], app.Data())
+	d.backbone.extractInto(out, im)
 	clear(out.Data()[backboneChannels*h*w:])
-	d.backbone.Recycle(app)
 
 	// Paint the detection-response planes. Boxes are converted from native
 	// coordinates to feature-map cells (render factor / backbone stride);

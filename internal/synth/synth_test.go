@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"sync"
 	"testing"
 
 	"adascale/internal/detect"
@@ -349,5 +350,45 @@ func TestRenderDigestGolden(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != renderDigest {
 		t.Fatalf("render digest %s, want %s", got, renderDigest)
+	}
+}
+
+// poolRetains reports whether a sync.Pool hands back what was just Put. Under
+// the race detector it deliberately drops a quarter of all Puts.
+func poolRetains() bool {
+	news := 0
+	p := sync.Pool{New: func() any { news++; return new(int) }}
+	for i := 0; i < 64; i++ {
+		p.Put(p.Get())
+	}
+	return news == 1
+}
+
+// TestRenderIntoSteadyStateAllocs pins that rendering into a warm image
+// allocates nothing while the scale swings between 600 and 128 on every
+// frame: the pixels, the blur's lines and the shapes' column scratch all stay
+// with the image and only grow to the largest frame seen.
+func TestRenderIntoSteadyStateAllocs(t *testing.T) {
+	if !poolRetains() {
+		t.Skip("sync.Pool is dropping Puts (race detector): a zero-allocation pin through it cannot hold")
+	}
+	ds, err := Generate(tinyConfig(31), 0, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := Frames(ds.Val)
+	div := ds.Config.RenderDiv
+	var buf raster.Image
+	i := 0
+	step := func() {
+		scale := []int{600, 128}[i%2]
+		frames[i%len(frames)].RenderInto(&buf, scale/div, 2000*div, div)
+		i++
+	}
+	for range 2 * len(frames) {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(2*len(frames), step); allocs != 0 {
+		t.Fatalf("steady-state RenderInto allocates %v per frame, want 0", allocs)
 	}
 }

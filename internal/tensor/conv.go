@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -38,7 +39,8 @@ import (
 //
 // Each output channel walks the run in tiles of convTile columns, holding
 // the tile's accumulators in registers across the whole tap list and
-// storing acc+bias once. A tile is one AVX2 register: on amd64 CPUs that
+// storing acc+bias once, its bits ANDed with the call's store mask. A tile
+// is one AVX2 register: on amd64 CPUs that
 // have it, convRowAVX2 (conv_amd64.s) computes the run — per tap one
 // broadcast weight, one VMULPS and one VADDPS per tile, four tiles in
 // flight to hide the add latency. It is never an FMA: a fused multiply-add
@@ -64,6 +66,13 @@ import (
 // column's value never reaches dst. A nil bias adds +0, the identity: a
 // partial sum is never -0 (it starts at +0 and exact cancellation rounds to
 // +0).
+//
+// The store mask is all ones for ConvInto and 0x7fffffff for ConvAbsInto: one
+// VANDPS before each VMOVUPS (or one AND per Go store) clears the sign bit
+// of the value ConvInto would store, which is |x| bit for bit — IEEE |x| is
+// exactly that bit — for every value, -0 and NaN included. A second pass over
+// dst would do the same work again from memory; the mask does it from the
+// register the element is stored from.
 //
 // The kernel is a straight serial loop over bands: frames and snippets run
 // in parallel (internal/parallel), a convolution never does, so its bits
@@ -94,6 +103,19 @@ type tap struct {
 // overwritten; it must not alias x. Results are bit-identical to
 // MatMul(weight reshaped, Im2Col(x)) plus bias.
 func ConvInto(dst, x, weight, bias *Tensor, stride, pad int) {
+	conv(dst, x, weight, bias, stride, pad, ^uint32(0))
+}
+
+// ConvAbsInto is ConvInto followed by |x| on every output element, in the
+// same pass: the kernel clears each element's sign bit as it stores it, so
+// the result is bit-identical to ConvInto's with the sign bits cleared.
+func ConvAbsInto(dst, x, weight, bias *Tensor, stride, pad int) {
+	conv(dst, x, weight, bias, stride, pad, 0x7fffffff)
+}
+
+// conv is ConvInto and ConvAbsInto: every stored element's bits are ANDed
+// with mask.
+func conv(dst, x, weight, bias *Tensor, stride, pad int, mask uint32) {
 	if x.Dims() != 3 || weight.Dims() != 4 || dst.Dims() != 3 {
 		panic(fmt.Sprintf("tensor: ConvInto requires x C×H×W, weight O×C×K×K, dst O×Ho×Wo; got %v, %v, %v", x.shape, weight.shape, dst.shape))
 	}
@@ -153,7 +175,7 @@ func ConvInto(dst, x, weight, bias *Tensor, stride, pad int) {
 	}
 
 	*cv = convPlan{
-		xd: x.data, dd: dst.data, bias: bias,
+		xd: x.data, dd: dst.data, bias: bias, mask: mask,
 		cin: cin, h: h, w: w, kernel: kernel, stride: stride, pad: pad,
 		ho: ho, wo: wo, phases: phases, rowLen: rowLen, rows: rows, plane: plane,
 		koff: koff, taps: flat, counts: counts,
@@ -174,6 +196,7 @@ var convPlanPool = sync.Pool{New: func() any { return new(convPlan) }}
 type convPlan struct {
 	xd, dd []float32
 	bias   *Tensor
+	mask   uint32 // ANDed into every stored element's bits
 	cin    int
 	h, w   int
 	kernel int
@@ -217,10 +240,10 @@ func (cv *convPlan) run() {
 					for _, tp := range taps {
 						a += float32(tp.w * band[tp.off+ox])
 					}
-					out[ox] = a + bv
+					out[ox] = masked(a+bv, cv.mask)
 				}
 			case useAVX2 && len(taps) > 0:
-				convRowAVX2(&out[0], &band[0], &taps[0], len(taps), n, bv)
+				convRowAVX2(&out[0], &band[0], &taps[0], len(taps), n, bv, cv.mask)
 			default:
 				for ox := 0; ox < n; ox += convTile {
 					ox := min(ox, n-convTile) // the last tile ends at column n
@@ -238,8 +261,8 @@ func (cv *convPlan) run() {
 						a7 += float32(wv * b[7])
 					}
 					o := out[ox : ox+convTile : ox+convTile]
-					o[0], o[1], o[2], o[3] = a0+bv, a1+bv, a2+bv, a3+bv
-					o[4], o[5], o[6], o[7] = a4+bv, a5+bv, a6+bv, a7+bv
+					o[0], o[1], o[2], o[3] = masked(a0+bv, cv.mask), masked(a1+bv, cv.mask), masked(a2+bv, cv.mask), masked(a3+bv, cv.mask)
+					o[4], o[5], o[6], o[7] = masked(a4+bv, cv.mask), masked(a5+bv, cv.mask), masked(a6+bv, cv.mask), masked(a7+bv, cv.mask)
 				}
 			}
 			if !direct {
@@ -249,6 +272,11 @@ func (cv *convPlan) run() {
 			}
 		}
 	}
+}
+
+// masked is v with its bits ANDed with mask: the store of every run kernel.
+func masked(v float32, mask uint32) float32 {
+	return math.Float32frombits(math.Float32bits(v) & mask)
 }
 
 // fillBand builds the band of output rows oy0 … oy0+rows−1: row j of plane

@@ -33,11 +33,11 @@ func cpuHasAVX2() bool
 // convRowAVX2 computes n ≥ convTile columns of one band's run for one output
 // channel: out[ox] = Σ taps[t].w·band[taps[t].off+ox] + bias, the sum taken
 // from +0 in ascending t with a separately rounded multiply and add, exactly
-// as the Go tile does. ntaps must be ≥ 1; every band[off+ox], ox < n, must
-// be in bounds.
+// as the Go tile does, its bits ANDed with mask before the store. ntaps must
+// be ≥ 1; every band[off+ox], ox < n, must be in bounds.
 //
 //go:noescape
-func convRowAVX2(out, band *float32, taps *tap, ntaps, n int, bias float32)
+func convRowAVX2(out, band *float32, taps *tap, ntaps, n int, bias float32, mask uint32)
 
 // gather2AVX2 is the stride-2 gather dst[j] = src[2j], j < n, for n a multiple
 // of 8 with all 2n source floats in bounds.

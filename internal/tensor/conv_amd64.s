@@ -31,22 +31,24 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func convRowAVX2(out, band *float32, taps *tap, ntaps, n int, bias float32)
+// func convRowAVX2(out, band *float32, taps *tap, ntaps, n int, bias float32, mask uint32)
 //
 // A tap is {off int; w float32}: 16 bytes, off at 0, w at 8. One YMM register
 // is one 8-column tile of the Go kernel. VMULPS then VADDPS, never FMA: a
 // fused multiply-add rounds once where the Go tile rounds twice, and every
-// golden pins the twice-rounded bits.
+// golden pins the twice-rounded bits. Each stored tile is first ANDed with
+// the mask: all ones stores acc+bias, 0x7fffffff its magnitude.
 //
-// DI out, SI band, DX taps, CX ntaps, R8 n, R9 ox, Y14 bias;
+// DI out, SI band, DX taps, CX ntaps, R8 n, R9 ox, Y14 bias, Y15 mask;
 // per block: R13 = &band[ox], R10 tap cursor, R11 taps left, R12 = &band[off+ox].
-TEXT ·convRowAVX2(SB), NOSPLIT, $0-44
+TEXT ·convRowAVX2(SB), NOSPLIT, $0-48
 	MOVQ         out+0(FP), DI
 	MOVQ         band+8(FP), SI
 	MOVQ         taps+16(FP), DX
 	MOVQ         ntaps+24(FP), CX
 	MOVQ         n+32(FP), R8
 	VBROADCASTSS bias+40(FP), Y14
+	VBROADCASTSS mask+44(FP), Y15
 	XORQ         R9, R9
 
 	// 32 columns a block: four independent accumulators per tap hide the
@@ -83,6 +85,10 @@ tap32:
 	VADDPS  Y14, Y1, Y1
 	VADDPS  Y14, Y2, Y2
 	VADDPS  Y14, Y3, Y3
+	VANDPS  Y15, Y0, Y0
+	VANDPS  Y15, Y1, Y1
+	VANDPS  Y15, Y2, Y2
+	VANDPS  Y15, Y3, Y3
 	VMOVUPS Y0, (DI)(R9*4)
 	VMOVUPS Y1, 32(DI)(R9*4)
 	VMOVUPS Y2, 64(DI)(R9*4)
@@ -116,6 +122,7 @@ tap8:
 	JNZ          tap8
 
 	VADDPS  Y14, Y0, Y0
+	VANDPS  Y15, Y0, Y0
 	VMOVUPS Y0, (DI)(R9*4)
 	ADDQ    $8, R9
 	JMP     loop8

@@ -7,7 +7,7 @@ package tensor
 // MatMulABTInto, and none calls its stub.
 var useAVX2 = false
 
-func convRowAVX2(out, band *float32, taps *tap, ntaps, n int, bias float32) {
+func convRowAVX2(out, band *float32, taps *tap, ntaps, n int, bias float32, mask uint32) {
 	panic("tensor: convRowAVX2 called without AVX2")
 }
 

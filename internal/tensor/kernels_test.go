@@ -196,12 +196,27 @@ func convReference(x, weight, bias *Tensor, stride, pad int) *Tensor {
 // convInto runs ConvInto into a fresh destination pre-filled with NaN, so a
 // column the kernel failed to write shows up as a bit mismatch.
 func convInto(x, weight, bias *Tensor, stride, pad int) *Tensor {
+	return convIntoWith(ConvInto, x, weight, bias, stride, pad)
+}
+
+// convIntoWith is convInto for ConvInto or ConvAbsInto.
+func convIntoWith(f func(dst, x, weight, bias *Tensor, stride, pad int), x, weight, bias *Tensor, stride, pad int) *Tensor {
 	dst := New(weight.Dim(0),
 		ConvOutSize(x.Dim(1), weight.Dim(2), stride, pad),
 		ConvOutSize(x.Dim(2), weight.Dim(2), stride, pad))
 	dst.Fill(float32(math.NaN()))
-	ConvInto(dst, x, weight, bias, stride, pad)
+	f(dst, x, weight, bias, stride, pad)
 	return dst
+}
+
+// absBits is t with every element's sign bit cleared: |x| as IEEE 754
+// defines it.
+func absBits(t *Tensor) *Tensor {
+	out := t.Clone()
+	for i, v := range out.data {
+		out.data[i] = math.Float32frombits(math.Float32bits(v) &^ (1 << 31))
+	}
+	return out
 }
 
 func TestFusedConvBitIdentical(t *testing.T) {
@@ -273,7 +288,8 @@ func eachConvKernel(t *testing.T, f func(kernel string)) {
 // about a third of the weights exactly zero, in one draw of four the last
 // output channel's filter all zero (no taps), bias nil or not per nilBias —
 // and requires ConvInto to match convReference bit for bit under each row
-// kernel. Geometries with no output are skipped.
+// kernel, and ConvAbsInto to match |ConvInto|. Geometries with no output are
+// skipped.
 func checkConvGeometry(t *testing.T, rng *rand.Rand, cin, h, w, outC, kernel, stride, pad int, nilBias bool) {
 	t.Helper()
 	if ConvOutSize(h, kernel, stride, pad) < 1 || ConvOutSize(w, kernel, stride, pad) < 1 {
@@ -297,9 +313,11 @@ func checkConvGeometry(t *testing.T, rng *rand.Rand, cin, h, w, outC, kernel, st
 	}
 	want := convReference(x, weight, refBias, stride, pad)
 	eachConvKernel(t, func(rowKernel string) {
-		bitsEqual(t, fmt.Sprintf("ConvInto cin=%d h=%d w=%d outC=%d k=%d s=%d pad=%d nilBias=%v zeroChannel=%v %s",
-			cin, h, w, outC, kernel, stride, pad, nilBias, zeroChannel, rowKernel),
-			convInto(x, weight, bias, stride, pad), want)
+		name := fmt.Sprintf("cin=%d h=%d w=%d outC=%d k=%d s=%d pad=%d nilBias=%v zeroChannel=%v %s",
+			cin, h, w, outC, kernel, stride, pad, nilBias, zeroChannel, rowKernel)
+		got := convInto(x, weight, bias, stride, pad)
+		bitsEqual(t, "ConvInto "+name, got, want)
+		bitsEqual(t, "ConvAbsInto "+name, convIntoWith(ConvAbsInto, x, weight, bias, stride, pad), absBits(got))
 	})
 }
 
@@ -357,14 +375,16 @@ func TestConvRandomGeometry(t *testing.T) {
 	}
 }
 
-// FuzzConvGeometry holds the same oracle over fuzzer-chosen geometry.
+// FuzzConvGeometry holds the same oracle over fuzzer-chosen geometry, up to
+// 16 input and 12 output channels: the regressor's branches read the 16
+// feature planes, the backbone's conv2 and conv3 write 12.
 func FuzzConvGeometry(f *testing.F) {
-	f.Add(int64(1), uint8(1), uint8(16), uint8(24), uint8(8), uint8(3), uint8(2), uint8(1), false) // backbone conv1 family
+	f.Add(int64(1), uint8(0), uint8(16), uint8(24), uint8(7), uint8(2), uint8(1), uint8(1), false) // backbone conv1 family
 	f.Add(int64(2), uint8(2), uint8(19), uint8(34), uint8(3), uint8(5), uint8(1), uint8(2), true)  // regressor branch family
 	f.Fuzz(func(t *testing.T, seed int64, cin, h, w, outC, kernel, stride, pad uint8, nilBias bool) {
 		k := 1 + int(kernel)%5
 		checkConvGeometry(t, rand.New(rand.NewSource(seed)),
-			1+int(cin)%4, 1+int(h)%40, 1+int(w)%160, 1+int(outC)%8,
+			1+int(cin)%16, 1+int(h)%40, 1+int(w)%160, 1+int(outC)%12,
 			k, 1+int(stride)%3, int(pad)%(k+1), nilBias)
 	})
 }
@@ -385,7 +405,7 @@ func poolRetains() bool {
 // does exactly that, and the band, tap list and run scratch must absorb it:
 // the backbone's conv2 and the regressor's 3×3 branch, each at scale 600 and
 // 128 (multi-row bands copied out, last partial bands, a whole output in one
-// band) —
+// band), through ConvInto and ConvAbsInto in turn —
 // and that this holds under a worker override: the larger convolution is
 // one an inner row fan-out would split, at 8 allocations a call.
 // (AllocsPerRun itself runs at GOMAXPROCS 1; the override is what a fan-out
@@ -417,14 +437,18 @@ func TestConvIntoSteadyStateAllocs(t *testing.T) {
 	i := 0
 	step := func() {
 		c := convs[i%len(convs)]
-		ConvInto(c.dst, c.x, c.weight, c.bias, c.stride, 1)
+		run := ConvInto
+		if i/len(convs)%2 == 1 {
+			run = ConvAbsInto
+		}
+		run(c.dst, c.x, c.weight, c.bias, c.stride, 1)
 		i++
 	}
-	for range convs {
+	for range 2 * len(convs) {
 		step()
 	}
 	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
-		t.Fatalf("steady-state ConvInto allocates %v per call, want 0", allocs)
+		t.Fatalf("steady-state ConvInto/ConvAbsInto allocates %v per call, want 0", allocs)
 	}
 }
 

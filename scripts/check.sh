@@ -70,8 +70,10 @@ gate "tensor-leaf" sh -c '! go list -deps ./internal/tensor | grep -qx adascale/
 # run below covers the amd64 path.
 gate "cross-build" sh -c 'for arch in arm64 ppc64le s390x riscv64; do GOARCH=$arch go build ./... || exit 1; done'
 gate "cross-vet" env GOARCH=arm64 go vet ./internal/tensor
-# The regressor trains the same weights on those targets too: internal/nn and
-# internal/regressor compile to no fused multiply-add on any of the four.
+# The regressor trains the same weights and the renderer draws the same
+# pixels on those targets too: internal/nn, internal/regressor,
+# internal/tensor and internal/raster compile to no fused multiply-add on any
+# of the four.
 gate "nofma" ./scripts/nofma.sh
 # Reachability gate: every non-test function is linked by one of the nine
 # programs (the commands, the examples, the benchmark) or allowlisted with a
@@ -105,6 +107,9 @@ gate "fuzz-matmul-abt" go test -run='^$' -fuzz='^FuzzMatMulABT$' -fuzztime=5s ./
 # The weight-gradient entry point, AVX2 kernel and portable lowering alike,
 # must give im2col + MatMulABTInto's bits at any geometry.
 gate "fuzz-conv-weight-grad" go test -run='^$' -fuzz='^FuzzConvWeightGrad$' -fuzztime=5s ./internal/tensor
+# Shapes drawn in row spans must give the per-pixel drawing's image, bit for
+# bit, for boxes off the image, clipped, inverted, sub-pixel or huge.
+gate "fuzz-draw" go test -run='^$' -fuzz='^FuzzDrawShapes$' -fuzztime=5s ./internal/raster
 gate "fuzz-rng" go test -run='^$' -fuzz='^FuzzSeedStream$' -fuzztime=5s ./internal/rng
 gate "fuzz-histogram" go test -run='^$' -fuzz='^FuzzHistogram$' -fuzztime=5s ./internal/obs
 

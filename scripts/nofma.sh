@@ -1,7 +1,7 @@
 #!/bin/sh
-# No-fused-multiply-add gate: the scale regressor's packages and the tensor
-# kernels under them must compile to no fused multiply-add on any
-# architecture whose compiler fuses.
+# No-fused-multiply-add gate: the scale regressor's packages, the tensor
+# kernels under them and the renderer's raster operations must compile to no
+# fused multiply-add on any architecture whose compiler fuses.
 #
 # Go lets a compiler fuse x*y + z into one instruction that rounds once where
 # the source rounds twice; gc does so on arm64, ppc64le, s390x and riscv64
@@ -14,7 +14,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-pkgs="./internal/nn ./internal/regressor ./internal/tensor"
+pkgs="./internal/nn ./internal/regressor ./internal/tensor ./internal/raster"
 
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
