@@ -37,10 +37,12 @@ func (b Box) H() float64 {
 }
 
 // Area returns the box area.
-func (b Box) Area() float64 { return b.W() * b.H() }
+func (b Box) Area() float64 { return float64(b.W() * b.H()) }
 
 // Center returns the box centre point.
-func (b Box) Center() (float64, float64) { return (b.X1 + b.X2) / 2, (b.Y1 + b.Y2) / 2 }
+func (b Box) Center() (float64, float64) {
+	return float64((b.X1 + b.X2) / 2), float64((b.Y1 + b.Y2) / 2)
+}
 
 // Shortest returns the shorter box side, the quantity compared against the
 // RPN's smallest anchor (128 px in the paper).
@@ -54,7 +56,7 @@ func (b Box) Shortest() float64 {
 // Scaled returns the box with all coordinates multiplied by f, mapping
 // between image scales.
 func (b Box) Scaled(f float64) Box {
-	return Box{X1: b.X1 * f, Y1: b.Y1 * f, X2: b.X2 * f, Y2: b.Y2 * f}
+	return Box{X1: float64(b.X1 * f), Y1: float64(b.Y1 * f), X2: float64(b.X2 * f), Y2: float64(b.Y2 * f)}
 }
 
 // Shifted returns the box translated by (dx, dy).
@@ -79,7 +81,7 @@ func IoU(a, b Box) float64 {
 	if !(iw > 0) || !(ih > 0) {
 		return 0
 	}
-	inter := iw * ih
+	inter := float64(iw * ih)
 	union := a.Area() + b.Area() - inter
 	if !(union > 0) {
 		return 0
@@ -129,14 +131,6 @@ func ByScore(a, b Detection) int {
 	return 0
 }
 
-// byClassScore orders by class ascending, then score descending.
-func byClassScore(a, b Detection) int {
-	if c := cmp.Compare(a.Class, b.Class); c != 0 {
-		return c
-	}
-	return ByScore(a, b)
-}
-
 // NMS performs class-wise greedy non-maximum suppression with the given IoU
 // threshold, returning at most topK detections sorted by descending score
 // (topK ≤ 0 means unlimited). The paper uses threshold 0.3 and topK 300.
@@ -152,11 +146,32 @@ func NMS(dets []Detection, iouThreshold float64, topK int) []Detection {
 	return NMSAppend(nil, dets, iouThreshold, topK)
 }
 
-// nmsScratch holds NMS's working copy and suppression flags between calls;
-// both are fully overwritten (copy / cleared re-slice) before use, so a
-// recycled instance is indistinguishable from a fresh one.
+// nmsKey is what NMS sorts in place of a 56-byte Detection: the two sort
+// keys and the detection's index in the input.
+type nmsKey struct {
+	class int
+	score float64
+	i     int
+}
+
+// keyByClassScore orders keys by class ascending, then score descending.
+func keyByClassScore(a, b nmsKey) int {
+	if c := cmp.Compare(a.class, b.class); c != 0 {
+		return c
+	}
+	return ByScore(Detection{Score: a.score}, Detection{Score: b.score})
+}
+
+// keyByScore orders keys by descending score.
+func keyByScore(a, b nmsKey) int {
+	return ByScore(Detection{Score: a.score}, Detection{Score: b.score})
+}
+
+// nmsScratch holds NMS's sort keys, the survivors' keys and the suppression
+// flags between calls; all are rebuilt before use, so a recycled instance is
+// indistinguishable from a fresh one.
 type nmsScratch struct {
-	work       []Detection
+	keys, kept []nmsKey
 	suppressed []bool
 }
 
@@ -165,51 +180,56 @@ var nmsScratchPool = sync.Pool{New: func() any { return new(nmsScratch) }}
 // NMSAppend is NMS with caller-owned result storage: surviving detections
 // are appended to dst (which may be nil) and the extended slice returned.
 // Only the appended segment is ordered and truncated to topK; anything
-// already in dst is left untouched. The internal working copy and
-// suppression flags come from a pool, so a steady-state caller passing a
-// recycled dst allocates nothing.
+// already in dst is left untouched. The sort keys and suppression flags come
+// from a pool, so a steady-state caller passing a recycled dst allocates
+// nothing.
+//
+// Both sorts move small keys, not detections. slices.SortStableFunc makes
+// the same comparisons and moves for the same comparison results whatever
+// it sorts, so the keys end in the order the detections themselves would —
+// NaN scores, which compare as neither greater nor less, included.
 func NMSAppend(dst, dets []Detection, iouThreshold float64, topK int) []Detection {
 	if len(dets) == 0 {
 		return dst
 	}
 	sc := nmsScratchPool.Get().(*nmsScratch)
-	if cap(sc.work) < len(dets) {
-		sc.work = make([]Detection, len(dets))
-		sc.suppressed = make([]bool, len(dets))
+	keys := sc.keys[:0]
+	for i, d := range dets {
+		keys = append(keys, nmsKey{d.Class, d.Score, i})
 	}
-	work := sc.work[:len(dets)]
-	copy(work, dets)
-	suppressed := sc.suppressed[:len(dets)]
-	for i := range suppressed {
-		suppressed[i] = false
-	}
-	slices.SortStableFunc(work, byClassScore)
-	base := len(dst)
-	kept := dst
-	for lo := 0; lo < len(work); {
+	suppressed := slices.Grow(sc.suppressed[:0], len(dets))[:len(dets)]
+	clear(suppressed)
+	slices.SortStableFunc(keys, keyByClassScore)
+	kept := sc.kept[:0]
+	for lo := 0; lo < len(keys); {
 		hi := lo + 1
-		for hi < len(work) && work[hi].Class == work[lo].Class {
+		for hi < len(keys) && keys[hi].class == keys[lo].class {
 			hi++
 		}
 		for i := lo; i < hi; i++ {
 			if suppressed[i] {
 				continue
 			}
-			kept = append(kept, work[i])
+			kept = append(kept, keys[i])
+			box := dets[keys[i].i].Box
 			for j := i + 1; j < hi; j++ {
-				if !suppressed[j] && IoU(work[i].Box, work[j].Box) > iouThreshold {
+				if !suppressed[j] && IoU(box, dets[keys[j].i].Box) > iouThreshold {
 					suppressed[j] = true
 				}
 			}
 		}
 		lo = hi
 	}
-	nmsScratchPool.Put(sc)
-	slices.SortStableFunc(kept[base:], ByScore)
-	if topK > 0 && len(kept)-base > topK {
-		kept = kept[:base+topK]
+	slices.SortStableFunc(kept, keyByScore)
+	if topK > 0 && len(kept) > topK {
+		kept = kept[:topK]
 	}
-	return kept
+	for _, k := range kept {
+		dst = append(dst, dets[k.i])
+	}
+	sc.keys, sc.kept, sc.suppressed = keys, kept, suppressed
+	nmsScratchPool.Put(sc)
+	return dst
 }
 
 // ForegroundIoU is the Jaccard threshold above which a predicted box is

@@ -1,6 +1,8 @@
 package detect
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -185,6 +187,92 @@ func TestNMSInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// byClassScore orders detections by class ascending, then score
+// descending: the order nmsStructSort sorts the detections themselves in.
+func byClassScore(a, b Detection) int {
+	if c := cmp.Compare(a.Class, b.Class); c != 0 {
+		return c
+	}
+	return ByScore(a, b)
+}
+
+// nmsStructSort is NMSAppend as it was before it sorted keys: the oracle
+// NMSAppend is held to. It sorts a copy of the detections by (class,
+// -score), suppresses greedily within each class segment, then sorts the
+// survivors by score and truncates to topK.
+func nmsStructSort(dets []Detection, iouThreshold float64, topK int) []Detection {
+	work := slices.Clone(dets)
+	suppressed := make([]bool, len(work))
+	slices.SortStableFunc(work, byClassScore)
+	var kept []Detection
+	for lo := 0; lo < len(work); {
+		hi := lo + 1
+		for hi < len(work) && work[hi].Class == work[lo].Class {
+			hi++
+		}
+		for i := lo; i < hi; i++ {
+			if suppressed[i] {
+				continue
+			}
+			kept = append(kept, work[i])
+			for j := i + 1; j < hi; j++ {
+				if !suppressed[j] && IoU(work[i].Box, work[j].Box) > iouThreshold {
+					suppressed[j] = true
+				}
+			}
+		}
+		lo = hi
+	}
+	slices.SortStableFunc(kept, ByScore)
+	if topK > 0 && len(kept) > topK {
+		kept = kept[:topK]
+	}
+	return kept
+}
+
+// sameDetections requires got and want to hold the same detections in the
+// same order, every float compared by its bits (so NaN fields compare too).
+func sameDetections(t *testing.T, name string, got, want []Detection) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d detections, want %d", name, len(got), len(want))
+	}
+	bits := func(d Detection) [7]uint64 {
+		return [7]uint64{math.Float64bits(d.Box.X1), math.Float64bits(d.Box.Y1), math.Float64bits(d.Box.X2), math.Float64bits(d.Box.Y2),
+			uint64(d.Class), math.Float64bits(d.Score), uint64(d.GTIndex)}
+	}
+	for i := range want {
+		if bits(got[i]) != bits(want[i]) {
+			t.Fatalf("%s: detection %d = %+v, want %+v", name, i, got[i], want[i])
+		}
+	}
+}
+
+// TestNMSMatchesStructSort holds NMSAppend's key sort to the struct sort it
+// replaced, detection for detection, on the detector's output size and
+// around the insertion-sort block, with few classes and scores so ties are
+// everywhere, NaN scores among them, GTIndex recording each input position,
+// appending after existing dst contents and truncating to topK.
+func TestNMSMatchesStructSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, n := range []int{1, 2, 19, 20, 21, 97, 300} {
+		for trial := 0; trial < 20; trial++ {
+			dets := make([]Detection, n)
+			for i := range dets {
+				score := float64(rng.Intn(5)) / 4
+				if rng.Intn(6) == 0 {
+					score = math.NaN()
+				}
+				dets[i] = Detection{Box: randBox(rng), Class: rng.Intn(3), Score: score, GTIndex: i}
+			}
+			thr, topK := 0.1+rng.Float64()*0.6, rng.Intn(n+2)-1
+			prefix := []Detection{{Class: -1, GTIndex: -1}}
+			got := NMSAppend(slices.Clone(prefix), dets, thr, topK)
+			sameDetections(t, fmt.Sprintf("n=%d trial %d", n, trial), got, append(prefix, nmsStructSort(dets, thr, topK)...))
+		}
 	}
 }
 

@@ -30,7 +30,8 @@ func decodeBoxes(data []byte) []Detection {
 	return dets
 }
 
-// FuzzNMS asserts NMS never panics and keeps its output contract on fully
+// FuzzNMS asserts NMS never panics, keeps its output contract and returns
+// exactly what the struct-sorting oracle (nmsStructSort) does on fully
 // degenerate inputs: NaN/Inf coordinates and scores, inverted and
 // zero-area boxes, negative classes, hostile thresholds.
 func FuzzNMS(f *testing.F) {
@@ -46,6 +47,7 @@ func FuzzNMS(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, iouThreshold float64, topK int) {
 		dets := decodeBoxes(data)
 		kept := NMS(dets, iouThreshold, topK)
+		sameDetections(t, "NMS against the struct sort", kept, nmsStructSort(dets, iouThreshold, topK))
 		if len(kept) > len(dets) {
 			t.Fatalf("NMS invented detections: %d in, %d out", len(dets), len(kept))
 		}

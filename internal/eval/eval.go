@@ -177,7 +177,7 @@ func areaUnderPR(curve []PRPoint) float64 {
 	prevR := 0.0
 	for i, p := range curve {
 		if p.Recall > prevR {
-			ap += (p.Recall - prevR) * env[i]
+			ap += float64((p.Recall - prevR) * env[i])
 			prevR = p.Recall
 		}
 	}

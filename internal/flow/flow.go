@@ -44,6 +44,16 @@ func Estimate(prev, cur *raster.Image, block, radius int) (*Field, error) {
 	if block < 2 {
 		block = 2
 	}
+	return estimate(prev, cur, block, radius, blockSAD), nil
+}
+
+// sadFunc is blockSAD's signature.
+type sadFunc func(prev, cur *raster.Image, x0, y0, dx, dy, block int, limit float64) float64
+
+// estimate is Estimate's search on well-formed frames with the block SAD sad:
+// blockSAD in Estimate, edgeSAD alone as the oracle FuzzFlowEstimate holds
+// it to.
+func estimate(prev, cur *raster.Image, block, radius int, sad sadFunc) *Field {
 	cols := (prev.W + block - 1) / block
 	rows := (prev.H + block - 1) / block
 	f := &Field{
@@ -58,12 +68,12 @@ func Estimate(prev, cur *raster.Image, block, radius int) (*Field, error) {
 			// Spiral-free full search: fine for the small radii used here.
 			for dy := -radius; dy <= radius; dy++ {
 				for dx := -radius; dx <= radius; dx++ {
-					sad := blockSAD(prev, cur, x0, y0, dx, dy, block, bestSAD)
+					s := sad(prev, cur, x0, y0, dx, dy, block, bestSAD)
 					// Prefer the smaller displacement on ties so static
 					// regions report zero motion.
-					if sad < bestSAD-1e-9 ||
-						(sad < bestSAD+1e-9 && dx*dx+dy*dy < bestDX*bestDX+bestDY*bestDY) {
-						bestSAD, bestDX, bestDY = sad, dx, dy
+					if s < bestSAD-1e-9 ||
+						(s < bestSAD+1e-9 && dx*dx+dy*dy < bestDX*bestDX+bestDY*bestDY) {
+						bestSAD, bestDX, bestDY = s, dx, dy
 					}
 				}
 			}
@@ -72,14 +82,14 @@ func Estimate(prev, cur *raster.Image, block, radius int) (*Field, error) {
 			// quantisation error of ±0.5 px per estimation accumulates into
 			// significant drift when propagating boxes over many frames.
 			du := subpixel(
-				blockSAD(prev, cur, x0, y0, bestDX-1, bestDY, block, math.Inf(1)),
+				sad(prev, cur, x0, y0, bestDX-1, bestDY, block, math.Inf(1)),
 				bestSAD,
-				blockSAD(prev, cur, x0, y0, bestDX+1, bestDY, block, math.Inf(1)),
+				sad(prev, cur, x0, y0, bestDX+1, bestDY, block, math.Inf(1)),
 			)
 			dv := subpixel(
-				blockSAD(prev, cur, x0, y0, bestDX, bestDY-1, block, math.Inf(1)),
+				sad(prev, cur, x0, y0, bestDX, bestDY-1, block, math.Inf(1)),
 				bestSAD,
-				blockSAD(prev, cur, x0, y0, bestDX, bestDY+1, block, math.Inf(1)),
+				sad(prev, cur, x0, y0, bestDX, bestDY+1, block, math.Inf(1)),
 			)
 			i := by*cols + bx
 			f.U[i] = float32(float64(bestDX) + du)
@@ -87,14 +97,44 @@ func Estimate(prev, cur *raster.Image, block, radius int) (*Field, error) {
 			f.Residual[i] = float32(bestSAD / float64(block*block))
 		}
 	}
-	return f, nil
+	return f
 }
 
 // blockSAD computes the sum of absolute differences between the block at
 // (x0,y0) in prev and the block displaced by (dx,dy) in cur. Out-of-bounds
 // pixels are compared against 0.5 (mid-gray), penalising displacements off
 // the frame. Aborts early once the running sum exceeds limit.
+//
+// An interior block — wholly inside prev, and displaced wholly inside cur —
+// reads one row slice of each image per row and no pixel needs a bounds
+// test; the terms, their order and the per-row abort are edgeSAD's, so the
+// sum is the same bit for bit. Other blocks take edgeSAD.
 func blockSAD(prev, cur *raster.Image, x0, y0, dx, dy, block int, limit float64) float64 {
+	if x0+block > prev.W || y0+block > prev.H || x0+dx < 0 || y0+dy < 0 ||
+		x0+dx+block > cur.W || y0+dy+block > cur.H {
+		return edgeSAD(prev, cur, x0, y0, dx, dy, block, limit)
+	}
+	var sad float64
+	for y := y0; y < y0+block; y++ {
+		pa := prev.Pix[y*prev.W+x0:][:block]
+		pb := cur.Pix[(y+dy)*cur.W+x0+dx:][:len(pa)]
+		for x, a := range pa {
+			d := float64(a - pb[x])
+			if d < 0 {
+				d = -d
+			}
+			sad += d
+		}
+		if sad > limit {
+			return math.Inf(1)
+		}
+	}
+	return sad
+}
+
+// edgeSAD is blockSAD pixel by pixel, bounds-testing each: the loop for
+// blocks at the frame's edges.
+func edgeSAD(prev, cur *raster.Image, x0, y0, dx, dy, block int, limit float64) float64 {
 	var sad float64
 	for y := y0; y < y0+block; y++ {
 		for x := x0; x < x0+block; x++ {

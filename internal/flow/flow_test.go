@@ -141,3 +141,43 @@ func TestSmallBlockClamped(t *testing.T) {
 		t.Fatalf("block = %d, want clamp to 2", f.Block)
 	}
 }
+
+// FuzzFlowEstimate holds Estimate, whose interior blocks take blockSAD's
+// row loop, to the same search on edgeSAD alone — the per-pixel loop every
+// block took before — bit for bit in U, V and Residual. Frames are a
+// textured image and a shifted, perturbed copy, of any size from one pixel
+// (so blocks hang off every edge) up to a few blocks across; a share raw/256
+// of cur's pixels are arbitrary float32 bit patterns (NaN and ±Inf among
+// them), so aborted, infinite and NaN sums occur too.
+func FuzzFlowEstimate(f *testing.F) {
+	f.Add(int64(1), uint8(48), uint8(32), uint8(8), uint8(4), int8(2), int8(-1), uint8(0)) // the DFF shape family
+	f.Add(int64(2), uint8(21), uint8(13), uint8(4), uint8(3), int8(-3), int8(2), uint8(0)) // partial blocks on both edges
+	f.Add(int64(3), uint8(40), uint8(40), uint8(8), uint8(2), int8(0), int8(0), uint8(16)) // specials in cur
+	f.Add(int64(4), uint8(1), uint8(3), uint8(1), uint8(1), int8(1), int8(1), uint8(255))  // smaller than one block
+	f.Fuzz(func(t *testing.T, seed int64, w, h, block, radius uint8, dx, dy int8, raw uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		prev := texturedImage(rng, 1+int(w)%64, 1+int(h)%48)
+		cur := shifted(prev, int(dx)%5, int(dy)%5)
+		for i := range cur.Pix {
+			switch {
+			case uint8(rng.Intn(256)) < raw:
+				cur.Pix[i] = math.Float32frombits(rng.Uint32())
+			case rng.Intn(4) == 0:
+				cur.Pix[i] += float32(rng.NormFloat64()) / 16
+			}
+		}
+		bl, r := 2+int(block)%11, int(radius)%6
+		got, err := Estimate(prev, cur, bl, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := estimate(prev, cur, bl, r, edgeSAD)
+		for name, pair := range map[string][2][]float32{"U": {got.U, want.U}, "V": {got.V, want.V}, "Residual": {got.Residual, want.Residual}} {
+			for i := range pair[1] {
+				if math.Float32bits(pair[0][i]) != math.Float32bits(pair[1][i]) {
+					t.Fatalf("%dx%d block %d radius %d: %s[%d] = %v, edge loop gives %v", prev.W, prev.H, bl, r, name, i, pair[0][i], pair[1][i])
+				}
+			}
+		}
+	})
+}

@@ -42,7 +42,7 @@ func BoxLoss(d rfcn.RawDetection, gts []detect.GroundTruth, gtIndex int, lambda 
 	for _, t := range FastRCNNOffsets(d.Box, gts[gtIndex].Box) {
 		reg += nn.SmoothL1Scalar(t)
 	}
-	return cls + lambda*reg
+	return cls + float64(lambda*reg)
 }
 
 // FastRCNNOffsets returns the (tx, ty, tw, th) regression targets between a

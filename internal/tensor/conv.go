@@ -40,20 +40,28 @@ import (
 // Each output channel walks the run in tiles of convTile columns, holding
 // the tile's accumulators in registers across the whole tap list and
 // storing acc+bias once, its bits ANDed with the call's store mask. A tile
-// is one AVX2 register: on amd64 CPUs that
-// have it, convRowAVX2 (conv_amd64.s) computes the run — per tap one
-// broadcast weight, one VMULPS and one VADDPS per tile, four tiles in
-// flight to hide the add latency. It is never an FMA: a fused multiply-add
-// rounds once where `acc += w·x` rounds twice, and every golden pins the
-// twice-rounded bits; the Go loops write each product float32(w·x) so that
-// no compiler fuses them either. The Go tile below is the same arithmetic
-// lane by lane; it is the kernel on every other GOARCH and on amd64 without
-// AVX2, and the oracle the tests hold the assembly to. A run's last tile
-// ends at its last column: when the run is not a multiple of convTile it
-// overlaps the tile before it and recomputes those columns to the same
-// bits, so only runs narrower than one tile take a scalar loop. The band
-// (≈34 KB for the backbone's conv2 at scale 600) is built once per band and
-// reused by every output channel while it sits in L1/L2.
+// is one AVX2 register: on amd64 CPUs that have it, convRowAVX2
+// (conv_amd64.s) computes the run — per tap one broadcast weight, one VMULPS
+// and one VADDPS per tile, four tiles in flight to hide the add latency.
+// Never an FMA: a fused multiply-add rounds once where `acc += w·x` rounds
+// twice, and every golden pins the twice-rounded bits; the Go loops write
+// each product float32(w·x) so that no compiler fuses them either. The Go
+// tile below is the same arithmetic lane by lane: the kernel on every other
+// GOARCH and on amd64 without AVX2, and the oracle the tests hold the
+// assembly to. A run's last tile ends at its last column, overlapping the
+// tile before and recomputing those columns to the same bits, so only runs
+// narrower than one tile take a scalar loop. The band (≈34 KB for conv2 at
+// scale 600) is built once per band and reused by every output channel
+// while it sits in L1/L2; at stride 2 one pass over each input row fills
+// both column phases.
+//
+// Channel pairs: the band loads, not the adds, bound convRowAVX2. Under
+// AVX2 the plan pairs channel co with co+1, greedily from 0, when their
+// nonzero taps sit at the same offsets — always for dense filters — and
+// convRow2AVX2 runs a pair's runs (pairRun) from one set of band loads. A
+// pattern is never padded with zero-weight taps to make a pair: 0·NaN is
+// NaN, not +0. Each channel still receives its own taps in the same order
+// from +0, then its own bias, so the bits are the unpaired kernel's.
 //
 // Bit-identity with the im2col path (DESIGN.md §4g): for an output element
 // (co, oy, ox), the im2col route accumulates wm[co][p]·cols[p][oyx] in
@@ -91,10 +99,11 @@ const convTile = 8
 const convCols = 256
 
 // tap is one nonzero weight of a convolution filter: off is where in the
-// band its reads for the band's output (0, 0) start.
+// band its reads for the band's output (0, 0) start; w1 is the next
+// channel's weight there when the two run as a pair (16 bytes either way).
 type tap struct {
-	off int
-	w   float32
+	off   int
+	w, w1 float32
 }
 
 // ConvInto computes a 2-D convolution of a Cin×H×W input with an
@@ -167,19 +176,34 @@ func conv(dst, x, weight, bias *Tensor, stride, pad int, mask uint32) {
 		for ci := 0; ci < cin; ci++ {
 			for k, wv := range wd[(co*cin+ci)*kk:][:kk] {
 				if wv != 0 {
-					flat = append(flat, tap{ci*perCi + koff[k], wv})
+					flat = append(flat, tap{off: ci*perCi + koff[k], w: wv})
 				}
 			}
 		}
 		counts[co+1] = len(flat)
+	}
+	// Channel pairs (above): co+1's weights ride in co's taps as w1.
+	paired := grow(cv.paired, outC)
+	clear(paired)
+	for co := 0; pairRun((rows-1)*rowLen+wo) && co+1 < outC; co++ {
+		a, b := flat[counts[co]:counts[co+1]], flat[counts[co+1]:counts[co+2]]
+		same := len(a) > 0 && len(a) == len(b)
+		for t := 0; same && t < len(a); t++ {
+			same = a[t].off == b[t].off
+			a[t].w1 = b[t].w // read only if the pair holds
+		}
+		if same {
+			paired[co] = true
+			co++
+		}
 	}
 
 	*cv = convPlan{
 		xd: x.data, dd: dst.data, bias: bias, mask: mask,
 		cin: cin, h: h, w: w, kernel: kernel, stride: stride, pad: pad,
 		ho: ho, wo: wo, phases: phases, rowLen: rowLen, rows: rows, plane: plane,
-		koff: koff, taps: flat, counts: counts,
-		band: grow(cv.band, cin*perCi), wide: grow(cv.wide, (rows-1)*rowLen+wo),
+		koff: koff, taps: flat, counts: counts, paired: paired,
+		band: grow(cv.band, cin*perCi), wide: grow(cv.wide, 2*((rows-1)*rowLen+wo)),
 	}
 	cv.run()
 	// Drop the tensor references and recycle the plan's storage.
@@ -209,67 +233,96 @@ type convPlan struct {
 	plane  int   // floats per phase plane: (R + (kernel−1)/stride)·L
 	koff   []int // K×K tap offsets within one channel's planes
 	taps   []tap
-	counts []int // taps[counts[co]:counts[co+1]] belong to channel co
+	counts []int  // taps[counts[co]:counts[co+1]] belong to channel co
+	paired []bool // channel co runs with co+1 on co's taps (w1 is co+1's)
 	band   []float32
-	wide   []float32 // a band's run when it is not laid out as dst
+	wide   []float32 // a band's runs (two for a pair) when not laid out as dst
 }
 
 // run computes every band of every output channel.
 func (cv *convPlan) run() {
-	band := cv.band
-	ho, wo, rowLen := cv.ho, cv.wo, cv.rowLen
+	band, ho, wo, rowLen := cv.band, cv.ho, cv.wo, cv.rowLen
 	for oy0 := 0; oy0 < ho; oy0 += cv.rows {
 		rows := min(cv.rows, ho-oy0)
 		cv.fillBand(band, oy0, rows)
 		n := (rows-1)*rowLen + wo
 		direct := rows == 1 || rowLen == wo
-		for co := range cv.counts[1:] {
+		for co := 0; co < len(cv.paired); co++ {
+			chans := 1
+			if cv.paired[co] && pairRun(n) {
+				chans = 2
+			}
+			var outs [2][]float32 // dst itself when laid out as dst is, else scratch
+			for k := range chans {
+				outs[k] = cv.wide[k*n:][:n]
+				if direct {
+					outs[k] = cv.dd[((co+k)*ho+oy0)*wo:][:n]
+				}
+			}
 			taps := cv.taps[cv.counts[co]:cv.counts[co+1]]
-			var bv float32
-			if cv.bias != nil {
-				bv = cv.bias.data[co]
+			if chans == 2 {
+				convRow2AVX2(&outs[0][0], &outs[1][0], &band[0], &taps[0], len(taps), n, cv.biasAt(co), cv.biasAt(co+1), cv.mask)
+			} else {
+				cv.runRow(outs[0], taps, cv.biasAt(co))
 			}
-			out := cv.wide[:n]
-			if direct {
-				out = cv.dd[(co*ho+oy0)*wo:][:n]
-			}
-			switch {
-			case n < convTile:
-				for ox := range out {
-					var a float32
-					for _, tp := range taps {
-						a += float32(tp.w * band[tp.off+ox])
-					}
-					out[ox] = masked(a+bv, cv.mask)
-				}
-			case useAVX2 && len(taps) > 0:
-				convRowAVX2(&out[0], &band[0], &taps[0], len(taps), n, bv, cv.mask)
-			default:
-				for ox := 0; ox < n; ox += convTile {
-					ox := min(ox, n-convTile) // the last tile ends at column n
-					var a0, a1, a2, a3, a4, a5, a6, a7 float32
-					for _, tp := range taps {
-						b := band[tp.off+ox : tp.off+ox+convTile : tp.off+ox+convTile]
-						wv := tp.w
-						a0 += float32(wv * b[0])
-						a1 += float32(wv * b[1])
-						a2 += float32(wv * b[2])
-						a3 += float32(wv * b[3])
-						a4 += float32(wv * b[4])
-						a5 += float32(wv * b[5])
-						a6 += float32(wv * b[6])
-						a7 += float32(wv * b[7])
-					}
-					o := out[ox : ox+convTile : ox+convTile]
-					o[0], o[1], o[2], o[3] = masked(a0+bv, cv.mask), masked(a1+bv, cv.mask), masked(a2+bv, cv.mask), masked(a3+bv, cv.mask)
-					o[4], o[5], o[6], o[7] = masked(a4+bv, cv.mask), masked(a5+bv, cv.mask), masked(a6+bv, cv.mask), masked(a7+bv, cv.mask)
-				}
-			}
-			if !direct {
+			for k := 0; k < chans && !direct; k++ {
 				for r := 0; r < rows; r++ {
-					copy(cv.dd[(co*ho+oy0+r)*wo:][:wo], out[r*rowLen:])
+					copy(cv.dd[((co+k)*ho+oy0+r)*wo:][:wo], outs[k][r*rowLen:])
 				}
 			}
+			co += chans - 1
+		}
+	}
+}
+
+// pairRun reports whether a pair's run of n columns goes to convRow2AVX2:
+// whole 32-column blocks, or enough that the last block's overlap costs less
+// than the pair saves (at n = 35 it would recompute 29 columns).
+func pairRun(n int) bool { return useAVX2 && (n%32 == 0 || n > 48) }
+
+// biasAt is channel co's bias, +0 without one.
+func (cv *convPlan) biasAt(co int) float32 {
+	if cv.bias == nil {
+		return 0
+	}
+	return cv.bias.data[co]
+}
+
+// runRow computes one channel's run out from its taps: the scalar loop for a
+// run narrower than a tile, convRowAVX2 where the CPU has it, else the Go
+// tile.
+func (cv *convPlan) runRow(out []float32, taps []tap, bv float32) {
+	band, n := cv.band, len(out)
+	switch {
+	case n < convTile:
+		for ox := range out {
+			var a float32
+			for _, tp := range taps {
+				a += float32(tp.w * band[tp.off+ox])
+			}
+			out[ox] = masked(a+bv, cv.mask)
+		}
+	case useAVX2 && len(taps) > 0:
+		convRowAVX2(&out[0], &band[0], &taps[0], len(taps), n, bv, cv.mask)
+	default:
+		for ox := 0; ox < n; ox += convTile {
+			ox := min(ox, n-convTile) // the last tile ends at column n
+			var a0, a1, a2, a3, a4, a5, a6, a7 float32
+			for _, tp := range taps {
+				b := band[tp.off+ox : tp.off+ox+convTile : tp.off+ox+convTile]
+				wv := tp.w
+				a0 += float32(wv * b[0])
+				a1 += float32(wv * b[1])
+				a2 += float32(wv * b[2])
+				a3 += float32(wv * b[3])
+				a4 += float32(wv * b[4])
+				a5 += float32(wv * b[5])
+				a6 += float32(wv * b[6])
+				a7 += float32(wv * b[7])
+			}
+			o := out[ox : ox+convTile : ox+convTile]
+			o[0], o[1], o[2], o[3] = masked(a0+bv, cv.mask), masked(a1+bv, cv.mask), masked(a2+bv, cv.mask), masked(a3+bv, cv.mask)
+			o[4], o[5], o[6], o[7] = masked(a4+bv, cv.mask), masked(a5+bv, cv.mask), masked(a6+bv, cv.mask), masked(a7+bv, cv.mask)
 		}
 	}
 }
@@ -283,25 +336,60 @@ func masked(v float32, mask uint32) float32 {
 // (ci, py, px) holds padded input row s·(oy0+j)+py of channel ci at padded
 // columns px, px+s, px+2s, …, with zeros wherever the padded coordinate
 // falls outside the input. Only the rows + (K−1−py)/s rows the band's taps
-// read are built.
+// read are built. At stride 2 with both column phases built — every
+// backbone layer — one pass over each input row fills both (deinterleave).
 func (cv *convPlan) fillBand(band []float32, oy0, rows int) {
 	h, w, kernel, stride, pad, phases, rowLen := cv.h, cv.w, cv.kernel, cv.stride, cv.pad, cv.phases, cv.rowLen
-	for px := 0; px < phases; px++ {
-		// Band column c holds input column c·s + px − pad.
-		j0, j1 := padSpan(w, rowLen, stride, px-pad)
-		for ci := 0; ci < cv.cin; ci++ {
-			for py := 0; py < phases; py++ {
-				pl := band[((ci*phases+py)*phases+px)*cv.plane:]
-				for j := 0; j < rows+(kernel-1-py)/stride; j++ {
-					seg := pl[j*rowLen:][:rowLen]
-					iy := (oy0+j)*stride + py - pad
-					if iy < 0 || iy >= h {
-						clear(seg)
-						continue
+	for ci := 0; ci < cv.cin; ci++ {
+		for py := 0; py < phases; py++ {
+			pl := band[(ci*phases+py)*phases*cv.plane:]
+			for j := 0; j < rows+(kernel-1-py)/stride; j++ {
+				iy := (oy0+j)*stride + py - pad
+				if iy < 0 || iy >= h {
+					for px := 0; px < phases; px++ {
+						clear(pl[px*cv.plane+j*rowLen:][:rowLen])
 					}
-					gatherRow(seg, cv.xd[(ci*h+iy)*w:][:w], j0, j1, stride, px-pad)
+					continue
+				}
+				xrow := cv.xd[(ci*h+iy)*w:][:w]
+				if stride == 2 && phases == 2 {
+					// Input column 2m lands in phase pad mod 2 at band
+					// column m + pad/2, column 2m+1 in the other phase at
+					// m + (pad+1)/2.
+					e := pad % 2
+					deinterleave(pl[e*cv.plane+j*rowLen:][:rowLen], pl[(1-e)*cv.plane+j*rowLen:][:rowLen], xrow, pad/2, (pad+1)/2)
+					continue
+				}
+				for px := 0; px < phases; px++ {
+					// Band column c holds input column c·s + px − pad.
+					j0, j1 := padSpan(w, rowLen, stride, px-pad)
+					gatherRow(pl[px*cv.plane+j*rowLen:][:rowLen], xrow, j0, j1, stride, px-pad)
 				}
 			}
 		}
+	}
+}
+
+// deinterleave fills two band rows, at least pad long, from one read of
+// xrow: ev[pe+m] = xrow[2m] and od[po+m] = xrow[2m+1] where both sides are in
+// bounds, zero padding elsewhere. deinterleave2AVX2 takes whole blocks of
+// eight pairs under AVX2, the loops the rest: moves only, so the band holds
+// the bits gatherRow would put there.
+func deinterleave(ev, od, xrow []float32, pe, po int) {
+	ne, no := min(len(ev)-pe, (len(xrow)+1)/2), min(len(od)-po, len(xrow)/2)
+	clear(ev[:pe])
+	clear(ev[pe+ne:])
+	clear(od[:po])
+	clear(od[po+no:])
+	m := 0
+	if n := min(ne, no) &^ 7; useAVX2 && n > 0 {
+		deinterleave2AVX2(&ev[pe], &od[po], &xrow[0], n)
+		m = n
+	}
+	for i := m; i < ne; i++ {
+		ev[pe+i] = xrow[2*i]
+	}
+	for i := m; i < no; i++ {
+		od[po+i] = xrow[2*i+1]
 	}
 }

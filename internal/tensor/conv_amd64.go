@@ -39,11 +39,17 @@ func cpuHasAVX2() bool
 //go:noescape
 func convRowAVX2(out, band *float32, taps *tap, ntaps, n int, bias float32, mask uint32)
 
-// gather2AVX2 is the stride-2 gather dst[j] = src[2j], j < n, for n a multiple
-// of 8 with all 2n source floats in bounds.
+// convRow2AVX2 is convRowAVX2 for channels c and c+1 at once, n ≥ 32:
+// taps[t].w is c's weight and taps[t].w1 is c+1's, out0 and out1 their runs.
 //
 //go:noescape
-func gather2AVX2(dst, src *float32, n int)
+func convRow2AVX2(out0, out1, band *float32, taps *tap, ntaps, n int, bias0, bias1 float32, mask uint32)
+
+// deinterleave2AVX2 is ev[j] = src[2j] and od[j] = src[2j+1], j < n, for n a
+// multiple of 8 with all 2n source floats in bounds.
+//
+//go:noescape
+func deinterleave2AVX2(ev, od, src *float32, n int)
 
 // wgradAVX2 computes eight rows of eight output channels of a stride-1
 // weight gradient into acc (row-major, 8×8): acc[j·8+l] = Σ_p dyT[p·8+l] ·

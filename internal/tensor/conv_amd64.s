@@ -131,32 +131,145 @@ done:
 	VZEROUPPER
 	RET
 
-// func gather2AVX2(dst, src *float32, n int)
+// func convRow2AVX2(out0, out1, band *float32, taps *tap, ntaps, n int, bias0, bias1 float32, mask uint32)
 //
-// dst[j] = src[2j] for j < n; n is a multiple of 8 and all 2n source floats
-// are readable. Per 8 outputs: VSHUFPS $0x88 keeps the even floats of two
-// loads but lane by lane — (s0 s2 s8 s10 | s4 s6 s12 s14) — and VPERMPD $0xD8
-// swaps the middle quadwords back into order. Moves only: no bit changes.
-TEXT ·gather2AVX2(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	SHRQ $3, CX
-	JZ   gdone
+// convRowAVX2's 32-column blocks for two output channels whose taps share
+// their offsets: a tap is {off; w0; w1} (off at 0, the weights at 8 and 12).
+// Per tap the four band loads feed both channels — two broadcasts, eight
+// VMULPS, eight VADDPS — so each channel's chain, operand order included, is
+// the one convRowAVX2 computes for it. n ≥ 32; a last partial block is the
+// block ending at column n, recomputing up to 31 columns to the same bits.
+// All 16 YMM registers are busy: biases and mask are reloaded per store.
+//
+// DI out0, BX out1, SI band, DX taps, CX ntaps, R8 n, R9 ox; per block: R13
+// = &band[ox], R10 tap cursor, R11 taps left, R12 = &band[off+ox]. Y0–Y3
+// channel 0's accumulators, Y4–Y7 channel 1's, Y8–Y11 the band, Y12/Y13 the
+// weights, Y14/Y15 products.
+TEXT ·convRow2AVX2(SB), NOSPLIT, $0-60
+	MOVQ out0+0(FP), DI
+	MOVQ out1+8(FP), BX
+	MOVQ band+16(FP), SI
+	MOVQ taps+24(FP), DX
+	MOVQ ntaps+32(FP), CX
+	MOVQ n+40(FP), R8
+	XORQ R9, R9
 
-gloop:
+ploop:
+	LEAQ 32(R9), AX
+	CMPQ AX, R8
+	JLE  pblock
+	CMPQ R9, R8
+	JGE  pdone
+	LEAQ -32(R8), R9
+
+pblock:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	LEAQ   (SI)(R9*4), R13
+	MOVQ   DX, R10
+	MOVQ   CX, R11
+
+ptap:
+	MOVQ         (R10), R12
+	VBROADCASTSS 8(R10), Y12
+	VBROADCASTSS 12(R10), Y13
+	LEAQ         (R13)(R12*4), R12
+	VMOVUPS      (R12), Y8
+	VMOVUPS      32(R12), Y9
+	VMOVUPS      64(R12), Y10
+	VMOVUPS      96(R12), Y11
+	VMULPS       Y8, Y12, Y14
+	VMULPS       Y8, Y13, Y15
+	VADDPS       Y14, Y0, Y0
+	VADDPS       Y15, Y4, Y4
+	VMULPS       Y9, Y12, Y14
+	VMULPS       Y9, Y13, Y15
+	VADDPS       Y14, Y1, Y1
+	VADDPS       Y15, Y5, Y5
+	VMULPS       Y10, Y12, Y14
+	VMULPS       Y10, Y13, Y15
+	VADDPS       Y14, Y2, Y2
+	VADDPS       Y15, Y6, Y6
+	VMULPS       Y11, Y12, Y14
+	VMULPS       Y11, Y13, Y15
+	VADDPS       Y14, Y3, Y3
+	VADDPS       Y15, Y7, Y7
+	ADDQ         $16, R10
+	DECQ         R11
+	JNZ          ptap
+
+	VBROADCASTSS bias0+48(FP), Y12
+	VBROADCASTSS bias1+52(FP), Y13
+	VBROADCASTSS mask+56(FP), Y14
+	VADDPS       Y12, Y0, Y0
+	VADDPS       Y12, Y1, Y1
+	VADDPS       Y12, Y2, Y2
+	VADDPS       Y12, Y3, Y3
+	VADDPS       Y13, Y4, Y4
+	VADDPS       Y13, Y5, Y5
+	VADDPS       Y13, Y6, Y6
+	VADDPS       Y13, Y7, Y7
+	VANDPS       Y14, Y0, Y0
+	VANDPS       Y14, Y1, Y1
+	VANDPS       Y14, Y2, Y2
+	VANDPS       Y14, Y3, Y3
+	VANDPS       Y14, Y4, Y4
+	VANDPS       Y14, Y5, Y5
+	VANDPS       Y14, Y6, Y6
+	VANDPS       Y14, Y7, Y7
+	VMOVUPS      Y0, (DI)(R9*4)
+	VMOVUPS      Y1, 32(DI)(R9*4)
+	VMOVUPS      Y2, 64(DI)(R9*4)
+	VMOVUPS      Y3, 96(DI)(R9*4)
+	VMOVUPS      Y4, (BX)(R9*4)
+	VMOVUPS      Y5, 32(BX)(R9*4)
+	VMOVUPS      Y6, 64(BX)(R9*4)
+	VMOVUPS      Y7, 96(BX)(R9*4)
+	ADDQ         $32, R9
+	JMP          ploop
+
+pdone:
+	VZEROUPPER
+	RET
+
+// func deinterleave2AVX2(ev, od, src *float32, n int)
+//
+// ev[j] = src[2j] and od[j] = src[2j+1] for j < n; n is a multiple of 8 and
+// all 2n source floats are readable. Per 16 source floats: VSHUFPS $0x88
+// keeps the even floats of two loads and $0xDD the odd ones, lane by lane —
+// (s0 s2 s8 s10 | s4 s6 s12 s14) — and VPERMPD $0xD8 swaps the middle
+// quadwords back into order. Moves only: no bit changes.
+TEXT ·deinterleave2AVX2(SB), NOSPLIT, $0-32
+	MOVQ ev+0(FP), DI
+	MOVQ od+8(FP), BX
+	MOVQ src+16(FP), SI
+	MOVQ n+24(FP), CX
+	SHRQ $3, CX
+	JZ   ddone
+
+dloop:
 	VMOVUPS (SI), Y0
 	VMOVUPS 32(SI), Y1
-	VSHUFPS $0x88, Y1, Y0, Y0
-	VPERMPD $0xD8, Y0, Y0
-	VMOVUPS Y0, (DI)
+	VSHUFPS $0x88, Y1, Y0, Y2
+	VSHUFPS $0xDD, Y1, Y0, Y3
+	VPERMPD $0xD8, Y2, Y2
+	VPERMPD $0xD8, Y3, Y3
+	VMOVUPS Y2, (DI)
+	VMOVUPS Y3, (BX)
 	ADDQ    $64, SI
 	ADDQ    $32, DI
+	ADDQ    $32, BX
 	DECQ    CX
-	JNZ     gloop
+	JNZ     dloop
 	VZEROUPPER
 
-gdone:
+ddone:
 	RET
 
 // func wgradAVX2(acc, dyT, x *float32, offs *int, ho, wo, wp int)

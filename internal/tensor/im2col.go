@@ -25,9 +25,7 @@ func padSpan(w, n, stride, off int) (j0, j1 int) {
 
 // gatherRow fills seg[j] with xrow[j·stride + off] for j in [j0, j1) — the
 // padSpan of that geometry — and with zero padding elsewhere: a branch-free
-// span, a straight copy when stride is 1 and a shuffle of eight at a time
-// (gather2AVX2) when it is 2 — the backbone's stride — with zero fills only at
-// the edges.
+// span, a straight copy when stride is 1, with zero fills only at the edges.
 func gatherRow(seg, xrow []float32, j0, j1, stride, off int) {
 	clear(seg[:j0])
 	clear(seg[j1:])
@@ -39,15 +37,6 @@ func gatherRow(seg, xrow []float32, j0, j1, stride, off int) {
 		return
 	}
 	ix := j0*stride + off
-	if stride == 2 && useAVX2 {
-		// Whole blocks of 8 outputs whose 16 source floats are all inside
-		// xrow; the loop below finishes the row.
-		if n := min(j1-j0, (len(xrow)-ix)/2) &^ 7; n > 0 {
-			gather2AVX2(&seg[j0], &xrow[ix], n)
-			j0 += n
-			ix += 2 * n
-		}
-	}
 	for j := j0; j < j1; j++ {
 		seg[j] = xrow[ix]
 		ix += stride

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -284,24 +285,97 @@ func eachConvKernel(t *testing.T, f func(kernel string)) {
 	}
 }
 
-// checkConvGeometry draws one convolution from rng at the given geometry —
-// about a third of the weights exactly zero, in one draw of four the last
-// output channel's filter all zero (no taps), bias nil or not per nilBias —
-// and requires ConvInto to match convReference bit for bit under each row
-// kernel, and ConvAbsInto to match |ConvInto|. Geometries with no output are
-// skipped.
-func checkConvGeometry(t *testing.T, rng *rand.Rand, cin, h, w, outC, kernel, stride, pad int, nilBias bool) {
-	t.Helper()
-	if ConvOutSize(h, kernel, stride, pad) < 1 || ConvOutSize(w, kernel, stride, pad) < 1 {
-		return
-	}
-	x := randTensorWithZeros(rng, cin, h, w)
+// Zero patterns checkConvGeometry draws a filter bank with: every weight
+// zero with chance 1/3 independently (neighbouring channels almost never
+// pair), one pattern shared by every channel (every neighbour pairs), or a
+// mix — per channel the shared pattern, the shared pattern with one zero and
+// one nonzero place swapped (same tap count, different offsets: a pair the
+// plan must break), or an independent one.
+const (
+	zerosIndependent = iota
+	zerosShared
+	zerosMixed
+	zeroModes
+)
+
+// randConvWeight draws an outC×cin×k×k filter bank in one of the zero
+// patterns above.
+func randConvWeight(rng *rand.Rand, outC, cin, kernel, zeros int) *Tensor {
 	weight := randTensor(rng, outC, cin, kernel, kernel)
-	for i := range weight.Data() {
-		if rng.Intn(3) == 0 {
-			weight.Data()[i] = 0
+	n := cin * kernel * kernel
+	shared := make([]bool, n)
+	for i := range shared {
+		shared[i] = rng.Intn(3) == 0
+	}
+	for co := 0; co < outC; co++ {
+		zero := shared
+		switch {
+		case zeros == zerosIndependent, zeros == zerosMixed && rng.Intn(4) == 0:
+			zero = make([]bool, n)
+			for i := range zero {
+				zero[i] = rng.Intn(3) == 0
+			}
+		case zeros == zerosMixed && rng.Intn(3) == 0:
+			zero = append([]bool(nil), shared...)
+			i, j := rng.Intn(n), rng.Intn(n)
+			zero[i], zero[j] = zero[j], zero[i]
+		}
+		for i, z := range zero {
+			if z {
+				weight.Data()[co*n+i] = 0
+			}
 		}
 	}
+	return weight
+}
+
+// convPairs walks weight's output channels as the plan does under AVX2 —
+// greedily from 0, channel co with co+1 when their nonzero places are the
+// same and not empty — and counts the pairs it makes and the neighbours it
+// leaves apart although they have as many taps as each other (the offsets
+// themselves differ).
+func convPairs(weight *Tensor) (pairs, broken int) {
+	outC := weight.Dim(0)
+	n := weight.Size() / outC
+	taps := func(co int) (nz []bool, count int) {
+		nz = make([]bool, n)
+		for i, v := range weight.Data()[co*n:][:n] {
+			nz[i] = v != 0
+			if nz[i] {
+				count++
+			}
+		}
+		return nz, count
+	}
+	for co := 0; co+1 < outC; co++ {
+		a, na := taps(co)
+		b, nb := taps(co + 1)
+		if na == 0 || na != nb {
+			continue
+		}
+		if slices.Equal(a, b) {
+			pairs++
+			co++
+		} else {
+			broken++
+		}
+	}
+	return pairs, broken
+}
+
+// checkConvGeometry draws one convolution from rng at the given geometry —
+// weights in the given zero pattern, in one draw of four the last output
+// channel's filter all zero (no taps), bias nil or not per nilBias — and
+// requires ConvInto to match convReference bit for bit under each row
+// kernel, and ConvAbsInto to match |ConvInto|. It returns the filter bank,
+// nil for a geometry with no output (skipped).
+func checkConvGeometry(t *testing.T, rng *rand.Rand, cin, h, w, outC, kernel, stride, pad int, nilBias bool, zeros int) *Tensor {
+	t.Helper()
+	if ConvOutSize(h, kernel, stride, pad) < 1 || ConvOutSize(w, kernel, stride, pad) < 1 {
+		return nil
+	}
+	x := randTensorWithZeros(rng, cin, h, w)
+	weight := randConvWeight(rng, outC, cin, kernel, zeros)
 	zeroChannel := rng.Intn(4) == 0
 	if zeroChannel {
 		clear(weight.Data()[(outC-1)*cin*kernel*kernel:])
@@ -313,12 +387,13 @@ func checkConvGeometry(t *testing.T, rng *rand.Rand, cin, h, w, outC, kernel, st
 	}
 	want := convReference(x, weight, refBias, stride, pad)
 	eachConvKernel(t, func(rowKernel string) {
-		name := fmt.Sprintf("cin=%d h=%d w=%d outC=%d k=%d s=%d pad=%d nilBias=%v zeroChannel=%v %s",
-			cin, h, w, outC, kernel, stride, pad, nilBias, zeroChannel, rowKernel)
+		name := fmt.Sprintf("cin=%d h=%d w=%d outC=%d k=%d s=%d pad=%d nilBias=%v zeros=%d zeroChannel=%v %s",
+			cin, h, w, outC, kernel, stride, pad, nilBias, zeros, zeroChannel, rowKernel)
 		got := convInto(x, weight, bias, stride, pad)
 		bitsEqual(t, "ConvInto "+name, got, want)
 		bitsEqual(t, "ConvAbsInto "+name, convIntoWith(ConvAbsInto, x, weight, bias, stride, pad), absBits(got))
 	})
+	return weight
 }
 
 // convBands returns the band geometry ConvInto gives an output of ho×wo
@@ -331,61 +406,87 @@ func convBands(ho, wo, kernel, stride int) (rowLen, rows, lastRows, run, lastRun
 	return rowLen, rows, lastRows, (rows-1)*rowLen + wo, (lastRows-1)*rowLen + wo
 }
 
-// TestConvRandomGeometry sweeps the bands' and the run kernels' geometry
-// space: multi-row bands whose dropped columns cross into the next row and
-// are copied out, last bands shorter than the rest, one-row bands written
-// straight into dst, runs narrower than one tile (scalar loop), runs of
-// 8-column blocks, runs wide enough for the 32-column blocks, runs whose
-// last tile overlaps the one before, padding wider than the input and
-// strides that skip whole kernel columns all occur. h stays small so the
-// wide rows cost no runtime; w is drawn below 160, 80, 40 or 20 so that
-// one-row runs narrower than a tile occur too.
+// TestConvRandomGeometry sweeps the bands', the run kernels' and the band
+// fill's geometry space: multi-row bands whose dropped columns cross into the
+// next row and are copied out, last bands shorter than the rest, one-row
+// bands written straight into dst, runs narrower than one tile (scalar loop),
+// runs of 8-column blocks, runs wide enough for the 32-column blocks, runs
+// whose last tile overlaps the one before, padding wider than the input and
+// strides that skip whole kernel columns all occur; so do channel pairs
+// (written straight into dst and copied out, with a last 32-column block
+// overlapping the one before, and in runs under 32 or 8 columns, which run
+// channel by channel), pairs broken by a different zero pattern of the same
+// size, an odd channel out, and the stride-2 one-pass fill at pads 0, 1 and 2 with odd and even
+// input widths, below and above the 16 columns of its vector block. h stays
+// small so the wide rows cost no runtime; w is drawn below 160, 80, 40 or 20
+// so that one-row runs narrower than a tile occur too.
 func TestConvRandomGeometry(t *testing.T) {
 	t.Logf("row kernel on this machine: %s", kernelName())
+	const geometries = 1000
 	rng := rand.New(rand.NewSource(1501))
 	loops := map[string]int{}
-	for i := 0; i < 400; i++ {
+	for i := 0; i < geometries; i++ {
 		kernel := 1 + rng.Intn(5)
-		h, w, stride, pad := 1+rng.Intn(12), 1+rng.Intn(160>>rng.Intn(4)), 1+rng.Intn(3), rng.Intn(kernel+1)
+		h, w, stride, pad := 1+rng.Intn(12), 1+rng.Intn(160>>rng.Intn(4)), []int{1, 2, 2, 3}[rng.Intn(4)], rng.Intn(kernel+1)
+		outC := 1 + rng.Intn(8)
+		weight := checkConvGeometry(t, rng, 1+rng.Intn(4), h, w, outC,
+			kernel, stride, pad, rng.Intn(2) == 0, rng.Intn(zeroModes))
+		if weight == nil {
+			continue
+		}
 		ho, wo := ConvOutSize(h, kernel, stride, pad), ConvOutSize(w, kernel, stride, pad)
-		if ho >= 1 && wo >= 1 {
-			rowLen, rows, lastRows, run, lastRun := convBands(ho, wo, kernel, stride)
-			for loop, taken := range map[string]bool{
-				"multi-row copied-out": rows > 1 && rowLen > wo,
-				"last partial band":    lastRows < rows,
-				"one-row direct":       lastRows == 1 && rowLen > wo,
-				"scalar":               lastRun < convTile,
-				"8-wide":               run >= convTile && run%32 >= convTile,
-				"32-wide":              run >= 32,
-				"overlapping":          run >= convTile && run%convTile != 0,
-			} {
-				if taken {
-					loops[loop]++
-				}
+		rowLen, rows, lastRows, run, lastRun := convBands(ho, wo, kernel, stride)
+		pairs, broken := convPairs(weight)
+		parity := map[bool]string{false: "even", true: "odd"}[w%2 == 1]
+		for loop, taken := range map[string]bool{
+			"multi-row copied-out":  rows > 1 && rowLen > wo,
+			"last partial band":     lastRows < rows,
+			"one-row direct":        lastRows == 1 && rowLen > wo,
+			"scalar":                lastRun < convTile,
+			"8-wide":                run >= convTile && run%32 >= convTile,
+			"32-wide":               run >= 32,
+			"overlapping":           run >= convTile && run%convTile != 0,
+			"pair direct":           pairs > 0 && ((rows == 1 || rowLen == wo) && run >= 32 || lastRows == 1 && lastRun >= 32),
+			"pair copied-out":       pairs > 0 && rows > 1 && rowLen > wo && run >= 32,
+			"pair overlapping":      pairs > 0 && run > 32 && run%32 != 0,
+			"pair broken":           broken > 0,
+			"pair, odd outC":        pairs > 0 && outC%2 == 1,
+			"pair under 32 columns": pairs > 0 && lastRun >= convTile && lastRun < 32,
+			"pair under 8 columns":  pairs > 0 && lastRun < convTile,
+			"fill2 w<16":            stride == 2 && kernel >= 2 && w < 16,
+			fmt.Sprintf("fill2 pad=%d %s w≥16", pad, parity): stride == 2 && kernel >= 2 && w >= 16,
+		} {
+			if taken {
+				loops[loop]++
 			}
 		}
-		checkConvGeometry(t, rng, 1+rng.Intn(4), h, w, 1+rng.Intn(8),
-			kernel, stride, pad, rng.Intn(2) == 0)
 	}
 	t.Logf("geometries per loop: %v", loops)
-	for _, loop := range []string{"multi-row copied-out", "last partial band", "one-row direct", "scalar", "8-wide", "32-wide", "overlapping"} {
+	want := []string{"multi-row copied-out", "last partial band", "one-row direct", "scalar", "8-wide", "32-wide", "overlapping",
+		"pair direct", "pair copied-out", "pair overlapping", "pair broken", "pair, odd outC", "pair under 32 columns", "pair under 8 columns", "fill2 w<16"}
+	for pad := 0; pad <= 2; pad++ {
+		want = append(want, fmt.Sprintf("fill2 pad=%d odd w≥16", pad), fmt.Sprintf("fill2 pad=%d even w≥16", pad))
+	}
+	for _, loop := range want {
 		if loops[loop] < 20 {
-			t.Errorf("only %d of 400 geometries reach the %s loop", loops[loop], loop)
+			t.Errorf("only %d of %d geometries reach the %s case", loops[loop], geometries, loop)
 		}
 	}
 }
 
-// FuzzConvGeometry holds the same oracle over fuzzer-chosen geometry, up to
-// 16 input and 12 output channels: the regressor's branches read the 16
-// feature planes, the backbone's conv2 and conv3 write 12.
+// FuzzConvGeometry holds the same oracle over fuzzer-chosen geometry and zero
+// pattern, up to 16 input and 12 output channels: the regressor's branches
+// read the 16 feature planes, the backbone's conv2 and conv3 write 12.
 func FuzzConvGeometry(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(16), uint8(24), uint8(7), uint8(2), uint8(1), uint8(1), false) // backbone conv1 family
-	f.Add(int64(2), uint8(2), uint8(19), uint8(34), uint8(3), uint8(5), uint8(1), uint8(2), true)  // regressor branch family
-	f.Fuzz(func(t *testing.T, seed int64, cin, h, w, outC, kernel, stride, pad uint8, nilBias bool) {
+	f.Add(int64(1), uint8(0), uint8(16), uint8(24), uint8(7), uint8(2), uint8(1), uint8(1), false, uint8(zerosIndependent)) // backbone conv1 family
+	f.Add(int64(2), uint8(2), uint8(19), uint8(34), uint8(3), uint8(5), uint8(1), uint8(2), true, uint8(zerosShared))       // regressor branch family
+	f.Add(int64(3), uint8(7), uint8(37), uint8(66), uint8(11), uint8(2), uint8(1), uint8(1), false, uint8(zerosMixed))      // conv2 family, pairs and breaks
+	f.Add(int64(4), uint8(0), uint8(9), uint8(14), uint8(6), uint8(2), uint8(1), uint8(2), true, uint8(zerosMixed))         // odd outC, narrow stride-2 fill at pad 2
+	f.Fuzz(func(t *testing.T, seed int64, cin, h, w, outC, kernel, stride, pad uint8, nilBias bool, zeros uint8) {
 		k := 1 + int(kernel)%5
 		checkConvGeometry(t, rand.New(rand.NewSource(seed)),
 			1+int(cin)%16, 1+int(h)%40, 1+int(w)%160, 1+int(outC)%12,
-			k, 1+int(stride)%3, int(pad)%(k+1), nilBias)
+			k, 1+int(stride)%3, int(pad)%(k+1), nilBias, int(zeros)%zeroModes)
 	})
 }
 
@@ -452,37 +553,34 @@ func TestConvIntoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestGatherRowMatchesDefinition holds gatherRow — scalar loop and, under
-// AVX2, the stride-2 shuffle with its 8-output blocks, tail and the bound on
-// the last block's 16th source float — to the definition, element by element,
-// into a NaN-filled destination.
+// TestGatherRowMatchesDefinition holds gatherRow — the stride-1 copy and the
+// strided loop, with their zero padding at both ends — to the definition,
+// element by element, into a NaN-filled destination.
 func TestGatherRowMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	eachConvKernel(t, func(kernel string) {
-		for _, stride := range []int{1, 2, 3} {
-			for w := 1; w <= 70; w++ {
-				xrow := randTensor(rng, w).Data()
-				for _, off := range []int{-3, -1, 0, 1, 2} {
-					n := (w+3)/stride + 2
-					seg := make([]float32, n)
-					for i := range seg {
-						seg[i] = float32(math.NaN())
+	for _, stride := range []int{1, 2, 3} {
+		for w := 1; w <= 70; w++ {
+			xrow := randTensor(rng, w).Data()
+			for _, off := range []int{-3, -1, 0, 1, 2} {
+				n := (w+3)/stride + 2
+				seg := make([]float32, n)
+				for i := range seg {
+					seg[i] = float32(math.NaN())
+				}
+				j0, j1 := padSpan(w, n, stride, off)
+				gatherRow(seg, xrow, j0, j1, stride, off)
+				for j, got := range seg {
+					var want float32
+					if ix := j*stride + off; ix >= 0 && ix < w {
+						want = xrow[ix]
 					}
-					j0, j1 := padSpan(w, n, stride, off)
-					gatherRow(seg, xrow, j0, j1, stride, off)
-					for j, got := range seg {
-						var want float32
-						if ix := j*stride + off; ix >= 0 && ix < w {
-							want = xrow[ix]
-						}
-						if math.Float32bits(got) != math.Float32bits(want) {
-							t.Fatalf("%s: w=%d stride=%d off=%d: seg[%d] = %v, want %v", kernel, w, stride, off, j, got, want)
-						}
+					if math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("w=%d stride=%d off=%d: seg[%d] = %v, want %v", w, stride, off, j, got, want)
 					}
 				}
 			}
 		}
-	})
+	}
 }
 
 func TestIm2ColFastPathMatchesReference(t *testing.T) {

@@ -136,7 +136,7 @@ func (s *wgradScratch) vector(dw, dy, x []float32, cin, h, w, outC, kernel, pad,
 
 // grow returns buf resliced to n elements, reallocated if it is too short;
 // the contents are stale.
-func grow[T float32 | int](buf []T, n int) []T {
+func grow[T float32 | int | bool](buf []T, n int) []T {
 	if cap(buf) < n {
 		return make([]T, n)
 	}

@@ -110,6 +110,9 @@ gate "fuzz-conv-weight-grad" go test -run='^$' -fuzz='^FuzzConvWeightGrad$' -fuz
 # Shapes drawn in row spans must give the per-pixel drawing's image, bit for
 # bit, for boxes off the image, clipped, inverted, sub-pixel or huge.
 gate "fuzz-draw" go test -run='^$' -fuzz='^FuzzDrawShapes$' -fuzztime=5s ./internal/raster
+# Interior flow blocks take a row loop; the field must be the per-pixel
+# loop's, bit for bit, at any frame size, block, radius and pixel bits.
+gate "fuzz-flow" go test -run='^$' -fuzz='^FuzzFlowEstimate$' -fuzztime=5s ./internal/flow
 gate "fuzz-rng" go test -run='^$' -fuzz='^FuzzSeedStream$' -fuzztime=5s ./internal/rng
 gate "fuzz-histogram" go test -run='^$' -fuzz='^FuzzHistogram$' -fuzztime=5s ./internal/obs
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # No-fused-multiply-add gate: the scale regressor's packages, the tensor
-# kernels under them and the renderer's raster operations must compile to no
-# fused multiply-add on any architecture whose compiler fuses.
+# kernels under them, the renderer's raster operations and the box geometry,
+# loss and AP arithmetic (detect, scaleopt, eval) must compile to no fused
+# multiply-add on any architecture whose compiler fuses.
 #
 # Go lets a compiler fuse x*y + z into one instruction that rounds once where
 # the source rounds twice; gc does so on arm64, ppc64le, s390x and riscv64
@@ -14,7 +15,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-pkgs="./internal/nn ./internal/regressor ./internal/tensor ./internal/raster"
+pkgs="./internal/nn ./internal/regressor ./internal/tensor ./internal/raster ./internal/detect ./internal/scaleopt ./internal/eval"
 
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
