@@ -44,6 +44,7 @@ import (
 	"adascale/internal/seqnms"
 	"adascale/internal/serve"
 	"adascale/internal/server"
+	"adascale/internal/simclock"
 	"adascale/internal/synth"
 )
 
@@ -274,9 +275,9 @@ type (
 	SessionCheckpoint = adascale.SessionCheckpoint
 )
 
-// NewResilientSession creates a degradation-ladder session over a stream.
+// NewResilientSession creates a degradation-ladder session over a stream (Paper1080Ti).
 func NewResilientSession(kernels []int, cfg ResilientConfig) *ResilientSession {
-	return adascale.NewResilientSession(kernels, cfg)
+	return adascale.NewResilientSession(simclock.Paper1080Ti(), kernels, cfg)
 }
 
 // HTTP serving front end (internal/server): the network surface over the

@@ -118,7 +118,7 @@ func resilienceSmoke(sys *adascale.System, cfg synth.Config, common *cli.Common,
 	}
 	rcfg := adascale.DefaultResilientConfig()
 	rcfg.DeadlineMS = deadlineMS
-	runner := adascale.TracedRunner(adascale.ResilientRunner(sys.Detector, sys.Regressor, rcfg), common.Tracer())
+	runner := adascale.TracedRunner(sys.Detector.Cost(), adascale.ResilientRunner(sys.Detector, sys.Regressor, rcfg), common.Tracer())
 	outs, errs := adascale.RunDatasetPartial(val, runner)
 	for _, e := range errs {
 		fmt.Printf("smoke check: recovered %v\n", e)

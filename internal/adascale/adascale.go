@@ -15,7 +15,6 @@ import (
 	"adascale/internal/detect"
 	"adascale/internal/regressor"
 	"adascale/internal/rfcn"
-	"adascale/internal/simclock"
 	"adascale/internal/synth"
 )
 
@@ -89,7 +88,7 @@ func RunFixed(det *rfcn.Detector, sn *synth.Snippet, scale int) []FrameOutput {
 // RunAdaScale implements Algorithm 1. The regressor's per-frame overhead is
 // charged according to its kernel set.
 func RunAdaScale(det *rfcn.Detector, reg *regressor.Regressor, sn *synth.Snippet) []FrameOutput {
-	overhead := simclock.RegressorMS(reg.Kernels)
+	overhead := det.Cost().RegressorMS(reg.Kernels)
 	outputs := make([]FrameOutput, 0, len(sn.Frames))
 	targetScale := InitialScale
 	for i := range sn.Frames {

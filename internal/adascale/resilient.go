@@ -190,22 +190,23 @@ type ResilientSession struct {
 	lastDets      []detect.Detection
 	propagated    int // consecutive propagated frames
 	degradedRun   int // consecutive content-degraded frames (frames-to-recover)
+	cost          *simclock.Model
 }
 
-// NewResilientSession creates a fresh session for one stream. kernels is
-// the regressor's branch kernel set (charged as per-frame overhead).
-func NewResilientSession(kernels []int, cfg ResilientConfig) *ResilientSession {
-	return &NewResilientSessions(1, kernels, cfg)[0]
+// NewResilientSession creates a fresh session for one stream, costed by the
+// detector's model; kernels is the regressor's branch kernel set.
+func NewResilientSession(cost *simclock.Model, kernels []int, cfg ResilientConfig) *ResilientSession {
+	return &NewResilientSessions(1, cost, kernels, cfg)[0]
 }
 
 // NewResilientSessions creates n fresh sessions in one slab (windows in a second).
-func NewResilientSessions(n int, kernels []int, cfg ResilientConfig) []ResilientSession {
+func NewResilientSessions(n int, cost *simclock.Model, kernels []int, cfg ResilientConfig) []ResilientSession {
 	ss := make([]ResilientSession, n)
 	windows := make([]float64, n*BudgetWindow)
-	overhead := simclock.RegressorMS(kernels)
+	overhead := cost.RegressorMS(kernels)
 	for i := range ss {
 		w := windows[i*BudgetWindow : (i+1)*BudgetWindow : (i+1)*BudgetWindow]
-		ss[i] = ResilientSession{cfg: cfg, overhead: overhead, budget: simclock.MakeBudget(cfg.DeadlineMS, w)}
+		ss[i] = ResilientSession{cfg: cfg, cost: cost, overhead: overhead, budget: simclock.MakeBudget(cfg.DeadlineMS, w)}
 		ss[i].reset()
 	}
 	return ss
@@ -389,7 +390,7 @@ func (s *ResilientSession) Finish(f *synth.Frame, p FramePlan, r *rfcn.Result, t
 		return FrameOutput{
 			Frame: f, Scale: p.Scale,
 			Detections: dets,
-			DetectorMS: simclock.DetectorBaseMS,
+			DetectorMS: s.cost.BaseMS,
 			Health:     h,
 		}
 	}
@@ -450,9 +451,18 @@ func (s *ResilientSession) Finish(f *synth.Frame, p FramePlan, r *rfcn.Result, t
 // frame's arrival jitter either way.
 func (s *ResilientSession) CostMS(f *synth.Frame, p FramePlan) float64 {
 	if p.Skip {
-		return simclock.DetectorBaseMS + p.JitterMS
+		return s.cost.BaseMS + p.JitterMS
 	}
-	return simclock.DetectMS(f.W, f.H, p.Scale) + s.overhead + p.JitterMS
+	return s.cost.DetectMS(f.W, f.H, p.Scale) + s.overhead + p.JitterMS
+}
+
+// ShedCostMS is a shed frame's service time: flow warping, or bookkeeping if p skips.
+func (s *ResilientSession) ShedCostMS(p FramePlan) float64 {
+	ms := s.cost.BaseMS + p.JitterMS
+	if !p.Skip {
+		ms += s.cost.FlowMS
+	}
+	return ms
 }
 
 // Computed is one frame's compute: the detector pass at the planned scale
@@ -504,7 +514,7 @@ func runSession(sess *ResilientSession, det *rfcn.Detector, reg *regressor.Regre
 func ResilientRunner(det *rfcn.Detector, reg *regressor.Regressor, cfg ResilientConfig) RunnerFactory {
 	return func() SnippetRunner {
 		d, r := det.Clone(), reg.Clone()
-		sess := NewResilientSession(r.Kernels, cfg)
+		sess := NewResilientSession(d.Cost(), r.Kernels, cfg)
 		return func(sn *synth.Snippet) []FrameOutput {
 			sess.Reset()
 			return runSession(sess, d, r, sn)

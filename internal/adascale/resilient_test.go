@@ -26,7 +26,7 @@ func faulted(t *testing.T, ds *synth.Dataset, rate float64, seed int64) []synth.
 // runResilient runs Algorithm 1 over a snippet with the degradation ladder,
 // on a fresh session and the given detector and regressor (no clones).
 func runResilient(det *rfcn.Detector, reg *regressor.Regressor, sn *synth.Snippet, cfg ResilientConfig) []FrameOutput {
-	return runSession(NewResilientSession(reg.Kernels, cfg), det, reg, sn)
+	return runSession(NewResilientSession(det.Cost(), reg.Kernels, cfg), det, reg, sn)
 }
 
 // TestResilientMatchesAdaScaleOnCleanStream pins the "resilience is free"
@@ -183,7 +183,7 @@ func TestTracedResilientSpans(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		parallel.SetWorkers(workers)
 		tr := obs.NewTracer()
-		outs := RunDataset(val, TracedRunner(ResilientRunner(sys.Detector, sys.Regressor, DefaultResilientConfig()), tr))
+		outs := RunDataset(val, TracedRunner(sys.Detector.Cost(), ResilientRunner(sys.Detector, sys.Regressor, DefaultResilientConfig()), tr))
 		sum, injected := map[key]float64{}, map[key]bool{}
 		for _, sp := range tr.Spans() {
 			sum[key{sp.Stream, sp.Frame}] += sp.DurMS
@@ -279,7 +279,7 @@ func TestResilientSessionResetNoLeak(t *testing.T) {
 	cfg := DefaultResilientConfig()
 	cfg.DeadlineMS = 40
 
-	sess := NewResilientSession(sys.Regressor.Kernels, cfg)
+	sess := NewResilientSession(sys.Detector.Cost(), sys.Regressor.Kernels, cfg)
 	_ = runSession(sess, sys.Detector, sys.Regressor, &val[0])
 
 	// Reused with Reset: byte-identical to a fresh session on stream 2.
@@ -387,7 +387,7 @@ func TestSessionCheckpointRoundTrip(t *testing.T) {
 	cfg.DeadlineMS = 60
 
 	for _, cut := range []int{1, 4, 9} {
-		orig := NewResilientSession(sys.Regressor.Kernels, cfg)
+		orig := NewResilientSession(sys.Detector.Cost(), sys.Regressor.Kernels, cfg)
 		frames := snips[0].Frames
 		if cut >= len(frames)-1 {
 			t.Fatalf("cut %d leaves no frames to compare (snippet has %d)", cut, len(frames))
@@ -396,7 +396,7 @@ func TestSessionCheckpointRoundTrip(t *testing.T) {
 			orig.Step(sys.Detector, sys.Regressor, &frames[i])
 		}
 		cp := orig.Checkpoint()
-		migrated := NewResilientSession(sys.Regressor.Kernels, cfg)
+		migrated := NewResilientSession(sys.Detector.Cost(), sys.Regressor.Kernels, cfg)
 		migrated.Restore(cp)
 
 		for i := cut + 1; i < len(frames); i++ {
@@ -424,7 +424,7 @@ func TestSessionCheckpointRoundTrip(t *testing.T) {
 func TestSessionCheckpointIndependence(t *testing.T) {
 	ds, sys := system(t)
 	cfg := DefaultResilientConfig()
-	s := NewResilientSession(sys.Regressor.Kernels, cfg)
+	s := NewResilientSession(sys.Detector.Cost(), sys.Regressor.Kernels, cfg)
 	frames := ds.Val[0].Frames
 	for i := 0; i < 4; i++ {
 		s.Step(sys.Detector, sys.Regressor, &frames[i])
@@ -444,8 +444,8 @@ func TestSessionCheckpointIndependence(t *testing.T) {
 	}
 
 	// Two sessions restored from one checkpoint evolve independently.
-	a := NewResilientSession(sys.Regressor.Kernels, cfg)
-	b := NewResilientSession(sys.Regressor.Kernels, cfg)
+	a := NewResilientSession(sys.Detector.Cost(), sys.Regressor.Kernels, cfg)
+	b := NewResilientSession(sys.Detector.Cost(), sys.Regressor.Kernels, cfg)
 	a.Restore(cp)
 	b.Restore(cp)
 	a.Step(sys.Detector, sys.Regressor, &frames[4])

@@ -11,11 +11,11 @@ import (
 // (DetectorMS, OverheadMS, SeqNMSMS); frameSpans decomposes those numbers
 // into per-stage spans on a per-snippet virtual clock, so a trace is a
 // pure function of the outputs — byte-identical across runs and worker
-// counts — and the stage durations sum exactly to the frame's TotalMS.
+// counts — and the stage durations sum to the frame's TotalMS within ulps.
 //
 // Spans are built in one place per driver: TracedRunner derives them post
 // hoc from the finished outputs of any offline method, and the serving
-// step (serve.Core.Settle) calls FrameSpans at the frame's dispatch time.
+// step (serve.Core.Settle) calls ResilientSession.FrameSpans at dispatch.
 // Both record the modelled durations only; measured wall time is the
 // repository benchmark's.
 
@@ -24,8 +24,8 @@ import (
 // clock. Stages that cost nothing on this frame are omitted, except
 // fault-inject, which is recorded at zero duration whenever a fault was
 // observed (injection is modelled as free but the trace should show it).
-func frameSpans(buf []obs.Span, stream, frame int, clockMS float64, o FrameOutput) ([]obs.Span, float64) {
-	decodeMS, rescaleMS, backboneMS := simclock.SplitDetectMS(o.DetectorMS)
+func frameSpans(buf []obs.Span, stream, frame int, clockMS float64, o FrameOutput, cost *simclock.Model) ([]obs.Span, float64) {
+	decodeMS, rescaleMS, backboneMS := cost.SplitDetectMS(o.DetectorMS)
 	add := func(st obs.Stage, durMS float64) {
 		buf = append(buf, obs.Span{Stream: stream, Frame: frame, Stage: st, StartMS: clockMS, DurMS: durMS})
 		clockMS += durMS
@@ -51,23 +51,23 @@ func frameSpans(buf []obs.Span, stream, frame int, clockMS float64, o FrameOutpu
 	return buf, clockMS
 }
 
-// FrameSpans returns one finished frame's pipeline-stage spans starting at
-// startMS on the caller's clock — the entry point for callers that own
+// FrameSpans returns the spans of a frame this session finished, starting
+// at startMS on the caller's clock — the entry point for callers that own
 // their own notion of time, like the serving scheduler, whose frames start
 // at true event-loop timestamps rather than on a snippet-local clock.
-func FrameSpans(stream, frame int, startMS float64, o FrameOutput) []obs.Span {
-	spans, _ := frameSpans(nil, stream, frame, startMS, o)
+func (s *ResilientSession) FrameSpans(stream, frame int, startMS float64, o FrameOutput) []obs.Span {
+	spans, _ := frameSpans(nil, stream, frame, startMS, o, s.cost)
 	return spans
 }
 
 // TracedRunner wraps a factory so every runner it produces records
 // pipeline-stage spans into tr, derived from each snippet's finished
-// outputs (stream = snippet ID, frame = index within the snippet, clock
-// starting at 0 per snippet). Each worker buffers its snippet's spans
-// locally and merges them with one Add, so the tracer's canonical order —
-// and therefore Format() — is identical at any worker count. A nil tracer
-// returns the factory unchanged.
-func TracedRunner(factory RunnerFactory, tr *obs.Tracer) RunnerFactory {
+// outputs and the cost model of the factory's detector (stream = snippet
+// ID, frame = index within the snippet, clock starting at 0 per snippet).
+// Each worker buffers its snippet's spans locally and merges them with one
+// Add, so the tracer's canonical order — and therefore Format() — is
+// identical at any worker count. A nil tracer returns the factory unchanged.
+func TracedRunner(cost *simclock.Model, factory RunnerFactory, tr *obs.Tracer) RunnerFactory {
 	if tr == nil {
 		return factory
 	}
@@ -78,7 +78,7 @@ func TracedRunner(factory RunnerFactory, tr *obs.Tracer) RunnerFactory {
 			spans := make([]obs.Span, 0, 4*len(outs))
 			clock := 0.0
 			for i := range outs {
-				spans, clock = frameSpans(spans, sn.ID, i, clock, outs[i])
+				spans, clock = frameSpans(spans, sn.ID, i, clock, outs[i], cost)
 			}
 			tr.Add(spans)
 			return outs

@@ -20,7 +20,6 @@ import (
 	"adascale/internal/raster"
 	"adascale/internal/regressor"
 	"adascale/internal/rfcn"
-	"adascale/internal/simclock"
 	"adascale/internal/synth"
 )
 
@@ -109,7 +108,7 @@ func run(det *rfcn.Detector, reg *regressor.Regressor, sn *synth.Snippet, keySca
 			var r *rfcn.Result
 			if reg != nil {
 				c := adascale.Compute(det, reg, f, targetScale)
-				r, out.OverheadMS = c.R, simclock.RegressorMS(reg.Kernels)
+				r, out.OverheadMS = c.R, det.Cost().RegressorMS(reg.Kernels)
 				targetScale = regressor.DecodeScale(c.T, targetScale)
 			} else {
 				r = det.Detect(f, targetScale)
@@ -145,7 +144,7 @@ func run(det *rfcn.Detector, reg *regressor.Regressor, sn *synth.Snippet, keySca
 			outputs = append(outputs, adascale.FrameOutput{
 				Frame: f, Scale: targetScale,
 				Detections: emitted,
-				DetectorMS: simclock.FlowMS,
+				DetectorMS: det.Cost().FlowMS,
 				Health:     adascale.Health{Fallback: adascale.FallbackPropagate, Propagated: true},
 			})
 			continue
@@ -167,7 +166,7 @@ func run(det *rfcn.Detector, reg *regressor.Regressor, sn *synth.Snippet, keySca
 		outputs = append(outputs, adascale.FrameOutput{
 			Frame: f, Scale: targetScale,
 			Detections: emitted,
-			DetectorMS: simclock.FlowMS,
+			DetectorMS: det.Cost().FlowMS,
 		})
 	}
 	return outputs

@@ -6,7 +6,6 @@ import (
 
 	"adascale/internal/adascale"
 	"adascale/internal/eval"
-	"adascale/internal/simclock"
 	"adascale/internal/synth"
 )
 
@@ -51,8 +50,8 @@ func TestKeyFrameSchedule(t *testing.T) {
 			if o.DetectorMS < 70 {
 				t.Fatalf("frame %d should be a key frame (cost %v)", i, o.DetectorMS)
 			}
-		} else if o.DetectorMS != simclock.FlowMS {
-			t.Fatalf("frame %d should cost only flow (%v), got %v", i, simclock.FlowMS, o.DetectorMS)
+		} else if o.DetectorMS != s.Detector.Cost().FlowMS {
+			t.Fatalf("frame %d should cost only flow (%v), got %v", i, s.Detector.Cost().FlowMS, o.DetectorMS)
 		}
 	}
 }

@@ -147,9 +147,9 @@ func (b *Bundle) evaluateMethod(name string, factory adascale.RunnerFactory) Met
 
 // evaluateMethodOn is evaluateMethod over an arbitrary snippet set — the
 // robustness sweep scores the same runners on fault-injected copies of the
-// validation split.
+// validation split. Every detector here carries b.SS's cost model.
 func (b *Bundle) evaluateMethodOn(name string, snippets []synth.Snippet, factory adascale.RunnerFactory) MethodRow {
-	outputs := adascale.RunDataset(snippets, adascale.TracedRunner(factory, b.Trace))
+	outputs := adascale.RunDataset(snippets, adascale.TracedRunner(b.SS.Cost(), factory, b.Trace))
 	res := eval.Evaluate(ToEval(outputs), len(b.DS.Config.Classes))
 	per := make([]float64, len(res.PerClass))
 	for i, c := range res.PerClass {

@@ -39,8 +39,8 @@ func (b *Bundle) Fig7() *Fig7Result {
 		{name: "R-FCN+AdaScale", factory: adascale.AdaScaleRunner(sys.Detector, sys.Regressor)},
 		{name: "DFF", factory: dff.Runner(sys.Detector, 600, dffCfg)},
 		{name: "DFF+AdaScale", factory: dff.AdaptiveRunner(sys.Detector, sys.Regressor, dffCfg)},
-		{name: "SeqNMS", factory: withSeqNMS(adascale.FixedRunner(b.SS, 600))},
-		{name: "SeqNMS+AdaScale", factory: withSeqNMS(adascale.AdaScaleRunner(sys.Detector, sys.Regressor))},
+		{name: "SeqNMS", factory: withSeqNMS(b.SS.Cost(), adascale.FixedRunner(b.SS, 600))},
+		{name: "SeqNMS+AdaScale", factory: withSeqNMS(sys.Detector.Cost(), adascale.AdaScaleRunner(sys.Detector, sys.Regressor))},
 	}
 
 	res := &Fig7Result{}
@@ -50,27 +50,27 @@ func (b *Bundle) Fig7() *Fig7Result {
 			Name:      m.name,
 			MAP:       row.MAP,
 			RuntimeMS: row.RuntimeMS,
-			FPS:       simclock.FPS(row.RuntimeMS),
+			FPS:       1000 / row.RuntimeMS,
 		})
 	}
 	return res
 }
 
-// withSeqNMS composes Seq-NMS post-processing onto a base runner factory.
-// Seq-NMS itself touches no shared state, so wrapping preserves the base
-// factory's per-worker isolation.
-func withSeqNMS(base adascale.RunnerFactory) adascale.RunnerFactory {
+// withSeqNMS composes Seq-NMS post-processing onto a base runner factory,
+// costed by the base detector's model. Seq-NMS itself touches no shared
+// state, so wrapping preserves the base factory's per-worker isolation.
+func withSeqNMS(cost *simclock.Model, base adascale.RunnerFactory) adascale.RunnerFactory {
 	return func() adascale.SnippetRunner {
 		run := base()
 		return func(sn *synth.Snippet) []adascale.FrameOutput {
-			return applySeqNMS(run(sn))
+			return applySeqNMS(run(sn), cost.SeqNMSMS)
 		}
 	}
 }
 
 // applySeqNMS reruns Seq-NMS over one snippet's outputs and charges its
-// amortised per-frame post-processing cost.
-func applySeqNMS(outputs []adascale.FrameOutput) []adascale.FrameOutput {
+// amortised per-frame post-processing cost, perFrameMS.
+func applySeqNMS(outputs []adascale.FrameOutput, perFrameMS float64) []adascale.FrameOutput {
 	frames := make([][]detect.Detection, len(outputs))
 	for i, o := range outputs {
 		frames[i] = o.Detections
@@ -82,7 +82,7 @@ func applySeqNMS(outputs []adascale.FrameOutput) []adascale.FrameOutput {
 		out[i].Detections = rescored[i]
 		// Charged to the dedicated SeqNMSMS field (not OverheadMS) so the
 		// tracer attributes it as the seqnms stage; TotalMS is unchanged.
-		out[i].SeqNMSMS += simclock.SeqNMSPerFrameMS
+		out[i].SeqNMSMS += perFrameMS
 	}
 	return out
 }

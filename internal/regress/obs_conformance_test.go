@@ -24,7 +24,7 @@ func TestGoldenStageBreakdown(t *testing.T) {
 	sys := b.DefaultSystem()
 	trace := AtWorkers(t, func() string {
 		tr := obs.NewTracer()
-		factory := adascale.TracedRunner(adascale.AdaScaleRunner(sys.Detector, sys.Regressor), tr)
+		factory := adascale.TracedRunner(sys.Detector.Cost(), adascale.AdaScaleRunner(sys.Detector, sys.Regressor), tr)
 		adascale.RunDataset(b.DS.Val, factory)
 		return tr.Format() + "\n" + tr.FormatBreakdown()
 	})

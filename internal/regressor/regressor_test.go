@@ -10,6 +10,7 @@ import (
 
 	"adascale/internal/nn"
 	"adascale/internal/rfcn"
+	"adascale/internal/scaleopt"
 	"adascale/internal/synth"
 	"adascale/internal/tensor"
 )
@@ -365,25 +366,34 @@ func TestGenerateLabels(t *testing.T) {
 	cfg.FramesPerSnippet = 3
 	ds, _ := synth.Generate(cfg, 4, 0)
 	det := rfcn.New(&ds.Config, []int{600, 480, 360, 240})
-	labels := GenerateLabelsAllScales(det, synth.Frames(ds.Train), SReg)
+	frames := synth.Frames(ds.Train)
+	labels := GenerateLabelsAllScales(det, frames, SReg)
 	if want := 4 * 3 * len(SReg); len(labels) != want {
 		t.Fatalf("labels = %d, want %d", len(labels), want)
 	}
-	for _, lb := range labels {
+	// Label j is frame j/|S_reg| at input scale S_reg[j mod |S_reg|], with
+	// Eq. 3's target towards the m_opt the Sec. 3.1 metric picks for it.
+	var mOpt int
+	for j, lb := range labels {
+		f, m := frames[j/len(SReg)], SReg[j%len(SReg)]
+		if j%len(SReg) == 0 {
+			results := make([]*rfcn.Result, len(SReg))
+			for k, s := range SReg {
+				results[k] = det.Detect(f, s)
+			}
+			_, mOpt = scaleopt.Compare(results, f.GroundTruth(), scaleopt.DefaultLambda)
+		}
+		if lb.Frame != f {
+			t.Fatalf("label %d is not frame %d's", j, j/len(SReg))
+		}
 		if lb.Target < -1-1e-9 || lb.Target > 1+1e-9 {
 			t.Fatalf("target %v outside [-1,1]", lb.Target)
-		}
-		if !containsInt(SReg, lb.InputScale) {
-			t.Fatalf("input scale %d not in SReg", lb.InputScale)
-		}
-		if !containsInt(SReg, lb.OptScale) {
-			t.Fatalf("optimal scale %d not in SReg", lb.OptScale)
 		}
 		if lb.Features == nil || lb.Features.Dim(0) != rfcn.FeatureChannels {
 			t.Fatal("labels must carry cached features")
 		}
-		if got := EncodeTarget(lb.InputScale, lb.OptScale); got != lb.Target {
-			t.Fatalf("target %v inconsistent with Eq.3 (%v)", lb.Target, got)
+		if got := EncodeTarget(m, mOpt); got != lb.Target {
+			t.Fatalf("label %d: target %v, want Eq. 3's t(%d, %d) = %v", j, lb.Target, m, mOpt, got)
 		}
 	}
 }
@@ -426,15 +436,6 @@ func TestTrainedRegressorBeatsConstant(t *testing.T) {
 	if got >= constMSE {
 		t.Fatalf("trained regressor MSE %v not better than constant baseline %v", got, constMSE)
 	}
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // BenchmarkFit trains a fresh regressor on the repository benchmark's

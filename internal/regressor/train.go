@@ -13,14 +13,12 @@ import (
 )
 
 // Label is one regressor training example: the detector's deep features for
-// a frame rasterised at InputScale, with the Eq. 3 target towards the
+// a frame rasterised at one S_reg scale, with the Eq. 3 target towards the
 // frame's optimal scale.
 type Label struct {
-	Frame      *synth.Frame
-	InputScale int
-	OptScale   int
-	Target     float64
-	Features   *tensor.Tensor
+	Frame    *synth.Frame
+	Target   float64
+	Features *tensor.Tensor
 }
 
 // GenerateLabelsAllScales implements the label-generation stage of Fig. 2:
@@ -49,11 +47,9 @@ func GenerateLabelsAllScales(det *rfcn.Detector, frames []*synth.Frame, sReg []i
 		group := make([]Label, len(sReg))
 		for j, r := range results {
 			group[j] = Label{
-				Frame:      f,
-				InputScale: r.Scale,
-				OptScale:   mOpt,
-				Target:     EncodeTarget(r.Scale, mOpt),
-				Features:   r.Features, // kept by the label: Release does not recycle it
+				Frame:    f,
+				Target:   EncodeTarget(r.Scale, mOpt),
+				Features: r.Features, // kept by the label: Release does not recycle it
 			}
 			r.Release()
 		}

@@ -115,14 +115,20 @@ type Detector struct {
 	// the image once the backbone has read it, so one buffer per detector
 	// (empty in a Clone) serves every frame.
 	render raster.Image
+	cost   *simclock.Model // modelled ms of a pass (RuntimeMS) and of the pipeline (Cost)
 }
 
-// New creates a detector for the given dataset trained at the given scales.
+// New creates a detector for the given dataset trained at the given
+// scales, costed on the paper's hardware (simclock.Paper1080Ti).
 func New(data *synth.Config, trainScales []int) *Detector {
 	scales := append([]int(nil), trainScales...)
 	sort.Sort(sort.Reverse(sort.IntSlice(scales)))
-	return &Detector{Data: data, TrainScales: scales, backbone: NewBackbone()}
+	return &Detector{Data: data, TrainScales: scales, backbone: NewBackbone(), cost: simclock.Paper1080Ti()}
 }
+
+// Cost returns the cost model of every modelled millisecond of a pipeline
+// built on this detector: its passes, regressor, flow, Seq-NMS, skips.
+func (d *Detector) Cost() *simclock.Model { return d.cost }
 
 // NewSS creates the SS baseline: trained at scale 600 only.
 func NewSS(data *synth.Config) *Detector { return New(data, []int{600}) }
@@ -132,15 +138,17 @@ func (d *Detector) MultiScale() bool { return len(d.TrainScales) > 1 }
 
 // Clone returns an independent detector producing identical outputs. The
 // backbone (whose conv layers cache activations between calls) and the
-// training-scale set are deep-copied; the dataset configuration is shared,
-// as it is immutable after generation. Detect is read-only and safe to
-// share, but DetectWithFeatures and Features drive the backbone — the
-// parallel dataset runner therefore gives every worker its own clone.
+// training-scale set are deep-copied; the dataset configuration and the
+// cost model are shared, as neither changes after construction. Detect is
+// read-only and safe to share, but DetectWithFeatures and Features drive
+// the backbone — the parallel dataset runner therefore gives every worker
+// its own clone.
 func (d *Detector) Clone() *Detector {
 	return &Detector{
 		Data:        d.Data,
 		TrainScales: append([]int(nil), d.TrainScales...),
 		backbone:    d.backbone.Clone(),
+		cost:        d.cost,
 	}
 }
 
@@ -400,7 +408,7 @@ func (d *Detector) Detect(f *synth.Frame, scale int) *Result {
 		Frame:      f,
 		Scale:      scale,
 		Detections: out,
-		RuntimeMS:  simclock.DetectMS(f.W, f.H, scale),
+		RuntimeMS:  d.cost.DetectMS(f.W, f.H, scale),
 		proposals:  proposals,
 		probBuf:    arena.buf,
 	}

@@ -8,6 +8,7 @@ import (
 	"adascale/internal/detect"
 	"adascale/internal/nn"
 	"adascale/internal/raster"
+	"adascale/internal/simclock"
 	"adascale/internal/synth"
 	"adascale/internal/tensor"
 )
@@ -197,6 +198,34 @@ func TestRuntimeDecreasesWithScale(t *testing.T) {
 	}
 	if r := det.Detect(fr, 600); math.Abs(r.RuntimeMS-75) > 1 {
 		t.Fatalf("runtime at 600 = %v, want ≈ 75 (paper calibration)", r.RuntimeMS)
+	}
+}
+
+// TestCostModelCarried: Detect's RuntimeMS is the detector's own cost
+// model at the tested scale, and a Clone carries that model — a detector
+// costed on other hardware stays costed on it in every pool worker.
+func TestCostModelCarried(t *testing.T) {
+	ds := testDataset(t, 6, 1, 0)
+	det := NewSS(&ds.Config)
+	fr := &ds.Train[0].Frames[0]
+	m := *simclock.Paper1080Ti()
+	m.BaseMS, m.At600MS = 3, 150
+	det.cost = &m
+	clone := det.Clone()
+	if clone.Cost() != det.Cost() {
+		t.Fatal("Clone dropped the cost model")
+	}
+	for _, d := range []*Detector{det, clone} {
+		for _, scale := range []int{600, 240} {
+			r := d.Detect(fr, scale)
+			if want := m.DetectMS(fr.W, fr.H, scale); r.RuntimeMS != want {
+				t.Fatalf("RuntimeMS at %d = %v, want the model's %v", scale, r.RuntimeMS, want)
+			}
+			r.Release()
+		}
+	}
+	if r := det.Detect(fr, 600); r.RuntimeMS != 150 {
+		t.Fatalf("RuntimeMS at 600 = %v, want the model's At600MS 150", r.RuntimeMS)
 	}
 }
 

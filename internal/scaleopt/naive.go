@@ -33,15 +33,8 @@ func CompareNaive(results []*rfcn.Result, gts []detect.GroundTruth, lambda float
 	evals := make([]Evaluation, len(results))
 	bestIdx, bestLoss := 0, math.Inf(1)
 	for i, r := range results {
-		fg := 0
-		assign := detect.AssignForeground(r.PlainDetections(), gts)
-		for _, a := range assign {
-			if a >= 0 {
-				fg++
-			}
-		}
 		loss := NaiveLoss(r, gts, lambda)
-		evals[i] = Evaluation{Scale: r.Scale, Foreground: fg, Loss: loss}
+		evals[i] = Evaluation{Scale: r.Scale, Loss: loss}
 		if loss < bestLoss {
 			bestIdx, bestLoss = i, loss
 		}

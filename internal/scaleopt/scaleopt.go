@@ -77,9 +77,8 @@ func ForegroundLosses(r *rfcn.Result, gts []detect.GroundTruth, lambda float64) 
 
 // Evaluation is the per-scale outcome of the metric for one image.
 type Evaluation struct {
-	Scale      int
-	Foreground int     // n_m: foreground box count at this scale
-	Loss       float64 // L̂ᵢᵐ over the n_min lowest-loss foreground boxes
+	Scale int
+	Loss  float64 // L̂ᵢᵐ over the n_min lowest-loss foreground boxes
 }
 
 // Compare computes L̂ᵢᵐ for each scale from precomputed detector results and
@@ -96,7 +95,7 @@ func Compare(results []*rfcn.Result, gts []detect.GroundTruth, lambda float64) (
 	nMin := math.MaxInt
 	for i, r := range results {
 		perScale[i] = ForegroundLosses(r, gts, lambda)
-		evals[i] = Evaluation{Scale: r.Scale, Foreground: len(perScale[i])}
+		evals[i] = Evaluation{Scale: r.Scale}
 		if n := len(perScale[i]); n > 0 && n < nMin {
 			nMin = n
 		}

@@ -120,16 +120,17 @@ func TestCompareEqualisesForegroundCount(t *testing.T) {
 		det(detect.Box{X1: 0, Y1: 0, X2: 100, Y2: 100}, 0, 0.95, 3),
 	)
 	evals, best := Compare([]*rfcn.Result{r600, r240}, gts, DefaultLambda)
-	if evals[0].Foreground != 2 || evals[1].Foreground != 1 {
-		t.Fatalf("foreground counts %d/%d", evals[0].Foreground, evals[1].Foreground)
+	fg600, fg240 := ForegroundLosses(r600, gts, DefaultLambda), ForegroundLosses(r240, gts, DefaultLambda)
+	if len(fg600) != 2 || len(fg240) != 1 {
+		t.Fatalf("foreground counts n_m %d/%d, want 2/1", len(fg600), len(fg240))
 	}
 	if best != 240 {
 		t.Fatalf("optimal scale %d, want 240 (evals %+v)", best, evals)
 	}
 	// Each loss must be over exactly n_min = 1 box, so both are single-box
 	// losses — the 600 loss must be that of its better box only.
-	if evals[0].Loss >= evals[1].Loss*50 {
-		t.Fatalf("600 loss %v implausibly large for a single box", evals[0].Loss)
+	if evals[0].Loss != fg600[0] || evals[1].Loss != fg240[0] {
+		t.Fatalf("losses %v/%v, want each scale's best box alone %v/%v", evals[0].Loss, evals[1].Loss, fg600[0], fg240[0])
 	}
 }
 

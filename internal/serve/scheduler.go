@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"adascale/internal/faults"
-	"adascale/internal/simclock"
 )
 
 // The central scheduler: the discrete-event driver of the frame step
@@ -325,12 +324,10 @@ func (l *eventLoop) dispatchShed(i int) {
 	}
 	inf.shed = true
 	inf.res = nil
-	serviceMS := simclock.DetectorBaseMS + inf.plan.JitterMS
 	if !inf.plan.Skip {
-		serviceMS += simclock.FlowMS
 		l.Metrics.Inc("breaker/shed", 1)
 	}
-	l.place(i, inf, noWorker, serviceMS)
+	l.place(i, inf, noWorker, s.Sess.ShedCostMS(inf.plan))
 }
 
 // open takes the head frame off s's queue and makes it the stream's

@@ -312,7 +312,7 @@ func (s *Server) run(streams []Stream, audit func(*eventLoop, bool), keep bool) 
 	core := NewCore(m, s.cfg.Tracer)
 	slab := make([]session, len(admitted))
 	sessions := make([]*session, len(admitted))
-	ladders := adascale.NewResilientSessions(len(admitted), s.reg.Kernels, s.cfg.Resilient)
+	ladders := adascale.NewResilientSessions(len(admitted), s.det.Cost(), s.reg.Kernels, s.cfg.Resilient)
 	depth := 0
 	for _, st := range admitted {
 		depth += min(s.cfg.QueueDepth, len(st.Frames))

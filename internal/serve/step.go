@@ -261,7 +261,7 @@ func (c *Core) Settle(ln *Lane, f *synth.Frame, plan adascale.FramePlan, res Res
 // histograms — overall and per-SLO-miss, so a miss can be localised to the
 // stage that ate the budget.
 func (c *Core) trace(ln *Lane, out adascale.FrameOutput, startMS float64, sloMiss bool) {
-	spans := adascale.FrameSpans(ln.ID, ln.Served, startMS, out)
+	spans := ln.Sess.FrameSpans(ln.ID, ln.Served, startMS, out)
 	c.Tracer.Add(spans)
 	for _, sp := range spans {
 		c.Metrics.Observe(stageKeys[sp.Stage], sp.DurMS)

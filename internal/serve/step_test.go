@@ -108,7 +108,7 @@ func TestSubmitSettleAllocatesOnlyOutput(t *testing.T) {
 	c := NewCore(obs.NewMetrics(), nil)
 	c.StartPool(sys.Detector, sys.Regressor, 1)
 	defer c.Close()
-	ln := Lane{Sess: adascale.NewResilientSession(sys.Regressor.Kernels, adascale.DefaultResilientConfig())}
+	ln := Lane{Sess: adascale.NewResilientSession(sys.Detector.Cost(), sys.Regressor.Kernels, adascale.DefaultResilientConfig())}
 	var out adascale.FrameOutput
 	step := func() {
 		plan := ln.Sess.Plan(f)
@@ -170,7 +170,7 @@ func TestStepKeysCostNoAllocations(t *testing.T) {
 	ds, sys := system(t)
 	tf := TimedFrame{Frame: &ds.Val[0].Frames[0]}
 	c := NewCore(obs.NewMetrics(), nil)
-	ln := Lane{ID: 7, Sess: adascale.NewResilientSession(sys.Regressor.Kernels, adascale.DefaultResilientConfig())}
+	ln := Lane{ID: 7, Sess: adascale.NewResilientSession(sys.Detector.Cost(), sys.Regressor.Kernels, adascale.DefaultResilientConfig())}
 	var q FrameQueue
 	c.Offer(&ln, &q, tf, 1)
 	offer := testing.AllocsPerRun(200, func() {

@@ -13,6 +13,7 @@ import (
 	"adascale/internal/regressor"
 	"adascale/internal/rfcn"
 	"adascale/internal/serve"
+	"adascale/internal/simclock"
 	"adascale/internal/synth"
 )
 
@@ -216,7 +217,8 @@ type engine struct {
 	cfg        Config
 	clock      Clock
 	numClasses int
-	kernels    []int // regressor branch kernels, for per-stream sessions
+	cost       *simclock.Model // the detector's, for per-stream sessions
+	kernels    []int           // regressor branch kernels, for per-stream sessions
 
 	mu       sync.Mutex
 	streams  []*stream
@@ -233,6 +235,7 @@ func newEngine(det *rfcn.Detector, reg *regressor.Regressor, cfg Config) *engine
 		cfg:        cfg,
 		clock:      cfg.Clock,
 		numClasses: len(det.Data.Classes),
+		cost:       det.Cost(),
 		kernels:    reg.Kernels,
 		byTenant:   map[string]int{},
 	}
@@ -267,7 +270,7 @@ func (e *engine) admit(tenant string, sloMS float64, depth int) (id int, effSLO 
 	rcfg := e.cfg.Resilient
 	rcfg.DeadlineMS = sloMS
 	s := &stream{
-		Lane:   serve.Lane{ID: len(e.streams), Sess: adascale.NewResilientSession(e.kernels, rcfg)},
+		Lane:   serve.Lane{ID: len(e.streams), Sess: adascale.NewResilientSession(e.cost, e.kernels, rcfg)},
 		tenant: tenant,
 		sloMS:  sloMS,
 		depth:  depth,

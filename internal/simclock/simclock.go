@@ -14,30 +14,29 @@ import (
 	"adascale/internal/raster"
 )
 
-// Reference calibration points from the paper.
-const (
-	// DetectorBaseMS is the fixed per-image overhead (RPN/head bookkeeping,
-	// NMS, memory traffic) independent of resolution.
-	DetectorBaseMS = 8.0
+// Model is a detector's cost model in milliseconds on the hardware it is
+// calibrated to. A detector carries one (rfcn.Detector.Cost); every
+// costing site reads it from there.
+type Model struct {
+	BaseMS    float64    // fixed per-image overhead (RPN/head bookkeeping, NMS, memory traffic)
+	At600MS   float64    // the detector at scale 600
+	Regressor [4]float64 // scale regressor overhead by kernel count: 0, 1, 2, 3 or more
+	FlowMS    float64    // DFF's optical flow plus feature warping
+	SeqNMSMS  float64    // Seq-NMS linkage and rescoring, amortised per frame
+}
 
-	// detectorAt600MS is the paper's measured R-FCN runtime at scale 600.
-	detectorAt600MS = 75.0
-
-	// RegressorKernel overheads measured by the paper's Table 3 trend: the
-	// {1,3} module costs 2 ms; {1} is cheaper, {1,3,5} costs more.
-	Regressor1MS   = 1.0
-	Regressor13MS  = 2.0
-	Regressor135MS = 3.8
-
-	// FlowMS is the cost of optical-flow estimation plus feature warping in
-	// Deep Feature Flow. DFF's FlowNet runs roughly an order of magnitude
-	// faster than the detection network.
-	FlowMS = 9.5
-
-	// SeqNMSPerFrameMS is the amortised per-frame cost of Seq-NMS linkage
-	// and rescoring (CPU post-processing overlapped with GPU inference).
-	SeqNMSPerFrameMS = 1.5
-)
+// Paper1080Ti returns the paper's GTX 1080 Ti calibration: R-FCN runs in
+// 75 ms at scale 600; the {1,3} regressor costs 2 ms ({1} less, {1,3,5}
+// more, Table 3's trend); DFF's flow is about 8x cheaper than detection.
+func Paper1080Ti() *Model {
+	return &Model{
+		BaseMS:    8,
+		At600MS:   75,
+		Regressor: [4]float64{0, 1, 2, 3.8},
+		FlowMS:    9.5,
+		SeqNMSMS:  1.5,
+	}
+}
 
 // refPixels is the pixel count of a 16:9 frame resized to scale 600 with
 // the 2000-px longest-side cap (600 × 1067).
@@ -50,9 +49,9 @@ func pixelsAtScale(w, h, scale, maxLong int) float64 {
 
 // DetectMS returns the modelled detector runtime in milliseconds for a
 // native w×h frame tested at the given shortest-side scale.
-func DetectMS(w, h, scale int) float64 {
+func (m *Model) DetectMS(w, h, scale int) float64 {
 	px := pixelsAtScale(w, h, scale, 2000)
-	return DetectorBaseMS + (detectorAt600MS-DetectorBaseMS)*px/refPixels
+	return m.BaseMS + (m.At600MS-m.BaseMS)*px/refPixels
 }
 
 // rescaleShare is the fraction of the resolution-dependent detector cost
@@ -62,13 +61,13 @@ func DetectMS(w, h, scale int) float64 {
 const rescaleShare = 0.1
 
 // SplitDetectMS decomposes a DetectMS result into the stage costs the
-// tracer attributes: decode (the fixed per-image bookkeeping,
-// DetectorBaseMS), rescale (preprocessing share of the pixel term) and
-// backbone (the rest — backbone + detection head). The three parts sum
-// exactly to detectorMS, so a stage breakdown never invents or loses time
-// relative to the end-to-end cost model.
-func SplitDetectMS(detectorMS float64) (decodeMS, rescaleMS, backboneMS float64) {
-	decodeMS = DetectorBaseMS
+// tracer attributes: decode (the fixed per-image bookkeeping, BaseMS),
+// rescale (preprocessing share of the pixel term) and backbone (the rest —
+// backbone + detection head). In float64 the three parts sum to detectorMS
+// within one ulp (TestSplitDetectMSSum), so a stage breakdown neither
+// invents nor loses time beyond rounding relative to the cost model.
+func (m *Model) SplitDetectMS(detectorMS float64) (decodeMS, rescaleMS, backboneMS float64) {
+	decodeMS = m.BaseMS
 	if detectorMS < decodeMS {
 		decodeMS = detectorMS
 	}
@@ -76,24 +75,15 @@ func SplitDetectMS(detectorMS float64) (decodeMS, rescaleMS, backboneMS float64)
 		decodeMS = 0
 	}
 	px := detectorMS - decodeMS
-	rescaleMS = px * rescaleShare
+	rescaleMS = float64(px * rescaleShare)
 	backboneMS = px - rescaleMS
 	return decodeMS, rescaleMS, backboneMS
 }
 
 // RegressorMS returns the scale-regressor overhead for the given kernel
 // set (e.g. []int{1,3}; the paper's default).
-func RegressorMS(kernels []int) float64 {
-	switch len(kernels) {
-	case 0:
-		return 0
-	case 1:
-		return Regressor1MS
-	case 2:
-		return Regressor13MS
-	default:
-		return Regressor135MS
-	}
+func (m *Model) RegressorMS(kernels []int) float64 {
+	return m.Regressor[min(len(kernels), 3)]
 }
 
 // Budget tracks modelled per-frame runtime against a per-frame deadline
@@ -175,12 +165,4 @@ func (b *Budget) Headroom() float64 {
 		return math.Inf(1)
 	}
 	return b.deadlineMS - b.MeanMS()
-}
-
-// FPS converts an average per-frame time in milliseconds to frames/second.
-func FPS(avgMS float64) float64 {
-	if avgMS <= 0 {
-		return 0
-	}
-	return 1000 / avgMS
 }

@@ -1,7 +1,8 @@
 #!/bin/sh
 # No-fused-multiply-add gate: the scale regressor's packages, the tensor
-# kernels under them, the renderer's raster operations and the box geometry,
-# loss and AP arithmetic (detect, scaleopt, eval) must compile to no fused
+# kernels under them, the renderer's raster operations, the box geometry,
+# loss and AP arithmetic (detect, scaleopt, eval) and the modelled cost and
+# its stage split (simclock, adascale) must compile to no fused
 # multiply-add on any architecture whose compiler fuses.
 #
 # Go lets a compiler fuse x*y + z into one instruction that rounds once where
@@ -15,7 +16,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-pkgs="./internal/nn ./internal/regressor ./internal/tensor ./internal/raster ./internal/detect ./internal/scaleopt ./internal/eval"
+pkgs="./internal/nn ./internal/regressor ./internal/tensor ./internal/raster ./internal/detect ./internal/scaleopt ./internal/eval ./internal/simclock ./internal/adascale"
 
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
