@@ -269,15 +269,19 @@ type (
 	// ResilientSession runs the degradation ladder over one ordered frame
 	// stream with checkpoint/restore support for stream migration.
 	ResilientSession = adascale.ResilientSession
-	// SessionCheckpoint is a self-contained snapshot of a session's
-	// recovery-relevant state; Restore replays it into a fresh session on
-	// another node byte-identically.
+	// SessionCheckpoint is a self-contained copy of a session's ladder
+	// state; Restore copies it into a fresh session on another node, which
+	// then serves exactly as the original would have.
 	SessionCheckpoint = adascale.SessionCheckpoint
 )
 
+// paperModel is the cost model every facade session shares; sessions only
+// read it.
+var paperModel = simclock.Paper1080Ti()
+
 // NewResilientSession creates a degradation-ladder session over a stream (Paper1080Ti).
 func NewResilientSession(kernels []int, cfg ResilientConfig) *ResilientSession {
-	return adascale.NewResilientSession(simclock.Paper1080Ti(), kernels, cfg)
+	return adascale.NewResilientSession(paperModel, kernels, cfg)
 }
 
 // HTTP serving front end (internal/server): the network surface over the

@@ -134,9 +134,6 @@ type ResilientConfig struct {
 func DefaultResilientConfig() ResilientConfig { return ResilientConfig{} }
 
 const (
-	// BudgetWindow is the rolling window (frames) of the deadline budget,
-	// so the most BudgetCharges a checkpoint carries.
-	BudgetWindow = 8
 	// propagateDecay is the per-propagated-frame confidence decay applied
 	// to carried-over detections.
 	propagateDecay = 0.9
@@ -182,15 +179,8 @@ func nextHigherScale(s int) int {
 type ResilientSession struct {
 	cfg      ResilientConfig
 	overhead float64
-	budget   simclock.Budget
-
-	targetScale   int
-	scaleCap      int // deadline enforcement lowers this
-	lastGoodScale int // last scale that produced detections (0 = none yet)
-	lastDets      []detect.Detection
-	propagated    int // consecutive propagated frames
-	degradedRun   int // consecutive content-degraded frames (frames-to-recover)
-	cost          *simclock.Model
+	cost     *simclock.Model
+	st       SessionCheckpoint // the ladder state; Checkpoint and Restore copy it
 }
 
 // NewResilientSession creates a fresh session for one stream, costed by the
@@ -199,15 +189,13 @@ func NewResilientSession(cost *simclock.Model, kernels []int, cfg ResilientConfi
 	return &NewResilientSessions(1, cost, kernels, cfg)[0]
 }
 
-// NewResilientSessions creates n fresh sessions in one slab (windows in a second).
+// NewResilientSessions creates n fresh sessions in one slab.
 func NewResilientSessions(n int, cost *simclock.Model, kernels []int, cfg ResilientConfig) []ResilientSession {
 	ss := make([]ResilientSession, n)
-	windows := make([]float64, n*BudgetWindow)
 	overhead := cost.RegressorMS(kernels)
 	for i := range ss {
-		w := windows[i*BudgetWindow : (i+1)*BudgetWindow : (i+1)*BudgetWindow]
-		ss[i] = ResilientSession{cfg: cfg, cost: cost, overhead: overhead, budget: simclock.MakeBudget(cfg.DeadlineMS, w)}
-		ss[i].reset()
+		ss[i] = ResilientSession{cfg: cfg, cost: cost, overhead: overhead}
+		ss[i].Reset()
 	}
 	return ss
 }
@@ -217,16 +205,8 @@ func NewResilientSessions(n int, cost *simclock.Model, kernels []int, cfg Resili
 // released, last-good detections and scale cleared, budget emptied.
 // Without the reset, detections and scale state from the previous stream
 // would leak into the first frames of the next one.
-func (s *ResilientSession) Reset() { s.reset() }
-
-func (s *ResilientSession) reset() {
-	s.budget.Reset()
-	s.targetScale = InitialScale
-	s.scaleCap = regressor.MaxScale
-	s.lastGoodScale = 0
-	s.lastDets = nil
-	s.propagated = 0
-	s.degradedRun = 0
+func (s *ResilientSession) Reset() {
+	s.st = SessionCheckpoint{TargetScale: InitialScale, ScaleCap: regressor.MaxScale}
 }
 
 // Overhead returns the per-frame regressor overhead the session charges on
@@ -234,17 +214,18 @@ func (s *ResilientSession) reset() {
 // benchmark/layer_adascale.go, which may not be edited; do not add callers.
 func (s *ResilientSession) Overhead() float64 { return s.overhead }
 
-// SessionCheckpoint is the complete externalised ladder state of a
-// ResilientSession: everything the next frame's Plan/Finish depend on. A
-// checkpoint taken after frame k, restored into a fresh session, makes
-// that session serve frame k+1 onward exactly as the original would have —
-// the property that lets the serving supervisor migrate a stream to a new
-// session (a stand-in for a healthy node) after a node failure without
-// losing scale-ladder state or the last-good detections it propagates.
+// SessionCheckpoint is the complete ladder state of a ResilientSession:
+// everything the next frame's Plan/Finish depend on, and the value the
+// session itself holds. A checkpoint taken after frame k, restored into a
+// fresh session, makes that session serve frame k+1 onward exactly as the
+// original would have, budget bits included — the property that lets the
+// serving supervisor migrate a stream to a new session (a stand-in for a
+// healthy node) after a node failure without losing scale-ladder state or
+// the last-good detections it propagates.
 type SessionCheckpoint struct {
 	// TargetScale, ScaleCap and LastGoodScale are the scale-ladder state
 	// (the next frame's target, the deadline-enforcement cap, and the last
-	// scale that produced detections).
+	// scale that produced detections; 0 = none yet).
 	TargetScale, ScaleCap, LastGoodScale int
 
 	// LastDets are the detections the propagation rungs re-emit.
@@ -254,51 +235,25 @@ type SessionCheckpoint struct {
 	// frames-to-recover counters.
 	Propagated, DegradedRun int
 
-	// BudgetCharges is the rolling deadline-budget window, oldest first.
-	BudgetCharges []float64
+	// Budget is the rolling deadline budget.
+	Budget simclock.Budget
 }
 
 // Checkpoint captures the session's ladder state. The returned checkpoint
 // is independent of the session: mutating the session afterwards does not
 // alter it.
-func (s *ResilientSession) Checkpoint() SessionCheckpoint { return s.checkpoint(s.budget.Charges()) }
-
-// CheckpointInto is Checkpoint with BudgetCharges appended to charges: a
-// caller checkpointing many sessions carves each one's from a slab.
-func (s *ResilientSession) CheckpointInto(charges []float64) SessionCheckpoint {
-	return s.checkpoint(s.budget.AppendCharges(charges))
+func (s *ResilientSession) Checkpoint() SessionCheckpoint {
+	cp := s.st
+	cp.LastDets = append([]detect.Detection(nil), cp.LastDets...)
+	return cp
 }
 
-func (s *ResilientSession) checkpoint(charges []float64) SessionCheckpoint {
-	return SessionCheckpoint{
-		TargetScale:   s.targetScale,
-		ScaleCap:      s.scaleCap,
-		LastGoodScale: s.lastGoodScale,
-		LastDets:      append([]detect.Detection(nil), s.lastDets...),
-		Propagated:    s.propagated,
-		DegradedRun:   s.degradedRun,
-		BudgetCharges: charges,
-	}
-}
-
-// Restore replaces the session's ladder state with the checkpoint's,
-// resetting everything first so a partially-advanced session cannot leak
-// state past the restore. The checkpoint is not retained: restoring the
-// same checkpoint into two sessions gives two independent streams.
+// Restore replaces the session's ladder state with the checkpoint's. The
+// checkpoint is not retained: restoring the same checkpoint into two
+// sessions gives two independent streams.
 func (s *ResilientSession) Restore(cp SessionCheckpoint) {
-	s.reset()
-	s.targetScale = cp.TargetScale
-	s.scaleCap = cp.ScaleCap
-	s.lastGoodScale = cp.LastGoodScale
-	s.lastDets = append([]detect.Detection(nil), cp.LastDets...)
-	if len(s.lastDets) == 0 {
-		s.lastDets = nil
-	}
-	s.propagated = cp.Propagated
-	s.degradedRun = cp.DegradedRun
-	for _, c := range cp.BudgetCharges {
-		s.budget.Charge(c)
-	}
+	s.st = cp
+	s.st.LastDets = append([]detect.Detection(nil), cp.LastDets...)
 }
 
 // FramePlan is the scheduling decision for one frame: the scale to test at
@@ -335,16 +290,16 @@ func (s *ResilientSession) Plan(f *synth.Frame) FramePlan {
 	// headroom (> 50% of the deadline) — the asymmetric hysteresis keeps
 	// the cap from oscillating across a rung whose cost sits just under
 	// the deadline.
-	if s.cfg.DeadlineMS > 0 {
-		if s.budget.Exceeded() {
-			s.scaleCap = nextLowerScale(s.scaleCap)
-		} else if s.budget.Headroom() > 0.5*s.cfg.DeadlineMS && s.scaleCap < regressor.MaxScale {
-			s.scaleCap = nextHigherScale(s.scaleCap)
+	if d := s.cfg.DeadlineMS; d > 0 {
+		if s.st.Budget.Exceeded(d) {
+			s.st.ScaleCap = nextLowerScale(s.st.ScaleCap)
+		} else if s.st.Budget.Headroom(d) > 0.5*d && s.st.ScaleCap < regressor.MaxScale {
+			s.st.ScaleCap = nextHigherScale(s.st.ScaleCap)
 		}
 	}
-	p.Scale = s.targetScale
-	if p.Scale > s.scaleCap {
-		p.Scale = s.scaleCap
+	p.Scale = s.st.TargetScale
+	if p.Scale > s.st.ScaleCap {
+		p.Scale = s.st.ScaleCap
 		p.health.DeadlineForced = true
 	}
 
@@ -356,15 +311,15 @@ func (s *ResilientSession) Plan(f *synth.Frame) FramePlan {
 // propagate re-emits the last good detections with confidence decay, or an
 // explicitly-empty frame once the horizon is exhausted (rungs 1 and 2).
 func (s *ResilientSession) propagate(h *Health) []detect.Detection {
-	if len(s.lastDets) == 0 || s.propagated >= maxPropagate {
+	if len(s.st.LastDets) == 0 || s.st.Propagated >= maxPropagate {
 		h.Fallback = FallbackEmpty
-		s.propagated++
+		s.st.Propagated++
 		return nil
 	}
-	s.propagated++
-	decay := math.Pow(propagateDecay, float64(s.propagated))
-	out := make([]detect.Detection, len(s.lastDets))
-	for i, d := range s.lastDets {
+	s.st.Propagated++
+	decay := math.Pow(propagateDecay, float64(s.st.Propagated))
+	out := make([]detect.Detection, len(s.st.LastDets))
+	for i, d := range s.st.LastDets {
 		d.Score *= decay
 		out[i] = d
 	}
@@ -385,8 +340,8 @@ func (s *ResilientSession) Finish(f *synth.Frame, p FramePlan, r *rfcn.Result, t
 	h := p.health
 	if p.Skip || r == nil {
 		dets := s.propagate(&h)
-		s.degradedRun++
-		s.budget.Charge(chargeMS)
+		s.st.DegradedRun++
+		s.st.Budget.Charge(chargeMS)
 		return FrameOutput{
 			Frame: f, Scale: p.Scale,
 			Detections: dets,
@@ -403,39 +358,39 @@ func (s *ResilientSession) Finish(f *synth.Frame, p FramePlan, r *rfcn.Result, t
 	// non-finite prediction is a fault.
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		h.PredictionClamped = true
-		if s.lastGoodScale > 0 {
+		if s.st.LastGoodScale > 0 {
 			h.Fallback = FallbackLastScale
-			s.targetScale = s.lastGoodScale
+			s.st.TargetScale = s.st.LastGoodScale
 		} else {
 			h.Fallback = FallbackDefaultScale
-			s.targetScale = InitialScale
+			s.st.TargetScale = InitialScale
 		}
 	} else {
-		s.targetScale = regressor.DecodeScale(t, p.Scale)
+		s.st.TargetScale = regressor.DecodeScale(t, p.Scale)
 	}
 
 	// Rung 2: an empty result propagates rather than emitting nothing
 	// when the frame is content-degraded, or when we were tracking
 	// objects a moment ago (detector flicker: in continuous video a
 	// sudden empty set after non-empty ones is itself a fault signal).
-	if len(dets) == 0 && (f.Fault.ContentFault() || len(s.lastDets) > 0) {
+	if len(dets) == 0 && (f.Fault.ContentFault() || len(s.st.LastDets) > 0) {
 		dets = s.propagate(&h)
 	} else if len(dets) > 0 {
-		s.lastDets = dets
-		s.lastGoodScale = p.Scale
-		s.propagated = 0
+		s.st.LastDets = dets
+		s.st.LastGoodScale = p.Scale
+		s.st.Propagated = 0
 	}
 
 	if f.Fault.ContentFault() {
-		s.degradedRun++
+		s.st.DegradedRun++
 	} else {
-		if s.degradedRun > 0 {
-			h.RecoveredAfter = s.degradedRun
+		if s.st.DegradedRun > 0 {
+			h.RecoveredAfter = s.st.DegradedRun
 		}
-		s.degradedRun = 0
+		s.st.DegradedRun = 0
 	}
 
-	s.budget.Charge(chargeMS)
+	s.st.Budget.Charge(chargeMS)
 	return FrameOutput{
 		Frame: f, Scale: p.Scale,
 		Detections: dets,

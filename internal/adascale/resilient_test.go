@@ -2,14 +2,18 @@ package adascale
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"adascale/internal/detect"
 	"adascale/internal/eval"
 	"adascale/internal/faults"
 	"adascale/internal/obs"
 	"adascale/internal/parallel"
 	"adascale/internal/regressor"
 	"adascale/internal/rfcn"
+	"adascale/internal/simclock"
 	"adascale/internal/synth"
 )
 
@@ -282,8 +286,12 @@ func TestResilientSessionResetNoLeak(t *testing.T) {
 	sess := NewResilientSession(sys.Detector.Cost(), sys.Regressor.Kernels, cfg)
 	_ = runSession(sess, sys.Detector, sys.Regressor, &val[0])
 
-	// Reused with Reset: byte-identical to a fresh session on stream 2.
+	// Reused with Reset: the ladder state is a fresh session's, budget
+	// included, and stream 2 is byte-identical to a fresh session's.
 	sess.Reset()
+	if fresh := NewResilientSession(sys.Detector.Cost(), sys.Regressor.Kernels, cfg); !reflect.DeepEqual(sess.Checkpoint(), fresh.Checkpoint()) {
+		t.Fatalf("reset session state %+v, fresh session %+v", sess.Checkpoint(), fresh.Checkpoint())
+	}
 	got := runSession(sess, sys.Detector, sys.Regressor, &val[1])
 	want := runResilient(sys.Detector, sys.Regressor, &val[1], cfg)
 	assertSameOutputs(t, want, got)
@@ -451,5 +459,72 @@ func TestSessionCheckpointIndependence(t *testing.T) {
 	a.Step(sys.Detector, sys.Regressor, &frames[4])
 	if got := b.Checkpoint().LastDets[0]; got != want {
 		t.Fatal("stepping one restored session mutated the other's state")
+	}
+}
+
+// TestSessionRestoreExact: a checkpoint restored into a fresh session
+// carries the ladder state bit for bit. Over 1 000 seeded streams of 9–48
+// frames (8–208 ms charges, so the 8-frame budget window wraps, and a
+// 40–120 ms deadline, so the cap moves), the restored budget's mean and
+// headroom equal the original's to the last bit and the next 20 frames of
+// Plan/Finish agree. A restore that rebuilt the budget by re-charging its
+// window would re-add the same charges in another order, and its running
+// sum would differ in the last bits on most of these streams.
+func TestSessionRestoreExact(t *testing.T) {
+	cost, frame := simclock.Paper1080Ti(), synth.Frame{W: 1280, H: 720}
+	capMoved := 0
+	for seed := int64(0); seed < 1000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := ResilientConfig{DeadlineMS: 40 + 80*rng.Float64()}
+		// step feeds one frame to each session with the same random
+		// inputs: a skipped detector pass, or a result with 0–2 boxes and
+		// a regressor output t.
+		step := func(ss ...*ResilientSession) []FrameOutput {
+			var r *rfcn.Result
+			if rng.Intn(5) > 0 {
+				r = &rfcn.Result{RuntimeMS: 20 + 60*rng.Float64()}
+				for k := rng.Intn(3); k > 0; k-- {
+					r.Detections = append(r.Detections, rfcn.RawDetection{Detection: detect.Detection{
+						Box: detect.Box{X1: 10, Y1: 10, X2: 100, Y2: 90}, Class: k, Score: rng.Float64(),
+					}})
+				}
+			}
+			tv, charge := 2*rng.NormFloat64(), 8+200*rng.Float64()
+			outs := make([]FrameOutput, len(ss))
+			for i, s := range ss {
+				outs[i] = s.Finish(&frame, s.Plan(&frame), r, tv, charge)
+			}
+			return outs
+		}
+		orig := NewResilientSession(cost, []int{1, 3}, cfg)
+		for n := simclock.BudgetWindow + 1 + rng.Intn(40); n > 0; n-- {
+			step(orig)
+		}
+		if orig.st.ScaleCap < regressor.MaxScale {
+			capMoved++
+		}
+		restored := NewResilientSession(cost, []int{1, 3}, cfg)
+		restored.Restore(orig.Checkpoint())
+		want, got := &orig.st.Budget, &restored.st.Budget
+		if math.Float64bits(got.MeanMS()) != math.Float64bits(want.MeanMS()) ||
+			math.Float64bits(got.Headroom(cfg.DeadlineMS)) != math.Float64bits(want.Headroom(cfg.DeadlineMS)) {
+			t.Fatalf("seed %d: restored budget mean %v headroom %v, original %v and %v", seed,
+				got.MeanMS(), got.Headroom(cfg.DeadlineMS), want.MeanMS(), want.Headroom(cfg.DeadlineMS))
+		}
+		for i := 0; i < 20; i++ {
+			outs := step(orig, restored)
+			w, g := outs[0], outs[1]
+			if w.Scale != g.Scale || w.Health != g.Health || w.DetectorMS != g.DetectorMS ||
+				!reflect.DeepEqual(w.Detections, g.Detections) {
+				t.Fatalf("seed %d frame %d after restore: got scale %d health %+v, original scale %d health %+v",
+					seed, i, g.Scale, g.Health, w.Scale, w.Health)
+			}
+		}
+		if !reflect.DeepEqual(orig.Checkpoint(), restored.Checkpoint()) {
+			t.Fatalf("seed %d: ladder states diverge 20 frames after the restore", seed)
+		}
+	}
+	if capMoved == 0 {
+		t.Fatal("no stream moved the deadline cap; the deadline range tests nothing")
 	}
 }

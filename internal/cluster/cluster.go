@@ -112,7 +112,6 @@ type runState struct {
 	chaosFor   [][]faults.SystemEvent       // node -> blackouts injected this epoch
 	checkpoint []adascale.SessionCheckpoint // the stream's ladder state, once resumed
 	resumed    []bool                       // checkpoint holds state: given, or served
-	charges    []float64                    // BudgetWindow floats a stream: its served BudgetCharges
 	prevAssign []int                        // node last epoch, -1 if unplaced
 	forced     []int                        // stream IDs with a forced migration this epoch
 	rep        *Report
@@ -140,7 +139,6 @@ func (c *Cluster) Run(streams []serve.Stream) *Report {
 		ring:       NewRing(RingConfig{}),
 		checkpoint: make([]adascale.SessionCheckpoint, len(ordered)),
 		resumed:    make([]bool, len(ordered)),
-		charges:    make([]float64, len(ordered)*adascale.BudgetWindow),
 		prevAssign: make([]int, len(ordered)),
 		rep:        rep,
 	}
@@ -169,7 +167,7 @@ func (c *Cluster) Run(streams []serve.Stream) *Report {
 
 	eventIdx := 0
 	for epoch := 0; epoch < epochs; epoch++ {
-		start := float64(epoch) * cfg.EpochMS
+		start := float64(float64(epoch) * cfg.EpochMS)
 		end := start + cfg.EpochMS
 		clear(st.chaosFor)
 		st.forced = st.forced[:0]
@@ -416,11 +414,7 @@ func (c *Cluster) runNode(st *runState, w *nodeEpoch) *obs.Metrics {
 		w.served += sr.Served
 		w.dropped += sr.Drops
 		w.sloMisses += sr.SLOMisses
-		// Copied out of the node run's slab, which they would otherwise
-		// keep live until every one of its streams served again.
-		k, bw, cp := w.at[j], adascale.BudgetWindow, sr.Checkpoint
-		cp.BudgetCharges = append(st.charges[k*bw:k*bw:(k+1)*bw], cp.BudgetCharges...)
-		st.checkpoint[k], st.resumed[k] = cp, true
+		st.checkpoint[w.at[j]], st.resumed[w.at[j]] = sr.Checkpoint, true
 	}
 	w.durationMS = rep.DurationMS
 	return rep.Metrics

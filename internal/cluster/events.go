@@ -191,7 +191,7 @@ func GenPlan(cfg PlanConfig) (*Plan, error) {
 		case w < 7:
 			e.Kind = EvBlackout
 			e.Node = rng.Intn(cfg.Nodes)
-			e.DurationMS = planBlackoutMS * (0.5 + rng.Float64())
+			e.DurationMS = planBlackoutMS * (0.5 + float64(rng.Float64()))
 		default:
 			e.Kind = EvMigrate
 			e.Stream = rng.Intn(cfg.Streams)
@@ -231,7 +231,7 @@ func DecodePlan(data []byte, nodes, streams int, horizonMS float64) *Plan {
 		if e.Kind == EvBlackout {
 			// 100..1600 ms: short enough to recover inside the run, long
 			// enough that some outages span an epoch boundary.
-			e.DurationMS = 100 + float64(data[i+5])/255*1500
+			e.DurationMS = 100 + float64(float64(data[i+5])/255*1500)
 		}
 		p.Events = append(p.Events, e)
 	}

@@ -115,13 +115,13 @@ func injectSnippet(sn *synth.Snippet, cfg Config) synth.Snippet {
 			fault = synth.Fault{Kind: kind}
 			switch kind {
 			case synth.FaultOverexpose, synth.FaultNoise, synth.FaultBlackout:
-				fault.Severity = (0.3 + 0.7*rng.Float64()) * maxSeverity
+				fault.Severity = (0.3 + float64(0.7*rng.Float64())) * maxSeverity
 				if kind != synth.FaultOverexpose {
 					burst = rng.Intn(burstMax + 1)
 					burstFault = fault
 				}
 			case synth.FaultJitter:
-				fault.JitterMS = (0.2 + 0.8*rng.Float64()) * maxJitterMS
+				fault.JitterMS = (0.2 + float64(0.8*rng.Float64())) * maxJitterMS
 			}
 		}
 		applyFault(out.Frames, i, delivered, fault)

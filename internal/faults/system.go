@@ -203,7 +203,7 @@ func GenSystemPlan(cfg SystemConfig) (*SystemPlan, error) {
 	poisson(cfg.StallsPerSec, func(atMS float64) {
 		plan.Events = append(plan.Events, SystemEvent{
 			AtMS: atMS, Kind: SysWorkerStall, Worker: rng.Intn(cfg.Workers),
-			DurationMS: stallMS * (0.5 + rng.Float64()),
+			DurationMS: stallMS * (0.5 + float64(rng.Float64())),
 		})
 	})
 
@@ -211,7 +211,7 @@ func GenSystemPlan(cfg SystemConfig) (*SystemPlan, error) {
 	// so repeated sweeps hit comparable phases of the workload.
 	windows := func(n int, kind SystemEventKind, durMS float64) {
 		for i := 0; i < n; i++ {
-			at := cfg.HorizonMS * (float64(i+1) / float64(n+1)) * (0.9 + 0.2*rng.Float64())
+			at := cfg.HorizonMS * (float64(i+1) / float64(n+1)) * (0.9 + float64(0.2*rng.Float64()))
 			if at >= cfg.HorizonMS {
 				at = cfg.HorizonMS * 0.99
 			}

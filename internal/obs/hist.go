@@ -111,7 +111,7 @@ func (h *Histogram) merge(src *Histogram) {
 // quantile is nearest-rank over the buckets: the q-quantile (q in (0, 1])
 // of n samples is the sample of rank ⌈n·q⌉, reported as described on Histogram.
 func (h *Histogram) quantile(q float64) float64 {
-	rank := int(float64(h.n)*q + 0.999999999)
+	rank := int(float64(float64(h.n)*q) + 0.999999999)
 	switch {
 	case h.n == 0:
 		return 0

@@ -352,8 +352,6 @@ func (s *Server) run(streams []Stream, audit func(*eventLoop, bool), keep bool) 
 	rep.DurationMS = loop.clockMS
 	m.Set("time/final_ms", loop.clockMS)
 	rep.Streams = make([]StreamReport, 0, len(sessions))
-	w := adascale.BudgetWindow
-	charges := make([]float64, len(sessions)*w) // the checkpoints' BudgetCharges
 	for i, sess := range sessions {
 		rep.Streams = append(rep.Streams, StreamReport{
 			ID:         sess.ID,
@@ -363,7 +361,7 @@ func (s *Server) run(streams []Stream, audit func(*eventLoop, bool), keep bool) 
 			Outputs:    sess.outputs,
 			Dropped:    sess.dropped,
 			SLOMisses:  sess.SLOMisses,
-			Checkpoint: sess.Sess.CheckpointInto(charges[i*w : i*w : (i+1)*w]),
+			Checkpoint: sess.Sess.Checkpoint(),
 		})
 		rep.Summary.Add(sess.outputs)
 	}

@@ -499,9 +499,10 @@ func TestServeNoGoroutineLeak(t *testing.T) {
 }
 
 // TestTallyAllocsIndependentOfStreams: a model-only Tally allocates per run,
-// not per stream — its sessions, their resilient sessions, their queue rings
-// and the report's checkpoint charges each come from one slab, and no
-// arrival enters the event heap. So 1024 streams cost at most a few
+// not per stream — its sessions, their resilient sessions (budgets inline)
+// and their queue rings each come from one slab, a report checkpoint is a
+// copy of its session's state (no detections to copy when model-only), and
+// no arrival enters the event heap. So 1024 streams cost at most a few
 // allocations more than 64 (slice growth is logarithmic in the stream count).
 func TestTallyAllocsIndependentOfStreams(t *testing.T) {
 	ds, sys := system(t)

@@ -150,7 +150,7 @@ func (s *supervisor) backoffMS(stream, attempt int) float64 {
 			break
 		}
 	}
-	return d + jitter01(stream, attempt)*retryBaseMS
+	return d + float64(jitter01(stream, attempt)*retryBaseMS)
 }
 
 // jitter01 hashes (stream, attempt) to [0, 1) with a splitmix64

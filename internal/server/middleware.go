@@ -115,7 +115,7 @@ func (l *tenantLimiter) allow(tenant string) bool {
 		b = &bucket{tokens: float64(l.rate.Burst), lastMS: now}
 		l.buckets[tenant] = b
 	}
-	refill := (now - b.lastMS) / 1000 * l.rate.RPS
+	refill := float64((now - b.lastMS) / 1000 * l.rate.RPS)
 	if refill > 0 {
 		b.tokens += refill
 		if max := float64(l.rate.Burst); b.tokens > max {

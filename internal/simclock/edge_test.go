@@ -25,14 +25,14 @@ func TestBudgetDeadlineBoundary(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			b := newBudget(40, 8)
+			var b Budget
 			for _, ms := range tc.charges {
 				b.Charge(ms)
 			}
-			if got := b.Exceeded(); got != tc.exceeded {
+			if got := b.Exceeded(40); got != tc.exceeded {
 				t.Fatalf("Exceeded = %v, want %v (mean %v)", got, tc.exceeded, b.MeanMS())
 			}
-			if got := b.Headroom(); math.Abs(got-tc.headroom) > 1e-9 {
+			if got := b.Headroom(40); math.Abs(got-tc.headroom) > 1e-9 {
 				t.Fatalf("Headroom = %v, want %v", got, tc.headroom)
 			}
 		})
@@ -40,49 +40,24 @@ func TestBudgetDeadlineBoundary(t *testing.T) {
 }
 
 // TestBudgetWindowEviction: once the ring is full, each Charge evicts the
-// oldest entry, so the mean tracks only the last `window` frames.
+// oldest entry, so the mean tracks only the last BudgetWindow frames.
 func TestBudgetWindowEviction(t *testing.T) {
-	b := newBudget(100, 2)
-	b.Charge(10)
-	b.Charge(10)
+	var b Budget
+	for i := 0; i < BudgetWindow; i++ {
+		b.Charge(10)
+	}
 	if got := b.MeanMS(); math.Abs(got-10) > 1e-9 {
 		t.Fatalf("mean before eviction = %v, want 10", got)
 	}
-	b.Charge(40) // evicts the first 10 → window holds {10, 40}
-	if got := b.MeanMS(); math.Abs(got-25) > 1e-9 {
-		t.Fatalf("mean after eviction = %v, want 25", got)
+	b.Charge(40) // evicts the first 10 → window holds {10 ×7, 40}
+	if got := b.MeanMS(); math.Abs(got-13.75) > 1e-9 {
+		t.Fatalf("mean after eviction = %v, want 13.75", got)
 	}
-	b.Charge(40) // window holds {40, 40}
+	for i := 1; i < BudgetWindow; i++ {
+		b.Charge(40) // window holds {40 ×8} once every 10 is evicted
+	}
 	if got := b.MeanMS(); math.Abs(got-40) > 1e-9 {
-		t.Fatalf("mean after second eviction = %v, want 40", got)
-	}
-}
-
-// TestBudgetResetAfterExhaustion: Reset must return an exceeded budget to
-// its just-constructed state so a session reused for a new stream is not
-// penalised for the previous stream's charges.
-func TestBudgetResetAfterExhaustion(t *testing.T) {
-	b := newBudget(20, 4)
-	for i := 0; i < 6; i++ {
-		b.Charge(90)
-	}
-	if !b.Exceeded() {
-		t.Fatal("budget should be exhausted before Reset")
-	}
-	b.Reset()
-	if b.Exceeded() {
-		t.Fatal("Exceeded survived Reset")
-	}
-	if got := b.MeanMS(); got != 0 {
-		t.Fatalf("MeanMS after Reset = %v, want 0", got)
-	}
-	if got := b.Headroom(); math.Abs(got-20) > 1e-9 {
-		t.Fatalf("Headroom after Reset = %v, want the full deadline 20", got)
-	}
-	// And the ring must work normally again after the reset.
-	b.Charge(5)
-	if got := b.MeanMS(); math.Abs(got-5) > 1e-9 {
-		t.Fatalf("first post-Reset charge gives mean %v, want 5", got)
+		t.Fatalf("mean after the whole window is evicted = %v, want 40", got)
 	}
 }
 
@@ -90,12 +65,12 @@ func TestBudgetResetAfterExhaustion(t *testing.T) {
 // exceeded, infinite headroom — regardless of what gets charged.
 func TestBudgetDisabledDeadline(t *testing.T) {
 	for _, deadline := range []float64{0, -7} {
-		b := newBudget(deadline, 4)
+		var b Budget
 		b.Charge(1e9)
-		if b.Exceeded() {
+		if b.Exceeded(deadline) {
 			t.Fatalf("deadline %v: Exceeded with enforcement disabled", deadline)
 		}
-		if got := b.Headroom(); !math.IsInf(got, 1) {
+		if got := b.Headroom(deadline); !math.IsInf(got, 1) {
 			t.Fatalf("deadline %v: Headroom = %v, want +Inf", deadline, got)
 		}
 		if got := b.MeanMS(); math.Abs(got-1e9) > 1e-3 {

@@ -86,63 +86,32 @@ func (m *Model) RegressorMS(kernels []int) float64 {
 	return m.Regressor[min(len(kernels), 3)]
 }
 
-// Budget tracks modelled per-frame runtime against a per-frame deadline
-// over a rolling window — the accounting a deadline-aware runner uses to
-// decide when to force the next-lower test scale. A zero/negative deadline
-// disables enforcement (Exceeded is always false).
-type Budget struct {
-	deadlineMS float64
-	window     []float64 // ring buffer of recent per-frame charges
-	next       int       // ring write position
-	filled     int       // number of valid entries
-	sum        float64   // sum of valid entries
-}
+// BudgetWindow is the rolling window (frames) of a Budget.
+const BudgetWindow = 8
 
-// MakeBudget returns a budget whose rolling window is buf (len ≥ 1), by value.
-func MakeBudget(deadlineMS float64, buf []float64) Budget {
-	return Budget{deadlineMS: deadlineMS, window: buf}
+// Budget tracks modelled per-frame runtime over a rolling window of the
+// last BudgetWindow frames — the accounting a deadline-aware runner holds
+// against its per-frame deadline to decide when to force the next-lower
+// test scale. The zero Budget is empty, and a copy of a Budget is its whole
+// state: a budget copied out and back resumes bit for bit.
+type Budget struct {
+	window [BudgetWindow]float64 // ring buffer of recent per-frame charges
+	next   int                   // ring write position
+	filled int                   // number of valid entries
+	sum    float64               // sum of valid entries
 }
 
 // Charge records one frame's modelled cost in milliseconds (detector +
 // overheads + arrival jitter).
 func (b *Budget) Charge(ms float64) {
-	if b.filled == len(b.window) {
+	if b.filled == BudgetWindow {
 		b.sum -= b.window[b.next]
 	} else {
 		b.filled++
 	}
 	b.window[b.next] = ms
 	b.sum += ms
-	b.next = (b.next + 1) % len(b.window)
-}
-
-// Reset clears every recorded charge, returning the budget to its
-// just-constructed state (deadline and window length are kept). A session
-// reused for a new stream must reset its budget: rolling charges from the
-// previous stream would otherwise force the scale cap down on a stream
-// that has not yet cost anything.
-func (b *Budget) Reset() {
-	for i := range b.window {
-		b.window[i] = 0
-	}
-	b.next, b.filled, b.sum = 0, 0, 0
-}
-
-// Charges returns the recorded window contents oldest-first — the state a
-// checkpoint must carry so a restored budget resumes with the same rolling
-// mean (replay them through Charge after a Reset).
-func (b *Budget) Charges() []float64 { return b.AppendCharges(make([]float64, 0, b.filled)) }
-
-// AppendCharges appends Charges' contents to dst and returns the result.
-func (b *Budget) AppendCharges(dst []float64) []float64 {
-	start := b.next - b.filled
-	if start < 0 {
-		start += len(b.window)
-	}
-	for i := 0; i < b.filled; i++ {
-		dst = append(dst, b.window[(start+i)%len(b.window)])
-	}
-	return dst
+	b.next = (b.next + 1) % BudgetWindow
 }
 
 // MeanMS returns the rolling mean per-frame cost (0 before any charge).
@@ -153,16 +122,17 @@ func (b *Budget) MeanMS() float64 {
 	return b.sum / float64(b.filled)
 }
 
-// Exceeded reports whether the rolling mean is over the deadline.
-func (b *Budget) Exceeded() bool {
-	return b.deadlineMS > 0 && b.filled > 0 && b.MeanMS() > b.deadlineMS
+// Exceeded reports whether the rolling mean is over deadlineMS; a
+// zero/negative deadline disables enforcement (always false).
+func (b *Budget) Exceeded(deadlineMS float64) bool {
+	return deadlineMS > 0 && b.filled > 0 && b.MeanMS() > deadlineMS
 }
 
-// Headroom returns deadline − rolling mean (positive = under budget);
+// Headroom returns deadlineMS − rolling mean (positive = under budget);
 // +Inf when the deadline is disabled.
-func (b *Budget) Headroom() float64 {
-	if b.deadlineMS <= 0 {
+func (b *Budget) Headroom(deadlineMS float64) float64 {
+	if deadlineMS <= 0 {
 		return math.Inf(1)
 	}
-	return b.deadlineMS - b.MeanMS()
+	return deadlineMS - b.MeanMS()
 }

@@ -86,76 +86,47 @@ func TestSplitDetectMSSum(t *testing.T) {
 	}
 }
 
-// newBudget is a budget with a fresh rolling window of the given length.
-func newBudget(deadlineMS float64, window int) *Budget {
-	b := MakeBudget(deadlineMS, make([]float64, window))
-	return &b
-}
-
 func TestBudgetRollingMean(t *testing.T) {
-	b := newBudget(50, 4)
-	if b.Exceeded() {
+	const deadline = 50
+	var b Budget
+	if b.Exceeded(deadline) {
 		t.Fatal("empty budget must not report exceeded")
 	}
-	for _, ms := range []float64{40, 40, 40, 40} {
-		b.Charge(ms)
+	for i := 0; i < BudgetWindow; i++ {
+		b.Charge(40)
 	}
 	if got := b.MeanMS(); math.Abs(got-40) > 1e-12 {
 		t.Fatalf("mean = %v, want 40", got)
 	}
-	if b.Exceeded() {
+	if b.Exceeded(deadline) {
 		t.Fatal("40 ms mean under a 50 ms deadline must not exceed")
 	}
-	// Two expensive frames push the window mean over the deadline...
+	// Two expensive frames push the window mean over the deadline
+	// ((6·40 + 2·90) / 8 = 52.5)...
 	b.Charge(90)
 	b.Charge(90)
-	if !b.Exceeded() {
+	if !b.Exceeded(deadline) {
 		t.Fatalf("mean %v over deadline 50 must report exceeded", b.MeanMS())
 	}
 	// ...and cheap frames roll them back out of the window.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < BudgetWindow; i++ {
 		b.Charge(10)
 	}
-	if b.Exceeded() {
+	if b.Exceeded(deadline) {
 		t.Fatalf("window should have recovered, mean = %v", b.MeanMS())
 	}
-	if got := b.Headroom(); math.Abs(got-40) > 1e-12 {
+	if got := b.Headroom(deadline); math.Abs(got-40) > 1e-12 {
 		t.Fatalf("headroom = %v, want 40", got)
 	}
 }
 
-func TestBudgetReset(t *testing.T) {
-	b := newBudget(50, 4)
-	for i := 0; i < 6; i++ {
-		b.Charge(90)
-	}
-	if !b.Exceeded() {
-		t.Fatal("setup: budget should be exceeded before reset")
-	}
-	b.Reset()
-	if b.Exceeded() {
-		t.Fatal("reset budget must not report exceeded")
-	}
-	if got := b.MeanMS(); got != 0 {
-		t.Fatalf("reset budget mean = %v, want 0", got)
-	}
-	if got := b.deadlineMS; got != 50 {
-		t.Fatalf("reset must keep the deadline: got %v", got)
-	}
-	// The reset budget behaves exactly like a fresh one.
-	b.Charge(40)
-	if got := b.MeanMS(); math.Abs(got-40) > 1e-12 {
-		t.Fatalf("post-reset mean = %v, want 40", got)
-	}
-}
-
 func TestBudgetDisabled(t *testing.T) {
-	b := newBudget(0, 4)
+	var b Budget
 	b.Charge(1e9)
-	if b.Exceeded() {
+	if b.Exceeded(0) {
 		t.Fatal("deadline 0 disables enforcement")
 	}
-	if !math.IsInf(b.Headroom(), 1) {
-		t.Fatalf("disabled budget headroom = %v, want +Inf", b.Headroom())
+	if !math.IsInf(b.Headroom(0), 1) {
+		t.Fatalf("disabled budget headroom = %v, want +Inf", b.Headroom(0))
 	}
 }

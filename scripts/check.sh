@@ -70,10 +70,10 @@ gate "tensor-leaf" sh -c '! go list -deps ./internal/tensor | grep -qx adascale/
 # run below covers the amd64 path.
 gate "cross-build" sh -c 'for arch in arm64 ppc64le s390x riscv64; do GOARCH=$arch go build ./... || exit 1; done'
 gate "cross-vet" env GOARCH=arm64 go vet ./internal/tensor
-# The regressor trains the same weights, the renderer draws the same pixels
-# and the cost model charges the same milliseconds on those targets too: the
-# packages scripts/nofma.sh lists compile to no fused multiply-add on any of
-# the four.
+# The regressor trains the same weights, the renderer draws the same pixels,
+# the cost model charges the same milliseconds and the serving packages
+# schedule the same virtual instants on those targets too: the packages
+# scripts/nofma.sh lists compile to no fused multiply-add on any of the four.
 gate "nofma" ./scripts/nofma.sh
 # Reachability gate: every non-test function is linked by one of the nine
 # programs (the commands, the examples, the benchmark) or allowlisted with a
