@@ -120,16 +120,25 @@ func blockSAD(prev, cur *raster.Image, x0, y0, dx, dy, block int, limit float64)
 		pb := cur.Pix[(y+dy)*cur.W+x0+dx:][:len(pa)]
 		for x, a := range pa {
 			d := float64(a - pb[x])
-			if d < 0 {
-				d = -d
-			}
-			sad += d
+			sad += absSAD(d)
 		}
 		if sad > limit {
 			return math.Inf(1)
 		}
 	}
 	return sad
+}
+
+// absSAD is |d| without a branch, which mispredicts on pixel differences
+// of either sign: the sign bit is cleared unless d is a NaN, whose bits pass
+// through as they did through `if d < 0 { d = -d }` (math.Abs would clear a
+// NaN's sign). A −0 becomes +0, which adds to the sum as −0 did.
+func absSAD(d float64) float64 {
+	u := math.Float64bits(d)
+	if d == d {
+		u &^= 1 << 63
+	}
+	return math.Float64frombits(u)
 }
 
 // edgeSAD is blockSAD pixel by pixel, bounds-testing each: the loop for
@@ -151,10 +160,7 @@ func edgeSAD(prev, cur *raster.Image, x0, y0, dx, dy, block int, limit float64) 
 				b = 0.5
 			}
 			d := float64(a - b)
-			if d < 0 {
-				d = -d
-			}
-			sad += d
+			sad += absSAD(d)
 		}
 		if sad > limit {
 			return math.Inf(1)

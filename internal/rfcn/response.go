@@ -49,7 +49,7 @@ func rawPlateau(a, lo, loW, hi, hiW float64) float64 {
 func plateauPeak(lo, loW, hi, hiW float64) float64 {
 	peak := 0.0
 	for i := 0; i <= 64; i++ {
-		a := lo + (hi-lo)*float64(i)/64
+		a := lo + float64((hi-lo)*float64(i)/64)
 		if v := rawPlateau(a, lo, loW, hi, hiW); v > peak {
 			peak = v
 		}
@@ -94,7 +94,7 @@ func fpTrainingFactor(trainScales []int) float64 {
 // blurPenalty models motion blur / camera-focus failure: blur measured in
 // test-scale pixels mildly suppresses confidence.
 func blurPenalty(blurTestPx float64) float64 {
-	return 1 / (1 + blurPenaltyCoeff*blurTestPx)
+	return 1 / (1 + float64(blurPenaltyCoeff*blurTestPx))
 }
 
 // scaleFamiliarity penalises testing at scales the detector never saw in
@@ -118,9 +118,9 @@ func scaleFamiliarity(m int, trainScales []int) float64 {
 		}
 	}
 	if m >= lo && m <= hi {
-		return 1 - 0.12*math.Min(1, dNear/200)
+		return 1 - float64(0.12*math.Min(1, dNear/200))
 	}
-	return 1 - 0.2*math.Min(1, dNear/400)
+	return 1 - float64(0.2*math.Min(1, dNear/400))
 }
 
 func minScale(scales []int) int {

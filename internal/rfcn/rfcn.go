@@ -276,7 +276,7 @@ func (d *Detector) Detect(f *synth.Frame, scale int) *Result {
 		if uMix >= 0.6 {
 			uDet = uFrame
 		}
-		uScore := rng.Float64()
+		uScore := float64(rng.Float64())
 		uCls := rng.Float64()
 		z := [4]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 		uPart1, uPart2 := rng.Float64(), rng.Float64()
@@ -289,8 +289,8 @@ func (d *Detector) Detect(f *synth.Frame, scale int) *Result {
 		// RPN proposal: high recall across a wide size range (anchors run
 		// 128..512 at the training scale), independent of whether the
 		// classification head succeeds below.
-		apparentShort := obj.Box.Shortest() * factor
-		uProp := frac(uFrame*31 + uMix*17)
+		apparentShort := float64(obj.Box.Shortest() * factor)
+		uProp := frac(float64(uFrame*31) + float64(uMix*17))
 		pProp := 0.95 * sigmoid((apparentShort-25)/8) * sigmoid((560-apparentShort)/60)
 		if uProp < pProp {
 			proposals = append(proposals, obj.Box)
@@ -302,11 +302,11 @@ func (d *Detector) Detect(f *synth.Frame, scale int) *Result {
 		// Confidence sits well above the false-positive score band so that
 		// ranking (and with it AP) is driven by recall, as for a detector
 		// with a well-calibrated classifier.
-		score := clamp01(0.35 + 0.6*q + 0.1*(uScore-0.5))
+		score := clamp01(0.35 + float64(0.6*q) + float64(0.1*(uScore-0.5)))
 
 		// Classification: mostly correct; multi-scale confusion classes
 		// flip more often (Sec. 4.3's red panda / bear effect).
-		pCorrect := 0.99 - 0.05*(1-q)
+		pCorrect := 0.99 - float64(0.05*(1-q))
 		if d.MultiScale() {
 			pCorrect -= 2.0 * p.MSConfusion
 		}
@@ -317,12 +317,12 @@ func (d *Detector) Detect(f *synth.Frame, scale int) *Result {
 
 		// Localisation: error is roughly constant in test-scale pixels, so
 		// it grows in native coordinates as the image shrinks.
-		errStd := (1.2 + (1-q)*4.5) / factor
+		errStd := (1.2 + float64((1-q)*4.5)) / factor
 		box := detect.Box{
-			X1: obj.Box.X1 + z[0]*errStd,
-			Y1: obj.Box.Y1 + z[1]*errStd,
-			X2: obj.Box.X2 + z[2]*errStd,
-			Y2: obj.Box.Y2 + z[3]*errStd,
+			X1: obj.Box.X1 + float64(z[0]*errStd),
+			Y1: obj.Box.Y1 + float64(z[1]*errStd),
+			X2: obj.Box.X2 + float64(z[2]*errStd),
+			Y2: obj.Box.Y2 + float64(z[3]*errStd),
 		}
 		if box.X2 <= box.X1+1 || box.Y2 <= box.Y1+1 {
 			box = obj.Box
@@ -331,26 +331,26 @@ func (d *Detector) Detect(f *synth.Frame, scale int) *Result {
 		probs = append(probs, classProbs(&arena, nClasses, class, score))
 
 		// A weaker duplicate proposal that NMS should suppress.
-		dup := box.Shifted(dupJitter[0]*errStd*1.5, dupJitter[1]*errStd*1.5)
+		dup := box.Shifted(float64(dupJitter[0]*errStd*1.5), float64(dupJitter[1]*errStd*1.5))
 		raw = append(raw, detect.Detection{Box: dup, Class: class, Score: score * 0.8, GTIndex: gi})
 		probs = append(probs, classProbs(&arena, nClasses, class, score*0.8))
 
 		// Detail-driven part false positives: at high resolution, textured
 		// parts of a large object are detected as spurious objects
 		// (paper Fig. 1's motivating failure).
-		apparent := obj.Box.Shortest() * factor
+		apparent := float64(obj.Box.Shortest() * factor)
 		partIntensity := obj.Texture.Complexity() * 0.8 * sigmoid((apparent-180)/60)
 		for pi, u := range []float64{uPart1, uPart2} {
 			if u >= partIntensity {
 				continue
 			}
 			pw, ph := obj.Box.W(), obj.Box.H()
-			px := obj.Box.X1 + (0.15+0.5*u)*pw
-			py := obj.Box.Y1 + (0.15+0.4*frac(u*7))*ph
-			ps := 0.25 * math.Min(pw, ph) * (0.8 + 0.6*frac(u*13))
-			pBox := detect.Box{X1: px, Y1: py, X2: px + ps, Y2: py + ps*0.9}
+			px := obj.Box.X1 + float64((0.15+float64(0.5*u))*pw)
+			py := obj.Box.Y1 + float64((0.15+float64(0.4*frac(float64(u*7))))*ph)
+			ps := float64(0.25 * math.Min(pw, ph) * (0.8 + float64(0.6*frac(float64(u*13)))))
+			pBox := detect.Box{X1: px, Y1: py, X2: px + ps, Y2: py + float64(ps*0.9)}
 			pClass := (obj.Class + 3 + pi) % nClasses
-			pScore := clamp01(0.15 + 0.35*frac(u*29))
+			pScore := clamp01(0.15 + float64(0.35*frac(float64(u*29))))
 			raw = append(raw, detect.Detection{Box: pBox, Class: pClass, Score: pScore, GTIndex: -1})
 			probs = append(probs, classProbs(&arena, nClasses, pClass, pScore))
 		}
@@ -365,7 +365,7 @@ func (d *Detector) Detect(f *synth.Frame, scale int) *Result {
 	frng := seededRng(f.Seed() ^ 0x4FD1EB)
 	const nCandidates = 28
 	for j := 0; j < nCandidates; j++ {
-		tau := (float64(j) + frng.Float64()) / nCandidates
+		tau := (float64(j) + float64(frng.Float64())) / nCandidates
 		uPos1, uPos2 := frng.Float64(), frng.Float64()
 		uSize := frng.Float64()
 		uClass := frng.Float64()
@@ -373,16 +373,17 @@ func (d *Detector) Detect(f *synth.Frame, scale int) *Result {
 		if tau >= fpIntensity {
 			continue
 		}
-		size := 40 + uSize*110
-		cx := uPos1 * float64(f.W)
-		cy := uPos2 * float64(f.H)
-		box := detect.Box{X1: cx - size/2, Y1: cy - size/2, X2: cx + size/2, Y2: cy + size*0.45}
+		size := 40 + float64(uSize*110)
+		cx := float64(uPos1 * float64(f.W))
+		cy := float64(uPos2 * float64(f.H))
+		half := float64(size / 2)
+		box := detect.Box{X1: cx - half, Y1: cy - half, X2: cx + half, Y2: cy + float64(size*0.45)}
 		if overlapsGT(box, f) {
 			// Slide away from ground truth so this stays a false positive.
-			box = box.Shifted(size*1.5, size*1.2)
+			box = box.Shifted(float64(size*1.5), float64(size*1.2))
 		}
 		class := fpClass(f, nClasses, uClass)
-		score := 0.12 + 0.5*uScore*uScore
+		score := 0.12 + float64(0.5*uScore*uScore)
 		if uScore > 0.95 {
 			score += 0.3 // occasional confident false positive
 		}
@@ -533,7 +534,7 @@ func (d *Detector) quality(obj synth.Object, p synth.ClassProfile, f *synth.Fram
 	q := math.Pow(p.BaseQuality, 0.35) * sizeResponse(apparent, d.TrainScales) * blurPenalty(f.Blur*factor)
 	q *= scaleFamiliarity(testScaleOf(f, factor), d.TrainScales)
 	if d.MultiScale() {
-		q *= 1 - msQualityTax - 0.5*p.MSConfusion
+		q *= 1 - msQualityTax - float64(0.5*p.MSConfusion)
 	}
 	// Sensor faults degrade the response (overexposure washes objects out,
 	// noise bursts drown them) in proportion to severity.

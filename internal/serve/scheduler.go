@@ -3,6 +3,7 @@ package serve
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"adascale/internal/faults"
@@ -117,24 +118,73 @@ type agenda struct {
 	heap     eventHeap
 }
 
-// newAgenda sorts the arrivals (frame j of streams[i]: ArrivalMS, i, j) by before.
+// newAgenda's most buckets, and its largest bucket sorted by insertion.
+const agendaBuckets, agendaInsertion = 4096, 32
+
+// newAgenda orders the arrivals (frame j of streams[i]: ArrivalMS, i, j) by
+// (time, stream, seq) with a bucket sort. In (stream, seq) order, each goes
+// to one of nb = min(N, agendaBuckets) equal-width buckets over the times'
+// range; a bucket is then ordered by a stable insertion sort on the time, or
+// by the comparison sort if it holds over agendaInsertion. The bucket index
+// never decreases as the time grows, so buckets are in time order and equal
+// times (±0 among them) keep (stream, seq) order: the result is exactly the
+// comparison sort's. With a NaN or infinite arrival, or a range too narrow to
+// scale, every arrival is in one bucket and takes the comparison sort.
 func newAgenda(streams []Stream) agenda {
-	n := 0
+	n, lo, hi := 0, math.Inf(1), math.Inf(-1)
 	for i := range streams {
 		n += len(streams[i].Frames)
+		for _, f := range streams[i].Frames {
+			lo, hi = min(lo, f.ArrivalMS), max(hi, f.ArrivalMS) // a NaN sticks
+		}
 	}
-	a := agenda{arrivals: make([]event, 0, n)}
+	nb, scale := min(n, agendaBuckets), 0.0 // one instant: every arrival in bucket 0
+	if hi > lo {
+		scale = float64(nb) / (hi - lo)
+	}
+	if !(hi-lo < math.Inf(1)) || scale == math.Inf(1) {
+		nb = 1 // bucket's clamp maps int(NaN or ±Inf) into this one bucket
+	}
+	bucket := func(t float64) int { return max(min(int((t-lo)*scale), nb-1), 0) }
+	var end [agendaBuckets]int // bucket b's count, then its start, then its end
+	for i := range streams {
+		for _, f := range streams[i].Frames {
+			end[bucket(f.ArrivalMS)]++
+		}
+	}
+	start := 0
+	for b, c := range end[:nb] {
+		end[b], start = start, start+c
+	}
+	a := agenda{arrivals: make([]event, n)}
 	for i := range streams {
 		for j, f := range streams[i].Frames {
-			a.arrivals = append(a.arrivals, event{timeMS: f.ArrivalMS, kind: kindArrival, stream: i, seq: j})
+			b := bucket(f.ArrivalMS)
+			a.arrivals[end[b]] = event{timeMS: f.ArrivalMS, kind: kindArrival, stream: i, seq: j}
+			end[b]++
 		}
 	}
-	slices.SortFunc(a.arrivals, func(x, y event) int {
-		if x.timeMS != y.timeMS {
-			return cmp.Compare(x.timeMS, y.timeMS)
+	start = 0
+	for _, stop := range end[:nb] {
+		q := a.arrivals[start:stop]
+		start = stop
+		if len(q) > agendaInsertion || nb == 1 { // nb == 1: the case above, or N ≤ 1
+			slices.SortFunc(q, func(x, y event) int {
+				if x.timeMS != y.timeMS {
+					return cmp.Compare(x.timeMS, y.timeMS)
+				}
+				return cmp.Or(x.stream-y.stream, x.seq-y.seq)
+			})
+			continue
 		}
-		return cmp.Or(x.stream-y.stream, x.seq-y.seq)
-	})
+		for k := 1; k < len(q); k++ {
+			e, m := q[k], k
+			for ; m > 0 && e.timeMS < q[m-1].timeMS; m-- {
+				q[m] = q[m-1]
+			}
+			q[m] = e
+		}
+	}
 	return a
 }
 

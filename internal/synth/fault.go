@@ -113,9 +113,9 @@ func (f *Fault) QualityFactor() float64 {
 	case FaultDrop, FaultBlackout:
 		return 0
 	case FaultOverexpose:
-		return 1 - 0.75*f.Severity
+		return 1 - float64(0.75*f.Severity)
 	case FaultNoise:
-		return 1 - 0.55*f.Severity
+		return 1 - float64(0.55*f.Severity)
 	}
 	return 1
 }
@@ -132,9 +132,9 @@ func (f *Fault) FPFactor() float64 {
 	case FaultDrop, FaultBlackout:
 		return 0
 	case FaultOverexpose:
-		return 1 - 0.5*f.Severity
+		return 1 - float64(0.5*f.Severity)
 	case FaultNoise:
-		return 1 + 0.8*f.Severity
+		return 1 + float64(0.8*f.Severity)
 	}
 	return 1
 }

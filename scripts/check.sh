@@ -71,9 +71,10 @@ gate "tensor-leaf" sh -c '! go list -deps ./internal/tensor | grep -qx adascale/
 gate "cross-build" sh -c 'for arch in arm64 ppc64le s390x riscv64; do GOARCH=$arch go build ./... || exit 1; done'
 gate "cross-vet" env GOARCH=arm64 go vet ./internal/tensor
 # The regressor trains the same weights, the renderer draws the same pixels,
-# the cost model charges the same milliseconds and the serving packages
-# schedule the same virtual instants on those targets too: the packages
-# scripts/nofma.sh lists compile to no fused multiply-add on any of the four.
+# the modelled detector scores the same boxes, the cost model charges the
+# same milliseconds and the serving packages schedule the same virtual
+# instants on those targets too: the packages scripts/nofma.sh lists
+# compile to no fused multiply-add on any of the four.
 gate "nofma" ./scripts/nofma.sh
 # Reachability gate: every non-test function is linked by one of the nine
 # programs (the commands, the examples, the benchmark) or allowlisted with a
@@ -94,6 +95,9 @@ gate "go-test-race" go test -race -shuffle=on -timeout 60m ./...
 gate "fuzz-nms" go test -run='^$' -fuzz='^FuzzNMS$' -fuzztime=5s ./internal/detect
 gate "fuzz-evaluate" go test -run='^$' -fuzz='^FuzzEvaluate$' -fuzztime=5s ./internal/eval
 gate "fuzz-loadgen" go test -run='^$' -fuzz='^FuzzLoadgen$' -fuzztime=5s ./internal/serve
+# The bucketed agenda must order any arrivals — ties, ±0, bursts, a far
+# outlier, ±Inf, NaN — exactly as the comparison sort it replaced.
+gate "fuzz-agenda" go test -run='^$' -fuzz='^FuzzAgenda$' -fuzztime=5s ./internal/serve
 # The queue ring must drop, pop and peek exactly as the slice queue it
 # replaced, at any depth schedule.
 gate "fuzz-frame-queue" go test -run='^$' -fuzz='^FuzzFrameQueue$' -fuzztime=5s ./internal/serve

@@ -1,11 +1,11 @@
 #!/bin/sh
 # No-fused-multiply-add gate: the scale regressor's packages, the tensor
 # kernels under them, the renderer's raster operations, the box geometry,
-# loss and AP arithmetic (detect, scaleopt, eval), the modelled cost and
-# its stage split (simclock, adascale) and the serving packages' schedules,
-# fault plans, quantiles and rate limits (serve, cluster, faults, obs,
-# server) must compile to no fused multiply-add on any architecture whose
-# compiler fuses.
+# the modelled detector's responses (rfcn), the loss and AP arithmetic
+# (detect, scaleopt, eval), the modelled cost and its stage split
+# (simclock, adascale) and the serving packages' schedules, fault plans,
+# quantiles and rate limits (serve, cluster, faults, obs, server) must
+# compile to no fused multiply-add on any architecture whose compiler fuses.
 #
 # Go lets a compiler fuse x*y + z into one instruction that rounds once where
 # the source rounds twice; gc does so on arm64, ppc64le, s390x and riscv64
@@ -18,7 +18,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-pkgs="./internal/nn ./internal/regressor ./internal/tensor ./internal/raster ./internal/detect ./internal/scaleopt ./internal/eval ./internal/simclock ./internal/adascale ./internal/serve ./internal/cluster ./internal/faults ./internal/obs ./internal/server"
+pkgs="./internal/nn ./internal/regressor ./internal/tensor ./internal/raster ./internal/detect ./internal/rfcn ./internal/scaleopt ./internal/eval ./internal/simclock ./internal/adascale ./internal/serve ./internal/cluster ./internal/faults ./internal/obs ./internal/server"
 
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
