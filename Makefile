@@ -40,10 +40,10 @@ bench:
 # (model-only Run, ns/frame and allocs/frame at 16 / 1000 / 10000 streams,
 # plain and under chaos: the curve the dispatch index keeps flat) and with
 # real compute at des_serve's shape (ServeRun), a quarter-size cluster_model
-# fleet (ClusterRun: ns, allocs and bytes per frame, node runs fanned out over
-# both CPUs), a 32-item no-op batch on parallel.Pool (Map: ns and allocs per
-# item at workers 1 and 2), one metric sample through a resolved handle vs by
-# name (Metrics: inc, setmax, observe), the
+# fleet (ClusterRun: ns, allocs and bytes per frame and GCs per Run, node
+# runs fanned out over both CPUs), a 32-item no-op batch on parallel.Pool
+# (Map: ns and allocs per item at workers 1 and 2), one metric sample
+# through a resolved handle vs by name (Metrics: inc, setmax, observe), the
 # random stream with math/rand's figure beside each (seed + 12 draws, a
 # frame's 30 000 normals) and a render of the val split (all frames at 600 and
 # 128, the motion-blurred ones, a noise fault).

@@ -185,19 +185,12 @@ type ResilientSession struct {
 
 // NewResilientSession creates a fresh session for one stream, costed by the
 // detector's model; kernels is the regressor's branch kernel set.
+// A session is a plain value: copying a fresh one is how the serving layer
+// fills its recycled slab of sessions.
 func NewResilientSession(cost *simclock.Model, kernels []int, cfg ResilientConfig) *ResilientSession {
-	return &NewResilientSessions(1, cost, kernels, cfg)[0]
-}
-
-// NewResilientSessions creates n fresh sessions in one slab.
-func NewResilientSessions(n int, cost *simclock.Model, kernels []int, cfg ResilientConfig) []ResilientSession {
-	ss := make([]ResilientSession, n)
-	overhead := cost.RegressorMS(kernels)
-	for i := range ss {
-		ss[i] = ResilientSession{cfg: cfg, cost: cost, overhead: overhead}
-		ss[i].Reset()
-	}
-	return ss
+	s := &ResilientSession{cfg: cfg, cost: cost, overhead: cost.RegressorMS(kernels)}
+	s.Reset()
+	return s
 }
 
 // Reset returns the session to its just-constructed state so it can be

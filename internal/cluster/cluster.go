@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"adascale/internal/adascale"
@@ -27,7 +28,10 @@ import (
 // serve scheduler already guarantees. Streams carry their resilient-session
 // checkpoints between epochs and across nodes, so a migrated or failed-over
 // stream resumes its scale ladder, last-good detections and deadline budget
-// exactly where it left them.
+// exactly where it left them. Node runs restart every epoch, so they
+// recycle: each draws the serve layer's pooled working set, each node
+// tallies into one report kept for the run (its registry reset every
+// epoch), and the epoch's work lists and placement slices are reused.
 
 // Config parameterises a cluster run.
 type Config struct {
@@ -105,15 +109,22 @@ func New(det *rfcn.Detector, reg *regressor.Regressor, cfg Config) (*Cluster, er
 
 // runState is the mutable state of one cluster run. Per-stream state is
 // indexed by the stream's position in the ID-sorted stream list, per-node
-// state by node ID (addNode mints IDs densely).
+// state by node ID (addNode mints IDs densely). The epoch's work lists,
+// placement slices and node reports are recycled from epoch to epoch.
 type runState struct {
 	ring       *Ring
 	down       []float64                    // node -> virtual instant it comes back up, 0 while not down
 	chaosFor   [][]faults.SystemEvent       // node -> blackouts injected this epoch
+	nodeRep    []serve.Report               // node -> its last Tally: registry and duration
 	checkpoint []adascale.SessionCheckpoint // the stream's ladder state, once resumed
 	resumed    []bool                       // checkpoint holds state: given, or served
+	assign     []int                        // node this epoch, -1 if drained
 	prevAssign []int                        // node last epoch, -1 if unplaced
 	forced     []int                        // stream IDs with a forced migration this epoch
+	keys, at   []int                        // place: IDs of the streams left, and their positions
+	owner      []int                        // place: keys[j]'s node on the ring
+	load       []int                        // place: streams per node ID
+	work       []nodeEpoch                  // runEpoch: one per up node
 	rep        *Report
 }
 
@@ -123,9 +134,14 @@ func (st *runState) addNode() {
 	n := len(st.down)
 	st.down = append(st.down, 0)
 	st.chaosFor = append(st.chaosFor, nil)
+	st.nodeRep = append(st.nodeRep, serve.Report{})
 	st.rep.PerNode = append(st.rep.PerNode, NodeReport{Node: n})
 	st.ring.Add(n)
 }
+
+// resize returns s with n elements, regrown by append's rule only when s
+// is too short; the elements hold what they held, and the caller sets them.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // Run shards the streams across the cluster and serves them to completion.
 func (c *Cluster) Run(streams []serve.Stream) *Report {
@@ -139,6 +155,7 @@ func (c *Cluster) Run(streams []serve.Stream) *Report {
 		ring:       NewRing(RingConfig{}),
 		checkpoint: make([]adascale.SessionCheckpoint, len(ordered)),
 		resumed:    make([]bool, len(ordered)),
+		assign:     make([]int, len(ordered)),
 		prevAssign: make([]int, len(ordered)),
 		rep:        rep,
 	}
@@ -179,9 +196,9 @@ func (c *Cluster) Run(streams []serve.Stream) *Report {
 			}
 		}
 
-		assign := c.place(st, ordered, cursor)
-		c.runEpoch(st, ordered, cursor, assign, end)
-		st.prevAssign = assign
+		c.place(st, ordered, cursor)
+		c.runEpoch(st, ordered, cursor, end)
+		st.assign, st.prevAssign = st.prevAssign, st.assign
 	}
 
 	rep.FinalNodes = st.ring.Len()
@@ -260,16 +277,17 @@ func (c *Cluster) apply(st *runState, e Event, epochEndMS float64) {
 	}
 }
 
-// place computes the epoch's stream→node assignment: the bounded-load ring
-// assignment over every stream with frames remaining, then the plan's
-// forced migrations on top. Migration counting compares against
+// place computes the epoch's stream→node assignment into st.assign: the
+// bounded-load ring assignment over every stream with frames remaining, then
+// the plan's forced migrations on top. Migration counting compares against
 // the previous epoch's placement: a stream that has already served
 // somewhere (it has a checkpoint) and lands on a different node is a
 // migration; if its old node is gone from the ring it is a failover.
-func (c *Cluster) place(st *runState, ordered []serve.Stream, cursor []int) []int {
-	assign := make([]int, len(ordered)) // stream position -> node, -1 if drained
-	keys := make([]int, 0, len(ordered))
-	at := make([]int, 0, len(ordered)) // position of keys[j]
+func (c *Cluster) place(st *runState, ordered []serve.Stream, cursor []int) {
+	assign := st.assign // stream position -> node, -1 if drained
+	// The streams with frames left, at most all of them: keys[j] is the ID
+	// of the stream at position at[j].
+	keys, at := resize(st.keys, len(ordered))[:0], resize(st.at, len(ordered))[:0]
 	for i, s := range ordered {
 		assign[i] = -1
 		if cursor[i] < len(s.Frames) {
@@ -277,11 +295,15 @@ func (c *Cluster) place(st *runState, ordered []serve.Stream, cursor []int) []in
 			at = append(at, i)
 		}
 	}
+	st.keys, st.at = keys, at
 	if len(keys) == 0 {
-		return assign
+		return
 	}
-	load := make([]int, len(st.down)) // by node ID
-	for j, n := range st.ring.Assign(keys) {
+	load := resize(st.load, len(st.down)) // by node ID
+	clear(load)
+	st.owner = resize(st.owner, len(keys))
+	st.load = load
+	for j, n := range st.ring.assign(st.owner, keys) {
 		assign[at[j]] = n
 		load[n]++
 	}
@@ -310,7 +332,6 @@ func (c *Cluster) place(st *runState, ordered []serve.Stream, cursor []int) []in
 			st.rep.Failovers++
 		}
 	}
-	return assign
 }
 
 // leastLoaded returns the up node with the smallest assigned load (indexed
@@ -329,7 +350,8 @@ func leastLoaded(ring *Ring, load []int, exclude int) int {
 }
 
 // nodeEpoch is one node's share of an epoch: the streams it serves and, once
-// it has run, the ledger the cluster folds.
+// it has run, the ledger the cluster folds. Its slices are recycled epoch to
+// epoch.
 type nodeEpoch struct {
 	node    int
 	streams []serve.Stream
@@ -345,14 +367,15 @@ type nodeEpoch struct {
 //
 // The node runs are independent simulations, so they fan out over
 // parallel.Workers() goroutines. Each folds its own streams' results (counts
-// and checkpoints, disjoint by stream) and keeps nothing else of its report
-// but the registry, which is merged here in ring order: histogram means are
-// float sums, so the merge order is part of the snapshot.
-func (c *Cluster) runEpoch(st *runState, ordered []serve.Stream, cursor []int, assign []int, endMS float64) {
+// and checkpoints, disjoint by stream) and hands back its registry, which is
+// merged here in ring order: histogram means are float sums, so the merge
+// order is part of the snapshot.
+func (c *Cluster) runEpoch(st *runState, ordered []serve.Stream, cursor []int, endMS float64) {
 	// Slice each stream's frames for the window and group by node.
-	work := make([]nodeEpoch, st.ring.Len())
+	st.work = resize(st.work, st.ring.Len())
 	for s, n := range st.ring.Nodes() {
-		work[s] = nodeEpoch{node: n, chaos: st.chaosFor[n]}
+		w := &st.work[s]
+		*w = nodeEpoch{node: n, streams: w.streams[:0], at: w.at[:0], chaos: st.chaosFor[n]}
 	}
 	for i := range ordered {
 		s := &ordered[i]
@@ -369,13 +392,13 @@ func (c *Cluster) runEpoch(st *runState, ordered []serve.Stream, cursor []int, a
 		if st.resumed[i] {
 			cp = &st.checkpoint[i]
 		}
-		w := &work[st.ring.slot(assign[i])]
+		w := &st.work[st.ring.slot(st.assign[i])]
 		w.streams = append(w.streams, serve.Stream{ID: s.ID, Frames: s.Frames[lo:hi], Checkpoint: cp})
 		w.at = append(w.at, i)
 	}
-	regs := parallel.Map(len(work), func(i int) *obs.Metrics { return c.runNode(st, &work[i]) })
-	for i := range work {
-		w := &work[i]
+	regs := parallel.Map(len(st.work), func(i int) *obs.Metrics { return c.runNode(st, &st.work[i]) })
+	for i := range st.work {
+		w := &st.work[i]
 		if regs[i] == nil {
 			continue // idle: no streams, no chaos
 		}
@@ -392,9 +415,9 @@ func (c *Cluster) runEpoch(st *runState, ordered []serve.Stream, cursor []int, a
 	}
 }
 
-// runNode serves one node's epoch and folds its streams' results into w and
-// st.checkpoint — no other node run touches those streams. It returns the
-// node's registry and nothing else of its report; nil if the node is idle.
+// runNode tallies one node's epoch into the node's report and folds its
+// streams' results into w and st.checkpoint — no other node run touches
+// either. It returns the node's registry; nil if the node is idle.
 func (c *Cluster) runNode(st *runState, w *nodeEpoch) *obs.Metrics {
 	if len(w.streams) == 0 && w.chaos == nil {
 		return nil
@@ -409,13 +432,13 @@ func (c *Cluster) runNode(st *runState, w *nodeEpoch) *obs.Metrics {
 		// programming error, not an input condition.
 		panic(fmt.Sprintf("cluster: node %d epoch config rejected: %v", w.node, err))
 	}
-	rep := srv.Tally(w.streams)
-	for j, sr := range rep.Streams {
+	rep := &st.nodeRep[w.node]
+	srv.Tally(w.streams, rep, func(j int, sr serve.StreamReport) {
 		w.served += sr.Served
 		w.dropped += sr.Drops
 		w.sloMisses += sr.SLOMisses
 		st.checkpoint[w.at[j]], st.resumed[w.at[j]] = sr.Checkpoint, true
-	}
+	})
 	w.durationMS = rep.DurationMS
 	return rep.Metrics
 }

@@ -159,13 +159,23 @@ func TestClusterWorkersByteIdentical(t *testing.T) {
 		for _, w := range []int{1, 2, 8} {
 			parallel.SetWorkers(w)
 			c := newCluster(t, sys, Config{Nodes: 4, EpochMS: 400, Plan: plan, Node: node})
-			rep := c.Run(load(t, ds, 12, 15, 16, 11))
-			checkConserved(t, rep)
-			// The snapshot prints means to 3 decimals; a merge in another
-			// order moves only their last bits.
-			got := rep.String() + rep.Metrics.Snapshot()
-			for _, h := range []string{"latency/ms", "queue/wait_ms", "service/ms"} {
-				got += fmt.Sprintf("%s mean %b\n", h, rep.Metrics.Mean(h))
+			ld := load(t, ds, 12, 15, 16, 11)
+			run := func() (string, *Report) {
+				rep := c.Run(ld)
+				checkConserved(t, rep)
+				// The snapshot prints means to 3 decimals; a merge in
+				// another order moves only their last bits.
+				got := rep.String() + rep.Metrics.Snapshot()
+				for _, h := range []string{"latency/ms", "queue/wait_ms", "service/ms"} {
+					got += fmt.Sprintf("%s mean %b\n", h, rep.Metrics.Mean(h))
+				}
+				return got, rep
+			}
+			// The second Run serves from node working sets the first
+			// recycled, and must not tell.
+			got, rep := run()
+			if again, _ := run(); again != got {
+				t.Fatalf("model-only=%v workers=%d: a second Run of one Cluster diverged:\n--- first ---\n%s\n--- second ---\n%s", modelOnly, w, got, again)
 			}
 			switch {
 			case ref == "":
@@ -178,6 +188,57 @@ func TestClusterWorkersByteIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTallySteadyStateAllocs: a node's Tally, repeated at one shape into one
+// report — a cluster node's run, epoch after epoch — allocates only what it
+// returns. Model-only, that is nothing: the report hands back counts and
+// checkpoints, and a model-only checkpoint carries no detections. Before
+// the working set was recycled, the same Tally allocated 59 times at 64
+// streams (its registry, session slabs, agenda, index and report).
+func TestTallySteadyStateAllocs(t *testing.T) {
+	if !poolRetains() {
+		t.Skip("sync.Pool is dropping Puts (race detector): a zero-allocation pin through it cannot hold")
+	}
+	ds, sys := system(t)
+	node := nodeConfig()
+	node.ModelOnly = true
+	srv, err := serve.New(sys.Detector, sys.Regressor, node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := load(t, ds, 64, 30, 8, 5)
+	cps := make([]adascale.SessionCheckpoint, len(streams))
+	offered, settled := 0, 0
+	fold := func(i int, sr serve.StreamReport) { // as runNode folds a node's streams
+		offered += sr.Offered
+		settled += sr.Served + sr.Drops
+		cps[i] = sr.Checkpoint
+	}
+	var rep serve.Report
+	srv.Tally(streams, &rep, fold)
+	for i := range streams { // resumed, as after a node's first epoch
+		streams[i].Checkpoint = &cps[i]
+	}
+	srv.Tally(streams, &rep, fold)
+	const returned = 0 // allocations in what a model-only Tally returns
+	if n := testing.AllocsPerRun(10, func() { srv.Tally(streams, &rep, fold) }); n > returned {
+		t.Fatalf("a same-shaped Tally allocates %v times, want at most %d", n, returned)
+	}
+	if offered == 0 || settled != offered {
+		t.Fatalf("Tally settled %d of %d offered frames", settled, offered)
+	}
+}
+
+// poolRetains reports whether a sync.Pool keeps what is Put — false under
+// the race detector, which drops a share of Puts on purpose.
+func poolRetains() bool {
+	news := 0
+	p := sync.Pool{New: func() any { news++; return new(int) }}
+	for i := 0; i < 64; i++ {
+		p.Put(p.Get())
+	}
+	return news == 1
 }
 
 // TestClusterNodePanicSurfaces: a node run that panics — here on a nil

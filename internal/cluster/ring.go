@@ -62,6 +62,10 @@ type Ring struct {
 	cfg    RingConfig
 	nodes  []int       // sorted node IDs
 	points []ringPoint // sorted by (hash, node)
+
+	// assign's working set, recycled call after call.
+	order, load []int
+	seen        []bool
 }
 
 // NewRing builds an empty ring.
@@ -147,11 +151,14 @@ func (r *Ring) Cap(k int) int {
 // (key set, ring state). Node j of the result is keys[j]'s. Panics if the
 // ring is empty — the cluster simulator guarantees at least one node is
 // always up.
-func (r *Ring) Assign(keys []int) []int {
+func (r *Ring) Assign(keys []int) []int { return r.assign(make([]int, len(keys)), keys) }
+
+// assign is Assign into out, which has one element per key.
+func (r *Ring) assign(out, keys []int) []int {
 	if len(r.nodes) == 0 {
 		panic("cluster: assigning streams on an empty ring")
 	}
-	order := make([]int, len(keys)) // positions in keys, ascending by key
+	order := resize(r.order, len(keys)) // positions in keys, ascending by key
 	for j := range order {
 		order[j] = j
 	}
@@ -159,9 +166,9 @@ func (r *Ring) Assign(keys []int) []int {
 	cap := r.Cap(len(keys))
 	// Both indexed by a node's position in r.nodes; seen is the walk's
 	// visited set, reused key after key.
-	load := make([]int, len(r.nodes))
-	seen := make([]bool, len(r.nodes))
-	out := make([]int, len(keys))
+	load, seen := resize(r.load, len(r.nodes)), resize(r.seen, len(r.nodes))
+	r.order, r.load, r.seen = order, load, seen
+	clear(load)
 	for _, j := range order {
 		k := keys[j]
 		// Walk clockwise from the key's position to the first node under

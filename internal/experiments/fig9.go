@@ -40,16 +40,16 @@ func (b *Bundle) Fig9() *Fig9Result {
 			f.Blur = 0
 			var objs []synth.Object
 			for k, size := range sizes {
-				cx := float64(f.W) * (0.25 + 0.5*float64(k)/float64(len(sizes)))
-				cy := float64(f.H) * 0.5
+				cx := float64(float64(f.W) * (0.25 + 0.5*float64(k)/float64(len(sizes))))
+				cy := float64(float64(f.H) * 0.5)
 				// Gentle drift keeps temporal consistency realistic.
-				cx += float64(i) * 3
+				cx += float64(float64(i) * 3)
 				objs = append(objs, synth.Object{
 					ID: k, Class: (k * 7) % len(cfg.Classes), Texture: raster.TextureStripes,
 					Intensity: 0.8,
 					Box: detect.Box{
-						X1: cx - size/2, Y1: cy - size/2,
-						X2: cx + size/2, Y2: cy + size/2,
+						X1: cx - float64(size/2), Y1: cy - float64(size/2),
+						X2: cx + float64(size/2), Y2: cy + float64(size/2),
 					},
 				})
 			}

@@ -84,6 +84,14 @@ func (h *Histogram) cover(lo, hi int) {
 	h.lo, h.counts = lo, counts
 }
 
+// reset empties h but keeps its bucket span: a quantile walks past zero
+// counts, and merge and Observe widen a span as a new one would, so only the
+// allocation differs from a fresh histogram.
+func (h *Histogram) reset() {
+	clear(h.counts)
+	*h = Histogram{lo: h.lo, counts: h.counts}
+}
+
 // merge adds src into h: counts add bucket by bucket, so merging is
 // commutative and associative in everything but the last bits of sum, which
 // follow the order float64 addition was done in.

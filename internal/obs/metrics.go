@@ -182,6 +182,27 @@ func (m *Metrics) Observe(name string, v float64) {
 	m.mu.Unlock()
 }
 
+// Reset empties the registry for reuse: every counter, gauge and histogram
+// goes back to unrecorded, so a reset registry snapshots, renders and merges
+// bit for bit like a new one. The names stay resolved (a handle taken before
+// the reset records into the same name after it) and each histogram keeps
+// its bucket span, so a registry reset between runs of the same shape
+// allocates nothing to record the next one. Like every reader, it must not
+// race a handle's writes.
+func (m *Metrics) Reset() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, c := range m.counters {
+		*c = Counter{}
+	}
+	for _, g := range m.gauges {
+		*g = Gauge{}
+	}
+	for _, h := range m.hists {
+		h.reset()
+	}
+}
+
 // Merge folds another registry into this one: counters add, gauges keep
 // the maximum (the gauges this codebase records — final virtual time,
 // peak queue depth — are all high-water marks), and histograms add src's

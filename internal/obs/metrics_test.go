@@ -241,6 +241,67 @@ func TestMetricsMerge(t *testing.T) {
 	}
 }
 
+// TestMetricsReuseAfterReset: a registry that recorded a wider run and was
+// reset records the next run bit for bit like a new registry: the same
+// snapshot, exposition, means and quantiles, and the same registry when
+// merged into a third one — names recorded only before the reset, and
+// handles resolved but not written since, stay out of every output. A
+// second run of the same shape then records without allocating.
+func TestMetricsReuseAfterReset(t *testing.T) {
+	record := func(m *Metrics, wide bool) {
+		served, lat := m.CounterOf("frames/served"), m.HistogramOf("latency/ms")
+		m.GaugeOf("queue/peak_depth") // resolved, written only when wide
+		for i := 0; i < 200; i++ {
+			served.Add(1)
+			lat.Observe(0.1 + float64(i)*1.37)
+		}
+		m.Observe("queue/wait_ms", -1)
+		m.Observe("queue/wait_ms", math.NaN())
+		m.Set("time/final_ms", 274.1)
+		if wide {
+			m.Inc("frames/dropped", 7)
+			m.GaugeOf("queue/peak_depth").SetMax(9)
+			lat.Observe(1e-6)
+			lat.Observe(1e9)
+			m.Observe("retry/backoff_ms", 31)
+		}
+	}
+	fresh, reused := NewMetrics(), NewMetrics()
+	record(fresh, false)
+	record(reused, true)
+	reused.Reset()
+	record(reused, false)
+	if a, b := fresh.Snapshot(), reused.Snapshot(); a != b {
+		t.Fatalf("snapshots differ:\n--- new ---\n%s--- reset ---\n%s", a, b)
+	}
+	if a, b := fresh.Prometheus("x"), reused.Prometheus("x"); a != b {
+		t.Fatalf("expositions differ:\n--- new ---\n%s--- reset ---\n%s", a, b)
+	}
+	for _, k := range []string{"latency/ms", "queue/wait_ms"} {
+		for _, q := range []float64{0.01, 0.5, 0.95, 0.99, 1} {
+			if a, b := fresh.Quantile(k, q), reused.Quantile(k, q); a != b {
+				t.Fatalf("%s q%v: new %v, reset %v", k, q, a, b)
+			}
+		}
+		if a, b := fresh.Mean(k), reused.Mean(k); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("%s mean: new %b, reset %b", k, a, b)
+		}
+	}
+	base := func() *Metrics { m := NewMetrics(); m.Observe("latency/ms", 3.3); m.Inc("frames/served", 1); return m }
+	intoFresh, intoReused := base(), base()
+	intoFresh.Merge(fresh)
+	intoReused.Merge(reused)
+	if a, b := intoFresh.Snapshot(), intoReused.Snapshot(); a != b {
+		t.Fatalf("merged snapshots differ:\n--- new ---\n%s--- reset ---\n%s", a, b)
+	}
+	if a, b := intoFresh.Mean("latency/ms"), intoReused.Mean("latency/ms"); math.Float64bits(a) != math.Float64bits(b) {
+		t.Fatalf("merged mean: new %b, reset %b", a, b)
+	}
+	if n := testing.AllocsPerRun(5, func() { reused.Reset(); record(reused, false) }); n != 0 {
+		t.Fatalf("a reset registry allocates %v times to record the same run again, want 0", n)
+	}
+}
+
 // BenchmarkMetrics prices one per-frame sample each way: through a resolved
 // handle (what the serving step does) and by name (a map lookup, a string
 // hash and the registry lock).

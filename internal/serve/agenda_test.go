@@ -112,7 +112,7 @@ func replay(c agendaCase, sch schedule) []event {
 // pops, in the same order, through same-instant ties between completions,
 // faults, arrivals and ticks, stale completions at the heap top while
 // arrivals are pending, arrivals given out of time order, a bucket of
-// newAgenda's over agendaInsertion arrivals, and -0 tied with +0.
+// agenda.reset's over agendaInsertion arrivals, and -0 tied with +0.
 func TestAgendaMatchesAllInHeap(t *testing.T) {
 	random := agendaCase{name: "random", tickMS: 7, arrivals: make([][]float64, 12)}
 	rng := rand.New(rand.NewSource(37))
@@ -121,7 +121,7 @@ func TestAgendaMatchesAllInHeap(t *testing.T) {
 			random.arrivals[s] = append(random.arrivals[s], float64(rng.Intn(120)))
 		}
 	}
-	// One far outlier puts every other arrival in newAgenda's first bucket,
+	// One far outlier puts every other arrival in agenda.reset's first bucket,
 	// more than agendaInsertion of them, with ties across streams.
 	skewed := make([][]float64, 6)
 	for s := range skewed {
@@ -163,7 +163,8 @@ func TestAgendaMatchesAllInHeap(t *testing.T) {
 				}
 			}
 			want := replay(c, &all)
-			a := newAgenda(streams)
+			var a agenda
+			a.reset(streams)
 			got := replay(c, &a)
 			if !slices.Equal(got, want) {
 				t.Fatalf("agenda handled\n%v\nthe all-in-heap loop\n%v", got, want)
@@ -177,7 +178,7 @@ func TestAgendaMatchesAllInHeap(t *testing.T) {
 
 var negZero = math.Copysign(0, -1)
 
-// sortedArrivals is the order newAgenda replaced: every arrival in (stream,
+// sortedArrivals is the order agenda.reset replaced: every arrival in (stream,
 // seq) order, then one comparison sort by (time, stream, seq).
 func sortedArrivals(streams []Stream) []event {
 	var out []event
@@ -249,16 +250,26 @@ func agendaStreams(data []byte) []Stream {
 	return streams
 }
 
-// FuzzAgenda: newAgenda's bucketed arrivals are exactly the comparison
+// FuzzAgenda: agenda.reset's bucketed arrivals are exactly the comparison
 // sort's, bit for bit, on any stream set — equal instants, ±0, negative
 // times, one-instant bursts, a far outlier, empty streams, ±Inf and NaN.
 // With a NaN the comparator orders nothing, so the two agree only because
-// newAgenda then runs that same sort over the same build order.
+// agenda.reset then runs that same sort over the same build order.
 func FuzzAgenda(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		streams := agendaStreams(data)
 		want := sortedArrivals(streams)
-		a := newAgenda(streams)
+		// The agenda is recycled from a run over its own reversed streams,
+		// with an arrival taken and an event left on its heap.
+		var a agenda
+		rev := slices.Clone(streams)
+		slices.Reverse(rev)
+		a.reset(rev)
+		if a.len() > 0 {
+			a.pop()
+		}
+		a.push(event{timeMS: -1, kind: kindTick})
+		a.reset(streams)
 		if len(a.arrivals) != len(want) || a.next != 0 || len(a.heap) != 0 {
 			t.Fatalf("agenda holds %d arrivals (next %d, heap %d), want %d", len(a.arrivals), a.next, len(a.heap), len(want))
 		}

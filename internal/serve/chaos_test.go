@@ -95,7 +95,7 @@ func probeDispatches(t *testing.T, sys *adascale.System, cfg Config, streams []S
 	t.Helper()
 	var out []workerDispatch
 	seen := map[int]bool{}
-	newServer(t, sys, cfg).run(streams, func(l *eventLoop, picking bool) {
+	audited(newServer(t, sys, cfg), streams, func(l *eventLoop, picking bool) {
 		for wi, w := range l.sup.workers {
 			if picking || w.dispID == 0 || seen[w.dispID] {
 				continue
@@ -281,7 +281,7 @@ func TestServeSaturationHoldsBacklog(t *testing.T) {
 	})
 	var prev []int
 	peak, dropped, drops := 0, 0, 0 // drops: inside the window
-	srv.run(load(t, ds, 2, 40, 40, 23), func(l *eventLoop, picking bool) {
+	audited(srv, load(t, ds, 2, 40, 40, 23), func(l *eventLoop, picking bool) {
 		if prev == nil {
 			prev = make([]int, len(l.sessions))
 		}

@@ -27,12 +27,11 @@ type dispatchIndex struct {
 	ready, retry, shed sessionHeap
 }
 
-func newDispatchIndex(sessions int) dispatchIndex {
-	return dispatchIndex{
-		ready: newSessionHeap(sessions),
-		retry: newSessionHeap(sessions),
-		shed:  newSessionHeap(sessions),
-	}
+// reset empties the index for a run of the given session count.
+func (d *dispatchIndex) reset(sessions int) {
+	d.ready.reset(sessions)
+	d.retry.reset(sessions)
+	d.shed.reset(sessions)
 }
 
 // sessionHeap is an indexed binary min-heap of session indices ordered by
@@ -44,12 +43,12 @@ type sessionHeap struct {
 	key  []float64 // key[i] = session i's key; meaningful while pos[i] >= 0
 }
 
-func newSessionHeap(sessions int) sessionHeap {
-	h := sessionHeap{pos: make([]int32, sessions), key: make([]float64, sessions)}
+// reset empties the heap for the given session count, reusing its slices.
+func (h *sessionHeap) reset(sessions int) {
+	h.heap, h.pos, h.key = h.heap[:0], resize(h.pos, sessions), resize(h.key, sessions)
 	for i := range h.pos {
 		h.pos[i] = -1
 	}
-	return h
 }
 
 // min returns the session with the smallest (key, index), or -1.

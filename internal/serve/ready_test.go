@@ -154,7 +154,7 @@ func TestDispatchIndexMatchesScans(t *testing.T) {
 			}
 		}
 		var picks []pickRecord
-		rep := newServer(t, sys, cfg).run(ld, oracleAudit(t, &picks), true)
+		rep := audited(newServer(t, sys, cfg), ld, oracleAudit(t, &picks), true)
 		if rep.Lost() != 0 {
 			t.Fatalf("trial %d: %d frames lost", trial, rep.Lost())
 		}
@@ -186,7 +186,7 @@ func TestCheckIndexCatchesWorkerMismatch(t *testing.T) {
 	ds, sys := system(t)
 	cfg := Config{Workers: 2, QueueDepth: 4, Resilient: adascale.DefaultResilientConfig(), ModelOnly: true}
 	var dropped, phantom, shared int
-	newServer(t, sys, cfg).run(load(t, ds, 3, 20, 8, 3), func(l *eventLoop, _ bool) {
+	audited(newServer(t, sys, cfg), load(t, ds, 3, 20, 8, 3), func(l *eventLoop, _ bool) {
 		if err := l.checkIndex(); err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func TestDispatchIndexKeys(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var picks []pickRecord
 			cfg := Config{Workers: 1, QueueDepth: tc.depth, Resilient: adascale.DefaultResilientConfig(), ModelOnly: true}
-			newServer(t, sys, cfg).run(tc.streams, oracleAudit(t, &picks), true)
+			audited(newServer(t, sys, cfg), tc.streams, oracleAudit(t, &picks), true)
 			var got []int
 			for _, p := range picks {
 				if p.path != pickReady {
@@ -285,7 +285,8 @@ func TestDispatchIndexKeys(t *testing.T) {
 func TestSessionHeapAgainstBruteForce(t *testing.T) {
 	const n = 48
 	rng := rand.New(rand.NewSource(7))
-	h := newSessionHeap(n)
+	var h sessionHeap
+	h.reset(n)
 	member := make([]bool, n)
 	key := make([]float64, n)
 	for step := 0; step < 20000; step++ {

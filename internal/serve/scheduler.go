@@ -118,19 +118,20 @@ type agenda struct {
 	heap     eventHeap
 }
 
-// newAgenda's most buckets, and its largest bucket sorted by insertion.
+// reset's most buckets, and its largest bucket sorted by insertion.
 const agendaBuckets, agendaInsertion = 4096, 32
 
-// newAgenda orders the arrivals (frame j of streams[i]: ArrivalMS, i, j) by
-// (time, stream, seq) with a bucket sort. In (stream, seq) order, each goes
-// to one of nb = min(N, agendaBuckets) equal-width buckets over the times'
-// range; a bucket is then ordered by a stable insertion sort on the time, or
-// by the comparison sort if it holds over agendaInsertion. The bucket index
-// never decreases as the time grows, so buckets are in time order and equal
-// times (±0 among them) keep (stream, seq) order: the result is exactly the
-// comparison sort's. With a NaN or infinite arrival, or a range too narrow to
-// scale, every arrival is in one bucket and takes the comparison sort.
-func newAgenda(streams []Stream) agenda {
+// reset empties the agenda, keeping its slices for the new run, and orders
+// the arrivals (frame j of streams[i]: ArrivalMS, i, j) by (time, stream,
+// seq) with a bucket sort. In (stream, seq) order, each goes to one of nb =
+// min(N, agendaBuckets) equal-width buckets over the times' range; a bucket
+// is then ordered by a stable insertion sort on the time, or by the
+// comparison sort if it holds over agendaInsertion. The bucket index never
+// decreases as the time grows, so buckets are in time order and equal times
+// (±0 among them) keep (stream, seq) order: the result is exactly the
+// comparison sort's. With a NaN or infinite arrival, or a range too narrow
+// to scale, every arrival is in one bucket and takes the comparison sort.
+func (a *agenda) reset(streams []Stream) {
 	n, lo, hi := 0, math.Inf(1), math.Inf(-1)
 	for i := range streams {
 		n += len(streams[i].Frames)
@@ -156,7 +157,7 @@ func newAgenda(streams []Stream) agenda {
 	for b, c := range end[:nb] {
 		end[b], start = start, start+c
 	}
-	a := agenda{arrivals: make([]event, n)}
+	*a = agenda{arrivals: resize(a.arrivals, n), heap: a.heap[:0]}
 	for i := range streams {
 		for j, f := range streams[i].Frames {
 			b := bucket(f.ArrivalMS)
@@ -185,7 +186,6 @@ func newAgenda(streams []Stream) agenda {
 			q[m] = e
 		}
 	}
-	return a
 }
 
 func (a *agenda) len() int { return len(a.arrivals) - a.next + len(a.heap) }
@@ -218,7 +218,7 @@ type eventLoop struct {
 	cfg      Config
 	streams  []Stream
 	sessions []*session
-	sup      *supervisor
+	sup      supervisor
 
 	events      agenda
 	index       dispatchIndex // maintained by touch only (ready.go)
@@ -233,8 +233,8 @@ type eventLoop struct {
 
 // run drives the simulation to completion.
 func (l *eventLoop) run() {
-	l.events = newAgenda(l.streams)
-	for i, e := range l.sup.plan.Events {
+	l.events.reset(l.streams)
+	for i, e := range l.sup.events {
 		l.events.push(event{timeMS: e.AtMS, kind: kindFault, stream: -1, seq: i})
 	}
 	if l.cfg.TickMS > 0 && l.cfg.OnTick != nil {
@@ -542,7 +542,7 @@ func (l *eventLoop) fault(ev event) {
 		l.dispatch()
 		return
 	}
-	e := l.sup.plan.Events[ev.seq]
+	e := l.sup.events[ev.seq]
 	l.Metrics.Inc(chaosKeys[e.Kind], 1)
 	switch e.Kind {
 	case faults.SysWorkerKill:

@@ -19,6 +19,14 @@
 // determinism contract the serving experiments and the serve-smoke gate
 // assert.
 //
+// A run allocates only what it returns. Its working set — the session
+// slab, the resilient-session ladders, the queue rings, the dispatch index,
+// the agenda and the supervisor — is recycled from run to run through one
+// pool, so a stream of runs (the cluster's node runs, which restart every
+// epoch) stops feeding the garbage collector; Tally records into the
+// caller's report and registry, and hands each stream's report to a
+// callback rather than listing them.
+//
 // Per-stream latency SLOs reuse the PR 2 hysteresis machinery unchanged:
 // the session's simclock.Budget is charged with each frame's end-to-end
 // latency instead of its compute cost, so a stream that keeps missing its
@@ -30,6 +38,8 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"adascale/internal/adascale"
 	"adascale/internal/faults"
@@ -280,23 +290,70 @@ func (r *Report) Lost() int {
 // Admission control runs first: with MaxStreams > 0, streams beyond the
 // capacity (in slice order) are rejected outright — a rejected session
 // fails fast instead of silently degrading every admitted one.
-func (s *Server) Run(streams []Stream) *Report { return s.run(streams, nil, true) }
+func (s *Server) Run(streams []Stream) *Report {
+	rep := &Report{Streams: make([]StreamReport, 0, len(streams))}
+	s.run(streams, rep, true, func(_ int, sr StreamReport) { rep.Streams = append(rep.Streams, sr) }, nil)
+	return rep
+}
 
 // Tally is Run for a caller that reads only the counts: the same event
-// loop, schedule, registry and checkpoints, but no per-frame lists — every
-// StreamReport's Outputs and Dropped stay nil and Summary stays empty. The
-// cluster runs its nodes this way; a fleet's worth of FrameOutputs would be
-// built only to be counted.
-func (s *Server) Tally(streams []Stream) *Report { return s.run(streams, nil, false) }
+// loop, schedule, registry and checkpoints, but no per-frame lists and no
+// list of reports. Each admitted stream's report, with Outputs and Dropped
+// nil, goes to each(i, sr) in stream order before Tally returns; Summary
+// stays empty. The cluster runs its nodes this way and folds the reports as
+// they come: a fleet's worth of FrameOutputs and StreamReports would be built
+// only to be counted. Tally fills rep in place: Streams is emptied (each may
+// refill it), and the registry is Reset and recorded into (a nil one is
+// created). So a caller that tallies run after run into one Report — the
+// cluster keeps one per node — allocates nothing but the checkpoints'
+// last-good detections once the working set has grown.
+func (s *Server) Tally(streams []Stream, rep *Report, each func(i int, sr StreamReport)) {
+	s.run(streams, rep, false, each, nil)
+}
 
-// run is Run (keep) or Tally (!keep) with the event loop's audit hook
-// exposed; nil means AuditIndex's, if installed.
-func (s *Server) run(streams []Stream, audit func(*eventLoop, bool), keep bool) *Report {
+// scratch is a run's working set: the session slab and its pointers, the
+// resilient-session ladders, the queue rings, the dispatch index, the
+// agenda and the supervisor — everything a run needs while it lasts and
+// nothing it returns. Runs take one from scratchPool and put it back, so it
+// grows to the largest run it has served and a stream of runs (a cluster's
+// node runs, epoch after epoch) stops allocating it.
+type scratch struct {
+	loop    eventLoop // its sessions, agenda, index and supervisor keep their slices
+	slab    []session
+	ladders []adascale.ResilientSession
+	rings   []TimedFrame
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// resize returns s with n elements, regrown (by append's rule, so a size
+// that creeps up run after run reallocates rarely) only when s is too short;
+// the elements hold what they held, and the caller sets them.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// run is Run (keep) or Tally (!keep) into rep on a pooled scratch, handing
+// each stream's report to each, with the event loop's audit hook exposed;
+// nil means AuditIndex's, if installed.
+func (s *Server) run(streams []Stream, rep *Report, keep bool, each func(int, StreamReport), audit func(*eventLoop, bool)) {
+	sc := scratchPool.Get().(*scratch)
+	s.runOn(sc, streams, rep, keep, each, audit)
+	scratchPool.Put(sc) // not deferred: a run that panicked leaves its scratch to the collector
+}
+
+// runOn is run on the given scratch. Every part of the working set is reset
+// before use, so a recycled scratch serves a run exactly as a new one would
+// (TestScratchReuseMatchesCold).
+func (s *Server) runOn(sc *scratch, streams []Stream, rep *Report, keep bool, each func(int, StreamReport), audit func(*eventLoop, bool)) {
 	if audit == nil && indexAudit.Load() {
 		audit = mustCheckIndex
 	}
-	m := obs.NewMetrics()
-	rep := &Report{Metrics: m}
+	m := rep.Metrics
+	if m == nil {
+		m = obs.NewMetrics()
+	} else {
+		m.Reset()
+	}
+	*rep = Report{Streams: rep.Streams[:0], Rejected: rep.Rejected[:0], Metrics: m}
 
 	admitted := streams
 	if s.cfg.MaxStreams > 0 && len(streams) > s.cfg.MaxStreams {
@@ -308,52 +365,52 @@ func (s *Server) run(streams []Stream, audit func(*eventLoop, bool), keep bool) 
 	m.Inc("sessions/accepted", int64(len(admitted)))
 	m.Inc("sessions/rejected", int64(len(rep.Rejected)))
 
-	// The sessions, their resilient sessions and queue rings: a slab each.
-	core := NewCore(m, s.cfg.Tracer)
-	slab := make([]session, len(admitted))
-	sessions := make([]*session, len(admitted))
-	ladders := adascale.NewResilientSessions(len(admitted), s.det.Cost(), s.reg.Kernels, s.cfg.Resilient)
-	depth := 0
+	// The sessions, their resilient sessions and queue rings: a slab each,
+	// every slot written afresh (a ring is empty once its run has drained).
+	n, depth := len(admitted), 0
 	for _, st := range admitted {
 		depth += min(s.cfg.QueueDepth, len(st.Frames))
 	}
-	rings := make([]TimedFrame, depth)
+	sc.slab, sc.ladders, sc.rings = resize(sc.slab, n), resize(sc.ladders, n), resize(sc.rings, depth)
+	l := &sc.loop
+	*l = eventLoop{
+		Core: NewCore(m, s.cfg.Tracer), cfg: s.cfg, streams: admitted,
+		sessions: resize(l.sessions, n),
+		events:   l.events, index: l.index, sup: l.sup, // their slices; reset below and by run
+		keep: keep, audit: audit,
+	}
+	defer sc.release() // deferred first, so it runs after the pool's Close
+	l.index.reset(n)
+	l.sup.reset(s.cfg.Chaos, s.cfg.Supervisor, s.cfg.SLOMS, s.cfg.Workers, n)
+	fresh := *adascale.NewResilientSession(s.det.Cost(), s.reg.Kernels, s.cfg.Resilient)
+	rings := sc.rings
 	for i, st := range admitted {
 		depth = min(s.cfg.QueueDepth, len(st.Frames))
-		sessions[i] = &slab[i]
-		slab[i] = session{Lane: Lane{ID: st.ID, Sess: &ladders[i]}, queue: FrameQueue{buf: rings[:depth:depth]}}
+		sc.ladders[i] = fresh
+		sc.slab[i] = session{Lane: Lane{ID: st.ID, Sess: &sc.ladders[i]}, queue: FrameQueue{buf: rings[:depth:depth]}}
 		rings = rings[depth:]
+		sess := &sc.slab[i]
+		l.sessions[i] = sess
 		if keep {
-			sessions[i].outputs = make([]adascale.FrameOutput, 0, len(st.Frames))
+			sess.outputs = make([]adascale.FrameOutput, 0, len(st.Frames))
 		}
 		if st.Checkpoint != nil {
-			sessions[i].Sess.Restore(*st.Checkpoint)
+			sess.Sess.Restore(*st.Checkpoint)
 		}
 	}
 
-	loop := &eventLoop{
-		Core:     core,
-		cfg:      s.cfg,
-		streams:  admitted,
-		sessions: sessions,
-		sup:      newSupervisor(s.cfg.Chaos, s.cfg.Supervisor, s.cfg.SLOMS, s.cfg.Workers, len(sessions)),
-		index:    newDispatchIndex(len(sessions)),
-		keep:     keep,
-		audit:    audit,
-	}
 	if !s.cfg.ModelOnly {
 		// Model-only runs never submit compute, so they skip the pool (and
 		// its per-worker detector/regressor clones) entirely.
-		loop.StartPool(s.det, s.reg, s.cfg.Workers)
-		defer loop.Close()
+		l.StartPool(s.det, s.reg, s.cfg.Workers)
+		defer l.Close()
 	}
-	loop.run()
+	l.run()
 
-	rep.DurationMS = loop.clockMS
-	m.Set("time/final_ms", loop.clockMS)
-	rep.Streams = make([]StreamReport, 0, len(sessions))
-	for i, sess := range sessions {
-		rep.Streams = append(rep.Streams, StreamReport{
+	rep.DurationMS = l.clockMS
+	m.Set("time/final_ms", l.clockMS)
+	for i, sess := range l.sessions {
+		each(i, StreamReport{
 			ID:         sess.ID,
 			Offered:    len(admitted[i].Frames),
 			Served:     sess.Served,
@@ -365,5 +422,18 @@ func (s *Server) run(streams []Stream, audit func(*eventLoop, bool), keep bool) 
 		})
 		rep.Summary.Add(sess.outputs)
 	}
-	return rep
+}
+
+// release drops every pointer the scratch holds into the run it served, so
+// a pooled scratch keeps nothing of its caller's alive: not the streams (nor,
+// through their checkpoints, whatever holds those), the registry, the fault
+// plan, the outputs and drops handed back or the last-good detections. The
+// slices it keeps hold no pointer out of the scratch: a drained ring is
+// empty, and the agenda and index hold only numbers.
+func (sc *scratch) release() {
+	l := &sc.loop
+	clear(sc.slab[:len(l.sessions)])
+	clear(sc.ladders[:len(l.sessions)])
+	*l = eventLoop{sessions: l.sessions, events: l.events, index: l.index, sup: l.sup}
+	l.sup.events = nil
 }

@@ -127,13 +127,28 @@ func TestGenLoadMatchesMathRand(t *testing.T) {
 	}
 }
 
+// audited serves streams as Run (keep) or Tally (!keep) with the event
+// loop's audit hook installed, and returns the report.
+func audited(s *Server, streams []Stream, audit func(*eventLoop, bool), keep bool) *Report {
+	rep := &Report{}
+	s.run(streams, rep, keep, collect(rep), audit)
+	return rep
+}
+
+// collect is a Tally callback that lists the stream reports in rep.Streams,
+// as Run does.
+func collect(rep *Report) func(int, StreamReport) {
+	return func(_ int, sr StreamReport) { rep.Streams = append(rep.Streams, sr) }
+}
+
 // TestTallyMatchesRun: Tally is Run without the per-frame lists — the same
 // registry, counts and checkpoints, with Outputs and Dropped left nil.
 func TestTallyMatchesRun(t *testing.T) {
 	ds, sys := system(t)
 	cfg := Config{Workers: 1, QueueDepth: 2, SLOMS: 80, Resilient: adascale.DefaultResilientConfig()}
 	ld := load(t, ds, 6, 40, 20, 13)
-	run, tally := newServer(t, sys, cfg).Run(ld), newServer(t, sys, cfg).Tally(ld)
+	run, tally := newServer(t, sys, cfg).Run(ld), &Report{}
+	newServer(t, sys, cfg).Tally(ld, tally, collect(tally))
 	if a, b := run.Metrics.Snapshot(), tally.Metrics.Snapshot(); a != b {
 		t.Fatalf("snapshots diverge:\n--- Run ---\n%s\n--- Tally ---\n%s", a, b)
 	}
@@ -498,12 +513,14 @@ func TestServeNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestTallyAllocsIndependentOfStreams: a model-only Tally allocates per run,
-// not per stream — its sessions, their resilient sessions (budgets inline)
-// and their queue rings each come from one slab, a report checkpoint is a
-// copy of its session's state (no detections to copy when model-only), and
-// no arrival enters the event heap. So 1024 streams cost at most a few
-// allocations more than 64 (slice growth is logarithmic in the stream count).
+// TestTallyAllocsIndependentOfStreams: a model-only Tally into a new report
+// allocates per run, not per stream — its sessions, their resilient
+// sessions (budgets inline) and their queue rings each come from one
+// recycled slab, a report checkpoint is a copy of its session's state (no
+// detections to copy when model-only), and no arrival enters the event
+// heap; the new report's registry and stream slice are what is left. So
+// 1024 streams cost at most a few allocations more than 64 (slice growth is
+// logarithmic in the stream count).
 func TestTallyAllocsIndependentOfStreams(t *testing.T) {
 	ds, sys := system(t)
 	srv := newServer(t, sys, Config{
@@ -511,7 +528,7 @@ func TestTallyAllocsIndependentOfStreams(t *testing.T) {
 	})
 	allocs := func(streams int) float64 {
 		ld := load(t, ds, streams, 30, 4, 13)
-		return testing.AllocsPerRun(5, func() { srv.Tally(ld) })
+		return testing.AllocsPerRun(5, func() { srv.Tally(ld, &Report{}, func(int, StreamReport) {}) })
 	}
 	few, many := allocs(64), allocs(1024)
 	if many-few > 16 {

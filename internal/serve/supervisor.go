@@ -91,28 +91,30 @@ type vworker struct {
 // supervisor is the per-Run supervision state.
 type supervisor struct {
 	watchdogMS float64
-	plan       *faults.SystemPlan
+	events     []faults.SystemEvent // the fault plan's
 	workers    []vworker
 	breakers   []breaker
 	satUntil   float64 // queue-saturation window end (virtual ms)
 }
 
-// newSupervisor builds the supervision state for one Run (nil plan: empty).
-func newSupervisor(plan *faults.SystemPlan, cfg SupervisorConfig, sloMS float64, workers, sessions int) *supervisor {
-	if plan == nil {
-		plan = &faults.SystemPlan{}
+// reset makes s the supervision state of a new Run (nil plan: empty), its
+// worker and breaker slices recycled from the last.
+func (s *supervisor) reset(plan *faults.SystemPlan, cfg SupervisorConfig, sloMS float64, workers, sessions int) {
+	var events []faults.SystemEvent
+	if plan != nil {
+		events = plan.Events
 	}
 	cfg = cfg.withDefaults()
-	s := &supervisor{
+	*s = supervisor{
 		watchdogMS: watchdogMS(sloMS),
-		plan:       plan,
-		workers:    make([]vworker, workers),
-		breakers:   make([]breaker, sessions),
+		events:     events,
+		workers:    resize(s.workers, workers),
+		breakers:   resize(s.breakers, sessions),
 	}
+	clear(s.workers)
 	for i := range s.breakers {
 		s.breakers[i] = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldownMS)
 	}
-	return s
 }
 
 // freeWorker returns the lowest-index idle, alive, unstalled worker at

@@ -258,24 +258,24 @@ func genSnippet(cfg *Config, rng *rand.Rand, id, primaryClass int) Snippet {
 		p := cfg.Classes[class]
 		size := p.SizeFrac * math.Exp(rng.NormFloat64()*p.SizeSpread) * short
 		size = clampF(size, 0.04*short, 0.92*short)
-		aspect := 0.7 + rng.Float64()*0.9
+		aspect := 0.7 + float64(rng.Float64()*0.9)
 		speed := rng.Float64() * 0.02 * short
-		ang := rng.Float64() * 2 * math.Pi
+		ang := float64(rng.Float64()) * 2 * math.Pi
 		tracks[k] = track{
 			obj: Object{
 				ID:        k,
 				Class:     class,
 				Texture:   p.Texture,
-				Intensity: float32(0.55 + rng.Float64()*0.4),
+				Intensity: float32(0.55 + float64(rng.Float64()*0.4)),
 				Speed:     speed,
 			},
 			vx:         math.Cos(ang) * speed,
 			vy:         math.Sin(ang) * speed,
-			growth:     1 + (rng.Float64()-0.5)*0.02,
+			growth:     1 + float64((float64(rng.Float64())-0.5)*0.02),
 			sizeNative: size,
 			aspect:     aspect,
-			cx:         w*0.15 + rng.Float64()*w*0.7,
-			cy:         h*0.15 + rng.Float64()*h*0.7,
+			cx:         float64(w*0.15) + float64(rng.Float64()*w*0.7),
+			cy:         float64(h*0.15) + float64(rng.Float64()*h*0.7),
 			from:       0,
 			to:         cfg.FramesPerSnippet - 1,
 		}
@@ -294,7 +294,7 @@ func genSnippet(cfg *Config, rng *rand.Rand, id, primaryClass int) Snippet {
 		}
 		clutter += p.Clutter
 	}
-	clutter = clampF(clutter/float64(nObj)+rng.NormFloat64()*0.08, 0, 1)
+	clutter = clampF(clutter/float64(nObj)+float64(rng.NormFloat64()*0.08), 0, 1)
 
 	sn := Snippet{ID: id}
 	for t := 0; t < cfg.FramesPerSnippet; t++ {
@@ -320,8 +320,8 @@ func genSnippet(cfg *Config, rng *rand.Rand, id, primaryClass int) Snippet {
 					Intensity: tr.obj.Intensity,
 					Speed:     tr.obj.Speed,
 					Box: detect.Box{
-						X1: tr.cx - bw/2, Y1: tr.cy - bh/2,
-						X2: tr.cx + bw/2, Y2: tr.cy + bh/2,
+						X1: tr.cx - float64(bw/2), Y1: tr.cy - float64(bh/2),
+						X2: tr.cx + float64(bw/2), Y2: tr.cy + float64(bh/2),
 					},
 				})
 			}
@@ -329,8 +329,8 @@ func genSnippet(cfg *Config, rng *rand.Rand, id, primaryClass int) Snippet {
 				maxSpeed = tr.obj.Speed
 			}
 			// Advance the track: drift, bounce off frame borders, drift size.
-			tr.cx += tr.vx + rng.NormFloat64()*0.002*short
-			tr.cy += tr.vy + rng.NormFloat64()*0.002*short
+			tr.cx += tr.vx + float64(rng.NormFloat64()*0.002*short)
+			tr.cy += tr.vy + float64(rng.NormFloat64()*0.002*short)
 			if tr.cx < w*0.1 || tr.cx > w*0.9 {
 				tr.vx = -tr.vx
 				tr.cx = clampF(tr.cx, w*0.1, w*0.9)
@@ -408,11 +408,11 @@ func (f *Frame) RenderInto(buf *raster.Image, renderShort, maxLongNative, render
 	// clutter level. Drawn under the objects.
 	nClutter := int(f.Clutter * 40)
 	for i := 0; i < nClutter; i++ {
-		cx := r.Float64() * float64(rw)
-		cy := r.Float64() * float64(rh)
-		s := (2 + r.Float64()*6) * float64(rw) / 160
+		cx := float64(r.Float64() * float64(rw))
+		cy := float64(r.Float64() * float64(rh))
+		s := (2 + float64(r.Float64()*6)) * float64(rw) / 160
 		tex := raster.Texture(r.Intn(5))
-		im.DrawRect(cx-s/2, cy-s/2, cx+s/2, cy+s/2, tex, float32(0.15+r.Float64()*0.8), 2)
+		im.DrawRect(cx-float64(s/2), cy-float64(s/2), cx+float64(s/2), cy+float64(s/2), tex, float32(0.15+float64(r.Float64()*0.8)), 2)
 	}
 	// Objects.
 	for _, o := range f.Objects {
@@ -426,12 +426,12 @@ func (f *Frame) RenderInto(buf *raster.Image, renderShort, maxLongNative, render
 	if f.Fault != nil {
 		switch f.Fault.Kind {
 		case FaultNoise:
-			noise += 0.2 * f.Fault.Severity
+			noise += float64(0.2 * f.Fault.Severity)
 		case FaultOverexpose:
 			// Push pixels toward saturation before the final clamp.
 			sev := float32(f.Fault.Severity)
 			for i, v := range im.Pix {
-				im.Pix[i] = v + sev*(1.2-v)
+				im.Pix[i] = v + float32(sev*(1.2-v))
 			}
 		}
 	}

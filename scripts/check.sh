@@ -73,8 +73,8 @@ gate "cross-vet" env GOARCH=arm64 go vet ./internal/tensor
 # The regressor trains the same weights, the renderer draws the same pixels,
 # the modelled detector scores the same boxes, the cost model charges the
 # same milliseconds and the serving packages schedule the same virtual
-# instants on those targets too: the packages scripts/nofma.sh lists
-# compile to no fused multiply-add on any of the four.
+# instants on those targets too: no package of the module compiles to a
+# fused multiply-add on any of the four (scripts/nofma.sh).
 gate "nofma" ./scripts/nofma.sh
 # Reachability gate: every non-test function is linked by one of the nine
 # programs (the commands, the examples, the benchmark) or allowlisted with a
@@ -86,6 +86,11 @@ gate "unreached" ./scripts/unreached.sh
 # (e.g. a SetWorkers override surviving a t.Fatal) fails loudly instead
 # of depending on declaration order.
 gate "go-test-race" go test -race -shuffle=on -timeout 60m ./...
+# A DES run recycles its working set and the cluster its node reports and
+# registries: the reuse tests, three times over under the race detector, so
+# a recycled slab that two concurrent node runs share, or a field a reset
+# forgets, fails here rather than in a golden diff.
+gate "reuse-race" go test -race -count=3 -run 'Reuse|ByteIdentical|SteadyState' ./internal/serve ./internal/cluster ./internal/obs
 
 # Brief randomized fuzzing on top of the committed seed corpus — the NMS
 # and evaluator harnesses must hold on degenerate boxes (NaN/Inf

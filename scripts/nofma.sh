@@ -1,24 +1,22 @@
 #!/bin/sh
-# No-fused-multiply-add gate: the scale regressor's packages, the tensor
-# kernels under them, the renderer's raster operations, the box geometry,
-# the modelled detector's responses (rfcn), the loss and AP arithmetic
-# (detect, scaleopt, eval), the modelled cost and its stage split
-# (simclock, adascale) and the serving packages' schedules, fault plans,
-# quantiles and rate limits (serve, cluster, faults, obs, server) must
-# compile to no fused multiply-add on any architecture whose compiler fuses.
+# No-fused-multiply-add gate: no package of the module may compile to a fused
+# multiply-add on any architecture whose compiler fuses, so every program
+# computes the same bits on every machine: the regressor's training, the
+# renderer and the corpus it draws, the modelled detector, the metrics, the
+# schedules and the experiments' own arithmetic.
 #
 # Go lets a compiler fuse x*y + z into one instruction that rounds once where
 # the source rounds twice; gc does so on arm64, ppc64le, s390x and riscv64
 # (never on amd64), so the same source would train different weights there.
 # An explicit conversion, float32(x*y) or float64(x*y), rounds the product
 # and forbids the fusion (Go spec, "Arithmetic operators"). This script
-# compiles the packages below for those four targets with -gcflags=-S (no
+# compiles every package for those four targets with -gcflags=-S (no
 # emulator needed) and fails, naming each source line, on any instruction of
 # the FMADD/FMSUB/FNMADD/FNMSUB families.
 set -eu
 cd "$(dirname "$0")/.."
 
-pkgs="./internal/nn ./internal/regressor ./internal/tensor ./internal/raster ./internal/detect ./internal/rfcn ./internal/scaleopt ./internal/eval ./internal/simclock ./internal/adascale ./internal/serve ./internal/cluster ./internal/faults ./internal/obs ./internal/server"
+pkgs="./..."
 
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
