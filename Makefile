@@ -41,7 +41,9 @@ bench:
 # plain and under chaos: the curve the dispatch index keeps flat) and with
 # real compute at des_serve's shape (ServeRun), a quarter-size cluster_model
 # fleet (ClusterRun: ns, allocs and bytes per frame and GCs per Run, node
-# runs fanned out over both CPUs), a 32-item no-op batch on parallel.Pool
+# runs fanned out over both CPUs), its placement alone (RingAssign: 12 000
+# keys on 16 nodes after 3 joins, ns per key and allocs), a 32-item no-op
+# batch on parallel.Pool
 # (Map: ns and allocs per item at workers 1 and 2), one metric sample
 # through a resolved handle vs by name (Metrics: inc, setmax, observe), the
 # random stream with math/rand's figure beside each (seed + 12 draws, a
@@ -55,6 +57,7 @@ microbench:
 	$(GO) test -run=^$$ -bench=Fit -benchtime=3x -cpu 1 ./internal/regressor
 	$(GO) test -run=^$$ -bench='SchedulerModelOnly|ServeRun' -benchtime=3x ./internal/serve
 	$(GO) test -run=^$$ -bench=ClusterRun -benchtime=3x ./internal/cluster
+	$(GO) test -run=^$$ -bench=RingAssign -benchmem ./internal/cluster
 	$(GO) test -run=^$$ -bench=Map -benchmem ./internal/parallel
 	$(GO) test -run=^$$ -bench=Metrics -benchmem ./internal/obs
 	$(GO) test -run=^$$ -bench=. -cpu 1 ./internal/rng

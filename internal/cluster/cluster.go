@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"adascale/internal/adascale"
 	"adascale/internal/faults"
@@ -28,10 +30,8 @@ import (
 // serve scheduler already guarantees. Streams carry their resilient-session
 // checkpoints between epochs and across nodes, so a migrated or failed-over
 // stream resumes its scale ladder, last-good detections and deadline budget
-// exactly where it left them. Node runs restart every epoch, so they
-// recycle: each draws the serve layer's pooled working set, each node
-// tallies into one report kept for the run (its registry reset every
-// epoch), and the epoch's work lists and placement slices are reused.
+// exactly where it left them. Nothing is rebuilt per run or per epoch: a
+// Run's state comes from runPool, a node run's from the serve layer's pool.
 
 // Config parameterises a cluster run.
 type Config struct {
@@ -108,11 +108,13 @@ func New(det *rfcn.Detector, reg *regressor.Regressor, cfg Config) (*Cluster, er
 }
 
 // runState is the mutable state of one cluster run. Per-stream state is
-// indexed by the stream's position in the ID-sorted stream list, per-node
-// state by node ID (addNode mints IDs densely). The epoch's work lists,
-// placement slices and node reports are recycled from epoch to epoch.
+// indexed by the stream's position in ordered, per-node state by node ID
+// (addNode mints IDs densely). Runs take one from runPool and put it back,
+// so every part grows to the largest run it has served; reset readies it.
 type runState struct {
-	ring       *Ring
+	ordered    []serve.Stream               // the streams by ID, each one's frames in arrival order (loadgen's)
+	cursor     []int                        // the stream's next frame to serve
+	ring       Ring                         // the placement ring
 	down       []float64                    // node -> virtual instant it comes back up, 0 while not down
 	chaosFor   [][]faults.SystemEvent       // node -> blackouts injected this epoch
 	nodeRep    []serve.Report               // node -> its last Tally: registry and duration
@@ -125,7 +127,49 @@ type runState struct {
 	owner      []int                        // place: keys[j]'s node on the ring
 	load       []int                        // place: streams per node ID
 	work       []nodeEpoch                  // runEpoch: one per up node
+	slotOf     []int                        // runEpoch: node ID -> its work list
 	rep        *Report
+}
+
+var runPool = sync.Pool{New: func() any { return new(runState) }}
+
+// reset readies a recycled state for a run of streams into rep, counts the
+// streams and frames into rep, and returns the last arrival.
+func (st *runState) reset(streams []serve.Stream, rep *Report) (horizon float64) {
+	st.ordered = append(st.ordered[:0], streams...)
+	slices.SortFunc(st.ordered, func(a, b serve.Stream) int { return cmp.Compare(a.ID, b.ID) })
+	n := len(st.ordered)
+	st.checkpoint, st.resumed = resize(st.checkpoint, n), resize(st.resumed, n)
+	st.assign, st.prevAssign, st.cursor = resize(st.assign, n), resize(st.prevAssign, n), resize(st.cursor, n)
+	rep.Streams = n
+	for i, s := range st.ordered {
+		rep.Offered += len(s.Frames)
+		if f := len(s.Frames); f > 0 && s.Frames[f-1].ArrivalMS > horizon {
+			horizon = s.Frames[f-1].ArrivalMS
+		}
+		if st.resumed[i] = s.Checkpoint != nil; st.resumed[i] {
+			st.checkpoint[i] = *s.Checkpoint
+		}
+		st.prevAssign[i], st.cursor[i] = -1, 0
+	}
+	st.ring.nodes, st.ring.points = st.ring.nodes[:0], st.ring.points[:0]
+	st.down, st.chaosFor, st.nodeRep = st.down[:0], st.chaosFor[:0], st.nodeRep[:0]
+	st.rep = rep
+	return horizon
+}
+
+// release drops every pointer into the finished run — frames, checkpoints,
+// the report — so a pooled state pins none of it.
+func (st *runState) release() {
+	clear(st.ordered)
+	clear(st.checkpoint)
+	work := st.work[:cap(st.work)] // an epoch with more nodes filled the tail
+	for i := range work {
+		clear(work[i].streams[:cap(work[i].streams)])
+		work[i].chaos = nil
+	}
+	clear(st.chaosFor)
+	st.rep = nil
 }
 
 // addNode mints the next node ID and puts the node on the ring. Run's
@@ -134,7 +178,7 @@ func (st *runState) addNode() {
 	n := len(st.down)
 	st.down = append(st.down, 0)
 	st.chaosFor = append(st.chaosFor, nil)
-	st.nodeRep = append(st.nodeRep, serve.Report{})
+	st.nodeRep = slices.Grow(st.nodeRep, 1)[:n+1] // a recycled report keeps its registry; Tally resets it
 	st.rep.PerNode = append(st.rep.PerNode, NodeReport{Node: n})
 	st.ring.Add(n)
 }
@@ -145,45 +189,28 @@ func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // Run shards the streams across the cluster and serves them to completion.
 func (c *Cluster) Run(streams []serve.Stream) *Report {
+	st := runPool.Get().(*runState)
+	rep := c.runOn(st, streams)
+	runPool.Put(st) // not deferred: a run that panicked leaves its state to the collector
+	return rep
+}
+
+// runOn is Run on the given state. Every part of it is reset before use and
+// every pointer into the run dropped after, so a recycled state serves a run
+// exactly as a new one would (TestClusterRunReuseMatchesCold).
+func (c *Cluster) runOn(st *runState, streams []serve.Stream) *Report {
 	cfg := c.cfg
 	rep := &Report{InitialNodes: cfg.Nodes, Metrics: obs.NewMetrics()}
-	// Sort streams by ID and index their frames; loadgen emits frames in
-	// arrival order per stream, which the epoch slicing relies on.
-	ordered := append([]serve.Stream(nil), streams...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
-	st := &runState{
-		ring:       NewRing(RingConfig{}),
-		checkpoint: make([]adascale.SessionCheckpoint, len(ordered)),
-		resumed:    make([]bool, len(ordered)),
-		assign:     make([]int, len(ordered)),
-		prevAssign: make([]int, len(ordered)),
-		rep:        rep,
-	}
+	horizon := st.reset(streams, rep)
 	for n := 0; n < cfg.Nodes; n++ {
 		st.addNode()
 	}
-	horizon := 0.0
-	cursor := make([]int, len(ordered))
-	for i, s := range ordered {
-		rep.Streams++
-		rep.Offered += len(s.Frames)
-		if n := len(s.Frames); n > 0 && s.Frames[n-1].ArrivalMS > horizon {
-			horizon = s.Frames[n-1].ArrivalMS
-		}
-		if s.Checkpoint != nil {
-			st.checkpoint[i], st.resumed[i] = *s.Checkpoint, true
-		}
-		st.prevAssign[i] = -1
+	if rep.Offered > 0 {
+		rep.Epochs = int(horizon/cfg.EpochMS) + 1
 	}
-	if rep.Offered == 0 {
-		rep.FinalNodes = st.ring.Len()
-		return rep
-	}
-	epochs := int(horizon/cfg.EpochMS) + 1
-	rep.Epochs = epochs
 
 	eventIdx := 0
-	for epoch := 0; epoch < epochs; epoch++ {
+	for epoch := 0; epoch < rep.Epochs; epoch++ {
 		start := float64(float64(epoch) * cfg.EpochMS)
 		end := start + cfg.EpochMS
 		clear(st.chaosFor)
@@ -196,12 +223,13 @@ func (c *Cluster) Run(streams []serve.Stream) *Report {
 			}
 		}
 
-		c.place(st, ordered, cursor)
-		c.runEpoch(st, ordered, cursor, end)
+		c.place(st)
+		c.runEpoch(st, end)
 		st.assign, st.prevAssign = st.prevAssign, st.assign
 	}
 
 	rep.FinalNodes = st.ring.Len()
+	st.release()
 	return rep
 }
 
@@ -283,14 +311,14 @@ func (c *Cluster) apply(st *runState, e Event, epochEndMS float64) {
 // the previous epoch's placement: a stream that has already served
 // somewhere (it has a checkpoint) and lands on a different node is a
 // migration; if its old node is gone from the ring it is a failover.
-func (c *Cluster) place(st *runState, ordered []serve.Stream, cursor []int) {
-	assign := st.assign // stream position -> node, -1 if drained
+func (c *Cluster) place(st *runState) {
+	ordered, assign := st.ordered, st.assign // assign: stream position -> node, -1 if drained
 	// The streams with frames left, at most all of them: keys[j] is the ID
 	// of the stream at position at[j].
 	keys, at := resize(st.keys, len(ordered))[:0], resize(st.at, len(ordered))[:0]
 	for i, s := range ordered {
 		assign[i] = -1
-		if cursor[i] < len(s.Frames) {
+		if st.cursor[i] < len(s.Frames) {
 			keys = append(keys, s.ID)
 			at = append(at, i)
 		}
@@ -315,7 +343,7 @@ func (c *Cluster) place(st *runState, ordered []serve.Stream, cursor []int) {
 			continue // no such stream, or it has already drained
 		}
 		n := assign[i]
-		if t := leastLoaded(st.ring, load, n); t >= 0 {
+		if t := leastLoaded(&st.ring, load, n); t >= 0 {
 			assign[i] = t
 			load[n]--
 			load[t]++
@@ -354,8 +382,8 @@ func leastLoaded(ring *Ring, load []int, exclude int) int {
 // epoch.
 type nodeEpoch struct {
 	node    int
-	streams []serve.Stream
-	at      []int // stream position of streams[j]
+	streams []serve.Stream // the windows runNode cuts
+	at      []int          // stream positions placed on the node; then streams[j]'s
 	chaos   []faults.SystemEvent
 
 	served, dropped, sloMisses int
@@ -366,37 +394,25 @@ type nodeEpoch struct {
 // endMS and folds the results into the cluster report.
 //
 // The node runs are independent simulations, so they fan out over
-// parallel.Workers() goroutines. Each folds its own streams' results (counts
-// and checkpoints, disjoint by stream) and hands back its registry, which is
-// merged here in ring order: histogram means are float sums, so the merge
-// order is part of the snapshot.
-func (c *Cluster) runEpoch(st *runState, ordered []serve.Stream, cursor []int, endMS float64) {
-	// Slice each stream's frames for the window and group by node.
-	st.work = resize(st.work, st.ring.Len())
+// parallel.Workers() goroutines. Here, serially, the placed streams are only
+// grouped by node; each node run cuts its own streams' windows and folds
+// their results (cursors, counts and checkpoints, disjoint by stream) and
+// hands back its registry, which is merged here in ring order: histogram
+// means are float sums, so the merge order is part of the snapshot.
+func (c *Cluster) runEpoch(st *runState, endMS float64) {
+	st.work, st.slotOf = resize(st.work, st.ring.Len()), resize(st.slotOf, len(st.down))
 	for s, n := range st.ring.Nodes() {
 		w := &st.work[s]
 		*w = nodeEpoch{node: n, streams: w.streams[:0], at: w.at[:0], chaos: st.chaosFor[n]}
+		st.slotOf[n] = s
 	}
-	for i := range ordered {
-		s := &ordered[i]
-		lo := cursor[i]
-		hi := lo
-		for hi < len(s.Frames) && s.Frames[hi].ArrivalMS < endMS {
-			hi++
+	for i, n := range st.assign {
+		if n >= 0 {
+			w := &st.work[st.slotOf[n]]
+			w.at = append(w.at, i)
 		}
-		if hi == lo {
-			continue
-		}
-		cursor[i] = hi
-		var cp *adascale.SessionCheckpoint
-		if st.resumed[i] {
-			cp = &st.checkpoint[i]
-		}
-		w := &st.work[st.ring.slot(st.assign[i])]
-		w.streams = append(w.streams, serve.Stream{ID: s.ID, Frames: s.Frames[lo:hi], Checkpoint: cp})
-		w.at = append(w.at, i)
 	}
-	regs := parallel.Map(len(st.work), func(i int) *obs.Metrics { return c.runNode(st, &st.work[i]) })
+	regs := parallel.Map(len(st.work), func(i int) *obs.Metrics { return c.runNode(st, &st.work[i], endMS) })
 	for i := range st.work {
 		w := &st.work[i]
 		if regs[i] == nil {
@@ -415,10 +431,31 @@ func (c *Cluster) runEpoch(st *runState, ordered []serve.Stream, cursor []int, e
 	}
 }
 
-// runNode tallies one node's epoch into the node's report and folds its
-// streams' results into w and st.checkpoint — no other node run touches
-// either. It returns the node's registry; nil if the node is idle.
-func (c *Cluster) runNode(st *runState, w *nodeEpoch) *obs.Metrics {
+// runNode cuts the windows of the node's streams — their frames arriving
+// before endMS — tallies the node's epoch into its report and folds its
+// streams' results into w and their per-stream state; no other node run
+// touches either. It returns the node's registry; nil if the node is idle.
+func (c *Cluster) runNode(st *runState, w *nodeEpoch, endMS float64) *obs.Metrics {
+	at := w.at[:0] // the streams with frames in the window
+	for _, i := range w.at {
+		s := &st.ordered[i]
+		lo := st.cursor[i]
+		hi := lo
+		for hi < len(s.Frames) && s.Frames[hi].ArrivalMS < endMS {
+			hi++
+		}
+		if hi == lo {
+			continue
+		}
+		st.cursor[i] = hi
+		var cp *adascale.SessionCheckpoint
+		if st.resumed[i] {
+			cp = &st.checkpoint[i]
+		}
+		w.streams = append(w.streams, serve.Stream{ID: s.ID, Frames: s.Frames[lo:hi], Checkpoint: cp})
+		at = append(at, i)
+	}
+	w.at = at
 	if len(w.streams) == 0 && w.chaos == nil {
 		return nil
 	}

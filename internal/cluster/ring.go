@@ -11,12 +11,17 @@
 // is what makes the conservation invariant (offered == served + dropped,
 // zero frames lost across migrations) testable as an exact equality rather
 // than a statistical claim.
+//
+// A Run is serial only where it must be: membership, placement (a start
+// table finds each key's first ring point) and grouping the streams by
+// node. The node runs cut their own windows and run in parallel, and a
+// Run's whole working set is recycled from Run to Run.
 package cluster
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"adascale/internal/rng"
 )
@@ -64,8 +69,8 @@ type Ring struct {
 	points []ringPoint // sorted by (hash, node)
 
 	// assign's working set, recycled call after call.
-	order, load []int
-	seen        []bool
+	order, load, seen, slots []int
+	start                    startTable
 }
 
 // NewRing builds an empty ring.
@@ -82,51 +87,83 @@ func (r *Ring) Len() int { return len(r.nodes) }
 
 // Has reports whether the node is on the ring.
 func (r *Ring) Has(node int) bool {
-	i := sort.SearchInts(r.nodes, node)
-	return i < len(r.nodes) && r.nodes[i] == node
+	_, ok := slices.BinarySearch(r.nodes, node)
+	return ok
 }
 
-// Add places a node on the ring. Adding a present node is a no-op.
+// Add places a node on the ring. Adding a present node is a no-op. Only the
+// node's own points are sorted; they are merged into the sorted list from
+// its end.
 func (r *Ring) Add(node int) {
-	if r.Has(node) {
+	i, ok := slices.BinarySearch(r.nodes, node)
+	if ok {
 		return
 	}
-	i := sort.SearchInts(r.nodes, node)
-	r.nodes = append(r.nodes, 0)
-	copy(r.nodes[i+1:], r.nodes[i:])
-	r.nodes[i] = node
-	for rep := 0; rep < ringReplicas; rep++ {
-		r.points = append(r.points, ringPoint{hash: ringHash(r.cfg.Seed, uint64(node), uint64(rep), 0xA11CE), node: node})
+	r.nodes = slices.Insert(r.nodes, i, node)
+	var fresh [ringReplicas]ringPoint
+	for rep := range fresh {
+		fresh[rep] = ringPoint{hash: ringHash(r.cfg.Seed, uint64(node), uint64(rep), 0xA11CE), node: node}
 	}
-	sortPoints(r.points)
+	slices.SortFunc(fresh[:], comparePoints)
+	old := len(r.points)
+	r.points = slices.Grow(r.points, ringReplicas)[:old+ringReplicas]
+	for k, o, f := len(r.points)-1, old-1, ringReplicas-1; f >= 0; k-- {
+		if o >= 0 && comparePoints(r.points[o], fresh[f]) > 0 {
+			r.points[k], o = r.points[o], o-1
+		} else {
+			r.points[k], f = fresh[f], f-1
+		}
+	}
 }
 
 // Remove takes a node off the ring. Removing an absent node is a no-op.
 func (r *Ring) Remove(node int) {
-	if !r.Has(node) {
+	i, ok := slices.BinarySearch(r.nodes, node)
+	if !ok {
 		return
 	}
-	i := sort.SearchInts(r.nodes, node)
-	r.nodes = append(r.nodes[:i], r.nodes[i+1:]...)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
+	r.nodes = slices.Delete(r.nodes, i, i+1)
+	r.points = slices.DeleteFunc(r.points, func(p ringPoint) bool { return p.node == node })
 }
 
-// sortPoints orders ring points by (hash, node) — the node tiebreak keeps
-// the walk order deterministic even on (astronomically unlikely) hash
+// comparePoints orders ring points by (hash, node) — the node tiebreak
+// keeps the walk order deterministic even on (astronomically unlikely) hash
 // collisions.
-func sortPoints(ps []ringPoint) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].hash != ps[j].hash {
-			return ps[i].hash < ps[j].hash
+func comparePoints(a, b ringPoint) int {
+	if a.hash != b.hash {
+		return cmp.Compare(a.hash, b.hash)
+	}
+	return cmp.Compare(a.node, b.node)
+}
+
+// startTable finds a key's first point in points sorted by hash: first[x]
+// is the first point whose hash's top b bits are ≥ x, with 2^b ≥
+// len(points), so a search scans about one point past where it starts.
+type startTable struct {
+	first []int
+	shift uint // 64 − b
+}
+
+func (t *startTable) build(ps []ringPoint) {
+	b := bits.Len(uint(max(len(ps), 1) - 1)) // the least b with 2^b ≥ len(ps)
+	t.shift, t.first = uint(64-b), resize(t.first, 1<<b)
+	i := 0
+	for x := range t.first {
+		for i < len(ps) && ps[i].hash>>t.shift < uint64(x) {
+			i++
 		}
-		return ps[i].node < ps[j].node
-	})
+		t.first[x] = i
+	}
+}
+
+// search returns the first point of ps, the list built on, with hash ≥ h,
+// or len(ps) if h is above every point, as sort.Search does.
+func (t *startTable) search(ps []ringPoint, h uint64) int {
+	i := t.first[h>>t.shift]
+	for i < len(ps) && ps[i].hash < h {
+		i++
+	}
+	return i
 }
 
 // Cap returns the bounded-load per-node cap for k keys: the maximum of
@@ -159,31 +196,40 @@ func (r *Ring) assign(out, keys []int) []int {
 		panic("cluster: assigning streams on an empty ring")
 	}
 	order := resize(r.order, len(keys)) // positions in keys, ascending by key
+	ascending := true
 	for j := range order {
 		order[j] = j
+		ascending = ascending && (j == 0 || keys[j-1] < keys[j])
 	}
-	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(keys[a], keys[b]) })
+	if !ascending { // distinct ascending keys, such as place's, are in order
+		slices.SortFunc(order, func(a, b int) int { return cmp.Compare(keys[a], keys[b]) })
+	}
 	cap := r.Cap(len(keys))
-	// Both indexed by a node's position in r.nodes; seen is the walk's
-	// visited set, reused key after key.
+	// Both indexed by a node's position in r.nodes; seen[s] is the last
+	// walk that visited it, numbered from 1. slots[p] is points[p]'s node's
+	// position.
 	load, seen := resize(r.load, len(r.nodes)), resize(r.seen, len(r.nodes))
-	r.order, r.load, r.seen = order, load, seen
+	slots := resize(r.slots, len(r.points))
+	for p, pt := range r.points {
+		slots[p], _ = slices.BinarySearch(r.nodes, pt.node)
+	}
+	r.start.build(r.points)
+	r.order, r.load, r.seen, r.slots = order, load, seen, slots
 	clear(load)
-	for _, j := range order {
+	clear(seen)
+	for walk, j := range order {
 		k := keys[j]
 		// Walk clockwise from the key's position to the first node under
 		// cap. If every node is at cap (impossible when cap·M ≥ K) the key
 		// goes to the first one, its unbounded owner.
-		h := ringHash(r.cfg.Seed, uint64(k), 0, 0x5EED)
-		i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-		slot := r.slot(r.points[i%len(r.points)].node)
-		clear(seen)
-		for off, visited := 0, 0; off < len(r.points) && visited < len(r.nodes); off++ {
-			s := r.slot(r.points[(i+off)%len(r.points)].node)
-			if seen[s] {
+		i := r.start.search(r.points, ringHash(r.cfg.Seed, uint64(k), 0, 0x5EED))
+		slot := slots[i%len(slots)]
+		for off, visited := 0, 0; off < len(slots) && visited < len(r.nodes); off++ {
+			s := slots[(i+off)%len(slots)]
+			if seen[s] == walk+1 {
 				continue
 			}
-			seen[s] = true
+			seen[s] = walk + 1
 			visited++
 			if load[s] < cap {
 				slot = s
@@ -195,9 +241,6 @@ func (r *Ring) assign(out, keys []int) []int {
 	}
 	return out
 }
-
-// slot is a node's position in r.nodes.
-func (r *Ring) slot(node int) int { return sort.SearchInts(r.nodes, node) }
 
 // ringHash mixes the seed and identifiers through a splitmix64-style
 // finaliser — the same hashing idiom the fault and load layers use, kept

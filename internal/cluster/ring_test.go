@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -242,4 +246,204 @@ func TestRingAddRemoveIdempotent(t *testing.T) {
 	if r.Has(2) || r.Len() != 3 {
 		t.Fatalf("remove failed: has=%v len=%d", r.Has(2), r.Len())
 	}
+}
+
+// assignBySearch is the bounded-load walk as first written, kept as the
+// oracle for assign: a key's first point by sort.Search over every point,
+// and every visited point's node position by sort.SearchInts.
+func assignBySearch(r *Ring, keys []int) []int {
+	out := make([]int, len(keys))
+	order := make([]int, len(keys))
+	for j := range order {
+		order[j] = j
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(keys[a], keys[b]) })
+	cap := r.Cap(len(keys))
+	load, seen := make([]int, len(r.nodes)), make([]bool, len(r.nodes))
+	slot := func(node int) int { return sort.SearchInts(r.nodes, node) }
+	for _, j := range order {
+		h := ringHash(r.cfg.Seed, uint64(keys[j]), 0, 0x5EED)
+		i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+		owner := slot(r.points[i%len(r.points)].node)
+		clear(seen)
+		for off, visited := 0, 0; off < len(r.points) && visited < len(r.nodes); off++ {
+			s := slot(r.points[(i+off)%len(r.points)].node)
+			if seen[s] {
+				continue
+			}
+			seen[s] = true
+			visited++
+			if load[s] < cap {
+				owner = s
+				break
+			}
+		}
+		load[owner]++
+		out[j] = r.nodes[owner]
+	}
+	return out
+}
+
+// checkRingMatchesOracle holds the ring's points to every member's points
+// sorted afresh, and assign — into a recycled output, on the ring's
+// recycled working set — to assignBySearch.
+func checkRingMatchesOracle(t *testing.T, r *Ring, keys []int) {
+	t.Helper()
+	var want []ringPoint
+	for _, n := range r.nodes {
+		for rep := 0; rep < ringReplicas; rep++ {
+			want = append(want, ringPoint{hash: ringHash(r.cfg.Seed, uint64(n), uint64(rep), 0xA11CE), node: n})
+		}
+	}
+	slices.SortFunc(want, comparePoints)
+	if !slices.Equal(r.points, want) {
+		t.Fatalf("nodes %v: the merged points differ from the sorted points", r.nodes)
+	}
+	out := make([]int, len(keys))
+	for j := range out {
+		out[j] = math.MinInt // assign must write every element
+	}
+	out = r.assign(out, keys)
+	for j, want := range assignBySearch(r, keys) {
+		if out[j] != want {
+			t.Fatalf("nodes %v, %d keys: key %d (position %d) assigned to node %d, the search walk says %d",
+				r.nodes, len(keys), keys[j], j, out[j], want)
+		}
+	}
+}
+
+// randomKeys draws a key set: empty, single, ascending, unsorted, with
+// repeats (in order or not), negative.
+func randomKeys(rng *rand.Rand) []int {
+	kind := rng.Intn(7)
+	switch kind {
+	case 0:
+		return nil
+	case 1:
+		return []int{rng.Intn(1000) - 500}
+	case 2:
+		return seqKeys(1 + rng.Intn(600))
+	}
+	keys := make([]int, 1+rng.Intn(400))
+	span := 1 + rng.Intn(2*len(keys)) // small spans repeat keys
+	for i := range keys {
+		keys[i] = rng.Intn(span) - span/2
+	}
+	if kind == 3 {
+		slices.Sort(keys)
+	}
+	return keys
+}
+
+// TestRingAssignMatchesSearch holds assign to the search walk on random
+// rings of 1–40 nodes with sparse and negative IDs, built by interleaved
+// adds and removes (present and absent), on every kind of key set.
+func TestRingAssignMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	for trial := 0; trial < 200; trial++ {
+		r := NewRing(RingConfig{Seed: rng.Int63() - math.MaxInt64/2})
+		ids := make([]int, 1+rng.Intn(40))
+		for i := range ids {
+			ids[i] = rng.Intn(4001) - 2000
+		}
+		for op := 0; op < 1+rng.Intn(60); op++ {
+			if n := ids[rng.Intn(len(ids))]; rng.Intn(3) == 0 {
+				r.Remove(n)
+			} else {
+				r.Add(n)
+			}
+			if r.Len() > 0 && rng.Intn(4) == 0 {
+				checkRingMatchesOracle(t, r, randomKeys(rng))
+			}
+		}
+		if r.Len() == 0 {
+			r.Add(ids[0])
+		}
+		checkRingMatchesOracle(t, r, randomKeys(rng))
+	}
+}
+
+// TestStartTableMatchesSearch holds the start lookup to sort.Search on
+// synthetic point lists — repeated hashes, hash 0, MaxUint64, every point
+// in one bucket, 129 zeros — probed at every hash, its neighbours, both ends and above
+// every point (the wrap case, len(points)). One table is rebuilt list after
+// list, shrinking and growing.
+func TestStartTableMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	random := make([]uint64, 1000)
+	for i := range random {
+		random[i] = rng.Uint64() >> uint(rng.Intn(8)) // denser low buckets
+	}
+	bunched := make([]uint64, 300)
+	for i := range bunched {
+		bunched[i] = 1<<60 + uint64(rng.Intn(50))
+	}
+	lists := [][]uint64{
+		{}, {0}, {math.MaxUint64}, {0, 0, 0}, {5, 5, 5, 9},
+		{0, 1, 2, math.MaxUint64 - 1, math.MaxUint64, math.MaxUint64},
+		{1 << 63, 1<<63 - 1, 1<<63 + 1},
+		random, bunched, make([]uint64, 129),
+	}
+	var tab startTable
+	for _, hashes := range lists {
+		ps := make([]ringPoint, len(hashes))
+		for i, h := range hashes {
+			ps[i] = ringPoint{hash: h, node: i}
+		}
+		slices.SortFunc(ps, comparePoints)
+		tab.build(ps)
+		if len(tab.first) < len(ps) {
+			t.Fatalf("%d points: start table of %d entries", len(ps), len(tab.first))
+		}
+		probes := []uint64{0, 1, math.MaxUint64, math.MaxUint64 - 1, 1 << 63}
+		for _, p := range ps {
+			probes = append(probes, p.hash, p.hash-1, p.hash+1)
+		}
+		for i := 0; i < 200; i++ {
+			probes = append(probes, rng.Uint64())
+		}
+		for _, h := range probes {
+			want := sort.Search(len(ps), func(i int) bool { return ps[i].hash >= h })
+			if got := tab.search(ps, h); got != want {
+				t.Fatalf("%d points: search(%#x) = %d, sort.Search = %d", len(ps), h, got, want)
+			}
+		}
+	}
+}
+
+// FuzzRingAssign decodes bytes into ring operations — adds and removes of
+// node IDs from −128 to 127, present or not — and key sets, and holds the
+// points and every assignment to the search walk (checkRingMatchesOracle).
+// The first byte seeds the ring; then each op is two bytes: op%4 0 and 1
+// add int8(arg), 2 removes it, 3 assigns the next arg bytes as int8 keys.
+func FuzzRingAssign(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 0, 3, 0})
+	f.Add([]byte{9, 0, 0xff, 0, 7, 1, 0x80, 3, 5, 1, 2, 3, 0xfe, 1})
+	f.Add([]byte{4, 0, 10, 0, 20, 2, 10, 0, 30, 3, 6, 9, 9, 9, 0x90, 0x90, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		r := NewRing(RingConfig{Seed: int64(int8(data[0]))})
+		for data = data[1:]; len(data) >= 2; {
+			op, arg := data[0], data[1]
+			data = data[2:]
+			switch op % 4 {
+			case 0, 1:
+				r.Add(int(int8(arg)))
+			case 2:
+				r.Remove(int(int8(arg)))
+			case 3:
+				keys := make([]int, min(int(arg), len(data)))
+				for i := range keys {
+					keys[i] = int(int8(data[i]))
+				}
+				data = data[len(keys):]
+				if r.Len() > 0 {
+					checkRingMatchesOracle(t, r, keys)
+				}
+			}
+		}
+	})
 }

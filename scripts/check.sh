@@ -103,6 +103,9 @@ gate "fuzz-loadgen" go test -run='^$' -fuzz='^FuzzLoadgen$' -fuzztime=5s ./inter
 # The bucketed agenda must order any arrivals — ties, ±0, bursts, a far
 # outlier, ±Inf, NaN — exactly as the comparison sort it replaced.
 gate "fuzz-agenda" go test -run='^$' -fuzz='^FuzzAgenda$' -fuzztime=5s ./internal/serve
+# The ring's start table and merged points must place any keys exactly as
+# the sort.Search walk did, on any ring of adds and removes.
+gate "fuzz-ring" go test -run='^$' -fuzz='^FuzzRingAssign$' -fuzztime=5s ./internal/cluster
 # The queue ring must drop, pop and peek exactly as the slice queue it
 # replaced, at any depth schedule.
 gate "fuzz-frame-queue" go test -run='^$' -fuzz='^FuzzFrameQueue$' -fuzztime=5s ./internal/serve
