@@ -39,7 +39,9 @@ bench:
 # then the scheduler alone
 # (model-only Run, ns/frame and allocs/frame at 16 / 1000 / 10000 streams,
 # plain and under chaos: the curve the dispatch index keeps flat) and with
-# real compute at des_serve's shape (ServeRun), a quarter-size cluster_model
+# real compute at des_serve's shape (ServeRun), each with cpus — process CPU
+# time over wall time, how many of the CPUs the run kept busy (ServeRun's
+# reads about 1.9 of 2 with frames computed ahead), a quarter-size cluster_model
 # fleet (ClusterRun: ns, allocs and bytes per frame and GCs per Run, node
 # runs fanned out over both CPUs), its placement alone (RingAssign: 12 000
 # keys on 16 nodes after 3 joins, ns per key and allocs), a 32-item no-op

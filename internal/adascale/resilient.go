@@ -271,8 +271,15 @@ type FramePlan struct {
 // hysteresis), applies it to the target scale, and decides whether the
 // detector runs at all (rung 1). It must be followed by exactly one Finish
 // for the same frame.
-func (s *ResilientSession) Plan(f *synth.Frame) FramePlan {
-	var p FramePlan
+func (s *ResilientSession) Plan(f *synth.Frame) (p FramePlan) {
+	p, s.st.ScaleCap = s.Peek(f)
+	return p
+}
+
+// Peek is Plan without its side effect: the plan Plan would make for f now
+// and the scale cap it would step to, the session left as it is (the serving
+// scheduler computes a stream's next frame ahead at that plan).
+func (s *ResilientSession) Peek(f *synth.Frame) (p FramePlan, scaleCap int) {
 	if f.Fault != nil {
 		p.health.Fault = f.Fault.Kind
 		p.JitterMS = f.Fault.JitterMS
@@ -283,22 +290,23 @@ func (s *ResilientSession) Plan(f *synth.Frame) FramePlan {
 	// headroom (> 50% of the deadline) — the asymmetric hysteresis keeps
 	// the cap from oscillating across a rung whose cost sits just under
 	// the deadline.
+	scaleCap = s.st.ScaleCap
 	if d := s.cfg.DeadlineMS; d > 0 {
 		if s.st.Budget.Exceeded(d) {
-			s.st.ScaleCap = nextLowerScale(s.st.ScaleCap)
-		} else if s.st.Budget.Headroom(d) > 0.5*d && s.st.ScaleCap < regressor.MaxScale {
-			s.st.ScaleCap = nextHigherScale(s.st.ScaleCap)
+			scaleCap = nextLowerScale(scaleCap)
+		} else if s.st.Budget.Headroom(d) > 0.5*d && scaleCap < regressor.MaxScale {
+			scaleCap = nextHigherScale(scaleCap)
 		}
 	}
 	p.Scale = s.st.TargetScale
-	if p.Scale > s.st.ScaleCap {
-		p.Scale = s.st.ScaleCap
+	if p.Scale > scaleCap {
+		p.Scale = scaleCap
 		p.health.DeadlineForced = true
 	}
 
 	// Rung 1: sensor-observable faults never reach the detector.
 	p.Skip = f.Fault.SensorObservable()
-	return p
+	return p, scaleCap
 }
 
 // propagate re-emits the last good detections with confidence decay, or an

@@ -3,7 +3,9 @@ package serve
 import (
 	"fmt"
 	"runtime"
+	"syscall"
 	"testing"
+	"time"
 
 	"adascale/internal/adascale"
 	"adascale/internal/faults"
@@ -61,7 +63,8 @@ func BenchmarkServeRun(b *testing.B) {
 }
 
 // benchRun times b.N Runs of ld and reports ns and allocations per offered
-// frame.
+// frame, and cpus: the process's CPU time (user + system) over the wall
+// time, the number of CPUs kept busy on average.
 func benchRun(b *testing.B, srv *Server, ld []Stream) {
 	frames := 0
 	for _, st := range ld {
@@ -69,6 +72,7 @@ func benchRun(b *testing.B, srv *Server, ld []Stream) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
+	cpu0 := cpuTime(b)
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		if rep := srv.Run(ld); rep.Lost() != 0 {
@@ -76,8 +80,19 @@ func benchRun(b *testing.B, srv *Server, ld []Stream) {
 		}
 	}
 	b.StopTimer()
+	cpu := cpuTime(b) - cpu0
 	runtime.ReadMemStats(&after)
 	total := float64(b.N) * float64(frames)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/frame")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/frame")
+	b.ReportMetric(cpu.Seconds()/b.Elapsed().Seconds(), "cpus")
+}
+
+// cpuTime is the process's user + system CPU time so far.
+func cpuTime(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

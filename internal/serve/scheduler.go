@@ -22,13 +22,14 @@ import (
 // at t; faults sort between them so a kill at t hits the post-completion
 // state; ticks sort last so a snapshot at t observes all of t's work.
 //
-// Real compute runs ahead asynchronously on the parallel.Pool; the loop
-// blocks on a frame's result only when its virtual completion fires. Each
-// frame on the pool holds one virtual worker (checkWorkers), so a Submit
-// can never deadlock behind jobs whose results the loop has not yet
-// consumed. A dispatch invalidated by a fault abandons the lane's job and
-// its buffered result channel (Lane.Abandon) — the real worker never
-// blocks sending into it, and the stream's next dispatch gets a fresh one.
+// Real compute runs ahead on the parallel.Pool: a stream's next frame goes
+// to the pool when the frame before it settles (computeAhead), and the loop
+// blocks on a result only at its frame's virtual completion. The pool holds
+// up to a job per stream, more than the virtual workers, yet cannot deadlock:
+// each lane delivers into its own buffered channel and submits again only
+// once it has received or abandoned (Lane.Abandon) its result — as a dispatch
+// does whose frame or scale is not the one computed ahead, or which a fault
+// invalidates.
 const (
 	kindCompletion = iota
 	kindFault
@@ -226,6 +227,8 @@ type eventLoop struct {
 	dispatchSeq int
 	keep        bool // Run: sessions list their outputs and drops; Tally: counts only
 
+	aheadHits, aheadWaste int // frames computed ahead, claimed and abandoned (tests read them)
+
 	// audit, when non-nil, is called after every event (picking false) and
 	// at the top of every dispatch iteration (picking true). Tests only.
 	audit func(l *eventLoop, picking bool)
@@ -239,6 +242,9 @@ func (l *eventLoop) run() {
 	}
 	if l.cfg.TickMS > 0 && l.cfg.OnTick != nil {
 		l.events.push(event{timeMS: l.cfg.TickMS, kind: kindTick})
+	}
+	for i := range l.sessions {
+		l.computeAhead(i)
 	}
 	for l.events.len() > 0 {
 		ev := l.events.pop()
@@ -373,7 +379,7 @@ func (l *eventLoop) dispatchShed(i int) {
 		inf = l.open(s)
 	}
 	inf.shed = true
-	inf.res = nil
+	inf.res = l.claimAhead(s, inf, false)
 	if !inf.plan.Skip {
 		l.Metrics.Inc("breaker/shed", 1)
 	}
@@ -385,13 +391,12 @@ func (l *eventLoop) dispatchShed(i int) {
 // dispatch — a retry keeps both.
 func (l *eventLoop) open(s *session) *inflightFrame {
 	tf := s.queue.Pop()
-	plan := s.Sess.Plan(tf.Frame)
 	inf := &s.rec
-	*inf = inflightFrame{
-		frame: tf.Frame, plan: plan, arrivalMS: tf.ArrivalMS, startMS: l.clockMS,
-		serviceMS: s.Sess.CostMS(tf.Frame, plan),
-		worker:    noWorker, firstFailMS: -1,
-	}
+	// Field by field, not as one record: the dispatch and place write the rest.
+	inf.frame, inf.arrivalMS, inf.startMS = tf.Frame, tf.ArrivalMS, l.clockMS
+	inf.plan = s.Sess.Plan(tf.Frame)
+	inf.serviceMS = s.Sess.CostMS(tf.Frame, inf.plan)
+	inf.attempts, inf.firstFailMS = 0, -1
 	s.inflight = inf
 	l.ObserveWait(l.clockMS - tf.ArrivalMS)
 	return inf
@@ -415,15 +420,54 @@ func (l *eventLoop) redispatch(i, w int) {
 // dispatches never reach here — dispatch routes open-breaker streams
 // through dispatchShed before a worker is claimed.
 func (l *eventLoop) dispatchInflight(i, w int, inf *inflightFrame) {
+	s := l.sessions[i]
 	inf.shed = false
-	inf.res = nil
+	inf.res = l.claimAhead(s, inf, !inf.plan.Skip)
 	// Rung 1: a sensor-observable fault never reaches a worker. Model-only
 	// runs leave inf.res nil too, so settle takes the propagation path: pure
 	// bookkeeping on the virtual clock, no detector compute.
-	if !inf.plan.Skip && !l.cfg.ModelOnly {
-		inf.res = l.Submit(&l.sessions[i].Lane, inf.frame, inf.plan.Scale)
+	if inf.res == nil && !inf.plan.Skip && !l.cfg.ModelOnly {
+		inf.res = l.Submit(&s.Lane, inf.frame, inf.plan.Scale)
 	}
 	l.place(i, inf, w, inf.serviceMS)
+}
+
+// computeAhead submits session index i's next frame to the pool at the scale
+// its plan would take now (Peek): the queue holds the latest arrivals, so its
+// head, or with none waiting the next arrival, is frame Offered − Len. Once
+// the frames before it have settled, a frame's compute is fixed, and it runs
+// while the loop works through the virtual time before its dispatch.
+func (l *eventLoop) computeAhead(i int) {
+	if l.cfg.ModelOnly {
+		return
+	}
+	s, frames := l.sessions[i], l.streams[i].Frames
+	if k := s.Offered - s.queue.Len(); k < len(frames) {
+		f := frames[k].Frame
+		if p, _ := s.Sess.Peek(f); !p.Skip {
+			s.ahead.frame, s.ahead.scale = f, p.Scale
+			s.ahead.res = l.submit(&s.Lane, f, p.Scale, true)
+		}
+	}
+}
+
+// claimAhead returns the channel of the job computed ahead for session s if
+// it is inf's frame at inf's scale and the dispatch computes (use); any other
+// is abandoned. A claimed job that panicked before its dispatch counts here.
+func (l *eventLoop) claimAhead(s *session, inf *inflightFrame, use bool) (res <-chan Result) {
+	if res, s.ahead.res = s.ahead.res, nil; res == nil {
+		return nil
+	}
+	if use && s.ahead.frame == inf.frame && s.ahead.scale == inf.plan.Scale {
+		l.aheadHits++
+		if !s.job.ahead.CompareAndSwap(true, false) {
+			l.Metrics.Inc("pool/panic_rebuild", 1)
+		}
+		return res
+	}
+	l.aheadWaste++
+	s.Abandon()
+	return nil
 }
 
 // place assigns the dispatch a fresh ID, occupies worker w (shed
@@ -457,9 +501,9 @@ func (l *eventLoop) freeDispatch(inf *inflightFrame) {
 }
 
 // checkWorkers verifies that the workers holding a dispatch and the frames
-// on the pool (in flight, not shed) map one to one: each such frame's
-// worker holds its dispatch, and no other worker holds one. So at most
-// Workers frames are in service, and Submit never deadlocks.
+// in service (in flight, not shed) map one to one: each such frame's worker
+// holds its dispatch, and no other worker holds one. So at most Workers
+// frames are in virtual service; the pool also computes frames ahead.
 func (l *eventLoop) checkWorkers() error {
 	held := 0
 	for i := range l.sup.workers {
@@ -533,6 +577,7 @@ func (l *eventLoop) settle(i int, inf *inflightFrame, res Result) {
 		l.Metrics.Observe("recovery/ms", l.clockMS-inf.firstFailMS)
 	}
 	l.touch(i)
+	l.computeAhead(i)
 }
 
 // fault applies one system fault event (seq indexes the plan), or — for

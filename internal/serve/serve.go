@@ -12,12 +12,12 @@
 // — frame latency percentiles, queue depths, drops, SLO misses — is
 // derived from virtual timestamps. Real CPU work (the behavioural
 // detector and the regressor forward pass) still fans out across real
-// goroutines with per-worker clones; only its *scheduling* is virtual.
-// The event loop consumes each result at the frame's virtual completion,
-// so the served output stream, the final metrics registry and its text
-// snapshot are byte-identical across runs and machine core counts — the
-// determinism contract the serving experiments and the serve-smoke gate
-// assert.
+// goroutines with per-worker clones, a stream's next frame computing as soon
+// as its plan is fixed; only its *scheduling* is virtual. The event loop
+// consumes each result at the frame's virtual completion, so the served
+// output stream, the final metrics registry and its text snapshot are
+// byte-identical across runs and machine core counts — the determinism
+// contract the serving experiments and the serve-smoke gate assert.
 //
 // A run allocates only what it returns. Its working set — the session
 // slab, the resilient-session ladders, the queue rings, the dispatch index,
@@ -36,6 +36,7 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -191,6 +192,8 @@ type Server struct {
 	cfg Config
 	det *rfcn.Detector
 	reg *regressor.Regressor
+
+	poolWorkers int // the compute pool's size apart from cfg.Workers; 0: cfg.Workers (tests)
 }
 
 // New creates a server for a trained system. The detector and regressor
@@ -387,9 +390,10 @@ func (s *Server) runOn(sc *scratch, streams []Stream, rep *Report, keep bool, ea
 	for i, st := range admitted {
 		depth = min(s.cfg.QueueDepth, len(st.Frames))
 		sc.ladders[i] = fresh
-		sc.slab[i] = session{Lane: Lane{ID: st.ID, Sess: &sc.ladders[i]}, queue: FrameQueue{buf: rings[:depth:depth]}}
-		rings = rings[depth:]
+		// release left the slot zero: only its stream's fields are written.
 		sess := &sc.slab[i]
+		sess.ID, sess.Sess, sess.queue.buf = st.ID, &sc.ladders[i], rings[:depth:depth]
+		rings = rings[depth:]
 		l.sessions[i] = sess
 		if keep {
 			sess.outputs = make([]adascale.FrameOutput, 0, len(st.Frames))
@@ -402,7 +406,7 @@ func (s *Server) runOn(sc *scratch, streams []Stream, rep *Report, keep bool, ea
 	if !s.cfg.ModelOnly {
 		// Model-only runs never submit compute, so they skip the pool (and
 		// its per-worker detector/regressor clones) entirely.
-		l.StartPool(s.det, s.reg, s.cfg.Workers)
+		l.StartPool(s.det, s.reg, cmp.Or(s.poolWorkers, s.cfg.Workers))
 		defer l.Close()
 	}
 	l.run()

@@ -24,6 +24,14 @@ type session struct {
 	inflight *inflightFrame
 	rec      inflightFrame
 
+	// ahead is the next frame, computing at its planned scale since the
+	// frame before it settled (computeAhead); res nil: none.
+	ahead struct {
+		frame *synth.Frame
+		scale int
+		res   <-chan Result
+	}
+
 	outputs []adascale.FrameOutput // allocated at the stream's frame count
 	dropped []*synth.Frame
 }

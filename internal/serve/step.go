@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"adascale/internal/adascale"
 	"adascale/internal/obs"
@@ -121,13 +122,20 @@ type Result struct {
 // Submit ships one frame of lane ln — its detector + regressor pass — to a
 // pool worker and returns the channel its Result arrives on. The job and its
 // buffered channel are the lane's, reused frame after frame, so the lane's
-// previous Result must have been received or abandoned (Abandon). Exactly one
-// Result is always delivered: a panicking frame counts pool/panic_rebuild,
-// delivers (Err set) and then re-panics, so the pool rebuilds the worker's
-// state — the counter is in the registry before the Result is received; a
-// pool already closed (drain raced a straggler) delivers Err at once, so the
+// previous Result must have been received or abandoned (Abandon): a worker
+// never blocks delivering, whatever the pool's size. Exactly one Result is
+// always delivered: a panicking frame counts pool/panic_rebuild, delivers
+// (Err set) and then re-panics, so the pool rebuilds the worker's state —
+// the counter is in the registry before the Result is received; a pool
+// already closed (drain raced a straggler) delivers Err at once, so the
 // frame degrades to propagation rather than being lost.
 func (c *Core) Submit(ln *Lane, f *synth.Frame, scale int) <-chan Result {
+	return c.submit(ln, f, scale, false)
+}
+
+// submit is Submit for a frame dispatched now (!ahead) or computed ahead of
+// its dispatch, which claims the job (eventLoop.claimAhead).
+func (c *Core) submit(ln *Lane, f *synth.Frame, scale int, ahead bool) <-chan Result {
 	j := ln.job
 	if j == nil {
 		j = &job{res: make(chan Result, 1)}
@@ -135,6 +143,7 @@ func (c *Core) Submit(ln *Lane, f *synth.Frame, scale int) <-chan Result {
 		ln.job = j
 	}
 	j.f, j.scale, j.m = f, scale, c.Metrics
+	j.ahead.Store(ahead)
 	if !c.pool.Submit(j.run) {
 		j.res <- Result{Err: errors.New("serve: compute pool closed")}
 	}
@@ -149,14 +158,20 @@ type job struct {
 	m     *obs.Metrics
 	res   chan Result
 	run   func(worker)
+	// ahead: computed ahead and neither claimed nor panicked; a claim and a
+	// panic each clear it, and the second counts pool/panic_rebuild.
+	ahead atomic.Bool
 }
 
 func (j *job) compute(w worker) {
 	defer func() {
 		if r := recover(); r != nil {
 			// By name, under the registry lock: this is the one write made
-			// on a pool goroutine, outside the driver's serialisation.
-			j.m.Inc("pool/panic_rebuild", 1)
+			// on a pool goroutine, outside the caller's serialisation. A
+			// frame abandoned before its dispatch counts nothing.
+			if !j.ahead.CompareAndSwap(true, false) {
+				j.m.Inc("pool/panic_rebuild", 1)
+			}
 			j.res <- Result{Err: fmt.Errorf("serve: frame compute panicked: %v", r)}
 			panic(r)
 		}
